@@ -1,0 +1,78 @@
+"""Golden runs: output tokens and phase counters on a fixed tiny grid.
+
+Every (shape, strategy, n, k, t) cell below runs through
+:func:`run_generation` and must reproduce, exactly, the output tokens and
+the per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)``
+recorded in ``golden_runs.json``.  The file pins the engine's observable
+behaviour across internal refactors; a cell that raises records the error
+class and message instead.
+
+Regenerate the file (only when a behaviour change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+from gemfilter.config import ModelConfig
+from gemfilter.errors import EngineError
+from gemfilter.runner import RunConfig, Strategy, run_generation
+from gemfilter.strategies import EvictionPolicyParams
+from gemfilter.testmodels import make_random_model
+
+GOLDEN = Path(__file__).with_name("golden_runs.json")
+
+# name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer)
+SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
+EVICTION = EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2)
+
+
+def _grid():
+    for shape, (m, h, hk, dh, r) in SHAPES.items():
+        cfg = ModelConfig(
+            n_layers=m, n_heads=h, n_kv_heads=hk, head_dim=dh, d_model=h * dh,
+            vocab_size=64, hidden_mlp=16, max_seq=64,
+        )
+        weights = make_random_model(cfg, len(shape) + m)
+        for n in (5, 33):
+            tokens = [(7 * i + 3) % cfg.vocab_size for i in range(n)]
+            for k in (4, n):
+                for t in (1, 6):
+                    for strategy in Strategy:
+                        rc = RunConfig(
+                            strategy=strategy, max_new_tokens=t, select_k=k,
+                            filter_layer=r, eviction=EVICTION,
+                        )
+                        yield f"{shape}/{strategy.value}/n{n}/k{k}/t{t}", weights, tokens, rc
+
+
+def _outcome(weights, tokens, rc) -> dict:
+    try:
+        result = run_generation(weights, tokens, rc)
+    except EngineError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    phases = {
+        phase: [cost.flops_by_tag, cost.kv_bytes_peak, cost.weight_bytes_touched]
+        for phase, cost in result.session.snapshot().items()
+    }
+    return {"tokens": [int(x) for x in result.output_tokens], "phases": phases}
+
+
+def record() -> dict:
+    return {name: _outcome(w, toks, rc) for name, w, toks, rc in _grid()}
+
+
+def test_golden_runs_unchanged():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    measured = json.loads(json.dumps(record()))
+    assert sorted(measured) == sorted(expected)
+    for name in expected:
+        assert measured[name] == expected[name], name
+
+
+if __name__ == "__main__":
+    runs = record()
+    lines = [f"  {json.dumps(name)}: {json.dumps(runs[name], sort_keys=True)}" for name in runs]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(runs)} golden runs to {GOLDEN}")
