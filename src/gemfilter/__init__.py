@@ -35,11 +35,9 @@ from .selection import (
     selection_scores,
 )
 from .strategies import (
-    CompressedKV,
     EvictionPolicyParams,
     cache_bytes,
     compressed_prefill,
-    decode_with_compressed,
     h2o_compress,
     snapkv_compress,
 )
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CostParams",
     "CostSession",
-    "CompressedKV",
     "ConfigurationError",
     "ContractViolation",
     "EngineError",
@@ -77,7 +74,6 @@ __all__ = [
     "cost_table",
     "decode_selection",
     "decode_step",
-    "decode_with_compressed",
     "detokenize",
     "embed",
     "greedy_generate",

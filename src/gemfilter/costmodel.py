@@ -22,6 +22,7 @@ Wall time is measured and reported but never predicted here.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .config import ModelConfig
@@ -195,21 +196,11 @@ def cost_table(p: CostParams) -> dict[str, dict[str, CostCell]]:
             weight_bytes=p.m * p.layer_weight_bytes,
         )
 
+    compress = {PROMPT: compress_prompt, GENERATION: compress_gen}
     return {
         "full": {PROMPT: full_prompt, GENERATION: full_gen},
-        "snapkv": {PROMPT: compress_prompt, GENERATION: compress_gen},
-        "h2o": {
-            PROMPT: CostCell(
-                flops=dict(compress_prompt.flops),
-                kv_bytes_peak=compress_prompt.kv_bytes_peak,
-                weight_bytes=compress_prompt.weight_bytes,
-            ),
-            GENERATION: CostCell(
-                flops=dict(compress_gen.flops),
-                kv_bytes_peak=compress_gen.kv_bytes_peak,
-                weight_bytes=compress_gen.weight_bytes,
-            ),
-        },
+        "snapkv": compress,
+        "h2o": copy.deepcopy(compress),
         "gemfilter": {PROMPT: filter_prompt, GENERATION: twopass_gen},
     }
 

@@ -2,9 +2,15 @@
 
 The forward path is split the way the engine needs it: :func:`prefill` runs
 the prompt through the first ``upto_layer`` layers (optionally without
-retaining KV caches, and exposing the last computed layer's per-head Q/K for
-token selection), and :func:`decode_step` advances one token against mutable
-per-layer caches.
+retaining KV caches, or evicting each layer's cache as soon as the layer
+finishes, and exposing the last computed layer's per-head Q/K for token
+selection), and :func:`decode_step` advances one token against mutable
+per-layer caches.  Both go through :func:`run_layer`, the one layer body.
+
+:class:`LayerKV` is the one KV cache: head-major keys and values with
+per-head original positions.  A full cache keeps every position; an evicted
+one keeps a per-head subset (:meth:`LayerKV.gather`), and decoding resumes
+one past the largest position it holds.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
@@ -15,7 +21,7 @@ forms in :mod:`gemfilter.costmodel` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,32 +115,51 @@ class ModelWeights:
 
 @dataclass
 class LayerKV:
-    """Per-layer key/value cache: post-rotation keys, plus original positions."""
+    """Per-layer key/value cache: post-rotation keys, plus original positions.
 
-    keys: np.ndarray  # (seq, n_kv_heads, head_dim)
-    values: np.ndarray  # (seq, n_kv_heads, head_dim)
-    positions: np.ndarray  # (seq,) int64, strictly increasing
+    Rows of kv-head ``j`` are ``keys[j]``/``values[j]``, at original positions
+    ``positions[j]``.  A full cache holds the same positions for every head;
+    eviction keeps a different subset per head.
+    """
+
+    keys: np.ndarray  # (n_kv_heads, seq, head_dim)
+    values: np.ndarray  # (n_kv_heads, seq, head_dim)
+    positions: np.ndarray  # (n_kv_heads, seq) int64, strictly increasing per head
 
     def __post_init__(self) -> None:
-        if not (self.keys.shape == self.values.shape and self.keys.shape[0] == self.positions.shape[0]):
-            raise ContractViolation("LayerKV component lengths disagree")
-        if self.positions.size > 1 and not np.all(np.diff(self.positions) > 0):
+        if not (self.keys.shape == self.values.shape and self.keys.shape[:2] == self.positions.shape):
+            raise ContractViolation("LayerKV component shapes disagree")
+        if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self.keys.shape[1]
 
     @property
     def nbytes(self) -> int:
         return self.keys.nbytes + self.values.nbytes
 
-    def append(self, k_row: np.ndarray, v_row: np.ndarray, position: int) -> None:
-        """Append one token's per-kv-head K/V rows."""
-        if len(self) and int(self.positions[-1]) >= position:
+    @property
+    def next_position(self) -> int:
+        """One past the largest position held: where decoding resumes."""
+        return max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
+
+    def append(self, k_rows: np.ndarray, v_rows: np.ndarray, positions: np.ndarray) -> None:
+        """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at ``positions``."""
+        if len(self) and int(positions[0]) < self.next_position:
             raise ContractViolation("appended position must exceed the cache maximum")
-        self.keys = np.concatenate([self.keys, k_row[None]], axis=0)
-        self.values = np.concatenate([self.values, v_row[None]], axis=0)
-        self.positions = np.concatenate([self.positions, np.asarray([position], dtype=np.int64)])
+        self.keys = np.concatenate([self.keys, k_rows], axis=1)
+        self.values = np.concatenate([self.values, v_rows], axis=1)
+        new = positions[None].repeat(self.positions.shape[0], axis=0)
+        self.positions = np.concatenate([self.positions, new], axis=1)
+
+    def gather(self, rows: np.ndarray) -> "LayerKV":
+        """A new cache keeping rows ``rows[j]`` (ascending) of each kv-head ``j``."""
+        return LayerKV(
+            keys=np.take_along_axis(self.keys, rows[:, :, None], axis=1),
+            values=np.take_along_axis(self.values, rows[:, :, None], axis=1),
+            positions=np.take_along_axis(self.positions, rows, axis=1),
+        )
 
 
 @dataclass
@@ -156,11 +181,9 @@ class PrefillResult:
     hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
     caches: list[LayerKV] | None
     layer_q: np.ndarray  # (n, n_heads, head_dim) post-rotation Q of last computed layer
-    layer_k: np.ndarray  # (n, n_kv_heads, head_dim) post-rotation K of last computed layer
+    layer_k: np.ndarray  # (n_kv_heads, n, head_dim) post-rotation K of last computed layer
     logits: np.ndarray | None  # (vocab,) last-position logits, when requested
     stats: list[LayerAttnStats] | None = None
-    layer_stats_window: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
@@ -274,14 +297,18 @@ def run_layer(
     weights: ModelWeights,
     layer_idx: int,
     positions: np.ndarray,
+    cache: LayerKV | None = None,
     stats_window: int = 0,
 ):
-    """One transformer layer over the whole sequence.
+    """One transformer layer over the rows of ``x`` at ``positions``.
 
-    Returns ``(x_out, q_heads, k_heads, v_heads, stats)`` where q/k are
-    post-rotation.  ``stats_window > 0`` additionally reduces each head's
-    attention probabilities into column sums (whole prompt and trailing
-    window), which the cache compression strategies consume.
+    Without ``cache`` the rows attend causally to each other (a prompt pass)
+    and a new cache holding their K/V is returned; with one, their K/V rows
+    are appended to it and the rows attend to everything it holds (a decode
+    step).  Returns ``(x_out, q_heads, cache, stats)`` where Q is
+    ``(n, n_heads, head_dim)`` and post-rotation.  ``stats_window > 0``
+    additionally reduces each head's attention probabilities into column
+    sums (whole prompt and trailing window), which cache eviction consumes.
     """
     cfg = weights.config
     lw = weights.layers[layer_idx]
@@ -296,11 +323,15 @@ def run_layer(
     if cfg.use_rope:
         q = apply_rope(q, positions, cfg.rope_theta)
         k = apply_rope(k, positions, cfg.rope_theta)
+    k = np.ascontiguousarray(k.transpose(1, 0, 2))
+    v = np.ascontiguousarray(v.transpose(1, 0, 2))
+    if cache is None:
+        cache = LayerKV(keys=k, values=v, positions=np.tile(positions, (hk, 1)))
+    else:
+        cache.append(k, v, positions)
 
     stats = None
     if stats_window:
-        if stats_window > n:
-            raise ContractViolation("stats window exceeds prompt length")
         stats = LayerAttnStats(
             col_sums=np.zeros((h, n), dtype=np.float64),
             window_sums=np.zeros((h, n), dtype=np.float64),
@@ -310,9 +341,9 @@ def run_layer(
     groups = cfg.kv_groups
     for qh in range(h):
         kvh = qh // groups
-        k_head = np.ascontiguousarray(k[:, kvh, :])
-        v_head = np.ascontiguousarray(v[:, kvh, :])
-        out, probs = _attention(q[:, qh, :], k_head, v_head, want_probs=stats is not None)
+        out, probs = _attention(
+            q[:, qh, :], cache.keys[kvh], cache.values[kvh], want_probs=stats is not None
+        )
         attn[:, qh * dh : (qh + 1) * dh] = out
         if stats is not None:
             stats.col_sums[qh] = probs.sum(axis=0, dtype=np.float64)
@@ -320,7 +351,7 @@ def run_layer(
     x = x + matmul(attn, lw.wo, tag="proj")
     xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
     x = x + _mlp(xn2, lw)
-    return x, q, k, v, stats
+    return x, q, cache, stats
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:
@@ -337,13 +368,16 @@ def prefill(
     retain_caches: bool = True,
     want_logits: bool | None = None,
     stats_window: int = 0,
+    evict=None,
 ) -> PrefillResult:
     """Run the prompt through layers 1..upto_layer.
 
     With ``retain_caches=False`` only the current layer's K/V stay live (the
     token-selection pass needs no caches), which the KV byte checkpoints
-    reflect.  Logits require the full stack and are computed for the last
-    position only.
+    reflect.  ``evict(cache, stats)`` replaces each layer's full cache with
+    the one it returns as soon as the layer finishes, so at most one full
+    layer is ever live next to the evicted ones.  Logits require the full
+    stack and are computed for the last position only.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
@@ -351,6 +385,10 @@ def prefill(
         raise ContractViolation("prefill requires a non-empty prompt")
     if ids.size > cfg.max_seq:
         raise ContractViolation(f"prompt length {ids.size} exceeds max_seq {cfg.max_seq}")
+    if stats_window > ids.size:
+        raise ContractViolation(
+            f"prompt length {ids.size} shorter than observation window {stats_window}"
+        )
     upto = cfg.n_layers if upto_layer is None else int(upto_layer)
     if not 1 <= upto <= cfg.n_layers:
         raise ContractViolation(f"upto_layer {upto} outside 1..{cfg.n_layers}")
@@ -359,75 +397,52 @@ def prefill(
     if want_logits and upto != cfg.n_layers:
         raise ContractViolation("logits require running every layer")
 
-    n = ids.size
     x = embed(ids, weights)
-    positions = np.arange(n, dtype=np.int64)
+    positions = np.arange(ids.size, dtype=np.int64)
     caches: list[LayerKV] | None = [] if retain_caches else None
-    stats_list: list[LayerAttnStats] | None = [] if stats_window else None
-    last_q = last_k = None
+    # Eviction consumes each layer's stats; otherwise they are returned.
+    stats_list: list[LayerAttnStats] | None = [] if stats_window and evict is None else None
     for li in range(upto):
-        x, q, k, v, st = run_layer(x, weights, li, positions, stats_window=stats_window)
+        x, q, layer_kv, st = run_layer(x, weights, li, positions, stats_window=stats_window)
+        live = layer_kv.nbytes
         if caches is not None:
-            caches.append(LayerKV(keys=k, values=v, positions=positions.copy()))
-            note_kv_bytes(sum(c.nbytes for c in caches))
-        else:
-            note_kv_bytes(k.nbytes + v.nbytes)
+            caches.append(layer_kv if evict is None else evict(layer_kv, st))
+            # An evicted layer's full cache is still live at this checkpoint.
+            live = sum(c.nbytes for c in caches) + (0 if evict is None else live)
+        note_kv_bytes(live)
         if stats_list is not None:
             stats_list.append(st)
-        if li == upto - 1:
-            last_q, last_k = q, k
+        if li < upto - 1:
+            del q, layer_kv  # drop this layer's full K/V before the next runs
 
     logits = logits_from_hidden(x[-1], weights) if want_logits else None
     return PrefillResult(
         hidden=x,
         caches=caches,
-        layer_q=last_q,
-        layer_k=last_k,
+        layer_q=q,
+        layer_k=layer_kv.keys,
         logits=logits,
         stats=stats_list,
-        layer_stats_window=stats_window,
     )
 
 
 def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.ndarray:
-    """Advance generation by one token; appends one K/V row per layer.
+    """Advance generation by one token; appends one K/V row per layer and head.
 
-    The new token's position is one past the previous cache maximum, and the
+    The new token's position is one past the largest cached position, and the
     returned logits cover the whole vocabulary.
     """
     cfg = weights.config
     if not caches or len(caches) != cfg.n_layers:
         raise ContractViolation("decode_step requires one prefilled cache per layer")
-    if not 0 <= int(token) < cfg.vocab_size:
-        raise ContractViolation(f"token id {token} outside vocabulary")
-    if len(caches[0]) + 1 > cfg.max_seq:
+    position = caches[0].next_position
+    if position + 1 > cfg.max_seq:
         raise ContractViolation("cache would exceed max_seq")
 
-    h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    position = int(caches[0].positions[-1]) + 1
+    x = embed([int(token)], weights)
     pos_arr = np.asarray([position], dtype=np.int64)
-    x = weights.tok_emb[int(token)][None, :].astype(F32, copy=True)
-    groups = cfg.kv_groups
-    for li, (lw, cache) in enumerate(zip(weights.layers, caches)):
-        touch_layer(li, weights.per_layer_bytes)
-        xn = rms_norm_rows(x, lw.attn_norm, cfg.norm_eps)
-        q = matmul(xn, lw.wq, tag="proj").reshape(1, h, dh)
-        k = matmul(xn, lw.wk, tag="proj").reshape(1, hk, dh)
-        v = matmul(xn, lw.wv, tag="proj").reshape(1, hk, dh)
-        if cfg.use_rope:
-            q = apply_rope(q, pos_arr, cfg.rope_theta)
-            k = apply_rope(k, pos_arr, cfg.rope_theta)
-        cache.append(k[0], v[0], position)
-        attn = np.empty((1, cfg.d_model), dtype=F32)
-        for qh in range(h):
-            kvh = qh // groups
-            k_head = np.ascontiguousarray(cache.keys[:, kvh, :])
-            v_head = np.ascontiguousarray(cache.values[:, kvh, :])
-            out, _ = _attention(q[:, qh, :], k_head, v_head, want_probs=False)
-            attn[:, qh * dh : (qh + 1) * dh] = out
-        x = x + matmul(attn, lw.wo, tag="proj")
-        xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
-        x = x + _mlp(xn2, lw)
+    for li, cache in enumerate(caches):
+        x = run_layer(x, weights, li, pos_arr, cache)[0]
     note_kv_bytes(sum(c.nbytes for c in caches))
     return logits_from_hidden(x[0], weights)
 
@@ -443,8 +458,14 @@ def greedy_generate(weights: ModelWeights, tokens, t_max: int) -> list[int]:
     if t_max == 0:
         return []
     pre = prefill(tokens, weights, want_logits=True)
-    out = [argmax(pre.logits)]
-    for _ in range(t_max - 1):
-        logits = decode_step(out[-1], pre.caches, weights)
-        out.append(argmax(logits))
+    first = argmax(pre.logits)
+    return [first] + greedy_decode(weights, pre.caches, first, t_max - 1)
+
+
+def greedy_decode(weights: ModelWeights, caches: list[LayerKV], token: int, steps: int) -> list[int]:
+    """The ``steps`` greedy tokens after ``token``, one decode step each."""
+    out: list[int] = []
+    for _ in range(steps):
+        token = argmax(decode_step(token, caches, weights))
+        out.append(token)
     return out

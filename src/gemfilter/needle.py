@@ -11,7 +11,7 @@ whether two-pass generation reproduces the full model's continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class NeedleReport:
     chosen_layer: int
     generation_match: bool | None = None
     metric_note: str = METRIC_NOTE
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

@@ -19,14 +19,9 @@ import numpy as np
 from .counting import GENERATION, PROMPT, CostSession
 from .errors import ConfigurationError, ContractViolation
 from .kernels import argmax
-from .model import ModelWeights, decode_step, prefill
+from .model import ModelWeights, greedy_decode, prefill
 from .selection import SelectionResult, selection_gen
-from .strategies import (
-    EvictionPolicyParams,
-    cache_bytes,
-    compressed_prefill,
-    decode_with_compressed,
-)
+from .strategies import EvictionPolicyParams, cache_bytes, compressed_prefill
 
 
 class Strategy(str, Enum):
@@ -69,9 +64,7 @@ def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
         raise ContractViolation("max_new_tokens must be >= 0")
     session = CostSession()
     with session.activate():
-        if rc.strategy is Strategy.FULL:
-            result = _run_full(weights, tokens, rc, session)
-        elif rc.strategy is Strategy.GEMFILTER:
+        if rc.strategy is Strategy.GEMFILTER:
             out, sel = selection_gen(
                 weights,
                 tokens,
@@ -82,49 +75,28 @@ def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
                 rc.include_first,
                 rc.pool_mode,
             )
-            result = RunResult(output_tokens=out, session=session, selection=sel)
+            return RunResult(output_tokens=out, session=session, selection=sel)
+        out = _prompt_then_decode(weights, tokens, rc, session)
+    return RunResult(output_tokens=out, session=session)
+
+
+def _prompt_then_decode(weights, tokens, rc, session) -> list[int]:
+    """Full or evicted prompt caches, then greedy decode against them."""
+    t = rc.max_new_tokens
+    with session.in_phase(PROMPT):
+        if rc.strategy is Strategy.FULL:
+            pre = prefill(tokens, weights, want_logits=t >= 1)
+            caches, logits = pre.caches, pre.logits
         else:
-            result = _run_compressed(weights, tokens, rc, session)
-    return result
-
-
-def _run_full(weights, tokens, rc, session) -> RunResult:
-    t = rc.max_new_tokens
-    out: list[int] = []
-    with session.in_phase(PROMPT):
-        pre = prefill(tokens, weights, want_logits=t >= 1)
-        if t >= 1:
-            out.append(argmax(pre.logits))
-    if t >= 1:
-        with session.in_phase(GENERATION):
-            session.note_kv_bytes(cache_bytes(pre.caches))
-            for _ in range(t - 1):
-                logits = decode_step(out[-1], pre.caches, weights)
-                out.append(argmax(logits))
-    return RunResult(output_tokens=out, session=session)
-
-
-def _run_compressed(weights, tokens, rc, session) -> RunResult:
-    t = rc.max_new_tokens
-    out: list[int] = []
-    with session.in_phase(PROMPT):
-        compressed, logits = compressed_prefill(
-            tokens,
-            weights,
-            rc.strategy.value,
-            rc.select_k,
-            rc.eviction,
-            want_logits=t >= 1,
-        )
-        if t >= 1:
-            out.append(argmax(logits))
-    if t >= 1:
-        with session.in_phase(GENERATION):
-            session.note_kv_bytes(cache_bytes(compressed))
-            for _ in range(t - 1):
-                logits = decode_with_compressed(out[-1], compressed, weights)
-                out.append(argmax(logits))
-    return RunResult(output_tokens=out, session=session)
+            caches, logits = compressed_prefill(
+                tokens, weights, rc.strategy.value, rc.select_k, rc.eviction, want_logits=t >= 1
+            )
+        if t == 0:
+            return []
+        first = argmax(logits)
+    with session.in_phase(GENERATION):
+        session.note_kv_bytes(cache_bytes(caches))
+        return [first] + greedy_decode(weights, caches, first, t - 1)
 
 
 def deterministic_run_id(strategy: str, tokens, params: dict) -> str:

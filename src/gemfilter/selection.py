@@ -94,7 +94,7 @@ def select_indices(
     if k < 1:
         raise ContractViolation("selection budget k must be >= 1")
     pre = prefill(ids, weights, upto_layer=r, retain_caches=False, want_logits=False)
-    keys = repeat_kv(pre.layer_k, cfg.kv_groups)
+    keys = repeat_kv(np.ascontiguousarray(pre.layer_k.transpose(1, 0, 2)), cfg.kv_groups)
     scores = selection_scores(pre.layer_q[-1], keys, pool_kernel, pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
     if include_first and 0 not in kept:

@@ -9,11 +9,15 @@ Two eviction families are implemented against the same cache contract:
   whole prompt, keep the heaviest prefix positions plus a recency window.
 
 Both keep an independent index set per layer and per kv-head (contrast with
-the single global set the early-layer selection path uses).  Retained keys
-keep their original rotary positions; decode appends new tokens at positions
-n, n+1, ... so the positional span grows to n + t.
+the single global set the early-layer selection path uses).  Eviction is a
+per-head gather from a full :class:`~gemfilter.model.LayerKV` into a smaller
+one, so the evicted caches decode through the same
+:func:`~gemfilter.model.decode_step` as full ones.  Retained keys keep their
+original rotary positions; the observation window and the recency window
+always keep position n - 1, so decode appends new tokens at positions n,
+n+1, ... and the positional span grows to n + t.
 
-:func:`compressed_prefill` streams layer by layer so that at most one layer's
+:func:`compressed_prefill` evicts layer by layer so that at most one layer's
 full KV is ever live alongside the compressed caches, which is exactly the
 peak the closed-form memory model charges.
 """
@@ -21,24 +25,13 @@ peak the closed-form memory model charges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .counting import note_kv_bytes, touch_layer
 from .errors import ConfigurationError, ContractViolation
-from .kernels import matmul, pool_1d, rms_norm_rows, topk_indices
-from .model import (
-    F32,
-    LayerAttnStats,
-    LayerKV,
-    ModelWeights,
-    _attention,
-    _mlp,
-    apply_rope,
-    embed,
-    logits_from_hidden,
-    run_layer,
-)
+from .kernels import pool_1d, topk_indices
+from .model import LayerAttnStats, LayerKV, ModelWeights, prefill
 
 
 @dataclass(frozen=True)
@@ -62,53 +55,9 @@ class EvictionPolicyParams:
             raise ConfigurationError("pool_mode must be 'avg' or 'max'")
 
 
-@dataclass
-class CompressedLayerKV:
-    """One layer's compressed cache: per kv-head retained rows.
-
-    ``indices[j]`` holds ascending original positions retained for kv-head j;
-    appended decode tokens extend every head with positions past the prompt.
-    """
-
-    keys: np.ndarray  # (n_kv_heads, kept, head_dim)
-    values: np.ndarray  # (n_kv_heads, kept, head_dim)
-    indices: np.ndarray  # (n_kv_heads, kept) int64
-
-    def __post_init__(self) -> None:
-        if self.keys.shape != self.values.shape or self.keys.shape[:2] != self.indices.shape:
-            raise ContractViolation("CompressedLayerKV component shapes disagree")
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.values.nbytes
-
-    def append(self, k_row: np.ndarray, v_row: np.ndarray, position: int) -> None:
-        self.keys = np.concatenate([self.keys, k_row[:, None, :]], axis=1)
-        self.values = np.concatenate([self.values, v_row[:, None, :]], axis=1)
-        pos_col = np.full((self.indices.shape[0], 1), position, dtype=np.int64)
-        self.indices = np.concatenate([self.indices, pos_col], axis=1)
-
-
-@dataclass
-class CompressedKV:
-    """Whole-model compressed cache plus the position decode resumes from."""
-
-    layers: list[CompressedLayerKV]
-    budget: int
-    next_position: int
-
-    @property
-    def nbytes(self) -> int:
-        return sum(layer.nbytes for layer in self.layers)
-
-
-def cache_bytes(cache) -> int:
-    """Exact bytes of key+value storage for any cache object (or list of them)."""
-    if cache is None:
-        return 0
-    if isinstance(cache, (LayerKV, CompressedLayerKV, CompressedKV)):
-        return cache.nbytes
-    return sum(cache_bytes(item) for item in cache)
+def cache_bytes(caches) -> int:
+    """Exact bytes of key+value storage held by a list of layer caches."""
+    return sum(cache.nbytes for cache in caches or ())
 
 
 def _group_scores(per_head: np.ndarray, n_kv_heads: int) -> np.ndarray:
@@ -162,54 +111,40 @@ def h2o_retained_indices(
     return np.sort(np.concatenate([picked, recent]))
 
 
-def _compress_layer(
+def evict_layer(
     cache: LayerKV, stats: LayerAttnStats, k: int, params: EvictionPolicyParams, method: str
-) -> CompressedLayerKV:
-    n, n_kv, head_dim = cache.keys.shape
+) -> LayerKV:
+    """One layer's evicted cache: each kv-head keeps its own retained rows."""
     if method == "snapkv":
-        per_kv = _group_scores(stats.window_sums, n_kv)
-        select = lambda scores: snapkv_retained_indices(scores, k, params)
+        per_head, select = stats.window_sums, snapkv_retained_indices
     elif method == "h2o":
-        per_kv = _group_scores(stats.col_sums, n_kv)
-        select = lambda scores: h2o_retained_indices(scores, k, params)
+        per_head, select = stats.col_sums, h2o_retained_indices
     else:
         raise ConfigurationError(f"unknown compression method {method!r}")
-    kept0 = select(per_kv[0])
-    keys = np.empty((n_kv, kept0.shape[0], head_dim), dtype=cache.keys.dtype)
-    values = np.empty_like(keys)
-    indices = np.empty((n_kv, kept0.shape[0]), dtype=np.int64)
-    for j in range(n_kv):
-        kept = kept0 if j == 0 else select(per_kv[j])
-        indices[j] = cache.positions[kept]
-        keys[j] = cache.keys[kept, j, :]
-        values[j] = cache.values[kept, j, :]
-    return CompressedLayerKV(keys=keys, values=values, indices=indices)
+    per_kv = _group_scores(per_head, cache.keys.shape[0])
+    return cache.gather(np.stack([select(scores, k, params) for scores in per_kv]))
 
 
 def snapkv_compress(
     caches: list[LayerKV], stats: list[LayerAttnStats], k: int, params: EvictionPolicyParams
-) -> CompressedKV:
+) -> list[LayerKV]:
     """Compress full prompt caches using observation-window attention scores."""
     return _compress(caches, stats, k, params, "snapkv")
 
 
 def h2o_compress(
     caches: list[LayerKV], stats: list[LayerAttnStats], k: int, params: EvictionPolicyParams
-) -> CompressedKV:
+) -> list[LayerKV]:
     """Compress full prompt caches using cumulative attention column sums."""
     return _compress(caches, stats, k, params, "h2o")
 
 
-def _compress(caches, stats, k, params, method) -> CompressedKV:
+def _compress(caches, stats, k, params, method) -> list[LayerKV]:
     if not caches or len(caches) != len(stats):
         raise ContractViolation("compression needs one stats record per cached layer")
     if k < 1:
         raise ContractViolation("cache budget k must be >= 1")
-    layers = [
-        _compress_layer(cache, st, k, params, method) for cache, st in zip(caches, stats)
-    ]
-    next_position = int(caches[0].positions[-1]) + 1
-    return CompressedKV(layers=layers, budget=k, next_position=next_position)
+    return [evict_layer(cache, st, k, params, method) for cache, st in zip(caches, stats)]
 
 
 def compressed_prefill(
@@ -220,80 +155,18 @@ def compressed_prefill(
     params: EvictionPolicyParams,
     *,
     want_logits: bool = True,
-) -> tuple[CompressedKV, np.ndarray | None]:
+) -> tuple[list[LayerKV], np.ndarray | None]:
     """Prompt pass that evicts each layer's KV as soon as the layer finishes.
 
     Peak live KV is one layer's full cache plus all compressed layers, the
     same quantity the cost model's prompt-memory row charges.
     """
-    cfg = weights.config
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ContractViolation("prefill requires a non-empty prompt")
-    if ids.size > cfg.max_seq:
-        raise ContractViolation(f"prompt length {ids.size} exceeds max_seq {cfg.max_seq}")
-    if method == "snapkv" and ids.size < params.observation_window:
-        raise ContractViolation(
-            f"prompt length {ids.size} shorter than observation window {params.observation_window}"
-        )
-    window = params.observation_window if method == "snapkv" else min(1, ids.size)
-
-    n = ids.size
-    x = embed(ids, weights)
-    positions = np.arange(n, dtype=np.int64)
-    compressed: list[CompressedLayerKV] = []
-    for li in range(cfg.n_layers):
-        x, _q, key, val, st = run_layer(x, weights, li, positions, stats_window=window)
-        full_layer = LayerKV(keys=key, values=val, positions=positions.copy())
-        compressed.append(_compress_layer(full_layer, st, k, params, method))
-        # Checkpoint while the current layer's full KV and every compressed
-        # layer so far are both live, then drop the full copy.
-        note_kv_bytes(full_layer.nbytes + sum(c.nbytes for c in compressed))
-        del full_layer, key, val
-    logits = logits_from_hidden(x[-1], weights) if want_logits else None
-    return CompressedKV(layers=compressed, budget=k, next_position=n), logits
-
-
-def decode_with_compressed(
-    token: int, compressed: CompressedKV, weights: ModelWeights
-) -> np.ndarray:
-    """One decode step where each head attends only its retained keys.
-
-    Identical to the full decode path except for the per-head key/value sets;
-    with budget >= prompt length the two agree bit for bit.
-    """
-    cfg = weights.config
-    if len(compressed.layers) != cfg.n_layers:
-        raise ContractViolation("compressed cache must cover every layer")
-    if not 0 <= int(token) < cfg.vocab_size:
-        raise ContractViolation(f"token id {token} outside vocabulary")
-    h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    position = compressed.next_position
-    if position + 1 > cfg.max_seq:
-        raise ContractViolation("cache would exceed max_seq")
-    pos_arr = np.asarray([position], dtype=np.int64)
-    x = weights.tok_emb[int(token)][None, :].astype(F32, copy=True)
-    groups = cfg.kv_groups
-    for li, (lw, layer) in enumerate(zip(weights.layers, compressed.layers)):
-        touch_layer(li, weights.per_layer_bytes)
-        xn = rms_norm_rows(x, lw.attn_norm, cfg.norm_eps)
-        q = matmul(xn, lw.wq, tag="proj").reshape(1, h, dh)
-        k = matmul(xn, lw.wk, tag="proj").reshape(1, hk, dh)
-        v = matmul(xn, lw.wv, tag="proj").reshape(1, hk, dh)
-        if cfg.use_rope:
-            q = apply_rope(q, pos_arr, cfg.rope_theta)
-            k = apply_rope(k, pos_arr, cfg.rope_theta)
-        layer.append(k[0], v[0], position)
-        attn = np.empty((1, cfg.d_model), dtype=F32)
-        for qh in range(h):
-            kvh = qh // groups
-            k_head = np.ascontiguousarray(layer.keys[kvh])
-            v_head = np.ascontiguousarray(layer.values[kvh])
-            out, _ = _attention(q[:, qh, :], k_head, v_head, want_probs=False)
-            attn[:, qh * dh : (qh + 1) * dh] = out
-        x = x + matmul(attn, lw.wo, tag="proj")
-        xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
-        x = x + _mlp(xn2, lw)
-    compressed.next_position = position + 1
-    note_kv_bytes(compressed.nbytes)
-    return logits_from_hidden(x[0], weights)
+    window = params.observation_window if method == "snapkv" else 1
+    pre = prefill(
+        tokens,
+        weights,
+        want_logits=want_logits,
+        stats_window=window,
+        evict=partial(evict_layer, k=k, params=params, method=method),
+    )
+    return pre.caches, pre.logits

@@ -325,13 +325,13 @@ def test_snapkv_h2o_small_instance_oracles():
             heavy = h2o_compress(pre.caches, pre.stats, k, params)
             for kvh in range(cfg.n_kv_heads):
                 probs = _probs_oracle(
-                    pre.layer_q[:, kvh, :], pre.caches[0].keys[:, kvh, :]
+                    pre.layer_q[:, kvh, :], pre.caches[0].keys[kvh]
                 )
                 if k >= n:
-                    assert snap.layers[0].indices[kvh].tolist() == list(range(n))
-                    assert heavy.layers[0].indices[kvh].tolist() == list(range(n))
+                    assert snap[0].positions[kvh].tolist() == list(range(n))
+                    assert heavy[0].positions[kvh].tolist() == list(range(n))
                     assert np.array_equal(
-                        snap.layers[0].keys[kvh], pre.caches[0].keys[:, kvh, :]
+                        snap[0].keys[kvh], pre.caches[0].keys[kvh]
                     )
                     continue
                 window_scores = probs[n - window :].sum(axis=0)
@@ -345,7 +345,7 @@ def test_snapkv_h2o_small_instance_oracles():
                     sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - window]
                     + list(range(n - window, n))
                 )
-                assert snap.layers[0].indices[kvh].tolist() == snap_expect
+                assert snap[0].positions[kvh].tolist() == snap_expect
 
                 col = probs.sum(axis=0)
                 pre_h2o = col[: n - recent]
@@ -353,4 +353,4 @@ def test_snapkv_h2o_small_instance_oracles():
                     sorted(range(len(pre_h2o)), key=lambda i: (-pre_h2o[i], i))[: k - recent]
                     + list(range(n - recent, n))
                 )
-                assert heavy.layers[0].indices[kvh].tolist() == h2o_expect
+                assert heavy[0].positions[kvh].tolist() == h2o_expect

@@ -83,10 +83,9 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
         if not _valid(method, p):
             continue
         compressed, _ = compressed_prefill(tokens, weights, method, p["k"], eviction)
-        assert compressed.next_position == p["n"]
-        for layer in compressed.layers:
-            assert layer.indices.shape == (p["h_kv"], min(p["k"], p["n"]))
-            assert np.all(np.diff(layer.indices, axis=1) > 0)
-            assert np.all(layer.indices[:, -1] == p["n"] - 1)
+        for layer in compressed:
+            assert layer.positions.shape == (p["h_kv"], min(p["k"], p["n"]))
+            assert np.all(np.diff(layer.positions, axis=1) > 0)
+            assert layer.next_position == p["n"]
         if p["k"] >= p["n"]:
             assert outputs[method] == outputs["full"]

@@ -293,6 +293,6 @@ class TestIndexSetShapes:
         compressed, _ = compressed_prefill(
             tokens, w, "snapkv", 10, EvictionPolicyParams(observation_window=4, pool_kernel=3)
         )
-        assert len(compressed.layers) == cfg.n_layers
-        for layer in compressed.layers:
-            assert layer.indices.shape == (cfg.n_kv_heads, 10)
+        assert len(compressed) == cfg.n_layers
+        for layer in compressed:
+            assert layer.positions.shape == (cfg.n_kv_heads, 10)

@@ -10,12 +10,9 @@ from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.model import LayerAttnStats, LayerKV, decode_step, prefill
 from gemfilter.strategies import (
-    CompressedKV,
-    CompressedLayerKV,
     EvictionPolicyParams,
     cache_bytes,
     compressed_prefill,
-    decode_with_compressed,
     h2o_compress,
     h2o_retained_indices,
     snapkv_compress,
@@ -104,9 +101,9 @@ def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
     for _ in range(layers):
         out.append(
             LayerKV(
-                keys=rng.standard_normal((n, hk, dh)).astype(F32),
-                values=rng.standard_normal((n, hk, dh)).astype(F32),
-                positions=np.arange(n, dtype=np.int64),
+                keys=rng.standard_normal((hk, n, dh)).astype(F32),
+                values=rng.standard_normal((hk, n, dh)).astype(F32),
+                positions=np.tile(np.arange(n, dtype=np.int64), (hk, 1)),
             )
         )
     return out
@@ -202,11 +199,11 @@ class TestCompressAgainstBruteForce:
         groups = cfg.kv_groups
         for kvh in range(cfg.n_kv_heads):
             probs = [
-                masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[:, qh // groups, :])
+                masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[qh // groups])
                 for qh in range(kvh * groups, (kvh + 1) * groups)
             ]
             expected = snapkv_oracle(probs, k, window, 3)
-            assert compressed.layers[0].indices[kvh].tolist() == expected
+            assert compressed[0].positions[kvh].tolist() == expected
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_h2o_matches_probability_oracle(self, n):
@@ -218,22 +215,22 @@ class TestCompressAgainstBruteForce:
         pre = prefill(tokens, w, stats_window=1)
         compressed = h2o_compress(pre.caches, pre.stats, k, params)
         probs = [
-            masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[:, 0, :])
+            masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
         ]
         expected = h2o_oracle(probs, k, recent)
-        assert compressed.layers[0].indices[0].tolist() == expected
+        assert compressed[0].positions[0].tolist() == expected
 
     def test_k_equals_n_identity_retention(self):
         caches = dummy_caches(8)
         stats = [make_stats(window_sums=np.random.default_rng(1).random((2, 8)), window=2)]
         params = EvictionPolicyParams(observation_window=2, pool_kernel=3)
         compressed = snapkv_compress(caches, stats, 8, params)
-        layer = compressed.layers[0]
+        layer = compressed[0]
         for kvh in range(2):
-            assert layer.indices[kvh].tolist() == list(range(8))
-            assert np.array_equal(layer.keys[kvh], caches[0].keys[:, kvh, :])
-            assert np.array_equal(layer.values[kvh], caches[0].values[:, kvh, :])
+            assert layer.positions[kvh].tolist() == list(range(8))
+            assert np.array_equal(layer.keys[kvh], caches[0].keys[kvh])
+            assert np.array_equal(layer.values[kvh], caches[0].values[kvh])
 
     def test_one_hot_window_attention_key_retained_every_head(self):
         n, target = 10, 2
@@ -243,7 +240,7 @@ class TestCompressAgainstBruteForce:
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
         compressed = snapkv_compress(caches, [make_stats(window_sums=window_sums, window=2)], 3, params)
         for kvh in range(2):
-            assert target in compressed.layers[0].indices[kvh].tolist()
+            assert target in compressed[0].positions[kvh].tolist()
 
     def test_disjoint_heads_get_different_sets(self):
         n = 12
@@ -253,8 +250,8 @@ class TestCompressAgainstBruteForce:
         caches = dummy_caches(n)
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
         compressed = snapkv_compress(caches, [make_stats(window_sums=window_sums, window=2)], 3, params)
-        a = compressed.layers[0].indices[0].tolist()
-        b = compressed.layers[0].indices[1].tolist()
+        a = compressed[0].positions[0].tolist()
+        b = compressed[0].positions[1].tolist()
         assert a != b
         assert 1 in a and 7 in b
 
@@ -268,7 +265,7 @@ class TestCompressAgainstBruteForce:
         tweaked = base.copy()
         tweaked[1] = rng.random(n)
         second = snapkv_compress(caches, [make_stats(window_sums=tweaked, window=4)], 8, params)
-        assert np.array_equal(first.layers[0].indices[0], second.layers[0].indices[0])
+        assert np.array_equal(first[0].positions[0], second[0].positions[0])
 
     def test_budget_exactness_random(self):
         rng = np.random.default_rng(3)
@@ -281,7 +278,7 @@ class TestCompressAgainstBruteForce:
             for compress in (snapkv_compress, h2o_compress):
                 compressed = compress(caches, stats, k, params)
                 for kvh in range(2):
-                    idx = compressed.layers[0].indices[kvh]
+                    idx = compressed[0].positions[kvh]
                     assert idx.shape[0] == min(k, n)
                     assert np.all(np.diff(idx) > 0)
 
@@ -299,7 +296,7 @@ class TestCompressedDecode:
         compressed = snapkv_compress(pre.caches, pre.stats, len(tokens), params)
         for step_token in (3, 9, 1):
             full_logits = decode_step(step_token, pre.caches, w)
-            comp_logits = decode_with_compressed(step_token, compressed, w)
+            comp_logits = decode_step(step_token, compressed, w)
             assert np.array_equal(full_logits, comp_logits)
 
     def test_sparse_attention_instance_close_logits(self):
@@ -321,14 +318,13 @@ class TestCompressedDecode:
         for cache in pre2.caches:
             idx = np.asarray(keep, dtype=np.int64)
             layers.append(
-                CompressedLayerKV(
-                    keys=np.stack([cache.keys[idx, j, :] for j in range(cfg.n_kv_heads)]),
-                    values=np.stack([cache.values[idx, j, :] for j in range(cfg.n_kv_heads)]),
-                    indices=np.stack([cache.positions[idx]] * cfg.n_kv_heads),
+                LayerKV(
+                    keys=np.stack([cache.keys[j][idx] for j in range(cfg.n_kv_heads)]),
+                    values=np.stack([cache.values[j][idx] for j in range(cfg.n_kv_heads)]),
+                    positions=np.stack([cache.positions[j][idx] for j in range(cfg.n_kv_heads)]),
                 )
             )
-        compressed = CompressedKV(layers=layers, budget=len(keep), next_position=len(tokens))
-        comp_logits = decode_with_compressed(98, compressed, w)
+        comp_logits = decode_step(98, layers, w)
         np.testing.assert_allclose(comp_logits, full_logits, atol=1e-2)
 
     def test_compressed_cache_bytes_closed_form(self):
@@ -352,8 +348,8 @@ class TestCompressedDecode:
         streamed, logits = compressed_prefill(tokens, w, "snapkv", 8, params)
         assert logits is not None
         np.testing.assert_array_equal(logits, pre.logits)
-        for a, b in zip(batch.layers, streamed.layers):
-            assert np.array_equal(a.indices, b.indices)
+        for a, b in zip(batch, streamed):
+            assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.keys, b.keys)
             assert np.array_equal(a.values, b.values)
 
