@@ -74,15 +74,26 @@ def _add_metrics_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_json(path, flag: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"{flag} file is unreadable: {exc}") from exc
+
+
 def _load_prompt(args, vocab_size: int) -> list[int]:
     if args.prompt_text is not None:
         tokens = tokenizer.tokenize(args.prompt_text)
     elif args.prompt_tokens is not None:
-        with open(args.prompt_tokens, "r", encoding="utf-8") as fh:
-            tokens = json.load(fh)
+        tokens = _read_json(args.prompt_tokens, "--prompt-tokens")
         if not isinstance(tokens, list):
             raise ContractViolation("--prompt-tokens file must hold a JSON array")
-        tokens = [int(t) for t in tokens]
+        for t in tokens:
+            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < vocab_size:
+                raise ContractViolation(
+                    f"--prompt-tokens entry {t!r} is not a token id in [0, {vocab_size})"
+                )
     else:
         rng = np.random.default_rng(args.seed)
         tokens = rng.integers(0, vocab_size, size=int(args.prompt_random)).tolist()
@@ -94,8 +105,10 @@ def _load_prompt(args, vocab_size: int) -> list[int]:
 def _config_from_args(args, base: dict | None = None) -> ModelConfig:
     values = dict(DEFAULT_CONFIG if base is None else base)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+        loaded = _read_json(args.config, "--config")
+        if not isinstance(loaded, dict):
+            raise ContractViolation("--config file must hold a JSON object")
+        values.update(loaded)
     overrides = {
         "n_layers": args.layers,
         "n_heads": args.heads,

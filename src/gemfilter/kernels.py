@@ -4,7 +4,9 @@ All kernels are pure functions of their inputs and deterministic for a fixed
 process configuration.  ``matmul`` reports its work to the ambient cost
 session (see :mod:`gemfilter.counting`); nothing else is counted, by
 convention.  Ties in ``topk_indices`` and ``argmax`` always break toward the
-lower index so every downstream selection is reproducible.
+lower index so every downstream selection is reproducible.  Every selection
+and every emitted token passes through one of those two, so both reject
+non-finite input rather than pick from NaN scores or logits.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
         raise ContractViolation("topk_indices expects a non-empty vector")
     if not 1 <= k <= v.size:
         raise ContractViolation(f"topk k={k} out of range for length {v.size}")
+    _require_finite(v, "topk_indices")
     order = np.argsort(-v, kind="stable")
     return order[:k].astype(np.int64)
 
@@ -150,4 +153,11 @@ def argmax(v: np.ndarray) -> int:
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation("argmax expects a non-empty vector")
+    _require_finite(v, "argmax")
     return int(np.argmax(v))
+
+
+def _require_finite(v: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ContractViolation(f"{what} input is not finite (value {v[bad]} at index {bad})")

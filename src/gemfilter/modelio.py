@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -49,23 +51,39 @@ def save_model(path, weights: ModelWeights) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # A claimed size is checked against the bytes left before anything is
+    # allocated for it.
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ModelFormatError(f"truncated file while reading {what}")
-    return data
+    return fh.read(count)
+
+
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def load_model(path) -> ModelWeights:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot open model file: {exc}") from exc
+    with fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = _read_exact(fh, header_len, "config header")
         try:
-            cfg = ModelConfig.from_dict(json.loads(header.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            values = json.loads(_utf8(header, "config header"))
+        except json.JSONDecodeError as exc:
             raise ModelFormatError(f"unreadable config header: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ModelFormatError("config header must be a JSON object")
+        try:
+            cfg = ModelConfig.from_dict(values)
         except ConfigurationError as exc:
             raise ModelFormatError(f"invalid config header: {exc}") from exc
 
@@ -77,12 +95,12 @@ def load_model(path) -> ModelWeights:
             if len(head) != 4:
                 raise ModelFormatError("truncated file while reading tensor name length")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _utf8(_read_exact(fh, name_len, "tensor name"), "tensor name")
             dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, f"tensor {name} header"))
             if dtype_tag != DTYPE_F32:
                 raise ModelFormatError(f"tensor {name} has unsupported dtype tag {dtype_tag}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name} dims"))
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            count = math.prod(dims)
             payload = _read_exact(fh, 4 * count, f"tensor {name} payload")
             if name in tensors:
                 raise ModelFormatError(f"tensor {name} appears more than once")
