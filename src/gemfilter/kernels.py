@@ -158,6 +158,6 @@ def argmax(v: np.ndarray) -> int:
 
 
 def _require_finite(v: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise ContractViolation(f"{what} input is not finite (value {v[bad]} at index {bad})")

@@ -127,7 +127,7 @@ class LayerKV:
     positions: np.ndarray  # (n_kv_heads, seq) int64, strictly increasing per head
 
     def __post_init__(self) -> None:
-        if not (self.keys.shape == self.values.shape and self.keys.shape[:2] == self.positions.shape):
+        if self.keys.shape != self.values.shape or self.keys.shape[:2] != self.positions.shape:
             raise ContractViolation("LayerKV component shapes disagree")
         if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
@@ -462,7 +462,9 @@ def greedy_generate(weights: ModelWeights, tokens, t_max: int) -> list[int]:
     return [first] + greedy_decode(weights, pre.caches, first, t_max - 1)
 
 
-def greedy_decode(weights: ModelWeights, caches: list[LayerKV], token: int, steps: int) -> list[int]:
+def greedy_decode(
+    weights: ModelWeights, caches: list[LayerKV], token: int, steps: int
+) -> list[int]:
     """The ``steps`` greedy tokens after ``token``, one decode step each."""
     out: list[int] = []
     for _ in range(steps):

@@ -53,9 +53,10 @@ def save_model(path, weights: ModelWeights) -> None:
 def _read_exact(fh, count: int, what: str) -> bytes:
     # A claimed size is checked against the bytes left before anything is
     # allocated for it.
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+    data = fh.read(count) if count <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
+    if len(data) != count:
         raise ModelFormatError(f"truncated file while reading {what}")
-    return fh.read(count)
+    return data
 
 
 def _utf8(data: bytes, what: str) -> str:

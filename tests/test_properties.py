@@ -3,9 +3,10 @@
 For any ``(n, k, t, r, m, h, h_kv, observation_window, recent_keep)`` each
 strategy either raises a named :class:`EngineError` (exactly when the
 parameters violate a documented constraint) or produces counters that equal
-``cost_table`` as integers.  Evicted caches keep ``min(k, n)`` strictly
-increasing positions per head and resume decoding at position ``n``, and a
-budget covering the prompt makes snapkv/h2o generate the full-cache tokens.
+``cost_table`` as integers.  The global selection and each head of an
+evicted cache keep ``min(k, n)`` strictly increasing positions, evicted
+caches resume decoding at position ``n``, and a budget covering the prompt
+makes snapkv/h2o generate the full-cache tokens.
 """
 
 import numpy as np
@@ -78,6 +79,9 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
         report = verify_counters({strategy.value: result.session.snapshot()}, table)
         assert report.ok, report.format_text()
         outputs[strategy.value] = result.output_tokens
+        if strategy is Strategy.GEMFILTER:
+            kept = result.selection.indices
+            assert kept.size == min(p["k"], p["n"]) and np.all(np.diff(kept) > 0)
 
     for method in ("snapkv", "h2o"):
         if not _valid(method, p):

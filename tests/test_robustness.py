@@ -131,7 +131,8 @@ def test_missing_model_file_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["{not json", '[1, "x"]', "[1e400]", "[1, 2.5]", "[true]", "[-1]", "[99999999999999999999999]"]
+    "text",
+    ["{not json", '[1, "x"]', "[1e400]", "[1, 2.5]", "[true]", "[-1]", "[99999999999999999999999]"],
 )
 def test_malformed_prompt_tokens_exit_one(tmp_path, capsys, text):
     model = tmp_path / "m.gfm"
@@ -139,4 +140,12 @@ def test_malformed_prompt_tokens_exit_one(tmp_path, capsys, text):
     prompt = tmp_path / "prompt.json"
     prompt.write_text(text, encoding="utf-8")
     assert generate_exit_code(model, "--prompt-tokens", str(prompt)) == 1
+    assert "ContractViolation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+def test_malformed_config_file_exit_one(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["make-model", "--out", str(tmp_path / "m.gfm"), "--config", str(config)]) == 1
     assert "ContractViolation" in capsys.readouterr().err
