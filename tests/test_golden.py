@@ -1,7 +1,9 @@
 """Golden runs: output tokens and phase counters on a fixed tiny grid.
 
-Every (shape, strategy, n, k, t) cell below runs through
-:func:`run_generation` and must reproduce, exactly, the output tokens and
+Every (shape, strategy, n, k, t) cell below, plus the snapkv/h2o cells under
+the non-default eviction settings (``pool_mode="max"`` and
+``window_in_budget=False``), runs through :func:`run_generation` and must
+reproduce, exactly, the output tokens and
 the per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)``
 recorded in ``golden_runs.json``.  The file pins the engine's observable
 behaviour across internal refactors; a cell that raises records the error
@@ -13,6 +15,7 @@ Regenerate the file (only when a behaviour change is intended) with::
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from gemfilter.config import ModelConfig
@@ -26,6 +29,12 @@ GOLDEN = Path(__file__).with_name("golden_runs.json")
 # name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer)
 SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
 EVICTION = EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2)
+# Extra eviction settings run for snapkv/h2o only; their cells get a suffix.
+EVICTION_VARIANTS = {
+    "pool-max": replace(EVICTION, pool_mode="max"),
+    "window-outside-budget": replace(EVICTION, window_in_budget=False),
+}
+EVICTING = (Strategy.SNAPKV, Strategy.H2O)
 
 
 def _grid():
@@ -40,11 +49,18 @@ def _grid():
             for k in (4, n):
                 for t in (1, 6):
                     for strategy in Strategy:
+                        name = f"{shape}/{strategy.value}/n{n}/k{k}/t{t}"
                         rc = RunConfig(
                             strategy=strategy, max_new_tokens=t, select_k=k,
                             filter_layer=r, eviction=EVICTION,
                         )
-                        yield f"{shape}/{strategy.value}/n{n}/k{k}/t{t}", weights, tokens, rc
+                        yield name, weights, tokens, rc
+                        if strategy in EVICTING:
+                            for suffix, eviction in EVICTION_VARIANTS.items():
+                                yield (
+                                    f"{name}/{suffix}", weights, tokens,
+                                    replace(rc, eviction=eviction),
+                                )
 
 
 def _outcome(weights, tokens, rc) -> dict:
