@@ -38,8 +38,6 @@ from .strategies import (
     EvictionPolicyParams,
     cache_bytes,
     compressed_prefill,
-    h2o_compress,
-    snapkv_compress,
 )
 from .testmodels import copy_model_config, make_copy_model, make_random_model
 from .tokenizer import VOCAB_SIZE, detokenize, tokenize
@@ -77,7 +75,6 @@ __all__ = [
     "detokenize",
     "embed",
     "greedy_generate",
-    "h2o_compress",
     "load_model",
     "make_copy_model",
     "make_random_model",
@@ -89,7 +86,6 @@ __all__ = [
     "select_indices",
     "selection_gen",
     "selection_scores",
-    "snapkv_compress",
     "tokenize",
     "verify_counters",
 ]

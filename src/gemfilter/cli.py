@@ -17,6 +17,7 @@ from . import tokenizer
 from .config import ModelConfig
 from .costmodel import CostParams, cost_table, format_cost_table, verify_counters
 from .errors import ContractViolation, EngineError
+from .model import check_prompt_length
 from .modelio import load_model, save_model
 from .needle import NeedleSpec, needle_run
 from .runner import (
@@ -82,7 +83,8 @@ def _read_json(path, flag: str):
         raise ContractViolation(f"{flag} file is unreadable: {exc}") from exc
 
 
-def _load_prompt(args, vocab_size: int) -> list[int]:
+def _load_prompt(args, cfg: ModelConfig) -> list[int]:
+    vocab_size = cfg.vocab_size
     if args.prompt_text is not None:
         tokens = tokenizer.tokenize(args.prompt_text)
     elif args.prompt_tokens is not None:
@@ -95,6 +97,7 @@ def _load_prompt(args, vocab_size: int) -> list[int]:
                     f"--prompt-tokens entry {t!r} is not a token id in [0, {vocab_size})"
                 )
     else:
+        check_prompt_length(args.prompt_random, cfg)
         rng = np.random.default_rng(args.seed)
         tokens = rng.integers(0, vocab_size, size=int(args.prompt_random)).tolist()
     if not tokens:
@@ -166,7 +169,7 @@ def _eviction_from_args(args) -> EvictionPolicyParams:
 
 def cmd_generate(args) -> int:
     weights = load_model(args.model)
-    tokens = _load_prompt(args, weights.config.vocab_size)
+    tokens = _load_prompt(args, weights.config)
     rc = RunConfig(
         strategy=Strategy.parse(args.strategy),
         max_new_tokens=args.max_new_tokens,
@@ -195,7 +198,7 @@ def cmd_generate(args) -> int:
 
 def cmd_select(args) -> int:
     weights = load_model(args.model)
-    tokens = _load_prompt(args, weights.config.vocab_size)
+    tokens = _load_prompt(args, weights.config)
     sel = select_indices(
         weights,
         tokens,
@@ -325,6 +328,7 @@ def cmd_bench(args) -> int:
     else:
         weights = make_random_model(_config_from_args(args), args.seed)
     cfg = weights.config
+    check_prompt_length(args.n, cfg)
     rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, cfg.vocab_size, size=args.n).tolist()
     eviction = _eviction_from_args(args)

@@ -56,6 +56,14 @@ class CostParams:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
         if not 1 <= self.r <= self.m:
             raise ContractViolation(f"filter layer {self.r} outside 1..{self.m}")
+        if self.h_kv < 1 or self.h % self.h_kv != 0:
+            raise ContractViolation(
+                f"kv heads {self.h_kv} must be >= 1 and divide query heads {self.h}"
+            )
+        if min(self.hidden_mlp, self.vocab) < 1 or self.layer_weight_bytes < 0:
+            raise ContractViolation(
+                "hidden_mlp and vocab must be >= 1 and layer weight bytes >= 0"
+            )
 
     @property
     def k_eff(self) -> int:

@@ -7,6 +7,10 @@ finishes, and exposing the last computed layer's per-head Q/K for token
 selection), and :func:`decode_step` advances one token against mutable
 per-layer caches.  Both go through :func:`run_layer`, the one layer body.
 
+Eviction reads one score vector per query head: the float64 column sums of
+the last ``score_rows`` attention probability rows, reduced inside the
+attention kernel so the ``n x n`` probability matrix never outlives it.
+
 :class:`LayerKV` is the one KV cache: head-major keys and values with
 per-head original positions.  A full cache keeps every position; an evicted
 one keeps a per-head subset (:meth:`LayerKV.gather`), and decoding resumes
@@ -163,27 +167,20 @@ class LayerKV:
 
 
 @dataclass
-class LayerAttnStats:
-    """Reductions of one layer's prompt attention, per query head.
-
-    ``col_sums[j, i]`` is the total attention probability key ``i`` received
-    from every query of head ``j``; ``window_sums`` restricts the senders to
-    the trailing observation window.
-    """
-
-    col_sums: np.ndarray  # (n_heads, n) float64
-    window_sums: np.ndarray  # (n_heads, n) float64
-    window: int
-
-
-@dataclass
 class PrefillResult:
     hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
     caches: list[LayerKV] | None
     layer_q: np.ndarray  # (n, n_heads, head_dim) post-rotation Q of last computed layer
     layer_k: np.ndarray  # (n_kv_heads, n, head_dim) post-rotation K of last computed layer
     logits: np.ndarray | None  # (vocab,) last-position logits, when requested
-    stats: list[LayerAttnStats] | None = None
+
+
+def check_prompt_length(n: int, cfg: ModelConfig) -> None:
+    """Reject a prompt length outside ``1..max_seq``."""
+    if n < 1:
+        raise ContractViolation(f"prompt length {n} must be >= 1")
+    if n > cfg.max_seq:
+        raise ContractViolation(f"prompt length {n} exceeds max_seq {cfg.max_seq}")
 
 
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
@@ -241,12 +238,16 @@ def repeat_kv(kv: np.ndarray, groups: int) -> np.ndarray:
     return np.repeat(kv, groups, axis=1)
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, want_probs: bool):
-    """Single-head causal attention; optionally returns the probability matrix.
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0):
+    """Single-head causal attention.
 
-    Queries align with the end of the key sequence: query i attends keys
-    0..(nk - nq + i).  The score matrix is computed densely and masked
-    pre-softmax, so the FLOP charge is the full 2*nq*d*nk + 2*nq*nk*d.
+    Returns ``(out, received)``.  ``received[i]`` is the float64 sum of the
+    attention probability key ``i`` got from the last ``score_rows`` queries,
+    or None when ``score_rows`` is 0; the probability matrix itself is freed
+    on return.  Queries align with the end of the key sequence:
+    query i attends keys 0..(nk - nq + i).  The score matrix is computed
+    densely and masked pre-softmax, so the FLOP charge is the full
+    2*nq*d*nk + 2*nq*nk*d.
     """
     nq, dim = q.shape
     nk = k.shape[0]
@@ -254,6 +255,8 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, want_probs: bool):
         raise ContractViolation(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     if nq > nk:
         raise ContractViolation("attention requires q rows <= k rows")
+    if not 0 <= score_rows <= nq:
+        raise ContractViolation(f"score_rows {score_rows} outside 0..{nq}")
     scores = matmul(q, k.T, tag="attn_score")
     scores *= F32(1.0 / np.sqrt(dim))
     offset = nk - nq
@@ -266,7 +269,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, want_probs: bool):
     np.exp(scores, out=scores)
     scores /= np.sum(scores, axis=1, keepdims=True)
     out = matmul(scores, v, tag="attn_value")
-    return out, (scores if want_probs else None)
+    if not score_rows:
+        return out, None
+    return out, scores[nq - score_rows :].sum(axis=0, dtype=np.float64)
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -276,8 +281,7 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ContractViolation("causal_attention expects 2-D q, k, v")
-    out, _ = _attention(q, k, v, want_probs=False)
-    return out
+    return _attention(q, k, v)[0]
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -298,17 +302,18 @@ def run_layer(
     layer_idx: int,
     positions: np.ndarray,
     cache: LayerKV | None = None,
-    stats_window: int = 0,
+    score_rows: int = 0,
 ):
     """One transformer layer over the rows of ``x`` at ``positions``.
 
     Without ``cache`` the rows attend causally to each other (a prompt pass)
     and a new cache holding their K/V is returned; with one, their K/V rows
     are appended to it and the rows attend to everything it holds (a decode
-    step).  Returns ``(x_out, q_heads, cache, stats)`` where Q is
-    ``(n, n_heads, head_dim)`` and post-rotation.  ``stats_window > 0``
-    additionally reduces each head's attention probabilities into column
-    sums (whole prompt and trailing window), which cache eviction consumes.
+    step).  Returns ``(x_out, q_heads, cache, scores)`` where Q is
+    ``(n, n_heads, head_dim)`` and post-rotation.  With ``score_rows > 0``,
+    ``scores`` is the ``(n_heads, len(cache))`` float64 attention each key
+    received from the last ``score_rows`` rows of each query head (what cache
+    eviction consumes); otherwise it is None.
     """
     cfg = weights.config
     lw = weights.layers[layer_idx]
@@ -330,28 +335,19 @@ def run_layer(
     else:
         cache.append(k, v, positions)
 
-    stats = None
-    if stats_window:
-        stats = LayerAttnStats(
-            col_sums=np.zeros((h, n), dtype=np.float64),
-            window_sums=np.zeros((h, n), dtype=np.float64),
-            window=stats_window,
-        )
+    scores = np.empty((h, len(cache)), dtype=np.float64) if score_rows else None
     attn = np.empty((n, cfg.d_model), dtype=F32)
     groups = cfg.kv_groups
     for qh in range(h):
         kvh = qh // groups
-        out, probs = _attention(
-            q[:, qh, :], cache.keys[kvh], cache.values[kvh], want_probs=stats is not None
-        )
+        out, head_scores = _attention(q[:, qh, :], cache.keys[kvh], cache.values[kvh], score_rows)
         attn[:, qh * dh : (qh + 1) * dh] = out
-        if stats is not None:
-            stats.col_sums[qh] = probs.sum(axis=0, dtype=np.float64)
-            stats.window_sums[qh] = probs[n - stats_window :].sum(axis=0, dtype=np.float64)
+        if scores is not None:
+            scores[qh] = head_scores
     x = x + matmul(attn, lw.wo, tag="proj")
     xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
     x = x + _mlp(xn2, lw)
-    return x, q, cache, stats
+    return x, q, cache, scores
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:
@@ -367,27 +363,28 @@ def prefill(
     *,
     retain_caches: bool = True,
     want_logits: bool | None = None,
-    stats_window: int = 0,
     evict=None,
+    score_rows: int = 0,
 ) -> PrefillResult:
     """Run the prompt through layers 1..upto_layer.
 
     With ``retain_caches=False`` only the current layer's K/V stay live (the
     token-selection pass needs no caches), which the KV byte checkpoints
-    reflect.  ``evict(cache, stats)`` replaces each layer's full cache with
+    reflect.  ``evict(cache, scores)`` replaces each layer's full cache with
     the one it returns as soon as the layer finishes, so at most one full
-    layer is ever live next to the evicted ones.  Logits require the full
-    stack and are computed for the last position only.
+    layer is ever live next to the evicted ones; ``scores`` is that layer's
+    :func:`run_layer` score array over the last ``score_rows`` prompt rows.
+    Logits require the full stack and are computed for the last position
+    only.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("prefill requires a non-empty prompt")
-    if ids.size > cfg.max_seq:
-        raise ContractViolation(f"prompt length {ids.size} exceeds max_seq {cfg.max_seq}")
-    if stats_window > ids.size:
+    check_prompt_length(ids.size, cfg)
+    if score_rows > ids.size:
         raise ContractViolation(
-            f"prompt length {ids.size} shorter than observation window {stats_window}"
+            f"prompt length {ids.size} shorter than observation window {score_rows}"
         )
     upto = cfg.n_layers if upto_layer is None else int(upto_layer)
     if not 1 <= upto <= cfg.n_layers:
@@ -400,29 +397,20 @@ def prefill(
     x = embed(ids, weights)
     positions = np.arange(ids.size, dtype=np.int64)
     caches: list[LayerKV] | None = [] if retain_caches else None
-    # Eviction consumes each layer's stats; otherwise they are returned.
-    stats_list: list[LayerAttnStats] | None = [] if stats_window and evict is None else None
     for li in range(upto):
-        x, q, layer_kv, st = run_layer(x, weights, li, positions, stats_window=stats_window)
+        x, q, layer_kv, scores = run_layer(x, weights, li, positions, score_rows=score_rows)
         live = layer_kv.nbytes
         if caches is not None:
-            caches.append(layer_kv if evict is None else evict(layer_kv, st))
+            caches.append(layer_kv if evict is None else evict(layer_kv, scores))
             # An evicted layer's full cache is still live at this checkpoint.
             live = sum(c.nbytes for c in caches) + (0 if evict is None else live)
         note_kv_bytes(live)
-        if stats_list is not None:
-            stats_list.append(st)
         if li < upto - 1:
             del q, layer_kv  # drop this layer's full K/V before the next runs
 
     logits = logits_from_hidden(x[-1], weights) if want_logits else None
     return PrefillResult(
-        hidden=x,
-        caches=caches,
-        layer_q=q,
-        layer_k=layer_kv.keys,
-        logits=logits,
-        stats=stats_list,
+        hidden=x, caches=caches, layer_q=q, layer_k=layer_kv.keys, logits=logits
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counting import CostSession
 from .errors import ContractViolation
-from .model import ModelWeights, greedy_generate
+from .model import ModelWeights, check_prompt_length, greedy_generate
 from .selection import select_indices, selection_gen
 
 METRIC_NOTE = (
@@ -141,6 +141,7 @@ def needle_run(
     r_list = [int(r) for r in r_list]
     if not r_list:
         raise ContractViolation("r_list must name at least one filter layer")
+    check_prompt_length(spec.haystack_len + 1, weights.config)  # haystack plus query
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     results = []
     for r in r_list:

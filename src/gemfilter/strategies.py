@@ -1,12 +1,15 @@
 """Prompt-phase KV cache compression baselines.
 
-Two eviction families are implemented against the same cache contract:
+Two eviction families differ only in which positions they keep.  Both read
+one score vector per query head from the prompt pass
+(:func:`~gemfilter.model.run_layer`): the attention mass each key receives
+from the last ``score_rows`` queries.
 
-* SnapKV-style: score every key by the attention mass it receives from the
-  trailing observation window, smooth the scores with 1-D average pooling,
-  keep the best prefix positions plus the window itself.
-* H2O-style: score every key by its cumulative attention column sum over the
-  whole prompt, keep the heaviest prefix positions plus a recency window.
+* SnapKV-style: the rows are the trailing observation window; smooth the
+  scores with 1-D pooling, keep the best prefix positions plus the window
+  itself.
+* H2O-style: the rows are the whole prompt (cumulative column sums); keep
+  the heaviest prefix positions plus a recency window.
 
 Both keep an independent index set per layer and per kv-head (contrast with
 the single global set the early-layer selection path uses).  Eviction is a
@@ -17,9 +20,10 @@ original rotary positions; the observation window and the recency window
 always keep position n - 1, so decode appends new tokens at positions n,
 n+1, ... and the positional span grows to n + t.
 
-:func:`compressed_prefill` evicts layer by layer so that at most one layer's
-full KV is ever live alongside the compressed caches, which is exactly the
-peak the closed-form memory model charges.
+:func:`compressed_prefill` is the one compression path: it evicts layer by
+layer so that at most one layer's full KV is ever live alongside the
+compressed caches, which is exactly the peak the closed-form memory model
+charges.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import LayerAttnStats, LayerKV, ModelWeights, prefill
+from .model import LayerKV, ModelWeights, prefill
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,6 @@ class EvictionPolicyParams:
 def cache_bytes(caches) -> int:
     """Exact bytes of key+value storage held by a list of layer caches."""
     return sum(cache.nbytes for cache in caches or ())
-
-
-def _group_scores(per_head: np.ndarray, n_kv_heads: int) -> np.ndarray:
-    """Sum per-query-head score vectors within each kv-head group."""
-    h, n = per_head.shape
-    if h % n_kv_heads != 0:
-        raise ConfigurationError("query heads must divide evenly into kv heads")
-    groups = h // n_kv_heads
-    return per_head.reshape(n_kv_heads, groups, n).sum(axis=1)
 
 
 def snapkv_retained_indices(
@@ -111,40 +106,30 @@ def h2o_retained_indices(
     return np.sort(np.concatenate([picked, recent]))
 
 
-def evict_layer(
-    cache: LayerKV, stats: LayerAttnStats, k: int, params: EvictionPolicyParams, method: str
-) -> LayerKV:
-    """One layer's evicted cache: each kv-head keeps its own retained rows."""
+def _retained_indices(method: str):
+    """The keep rule of ``method``.
+
+    Resolved by name on each call, so wrappers installed on the module
+    attributes (span tracing) see every call.
+    """
     if method == "snapkv":
-        per_head, select = stats.window_sums, snapkv_retained_indices
-    elif method == "h2o":
-        per_head, select = stats.col_sums, h2o_retained_indices
-    else:
-        raise ConfigurationError(f"unknown compression method {method!r}")
-    per_kv = _group_scores(per_head, cache.keys.shape[0])
-    return cache.gather(np.stack([select(scores, k, params) for scores in per_kv]))
+        return snapkv_retained_indices
+    if method == "h2o":
+        return h2o_retained_indices
+    raise ConfigurationError(f"unknown compression method {method!r}")
 
 
-def snapkv_compress(
-    caches: list[LayerKV], stats: list[LayerAttnStats], k: int, params: EvictionPolicyParams
-) -> list[LayerKV]:
-    """Compress full prompt caches using observation-window attention scores."""
-    return _compress(caches, stats, k, params, "snapkv")
+def evict_layer(
+    cache: LayerKV, scores: np.ndarray, k: int, params: EvictionPolicyParams, method: str
+) -> LayerKV:
+    """One layer's evicted cache: each kv-head keeps its own retained rows.
 
-
-def h2o_compress(
-    caches: list[LayerKV], stats: list[LayerAttnStats], k: int, params: EvictionPolicyParams
-) -> list[LayerKV]:
-    """Compress full prompt caches using cumulative attention column sums."""
-    return _compress(caches, stats, k, params, "h2o")
-
-
-def _compress(caches, stats, k, params, method) -> list[LayerKV]:
-    if not caches or len(caches) != len(stats):
-        raise ContractViolation("compression needs one stats record per cached layer")
-    if k < 1:
-        raise ContractViolation("cache budget k must be >= 1")
-    return [evict_layer(cache, st, k, params, method) for cache, st in zip(caches, stats)]
+    ``scores`` is ``(n_heads, n)``; the query heads of each kv-head group are
+    summed into that kv-head's score vector.
+    """
+    select = _retained_indices(method)
+    per_kv = scores.reshape(cache.keys.shape[0], -1, scores.shape[1]).sum(axis=1)
+    return cache.gather(np.stack([select(head, k, params) for head in per_kv]))
 
 
 def compressed_prefill(
@@ -159,14 +144,15 @@ def compressed_prefill(
     """Prompt pass that evicts each layer's KV as soon as the layer finishes.
 
     Peak live KV is one layer's full cache plus all compressed layers, the
-    same quantity the cost model's prompt-memory row charges.
+    same quantity the cost model's prompt-memory row charges.  SnapKV scores
+    keys from the observation window's rows, H2O from every prompt row.
     """
-    window = params.observation_window if method == "snapkv" else 1
+    _retained_indices(method)  # reject an unknown method before any layer runs
     pre = prefill(
         tokens,
         weights,
         want_logits=want_logits,
-        stats_window=window,
         evict=partial(evict_layer, k=k, params=params, method=method),
+        score_rows=params.observation_window if method == "snapkv" else len(tokens),
     )
     return pre.caches, pre.logits

@@ -26,7 +26,7 @@ from gemfilter.model import (
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import selection_gen
-from gemfilter.strategies import EvictionPolicyParams, h2o_compress, snapkv_compress
+from gemfilter.strategies import EvictionPolicyParams, compressed_prefill
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
@@ -319,10 +319,10 @@ def test_snapkv_h2o_small_instance_oracles():
         cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, 600 + n)
         tokens = list(range(n))
-        pre = prefill(tokens, w, stats_window=window)
+        pre = prefill(tokens, w)
         for k in (6, n):
-            snap = snapkv_compress(pre.caches, pre.stats, k, params)
-            heavy = h2o_compress(pre.caches, pre.stats, k, params)
+            snap, _ = compressed_prefill(tokens, w, "snapkv", k, params)
+            heavy, _ = compressed_prefill(tokens, w, "h2o", k, params)
             for kvh in range(cfg.n_kv_heads):
                 probs = _probs_oracle(
                     pre.layer_q[:, kvh, :], pre.caches[0].keys[kvh]

@@ -18,6 +18,7 @@ from gemfilter.model import (
     greedy_generate,
     prefill,
     repeat_kv,
+    run_layer,
 )
 from gemfilter.testmodels import make_random_model
 
@@ -221,6 +222,53 @@ class TestCausalAttention:
         k = apply_rope(rng.standard_normal((n, 1, 8)).astype(F32), np.arange(n), 1e4)[:, 0, :]
         probs = causal_attention(q, k, np.eye(n, dtype=F32))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------- layer scores
+
+
+def received_oracle(probs_rows, n):
+    """Column sums of explicit probability rows, one float64 add at a time."""
+    out = np.zeros(n)
+    for row in probs_rows:
+        for j in range(n):
+            out[j] += float(row[j])
+    return out
+
+
+class TestRunLayerScores:
+    """run_layer's score array: attention each key received from the last rows."""
+
+    N = 11
+
+    def _layer(self, score_rows):
+        cfg = small_config(m=1, h=4, hk=2, dh=8, max_seq=64)
+        w = make_random_model(cfg, 21)
+        x = embed([(5 * i + 2) % cfg.vocab_size for i in range(self.N)], w)
+        return run_layer(x, w, 0, np.arange(self.N, dtype=np.int64), score_rows=score_rows)
+
+    @pytest.mark.parametrize("rows", [1, 3, N])
+    def test_matches_probability_oracle(self, rows):
+        n = self.N
+        _, q, cache, scores = self._layer(rows)
+        assert scores.shape == (4, n) and scores.dtype == np.float64
+        for qh in range(4):
+            kvh = qh // 2  # GQA: two query heads per kv-head
+            qrows, keys = q[:, qh, :], cache.keys[kvh]
+            # The engine's own float32 probabilities (identity values), summed
+            # in float64 by hand: only the summation order may differ.
+            probs = causal_attention(qrows, keys, np.eye(n, dtype=F32))
+            np.testing.assert_allclose(
+                scores[qh], received_oracle(probs[n - rows :], n), rtol=0, atol=1e-9
+            )
+            # Against probabilities computed in float64 throughout.
+            exact = attention_oracle(qrows, keys, np.eye(n))
+            np.testing.assert_allclose(
+                scores[qh], received_oracle(exact[n - rows :], n), rtol=0, atol=1e-6
+            )
+
+    def test_zero_rows_returns_none(self):
+        assert self._layer(0)[3] is None
 
 
 # ---------------------------------------------------------------- prefill

@@ -12,6 +12,7 @@ import pytest
 
 from gemfilter.cli import main
 from gemfilter.config import ModelConfig
+from gemfilter.costmodel import CostParams
 from gemfilter.errors import ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, topk_indices
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
@@ -149,3 +150,57 @@ def test_malformed_config_file_exit_one(tmp_path, capsys, text):
     config.write_text(text, encoding="utf-8")
     assert main(["make-model", "--out", str(tmp_path / "m.gfm"), "--config", str(config)]) == 1
     assert "ContractViolation" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- lengths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--prompt-random", "-1"],
+        ["generate", "--prompt-random", "3000000000"],
+        ["needle", "--haystack-len", "3000000000"],
+        ["bench", "--n", "-3", "--k", "2", "--t", "1", "--r", "1"],
+        ["bench", "--n", "3000000000", "--k", "2", "--t", "1", "--r", "1"],
+    ],
+    ids=["generate-neg", "generate-3e9", "needle-3e9", "bench-neg", "bench-3e9"],
+)
+def test_prompt_length_outside_max_seq_exit_one(tmp_path, capsys, argv):
+    """Rejected before the prompt is allocated: a 3e9-token prompt is 22 GiB."""
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    assert main([argv[0], "--model", str(model), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "ContractViolation" in err and "prompt length" in err
+
+
+# ------------------------------------------------------------- cost shapes
+
+COST_ARGS = ["cost", "--n", "10", "--k", "4", "--t", "1", "--r", "1", "--m", "2"]
+GOOD_COST = dict(
+    n=10, k=4, t=1, r=1, m=2, h=4, head_dim=16, h_kv=4, d_model=64,
+    hidden_mlp=256, vocab=260, layer_weight_bytes=1024,
+)
+BAD_COST_SHAPES = {
+    "kv-heads--2": (["--kv-heads", "-2"], {"h_kv": -2}),
+    "kv-heads-0": (["--kv-heads", "0"], {"h_kv": 0}),
+    "kv-heads-3": (["--kv-heads", "3"], {"h_kv": 3}),
+    "vocab--5": (["--vocab", "-5"], {"vocab": -5}),
+    "hidden-mlp-0": (["--hidden-mlp", "0"], {"hidden_mlp": 0}),
+}
+
+
+@pytest.mark.parametrize("flags, fields", BAD_COST_SHAPES.values(), ids=BAD_COST_SHAPES)
+def test_impossible_cost_shape_rejected(capsys, flags, fields):
+    CostParams(**GOOD_COST)
+    with pytest.raises(ContractViolation):
+        CostParams(**{**GOOD_COST, **fields})
+    assert main([*COST_ARGS, *flags]) == 1
+    captured = capsys.readouterr()
+    assert "ContractViolation" in captured.err and captured.out == ""
+
+
+def test_negative_layer_weight_bytes_rejected():
+    with pytest.raises(ContractViolation, match="layer weight bytes"):
+        CostParams(**{**GOOD_COST, "layer_weight_bytes": -1})

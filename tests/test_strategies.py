@@ -8,14 +8,13 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
-from gemfilter.model import LayerAttnStats, LayerKV, decode_step, prefill
+from gemfilter.model import LayerKV, decode_step, prefill
 from gemfilter.strategies import (
     EvictionPolicyParams,
     cache_bytes,
     compressed_prefill,
-    h2o_compress,
+    evict_layer,
     h2o_retained_indices,
-    snapkv_compress,
     snapkv_retained_indices,
 )
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
@@ -81,18 +80,6 @@ def h2o_oracle(probs_per_head, k, recent):
     prefix = scores[: n - recent]
     order = sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - recent]
     return sorted(order + list(range(n - recent, n)))
-
-
-def make_stats(window_sums=None, col_sums=None, window=2):
-    if window_sums is None:
-        window_sums = np.zeros_like(col_sums)
-    if col_sums is None:
-        col_sums = np.zeros_like(window_sums)
-    return LayerAttnStats(
-        col_sums=np.asarray(col_sums, dtype=np.float64),
-        window_sums=np.asarray(window_sums, dtype=np.float64),
-        window=window,
-    )
 
 
 def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
@@ -186,14 +173,14 @@ class TestRetainedIndexRules:
 class TestCompressAgainstBruteForce:
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_snapkv_matches_probability_oracle(self, n):
-        """End to end on a 1-layer model: engine stats vs explicit attention."""
+        """End to end on a 1-layer model: engine scores vs explicit attention."""
         cfg = small_config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, n)
         tokens = list(range(n))
         window, k = 3, 6
         params = EvictionPolicyParams(observation_window=window, pool_kernel=3)
-        pre = prefill(tokens, w, stats_window=window)
-        compressed = snapkv_compress(pre.caches, pre.stats, k, params)
+        pre = prefill(tokens, w)
+        compressed, _ = compressed_prefill(tokens, w, "snapkv", k, params)
 
         # Oracle recomputes each head's probabilities from the cached q/k.
         groups = cfg.kv_groups
@@ -212,8 +199,8 @@ class TestCompressAgainstBruteForce:
         tokens = list(range(n))
         k, recent = 6, 2
         params = EvictionPolicyParams(recent_keep=recent)
-        pre = prefill(tokens, w, stats_window=1)
-        compressed = h2o_compress(pre.caches, pre.stats, k, params)
+        pre = prefill(tokens, w)
+        compressed, _ = compressed_prefill(tokens, w, "h2o", k, params)
         probs = [
             masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
@@ -223,10 +210,9 @@ class TestCompressAgainstBruteForce:
 
     def test_k_equals_n_identity_retention(self):
         caches = dummy_caches(8)
-        stats = [make_stats(window_sums=np.random.default_rng(1).random((2, 8)), window=2)]
+        scores = np.random.default_rng(1).random((2, 8))
         params = EvictionPolicyParams(observation_window=2, pool_kernel=3)
-        compressed = snapkv_compress(caches, stats, 8, params)
-        layer = compressed[0]
+        layer = evict_layer(caches[0], scores, 8, params, "snapkv")
         for kvh in range(2):
             assert layer.positions[kvh].tolist() == list(range(8))
             assert np.array_equal(layer.keys[kvh], caches[0].keys[kvh])
@@ -238,9 +224,9 @@ class TestCompressAgainstBruteForce:
         window_sums[:, target] = 1.0
         caches = dummy_caches(n)
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        compressed = snapkv_compress(caches, [make_stats(window_sums=window_sums, window=2)], 3, params)
+        layer = evict_layer(caches[0], window_sums, 3, params, "snapkv")
         for kvh in range(2):
-            assert target in compressed[0].positions[kvh].tolist()
+            assert target in layer.positions[kvh].tolist()
 
     def test_disjoint_heads_get_different_sets(self):
         n = 12
@@ -249,9 +235,9 @@ class TestCompressAgainstBruteForce:
         window_sums[1, 7] = 5.0
         caches = dummy_caches(n)
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        compressed = snapkv_compress(caches, [make_stats(window_sums=window_sums, window=2)], 3, params)
-        a = compressed[0].positions[0].tolist()
-        b = compressed[0].positions[1].tolist()
+        layer = evict_layer(caches[0], window_sums, 3, params, "snapkv")
+        a = layer.positions[0].tolist()
+        b = layer.positions[1].tolist()
         assert a != b
         assert 1 in a and 7 in b
 
@@ -261,11 +247,11 @@ class TestCompressAgainstBruteForce:
         base = rng.random((2, n))
         caches = dummy_caches(n)
         params = EvictionPolicyParams(observation_window=4, pool_kernel=3)
-        first = snapkv_compress(caches, [make_stats(window_sums=base, window=4)], 8, params)
+        first = evict_layer(caches[0], base, 8, params, "snapkv")
         tweaked = base.copy()
         tweaked[1] = rng.random(n)
-        second = snapkv_compress(caches, [make_stats(window_sums=tweaked, window=4)], 8, params)
-        assert np.array_equal(first[0].positions[0], second[0].positions[0])
+        second = evict_layer(caches[0], tweaked, 8, params, "snapkv")
+        assert np.array_equal(first.positions[0], second.positions[0])
 
     def test_budget_exactness_random(self):
         rng = np.random.default_rng(3)
@@ -273,12 +259,12 @@ class TestCompressAgainstBruteForce:
             n = int(rng.integers(6, 30))
             k = int(rng.integers(4, n + 4))
             caches = dummy_caches(n, seed=int(rng.integers(0, 10**6)))
-            stats = [make_stats(window_sums=rng.random((2, n)), col_sums=rng.random((2, n)), window=2)]
+            scores = {"snapkv": rng.random((2, n)), "h2o": rng.random((2, n))}
             params = EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2)
-            for compress in (snapkv_compress, h2o_compress):
-                compressed = compress(caches, stats, k, params)
+            for method, per_head in scores.items():
+                layer = evict_layer(caches[0], per_head, k, params, method)
                 for kvh in range(2):
-                    idx = compressed[0].positions[kvh]
+                    idx = layer.positions[kvh]
                     assert idx.shape[0] == min(k, n)
                     assert np.all(np.diff(idx) > 0)
 
@@ -292,8 +278,8 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 5)
         tokens = list(range(10))
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        pre = prefill(tokens, w, stats_window=2)
-        compressed = snapkv_compress(pre.caches, pre.stats, len(tokens), params)
+        pre = prefill(tokens, w)
+        compressed, _ = compressed_prefill(tokens, w, "snapkv", len(tokens), params)
         for step_token in (3, 9, 1):
             full_logits = decode_step(step_token, pre.caches, w)
             comp_logits = decode_step(step_token, compressed, w)
@@ -309,11 +295,11 @@ class TestCompressedDecode:
         for p in needle_positions:
             tokens[p] = 98
         tokens.append(98)  # query token matches the needle
-        pre = prefill(tokens, w, stats_window=1)
+        pre = prefill(tokens, w)
         full_logits = decode_step(98, pre.caches, w)
 
         keep = sorted(set(needle_positions) | set(range(len(tokens) - 8, len(tokens))))
-        pre2 = prefill(tokens, w, stats_window=1)
+        pre2 = prefill(tokens, w)
         layers = []
         for cache in pre2.caches:
             idx = np.asarray(keep, dtype=np.int64)
@@ -332,9 +318,8 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 7)
         tokens = list(range(12))
         params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        pre = prefill(tokens, w, stats_window=2)
         k = 4
-        compressed = snapkv_compress(pre.caches, pre.stats, k, params)
+        compressed, _ = compressed_prefill(tokens, w, "snapkv", k, params)
         expected = 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
         assert cache_bytes(compressed) == expected
 
@@ -343,15 +328,15 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
         params = EvictionPolicyParams(observation_window=4, pool_kernel=3)
-        pre = prefill(tokens, w, stats_window=4)
-        batch = snapkv_compress(pre.caches, pre.stats, 8, params)
+        pre = prefill(tokens, w)
         streamed, logits = compressed_prefill(tokens, w, "snapkv", 8, params)
         assert logits is not None
         np.testing.assert_array_equal(logits, pre.logits)
-        for a, b in zip(batch, streamed):
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.keys, b.keys)
-            assert np.array_equal(a.values, b.values)
+        for full, kept in zip(pre.caches, streamed):
+            for kvh in range(cfg.n_kv_heads):
+                rows = kept.positions[kvh]  # full caches hold position i at row i
+                assert np.array_equal(kept.keys[kvh], full.keys[kvh][rows])
+                assert np.array_equal(kept.values[kvh], full.values[kvh][rows])
 
     def test_streaming_prefill_kv_peak_is_one_layer_plus_compressed(self):
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=256)
@@ -367,6 +352,14 @@ class TestCompressedDecode:
             + 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
         )
         assert peak == expected
+
+    def test_unknown_method_rejected_before_any_layer_runs(self):
+        cfg = small_config(m=2, h=2, hk=2, dh=8, max_seq=64)
+        w = make_random_model(cfg, 10)
+        session = CostSession()
+        with session.activate(), pytest.raises(ConfigurationError, match="unknown compression"):
+            compressed_prefill(list(range(8)), w, "bogus", 4, EvictionPolicyParams())
+        assert session.total_flops == 0
 
 
 # ------------------------------------------------------------- cache bytes
