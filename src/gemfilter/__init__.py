@@ -31,7 +31,6 @@ from .selection import (
     SelectionResult,
     decode_selection,
     select_indices,
-    selection_gen,
     selection_scores,
 )
 from .strategies import (
@@ -84,7 +83,6 @@ __all__ = [
     "run_generation",
     "save_model",
     "select_indices",
-    "selection_gen",
     "selection_scores",
     "tokenize",
     "verify_counters",

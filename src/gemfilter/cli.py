@@ -332,6 +332,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, cfg.vocab_size, size=args.n).tolist()
     eviction = _eviction_from_args(args)
+    params = CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
     measured = {}
     docs = []
     for strategy in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER):
@@ -355,7 +356,6 @@ def cmd_bench(args) -> int:
                 include_wall_times=not args.no_wall_times,
             )
         )
-    params = CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
     report = verify_counters(measured, cost_table(params))
     if args.json:
         print(

@@ -153,14 +153,3 @@ def touch_layer(layer_idx: int, weight_bytes: int) -> None:
     session = _ACTIVE.get()
     if session is not None:
         session.touch_layer(layer_idx, weight_bytes)
-
-
-@contextmanager
-def phase_scope(name: str):
-    """Enter a phase on the active session, or no-op when none is active."""
-    session = _ACTIVE.get()
-    if session is None:
-        yield None
-    else:
-        with session.in_phase(name):
-            yield session

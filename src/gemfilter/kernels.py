@@ -33,25 +33,6 @@ def matmul(a: np.ndarray, b: np.ndarray, tag: str = "other") -> np.ndarray:
     return a @ b
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability.
-
-    Each output row sums to 1 within 1e-6 for finite inputs of any magnitude.
-    """
-    m = np.asarray(m)
-    squeeze = m.ndim == 1
-    if squeeze:
-        m = m[None, :]
-    if m.ndim != 2:
-        raise ContractViolation(f"softmax_rows expects a vector or matrix, got {m.ndim}-D")
-    if m.shape[1] == 0:
-        raise ContractViolation("softmax_rows requires at least one column")
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    out = np.exp(shifted)
-    out /= np.sum(out, axis=1, keepdims=True)
-    return out[0] if squeeze else out
-
-
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     """Root-mean-square normalization: ``x * gain / sqrt(mean(x^2) + eps)``."""
     x = np.asarray(x)

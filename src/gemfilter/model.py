@@ -1,9 +1,9 @@
 """Decoder-only transformer with grouped-query causal attention.
 
 The forward path is split the way the engine needs it: :func:`prefill` runs
-the prompt through the first ``upto_layer`` layers (optionally without
-retaining KV caches, or evicting each layer's cache as soon as the layer
-finishes, and exposing the last computed layer's per-head Q/K for token
+the prompt through the first ``upto_layer`` layers (optionally replacing
+each layer's cache, as soon as the layer finishes, with an evicted one or
+with nothing, and exposing the last computed layer's per-head Q/K for token
 selection), and :func:`decode_step` advances one token against mutable
 per-layer caches.  Both go through :func:`run_layer`, the one layer body.
 
@@ -169,7 +169,7 @@ class LayerKV:
 @dataclass
 class PrefillResult:
     hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
-    caches: list[LayerKV] | None
+    caches: list[LayerKV]
     layer_q: np.ndarray  # (n, n_heads, head_dim) post-rotation Q of last computed layer
     layer_k: np.ndarray  # (n_kv_heads, n, head_dim) post-rotation K of last computed layer
     logits: np.ndarray | None  # (vocab,) last-position logits, when requested
@@ -361,21 +361,19 @@ def prefill(
     weights: ModelWeights,
     upto_layer: int | None = None,
     *,
-    retain_caches: bool = True,
     want_logits: bool | None = None,
     evict=None,
     score_rows: int = 0,
 ) -> PrefillResult:
     """Run the prompt through layers 1..upto_layer.
 
-    With ``retain_caches=False`` only the current layer's K/V stay live (the
-    token-selection pass needs no caches), which the KV byte checkpoints
-    reflect.  ``evict(cache, scores)`` replaces each layer's full cache with
-    the one it returns as soon as the layer finishes, so at most one full
-    layer is ever live next to the evicted ones; ``scores`` is that layer's
-    :func:`run_layer` score array over the last ``score_rows`` prompt rows.
-    Logits require the full stack and are computed for the last position
-    only.
+    ``evict(cache, scores)`` replaces each layer's full cache, as soon as the
+    layer finishes, with the cache it returns, or with nothing when it
+    returns None (the token-selection pass keeps no caches).  So at most one
+    full layer is ever live next to the kept ones, which the KV byte
+    checkpoints reflect; ``scores`` is that layer's :func:`run_layer` score
+    array over the last ``score_rows`` prompt rows.  Logits require the full
+    stack and are computed for the last position only.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
@@ -396,15 +394,15 @@ def prefill(
 
     x = embed(ids, weights)
     positions = np.arange(ids.size, dtype=np.int64)
-    caches: list[LayerKV] | None = [] if retain_caches else None
+    caches: list[LayerKV] = []
     for li in range(upto):
         x, q, layer_kv, scores = run_layer(x, weights, li, positions, score_rows=score_rows)
-        live = layer_kv.nbytes
-        if caches is not None:
-            caches.append(layer_kv if evict is None else evict(layer_kv, scores))
-            # An evicted layer's full cache is still live at this checkpoint.
-            live = sum(c.nbytes for c in caches) + (0 if evict is None else live)
-        note_kv_bytes(live)
+        kept = layer_kv if evict is None else evict(layer_kv, scores)
+        if kept is not None:
+            caches.append(kept)
+        live = sum(c.nbytes for c in caches)
+        # A replaced layer's full cache is still live at this checkpoint.
+        note_kv_bytes(live if kept is layer_kv else live + layer_kv.nbytes)
         if li < upto - 1:
             del q, layer_kv  # drop this layer's full K/V before the next runs
 

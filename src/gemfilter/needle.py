@@ -11,14 +11,14 @@ whether two-pass generation reproduces the full model's continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counting import CostSession
 from .errors import ContractViolation
-from .model import ModelWeights, check_prompt_length, greedy_generate
-from .selection import select_indices, selection_gen
+from .model import ModelWeights, check_prompt_length
+from .runner import RunConfig, Strategy, run_generation
+from .selection import select_indices
 
 METRIC_NOTE = (
     "exact metrics: coverage = |needle indices in selection| / needle length; "
@@ -141,6 +141,8 @@ def needle_run(
     r_list = [int(r) for r in r_list]
     if not r_list:
         raise ContractViolation("r_list must name at least one filter layer")
+    if t_max < 0:
+        raise ContractViolation("t_max must be >= 0")
     check_prompt_length(spec.haystack_len + 1, weights.config)  # haystack plus query
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     results = []
@@ -151,13 +153,13 @@ def needle_run(
     chosen = r_list[0]
     match: bool | None = None
     if len(r_list) == 1 and t_max > 0:
-        with CostSession().activate():
-            two_pass, _sel = selection_gen(
-                weights, prompt, chosen, k, t_max, pool_kernel, pool_mode=pool_mode
-            )
-        with CostSession().activate():
-            reference = greedy_generate(weights, prompt, t_max)
-        match = two_pass == reference
+        rc = RunConfig(
+            Strategy.GEMFILTER, max_new_tokens=t_max, select_k=k, filter_layer=chosen,
+            pool_kernel=pool_kernel, pool_mode=pool_mode,
+        )
+        two_pass = run_generation(weights, prompt, rc)
+        full = run_generation(weights, prompt, replace(rc, strategy=Strategy.FULL))
+        match = two_pass.output_tokens == full.output_tokens
     return NeedleReport(
         spec=spec, k=k, layer_results=results, chosen_layer=chosen, generation_match=match
     )

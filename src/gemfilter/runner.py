@@ -1,10 +1,12 @@
 """Strategy dispatch: one instrumented generation run per call.
 
-Phase discipline lives here (and in :func:`gemfilter.selection.selection_gen`,
-which owns its own two passes): the prompt pass bills the prompt phase, the
-first output token comes from that pass's logits, and each further token is
-one decode step in the generation phase.  Every run gets a private
-:class:`CostSession`, so concurrent runs never share counters.
+Phase discipline lives here, for every strategy.  Full, snapkv and h2o: the
+prompt pass bills the prompt phase, the first output token comes from that
+pass's logits, and each further token is one decode step in the generation
+phase.  Gemfilter: the filter pass bills the prompt phase, and everything
+about the second pass over the kept tokens, its prefill included, bills the
+generation phase.  Every run gets a private :class:`CostSession`, so
+concurrent runs never share counters.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .counting import GENERATION, PROMPT, CostSession
 from .errors import ConfigurationError, ContractViolation
 from .kernels import argmax
-from .model import ModelWeights, greedy_decode, prefill
-from .selection import SelectionResult, selection_gen
+from .model import ModelWeights, greedy_decode, greedy_generate, prefill
+from .selection import SelectionResult, decode_selection, select_indices
 from .strategies import EvictionPolicyParams, cache_bytes, compressed_prefill
 
 
@@ -60,24 +62,40 @@ class RunResult:
 
 
 def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
-    if rc.max_new_tokens < 0:
+    t = rc.max_new_tokens
+    if t < 0:
         raise ContractViolation("max_new_tokens must be >= 0")
+    # Decoding t tokens after kept prompt positions writes positions up to
+    # kept + t - 2; reject an overrun before any layer runs.  Gemfilter's
+    # second pass restarts at position 0 over min(k, n) tokens.  Empty and
+    # overlong prompts are left to the prompt-length check.
+    n, max_seq = np.size(tokens), weights.config.max_seq
+    kept = min(rc.select_k, n) if rc.strategy is Strategy.GEMFILTER else n
+    if 1 <= n <= max_seq and t >= 1 and kept + t - 1 > max_seq:
+        raise ContractViolation(
+            f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
+        )
     session = CostSession()
     with session.activate():
         if rc.strategy is Strategy.GEMFILTER:
-            out, sel = selection_gen(
-                weights,
-                tokens,
-                rc.filter_layer,
-                rc.select_k,
-                rc.max_new_tokens,
-                rc.pool_kernel,
-                rc.include_first,
-                rc.pool_mode,
-            )
-            return RunResult(output_tokens=out, session=session, selection=sel)
-        out = _prompt_then_decode(weights, tokens, rc, session)
-    return RunResult(output_tokens=out, session=session)
+            out, sel = _select_then_generate(weights, tokens, rc, session)
+        else:
+            out, sel = _prompt_then_decode(weights, tokens, rc, session), None
+    return RunResult(output_tokens=out, session=session, selection=sel)
+
+
+def _select_then_generate(weights, tokens, rc, session):
+    """Filter pass over the prompt, then full-model greedy over the kept tokens."""
+    with session.in_phase(PROMPT):
+        sel = select_indices(
+            weights, tokens, rc.filter_layer, rc.select_k,
+            rc.pool_kernel, rc.include_first, rc.pool_mode,
+        )
+    if rc.max_new_tokens == 0:
+        return [], sel
+    sub = decode_selection(tokens, sel)
+    with session.in_phase(GENERATION):
+        return greedy_generate(weights, sub, rc.max_new_tokens), sel
 
 
 def _prompt_then_decode(weights, tokens, rc, session) -> list[int]:

@@ -1,11 +1,12 @@
-"""Early-layer token selection and two-pass generation.
+"""Early-layer token selection.
 
 The filter pass runs only the first ``r`` transformer layers of the prompt,
 scores every key position by the summed last-row attention of layer ``r``
 across all heads, and keeps the top ``k`` positions as one global, sorted
-index set.  The second pass re-runs the full model over just the selected
-sub-sequence with fresh positions 0..k-1 (the rotary embedding is recomputed,
-so the positional span shrinks to k + t) and generates greedily.
+index set.  The second pass (driven by :func:`gemfilter.runner.run_generation`)
+re-runs the full model over just the selected sub-sequence with fresh
+positions 0..k-1 (the rotary embedding is recomputed, so the positional span
+shrinks to k + t) and generates greedily.
 
 Selection scores are raw inner products: no softmax and no 1/sqrt(d) scale,
 both immaterial to a top-k decision because they are strictly increasing
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import GENERATION, PROMPT, phase_scope
 from .errors import ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import ModelWeights, greedy_generate, prefill, repeat_kv
+from .model import ModelWeights, prefill, repeat_kv
 
 
 @dataclass
@@ -93,7 +93,10 @@ def select_indices(
         raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
     if k < 1:
         raise ContractViolation("selection budget k must be >= 1")
-    pre = prefill(ids, weights, upto_layer=r, retain_caches=False, want_logits=False)
+    # Keep no cache; without want_logits=False, r = m would bill a logits readout.
+    pre = prefill(
+        ids, weights, upto_layer=r, want_logits=False, evict=lambda cache, scores: None
+    )
     keys = repeat_kv(np.ascontiguousarray(pre.layer_k.transpose(1, 0, 2)), cfg.kv_groups)
     scores = selection_scores(pre.layer_q[-1], keys, pool_kernel, pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
@@ -110,31 +113,3 @@ def decode_selection(tokens, sel: SelectionResult) -> list[int]:
     if sel.indices.size and (sel.indices[0] < 0 or sel.indices[-1] >= ids.size):
         raise ContractViolation("selection indices out of range for this sequence")
     return [int(t) for t in ids[sel.indices]]
-
-
-def selection_gen(
-    weights: ModelWeights,
-    tokens,
-    r: int,
-    k: int,
-    t_max: int,
-    pool_kernel: int = 5,
-    include_first: bool = False,
-    pool_mode: str = "avg",
-) -> tuple[list[int], SelectionResult]:
-    """Two-pass generation: filter pass, then full-model greedy over T_J.
-
-    The filter pass bills the prompt phase; everything about the second pass,
-    including its prefill over the k selected tokens, bills the generation
-    phase.  With ``t_max = 0`` the second pass is skipped entirely.
-    """
-    if t_max < 0:
-        raise ContractViolation("t_max must be >= 0")
-    with phase_scope(PROMPT):
-        sel = select_indices(weights, tokens, r, k, pool_kernel, include_first, pool_mode)
-    if t_max == 0:
-        return [], sel
-    sub = decode_selection(tokens, sel)
-    with phase_scope(GENERATION):
-        out = greedy_generate(weights, sub, t_max)
-    return out, sel

@@ -25,7 +25,6 @@ from gemfilter.model import (
 )
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.selection import selection_gen
 from gemfilter.strategies import EvictionPolicyParams, compressed_prefill
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
@@ -92,9 +91,13 @@ def test_k_equals_n_equivalence():
                     n = int(rng.integers(12, 40))
                     prompt = rng.integers(0, cfg.vocab_size, size=n).tolist()
                     reference = greedy_generate(w, prompt, 16)
-                    two_pass, sel = selection_gen(w, prompt, r=max(1, m // 2), k=n, t_max=16)
-                    assert two_pass == reference, f"m={m} h={h} d={d_model} seed={seed}"
-                    assert sel.indices.tolist() == list(range(n))
+                    rc = RunConfig(
+                        Strategy.GEMFILTER, max_new_tokens=16, select_k=n,
+                        filter_layer=max(1, m // 2),
+                    )
+                    run = run_generation(w, prompt, rc)
+                    assert run.output_tokens == reference, f"m={m} h={h} d={d_model} seed={seed}"
+                    assert run.selection.indices.tolist() == list(range(n))
                     runs += 1
     assert runs >= 20
 

@@ -15,7 +15,6 @@ from gemfilter.kernels import (
     pool_1d,
     rms_norm,
     rms_norm_rows,
-    softmax_rows,
     topk_indices,
 )
 
@@ -97,31 +96,6 @@ class TestMatmul:
     def test_no_session_no_counting(self):
         out = matmul(np.ones((2, 2), dtype=F32), np.ones((2, 2), dtype=F32))
         assert np.array_equal(out, 2 * np.ones((2, 2), dtype=F32))
-
-
-# ---------------------------------------------------------------- softmax
-
-
-class TestSoftmaxRows:
-    def test_symmetric_pair(self):
-        assert softmax_rows(np.asarray([0.0, 0.0], dtype=F32)) == pytest.approx([0.5, 0.5])
-
-    def test_analytic_closed_form(self):
-        out = softmax_rows(np.asarray([0.0, math.log(3.0)], dtype=F32))
-        assert out == pytest.approx([0.25, 0.75], abs=1e-6)
-
-    def test_large_inputs_no_overflow(self):
-        out = softmax_rows(np.asarray([1000.0, 1000.0, 1000.0], dtype=F32))
-        assert np.all(np.isfinite(out))
-        assert out == pytest.approx([1 / 3] * 3, abs=1e-6)
-
-    def test_rows_sum_to_one_random(self):
-        rng = np.random.default_rng(1)
-        for scale in (1.0, 1e3):
-            m = (rng.standard_normal((40, 17)) * scale).astype(F32)
-            out = softmax_rows(m)
-            assert np.all(np.isfinite(out))
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------- rms norm

@@ -224,6 +224,37 @@ class TestCausalAttention:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
+def softmax_via_attention(scores):
+    """softmax(scores), read out of one width-1 query over identity values."""
+    s = np.asarray(scores, dtype=F32)
+    return causal_attention(np.ones((1, 1), dtype=F32), s[:, None], np.eye(s.size, dtype=F32))[0]
+
+
+class TestAttentionSoftmax:
+    """Stability of the softmax the attention kernel runs in place."""
+
+    def test_symmetric_pair(self):
+        assert softmax_via_attention([0.0, 0.0]) == pytest.approx([0.5, 0.5])
+
+    def test_analytic_closed_form(self):
+        out = softmax_via_attention([0.0, math.log(3.0)])
+        assert out == pytest.approx([0.25, 0.75], abs=1e-6)
+
+    def test_large_inputs_no_overflow(self):
+        out = softmax_via_attention([1000.0, 1000.0, 1000.0])
+        assert np.all(np.isfinite(out))
+        assert out == pytest.approx([1 / 3] * 3, abs=1e-6)
+
+    def test_rows_sum_to_one_random(self):
+        rng = np.random.default_rng(1)
+        for scale in (1.0, 1e3):
+            q = (rng.standard_normal((40, 17)) * scale).astype(F32)
+            k = (rng.standard_normal((40, 17)) * scale).astype(F32)
+            out = causal_attention(q, k, np.eye(40, dtype=F32))
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
+
+
 # ---------------------------------------------------------------- layer scores
 
 
@@ -289,11 +320,22 @@ class TestPrefill:
         with s_full.activate():
             prefill(tokens, w, want_logits=False)
         with s_part.activate():
-            prefill(tokens, w, upto_layer=3, retain_caches=False, want_logits=False)
+            prefill(tokens, w, upto_layer=3, want_logits=False, evict=lambda cache, scores: None)
         full = s_full.phase_cost(PROMPT).flops_by_tag
         part = s_part.phase_cost(PROMPT).flops_by_tag
         for tag in ("attn_score", "attn_value", "proj", "mlp"):
             assert full[tag] * 3 == part[tag] * 4
+
+    def test_evict_to_nothing_keeps_no_cache(self):
+        cfg = small_config(m=3)
+        w = make_random_model(cfg, 11)
+        n = 10
+        session = CostSession()
+        with session.activate():
+            pre = prefill(list(range(n)), w, evict=lambda cache, scores: None)
+        assert pre.caches == []
+        one_layer = 2 * cfg.n_kv_heads * n * cfg.head_dim * 4  # keys + values, float32
+        assert session.phase_cost(PROMPT).kv_bytes_peak == one_layer
 
     def test_prefix_property(self):
         w = make_random_model(small_config(), 9)

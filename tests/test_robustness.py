@@ -6,6 +6,7 @@ CLI, which must exit with code 1 and name the error on stderr.
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gemfilter.costmodel import CostParams
 from gemfilter.errors import ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, topk_indices
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
+from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.strategies import EvictionPolicyParams
@@ -173,6 +175,65 @@ def test_prompt_length_outside_max_seq_exit_one(tmp_path, capsys, argv):
     assert main([argv[0], "--model", str(model), *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert "ContractViolation" in err and "prompt length" in err
+
+
+def short_model():
+    """max_seq 256: a 200-token prompt leaves room for 57 new tokens."""
+    return make_random_model(replace(tiny_config(), max_seq=256), 3)
+
+
+@pytest.mark.parametrize("strategy", ["full", "snapkv", "h2o"])
+def test_decode_overrun_exit_one(tmp_path, capsys, strategy):
+    model = tmp_path / "m.gfm"
+    save_model(model, short_model())
+    argv = ["--prompt-random", "200", "--max-new-tokens", "100", "--strategy", strategy]
+    assert generate_exit_code(model, *argv) == 1
+    err = capsys.readouterr().err
+    assert "ContractViolation" in err
+    assert "kept prompt length 200 + max_new_tokens 100 - 1 exceeds max_seq 256" in err
+
+
+def test_gemfilter_decode_restarts_at_zero(tmp_path):
+    model = tmp_path / "m.gfm"
+    save_model(model, short_model())
+    argv = ["--prompt-random", "200", "--max-new-tokens", "100", "--strategy", "gemfilter"]
+    assert generate_exit_code(model, *argv, "--select-k", "16") == 0
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_decode_overrun_boundary_charges_nothing(monkeypatch, strategy):
+    weights, tokens = short_model(), list(range(200))
+    kept = 40 if strategy is Strategy.GEMFILTER else 200
+    fits = RunConfig(strategy, max_new_tokens=256 - kept + 1, select_k=40)
+    assert len(run_generation(weights, tokens, fits).output_tokens) == fits.max_new_tokens
+    calls = []
+    monkeypatch.setattr("gemfilter.kernels.count_matmul", lambda *args: calls.append(args))
+    over = replace(fits, max_new_tokens=fits.max_new_tokens + 1)
+    with pytest.raises(ContractViolation, match=f"kept prompt length {kept} "):
+        run_generation(weights, tokens, over)
+    assert calls == []
+
+
+def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("gemfilter.cli.run_generation", lambda *args: calls.append(args))
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    argv = ["bench", "--model", str(model), "--n", "8", "--k", "4", "--t", "1", "--r", "99"]
+    assert main(argv) == 1
+    assert calls == []
+    assert "filter layer 99 outside 1..2" in capsys.readouterr().err
+
+
+def test_needle_negative_t_max_rejected(tmp_path, capsys):
+    weights = make_random_model(tiny_config(), 3)
+    spec = NeedleSpec(haystack_len=40, depth_percent=50.0, needle=(98,) * 4, query_token=98)
+    with pytest.raises(ContractViolation, match="t_max must be >= 0"):
+        needle_run(spec, weights, [1], 8, t_max=-1)
+    model = tmp_path / "m.gfm"
+    save_model(model, weights)
+    assert main(["needle", "--model", str(model), "--haystack-len", "40", "--t-max", "-1"]) == 1
+    assert "t_max must be >= 0" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- cost shapes

@@ -13,7 +13,6 @@ from gemfilter.selection import (
     SelectionResult,
     decode_selection,
     select_indices,
-    selection_gen,
     selection_scores,
 )
 from gemfilter.strategies import EvictionPolicyParams
@@ -196,7 +195,13 @@ class TestDecodeSelection:
             decode_selection([1, 2], sel)
 
 
-# ---------------------------------------------------------------- selection_gen
+# ---------------------------------------------------------------- two-pass runs
+
+
+def two_pass(w, tokens, r, k, t):
+    """A gemfilter run: filter pass at layer r keeping k, then t tokens."""
+    rc = RunConfig(Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r)
+    return run_generation(w, tokens, rc)
 
 
 class TestSelectionGen:
@@ -207,26 +212,23 @@ class TestSelectionGen:
             w = make_random_model(cfg, seed)
             prompt = rng.integers(0, cfg.vocab_size, size=17).tolist()
             full = greedy_generate(w, prompt, 10)
-            two, sel = selection_gen(w, prompt, r=1, k=len(prompt), t_max=10)
-            assert two == full
-            assert sel.indices.tolist() == list(range(len(prompt)))
+            run = two_pass(w, prompt, r=1, k=len(prompt), t=10)
+            assert run.output_tokens == full
+            assert run.selection.indices.tolist() == list(range(len(prompt)))
 
     def test_copy_model_needle_continuation_matches_full(self):
         cfg = copy_model_config()
         w = make_copy_model(cfg)
         tokens = [97] * 100 + [98] * 8 + [97] * 100 + [98]
         full = greedy_generate(w, tokens, 8)
-        two, _ = selection_gen(w, tokens, r=1, k=32, t_max=8)
-        assert two == full
+        assert two_pass(w, tokens, r=1, k=32, t=8).output_tokens == full
 
     def test_generation_phase_flops_closed_form(self):
         """Second pass: full prefill over k tokens plus t-1 decode steps."""
         cfg = small_config(m=3, h=2, hk=2, dh=8)
         w = make_random_model(cfg, 8)
         n, k, t, r = 30, 10, 6, 2
-        session = CostSession()
-        with session.activate():
-            selection_gen(w, list(range(n)), r=r, k=k, t_max=t)
+        session = two_pass(w, list(range(n)), r=r, k=k, t=t).session
         gen = session.phase_cost(GENERATION).flops_by_tag
         m, h, dh = cfg.n_layers, cfg.n_heads, cfg.head_dim
         prefill_attn = m * h * 2 * k * k * dh
@@ -237,9 +239,7 @@ class TestSelectionGen:
     def test_counter_conservation_across_phases(self):
         cfg = small_config(m=2)
         w = make_random_model(cfg, 9)
-        session = CostSession()
-        with session.activate():
-            selection_gen(w, list(range(20)), r=1, k=8, t_max=4)
+        session = two_pass(w, list(range(20)), r=1, k=8, t=4).session
         snap = session.snapshot()
         assert (
             snap[PROMPT].matmul_flops + snap[GENERATION].matmul_flops
@@ -250,20 +250,18 @@ class TestSelectionGen:
     def test_t_zero_skips_second_pass(self):
         cfg = small_config(m=2)
         w = make_random_model(cfg, 10)
-        session = CostSession()
-        with session.activate():
-            out, sel = selection_gen(w, list(range(12)), r=1, k=6, t_max=0)
-        assert out == []
-        assert sel.indices.size == 6
-        gen = session.phase_cost(GENERATION)
+        run = two_pass(w, list(range(12)), r=1, k=6, t=0)
+        assert run.output_tokens == []
+        assert run.selection.indices.size == 6
+        gen = run.session.phase_cost(GENERATION)
         assert gen.matmul_flops == 0 and gen.kv_bytes_peak == 0
 
     def test_k_above_n_clamps(self):
         cfg = small_config(m=2)
         w = make_random_model(cfg, 11)
-        out, sel = selection_gen(w, list(range(8)), r=1, k=100, t_max=3)
-        assert sel.indices.tolist() == list(range(8))
-        assert out == greedy_generate(w, list(range(8)), 3)
+        run = two_pass(w, list(range(8)), r=1, k=100, t=3)
+        assert run.selection.indices.tolist() == list(range(8))
+        assert run.output_tokens == greedy_generate(w, list(range(8)), 3)
 
 
 # ---------------------------------------------------------------- shape contrast
