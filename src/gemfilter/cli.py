@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import tokenizer
 from .config import ModelConfig
 from .costmodel import CostParams, cost_table, format_cost_table, verify_counters
 from .errors import ContractViolation, EngineError
-from .model import check_prompt_length
+from .model import check_prompt_length, layer_shapes
 from .modelio import load_model, save_model
 from .needle import NeedleSpec, needle_run
 from .runner import (
@@ -27,9 +28,9 @@ from .runner import (
     run_generation,
     write_metrics,
 )
-from .selection import decode_selection, select_indices
+from .selection import decode_selection
 from .strategies import EvictionPolicyParams
-from .testmodels import make_copy_model, make_random_model
+from .testmodels import copy_model_config, make_copy_model, make_random_model
 
 DEFAULT_CONFIG = dict(
     n_layers=4,
@@ -39,18 +40,6 @@ DEFAULT_CONFIG = dict(
     vocab_size=tokenizer.VOCAB_SIZE,
     hidden_mlp=128,
     max_seq=16384,
-)
-
-# Copy models need identity-shaped projections and wide, rotation-free heads.
-COPY_CONFIG = dict(
-    n_layers=2,
-    n_heads=2,
-    n_kv_heads=2,
-    head_dim=64,
-    vocab_size=tokenizer.VOCAB_SIZE,
-    hidden_mlp=64,
-    max_seq=16384,
-    use_rope=False,
 )
 
 
@@ -127,8 +116,7 @@ def _config_from_args(args, base: dict | None = None) -> ModelConfig:
             values[key] = value
     if getattr(args, "no_rope", False):
         values["use_rope"] = False
-    values.pop("d_model", None)
-    values["d_model"] = values["n_heads"] * values["head_dim"]
+    values.pop("d_model", None)  # derived from the head layout
     return ModelConfig.from_dict(values)
 
 
@@ -147,7 +135,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_make_model(args) -> int:
     if args.kind == "copy":
-        cfg = _config_from_args(args, base=COPY_CONFIG)
+        base = copy_model_config(vocab_size=tokenizer.VOCAB_SIZE).to_dict()
+        cfg = _config_from_args(args, base=base)
         weights = make_copy_model(cfg)
     else:
         cfg = _config_from_args(args)
@@ -199,15 +188,17 @@ def cmd_generate(args) -> int:
 def cmd_select(args) -> int:
     weights = load_model(args.model)
     tokens = _load_prompt(args, weights.config)
-    sel = select_indices(
-        weights,
-        tokens,
-        args.filter_layer,
-        args.select_k,
-        args.pool_kernel,
-        args.include_first,
-        args.pool_mode,
+    rc = RunConfig(
+        strategy=Strategy.GEMFILTER,
+        max_new_tokens=0,
+        select_k=args.select_k,
+        filter_layer=args.filter_layer,
+        pool_kernel=args.pool_kernel,
+        pool_mode=args.pool_mode,
+        include_first=args.include_first,
     )
+    result = run_generation(weights, tokens, rc)
+    sel = result.selection
     sub = decode_selection(tokens, sel)
     print(
         f"selected {len(sub)} of {len(tokens)} tokens "
@@ -217,11 +208,13 @@ def cmd_select(args) -> int:
         print("indices:", " ".join(str(int(i)) for i in sel.indices))
     print(tokenizer.detokenize(sub).decode("utf-8", errors="backslashreplace"))
     if args.metrics_out:
-        doc = {
-            "strategy": "select",
-            "params": {"n": len(tokens), "k": args.select_k, "r": args.filter_layer},
-            "selection": {"indices": [int(i) for i in sel.indices]},
-        }
+        doc = metrics_document(
+            weights=weights,
+            tokens=tokens,
+            rc=rc,
+            result=result,
+            include_wall_times=not args.no_wall_times,
+        )
         write_metrics(args.metrics_out, [doc])
     return 0
 
@@ -280,10 +273,7 @@ def _cost_params(args) -> CostParams:
     vocab = args.vocab if args.vocab is not None else tokenizer.VOCAB_SIZE
     if args.m is None:
         raise ContractViolation("cost requires --m (layers) unless --model is given")
-    kv_dim = h_kv * head_dim
-    layer_elems = (
-        2 * d_model * d_model + 2 * d_model * kv_dim + 2 * d_model * hidden + 2 * d_model
-    )
+    layer_elems = sum(math.prod(s) for s in layer_shapes(d_model, h_kv * head_dim, hidden))
     return CostParams(
         n=args.n,
         k=args.k,

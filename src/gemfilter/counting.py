@@ -62,10 +62,6 @@ class CostSession:
         self._tallies: dict[str, _Tally] = {}
         self._phase = PROMPT
 
-    @property
-    def phase(self) -> str:
-        return self._phase
-
     def _tally(self, phase: str | None = None) -> _Tally:
         name = self._phase if phase is None else phase
         tally = self._tallies.get(name)

@@ -1,5 +1,9 @@
 """Decoder-only transformer with grouped-query causal attention.
 
+The weight layout is stated once, here: :func:`weight_shapes` yields every
+tensor's name and shape in file order, and weight validation, model files
+(:mod:`gemfilter.modelio`) and the ``cost`` CLI's layer bytes all read it.
+
 The forward path is split the way the engine needs it: :func:`prefill` runs
 the prompt through the first ``upto_layer`` layers (optionally replacing
 each layer's cache, as soon as the layer finishes, with an evicted one or
@@ -25,7 +29,7 @@ forms in :mod:`gemfilter.costmodel` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,68 +43,80 @@ F32 = np.float32
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray  # (d_model, n_heads * head_dim)
-    wk: np.ndarray  # (d_model, n_kv_heads * head_dim)
-    wv: np.ndarray  # (d_model, n_kv_heads * head_dim)
-    wo: np.ndarray  # (d_model, d_model)
-    w_in: np.ndarray  # (d_model, hidden_mlp)
-    w_out: np.ndarray  # (hidden_mlp, d_model)
-    attn_norm: np.ndarray  # (d_model,)
-    mlp_norm: np.ndarray  # (d_model,)
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    w_in: np.ndarray
+    w_out: np.ndarray
+    attn_norm: np.ndarray
+    mlp_norm: np.ndarray
 
     def nbytes(self) -> int:
-        return (
-            self.wq.nbytes + self.wk.nbytes + self.wv.nbytes + self.wo.nbytes
-            + self.w_in.nbytes + self.w_out.nbytes
-            + self.attn_norm.nbytes + self.mlp_norm.nbytes
-        )
+        return sum([getattr(self, name).nbytes for name in LAYER_TENSORS])
+
+
+# One layer's tensors in file order: the field order of LayerWeights.
+LAYER_TENSORS = tuple(f.name for f in fields(LayerWeights))
+
+
+def layer_shapes(d_model: int, kv_dim: int, hidden_mlp: int) -> tuple[tuple[int, ...], ...]:
+    """Shape of each layer tensor, in :data:`LAYER_TENSORS` order."""
+    return (
+        (d_model, d_model),
+        (d_model, kv_dim),
+        (d_model, kv_dim),
+        (d_model, d_model),
+        (d_model, hidden_mlp),
+        (hidden_mlp, d_model),
+        (d_model,),
+        (d_model,),
+    )
+
+
+def weight_shapes(cfg: ModelConfig):
+    """Yield ``(name, shape)`` of every weight tensor of ``cfg``, in file order.
+
+    A generator, so a config claiming a huge layer count costs nothing until
+    its tensors are asked for.
+    """
+    d = cfg.d_model
+    yield "tok_emb", (cfg.vocab_size, d)
+    shapes = layer_shapes(d, cfg.n_kv_heads * cfg.head_dim, cfg.hidden_mlp)
+    for i in range(cfg.n_layers):
+        for name, shape in zip(LAYER_TENSORS, shapes):
+            yield f"layers.{i}.{name}", shape
+    yield "final_norm", (d,)
+    yield "out_emb", (d, cfg.vocab_size)
 
 
 @dataclass
 class ModelWeights:
     config: ModelConfig
-    tok_emb: np.ndarray  # (vocab_size, d_model)
+    tok_emb: np.ndarray
     layers: list[LayerWeights]
-    final_norm: np.ndarray  # (d_model,)
-    out_emb: np.ndarray  # (d_model, vocab_size)
+    final_norm: np.ndarray
+    out_emb: np.ndarray
 
     def __post_init__(self) -> None:
         cfg = self.config
-        expect = {
-            "tok_emb": (cfg.vocab_size, cfg.d_model),
-            "final_norm": (cfg.d_model,),
-            "out_emb": (cfg.d_model, cfg.vocab_size),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
         if len(self.layers) != cfg.n_layers:
             raise ConfigurationError(
                 f"expected {cfg.n_layers} layers, got {len(self.layers)}"
             )
-        kv_dim = cfg.n_kv_heads * cfg.head_dim
-        layer_expect = {
-            "wq": (cfg.d_model, cfg.d_model),
-            "wk": (cfg.d_model, kv_dim),
-            "wv": (cfg.d_model, kv_dim),
-            "wo": (cfg.d_model, cfg.d_model),
-            "w_in": (cfg.d_model, cfg.hidden_mlp),
-            "w_out": (cfg.hidden_mlp, cfg.d_model),
-            "attn_norm": (cfg.d_model,),
-            "mlp_norm": (cfg.d_model,),
-        }
-        sizes = set()
-        for i, lw in enumerate(self.layers):
-            for name, shape in layer_expect.items():
-                arr = getattr(lw, name)
-                if arr.shape != shape:
-                    raise ConfigurationError(
-                        f"layers.{i}.{name} has shape {arr.shape}, expected {shape}"
-                    )
-            sizes.add(lw.nbytes())
-        if len(sizes) != 1:
+        for (name, arr), (_, shape) in zip(self.named_tensors(), weight_shapes(cfg)):
+            if arr.shape != shape:
+                raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
+        if len({lw.nbytes() for lw in self.layers}) != 1:
             raise ConfigurationError("per-layer weight byte sizes must be identical")
+
+    @classmethod
+    def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
+        """Inverse of :meth:`named_tensors`: weights from a name -> array mapping."""
+        tok_emb, *flat, final_norm, out_emb = (tensors[name] for name, _ in weight_shapes(config))
+        per = len(LAYER_TENSORS)
+        layers = [LayerWeights(*flat[i : i + per]) for i in range(0, len(flat), per)]
+        return cls(config, tok_emb, layers, final_norm, out_emb)
 
     @property
     def per_layer_bytes(self) -> int:
@@ -108,13 +124,14 @@ class ModelWeights:
         return self.layers[0].nbytes()
 
     def named_tensors(self):
-        """Yield every weight tensor with a stable name, for serialization."""
-        yield "tok_emb", self.tok_emb
-        for i, lw in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "w_in", "w_out", "attn_norm", "mlp_norm"):
-                yield f"layers.{i}.{name}", getattr(lw, name)
-        yield "final_norm", self.final_norm
-        yield "out_emb", self.out_emb
+        """Every weight tensor with its :func:`weight_shapes` name, in file order."""
+        arrays = [
+            self.tok_emb,
+            *(getattr(lw, name) for lw in self.layers for name in LAYER_TENSORS),
+            self.final_norm,
+            self.out_emb,
+        ]
+        return zip((name for name, _ in weight_shapes(self.config)), arrays)
 
 
 @dataclass

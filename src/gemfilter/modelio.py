@@ -5,10 +5,11 @@ Layout, all integers little-endian:
 * 4 bytes magic ``GFM1``
 * u32 header length, then the model config as UTF-8 JSON
 * tensors until EOF, each: u32 name length, name bytes (UTF-8), u8 dtype tag
-  (1 = float32), u8 rank, u32 dims[rank], then the row-major float32 payload.
+  (1 = float32), u8 rank (1 or 2), u32 dims[rank], then the row-major
+  float32 payload.
 
-Every tensor named by :meth:`ModelWeights.named_tensors` appears exactly
-once; loads are validated against the header config and round-trip
+Every tensor that :func:`~gemfilter.model.weight_shapes` lists for the
+header config appears exactly once, with that shape; loads round-trip
 bit-exactly.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigurationError, ModelFormatError
-from .model import LayerWeights, ModelWeights
+from .model import ModelWeights, weight_shapes
 
 MAGIC = b"GFM1"
 DTYPE_F32 = 1
@@ -100,6 +101,8 @@ def load_model(path) -> ModelWeights:
             dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, f"tensor {name} header"))
             if dtype_tag != DTYPE_F32:
                 raise ModelFormatError(f"tensor {name} has unsupported dtype tag {dtype_tag}")
+            if rank not in (1, 2):
+                raise ModelFormatError(f"tensor {name} has rank {rank}, expected 1 or 2")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name} dims"))
             count = math.prod(dims)
             payload = _read_exact(fh, 4 * count, f"tensor {name} payload")
@@ -120,29 +123,10 @@ def _take(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
-    d, kv_dim = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
-    tok_emb = _take(tensors, "tok_emb", (cfg.vocab_size, d))
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(
-                wq=_take(tensors, f"layers.{i}.wq", (d, d)),
-                wk=_take(tensors, f"layers.{i}.wk", (d, kv_dim)),
-                wv=_take(tensors, f"layers.{i}.wv", (d, kv_dim)),
-                wo=_take(tensors, f"layers.{i}.wo", (d, d)),
-                w_in=_take(tensors, f"layers.{i}.w_in", (d, cfg.hidden_mlp)),
-                w_out=_take(tensors, f"layers.{i}.w_out", (cfg.hidden_mlp, d)),
-                attn_norm=_take(tensors, f"layers.{i}.attn_norm", (d,)),
-                mlp_norm=_take(tensors, f"layers.{i}.mlp_norm", (d,)),
-            )
-        )
-    final_norm = _take(tensors, "final_norm", (d,))
-    out_emb = _take(tensors, "out_emb", (d, cfg.vocab_size))
+    named = {name: _take(tensors, name, shape) for name, shape in weight_shapes(cfg)}
     if tensors:
         raise ModelFormatError(f"unexpected tensors in file: {sorted(tensors)}")
-    return ModelWeights(
-        config=cfg, tok_emb=tok_emb, layers=layers, final_norm=final_norm, out_emb=out_emb
-    )
+    return ModelWeights.from_named(cfg, named)
 
 
 def dump_bytes(weights: ModelWeights) -> bytes:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ContractViolation
 from .model import ModelWeights, check_prompt_length
 from .runner import RunConfig, Strategy, run_generation
-from .selection import select_indices
 
 METRIC_NOTE = (
     "exact metrics: coverage = |needle indices in selection| / needle length; "
@@ -134,9 +133,10 @@ def needle_run(
 ) -> NeedleReport:
     """Score the selection path against a planted needle.
 
-    For every layer in ``r_list``: run selection and record coverage and
-    distance.  With a single layer, additionally compare two-pass generation
-    against full-model generation on the same prompt.
+    For every layer in ``r_list``: run the gemfilter prompt phase and record
+    the selection's coverage and distance.  With a single layer, that run
+    also generates ``t_max`` tokens, which are compared against full-model
+    generation on the same prompt.
     """
     r_list = [int(r) for r in r_list]
     if not r_list:
@@ -145,21 +145,21 @@ def needle_run(
         raise ContractViolation("t_max must be >= 0")
     check_prompt_length(spec.haystack_len + 1, weights.config)  # haystack plus query
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
+    # A single layer's selection run also generates, for the two-pass check.
+    t = t_max if len(r_list) == 1 else 0
     results = []
     for r in r_list:
-        sel = select_indices(weights, prompt, r, k, pool_kernel, pool_mode=pool_mode)
-        coverage, dist = coverage_and_distance(sel.indices, span)
-        results.append(NeedleLayerResult(layer=r, coverage=coverage, min_distance=dist))
-    chosen = r_list[0]
-    match: bool | None = None
-    if len(r_list) == 1 and t_max > 0:
         rc = RunConfig(
-            Strategy.GEMFILTER, max_new_tokens=t_max, select_k=k, filter_layer=chosen,
+            Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r,
             pool_kernel=pool_kernel, pool_mode=pool_mode,
         )
-        two_pass = run_generation(weights, prompt, rc)
+        gem = run_generation(weights, prompt, rc)
+        coverage, dist = coverage_and_distance(gem.selection.indices, span)
+        results.append(NeedleLayerResult(layer=r, coverage=coverage, min_distance=dist))
+    match: bool | None = None
+    if t > 0:
         full = run_generation(weights, prompt, replace(rc, strategy=Strategy.FULL))
-        match = two_pass.output_tokens == full.output_tokens
+        match = gem.output_tokens == full.output_tokens
     return NeedleReport(
-        spec=spec, k=k, layer_results=results, chosen_layer=chosen, generation_match=match
+        spec=spec, k=k, layer_results=results, chosen_layer=r_list[0], generation_match=match
     )

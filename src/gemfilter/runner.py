@@ -134,7 +134,6 @@ def metrics_document(
     result: RunResult,
     include_wall_times: bool = True,
     include_scores: bool = False,
-    selection_extra: dict | None = None,
 ) -> dict:
     """One metrics record per run (serialized as one NDJSON line)."""
     cfg = weights.config
@@ -171,11 +170,7 @@ def metrics_document(
         selection = {"indices": [int(i) for i in result.selection.indices]}
         if include_scores:
             selection["scores"] = [float(s) for s in result.selection.raw_scores]
-        if selection_extra:
-            selection.update(selection_extra)
         doc["selection"] = selection
-    elif selection_extra:
-        doc["selection"] = dict(selection_extra)
     if include_wall_times:
         doc["wall_times"] = wall_times
     return doc

@@ -69,8 +69,9 @@ def snapkv_retained_indices(
 ) -> np.ndarray:
     """Ascending retained positions for one kv-head from window attention scores.
 
-    Scores are pooled with :func:`avg_pool_1d`; the best ``k - window`` prefix
-    positions join the always-kept observation window.
+    Scores are pooled with :func:`~gemfilter.kernels.pool_1d` in
+    ``params.pool_mode``; the best ``k - window`` prefix positions join the
+    always-kept observation window.
     """
     n = window_scores.shape[0]
     w = params.observation_window

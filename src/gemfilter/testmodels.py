@@ -113,14 +113,15 @@ def copy_model_config(
     max_seq: int = 16384,
 ) -> ModelConfig:
     """A config satisfying the copy-model constraints."""
-    return ModelConfig(
-        n_layers=n_layers,
-        n_heads=n_heads,
-        n_kv_heads=n_heads,
-        head_dim=head_dim,
-        d_model=n_heads * head_dim,
-        vocab_size=vocab_size,
-        hidden_mlp=hidden_mlp,
-        use_rope=False,
-        max_seq=max_seq,
+    return ModelConfig.from_dict(
+        dict(
+            n_layers=n_layers,
+            n_heads=n_heads,
+            n_kv_heads=n_heads,
+            head_dim=head_dim,
+            vocab_size=vocab_size,
+            hidden_mlp=hidden_mlp,
+            use_rope=False,
+            max_seq=max_seq,
+        )
     )

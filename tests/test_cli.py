@@ -5,6 +5,9 @@ import json
 import pytest
 
 from gemfilter.cli import main
+from gemfilter.costmodel import CostParams, cost_table
+from gemfilter.counting import PROMPT
+from gemfilter.modelio import load_model
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +278,31 @@ class TestSelect:
         out = capsys.readouterr().out
         assert "bbbbbbbb" in out
         assert "selected 16 of 129 tokens" in out
+
+    def test_select_record_is_a_zero_token_gemfilter_run(self, random_model, tmp_path, capsys):
+        flags = [
+            "--model", str(random_model), "--prompt-random", "40", "--seed", "5",
+            "--filter-layer", "2", "--select-k", "12", "--pool-kernel", "3",
+            "--pool-mode", "max", "--include-first", "--no-wall-times",
+        ]
+        sel_out, gen_out = tmp_path / "select.ndjson", tmp_path / "generate.ndjson"
+        assert main(["select", *flags, "--metrics-out", str(sel_out)]) == 0
+        assert main(
+            ["generate", *flags, "--strategy", "gemfilter", "--max-new-tokens", "0",
+             "--metrics-out", str(gen_out)]
+        ) == 0
+        capsys.readouterr()
+        assert sel_out.read_bytes() == gen_out.read_bytes()
+        doc = json.loads(sel_out.read_text())
+        assert {"run_id", "params", "phase_costs", "selection"} <= set(doc)
+        prompt = next(pc for pc in doc["phase_costs"] if pc["phase"] == "prompt")
+        weights = load_model(random_model)
+        cell = cost_table(CostParams.from_weights(weights, n=40, k=12, t=0, r=2))["gemfilter"]
+        assert prompt["kv_bytes_peak"] == cell[PROMPT].kv_bytes_peak
+        assert prompt["weight_bytes_touched"] == cell[PROMPT].weight_bytes
+        assert prompt["matmul_flops"] == cell[PROMPT].total_flops
+        for term, flops in cell[PROMPT].flops.items():
+            assert prompt["flops_by_tag"].get(term, 0) == flops
 
 
 class TestNeedleCommand:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gemfilter import needle, runner, selection
 from gemfilter.errors import ContractViolation
 from gemfilter.needle import (
     NeedleSpec,
@@ -118,3 +119,18 @@ class TestNeedleRun:
         assert doc["haystack_len"] == 64
         assert doc["k"] == 16
         assert "metric_note" in doc and "coverage" in doc["layers"][0]
+
+    @pytest.mark.parametrize("r_list, t_max", [([1], 4), ([1, 2], 4), ([1], 0)])
+    def test_each_filter_pass_runs_once(self, monkeypatch, r_list, t_max):
+        layers = []
+
+        def spy(weights, tokens, r, *args, **kwargs):
+            layers.append(r)
+            return selection.select_indices(weights, tokens, r, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "select_indices", spy)
+        monkeypatch.setattr(needle, "select_indices", spy, raising=False)
+        spec = NeedleSpec(haystack_len=64, depth_percent=50, needle=(98,) * 4, query_token=98)
+        report = needle_run(spec, copy_weights(), r_list, 16, t_max=t_max)
+        assert layers == r_list
+        assert [lr.coverage for lr in report.layer_results] == [1.0] * len(r_list)

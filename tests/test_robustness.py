@@ -130,6 +130,41 @@ def test_missing_model_file_exit_one(tmp_path, capsys):
     assert "ModelFormatError" in capsys.readouterr().err
 
 
+def test_tensor_rank_outside_one_or_two_rejected(tmp_path):
+    name = b"tok_emb"
+    path = tmp_path / "rank.gfm"
+    for rank in (0, 3, 66):
+        path.write_bytes(
+            _header(tiny_config())
+            + struct.pack("<I", len(name)) + name
+            + struct.pack("<BB", 1, rank) + struct.pack(f"<{rank}I", *[1] * rank)
+        )
+        with pytest.raises(ModelFormatError, match=f"tensor tok_emb has rank {rank}"):
+            load_model(path)
+
+
+def test_gfm1_fuzz_truncation_and_bit_flips(tmp_path):
+    """Every cut and every flipped bit of a tiny model loads or raises ModelFormatError."""
+    cfg = ModelConfig(
+        n_layers=1, n_heads=1, n_kv_heads=1, head_dim=2, d_model=2,
+        vocab_size=2, hidden_mlp=1, max_seq=8,
+    )
+    good = dump_bytes(make_random_model(cfg, 0))
+    variants = [good[:cut] for cut in range(len(good))]
+    for i in range(len(good)):
+        for mask in (*(1 << bit for bit in range(8)), 0xFF):
+            data = bytearray(good)
+            data[i] ^= mask
+            variants.append(bytes(data))
+    path = tmp_path / "fuzz.gfm"
+    for data in variants:
+        path.write_bytes(data)
+        try:
+            load_model(path)
+        except ModelFormatError:
+            pass
+
+
 # ------------------------------------------------------------- prompt files
 
 
