@@ -2,11 +2,14 @@
 
 All kernels are pure functions of their inputs and deterministic for a fixed
 process configuration.  ``matmul`` reports its work to the ambient cost
-session (see :mod:`gemfilter.counting`); nothing else is counted, by
-convention.  Ties in ``topk_indices`` and ``argmax`` always break toward the
-lower index so every downstream selection is reproducible.  Every selection
-and every emitted token passes through one of those two, so both reject
-non-finite input rather than pick from NaN scores or logits.
+session (see :mod:`gemfilter.counting`).  The other matrix products, those
+of attention, are charged by the attention kernel itself
+(:func:`gemfilter.model._attention`), at their dense size; elementwise work
+is not counted, by convention.  Ties in ``topk_indices`` and ``argmax``
+always break toward the lower index so every downstream selection is
+reproducible.  Every selection and every emitted token passes through one of
+those two, so both reject non-finite input rather than pick from NaN scores
+or logits.
 """
 
 from __future__ import annotations

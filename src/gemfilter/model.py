@@ -22,23 +22,32 @@ one past the largest position it holds.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
-float32.  Matmuls report to the ambient cost session; KV byte checkpoints and
-per-layer weight touches are recorded here so phase counters match the closed
-forms in :mod:`gemfilter.costmodel` exactly.
+float32.  Attention (:func:`_attention`) runs every query head in one call,
+batched over the kv-head groups and blocked over query rows with a causal
+skip; it charges its dense products to the ambient cost session itself, and
+:func:`~gemfilter.kernels.matmul` charges the rest.  KV byte checkpoints and
+per-layer weight touches are recorded here so phase counters match the
+closed forms in :mod:`gemfilter.costmodel` exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import ModelConfig
-from .counting import note_kv_bytes, touch_layer
+from .counting import count_matmul, note_kv_bytes, touch_layer
 from .errors import ConfigurationError, ContractViolation
 from .kernels import argmax, matmul, rms_norm_rows
 
 F32 = np.float32
+
+# Query rows per attention block.  A block's score array is
+# (n_heads, ROW_BLOCK, keys) float32, the largest transient of a prompt pass;
+# 64 rows keep it small while each block's products stay BLAS-sized.
+ROW_BLOCK = 64
+_ABOVE_DIAGONAL = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool), 1)
 
 
 @dataclass
@@ -97,6 +106,8 @@ class ModelWeights:
     layers: list[LayerWeights]
     final_norm: np.ndarray
     out_emb: np.ndarray
+    # Weight bytes of one transformer layer (identical across layers).
+    per_layer_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -107,8 +118,10 @@ class ModelWeights:
         for (name, arr), (_, shape) in zip(self.named_tensors(), weight_shapes(cfg)):
             if arr.shape != shape:
                 raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
-        if len({lw.nbytes() for lw in self.layers}) != 1:
+        sizes = {lw.nbytes() for lw in self.layers}
+        if len(sizes) != 1:
             raise ConfigurationError("per-layer weight byte sizes must be identical")
+        self.per_layer_bytes = sizes.pop()
 
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
@@ -117,11 +130,6 @@ class ModelWeights:
         per = len(LAYER_TENSORS)
         layers = [LayerWeights(*flat[i : i + per]) for i in range(0, len(flat), per)]
         return cls(config, tok_emb, layers, final_norm, out_emb)
-
-    @property
-    def per_layer_bytes(self) -> int:
-        """Weight bytes of one transformer layer (identical across layers)."""
-        return self.layers[0].nbytes()
 
     def named_tensors(self):
         """Every weight tensor with its :func:`weight_shapes` name, in file order."""
@@ -141,6 +149,10 @@ class LayerKV:
     Rows of kv-head ``j`` are ``keys[j]``/``values[j]``, at original positions
     ``positions[j]``.  A full cache holds the same positions for every head;
     eviction keeps a different subset per head.
+
+    The three arrays are views of the rows held in buffers that may have room
+    for more (:meth:`reserve`), so appends write in place; ``nbytes`` counts
+    the rows held, not the room.
     """
 
     keys: np.ndarray  # (n_kv_heads, seq, head_dim)
@@ -152,6 +164,7 @@ class LayerKV:
             raise ContractViolation("LayerKV component shapes disagree")
         if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
+        self._buffers = (self.keys, self.values, self.positions)
 
     def __len__(self) -> int:
         return self.keys.shape[1]
@@ -165,14 +178,36 @@ class LayerKV:
         """One past the largest position held: where decoding resumes."""
         return max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
 
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more rows; the appends that fill it reallocate nothing."""
+        held = len(self)
+        if self._buffers[0].shape[1] >= held + rows:
+            return
+        buffers = []
+        for part in (self.keys, self.values, self.positions):
+            buf = np.empty((part.shape[0], held + rows, *part.shape[2:]), dtype=part.dtype)
+            buf[:, :held] = part
+            buffers.append(buf)
+        self._buffers = tuple(buffers)
+        self.keys, self.values, self.positions = (buf[:, :held] for buf in buffers)
+
     def append(self, k_rows: np.ndarray, v_rows: np.ndarray, positions: np.ndarray) -> None:
-        """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at ``positions``."""
-        if len(self) and int(positions[0]) < self.next_position:
+        """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at ``positions``.
+
+        Writes into reserved room; without room, grows the buffers to fit.
+        """
+        held = len(self)
+        if held and int(positions[0]) < self.next_position:
             raise ContractViolation("appended position must exceed the cache maximum")
-        self.keys = np.concatenate([self.keys, k_rows], axis=1)
-        self.values = np.concatenate([self.values, v_rows], axis=1)
-        new = positions[None].repeat(self.positions.shape[0], axis=0)
-        self.positions = np.concatenate([self.positions, new], axis=1)
+        end = held + k_rows.shape[1]
+        self.reserve(end - held)
+        keys, values, held_positions = self._buffers
+        keys[:, held:end] = k_rows
+        values[:, held:end] = v_rows
+        held_positions[:, held:end] = positions
+        self.keys, self.values, self.positions = (
+            keys[:, :end], values[:, :end], held_positions[:, :end]
+        )
 
     def gather(self, rows: np.ndarray) -> "LayerKV":
         """A new cache keeping rows ``rows[j]`` (ascending) of each kv-head ``j``."""
@@ -256,39 +291,61 @@ def repeat_kv(kv: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0):
-    """Single-head causal attention.
+    """Causal attention of every query head at once, batched over kv-head groups.
 
-    Returns ``(out, received)``.  ``received[i]`` is the float64 sum of the
-    attention probability key ``i`` got from the last ``score_rows`` queries,
-    or None when ``score_rows`` is 0; the probability matrix itself is freed
-    on return.  Queries align with the end of the key sequence:
-    query i attends keys 0..(nk - nq + i).  The score matrix is computed
-    densely and masked pre-softmax, so the FLOP charge is the full
-    2*nq*d*nk + 2*nq*nk*d.
+    ``q`` is ``(h_kv, g, nq, d)`` and ``k``/``v`` are ``(h_kv, nk, d)`` and
+    ``(h_kv, nk, d_v)``: query head ``j * g + i`` reads kv-head ``j``.  Queries
+    align with the end of the key sequence: query row ``i`` attends keys
+    ``0..(nk - nq + i)``.  A decode step is the one-row case.
+
+    Query rows run in blocks of :data:`ROW_BLOCK`.  A block scores only the
+    keys its last row can see (the causal skip) and masks the upper triangle
+    of its last ``b`` columns.  A row never spans two blocks, so each block's
+    softmax is exact, and the largest live score array is
+    ``(h_kv, g, ROW_BLOCK, nk)``, not ``nq x nk`` per head.
+
+    Returns ``(out, received)``: ``out`` is ``(h_kv, g, nq, d_v)``, and
+    ``received[j, i, c]`` is the float64 attention probability key ``c`` got
+    from the last ``score_rows`` query rows of head ``(j, i)``, summed block
+    by block, or None when ``score_rows`` is 0.
+
+    The FLOP charge is the dense one, as if every query row scored every key:
+    ``2 * h * nq * d * nk`` for the scores and ``2 * h * nq * nk * d_v`` for the
+    values, charged once per call.  The cost model counts these products;
+    the causal skip executes fewer.
     """
-    nq, dim = q.shape
-    nk = k.shape[0]
-    if k.shape[1] != dim or v.shape[0] != nk:
+    hk, g, nq, dim = q.shape
+    nk = k.shape[1]
+    if k.shape != (hk, nk, dim) or v.ndim != 3 or v.shape[:2] != (hk, nk):
         raise ContractViolation(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     if nq > nk:
         raise ContractViolation("attention requires q rows <= k rows")
     if not 0 <= score_rows <= nq:
         raise ContractViolation(f"score_rows {score_rows} outside 0..{nq}")
-    scores = matmul(q, k.T, tag="attn_score")
-    scores *= F32(1.0 / np.sqrt(dim))
+    count_matmul("attn_score", hk * g * nq, dim, nk)
+    count_matmul("attn_value", hk * g * nq, nk, v.shape[2])
+    scale = F32(1.0 / np.sqrt(dim))
     offset = nk - nq
-    for i in range(nq):
-        lo = offset + i + 1
-        if lo >= nk:
-            break
-        scores[i, lo:] = -np.inf
-    scores -= np.max(scores, axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.sum(scores, axis=1, keepdims=True)
-    out = matmul(scores, v, tag="attn_value")
-    if not score_rows:
-        return out, None
-    return out, scores[nq - score_rows :].sum(axis=0, dtype=np.float64)
+    first_scored = nq - score_rows
+    keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
+    values = v[:, None]
+    # Row-major storage, so the caller's (nq, h * d_v) view of it copies nothing.
+    out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v)).transpose(1, 2, 0, 3)
+    received = np.zeros((hk, g, nk)) if score_rows else None
+    for lo in range(0, nq, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, nq)
+        b, cols = hi - lo, offset + hi
+        scores = q[:, :, lo:hi] @ keys_t[..., :cols]
+        scores *= scale
+        scores[..., cols - b :][..., _ABOVE_DIAGONAL[:b, :b]] = -np.inf
+        scores -= np.max(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.sum(scores, axis=-1, keepdims=True)
+        out[:, :, lo:hi] = scores @ values[:, :, :cols]
+        if hi > first_scored:
+            rows = scores[:, :, max(first_scored - lo, 0) :]
+            received[..., :cols] += rows.sum(axis=2, dtype=np.float64)
+    return out, received
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -298,7 +355,7 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ContractViolation("causal_attention expects 2-D q, k, v")
-    return _attention(q, k, v)[0]
+    return _attention(q[None, None], k[None], v[None])[0][0, 0]
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -326,7 +383,9 @@ def run_layer(
     Without ``cache`` the rows attend causally to each other (a prompt pass)
     and a new cache holding their K/V is returned; with one, their K/V rows
     are appended to it and the rows attend to everything it holds (a decode
-    step).  Returns ``(x_out, q_heads, cache, scores)`` where Q is
+    step).  Q and K are rotated together, in one :func:`apply_rope` call, and
+    all query heads attend in one :func:`_attention` call over the kv-head
+    groups.  Returns ``(x_out, q_heads, cache, scores)`` where Q is
     ``(n, n_heads, head_dim)`` and post-rotation.  With ``score_rows > 0``,
     ``scores`` is the ``(n_heads, len(cache))`` float64 attention each key
     received from the last ``score_rows`` rows of each query head (what cache
@@ -343,8 +402,11 @@ def run_layer(
     k = matmul(xn, lw.wk, tag="proj").reshape(n, hk, dh)
     v = matmul(xn, lw.wv, tag="proj").reshape(n, hk, dh)
     if cfg.use_rope:
-        q = apply_rope(q, positions, cfg.rope_theta)
-        k = apply_rope(k, positions, cfg.rope_theta)
+        # One rotation for both, so the cos/sin table is built once per call.
+        qk = apply_rope(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
+        # Copy Q out, so the buffer is freed once K is copied head-major below.
+        q, k = qk[:, :h].copy(), qk[:, h:]
+        del qk
     k = np.ascontiguousarray(k.transpose(1, 0, 2))
     v = np.ascontiguousarray(v.transpose(1, 0, 2))
     if cache is None:
@@ -352,19 +414,13 @@ def run_layer(
     else:
         cache.append(k, v, positions)
 
-    scores = np.empty((h, len(cache)), dtype=np.float64) if score_rows else None
-    attn = np.empty((n, cfg.d_model), dtype=F32)
-    groups = cfg.kv_groups
-    for qh in range(h):
-        kvh = qh // groups
-        out, head_scores = _attention(q[:, qh, :], cache.keys[kvh], cache.values[kvh], score_rows)
-        attn[:, qh * dh : (qh + 1) * dh] = out
-        if scores is not None:
-            scores[qh] = head_scores
+    grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
+    out, scores = _attention(grouped_q, cache.keys, cache.values, score_rows)
+    attn = out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model)
     x = x + matmul(attn, lw.wo, tag="proj")
     xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
     x = x + _mlp(xn2, lw)
-    return x, q, cache, scores
+    return x, q, cache, None if scores is None else scores.reshape(h, -1)
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:
@@ -468,7 +524,12 @@ def greedy_generate(weights: ModelWeights, tokens, t_max: int) -> list[int]:
 def greedy_decode(
     weights: ModelWeights, caches: list[LayerKV], token: int, steps: int
 ) -> list[int]:
-    """The ``steps`` greedy tokens after ``token``, one decode step each."""
+    """The ``steps`` greedy tokens after ``token``, one decode step each.
+
+    Each cache first reserves the ``steps`` rows the loop appends.
+    """
+    for cache in caches:
+        cache.reserve(steps)
     out: list[int] = []
     for _ in range(steps):
         token = argmax(decode_step(token, caches, weights))

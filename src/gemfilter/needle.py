@@ -143,10 +143,16 @@ def needle_run(
         raise ContractViolation("r_list must name at least one filter layer")
     if t_max < 0:
         raise ContractViolation("t_max must be >= 0")
-    check_prompt_length(spec.haystack_len + 1, weights.config)  # haystack plus query
-    prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
-    # A single layer's selection run also generates, for the two-pass check.
+    n, max_seq = spec.haystack_len + 1, weights.config.max_seq  # haystack plus query
+    check_prompt_length(n, weights.config)
+    # A single layer's selection run also generates, for the two-pass check,
+    # and the full run it is compared with decodes up to position n + t - 2.
     t = t_max if len(r_list) == 1 else 0
+    if t >= 1 and n + t - 1 > max_seq:
+        raise ContractViolation(
+            f"needle prompt length {n} + t_max {t} - 1 exceeds max_seq {max_seq}"
+        )
+    prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     results = []
     for r in r_list:
         rc = RunConfig(

@@ -8,11 +8,16 @@ re-runs the full model over just the selected sub-sequence with fresh
 positions 0..k-1 (the rotary embedding is recomputed, so the positional span
 shrinks to k + t) and generates greedily.
 
-Selection scores are raw inner products: no softmax and no 1/sqrt(d) scale,
-both immaterial to a top-k decision because they are strictly increasing
-transforms.  The score readout is not charged to the FLOP counters; only
-model matmuls are counted, and the filter pass's cost is exactly the r-layer
-share of a full prompt pass.
+Selection scores are raw inner products summed over heads: no softmax and no
+1/sqrt(d) scale.  The scale alone would not change the top-k, since it
+multiplies every head's scores by the same constant, and neither would a
+softmax of a single head, which is strictly increasing.  Once heads are
+summed, though, a per-head softmax reweights each head by its own
+normaliser, so summed probabilities can keep a different set than summed
+raw products; raw products are this engine's scoring rule, not an
+equivalent of the probabilities.  The score readout is not charged to the
+FLOP counters; only model matmuls are counted, and the filter pass's cost is
+exactly the r-layer share of a full prompt pass.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.model import (
+    LayerKV,
     LayerWeights,
     ModelWeights,
     apply_rope,
@@ -195,7 +196,8 @@ class TestCausalAttention:
         out = causal_attention(q, k, v)
         np.testing.assert_allclose(out[0], v.mean(axis=0), atol=1e-6)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    # 63..131 cross query-row blocks (ROW_BLOCK = 64): partial, exact and spilled blocks.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 63, 64, 65, 131])
     def test_matches_brute_force_oracle(self, n):
         rng = np.random.default_rng(100 + n)
         q = rng.standard_normal((n, 8)).astype(F32)
@@ -267,24 +269,54 @@ def received_oracle(probs_rows, n):
     return out
 
 
+def run_layer_cases():
+    """``(n, h, h_kv, rows)``: prompt lengths that fill, end or spill a query-row
+    block, GQA layouts, and 1, 3 or all score rows.  The n = 11, (4, 2) cases
+    keep their short ids."""
+    for n in (11, 63, 64, 65, 131):
+        for h, hk in ((4, 2), (4, 1), (2, 2)):
+            for rows in (1, 3, n):
+                base = (n, h, hk) == (11, 4, 2)
+                yield pytest.param(
+                    n, h, hk, rows, id=str(rows) if base else f"n{n}-h{h}-hk{hk}-rows{rows}"
+                )
+
+
+def layer_oracle(x, w, q, cache):
+    """Layer 0's output from its own Q and cache, one head at a time in float64."""
+    cfg, lw = w.config, w.layers[0]
+    groups = cfg.n_heads // cfg.n_kv_heads
+    wide = lambda a: np.asarray(a, dtype=np.float64)
+    attn = np.concatenate(
+        [
+            attention_oracle(q[:, qh], cache.keys[qh // groups], cache.values[qh // groups])
+            for qh in range(cfg.n_heads)
+        ],
+        axis=1,
+    )
+    x = wide(x) + attn @ wide(lw.wo)
+    xn = x / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + cfg.norm_eps) * wide(lw.mlp_norm)
+    hidden = xn @ wide(lw.w_in)
+    return x + hidden / (1.0 + np.exp(-hidden)) @ wide(lw.w_out)
+
+
 class TestRunLayerScores:
     """run_layer's score array: attention each key received from the last rows."""
 
     N = 11
 
-    def _layer(self, score_rows):
-        cfg = small_config(m=1, h=4, hk=2, dh=8, max_seq=64)
+    def _layer(self, score_rows, n=N, h=4, hk=2):
+        cfg = small_config(m=1, h=h, hk=hk, dh=8, max_seq=256)
         w = make_random_model(cfg, 21)
-        x = embed([(5 * i + 2) % cfg.vocab_size for i in range(self.N)], w)
-        return run_layer(x, w, 0, np.arange(self.N, dtype=np.int64), score_rows=score_rows)
+        x = embed([(5 * i + 2) % cfg.vocab_size for i in range(n)], w)
+        return x, w, run_layer(x, w, 0, np.arange(n, dtype=np.int64), score_rows=score_rows)
 
-    @pytest.mark.parametrize("rows", [1, 3, N])
-    def test_matches_probability_oracle(self, rows):
-        n = self.N
-        _, q, cache, scores = self._layer(rows)
-        assert scores.shape == (4, n) and scores.dtype == np.float64
-        for qh in range(4):
-            kvh = qh // 2  # GQA: two query heads per kv-head
+    @pytest.mark.parametrize("n, h, hk, rows", run_layer_cases())
+    def test_matches_probability_oracle(self, n, h, hk, rows):
+        x, w, (out, q, cache, scores) = self._layer(rows, n, h, hk)
+        assert scores.shape == (h, n) and scores.dtype == np.float64
+        for qh in range(h):
+            kvh = qh // (h // hk)  # GQA: query heads j*g .. j*g+g-1 read kv-head j
             qrows, keys = q[:, qh, :], cache.keys[kvh]
             # The engine's own float32 probabilities (identity values), summed
             # in float64 by hand: only the summation order may differ.
@@ -297,9 +329,10 @@ class TestRunLayerScores:
             np.testing.assert_allclose(
                 scores[qh], received_oracle(exact[n - rows :], n), rtol=0, atol=1e-6
             )
+        np.testing.assert_allclose(out, layer_oracle(x, w, q, cache), rtol=1e-5, atol=1e-5)
 
     def test_zero_rows_returns_none(self):
-        assert self._layer(0)[3] is None
+        assert self._layer(0)[2][3] is None
 
 
 # ---------------------------------------------------------------- prefill
@@ -375,6 +408,72 @@ class TestPrefill:
 
 
 # ---------------------------------------------------------------- decode
+
+
+class TestLayerKV:
+    """Reserved room: appends write into it, and it holds no counted bytes."""
+
+    HK, DH = 2, 4
+
+    def _cache(self, n=5):
+        rng = np.random.default_rng(3)
+        shape = (self.HK, n, self.DH)
+        return LayerKV(
+            keys=rng.standard_normal(shape).astype(F32),
+            values=rng.standard_normal(shape).astype(F32),
+            positions=np.tile(np.arange(n, dtype=np.int64), (self.HK, 1)),
+        )
+
+    def _row(self, pos):
+        rng = np.random.default_rng(pos)
+        shape = (self.HK, 1, self.DH)
+        return (
+            rng.standard_normal(shape).astype(F32),
+            rng.standard_normal(shape).astype(F32),
+            np.asarray([pos], dtype=np.int64),
+        )
+
+    @staticmethod
+    def _parts(cache):
+        return (cache.keys, cache.values, cache.positions)
+
+    def test_append_after_reserve_does_not_reallocate(self):
+        cache, grown = self._cache(), self._cache()
+        cache.reserve(3)
+        buffers = [part.base for part in self._parts(cache)]
+        for pos in (5, 6, 7):
+            cache.append(*self._row(pos))
+            grown.append(*self._row(pos))
+            assert all(p.base is b for p, b in zip(self._parts(cache), buffers))
+        cache.append(*self._row(8))  # past the reserved room: grows
+        grown.append(*self._row(8))
+        assert all(p.base is not b for p, b in zip(self._parts(cache), buffers))
+        for mine, theirs in zip(self._parts(cache), self._parts(grown)):
+            np.testing.assert_array_equal(mine, theirs)
+        assert cache.positions[0].tolist() == list(range(9)) and cache.next_position == 9
+
+    def test_nbytes_counts_rows_held_not_capacity(self):
+        cache = self._cache(n=5)
+        held = 2 * self.HK * 5 * self.DH * 4  # keys + values, float32
+        assert cache.nbytes == held
+        cache.reserve(100)
+        assert cache.nbytes == held and len(cache) == 5
+        cache.append(*self._row(5))
+        assert cache.nbytes == held * 6 // 5 and len(cache) == 6
+
+    def test_gather_on_reserved_cache(self):
+        cache, plain = self._cache(), self._cache()
+        cache.reserve(4)
+        for pos in (5, 6):
+            cache.append(*self._row(pos))
+            plain.append(*self._row(pos))
+        rows = np.asarray([[0, 3, 6], [1, 5, 6]])
+        kept = cache.gather(rows)
+        for mine, theirs in zip(self._parts(kept), self._parts(plain.gather(rows))):
+            np.testing.assert_array_equal(mine, theirs)
+        assert kept.positions.tolist() == rows.tolist()
+        cache.append(*self._row(7))  # the gathered cache owns its rows
+        assert len(kept) == 3 and kept.next_position == 7
 
 
 class TestDecodeStep:

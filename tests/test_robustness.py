@@ -271,6 +271,20 @@ def test_needle_negative_t_max_rejected(tmp_path, capsys):
     assert "t_max must be >= 0" in capsys.readouterr().err
 
 
+def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
+    weights = make_copy_model(copy_model_config(max_seq=64))
+    spec = NeedleSpec(haystack_len=60, depth_percent=50.0, needle=(98,) * 4, query_token=98)
+    # 61 prompt tokens + 4 new - 1 = 64 positions: fits exactly.
+    assert needle_run(spec, weights, [1], 16, t_max=4).generation_match is not None
+    calls = []
+    monkeypatch.setattr("gemfilter.needle.run_generation", lambda *args: calls.append(args))
+    with pytest.raises(
+        ContractViolation, match=r"needle prompt length 61 \+ t_max 10 - 1 exceeds max_seq 64"
+    ):
+        needle_run(spec, weights, [1], 16, t_max=10)
+    assert calls == []
+
+
 # ------------------------------------------------------------- cost shapes
 
 COST_ARGS = ["cost", "--n", "10", "--k", "4", "--t", "1", "--r", "1", "--m", "2"]
