@@ -5,11 +5,16 @@ process configuration.  ``matmul`` reports its work to the ambient cost
 session (see :mod:`gemfilter.counting`).  The other matrix products, those
 of attention, are charged by the attention kernel itself
 (:func:`gemfilter.model._attention`), at their dense size; elementwise work
-is not counted, by convention.  Ties in ``topk_indices`` and ``argmax``
-always break toward the lower index so every downstream selection is
-reproducible.  Every selection and every emitted token passes through one of
-those two, so both reject non-finite input rather than pick from NaN scores
-or logits.
+is not counted, by convention.  The layer's fused Q/K/V projection is one
+``matmul`` over ``[wq | wk | wv]``, so its charge is the sum of the three
+separate products'.  ``rms_norm_rows`` is the one norm (a vector is a
+one-row matrix); it reduces with ``np.add.reduce`` directly, the same
+float32 sum and division ``np.mean`` makes, without ``np.mean``'s
+Python-level dispatch, which dominated a one-row call.  Ties in
+``topk_indices`` and ``argmax`` always break toward the lower index so every
+downstream selection is reproducible.  Every selection and every emitted
+token passes through one of those two, so both reject non-finite input
+rather than pick from NaN scores or logits.
 """
 
 from __future__ import annotations
@@ -36,27 +41,14 @@ def matmul(a: np.ndarray, b: np.ndarray, tag: str = "other") -> np.ndarray:
     return a @ b
 
 
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """Root-mean-square normalization: ``x * gain / sqrt(mean(x^2) + eps)``."""
-    x = np.asarray(x)
-    gain = np.asarray(gain)
-    if x.ndim != 1 or gain.ndim != 1:
-        raise ContractViolation("rms_norm operates on vectors")
-    if x.shape[0] != gain.shape[0]:
-        raise ContractViolation(f"rms_norm length mismatch: {x.shape[0]} vs {gain.shape[0]}")
-    if eps < 0:
-        raise ContractViolation("rms_norm eps must be non-negative")
-    scale = 1.0 / np.sqrt(np.mean(np.square(x, dtype=x.dtype)) + x.dtype.type(eps))
-    return x * gain * x.dtype.type(scale)
-
-
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise :func:`rms_norm` over a matrix; each row normalized independently."""
+    """Root-mean-square normalization of each row: ``x * gain / sqrt(mean(x^2) + eps)``."""
     x = np.asarray(x)
     gain = np.asarray(gain)
     if x.ndim != 2 or gain.ndim != 1 or x.shape[1] != gain.shape[0]:
         raise ContractViolation("rms_norm_rows expects (n, d) inputs and a length-d gain")
-    mean_sq = np.mean(np.square(x), axis=1, keepdims=True)
+    # The sum and the division np.mean makes, without its dispatch.
+    mean_sq = np.add.reduce(np.square(x), axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(mean_sq + x.dtype.type(eps))
     return x * inv * gain
 

@@ -22,12 +22,14 @@ one past the largest position it holds.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
-float32.  Attention (:func:`_attention`) runs every query head in one call,
-batched over the kv-head groups and blocked over query rows with a causal
-skip; it charges its dense products to the ambient cost session itself, and
-:func:`~gemfilter.kernels.matmul` charges the rest.  KV byte checkpoints and
-per-layer weight touches are recorded here so phase counters match the
-closed forms in :mod:`gemfilter.costmodel` exactly.
+float32.  One product with each layer's fused ``[wq | wk | wv]`` buffer
+projects Q, K and V, and Q/K rotate by rows of a per-model rotary table
+(:meth:`ModelWeights.rope`).  Attention (:func:`_attention`) runs every
+query head in one call, batched over the kv-head groups and blocked over
+query rows with a causal skip; it charges its dense products to the ambient
+cost session itself, and :func:`~gemfilter.kernels.matmul` charges the rest.
+KV byte checkpoints and per-layer weight touches are recorded here so phase
+counters match the closed forms in :mod:`gemfilter.costmodel` exactly.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ def weight_shapes(cfg: ModelConfig):
 
 @dataclass
 class ModelWeights:
+    """A model's weights, plus what the layer body derives from them.
+
+    Each layer's ``wq``/``wk``/``wv`` are column views of one
+    ``(d_model, d_model + 2 * kv_dim)`` buffer, ``qkv[i]``, so one product
+    projects Q, K and V, and an in-place edit of any of the three reaches it.
+    With ``use_rope``, :meth:`rope` reads the rotary table's rows.
+    """
+
     config: ModelConfig
     tok_emb: np.ndarray
     layers: list[LayerWeights]
@@ -108,6 +118,10 @@ class ModelWeights:
     out_emb: np.ndarray
     # Weight bytes of one transformer layer (identical across layers).
     per_layer_bytes: int = field(init=False, repr=False, compare=False)
+    # Per layer, the [wq | wk | wv] buffer the three are views of.
+    qkv: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    # The rotary (cos, sin) table filled so far (see rope), or None without RoPE.
+    _rope: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -122,6 +136,31 @@ class ModelWeights:
         if len(sizes) != 1:
             raise ConfigurationError("per-layer weight byte sizes must be identical")
         self.per_layer_bytes = sizes.pop()
+        d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
+        self.qkv = []
+        for lw in self.layers:
+            fused = np.concatenate([lw.wq, lw.wk, lw.wv], axis=1)
+            lw.wq, lw.wk, lw.wv = np.split(fused, [d, d + kv], axis=1)
+            self.qkv.append(fused)
+        self._rope = None
+        if cfg.use_rope:
+            self._rope = _rope_table(np.arange(0), cfg.head_dim, cfg.rope_theta)
+
+    def rope(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the rotary table at ascending ``positions`` in ``0..max_seq-1``.
+
+        The rows are :func:`_rope_table`'s for those positions.  The table is
+        filled as far as the positions asked for, doubling up to ``max_seq``,
+        so a model whose ``max_seq`` is far beyond what it runs never holds a
+        table that size.
+        """
+        cos, sin = self._rope
+        need = int(positions[-1]) + 1
+        if need > len(cos):
+            cfg = self.config
+            rows = min(cfg.max_seq, max(need, 2 * len(cos)))
+            self._rope = cos, sin = _rope_table(np.arange(rows), cfg.head_dim, cfg.rope_theta)
+        return cos[positions], sin[positions]
 
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
@@ -247,12 +286,35 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
     return weights.tok_emb[ids].astype(F32, copy=True)
 
 
-def _rope_cos_sin(positions: np.ndarray, head_dim: int, theta: float):
+def _rope_table(positions: np.ndarray, head_dim: int, theta: float):
+    """Rotary ``(cos, sin)`` rows at ``positions``, shaped ``(seq, 1, head_dim // 2, 2)``.
+
+    Pair ``i`` at position ``p`` rotates by ``p * theta**(-2i/head_dim)``.  Each
+    pair holds ``(cos, cos)`` and ``(-sin, sin)``, the factors :func:`_rotate`
+    applies to ``(x_even, x_odd)`` and to the swapped pair ``(x_odd, x_even)``.
+    """
     if head_dim % 2 != 0:
         raise ConfigurationError("rotary embedding requires an even head_dim")
     rates = theta ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * rates[None, :]
-    return np.cos(angles).astype(F32), np.sin(angles).astype(F32)
+    cos = np.cos(angles).astype(F32)
+    sin = np.sin(angles).astype(F32)
+    return (
+        np.stack([cos, cos], axis=-1)[:, None],
+        np.stack([-sin, sin], axis=-1)[:, None],
+    )
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the dimension pairs of ``x`` ``(seq, heads, head_dim)`` by :func:`_rope_table` rows.
+
+    ``even * cos - odd * sin`` and ``even * sin + odd * cos``, as three
+    array operations over the pairs and their swapped view.
+    """
+    pairs = x.reshape(*x.shape[:2], -1, 2)
+    out = pairs * cos
+    out += pairs[..., ::-1] * sin
+    return out.reshape(x.shape)
 
 
 def apply_rope(x: np.ndarray, positions, theta: float) -> np.ndarray:
@@ -267,15 +329,7 @@ def apply_rope(x: np.ndarray, positions, theta: float) -> np.ndarray:
     positions = np.asarray(positions)
     if positions.shape != (x.shape[0],):
         raise ContractViolation("apply_rope positions must match the sequence length")
-    cos, sin = _rope_cos_sin(positions, x.shape[2], theta)
-    cos = cos[:, None, :]
-    sin = sin[:, None, :]
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    return _rotate(x, *_rope_table(positions, x.shape[2], theta))
 
 
 def repeat_kv(kv: np.ndarray, groups: int) -> np.ndarray:
@@ -300,9 +354,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0)
 
     Query rows run in blocks of :data:`ROW_BLOCK`.  A block scores only the
     keys its last row can see (the causal skip) and masks the upper triangle
-    of its last ``b`` columns.  A row never spans two blocks, so each block's
-    softmax is exact, and the largest live score array is
-    ``(h_kv, g, ROW_BLOCK, nk)``, not ``nq x nk`` per head.
+    of its last ``b`` columns (a one-row block has none).  A row never spans
+    two blocks, so each block's softmax is exact, and the largest live score
+    array is ``(h_kv, g, ROW_BLOCK, nk)``, not ``nq x nk`` per head.
 
     Returns ``(out, received)``: ``out`` is ``(h_kv, g, nq, d_v)``, and
     ``received[j, i, c]`` is the float64 attention probability key ``c`` got
@@ -337,10 +391,11 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0)
         b, cols = hi - lo, offset + hi
         scores = q[:, :, lo:hi] @ keys_t[..., :cols]
         scores *= scale
-        scores[..., cols - b :][..., _ABOVE_DIAGONAL[:b, :b]] = -np.inf
-        scores -= np.max(scores, axis=-1, keepdims=True)
+        if b > 1:
+            scores[..., cols - b :][..., _ABOVE_DIAGONAL[:b, :b]] = -np.inf
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= np.sum(scores, axis=-1, keepdims=True)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
         out[:, :, lo:hi] = scores @ values[:, :, :cols]
         if hi > first_scored:
             rows = scores[:, :, max(first_scored - lo, 0) :]
@@ -383,10 +438,11 @@ def run_layer(
     Without ``cache`` the rows attend causally to each other (a prompt pass)
     and a new cache holding their K/V is returned; with one, their K/V rows
     are appended to it and the rows attend to everything it holds (a decode
-    step).  Q and K are rotated together, in one :func:`apply_rope` call, and
-    all query heads attend in one :func:`_attention` call over the kv-head
-    groups.  Returns ``(x_out, q_heads, cache, scores)`` where Q is
-    ``(n, n_heads, head_dim)`` and post-rotation.  With ``score_rows > 0``,
+    step).  One product projects Q, K and V (``weights.qkv``), Q and K are
+    rotated together by rows of the model's rotary table, and all query heads
+    attend in one :func:`_attention` call over the kv-head groups.  Returns
+    ``(x_out, q_heads, cache, scores)`` where Q is ``(n, n_heads, head_dim)``
+    and post-rotation.  With ``score_rows > 0``,
     ``scores`` is the ``(n_heads, len(cache))`` float64 attention each key
     received from the last ``score_rows`` rows of each query head (what cache
     eviction consumes); otherwise it is None.
@@ -398,17 +454,16 @@ def run_layer(
     h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
     xn = rms_norm_rows(x, lw.attn_norm, cfg.norm_eps)
-    q = matmul(xn, lw.wq, tag="proj").reshape(n, h, dh)
-    k = matmul(xn, lw.wk, tag="proj").reshape(n, hk, dh)
-    v = matmul(xn, lw.wv, tag="proj").reshape(n, hk, dh)
+    qkv = matmul(xn, weights.qkv[layer_idx], tag="proj")
+    qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
+    v = qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
     if cfg.use_rope:
-        # One rotation for both, so the cos/sin table is built once per call.
-        qk = apply_rope(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
-        # Copy Q out, so the buffer is freed once K is copied head-major below.
-        q, k = qk[:, :h].copy(), qk[:, h:]
-        del qk
-    k = np.ascontiguousarray(k.transpose(1, 0, 2))
+        qk = _rotate(qk, *weights.rope(positions))
+    # Copy Q, K and V out, so the fused buffers are freed before attention.
+    q = qk[:, :h].copy()
+    k = np.ascontiguousarray(qk[:, h:].transpose(1, 0, 2))
     v = np.ascontiguousarray(v.transpose(1, 0, 2))
+    del qkv, qk
     if cache is None:
         cache = LayerKV(keys=k, values=v, positions=np.tile(positions, (hk, 1)))
     else:
@@ -517,8 +572,9 @@ def greedy_generate(weights: ModelWeights, tokens, t_max: int) -> list[int]:
     if t_max == 0:
         return []
     pre = prefill(tokens, weights, want_logits=True)
-    first = argmax(pre.logits)
-    return [first] + greedy_decode(weights, pre.caches, first, t_max - 1)
+    caches, first = pre.caches, argmax(pre.logits)
+    del pre  # its hidden rows and last-layer Q/K are not decoded against
+    return [first] + greedy_decode(weights, caches, first, t_max - 1)
 
 
 def greedy_decode(

@@ -105,6 +105,7 @@ def _prompt_then_decode(weights, tokens, rc, session) -> list[int]:
         if rc.strategy is Strategy.FULL:
             pre = prefill(tokens, weights, want_logits=t >= 1)
             caches, logits = pre.caches, pre.logits
+            del pre  # its hidden rows and last-layer Q/K are not decoded against
         else:
             caches, logits = compressed_prefill(
                 tokens, weights, rc.strategy.value, rc.select_k, rc.eviction, want_logits=t >= 1

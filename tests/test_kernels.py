@@ -13,7 +13,6 @@ from gemfilter.kernels import (
     matmul,
     max_pool_1d,
     pool_1d,
-    rms_norm,
     rms_norm_rows,
     topk_indices,
 )
@@ -102,13 +101,15 @@ class TestMatmul:
 
 
 class TestRmsNorm:
+    """One-row inputs hold the vector cases; each row is normalized on its own."""
+
     def test_all_ones_fixed_point(self):
         ones = np.ones(5, dtype=F32)
-        assert rms_norm(ones, ones, 0.0) == pytest.approx([1.0] * 5)
+        assert rms_norm_rows(ones[None], ones, 0.0)[0] == pytest.approx([1.0] * 5)
 
     def test_signed_pair(self):
-        out = rms_norm(np.asarray([3.0, -3.0], dtype=F32), np.ones(2, dtype=F32), 0.0)
-        assert out == pytest.approx([1.0, -1.0])
+        out = rms_norm_rows(np.asarray([[3.0, -3.0]], dtype=F32), np.ones(2, dtype=F32), 0.0)
+        assert out[0] == pytest.approx([1.0, -1.0])
 
     def test_against_literal_formula(self):
         x = np.asarray([1.0, 2.0, 2.0], dtype=F32)
@@ -117,19 +118,28 @@ class TestRmsNorm:
             float(xi) * float(gi) / math.sqrt((1 + 4 + 4) / 3)
             for xi, gi in zip(x, gain)
         ]
-        assert rms_norm(x, gain, 0.0) == pytest.approx(expected, rel=1e-6)
+        assert rms_norm_rows(x[None], gain, 0.0)[0] == pytest.approx(expected, rel=1e-6)
 
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            rms_norm(np.ones(3, dtype=F32), np.ones(2, dtype=F32), 0.0)
+            rms_norm_rows(np.ones((1, 3), dtype=F32), np.ones(2, dtype=F32), 0.0)
 
-    def test_rows_variant_matches_vector_kernel(self):
+    def test_each_row_matches_a_one_row_call(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 9)).astype(F32)
         gain = rng.standard_normal(9).astype(F32)
         rows = rms_norm_rows(x, gain, 1e-5)
         for i in range(x.shape[0]):
-            np.testing.assert_allclose(rows[i], rms_norm(x[i], gain, 1e-5), rtol=1e-6)
+            one_row = rms_norm_rows(x[i : i + 1], gain, 1e-5)[0]
+            np.testing.assert_allclose(rows[i], one_row, rtol=1e-6)
+
+    @pytest.mark.parametrize("d", [1, 7, 64, 129])
+    def test_bit_identical_to_mean_formula(self, d):
+        rng = np.random.default_rng(d)
+        x = (rng.standard_normal((33, d)) * 10.0 ** rng.integers(-3, 4, (33, 1))).astype(F32)
+        gain = rng.standard_normal(d).astype(F32)
+        inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5))
+        assert np.array_equal(rms_norm_rows(x, gain, 1e-5), x * inv * gain)
 
 
 # ---------------------------------------------------------------- pooling

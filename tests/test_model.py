@@ -1,5 +1,6 @@
 """Model tests: attention vs a brute-force oracle, RoPE, GQA, prefill/decode."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gemfilter.model import (
     LayerKV,
     LayerWeights,
     ModelWeights,
+    _rotate,
     apply_rope,
     causal_attention,
     decode_step,
@@ -21,7 +23,8 @@ from gemfilter.model import (
     repeat_kv,
     run_layer,
 )
-from gemfilter.testmodels import make_random_model
+from gemfilter.modelio import dump_bytes, load_model, save_model
+from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
 
@@ -119,6 +122,86 @@ class TestRope:
             apply_rope(np.zeros((1, 1, 7), dtype=F32), [0], 10000.0)
         with pytest.raises(ConfigurationError):
             small_config(dh=7, h=1)
+
+
+def rope_pair_oracle(x, positions, theta):
+    """The pair rotation written out: ``even * cos - odd * sin``, ``even * sin + odd * cos``."""
+    dh = x.shape[2]
+    rates = theta ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * rates[None, :]
+    cos = np.cos(angles).astype(F32)[:, None, :]
+    sin = np.sin(angles).astype(F32)[:, None, :]
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+class TestRopeTable:
+    CFG = small_config(m=1, h=2, hk=1, dh=8, max_seq=300)
+
+    def test_bit_identical_to_apply_rope_at_every_position(self):
+        w = make_random_model(self.CFG, 0)
+        positions = np.arange(self.CFG.max_seq)
+        x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
+        expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
+        assert np.array_equal(apply_rope(x, positions, self.CFG.rope_theta), expected)
+        assert np.array_equal(_rotate(x, *w.rope(positions)), expected)  # as run_layer rotates
+
+    def test_grown_table_equals_one_built_at_once(self):
+        """Asked for a few positions at a time, the table's rows stay the same bits."""
+        w, fresh = make_random_model(self.CFG, 0), make_random_model(self.CFG, 0)
+        positions = np.arange(self.CFG.max_seq)
+        whole = fresh.rope(positions)
+        for lo, hi in [(0, 1), (1, 7), (7, 8), (8, 200), (299, 300)]:
+            for got, want in zip(w.rope(positions[lo:hi]), whole):
+                assert np.array_equal(got, want[lo:hi])
+
+    def test_run_layer_rotation_matches_oracle(self):
+        """The layer's Q and cached K are the oracle rotations of the projections."""
+        w, theta = make_random_model(self.CFG, 4), self.CFG.rope_theta
+        lw = w.layers[0]
+        x = np.random.default_rng(5).standard_normal((9, 16)).astype(F32)
+        positions = np.arange(9, dtype=np.int64)
+        _, q, cache, _ = run_layer(x, w, 0, positions)
+        xn = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5)) * lw.attn_norm
+        want_q = rope_pair_oracle((xn @ lw.wq).reshape(9, 2, 8), positions, theta)
+        want_k = rope_pair_oracle((xn @ lw.wk).reshape(9, 1, 8), positions, theta)
+        np.testing.assert_allclose(q, want_q, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(cache.keys, want_k.transpose(1, 0, 2), rtol=1e-5, atol=1e-6)
+
+
+class TestFusedProjection:
+    CFG = small_config(m=2, h=4, hk=2, dh=8, max_seq=4096)
+
+    def test_qkv_weights_are_column_views_of_one_buffer(self):
+        w = make_random_model(self.CFG, 3)
+        d, kv = self.CFG.d_model, self.CFG.n_kv_heads * self.CFG.head_dim
+        for lw, fused in zip(w.layers, w.qkv):
+            assert fused.shape == (d, d + 2 * kv)
+            for part in (lw.wq, lw.wk, lw.wv):
+                assert np.shares_memory(part, fused)
+            assert np.array_equal(fused, np.concatenate([lw.wq, lw.wk, lw.wv], axis=1))
+
+    def test_in_place_edit_reaches_projection(self):
+        w = make_random_model(self.CFG, 3)
+        assert prefill(list(range(6)), w).layer_k.any()
+        w.layers[1].wk[:, :] = 0.0
+        assert not prefill(list(range(6)), w).layer_k.any()
+
+    def test_model_bytes_identical_to_separate_tensors(self, tmp_path):
+        """GFM1 bytes of both test models, pinned from separate wq/wk/wv buffers."""
+        random_model = make_random_model(self.CFG, 3)
+        copy_model = make_copy_model(copy_model_config())
+        pinned = {
+            "d0d8c3687153603142f32873436dc112895fd8a6371d8f6fdb5fb5a24d1bfbaf": random_model,
+            "2fa18ec02f65bca2107253937c9eb19d3a4fe344f548a153c420c1278a4784c8": copy_model,
+        }
+        for digest, weights in pinned.items():
+            assert hashlib.sha256(dump_bytes(weights)).hexdigest() == digest
+            save_model(tmp_path / "m.gfm", weights)
+            assert hashlib.sha256(dump_bytes(load_model(tmp_path / "m.gfm"))).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- repeat kv

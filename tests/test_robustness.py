@@ -14,6 +14,7 @@ import pytest
 from gemfilter.cli import main
 from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams
+from gemfilter.counting import CostSession
 from gemfilter.errors import ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, topk_indices
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
@@ -242,11 +243,31 @@ def test_decode_overrun_boundary_charges_nothing(monkeypatch, strategy):
     fits = RunConfig(strategy, max_new_tokens=256 - kept + 1, select_k=40)
     assert len(run_generation(weights, tokens, fits).output_tokens) == fits.max_new_tokens
     calls = []
-    monkeypatch.setattr("gemfilter.kernels.count_matmul", lambda *args: calls.append(args))
+    # Every charge, the attention kernel's included, passes through the session.
+    monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
     over = replace(fits, max_new_tokens=fits.max_new_tokens + 1)
     with pytest.raises(ContractViolation, match=f"kept prompt length {kept} "):
         run_generation(weights, tokens, over)
     assert calls == []
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_max_seq_far_beyond_the_run_costs_nothing(strategy):
+    """A model may claim a max_seq it never reaches; the rotary table only covers what runs."""
+    weights = make_random_model(replace(tiny_config(), max_seq=2**62), 3)
+    rc = RunConfig(
+        strategy, max_new_tokens=3, select_k=4,
+        eviction=EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2),
+    )
+    assert len(run_generation(weights, list(range(10)), rc).output_tokens) == 3
+
+
+def test_max_seq_far_beyond_the_run_through_cli(tmp_path):
+    model = tmp_path / "m.gfm"
+    argv = ["--out", str(model), "--layers", "2", "--heads", "2", "--kv-heads", "1",
+            "--head-dim", "4", "--hidden-mlp", "8", "--max-seq", str(2**62)]
+    assert main(["make-model", *argv]) == 0
+    assert generate_exit_code(model, "--prompt-random", "10", "--max-new-tokens", "3") == 0
 
 
 def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Compression strategy tests: brute-force score oracles on small instances."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
+from gemfilter import model, runner, selection, strategies
 from gemfilter.model import LayerKV, decode_step, prefill
+from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
     EvictionPolicyParams,
     cache_bytes,
@@ -381,3 +384,30 @@ class TestCacheBytes:
     def test_empty(self):
         assert cache_bytes(None) == 0
         assert cache_bytes([]) == 0
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_decode_holds_no_prompt_pass_result(monkeypatch, strategy):
+    """Decoding keeps the caches and first logits, not a prompt pass's hidden rows or Q/K."""
+    results, alive_at_decode = [], []
+
+    def spy_prefill(*args, real=model.prefill, **kwargs):
+        pre = real(*args, **kwargs)
+        results.append(weakref.ref(pre))
+        return pre
+
+    def spy_decode(*args, real=model.greedy_decode):
+        alive_at_decode.append([ref() is not None for ref in results])
+        return real(*args)
+
+    for module in (model, runner, selection, strategies):
+        monkeypatch.setattr(module, "prefill", spy_prefill)
+    for module in (model, runner):
+        monkeypatch.setattr(module, "greedy_decode", spy_decode)
+    weights = make_random_model(small_config(m=2), 0)
+    rc = RunConfig(
+        strategy, max_new_tokens=3, select_k=4,
+        eviction=EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2),
+    )
+    assert len(run_generation(weights, list(range(12)), rc).output_tokens) == 3
+    assert results and alive_at_decode == [[False] * len(results)]
