@@ -17,12 +17,10 @@ from .errors import (
 from .model import (
     LayerKV,
     ModelWeights,
-    causal_attention,
     decode_step,
     embed,
     greedy_generate,
     prefill,
-    repeat_kv,
 )
 from .modelio import load_model, save_model
 from .needle import NeedleReport, NeedleSpec, needle_run
@@ -65,7 +63,6 @@ __all__ = [
     "Strategy",
     "VOCAB_SIZE",
     "cache_bytes",
-    "causal_attention",
     "compressed_prefill",
     "copy_model_config",
     "cost_table",
@@ -79,7 +76,6 @@ __all__ = [
     "make_random_model",
     "needle_run",
     "prefill",
-    "repeat_kv",
     "run_generation",
     "save_model",
     "select_indices",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .config import ModelConfig
 from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
 
@@ -69,15 +68,9 @@ class CostParams:
     def k_eff(self) -> int:
         return min(self.k, self.n)
 
-    @property
-    def dominance_holds(self) -> bool:
-        """The regime n >= max(d, k, t) under which the ordering claims apply."""
-        return self.n >= max(self.head_dim, self.k, self.t)
-
     @classmethod
-    def from_config(
-        cls, cfg: ModelConfig, *, n: int, k: int, t: int, r: int, layer_weight_bytes: int
-    ) -> "CostParams":
+    def from_weights(cls, weights, *, n: int, k: int, t: int, r: int) -> "CostParams":
+        cfg = weights.config
         return cls(
             n=n,
             k=k,
@@ -90,13 +83,7 @@ class CostParams:
             d_model=cfg.d_model,
             hidden_mlp=cfg.hidden_mlp,
             vocab=cfg.vocab_size,
-            layer_weight_bytes=layer_weight_bytes,
-        )
-
-    @classmethod
-    def from_weights(cls, weights, *, n: int, k: int, t: int, r: int) -> "CostParams":
-        return cls.from_config(
-            weights.config, n=n, k=k, t=t, r=r, layer_weight_bytes=weights.per_layer_bytes
+            layer_weight_bytes=weights.per_layer_bytes,
         )
 
 

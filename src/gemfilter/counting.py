@@ -129,10 +129,6 @@ class CostSession:
 _ACTIVE: ContextVar[CostSession | None] = ContextVar("gemfilter_cost_session", default=None)
 
 
-def current_session() -> CostSession | None:
-    return _ACTIVE.get()
-
-
 def count_matmul(tag: str, m: int, k: int, n: int) -> None:
     session = _ACTIVE.get()
     if session is not None:

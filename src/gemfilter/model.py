@@ -28,6 +28,9 @@ projects Q, K and V, and Q/K rotate by rows of a per-model rotary table
 query head in one call, batched over the kv-head groups and blocked over
 query rows with a causal skip; it charges its dense products to the ambient
 cost session itself, and :func:`~gemfilter.kernels.matmul` charges the rest.
+Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
+attention, eviction and token selection all group the query heads this way
+over the head-major keys, and none copies a key out per query head.
 KV byte checkpoints and per-layer weight touches are recorded here so phase
 counters match the closed forms in :mod:`gemfilter.costmodel` exactly.
 """
@@ -317,33 +320,6 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def apply_rope(x: np.ndarray, positions, theta: float) -> np.ndarray:
-    """Rotate consecutive dimension pairs of per-head vectors.
-
-    Pair ``i`` of a vector at position ``p`` rotates by ``p * theta**(-2i/head_dim)``.
-    Shape ``(seq, heads, head_dim)``; positions may be any integers.
-    """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ContractViolation("apply_rope expects (seq, heads, head_dim)")
-    positions = np.asarray(positions)
-    if positions.shape != (x.shape[0],):
-        raise ContractViolation("apply_rope positions must match the sequence length")
-    return _rotate(x, *_rope_table(positions, x.shape[2], theta))
-
-
-def repeat_kv(kv: np.ndarray, groups: int) -> np.ndarray:
-    """Expand kv-head vectors so kv-head j serves query heads [j*groups, (j+1)*groups)."""
-    kv = np.asarray(kv)
-    if kv.ndim != 3:
-        raise ContractViolation("repeat_kv expects (seq, n_kv_heads, head_dim)")
-    if groups < 1:
-        raise ConfigurationError("repeat_kv groups must be >= 1")
-    if groups == 1:
-        return kv
-    return np.repeat(kv, groups, axis=1)
-
-
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0):
     """Causal attention of every query head at once, batched over kv-head groups.
 
@@ -401,16 +377,6 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0)
             rows = scores[:, :, max(first_scored - lo, 0) :]
             received[..., :cols] += rows.sum(axis=2, dtype=np.float64)
     return out, received
-
-
-def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Causal self-attention for one head: masked softmax(q k^T / sqrt(d)) v."""
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ContractViolation("causal_attention expects 2-D q, k, v")
-    return _attention(q[None, None], k[None], v[None])[0][0, 0]
 
 
 def _silu(x: np.ndarray) -> np.ndarray:

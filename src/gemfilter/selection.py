@@ -3,10 +3,13 @@
 The filter pass runs only the first ``r`` transformer layers of the prompt,
 scores every key position by the summed last-row attention of layer ``r``
 across all heads, and keeps the top ``k`` positions as one global, sorted
-index set.  The second pass (driven by :func:`gemfilter.runner.run_generation`)
-re-runs the full model over just the selected sub-sequence with fresh
-positions 0..k-1 (the rotary embedding is recomputed, so the positional span
-shrinks to k + t) and generates greedily.
+index set.  The scores read layer ``r``'s head-major keys as its cache holds
+them: under grouped-query attention each kv-head's keys are contracted with
+the query heads of its group, the grouping attention itself uses.  The
+second pass (driven by :func:`gemfilter.runner.run_generation`) re-runs the
+full model over just the selected sub-sequence with fresh positions 0..k-1
+(the rotary embedding is recomputed, so the positional span shrinks to
+k + t) and generates greedily.
 
 Selection scores are raw inner products summed over heads: no softmax and no
 1/sqrt(d) scale.  The scale alone would not change the top-k, since it
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .kernels import pool_1d, topk_indices
-from .model import ModelWeights, prefill, repeat_kv
+from .kernels import check_pooling, pool_1d, topk_indices
+from .model import ModelWeights, prefill
 
 
 @dataclass
@@ -58,20 +61,24 @@ def selection_scores(
     """Pooled, head-summed inner products of the last query against all keys.
 
     ``last_q`` is the final position's per-head query ``(h, head_dim)`` and
-    ``keys`` the per-head key matrix ``(n, h, head_dim)`` with kv-heads
-    already expanded to the full head count.  Heads are summed before
+    ``keys`` the head-major key matrix ``(h_kv, n, head_dim)``, as the cache
+    holds it: query head ``j * g + i`` reads kv-head ``j``, so the query heads
+    are grouped as ``(h_kv, g, head_dim)`` and contracted with the keys in
+    float64 without copying a key per query head.  Heads are summed before
     pooling.  Average pooling is the default; ``pool_mode="max"`` is kept as
     an A/B knob.
     """
     last_q = np.asarray(last_q)
     keys = np.asarray(keys)
     if last_q.ndim != 2 or keys.ndim != 3:
-        raise ContractViolation("selection_scores expects (h, d) query and (n, h, d) keys")
-    if keys.shape[1] != last_q.shape[0] or keys.shape[2] != last_q.shape[1]:
+        raise ContractViolation("selection_scores expects (h, d) query and (h_kv, n, d) keys")
+    h, d = last_q.shape
+    if keys.shape[0] < 1 or h % keys.shape[0] or keys.shape[2] != d:
         raise ContractViolation(
             f"head layout mismatch: query {last_q.shape} vs keys {keys.shape}"
         )
-    scores = np.einsum("nhd,hd->n", keys.astype(np.float64), last_q.astype(np.float64))
+    grouped = last_q.reshape(keys.shape[0], -1, d).astype(np.float64)
+    scores = np.einsum("jnd,jgd->n", keys, grouped)
     return pool_1d(scores, pool_kernel, pool_mode)
 
 
@@ -88,7 +95,9 @@ def select_indices(
 
     Layers past ``r`` are never touched and no KV cache is retained, so the
     charged prompt cost is exactly r layers' worth.  ``k`` larger than the
-    prompt clamps to selecting everything.
+    prompt clamps to selecting everything.  A pooling kernel or mode that
+    :func:`~gemfilter.kernels.pool_1d` would reject is rejected before the
+    filter pass runs.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
@@ -98,12 +107,12 @@ def select_indices(
         raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
     if k < 1:
         raise ContractViolation("selection budget k must be >= 1")
+    check_pooling(pool_kernel, pool_mode)
     # Keep no cache; without want_logits=False, r = m would bill a logits readout.
     pre = prefill(
         ids, weights, upto_layer=r, want_logits=False, evict=lambda cache, scores: None
     )
-    keys = repeat_kv(np.ascontiguousarray(pre.layer_k.transpose(1, 0, 2)), cfg.kv_groups)
-    scores = selection_scores(pre.layer_q[-1], keys, pool_kernel, pool_mode)
+    scores = selection_scores(pre.layer_q[-1], pre.layer_k, pool_kernel, pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
     if include_first and 0 not in kept:
         kept = np.concatenate([kept[:-1], np.asarray([0], dtype=np.int64)])

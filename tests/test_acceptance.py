@@ -16,9 +16,9 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
-from gemfilter.kernels import avg_pool_1d, topk_indices
+from gemfilter.kernels import pool_1d, topk_indices
 from gemfilter.model import (
-    causal_attention,
+    _attention,
     decode_step,
     greedy_generate,
     prefill,
@@ -128,7 +128,7 @@ def test_topk_and_pooling_oracles():
                 if 0 <= j < n:
                     total += v[j]
             oracle[i] = total / kernel
-        np.testing.assert_allclose(avg_pool_1d(v, kernel), oracle, atol=1e-6)
+        np.testing.assert_allclose(pool_1d(v, kernel), oracle, atol=1e-6)
 
 
 # -------------------------------------------------------------------------
@@ -152,7 +152,8 @@ def test_attention_brute_force_equivalence():
                 exps = np.exp(scores - scores.max())
                 probs = exps / exps.sum()
                 oracle[i] = sum(probs[j] * v[j].astype(np.float64) for j in range(i + 1))
-            np.testing.assert_allclose(causal_attention(q, k, v), oracle, atol=1e-6)
+            out = _attention(q[None, None], k[None], v[None])[0][0, 0]
+            np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     # causality: perturbing token j never changes hidden states before j
     cfg = config(m=2, h=2, hk=2, dh=8, max_seq=64)

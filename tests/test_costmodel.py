@@ -130,7 +130,7 @@ class TestScalingLaws:
 
     def test_method_ordering_prompt(self):
         p = params(n=4096, k=256, t=32)
-        assert p.dominance_holds
+        assert p.n >= max(p.head_dim, p.k, p.t)  # the regime the ordering claims need
         table = cost_table(p)
         assert table["gemfilter"][PROMPT].total_flops < table["full"][PROMPT].total_flops
         assert table["full"][PROMPT].total_flops == table["snapkv"][PROMPT].total_flops
@@ -156,10 +156,6 @@ class TestScalingLaws:
             assert cell.total_flops == 0
             assert cell.kv_bytes_peak == 0
             assert cell.weight_bytes == 0
-
-    def test_dominance_flag(self):
-        assert params(n=4096, k=64, t=16).dominance_holds
-        assert not params(n=32, k=64, t=16).dominance_holds
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ContractViolation):

@@ -9,9 +9,7 @@ from gemfilter.counting import CostSession
 from gemfilter.errors import ContractViolation
 from gemfilter.kernels import (
     argmax,
-    avg_pool_1d,
     matmul,
-    max_pool_1d,
     pool_1d,
     rms_norm_rows,
     topk_indices,
@@ -147,20 +145,20 @@ class TestRmsNorm:
 
 class TestAvgPool1d:
     def test_frozen_plateau(self):
-        out = avg_pool_1d(np.asarray([1.0, 1.0, 1.0, 1.0, 1.0]), 5)
+        out = pool_1d(np.asarray([1.0, 1.0, 1.0, 1.0, 1.0]), 5)
         assert out == pytest.approx([0.6, 0.8, 1.0, 0.8, 0.6])
 
     def test_kernel_one_is_identity(self):
         v = np.asarray([3.0, -1.0, 2.0], dtype=F32)
-        assert np.array_equal(avg_pool_1d(v, 1), v)
+        assert np.array_equal(pool_1d(v, 1), v)
 
     def test_single_spike_spreads(self):
-        out = avg_pool_1d(np.asarray([0.0, 0.0, 5.0, 0.0, 0.0]), 5)
+        out = pool_1d(np.asarray([0.0, 0.0, 5.0, 0.0, 0.0]), 5)
         assert out == pytest.approx([1.0, 1.0, 1.0, 1.0, 1.0])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ContractViolation):
-            avg_pool_1d(np.ones(4), 2)
+            pool_1d(np.ones(4), 2)
 
     def test_against_window_oracle_1000_trials(self):
         rng = np.random.default_rng(3)
@@ -168,13 +166,13 @@ class TestAvgPool1d:
             n = int(rng.integers(1, 24))
             kernel = int(rng.choice([1, 3, 5, 7]))
             v = rng.standard_normal(n)
-            np.testing.assert_allclose(avg_pool_1d(v, kernel), pool_oracle(v, kernel), atol=1e-6)
+            np.testing.assert_allclose(pool_1d(v, kernel), pool_oracle(v, kernel), atol=1e-6)
 
     def test_sum_conservation_minus_boundary_leakage(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(32)
         kernel = 5
-        pooled = avg_pool_1d(v, kernel)
+        pooled = pool_1d(v, kernel)
         # The oracle accounts for exactly the same boundary leakage.
         assert pooled.sum() == pytest.approx(pool_oracle(v, kernel).sum(), abs=1e-9)
 
@@ -190,15 +188,15 @@ class TestMaxPool1d:
             oracle = [
                 max(v[max(0, i - half) : min(n, i + half + 1)]) for i in range(n)
             ]
-            np.testing.assert_allclose(max_pool_1d(v, kernel), oracle)
+            np.testing.assert_allclose(pool_1d(v, kernel, "max"), oracle)
 
     def test_negative_values_not_zero_clamped(self):
-        out = max_pool_1d(np.asarray([-3.0, -2.0, -5.0]), 3)
+        out = pool_1d(np.asarray([-3.0, -2.0, -5.0]), 3, "max")
         assert out.tolist() == [-2.0, -2.0, -2.0]
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ContractViolation):
-            max_pool_1d(np.ones(4), 4)
+            pool_1d(np.ones(4), 4, "max")
 
     def test_pool_dispatch(self):
         v = np.asarray([0.0, 6.0, 0.0])

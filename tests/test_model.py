@@ -13,14 +13,13 @@ from gemfilter.model import (
     LayerKV,
     LayerWeights,
     ModelWeights,
+    _attention,
+    _rope_table,
     _rotate,
-    apply_rope,
-    causal_attention,
     decode_step,
     embed,
     greedy_generate,
     prefill,
-    repeat_kv,
     run_layer,
 )
 from gemfilter.modelio import dump_bytes, load_model, save_model
@@ -61,6 +60,16 @@ def attention_oracle(q, k, v):
     return out
 
 
+def one_head_attention(q, k, v):
+    """Causal attention of one ``(nq, d)`` query head over ``(nk, d)`` keys and values."""
+    return _attention(q[None, None], k[None], v[None])[0][0, 0]
+
+
+def rotate_at(x, positions, theta):
+    """Rotate ``(seq, heads, head_dim)`` rows at any integer ``positions``."""
+    return _rotate(x, *_rope_table(positions, x.shape[2], theta))
+
+
 # ---------------------------------------------------------------- embed
 
 
@@ -95,13 +104,13 @@ class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 3, 8)).astype(F32)
-        out = apply_rope(x, [0], 10000.0)
+        out = rotate_at(x, [0], 10000.0)
         np.testing.assert_allclose(out, x, atol=1e-7)
 
     def test_pairwise_norms_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 2, 16)).astype(F32)
-        out = apply_rope(x, [0, 3, 7, 100, 2048], 10000.0)
+        out = rotate_at(x, [0, 3, 7, 100, 2048], 10000.0)
         np.testing.assert_allclose(
             np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-5
         )
@@ -113,13 +122,13 @@ class TestRope:
     def test_inverse_rotation_round_trip(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 2, 12)).astype(F32)
-        fwd = apply_rope(x, [11, 29, 53], 10000.0)
-        back = apply_rope(fwd, [-11, -29, -53], 10000.0)
+        fwd = rotate_at(x, [11, 29, 53], 10000.0)
+        back = rotate_at(fwd, [-11, -29, -53], 10000.0)
         np.testing.assert_allclose(back, x, atol=1e-5)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigurationError):
-            apply_rope(np.zeros((1, 1, 7), dtype=F32), [0], 10000.0)
+            _rope_table([0], 7, 10000.0)
         with pytest.raises(ConfigurationError):
             small_config(dh=7, h=1)
 
@@ -146,7 +155,7 @@ class TestRopeTable:
         positions = np.arange(self.CFG.max_seq)
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
-        assert np.array_equal(apply_rope(x, positions, self.CFG.rope_theta), expected)
+        assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
         assert np.array_equal(_rotate(x, *w.rope(positions)), expected)  # as run_layer rotates
 
     def test_grown_table_equals_one_built_at_once(self):
@@ -204,22 +213,10 @@ class TestFusedProjection:
             assert hashlib.sha256(dump_bytes(load_model(tmp_path / "m.gfm"))).hexdigest() == digest
 
 
-# ---------------------------------------------------------------- repeat kv
+# ---------------------------------------------------------------- grouped-query heads
 
 
 class TestRepeatKv:
-    def test_groups_one_identity(self):
-        x = np.arange(24, dtype=F32).reshape(2, 3, 4)
-        assert repeat_kv(x, 1) is x
-
-    def test_groups_two_duplicates_adjacent(self):
-        x = np.arange(16, dtype=F32).reshape(2, 2, 4)
-        out = repeat_kv(x, 2)
-        assert out.shape == (2, 4, 4)
-        # kv-head j serves query heads [2j, 2j+1]
-        assert np.array_equal(out[:, 0], x[:, 0]) and np.array_equal(out[:, 1], x[:, 0])
-        assert np.array_equal(out[:, 2], x[:, 1]) and np.array_equal(out[:, 3], x[:, 1])
-
     def test_non_divisible_head_layout_rejected(self):
         with pytest.raises(ConfigurationError):
             small_config(h=3, hk=2, dh=8)
@@ -270,13 +267,13 @@ class TestCausalAttention:
         q = rng.standard_normal((1, 8)).astype(F32)
         k = rng.standard_normal((1, 8)).astype(F32)
         v = rng.standard_normal((1, 8)).astype(F32)
-        assert np.array_equal(causal_attention(q, k, v), v)
+        assert np.array_equal(one_head_attention(q, k, v), v)
 
     def test_two_identical_keys_average_values(self):
         q = np.ones((1, 4), dtype=F32)
         k = np.tile(np.asarray([[1.0, 0.0, 2.0, -1.0]], dtype=F32), (2, 1))
         v = np.asarray([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], dtype=F32)
-        out = causal_attention(q, k, v)
+        out = one_head_attention(q, k, v)
         np.testing.assert_allclose(out[0], v.mean(axis=0), atol=1e-6)
 
     # 63..131 cross query-row blocks (ROW_BLOCK = 64): partial, exact and spilled blocks.
@@ -286,33 +283,33 @@ class TestCausalAttention:
         q = rng.standard_normal((n, 8)).astype(F32)
         k = rng.standard_normal((n, 8)).astype(F32)
         v = rng.standard_normal((n, 8)).astype(F32)
-        np.testing.assert_allclose(causal_attention(q, k, v), attention_oracle(q, k, v), atol=1e-6)
+        np.testing.assert_allclose(one_head_attention(q, k, v), attention_oracle(q, k, v), atol=1e-6)
 
     def test_decode_alignment_short_query(self):
         rng = np.random.default_rng(5)
         k = rng.standard_normal((6, 8)).astype(F32)
         v = rng.standard_normal((6, 8)).astype(F32)
         q = rng.standard_normal((2, 8)).astype(F32)
-        np.testing.assert_allclose(causal_attention(q, k, v), attention_oracle(q, k, v), atol=1e-6)
+        np.testing.assert_allclose(one_head_attention(q, k, v), attention_oracle(q, k, v), atol=1e-6)
 
     def test_q_longer_than_k_rejected(self):
         with pytest.raises(ContractViolation):
-            causal_attention(np.ones((3, 4), dtype=F32), np.ones((2, 4), dtype=F32), np.ones((2, 4), dtype=F32))
+            one_head_attention(np.ones((3, 4), dtype=F32), np.ones((2, 4), dtype=F32), np.ones((2, 4), dtype=F32))
 
     def test_rows_sum_to_one_with_rope_inputs(self):
         # Feed identity values so the output rows are the probability rows.
         rng = np.random.default_rng(6)
         n = 6
-        q = apply_rope(rng.standard_normal((n, 1, 8)).astype(F32), np.arange(n), 1e4)[:, 0, :]
-        k = apply_rope(rng.standard_normal((n, 1, 8)).astype(F32), np.arange(n), 1e4)[:, 0, :]
-        probs = causal_attention(q, k, np.eye(n, dtype=F32))
+        q = rotate_at(rng.standard_normal((n, 1, 8)).astype(F32), np.arange(n), 1e4)[:, 0, :]
+        k = rotate_at(rng.standard_normal((n, 1, 8)).astype(F32), np.arange(n), 1e4)[:, 0, :]
+        probs = one_head_attention(q, k, np.eye(n, dtype=F32))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 def softmax_via_attention(scores):
     """softmax(scores), read out of one width-1 query over identity values."""
     s = np.asarray(scores, dtype=F32)
-    return causal_attention(np.ones((1, 1), dtype=F32), s[:, None], np.eye(s.size, dtype=F32))[0]
+    return one_head_attention(np.ones((1, 1), dtype=F32), s[:, None], np.eye(s.size, dtype=F32))[0]
 
 
 class TestAttentionSoftmax:
@@ -335,7 +332,7 @@ class TestAttentionSoftmax:
         for scale in (1.0, 1e3):
             q = (rng.standard_normal((40, 17)) * scale).astype(F32)
             k = (rng.standard_normal((40, 17)) * scale).astype(F32)
-            out = causal_attention(q, k, np.eye(40, dtype=F32))
+            out = one_head_attention(q, k, np.eye(40, dtype=F32))
             assert np.all(np.isfinite(out))
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
@@ -403,7 +400,7 @@ class TestRunLayerScores:
             qrows, keys = q[:, qh, :], cache.keys[kvh]
             # The engine's own float32 probabilities (identity values), summed
             # in float64 by hand: only the summation order may differ.
-            probs = causal_attention(qrows, keys, np.eye(n, dtype=F32))
+            probs = one_head_attention(qrows, keys, np.eye(n, dtype=F32))
             np.testing.assert_allclose(
                 scores[qh], received_oracle(probs[n - rows :], n), rtol=0, atol=1e-9
             )

@@ -6,7 +6,8 @@ parameters violate a documented constraint) or produces counters that equal
 ``cost_table`` as integers.  The global selection and each head of an
 evicted cache keep ``min(k, n)`` strictly increasing positions, evicted
 caches resume decoding at position ``n``, and a budget covering the prompt
-makes snapkv/h2o generate the full-cache tokens.
+makes snapkv/h2o generate the full-cache tokens.  Pooling equals brute-force
+windows for any odd kernel, wider than the vector or not.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.errors import EngineError
+from gemfilter.kernels import pool_1d
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import EvictionPolicyParams, compressed_prefill
 from gemfilter.testmodels import make_random_model
@@ -93,3 +95,26 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
             assert layer.next_position == p["n"]
         if p["k"] >= p["n"]:
             assert outputs[method] == outputs["full"]
+
+
+@st.composite
+def pooling_cases(draw):
+    n = draw(st.integers(1, 64))
+    kernel = 2 * draw(st.integers(0, (3 * n + 8) // 2)) + 1  # odd, 1..3n+9
+    v = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
+    return v, kernel, draw(st.sampled_from(["avg", "max"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pooling_cases())
+def test_pool_1d_matches_brute_force_windows(case):
+    v, kernel, mode = case
+    n, half = v.size, kernel // 2
+    out = pool_1d(v, kernel, mode)
+    assert out.shape == (n,)
+    windows = [v[max(i - half, 0) : i + half + 1] for i in range(n)]
+    if mode == "avg":  # zero padding: the clipped window's sum over the full kernel
+        oracle = [sum(win.tolist()) / kernel for win in windows]
+        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
+    else:
+        assert out.tolist() == [max(win.tolist()) for win in windows]

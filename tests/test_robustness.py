@@ -16,7 +16,7 @@ from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams
 from gemfilter.counting import CostSession
 from gemfilter.errors import ContractViolation, ModelFormatError
-from gemfilter.kernels import argmax, topk_indices
+from gemfilter.kernels import argmax, pool_1d, topk_indices
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
@@ -248,6 +248,57 @@ def test_decode_overrun_boundary_charges_nothing(monkeypatch, strategy):
     over = replace(fits, max_new_tokens=fits.max_new_tokens + 1)
     with pytest.raises(ContractViolation, match=f"kept prompt length {kept} "):
         run_generation(weights, tokens, over)
+    assert calls == []
+
+
+HUGE_KERNEL = 99999999999
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_pool_window_wider_than_the_vector_covers_all_of_it(n):
+    """Padding stops at n - 1 per side, so memory stays O(n) for any kernel."""
+    v = np.random.default_rng(n).standard_normal(n)
+    for kernel in (2 * n - 1, 2 * n + 1, HUGE_KERNEL):
+        np.testing.assert_allclose(pool_1d(v, kernel, "avg"), v.sum() / kernel, rtol=1e-12)
+        assert np.array_equal(pool_1d(v, kernel, "max"), np.full(n, v.max()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--prompt-random", "20", "--select-k", "4"],
+        ["needle", "--haystack-len", "20", "--select-k", "4", "--t-max", "2"],
+        ["generate", "--strategy", "snapkv", "--prompt-random", "20", "--select-k", "8",
+         "--observation-window", "2", "--max-new-tokens", "2"],
+    ],
+    ids=["select", "needle", "generate-snapkv"],
+)
+def test_huge_pool_kernel_runs_through_cli(tmp_path, capsys, argv):
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    flags = [*argv[1:], "--pool-kernel", str(HUGE_KERNEL)]
+    assert main([argv[0], "--model", str(model), *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "pool", [dict(pool_kernel=4), dict(pool_kernel=0), dict(pool_mode="median")],
+    ids=["kernel-4", "kernel-0", "mode-median"],
+)
+def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypatch, pool):
+    weights, tokens = make_random_model(tiny_config(), 3), list(range(10))
+    model = tmp_path / "m.gfm"
+    save_model(model, weights)
+    calls = []
+    monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
+    with CostSession().activate(), pytest.raises(ContractViolation, match="pool"):
+        select_indices(weights, tokens, r=1, k=4, **pool)
+    with pytest.raises(ContractViolation, match="pool"):
+        run_generation(weights, tokens, RunConfig(Strategy.GEMFILTER, select_k=4, **pool))
+    if "pool_kernel" in pool:
+        argv = ["--prompt-random", "10", "--pool-kernel", str(pool["pool_kernel"])]
+        assert main(["select", "--model", str(model), *argv]) == 1
+        assert "ContractViolation" in capsys.readouterr().err
     assert calls == []
 
 

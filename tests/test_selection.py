@@ -6,7 +6,6 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
-from gemfilter.kernels import avg_pool_1d
 from gemfilter.model import greedy_generate, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import (
@@ -45,32 +44,34 @@ class TestSelectionScores:
         target = 5
         q = np.zeros((1, d), dtype=F32)
         q[0, 0] = 1.0
-        keys = np.zeros((n, 1, d), dtype=F32)
-        keys[:, 0, 1] = 1.0  # orthogonal direction
-        keys[target, 0] = [1.0, 0.0, 0.0, 0.0]
+        keys = np.zeros((1, n, d), dtype=F32)
+        keys[0, :, 1] = 1.0  # orthogonal direction
+        keys[0, target] = [1.0, 0.0, 0.0, 0.0]
         scores = selection_scores(q, keys, pool_kernel=1)
         assert int(np.argmax(scores)) == target
         # Oracle: explicit inner products.
-        expected = [float(np.dot(q[0], keys[i, 0])) for i in range(n)]
+        expected = [float(np.dot(q[0], keys[0, i])) for i in range(n)]
         np.testing.assert_allclose(scores, expected, atol=1e-7)
 
     def test_duplicated_heads_scale_scores_not_ranking(self):
         rng = np.random.default_rng(0)
         n, d, h = 10, 6, 3
         q1 = rng.standard_normal((1, d)).astype(F32)
-        k1 = rng.standard_normal((n, 1, d)).astype(F32)
+        k1 = rng.standard_normal((n, 1, d)).astype(F32).transpose(1, 0, 2)
         qh = np.tile(q1, (h, 1))
-        kh = np.tile(k1, (1, h, 1))
+        kh = np.tile(k1, (h, 1, 1))
         s1 = selection_scores(q1, k1, pool_kernel=1)
         sh = selection_scores(qh, kh, pool_kernel=1)
         np.testing.assert_allclose(sh, h * s1, rtol=1e-6)
+        # One kv-head serving all h query heads: the same sum.
+        np.testing.assert_allclose(selection_scores(qh, k1, pool_kernel=1), h * s1, rtol=1e-6)
         assert np.argsort(-sh, kind="stable").tolist() == np.argsort(-s1, kind="stable").tolist()
 
     def test_pooling_spreads_spike(self):
         q = np.zeros((1, 4), dtype=F32)
         q[0, 0] = 1.0
-        keys = np.zeros((9, 1, 4), dtype=F32)
-        keys[4, 0, 0] = 5.0
+        keys = np.zeros((1, 9, 4), dtype=F32)
+        keys[0, 4, 0] = 5.0
         pooled = selection_scores(q, keys, pool_kernel=5)
         np.testing.assert_allclose(pooled[2:7], 1.0, atol=1e-7)
         np.testing.assert_allclose(pooled[:2], 0.0, atol=1e-7)
@@ -78,12 +79,12 @@ class TestSelectionScores:
 
     def test_head_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            selection_scores(np.zeros((2, 4), dtype=F32), np.zeros((5, 3, 4), dtype=F32))
+            selection_scores(np.zeros((2, 4), dtype=F32), np.zeros((3, 5, 4), dtype=F32))
 
     def test_positive_query_scaling_keeps_topk(self):
         rng = np.random.default_rng(1)
         q = rng.standard_normal((2, 8)).astype(F32)
-        keys = rng.standard_normal((16, 2, 8)).astype(F32)
+        keys = rng.standard_normal((16, 2, 8)).astype(F32).transpose(1, 0, 2)
         base = selection_scores(q, keys, pool_kernel=3)
         scaled = selection_scores(2.0 * q, keys, pool_kernel=3)
         top_base = np.argsort(-base, kind="stable")[:6]
@@ -148,6 +149,28 @@ class TestSelectIndices:
         forced = select_indices(w, tokens, r=1, k=6, include_first=True)
         assert forced.indices[0] == 0
         assert forced.indices.shape == base.indices.shape
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 65])
+    @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
+    def test_scores_match_expanded_key_oracle(self, h, hk, n):
+        """Under GQA, kv-head j serves query heads j*g .. j*g+g-1 (g = h / hk)."""
+        cfg = small_config(m=2, h=h, hk=hk, dh=8)
+        w = make_random_model(cfg, 30 + h + hk)
+        tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
+        pre = prefill(tokens, w, upto_layer=2, want_logits=False)
+        q, keys = pre.layer_q[-1].astype(np.float64), pre.layer_k.astype(np.float64)
+        expanded = [keys[qh // (h // hk)] for qh in range(h)]  # (n, d) per query head
+        raw = sum((expanded[qh] * q[qh]).sum(axis=1) for qh in range(h))
+        half = 2  # pool_kernel = 5
+        windows = [raw[max(i - half, 0) : i + half + 1] for i in range(n)]
+        for mode, oracle in [
+            ("avg", np.asarray([win.sum() / 5 for win in windows])),
+            ("max", np.asarray([win.max() for win in windows])),
+        ]:
+            sel = select_indices(w, tokens, r=2, k=4, pool_mode=mode)
+            np.testing.assert_allclose(sel.raw_scores, oracle, rtol=1e-12, atol=0)
+            top = np.argsort(-oracle, kind="stable")[: min(4, n)]
+            assert sel.indices.tolist() == sorted(top.tolist())
 
     def test_indices_always_strictly_ascending(self):
         rng = np.random.default_rng(5)
