@@ -19,7 +19,6 @@ from .model import (
     ModelWeights,
     decode_step,
     embed,
-    greedy_generate,
     prefill,
 )
 from .modelio import load_model, save_model
@@ -30,11 +29,6 @@ from .selection import (
     decode_selection,
     select_indices,
     selection_scores,
-)
-from .strategies import (
-    EvictionPolicyParams,
-    cache_bytes,
-    compressed_prefill,
 )
 from .testmodels import copy_model_config, make_copy_model, make_random_model
 from .tokenizer import VOCAB_SIZE, detokenize, tokenize
@@ -47,7 +41,6 @@ __all__ = [
     "ConfigurationError",
     "ContractViolation",
     "EngineError",
-    "EvictionPolicyParams",
     "GENERATION",
     "LayerKV",
     "ModelConfig",
@@ -62,15 +55,12 @@ __all__ = [
     "SelectionResult",
     "Strategy",
     "VOCAB_SIZE",
-    "cache_bytes",
-    "compressed_prefill",
     "copy_model_config",
     "cost_table",
     "decode_selection",
     "decode_step",
     "detokenize",
     "embed",
-    "greedy_generate",
     "load_model",
     "make_copy_model",
     "make_random_model",

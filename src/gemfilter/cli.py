@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .runner import (
     write_metrics,
 )
 from .selection import decode_selection
-from .strategies import EvictionPolicyParams
 from .testmodels import copy_model_config, make_copy_model, make_random_model
 
 DEFAULT_CONFIG = dict(
@@ -146,16 +146,6 @@ def cmd_make_model(args) -> int:
     return 0
 
 
-def _eviction_from_args(args) -> EvictionPolicyParams:
-    return EvictionPolicyParams(
-        observation_window=args.observation_window,
-        pool_kernel=args.pool_kernel,
-        recent_keep=args.recent_keep,
-        pool_mode=getattr(args, "pool_mode", "avg"),
-        window_in_budget=not args.window_outside_budget,
-    )
-
-
 def cmd_generate(args) -> int:
     weights = load_model(args.model)
     tokens = _load_prompt(args, weights.config)
@@ -167,7 +157,9 @@ def cmd_generate(args) -> int:
         pool_kernel=args.pool_kernel,
         pool_mode=args.pool_mode,
         include_first=args.include_first,
-        eviction=_eviction_from_args(args),
+        observation_window=args.observation_window,
+        recent_keep=args.recent_keep,
+        window_in_budget=not args.window_outside_budget,
     )
     result = run_generation(weights, tokens, rc)
     text = tokenizer.detokenize(result.output_tokens).decode("utf-8", errors="backslashreplace")
@@ -321,20 +313,22 @@ def cmd_bench(args) -> int:
     check_prompt_length(args.n, cfg)
     rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, cfg.vocab_size, size=args.n).tolist()
-    eviction = _eviction_from_args(args)
+    base = RunConfig(
+        strategy=Strategy.FULL,
+        max_new_tokens=args.t,
+        select_k=args.k,
+        filter_layer=args.r,
+        pool_kernel=args.pool_kernel,
+        pool_mode=args.pool_mode,
+        observation_window=args.observation_window,
+        recent_keep=args.recent_keep,
+        window_in_budget=not args.window_outside_budget,
+    )
     params = CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
     measured = {}
     docs = []
     for strategy in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER):
-        rc = RunConfig(
-            strategy=strategy,
-            max_new_tokens=args.t,
-            select_k=args.k,
-            filter_layer=args.r,
-            pool_kernel=args.pool_kernel,
-            pool_mode=args.pool_mode,
-            eviction=eviction,
-        )
+        rc = replace(base, strategy=strategy)
         result = run_generation(weights, tokens, rc)
         measured[strategy.value] = result.session.snapshot()
         docs.append(
@@ -360,7 +354,7 @@ def cmd_bench(args) -> int:
                             "predicted": e.predicted,
                             "measured": e.measured,
                         }
-                        for e in report.mismatches()
+                        for e in report.mismatches
                     ],
                     "wall_times": report.wall_times,
                 },

@@ -48,10 +48,6 @@ class ModelConfig:
         if self.max_seq < 1:
             raise ConfigurationError("max_seq must be >= 1")
 
-    @property
-    def kv_groups(self) -> int:
-        return self.n_heads // self.n_kv_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 

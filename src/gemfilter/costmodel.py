@@ -222,6 +222,7 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
+    @property
     def mismatches(self) -> list[VerificationEntry]:
         return [e for e in self.entries if not e.ok]
 

@@ -22,6 +22,8 @@ rather than pick from NaN scores or logits.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .counting import count_matmul
@@ -59,10 +61,13 @@ def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
 def check_pooling(kernel: int, mode: str) -> None:
     """Reject a kernel or mode :func:`pool_1d` cannot apply.
 
-    Only odd kernels preserve length, so even ones are rejected.
+    Only odd kernels preserve length, so even ones are rejected; a kernel
+    above the largest float cannot divide a window's sum.
     """
     if mode not in ("avg", "max"):
         raise ContractViolation(f"unknown pooling mode {mode!r}; expected 'avg' or 'max'")
+    if kernel > sys.float_info.max:
+        raise ContractViolation(f"pool kernel exceeds the largest float {sys.float_info.max}")
     if kernel < 1 or kernel % 2 == 0:
         raise ContractViolation(f"pool kernel must be odd and >= 1, got {kernel}")
 

@@ -527,22 +527,6 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     return logits_from_hidden(x[0], weights)
 
 
-def greedy_generate(weights: ModelWeights, tokens, t_max: int) -> list[int]:
-    """Full-model greedy generation: prefill, then token-by-token decode.
-
-    Token 1 comes from the prefill's last-position logits; each further token
-    costs one decode step.  Phase attribution is the caller's concern.
-    """
-    if t_max < 0:
-        raise ContractViolation("t_max must be >= 0")
-    if t_max == 0:
-        return []
-    pre = prefill(tokens, weights, want_logits=True)
-    caches, first = pre.caches, argmax(pre.logits)
-    del pre  # its hidden rows and last-layer Q/K are not decoded against
-    return [first] + greedy_decode(weights, caches, first, t_max - 1)
-
-
 def greedy_decode(
     weights: ModelWeights, caches: list[LayerKV], token: int, steps: int
 ) -> list[int]:

@@ -1,10 +1,12 @@
-"""Strategy dispatch: one instrumented generation run per call.
+"""One instrumented generation run per call, the same pipeline for every strategy.
 
-Phase discipline lives here, for every strategy.  Full, snapkv and h2o: the
-prompt pass bills the prompt phase, the first output token comes from that
-pass's logits, and each further token is one decode step in the generation
-phase.  Gemfilter: the filter pass bills the prompt phase, and everything
-about the second pass over the kept tokens, its prefill included, bills the
+Every strategy runs its prompt pass (:func:`~gemfilter.model.prefill`, with
+the eviction and scored rows :func:`~gemfilter.strategies.prompt_pass` maps
+it to), takes its first token from that pass's logits, and decodes the rest
+with :func:`~gemfilter.model.greedy_decode` against the caches the pass
+kept.  The prompt pass bills the prompt phase and the decode the generation
+phase.  Gemfilter differs in one way: its filter pass bills the prompt
+phase, and its kept tokens replace the prompt, whose pass then bills the
 generation phase.  Every run gets a private :class:`CostSession`, so
 concurrent runs never share counters.
 """
@@ -13,45 +15,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import GENERATION, PROMPT, CostSession
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .kernels import argmax
-from .model import ModelWeights, greedy_decode, greedy_generate, prefill
+from .model import ModelWeights, greedy_decode, prefill
 from .selection import SelectionResult, decode_selection, select_indices
-from .strategies import EvictionPolicyParams, cache_bytes, compressed_prefill
-
-
-class Strategy(str, Enum):
-    FULL = "full"
-    GEMFILTER = "gemfilter"
-    SNAPKV = "snapkv"
-    H2O = "h2o"
-
-    @classmethod
-    def parse(cls, name: str) -> "Strategy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown strategy {name!r}; expected one of {[s.value for s in cls]}"
-            ) from None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    strategy: Strategy
-    max_new_tokens: int = 16
-    select_k: int = 64
-    filter_layer: int = 1
-    pool_kernel: int = 5
-    pool_mode: str = "avg"
-    include_first: bool = False
-    eviction: EvictionPolicyParams = field(default_factory=EvictionPolicyParams)
+# RunConfig and Strategy are importable from here too, where runs are made.
+from .strategies import RunConfig, Strategy, check_budget, prompt_pass
 
 
 @dataclass
@@ -62,60 +36,44 @@ class RunResult:
 
 
 def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
-    t = rc.max_new_tokens
-    if t < 0:
-        raise ContractViolation("max_new_tokens must be >= 0")
+    t, n, max_seq = rc.max_new_tokens, np.size(tokens), weights.config.max_seq
+    filters, evict, score_rows, window = prompt_pass(rc, n)
+    # Reject what would fail after the first layer before any layer runs.
     # Decoding t tokens after kept prompt positions writes positions up to
-    # kept + t - 2; reject an overrun before any layer runs.  Gemfilter's
-    # second pass restarts at position 0 over min(k, n) tokens.  Empty and
-    # overlong prompts are left to the prompt-length check.
-    n, max_seq = np.size(tokens), weights.config.max_seq
-    kept = min(rc.select_k, n) if rc.strategy is Strategy.GEMFILTER else n
-    if 1 <= n <= max_seq and t >= 1 and kept + t - 1 > max_seq:
-        raise ContractViolation(
-            f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
-        )
-    session = CostSession()
-    with session.activate():
-        if rc.strategy is Strategy.GEMFILTER:
-            out, sel = _select_then_generate(weights, tokens, rc, session)
-        else:
-            out, sel = _prompt_then_decode(weights, tokens, rc, session), None
-    return RunResult(output_tokens=out, session=session, selection=sel)
-
-
-def _select_then_generate(weights, tokens, rc, session):
-    """Filter pass over the prompt, then full-model greedy over the kept tokens."""
-    with session.in_phase(PROMPT):
-        sel = select_indices(
-            weights, tokens, rc.filter_layer, rc.select_k,
-            rc.pool_kernel, rc.include_first, rc.pool_mode,
-        )
-    if rc.max_new_tokens == 0:
-        return [], sel
-    sub = decode_selection(tokens, sel)
-    with session.in_phase(GENERATION):
-        return greedy_generate(weights, sub, rc.max_new_tokens), sel
-
-
-def _prompt_then_decode(weights, tokens, rc, session) -> list[int]:
-    """Full or evicted prompt caches, then greedy decode against them."""
-    t = rc.max_new_tokens
-    with session.in_phase(PROMPT):
-        if rc.strategy is Strategy.FULL:
-            pre = prefill(tokens, weights, want_logits=t >= 1)
-            caches, logits = pre.caches, pre.logits
-            del pre  # its hidden rows and last-layer Q/K are not decoded against
-        else:
-            caches, logits = compressed_prefill(
-                tokens, weights, rc.strategy.value, rc.select_k, rc.eviction, want_logits=t >= 1
+    # kept + t - 2; gemfilter's second pass restarts at position 0 over
+    # min(k, n) tokens.  Empty, overlong and shorter-than-window prompts are
+    # left to prefill's checks.
+    if 1 <= n <= max_seq:
+        kept = min(rc.select_k, n) if filters else n
+        if t >= 1 and kept + t - 1 > max_seq:
+            raise ContractViolation(
+                f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
             )
-        if t == 0:
-            return []
-        first = argmax(logits)
-    with session.in_phase(GENERATION):
-        session.note_kv_bytes(cache_bytes(caches))
-        return [first] + greedy_decode(weights, caches, first, t - 1)
+        if window is not None and score_rows <= n:
+            check_budget(rc.select_k, n, *window)
+    session = CostSession()
+    out, sel, phase = [], None, PROMPT
+    with session.activate():
+        if filters:
+            with session.in_phase(PROMPT):
+                sel = select_indices(
+                    weights, tokens, rc.filter_layer, rc.select_k,
+                    rc.pool_kernel, rc.include_first, rc.pool_mode,
+                )
+            tokens, phase = decode_selection(tokens, sel), GENERATION
+        if t or not filters:
+            with session.in_phase(phase):
+                pre = prefill(
+                    tokens, weights, want_logits=t >= 1, evict=evict, score_rows=score_rows
+                )
+                caches = pre.caches
+                out = [argmax(pre.logits)] if t else []
+                del pre  # its hidden rows and last-layer Q/K are not decoded against
+        if t:
+            with session.in_phase(GENERATION):
+                session.note_kv_bytes(sum(cache.nbytes for cache in caches))
+                out += greedy_decode(weights, caches, out[0], t - 1)
+    return RunResult(output_tokens=out, session=session, selection=sel)
 
 
 def deterministic_run_id(strategy: str, tokens, params: dict) -> str:

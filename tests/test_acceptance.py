@@ -20,12 +20,11 @@ from gemfilter.kernels import pool_1d, topk_indices
 from gemfilter.model import (
     _attention,
     decode_step,
-    greedy_generate,
     prefill,
 )
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.strategies import EvictionPolicyParams, compressed_prefill
+from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
@@ -64,7 +63,9 @@ def big_runs():
             max_new_tokens=BIG["t"],
             select_k=BIG["k"],
             filter_layer=BIG["r"],
-            eviction=EvictionPolicyParams(observation_window=32, pool_kernel=5, recent_keep=32),
+            observation_window=32,
+            pool_kernel=5,
+            recent_keep=32,
         )
         result = run_generation(weights, tokens, rc)
         measured[strategy.value] = result.session.snapshot()
@@ -90,7 +91,8 @@ def test_k_equals_n_equivalence():
                     w = make_random_model(cfg, 1000 * m + 10 * h + d_model + seed)
                     n = int(rng.integers(12, 40))
                     prompt = rng.integers(0, cfg.vocab_size, size=n).tolist()
-                    reference = greedy_generate(w, prompt, 16)
+                    full = RunConfig(Strategy.FULL, max_new_tokens=16)
+                    reference = run_generation(w, prompt, full).output_tokens
                     rc = RunConfig(
                         Strategy.GEMFILTER, max_new_tokens=16, select_k=n,
                         filter_layer=max(1, m // 2),
@@ -316,17 +318,21 @@ def _probs_oracle(q, k):
 
 def test_snapkv_h2o_small_instance_oracles():
     window, recent, kernel = 3, 3, 3
-    params = EvictionPolicyParams(
-        observation_window=window, pool_kernel=kernel, recent_keep=recent
-    )
     for n in (8, 12, 16):
         cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, 600 + n)
         tokens = list(range(n))
         pre = prefill(tokens, w)
         for k in (6, n):
-            snap, _ = compressed_prefill(tokens, w, "snapkv", k, params)
-            heavy, _ = compressed_prefill(tokens, w, "h2o", k, params)
+            evicted = {}
+            for strategy in (Strategy.SNAPKV, Strategy.H2O):
+                rc = RunConfig(
+                    strategy, select_k=k,
+                    observation_window=window, pool_kernel=kernel, recent_keep=recent,
+                )
+                _, evict, score_rows, _ = prompt_pass(rc, n)
+                evicted[strategy] = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
+            snap, heavy = evicted[Strategy.SNAPKV], evicted[Strategy.H2O]
             for kvh in range(cfg.n_kv_heads):
                 probs = _probs_oracle(
                     pre.layer_q[:, kvh, :], pre.caches[0].keys[kvh]

@@ -14,7 +14,6 @@ from gemfilter.costmodel import (
 from gemfilter.errors import ContractViolation
 from gemfilter.model import prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.strategies import EvictionPolicyParams
 from gemfilter.testmodels import make_random_model
 
 
@@ -169,9 +168,6 @@ class TestVerifyCounters:
         tokens = np.random.default_rng(42).integers(
             0, w.config.vocab_size, size=n
         ).tolist()
-        eviction = EvictionPolicyParams(
-            observation_window=window, pool_kernel=3, recent_keep=recent
-        )
         measured = {}
         for strategy in Strategy:
             rc = RunConfig(
@@ -180,7 +176,8 @@ class TestVerifyCounters:
                 select_k=k,
                 filter_layer=r,
                 pool_kernel=3,
-                eviction=eviction,
+                observation_window=window,
+                recent_keep=recent,
             )
             result = run_generation(w, tokens, rc)
             measured[strategy.value] = result.session.snapshot()
@@ -209,7 +206,7 @@ class TestVerifyCounters:
         measured["full"][PROMPT].flops_by_tag["attn_score"] += 2
         report = verify_counters(measured, predicted)
         assert not report.ok
-        bad = report.mismatches()
+        bad = report.mismatches
         assert len(bad) == 1
         assert (bad[0].method, bad[0].phase, bad[0].term) == ("full", PROMPT, "attn_score")
         assert "attn_score" in report.format_text()

@@ -21,18 +21,19 @@ from pathlib import Path
 from gemfilter.config import ModelConfig
 from gemfilter.errors import EngineError
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.strategies import EvictionPolicyParams
 from gemfilter.testmodels import make_random_model
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
 # name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer)
 SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
-EVICTION = EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2)
+# The eviction settings of the snapkv/h2o cells; full and gemfilter cells
+# keep the defaults (gemfilter pools its selection with kernel 5).
+EVICTION = dict(observation_window=2, pool_kernel=3, recent_keep=2)
 # Extra eviction settings run for snapkv/h2o only; their cells get a suffix.
 EVICTION_VARIANTS = {
-    "pool-max": replace(EVICTION, pool_mode="max"),
-    "window-outside-budget": replace(EVICTION, window_in_budget=False),
+    "pool-max": dict(pool_mode="max"),
+    "window-outside-budget": dict(window_in_budget=False),
 }
 EVICTING = (Strategy.SNAPKV, Strategy.H2O)
 
@@ -51,15 +52,15 @@ def _grid():
                     for strategy in Strategy:
                         name = f"{shape}/{strategy.value}/n{n}/k{k}/t{t}"
                         rc = RunConfig(
-                            strategy=strategy, max_new_tokens=t, select_k=k,
-                            filter_layer=r, eviction=EVICTION,
+                            strategy=strategy, max_new_tokens=t, select_k=k, filter_layer=r,
+                            **(EVICTION if strategy in EVICTING else {}),
                         )
                         yield name, weights, tokens, rc
                         if strategy in EVICTING:
                             for suffix, eviction in EVICTION_VARIANTS.items():
                                 yield (
                                     f"{name}/{suffix}", weights, tokens,
-                                    replace(rc, eviction=eviction),
+                                    replace(rc, **eviction),
                                 )
 
 

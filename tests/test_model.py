@@ -18,11 +18,11 @@ from gemfilter.model import (
     _rotate,
     decode_step,
     embed,
-    greedy_generate,
     prefill,
     run_layer,
 )
 from gemfilter.modelio import dump_bytes, load_model, save_model
+from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
@@ -226,7 +226,7 @@ class TestRepeatKv:
         cfg = small_config(m=2, h=4, hk=2, dh=8)
         w = make_random_model(cfg, 3)
         dh = cfg.head_dim
-        groups = cfg.kv_groups
+        groups = cfg.n_heads // cfg.n_kv_heads
         dup_cols = lambda mat: np.concatenate(
             [mat[:, (qh // groups) * dh : (qh // groups + 1) * dh] for qh in range(cfg.n_heads)],
             axis=1,
@@ -617,7 +617,7 @@ class TestGreedyGenerate:
         cfg = small_config(m=2, h=2, hk=2, dh=8)
         w = make_random_model(cfg, 13)
         prompt = [5, 9, 13, 2]
-        fast = greedy_generate(w, prompt, 6)
+        fast = run_generation(w, prompt, RunConfig(Strategy.FULL, max_new_tokens=6)).output_tokens
         # Oracle: repeatedly re-prefill the growing sequence.
         seq = list(prompt)
         slow = []
@@ -630,4 +630,5 @@ class TestGreedyGenerate:
 
     def test_zero_tokens(self):
         w = make_random_model(small_config(), 0)
-        assert greedy_generate(w, [1, 2], 0) == []
+        rc = RunConfig(Strategy.FULL, max_new_tokens=0)
+        assert run_generation(w, [1, 2], rc).output_tokens == []

@@ -18,8 +18,9 @@ from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.errors import EngineError
 from gemfilter.kernels import pool_1d
+from gemfilter.model import prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.strategies import EvictionPolicyParams, compressed_prefill
+from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import make_random_model
 
 
@@ -60,9 +61,7 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     )
     weights = make_random_model(cfg, p["seed"])
     tokens = np.random.default_rng(p["seed"]).integers(0, cfg.vocab_size, p["n"]).tolist()
-    eviction = EvictionPolicyParams(
-        observation_window=p["window"], pool_kernel=3, recent_keep=p["recent"]
-    )
+    eviction = dict(observation_window=p["window"], pool_kernel=3, recent_keep=p["recent"])
     table = cost_table(
         CostParams.from_weights(weights, n=p["n"], k=p["k"], t=p["t"], r=p["r"])
     )
@@ -70,7 +69,7 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     for strategy in Strategy:
         rc = RunConfig(
             strategy=strategy, max_new_tokens=p["t"], select_k=p["k"],
-            filter_layer=p["r"], eviction=eviction,
+            filter_layer=p["r"], **(eviction if strategy.value in ("snapkv", "h2o") else {}),
         )
         try:
             result = run_generation(weights, tokens, rc)
@@ -88,7 +87,9 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     for method in ("snapkv", "h2o"):
         if not _valid(method, p):
             continue
-        compressed, _ = compressed_prefill(tokens, weights, method, p["k"], eviction)
+        rc = RunConfig(Strategy(method), select_k=p["k"], **eviction)
+        _, evict, score_rows, _ = prompt_pass(rc, p["n"])
+        compressed = prefill(tokens, weights, evict=evict, score_rows=score_rows).caches
         for layer in compressed:
             assert layer.positions.shape == (p["h_kv"], min(p["k"], p["n"]))
             assert np.all(np.diff(layer.positions, axis=1) > 0)

@@ -15,13 +15,12 @@ from gemfilter.cli import main
 from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams
 from gemfilter.counting import CostSession
-from gemfilter.errors import ContractViolation, ModelFormatError
+from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, pool_1d, topk_indices
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
-from gemfilter.strategies import EvictionPolicyParams
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 
@@ -65,7 +64,7 @@ def test_nan_weights_fail_selection_on_copy_model():
 def test_nan_weights_fail_every_strategy(strategy):
     rc = RunConfig(
         strategy=strategy, max_new_tokens=3, select_k=4,
-        eviction=EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2),
+        observation_window=2, pool_kernel=3, recent_keep=2,
     )
     with pytest.raises(ContractViolation, match="not finite"):
         run_generation(nan_model(), list(range(10)), rc)
@@ -252,6 +251,8 @@ def test_decode_overrun_boundary_charges_nothing(monkeypatch, strategy):
 
 
 HUGE_KERNEL = 99999999999
+# An odd kernel above the largest float: no float divisor can hold it.
+OVERFLOW_KERNEL = 10**309 + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -263,7 +264,7 @@ def test_pool_window_wider_than_the_vector_covers_all_of_it(n):
         assert np.array_equal(pool_1d(v, kernel, "max"), np.full(n, v.max()))
 
 
-@pytest.mark.parametrize(
+POOLING_ARGV = pytest.mark.parametrize(
     "argv",
     [
         ["select", "--prompt-random", "20", "--select-k", "4"],
@@ -273,12 +274,26 @@ def test_pool_window_wider_than_the_vector_covers_all_of_it(n):
     ],
     ids=["select", "needle", "generate-snapkv"],
 )
+
+
+@POOLING_ARGV
 def test_huge_pool_kernel_runs_through_cli(tmp_path, capsys, argv):
     model = tmp_path / "m.gfm"
     save_model(model, make_random_model(tiny_config(), 3))
     flags = [*argv[1:], "--pool-kernel", str(HUGE_KERNEL)]
     assert main([argv[0], "--model", str(model), *flags]) == 0
     assert capsys.readouterr().err == ""
+
+
+@POOLING_ARGV
+def test_pool_kernel_above_the_largest_float_is_named(tmp_path, capsys, argv):
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    flags = [*argv[1:], "--pool-kernel", str(OVERFLOW_KERNEL)]
+    assert main([argv[0], "--model", str(model), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "ContractViolation" in err and "pool kernel" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -302,13 +317,46 @@ def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "pool", [dict(pool_kernel=4), dict(pool_kernel=0), dict(pool_mode="median")],
+    ids=["kernel-4", "kernel-0", "mode-median"],
+)
+def test_bad_pooling_is_one_error_class_for_every_strategy(tmp_path, capsys, pool):
+    for strategy in Strategy:
+        with pytest.raises(ContractViolation, match="pool"):
+            RunConfig(strategy, **pool)
+    if "pool_kernel" in pool:  # the CLI's --pool-mode choices reject "median" as usage
+        model = tmp_path / "m.gfm"
+        save_model(model, make_random_model(tiny_config(), 3))
+        flags = ["--model", str(model), "--prompt-random", "10"]
+        flags += ["--pool-kernel", str(pool["pool_kernel"])]
+        for argv in (["generate", "--strategy", "full"], ["generate", "--strategy", "snapkv"],
+                     ["select"]):
+            assert main([*argv, *flags]) == 1, argv
+            assert "ContractViolation" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "strategy, window",
+    [(Strategy.SNAPKV, dict(observation_window=16)), (Strategy.H2O, dict(recent_keep=16))],
+    ids=["snapkv", "h2o"],
+)
+def test_budget_below_its_window_rejected_before_any_layer_runs(monkeypatch, strategy, window):
+    weights, tokens = make_random_model(tiny_config(), 3), list(range(40))
+    calls = []
+    monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
+    with pytest.raises(ConfigurationError, match="budget k=8 smaller than"):
+        run_generation(weights, tokens, RunConfig(strategy, select_k=8, **window))
+    assert calls == []
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_max_seq_far_beyond_the_run_costs_nothing(strategy):
     """A model may claim a max_seq it never reaches; the rotary table only covers what runs."""
     weights = make_random_model(replace(tiny_config(), max_seq=2**62), 3)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
-        eviction=EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2),
+        observation_window=2, pool_kernel=3, recent_keep=2,
     )
     assert len(run_generation(weights, list(range(10)), rc).output_tokens) == 3
 

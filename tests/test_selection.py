@@ -6,7 +6,7 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
-from gemfilter.model import greedy_generate, prefill
+from gemfilter.model import prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import (
     SelectionResult,
@@ -14,7 +14,7 @@ from gemfilter.selection import (
     select_indices,
     selection_scores,
 )
-from gemfilter.strategies import EvictionPolicyParams
+from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
@@ -234,17 +234,17 @@ class TestSelectionGen:
             cfg = small_config(m=2, h=2, hk=1, dh=8)
             w = make_random_model(cfg, seed)
             prompt = rng.integers(0, cfg.vocab_size, size=17).tolist()
-            full = greedy_generate(w, prompt, 10)
+            full = run_generation(w, prompt, RunConfig(Strategy.FULL, max_new_tokens=10))
             run = two_pass(w, prompt, r=1, k=len(prompt), t=10)
-            assert run.output_tokens == full
+            assert run.output_tokens == full.output_tokens
             assert run.selection.indices.tolist() == list(range(len(prompt)))
 
     def test_copy_model_needle_continuation_matches_full(self):
         cfg = copy_model_config()
         w = make_copy_model(cfg)
         tokens = [97] * 100 + [98] * 8 + [97] * 100 + [98]
-        full = greedy_generate(w, tokens, 8)
-        assert two_pass(w, tokens, r=1, k=32, t=8).output_tokens == full
+        full = run_generation(w, tokens, RunConfig(Strategy.FULL, max_new_tokens=8))
+        assert two_pass(w, tokens, r=1, k=32, t=8).output_tokens == full.output_tokens
 
     def test_generation_phase_flops_closed_form(self):
         """Second pass: full prefill over k tokens plus t-1 decode steps."""
@@ -284,7 +284,8 @@ class TestSelectionGen:
         w = make_random_model(cfg, 11)
         run = two_pass(w, list(range(8)), r=1, k=100, t=3)
         assert run.selection.indices.tolist() == list(range(8))
-        assert run.output_tokens == greedy_generate(w, list(range(8)), 3)
+        full = run_generation(w, list(range(8)), RunConfig(Strategy.FULL, max_new_tokens=3))
+        assert run.output_tokens == full.output_tokens
 
 
 # ---------------------------------------------------------------- shape contrast
@@ -304,16 +305,14 @@ class TestIndexSetShapes:
             strategy=Strategy.SNAPKV,
             max_new_tokens=1,
             select_k=10,
-            eviction=EvictionPolicyParams(observation_window=4, pool_kernel=3),
+            observation_window=4,
+            pool_kernel=3,
         )
         result = run_generation(w, tokens, rc)
         assert result.selection is None  # no global set for the compressors
 
-        from gemfilter.strategies import compressed_prefill
-
-        compressed, _ = compressed_prefill(
-            tokens, w, "snapkv", 10, EvictionPolicyParams(observation_window=4, pool_kernel=3)
-        )
+        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         assert len(compressed) == cfg.n_layers
         for layer in compressed:
             assert layer.positions.shape == (cfg.n_kv_heads, 10)

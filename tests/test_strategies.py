@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from gemfilter.config import ModelConfig
+from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
-from gemfilter import model, runner, selection, strategies
+from gemfilter import model, runner, selection
 from gemfilter.model import LayerKV, decode_step, prefill
+from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
-    EvictionPolicyParams,
-    cache_bytes,
-    compressed_prefill,
     evict_layer,
     h2o_retained_indices,
+    prompt_pass,
     snapkv_retained_indices,
 )
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
@@ -105,29 +105,29 @@ def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
 class TestRetainedIndexRules:
     def test_snapkv_budget_covers_everything(self):
         scores = np.asarray([5.0, 1.0, 3.0, 2.0], dtype=np.float64)
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
         assert snapkv_retained_indices(scores, 4, params).tolist() == [0, 1, 2, 3]
         assert snapkv_retained_indices(scores, 9, params).tolist() == [0, 1, 2, 3]
 
     def test_snapkv_keeps_window_and_top_prefix(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
         assert snapkv_retained_indices(scores, 3, params).tolist() == [1, 4, 5]
 
     def test_snapkv_window_larger_than_budget_rejected(self):
-        params = EvictionPolicyParams(observation_window=4, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=1)
         with pytest.raises(ConfigurationError):
             snapkv_retained_indices(np.zeros(10), 3, params)
 
     def test_snapkv_prompt_shorter_than_window_rejected(self):
-        params = EvictionPolicyParams(observation_window=8, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, observation_window=8, pool_kernel=1)
         with pytest.raises(ContractViolation):
             snapkv_retained_indices(np.zeros(4), 2, params)
 
     def test_snapkv_subset_monotone_in_k(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal(40)
-        params = EvictionPolicyParams(observation_window=4, pool_kernel=5)
+        params = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=5)
         prev: set[int] = set()
         for k in range(4, 41, 3):
             kept = set(snapkv_retained_indices(scores, k, params).tolist())
@@ -136,23 +136,23 @@ class TestRetainedIndexRules:
 
     def test_h2o_keeps_recent_and_heavy(self):
         scores = np.asarray([1.0, 7.0, 2.0, 5.0, 0.0, 0.0], dtype=np.float64)
-        params = EvictionPolicyParams(recent_keep=2)
+        params = RunConfig(Strategy.H2O, recent_keep=2)
         assert h2o_retained_indices(scores, 4, params).tolist() == [1, 3, 4, 5]
 
     def test_h2o_uniform_scores_tie_break_low_indices(self):
-        params = EvictionPolicyParams(recent_keep=3)
+        params = RunConfig(Strategy.H2O, recent_keep=3)
         kept = h2o_retained_indices(np.full(10, 0.25), 6, params)
         assert kept.tolist() == [0, 1, 2, 7, 8, 9]
 
     def test_h2o_recent_larger_than_budget_rejected(self):
-        params = EvictionPolicyParams(recent_keep=5)
+        params = RunConfig(Strategy.H2O, recent_keep=5)
         with pytest.raises(ConfigurationError):
             h2o_retained_indices(np.zeros(10), 4, params)
 
     def test_window_outside_budget_flag(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        params = EvictionPolicyParams(
-            observation_window=2, pool_kernel=1, window_in_budget=False
+        params = RunConfig(
+            Strategy.SNAPKV, observation_window=2, pool_kernel=1, window_in_budget=False
         )
         kept = snapkv_retained_indices(scores, 2, params)
         # budget applies to the prefix only; the window rides on top
@@ -160,14 +160,14 @@ class TestRetainedIndexRules:
 
     def test_max_pooling_mode(self):
         scores = np.asarray([0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
-        avg = EvictionPolicyParams(observation_window=2, pool_kernel=3, pool_mode="avg")
-        mx = EvictionPolicyParams(observation_window=2, pool_kernel=3, pool_mode="max")
+        avg = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, pool_mode="avg")
+        mx = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, pool_mode="max")
         kept_avg = snapkv_retained_indices(scores, 4, avg)
         kept_max = snapkv_retained_indices(scores, 4, mx)
         # both keep the spike and its pooled neighborhood under this budget
         assert 2 in kept_avg.tolist() and 2 in kept_max.tolist()
-        with pytest.raises(ConfigurationError):
-            EvictionPolicyParams(pool_mode="median")
+        with pytest.raises(ContractViolation):
+            RunConfig(Strategy.SNAPKV, pool_mode="median")
 
 
 # ------------------------------------------------------------- compressors
@@ -181,12 +181,13 @@ class TestCompressAgainstBruteForce:
         w = make_random_model(cfg, n)
         tokens = list(range(n))
         window, k = 3, 6
-        params = EvictionPolicyParams(observation_window=window, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=window, pool_kernel=3)
         pre = prefill(tokens, w)
-        compressed, _ = compressed_prefill(tokens, w, "snapkv", k, params)
+        _, evict, score_rows, _ = prompt_pass(rc, n)
+        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
 
         # Oracle recomputes each head's probabilities from the cached q/k.
-        groups = cfg.kv_groups
+        groups = cfg.n_heads // cfg.n_kv_heads
         for kvh in range(cfg.n_kv_heads):
             probs = [
                 masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[qh // groups])
@@ -201,9 +202,10 @@ class TestCompressAgainstBruteForce:
         w = make_random_model(cfg, 100 + n)
         tokens = list(range(n))
         k, recent = 6, 2
-        params = EvictionPolicyParams(recent_keep=recent)
+        rc = RunConfig(Strategy.H2O, select_k=k, recent_keep=recent)
         pre = prefill(tokens, w)
-        compressed, _ = compressed_prefill(tokens, w, "h2o", k, params)
+        _, evict, score_rows, _ = prompt_pass(rc, n)
+        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         probs = [
             masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
@@ -214,8 +216,8 @@ class TestCompressAgainstBruteForce:
     def test_k_equals_n_identity_retention(self):
         caches = dummy_caches(8)
         scores = np.random.default_rng(1).random((2, 8))
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=3)
-        layer = evict_layer(caches[0], scores, 8, params, "snapkv")
+        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3)
+        layer = evict_layer(caches[0], scores, lambda head: snapkv_retained_indices(head, 8, rc))
         for kvh in range(2):
             assert layer.positions[kvh].tolist() == list(range(8))
             assert np.array_equal(layer.keys[kvh], caches[0].keys[kvh])
@@ -226,8 +228,10 @@ class TestCompressAgainstBruteForce:
         window_sums = np.zeros((2, n))
         window_sums[:, target] = 1.0
         caches = dummy_caches(n)
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        layer = evict_layer(caches[0], window_sums, 3, params, "snapkv")
+        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
+        layer = evict_layer(
+            caches[0], window_sums, lambda head: snapkv_retained_indices(head, 3, rc)
+        )
         for kvh in range(2):
             assert target in layer.positions[kvh].tolist()
 
@@ -237,8 +241,10 @@ class TestCompressAgainstBruteForce:
         window_sums[0, 1] = 5.0
         window_sums[1, 7] = 5.0
         caches = dummy_caches(n)
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
-        layer = evict_layer(caches[0], window_sums, 3, params, "snapkv")
+        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
+        layer = evict_layer(
+            caches[0], window_sums, lambda head: snapkv_retained_indices(head, 3, rc)
+        )
         a = layer.positions[0].tolist()
         b = layer.positions[1].tolist()
         assert a != b
@@ -249,11 +255,15 @@ class TestCompressAgainstBruteForce:
         rng = np.random.default_rng(2)
         base = rng.random((2, n))
         caches = dummy_caches(n)
-        params = EvictionPolicyParams(observation_window=4, pool_kernel=3)
-        first = evict_layer(caches[0], base, 8, params, "snapkv")
+        rc = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=3)
+
+        def keep(head):
+            return snapkv_retained_indices(head, 8, rc)
+
+        first = evict_layer(caches[0], base, keep)
         tweaked = base.copy()
         tweaked[1] = rng.random(n)
-        second = evict_layer(caches[0], tweaked, 8, params, "snapkv")
+        second = evict_layer(caches[0], tweaked, keep)
         assert np.array_equal(first.positions[0], second.positions[0])
 
     def test_budget_exactness_random(self):
@@ -262,10 +272,13 @@ class TestCompressAgainstBruteForce:
             n = int(rng.integers(6, 30))
             k = int(rng.integers(4, n + 4))
             caches = dummy_caches(n, seed=int(rng.integers(0, 10**6)))
-            scores = {"snapkv": rng.random((2, n)), "h2o": rng.random((2, n))}
-            params = EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2)
-            for method, per_head in scores.items():
-                layer = evict_layer(caches[0], per_head, k, params, method)
+            scores = {
+                snapkv_retained_indices: rng.random((2, n)),
+                h2o_retained_indices: rng.random((2, n)),
+            }
+            rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, recent_keep=2)
+            for rule, per_head in scores.items():
+                layer = evict_layer(caches[0], per_head, lambda head: rule(head, k, rc))
                 for kvh in range(2):
                     idx = layer.positions[kvh]
                     assert idx.shape[0] == min(k, n)
@@ -280,9 +293,12 @@ class TestCompressedDecode:
         cfg = small_config(m=2, h=4, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 5)
         tokens = list(range(10))
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
+        rc = RunConfig(
+            Strategy.SNAPKV, select_k=len(tokens), observation_window=2, pool_kernel=1
+        )
         pre = prefill(tokens, w)
-        compressed, _ = compressed_prefill(tokens, w, "snapkv", len(tokens), params)
+        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         for step_token in (3, 9, 1):
             full_logits = decode_step(step_token, pre.caches, w)
             comp_logits = decode_step(step_token, compressed, w)
@@ -320,21 +336,24 @@ class TestCompressedDecode:
         cfg = small_config(m=2, h=2, hk=2, dh=4, max_seq=64)
         w = make_random_model(cfg, 7)
         tokens = list(range(12))
-        params = EvictionPolicyParams(observation_window=2, pool_kernel=1)
         k = 4
-        compressed, _ = compressed_prefill(tokens, w, "snapkv", k, params)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=2, pool_kernel=1)
+        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         expected = 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
-        assert cache_bytes(compressed) == expected
+        assert sum(c.nbytes for c in compressed) == expected
 
     def test_streaming_prefill_matches_full_then_compress(self):
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
-        params = EvictionPolicyParams(observation_window=4, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=4, pool_kernel=3)
         pre = prefill(tokens, w)
-        streamed, logits = compressed_prefill(tokens, w, "snapkv", 8, params)
-        assert logits is not None
-        np.testing.assert_array_equal(logits, pre.logits)
+        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        evicted = prefill(tokens, w, evict=evict, score_rows=score_rows)
+        streamed = evicted.caches
+        assert evicted.logits is not None
+        np.testing.assert_array_equal(evicted.logits, pre.logits)
         for full, kept in zip(pre.caches, streamed):
             for kvh in range(cfg.n_kv_heads):
                 rows = kept.positions[kvh]  # full caches hold position i at row i
@@ -345,10 +364,11 @@ class TestCompressedDecode:
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=256)
         w = make_random_model(cfg, 9)
         n, k = 32, 8
-        params = EvictionPolicyParams(observation_window=4, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=4, pool_kernel=3)
+        _, evict, score_rows, _ = prompt_pass(rc, n)
         session = CostSession()
         with session.activate():
-            compressed_prefill(list(range(n)), w, "snapkv", k, params)
+            prefill(list(range(n)), w, evict=evict, score_rows=score_rows)
         peak = session.phase_cost("prompt").kv_bytes_peak
         expected = (
             2 * cfg.n_kv_heads * n * cfg.head_dim * 4
@@ -356,13 +376,16 @@ class TestCompressedDecode:
         )
         assert peak == expected
 
-    def test_unknown_method_rejected_before_any_layer_runs(self):
-        cfg = small_config(m=2, h=2, hk=2, dh=8, max_seq=64)
-        w = make_random_model(cfg, 10)
-        session = CostSession()
-        with session.activate(), pytest.raises(ConfigurationError, match="unknown compression"):
-            compressed_prefill(list(range(8)), w, "bogus", 4, EvictionPolicyParams())
-        assert session.total_flops == 0
+
+def test_unknown_strategy_rejected_before_any_layer_runs(tmp_path, capsys, monkeypatch):
+    model_path = tmp_path / "m.gfm"
+    save_model(model_path, make_random_model(small_config(m=2), 10))
+    calls = []
+    monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
+    argv = ["generate", "--model", str(model_path), "--prompt-random", "8", "--strategy", "bogus"]
+    assert main(argv) == 1
+    assert "ConfigurationError" in capsys.readouterr().err
+    assert calls == []
 
 
 # ------------------------------------------------------------- cache bytes
@@ -374,16 +397,12 @@ class TestCacheBytes:
         m, hk, n, dh = 2, 2, 8, 4
         caches = dummy_caches(n, hk=hk, dh=dh, layers=m)
         oracle = sum(c.keys.nbytes + c.values.nbytes for c in caches)
-        assert cache_bytes(caches) == oracle == 2 * m * hk * n * dh * 4 == 1024
+        assert sum(c.nbytes for c in caches) == oracle == 2 * m * hk * n * dh * 4 == 1024
 
     def test_compressed_to_half_budget(self):
         m, hk, k, dh = 2, 2, 4, 4
         caches = dummy_caches(k, hk=hk, dh=dh, layers=m)
-        assert cache_bytes(caches) == 2 * m * hk * k * dh * 4 == 512
-
-    def test_empty(self):
-        assert cache_bytes(None) == 0
-        assert cache_bytes([]) == 0
+        assert sum(c.nbytes for c in caches) == 2 * m * hk * k * dh * 4 == 512
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -400,14 +419,14 @@ def test_decode_holds_no_prompt_pass_result(monkeypatch, strategy):
         alive_at_decode.append([ref() is not None for ref in results])
         return real(*args)
 
-    for module in (model, runner, selection, strategies):
+    for module in (model, runner, selection):
         monkeypatch.setattr(module, "prefill", spy_prefill)
     for module in (model, runner):
         monkeypatch.setattr(module, "greedy_decode", spy_decode)
     weights = make_random_model(small_config(m=2), 0)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
-        eviction=EvictionPolicyParams(observation_window=2, pool_kernel=3, recent_keep=2),
+        observation_window=2, pool_kernel=3, recent_keep=2,
     )
     assert len(run_generation(weights, list(range(12)), rc).output_tokens) == 3
     assert results and alive_at_decode == [[False] * len(results)]
