@@ -2,7 +2,7 @@
 
 Subcommands: ``make-model``, ``generate``, ``select``, ``needle``, ``cost``,
 ``bench``.  Exit codes: 0 success, 1 contract or runtime error (named on
-stderr), 2 usage error.
+stderr) or a closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -257,12 +258,14 @@ def _cost_params(args) -> CostParams:
     if args.model:
         weights = load_model(args.model)
         return CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
-    h = args.h if args.h is not None else 4
-    head_dim = args.head_dim if args.head_dim is not None else 16
-    h_kv = args.kv_heads if args.kv_heads is not None else h
+    # Missing shape values are the ones make-model and bench default to.
+    d = DEFAULT_CONFIG
+    h = args.h if args.h is not None else d["n_heads"]
+    head_dim = args.head_dim if args.head_dim is not None else d["head_dim"]
+    h_kv = args.kv_heads if args.kv_heads is not None else d["n_kv_heads"]
+    hidden = args.hidden_mlp if args.hidden_mlp is not None else d["hidden_mlp"]
+    vocab = args.vocab if args.vocab is not None else d["vocab_size"]
     d_model = h * head_dim
-    hidden = args.hidden_mlp if args.hidden_mlp is not None else 4 * d_model
-    vocab = args.vocab if args.vocab is not None else tokenizer.VOCAB_SIZE
     if args.m is None:
         raise ContractViolation("cost requires --m (layers) unless --model is given")
     layer_elems = sum(math.prod(s) for s in layer_shapes(d_model, h_kv * head_dim, hidden))
@@ -289,10 +292,10 @@ def cmd_cost(args) -> int:
         doc = {
             method: {
                 phase: {
-                    "flops": cell.flops,
-                    "total_flops": cell.total_flops,
+                    "flops": cell.flops_by_tag,
+                    "total_flops": cell.matmul_flops,
                     "kv_bytes_peak": cell.kv_bytes_peak,
-                    "weight_bytes": cell.weight_bytes,
+                    "weight_bytes": cell.weight_bytes_touched,
                 }
                 for phase, cell in phases.items()
             }
@@ -346,16 +349,7 @@ def cmd_bench(args) -> int:
             json.dumps(
                 {
                     "ok": report.ok,
-                    "mismatches": [
-                        {
-                            "method": e.method,
-                            "phase": e.phase,
-                            "term": e.term,
-                            "predicted": e.predicted,
-                            "measured": e.measured,
-                        }
-                        for e in report.mismatches
-                    ],
+                    "mismatches": [asdict(e) for e in report.mismatches],
                     "wall_times": report.wall_times,
                 },
                 sort_keys=True,
@@ -482,7 +476,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

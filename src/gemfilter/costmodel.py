@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
 
-METHODS = ("full", "snapkv", "h2o", "gemfilter")
 FLOP_TERMS = ("attn_score", "attn_value", "proj", "mlp", "logits")
 
 
@@ -87,27 +86,6 @@ class CostParams:
         )
 
 
-@dataclass
-class CostCell:
-    """Predicted exact counters for one method in one phase."""
-
-    flops: dict[str, int] = field(default_factory=dict)
-    kv_bytes_peak: int = 0
-    weight_bytes: int = 0
-
-    @property
-    def total_flops(self) -> int:
-        return sum(self.flops.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return self.kv_bytes_peak + self.weight_bytes
-
-
-def _zero_cell() -> CostCell:
-    return CostCell(flops={term: 0 for term in FLOP_TERMS})
-
-
 def _prefill_flops(p: CostParams, n_tokens: int, layers: int) -> dict[str, int]:
     attn = layers * p.h * 2 * n_tokens * n_tokens * p.head_dim
     proj = layers * n_tokens * (
@@ -136,7 +114,7 @@ def _kv_bytes(p: CostParams, layers: int, rows: int) -> int:
     return 2 * layers * p.h_kv * rows * p.head_dim * p.bytes_per_elem
 
 
-def cost_table(p: CostParams) -> dict[str, dict[str, CostCell]]:
+def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
     """Exact predicted counters per method and phase.
 
     Prompt-phase rows: a full-cache pass costs every layer over n tokens and
@@ -144,52 +122,54 @@ def cost_table(p: CostParams) -> dict[str, dict[str, CostCell]]:
     full layer plus all compressed layers; the filter pass costs r layers and
     retains nothing beyond one layer's K/V.  Generation-phase rows: the
     two-pass method re-prefills the k selected tokens (its k^2 term) while
-    the others decode against caches of n or k rows.
+    the others decode against caches of n or k rows.  With t = 0 no layer
+    runs in generation, so every generation counter is 0.
     """
     k = p.k_eff
     s = max(p.t - 1, 0)
+    gen_layers = p.m if p.t >= 1 else 0
     logits_once = 2 * p.d_model * p.vocab if p.t >= 1 else 0
     gen_weight = p.m * p.layer_weight_bytes if p.t >= 2 else 0
 
-    full_prompt = CostCell(
-        flops=_add(_prefill_flops(p, p.n, p.m), {"logits": logits_once}),
+    full_prompt = PhaseCost(
+        PROMPT,
+        flops_by_tag=_add(_prefill_flops(p, p.n, p.m), {"logits": logits_once}),
         kv_bytes_peak=_kv_bytes(p, p.m, p.n),
-        weight_bytes=p.m * p.layer_weight_bytes,
+        weight_bytes_touched=p.m * p.layer_weight_bytes,
     )
-    compress_prompt = CostCell(
-        flops=dict(full_prompt.flops),
+    compress_prompt = PhaseCost(
+        PROMPT,
+        flops_by_tag=dict(full_prompt.flops_by_tag),
         kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, k),
-        weight_bytes=p.m * p.layer_weight_bytes,
+        weight_bytes_touched=p.m * p.layer_weight_bytes,
     )
-    filter_prompt = CostCell(
-        flops=_prefill_flops(p, p.n, p.r),
+    filter_prompt = PhaseCost(
+        PROMPT,
+        flops_by_tag=_prefill_flops(p, p.n, p.r),
         kv_bytes_peak=_kv_bytes(p, 1, p.n),
-        weight_bytes=p.r * p.layer_weight_bytes,
+        weight_bytes_touched=p.r * p.layer_weight_bytes,
     )
-
-    if p.t == 0:
-        full_gen = _zero_cell()
-        compress_gen = _zero_cell()
-        twopass_gen = _zero_cell()
-    else:
-        full_gen = CostCell(
-            flops=_decode_flops(p, p.n, s),
-            kv_bytes_peak=_kv_bytes(p, p.m, p.n + s),
-            weight_bytes=gen_weight,
-        )
-        compress_gen = CostCell(
-            flops=_decode_flops(p, k, s),
-            kv_bytes_peak=_kv_bytes(p, p.m, k + s),
-            weight_bytes=gen_weight,
-        )
-        twopass_gen = CostCell(
-            flops=_add(
-                _add(_prefill_flops(p, k, p.m), {"logits": logits_once}),
-                _decode_flops(p, k, s),
-            ),
-            kv_bytes_peak=_kv_bytes(p, p.m, k + s),
-            weight_bytes=p.m * p.layer_weight_bytes,
-        )
+    full_gen = PhaseCost(
+        GENERATION,
+        flops_by_tag=_decode_flops(p, p.n, s),
+        kv_bytes_peak=_kv_bytes(p, gen_layers, p.n + s),
+        weight_bytes_touched=gen_weight,
+    )
+    compress_gen = PhaseCost(
+        GENERATION,
+        flops_by_tag=_decode_flops(p, k, s),
+        kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
+        weight_bytes_touched=gen_weight,
+    )
+    twopass_gen = PhaseCost(
+        GENERATION,
+        flops_by_tag=_add(
+            _add(_prefill_flops(p, k, gen_layers), {"logits": logits_once}),
+            _decode_flops(p, k, s),
+        ),
+        kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
+        weight_bytes_touched=gen_layers * p.layer_weight_bytes,
+    )
 
     compress = {PROMPT: compress_prompt, GENERATION: compress_gen}
     return {
@@ -242,14 +222,26 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _terms(predicted: PhaseCost, measured: PhaseCost) -> list[tuple[str, int, int]]:
+    """``(term, predicted, measured)`` for every FLOP tag either side names,
+    then the KV peak and the weight bytes."""
+    want, got = predicted.flops_by_tag, measured.flops_by_tag
+    return [
+        *((tag, want.get(tag, 0), got.get(tag, 0)) for tag in dict.fromkeys([*want, *got])),
+        ("kv_bytes_peak", predicted.kv_bytes_peak, measured.kv_bytes_peak),
+        ("weight_bytes", predicted.weight_bytes_touched, measured.weight_bytes_touched),
+    ]
+
+
 def verify_counters(
     measured: dict[str, dict[str, PhaseCost]],
-    predicted: dict[str, dict[str, CostCell]],
+    predicted: dict[str, dict[str, PhaseCost]],
 ) -> VerificationReport:
     """Compare measured phase counters against the closed forms, exactly.
 
     Every FLOP term, KV byte peak, and weight byte count must match as an
-    integer.  Wall times are carried through for reporting, never asserted.
+    integer; a measured term the model does not predict is a mismatch.
+    Wall times are carried through for reporting, never asserted.
     """
     entries: list[VerificationEntry] = []
     walls: dict[str, dict[str, float]] = {}
@@ -257,57 +249,31 @@ def verify_counters(
         if method not in predicted:
             raise ContractViolation(f"no predictions for method {method!r}")
         for phase, cost in phases.items():
-            cell = predicted[method][phase]
-            for term in FLOP_TERMS:
-                entries.append(
-                    VerificationEntry(
-                        method=method,
-                        phase=phase,
-                        term=term,
-                        predicted=cell.flops.get(term, 0),
-                        measured=cost.flops_by_tag.get(term, 0),
-                    )
-                )
-            entries.append(
-                VerificationEntry(
-                    method=method,
-                    phase=phase,
-                    term="kv_bytes_peak",
-                    predicted=cell.kv_bytes_peak,
-                    measured=cost.kv_bytes_peak,
-                )
-            )
-            entries.append(
-                VerificationEntry(
-                    method=method,
-                    phase=phase,
-                    term="weight_bytes",
-                    predicted=cell.weight_bytes,
-                    measured=cost.weight_bytes_touched,
-                )
-            )
+            entries += [
+                VerificationEntry(method, phase, term, want, got)
+                for term, want, got in _terms(predicted[method][phase], cost)
+            ]
             walls.setdefault(method, {})[phase] = cost.wall_time
     return VerificationReport(entries=entries, wall_times=walls)
 
 
-def format_cost_table(p: CostParams, table: dict[str, dict[str, CostCell]]) -> str:
+def format_cost_table(p: CostParams, table: dict[str, dict[str, PhaseCost]]) -> str:
     """Aligned text rendering of the predicted table plus headline ratios."""
     lines = [
         f"cost model: n={p.n} k={p.k} t={p.t} r={p.r} m={p.m} h={p.h} "
         f"head_dim={p.head_dim} h_kv={p.h_kv} d_model={p.d_model} w={p.layer_weight_bytes}B",
         f"{'method':<10} {'phase':<11} {'flops':>16} {'kv_bytes_peak':>14} {'weight_bytes':>13}",
     ]
-    for method in METHODS:
-        for phase in (PROMPT, GENERATION):
-            cell = table[method][phase]
+    for method, phases in table.items():
+        for phase, cell in phases.items():
             lines.append(
-                f"{method:<10} {phase:<11} {cell.total_flops:>16d} "
-                f"{cell.kv_bytes_peak:>14d} {cell.weight_bytes:>13d}"
+                f"{method:<10} {phase:<11} {cell.matmul_flops:>16d} "
+                f"{cell.kv_bytes_peak:>14d} {cell.weight_bytes_touched:>13d}"
             )
     full_p = table["full"][PROMPT]
     gem_p = table["gemfilter"][PROMPT]
-    if gem_p.total_flops:
-        ratio = full_p.total_flops / gem_p.total_flops
+    if gem_p.matmul_flops:
+        ratio = full_p.matmul_flops / gem_p.matmul_flops
         lines.append(f"prompt flops ratio full/gemfilter = {ratio:.2f} (layer ratio {p.m}/{p.r} = {p.m / p.r:.2f})")
     if gem_p.total_bytes:
         lines.append(

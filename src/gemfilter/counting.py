@@ -17,37 +17,37 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PROMPT = "prompt"
 GENERATION = "generation"
 PHASES = (PROMPT, GENERATION)
 
-# Matmul categories. "attn_score" is Q.K^T, "attn_value" is probs.V,
-# "proj" covers the q/k/v/o projections, "logits" the output embedding.
-TAGS = ("attn_score", "attn_value", "proj", "mlp", "logits", "other")
 
-
-@dataclass
+@dataclass(slots=True)
 class PhaseCost:
-    """Final counters for one phase of one run."""
+    """Exact counters for one phase of one run, measured or predicted.
+
+    A :class:`CostSession` accumulates one per phase and
+    :func:`~gemfilter.costmodel.cost_table` predicts one per strategy and
+    phase; wall time is measured only.  Tags: ``attn_score`` is Q.K^T,
+    ``attn_value`` probs.V, ``proj`` the q/k/v/o projections, ``mlp`` the
+    MLP, ``logits`` the output embedding, and ``other`` an untagged matmul.
+    """
 
     phase: str
-    matmul_flops: int = 0
     flops_by_tag: dict[str, int] = field(default_factory=dict)
     kv_bytes_peak: int = 0
     weight_bytes_touched: int = 0
     wall_time: float = 0.0
 
+    @property
+    def matmul_flops(self) -> int:
+        return sum(self.flops_by_tag.values())
 
-class _Tally:
-    __slots__ = ("flops", "kv_peak", "layers", "wall")
-
-    def __init__(self) -> None:
-        self.flops: dict[str, int] = {}
-        self.kv_peak = 0
-        self.layers: dict[int, int] = {}  # layer idx -> weight bytes
-        self.wall = 0.0
+    @property
+    def total_bytes(self) -> int:
+        return self.kv_bytes_peak + self.weight_bytes_touched
 
 
 class CostSession:
@@ -58,64 +58,58 @@ class CostSession:
     the predicted cost table are exact.
     """
 
-    def __init__(self) -> None:
-        self._tallies: dict[str, _Tally] = {}
-        self._phase = PROMPT
+    # A session's own bytes count in every run's traced memory peak, so it
+    # has slots and makes a phase's counters when that phase is first entered.
+    __slots__ = ("_costs", "_layers", "_phase")
 
-    def _tally(self, phase: str | None = None) -> _Tally:
-        name = self._phase if phase is None else phase
-        tally = self._tallies.get(name)
-        if tally is None:
-            tally = self._tallies[name] = _Tally()
-        return tally
+    def __init__(self) -> None:
+        self._costs = {PROMPT: PhaseCost(PROMPT)}
+        self._layers = {PROMPT: 0}  # per phase, a bit per layer read
+        self._phase = PROMPT
 
     @contextmanager
     def in_phase(self, name: str):
         if name not in PHASES:
             raise ValueError(f"unknown phase {name!r}")
+        if name not in self._costs:
+            self._costs[name] = PhaseCost(name)
+            self._layers[name] = 0
         prev = self._phase
         self._phase = name
         start = time.perf_counter()
         try:
             yield self
         finally:
-            self._tally(name).wall += time.perf_counter() - start
+            self._costs[name].wall_time += time.perf_counter() - start
             self._phase = prev
 
     def count_matmul(self, tag: str, m: int, k: int, n: int) -> None:
-        flops = 2 * m * k * n
-        tally = self._tally()
-        tally.flops[tag] = tally.flops.get(tag, 0) + flops
+        by_tag = self._costs[self._phase].flops_by_tag
+        by_tag[tag] = by_tag.get(tag, 0) + 2 * m * k * n
 
     def note_kv_bytes(self, live_bytes: int) -> None:
         """Checkpoint the currently live KV storage; tracks the per-phase peak."""
-        tally = self._tally()
-        if live_bytes > tally.kv_peak:
-            tally.kv_peak = live_bytes
+        cost = self._costs[self._phase]
+        if live_bytes > cost.kv_bytes_peak:
+            cost.kv_bytes_peak = live_bytes
 
     def touch_layer(self, layer_idx: int, weight_bytes: int) -> None:
         """Record that a transformer layer's weights were read this phase."""
-        self._tally().layers[layer_idx] = weight_bytes
+        bit = 1 << layer_idx
+        if not self._layers[self._phase] & bit:
+            self._layers[self._phase] |= bit
+            self._costs[self._phase].weight_bytes_touched += weight_bytes
 
     def phase_cost(self, phase: str) -> PhaseCost:
-        tally = self._tallies.get(phase)
-        if tally is None:
-            return PhaseCost(phase=phase)
-        return PhaseCost(
-            phase=phase,
-            matmul_flops=sum(tally.flops.values()),
-            flops_by_tag=dict(tally.flops),
-            kv_bytes_peak=tally.kv_peak,
-            weight_bytes_touched=sum(tally.layers.values()),
-            wall_time=tally.wall,
-        )
+        cost = self._costs.get(phase, PhaseCost(phase))
+        return replace(cost, flops_by_tag=dict(cost.flops_by_tag))
 
     def snapshot(self) -> dict[str, PhaseCost]:
         return {phase: self.phase_cost(phase) for phase in PHASES}
 
     @property
     def total_flops(self) -> int:
-        return sum(sum(t.flops.values()) for t in self._tallies.values())
+        return sum(cost.matmul_flops for cost in self._costs.values())
 
     @contextmanager
     def activate(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,15 +114,9 @@ def metrics_document(
     }
     wall_times = {}
     for phase, cost in result.session.snapshot().items():
-        entry = {
-            "phase": phase,
-            "matmul_flops": cost.matmul_flops,
-            "flops_by_tag": cost.flops_by_tag,
-            "kv_bytes_peak": cost.kv_bytes_peak,
-            "weight_bytes_touched": cost.weight_bytes_touched,
-        }
-        if include_wall_times:
-            entry["wall_time"] = cost.wall_time
+        entry = {**asdict(cost), "matmul_flops": cost.matmul_flops}
+        if not include_wall_times:
+            del entry["wall_time"]
         wall_times[phase] = cost.wall_time
         doc["phase_costs"].append(entry)
     if result.selection is not None:

@@ -75,6 +75,11 @@ class RunConfig:
             raise ConfigurationError("recent_keep must be >= 1")
         if self.max_new_tokens < 0:
             raise ContractViolation("max_new_tokens must be >= 0")
+        # The upper bound of filter_layer needs the model: select_indices checks it.
+        if self.select_k < 1:
+            raise ContractViolation("selection budget k must be >= 1")
+        if self.filter_layer < 1:
+            raise ContractViolation(f"filter layer {self.filter_layer} must be >= 1")
 
 
 def check_budget(k: int, n: int, window: int, name: str) -> None:

@@ -1,9 +1,14 @@
 """CLI tests: exit codes, end-to-end subcommand behavior, metrics determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gemfilter
 from gemfilter.cli import main
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
@@ -299,9 +304,9 @@ class TestSelect:
         weights = load_model(random_model)
         cell = cost_table(CostParams.from_weights(weights, n=40, k=12, t=0, r=2))["gemfilter"]
         assert prompt["kv_bytes_peak"] == cell[PROMPT].kv_bytes_peak
-        assert prompt["weight_bytes_touched"] == cell[PROMPT].weight_bytes
-        assert prompt["matmul_flops"] == cell[PROMPT].total_flops
-        for term, flops in cell[PROMPT].flops.items():
+        assert prompt["weight_bytes_touched"] == cell[PROMPT].weight_bytes_touched
+        assert prompt["matmul_flops"] == cell[PROMPT].matmul_flops
+        for term, flops in cell[PROMPT].flops_by_tag.items():
             assert prompt["flops_by_tag"].get(term, 0) == flops
 
 
@@ -369,6 +374,18 @@ class TestCostCommand:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"full", "snapkv", "h2o", "gemfilter"}
         assert doc["gemfilter"]["prompt"]["weight_bytes"] * 2 == doc["full"]["prompt"]["weight_bytes"]
+
+    def test_shape_flags_default_like_make_model(self, tmp_path, capsys):
+        """Without --model, missing shape values are make-model's defaults."""
+        model = tmp_path / "m.gfm"
+        assert main(["make-model", "--out", str(model), "--layers", "3", "--head-dim", "8"]) == 0
+        capsys.readouterr()
+        docs = []
+        for source in (["--m", "3", "--head-dim", "8"], ["--model", str(model)]):
+            argv = ["cost", *source, "--n", "256", "--k", "32", "--t", "8", "--r", "1", "--json"]
+            assert main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
 
     def test_model_backed_params(self, random_model, capsys):
         code = main(
@@ -458,3 +475,30 @@ class TestBenchCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["mismatches"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--n", "256", "--k", "32", "--t", "8", "--r", "1", "--m", "4"],
+        ["select", "--prompt-random", "20", "--select-k", "4", "--show-indices"],
+    ],
+    ids=["cost", "select"],
+)
+def test_closed_stdout_exits_1_without_traceback(random_model, argv):
+    """A reader that has gone away (``| head -1``) leaves no traceback."""
+    if argv[0] == "select":
+        argv = [*argv, "--model", str(random_model)]
+    src = str(Path(gemfilter.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from gemfilter.cli import entrypoint; entrypoint()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

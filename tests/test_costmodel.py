@@ -12,6 +12,7 @@ from gemfilter.costmodel import (
     verify_counters,
 )
 from gemfilter.errors import ContractViolation
+from gemfilter.kernels import matmul
 from gemfilter.model import prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.testmodels import make_random_model
@@ -61,8 +62,8 @@ class TestTableRatios:
         full = table["full"][PROMPT]
         gem = table["gemfilter"][PROMPT]
         # attention terms scale exactly with the layer count
-        assert full.flops["attn_score"] * 13 == gem.flops["attn_score"] * 32
-        ratio = full.total_flops / gem.total_flops
+        assert full.flops_by_tag["attn_score"] * 13 == gem.flops_by_tag["attn_score"] * 32
+        ratio = full.matmul_flops / gem.matmul_flops
         assert ratio == pytest.approx(32 / 13, rel=0.01)
         assert f"{32 / 13:.2f}" == "2.46"
 
@@ -88,9 +89,9 @@ class TestTableRatios:
         """n >> k = t: decode attention behaves like n : k : k."""
         p = params(n=131072, k=1024, t=1024, r=13, m=32, h=8, dh=128)
         table = cost_table(p)
-        full = table["full"][GENERATION].flops["attn_score"]
-        snap = table["snapkv"][GENERATION].flops["attn_score"]
-        gem = table["gemfilter"][GENERATION].flops["attn_score"]
+        full = table["full"][GENERATION].flops_by_tag["attn_score"]
+        snap = table["snapkv"][GENERATION].flops_by_tag["attn_score"]
+        gem = table["gemfilter"][GENERATION].flops_by_tag["attn_score"]
         # Closed-form oracle, written out literally: s decode steps attend
         # over start+j keys, the two-pass method adds its k^2 prefill.
         s = p.t - 1
@@ -113,48 +114,48 @@ class TestScalingLaws:
         b = cost_table(params(n=1024))
         for method in ("full", "snapkv", "gemfilter"):
             assert (
-                b[method][PROMPT].flops["attn_score"]
-                == 4 * a[method][PROMPT].flops["attn_score"]
+                b[method][PROMPT].flops_by_tag["attn_score"]
+                == 4 * a[method][PROMPT].flops_by_tag["attn_score"]
             )
 
     def test_filter_layer_scales_linearly_and_only_gemfilter(self):
         a = cost_table(params(r=2))
         b = cost_table(params(r=4))
         assert (
-            b["gemfilter"][PROMPT].flops["attn_score"]
-            == 2 * a["gemfilter"][PROMPT].flops["attn_score"]
+            b["gemfilter"][PROMPT].flops_by_tag["attn_score"]
+            == 2 * a["gemfilter"][PROMPT].flops_by_tag["attn_score"]
         )
-        assert b["full"][PROMPT].flops == a["full"][PROMPT].flops
-        assert b["snapkv"][PROMPT].flops == a["snapkv"][PROMPT].flops
+        assert b["full"][PROMPT].flops_by_tag == a["full"][PROMPT].flops_by_tag
+        assert b["snapkv"][PROMPT].flops_by_tag == a["snapkv"][PROMPT].flops_by_tag
 
     def test_method_ordering_prompt(self):
         p = params(n=4096, k=256, t=32)
         assert p.n >= max(p.head_dim, p.k, p.t)  # the regime the ordering claims need
         table = cost_table(p)
-        assert table["gemfilter"][PROMPT].total_flops < table["full"][PROMPT].total_flops
-        assert table["full"][PROMPT].total_flops == table["snapkv"][PROMPT].total_flops
-        assert table["full"][PROMPT].flops == table["h2o"][PROMPT].flops
+        assert table["gemfilter"][PROMPT].matmul_flops < table["full"][PROMPT].matmul_flops
+        assert table["full"][PROMPT].matmul_flops == table["snapkv"][PROMPT].matmul_flops
+        assert table["full"][PROMPT].flops_by_tag == table["h2o"][PROMPT].flops_by_tag
 
     def test_method_ordering_generation(self):
         # k <= t: the compressed decoders and the two-pass method both beat full
         p = params(n=8192, k=64, t=256)
         table = cost_table(p)
-        snap = table["snapkv"][GENERATION].total_flops
-        gem = table["gemfilter"][GENERATION].total_flops
-        full = table["full"][GENERATION].total_flops
+        snap = table["snapkv"][GENERATION].matmul_flops
+        gem = table["gemfilter"][GENERATION].matmul_flops
+        full = table["full"][GENERATION].matmul_flops
         assert snap <= gem < full
         # k >= t: the k^2 second pass keeps the two-pass method above snapkv
         p2 = params(n=8192, k=512, t=32)
         table2 = cost_table(p2)
-        assert table2["gemfilter"][GENERATION].total_flops >= table2["snapkv"][GENERATION].total_flops
+        assert table2["gemfilter"][GENERATION].matmul_flops >= table2["snapkv"][GENERATION].matmul_flops
 
     def test_t_zero_generation_all_zero(self):
         table = cost_table(params(t=0))
         for method in ("full", "snapkv", "h2o", "gemfilter"):
             cell = table[method][GENERATION]
-            assert cell.total_flops == 0
+            assert cell.matmul_flops == 0
             assert cell.kv_bytes_peak == 0
-            assert cell.weight_bytes == 0
+            assert cell.weight_bytes_touched == 0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ContractViolation):
@@ -210,6 +211,15 @@ class TestVerifyCounters:
         assert len(bad) == 1
         assert (bad[0].method, bad[0].phase, bad[0].term) == ("full", PROMPT, "attn_score")
         assert "attn_score" in report.format_text()
+        # A measured term the model does not predict: an untagged product
+        # charged to the run's session lands under "other".
+        result = run_generation(w, list(range(32)), RunConfig(Strategy.FULL, max_new_tokens=4))
+        with result.session.activate():
+            matmul(np.ones((1, 1)), np.ones((1, 1)))
+        report = verify_counters({"full": result.session.snapshot()}, predicted)
+        assert not report.ok
+        assert [(e.phase, e.term) for e in report.mismatches] == [(PROMPT, "other")]
+        assert "FAIL full/prompt/other" in report.format_text()
 
     def test_filter_pass_weight_bytes_exactly_r_layers(self):
         w = small_model(m=4, seed=4)

@@ -337,6 +337,27 @@ def test_bad_pooling_is_one_error_class_for_every_strategy(tmp_path, capsys, poo
 
 
 @pytest.mark.parametrize(
+    "field, flag",
+    [("select_k", "--select-k"), ("filter_layer", "--filter-layer")],
+    ids=["select-k", "filter-layer"],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_budget_and_filter_layer_below_one_are_one_error_class(
+    tmp_path, capsys, field, flag, value
+):
+    for strategy in Strategy:
+        with pytest.raises(ContractViolation, match=">= 1"):
+            RunConfig(strategy, **{field: value})
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    for strategy in Strategy:
+        argv = ["--strategy", strategy.value, "--prompt-random", "20", flag, str(value)]
+        assert generate_exit_code(model, *argv) == 1, strategy
+        captured = capsys.readouterr()
+        assert "ContractViolation" in captured.err and captured.out == "", strategy
+
+
+@pytest.mark.parametrize(
     "strategy, window",
     [(Strategy.SNAPKV, dict(observation_window=16)), (Strategy.H2O, dict(recent_keep=16))],
     ids=["snapkv", "h2o"],
