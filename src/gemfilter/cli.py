@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -23,13 +23,7 @@ from .errors import ContractViolation, EngineError
 from .model import check_prompt_length, layer_shapes
 from .modelio import load_model, save_model
 from .needle import NeedleSpec, needle_run
-from .runner import (
-    RunConfig,
-    Strategy,
-    metrics_document,
-    run_generation,
-    write_metrics,
-)
+from .runner import RunConfig, Strategy, metrics_document, run_generation, write_metrics
 from .selection import decode_selection
 from .testmodels import copy_model_config, make_copy_model, make_random_model
 
@@ -44,6 +38,36 @@ DEFAULT_CONFIG = dict(
 )
 
 
+# One flag per RunConfig setting but the strategy, with RunConfig's default.
+RUN_FLAGS = {
+    "max_new_tokens": ("--max-new-tokens", dict(type=int)),
+    "select_k": ("--select-k", dict(type=int)),
+    "filter_layer": ("--filter-layer", dict(type=int)),
+    "pool_kernel": ("--pool-kernel", dict(type=int)),
+    "pool_mode": ("--pool-mode", dict(choices=("avg", "max"))),
+    "include_first": ("--include-first", dict(action="store_true")),
+    "observation_window": ("--observation-window", dict(type=int)),
+    "recent_keep": ("--recent-keep", dict(type=int)),
+    "window_in_budget": ("--window-outside-budget", dict(action="store_false")),
+}
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _add_run_args(p: argparse.ArgumentParser, *names, required=False, **aliases) -> None:
+    """Register the settings ``names``, and each setting in ``aliases`` with its second spelling."""
+    for name in (*names, *aliases):
+        flag, options = RUN_FLAGS[name]
+        spellings = (flag, aliases[name]) if name in aliases else (flag,)
+        p.add_argument(
+            *spellings, dest=name, default=_RUN_DEFAULTS[name], required=required, **options
+        )
+
+
+def _run_config(args, **fixed) -> RunConfig:
+    """The settings ``args`` carries, plus ``fixed`` ones its subcommand has no flag for."""
+    return RunConfig(**{name: getattr(args, name) for name in RUN_FLAGS if name in args}, **fixed)
+
+
 def _add_prompt_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--prompt-text", help="prompt as raw text (byte tokenizer)")
@@ -54,6 +78,10 @@ def _add_prompt_args(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="random prompt of N tokens (see --seed)",
     )
+
+
+def _add_seed_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="seed of random weights or prompts")
 
 
 def _add_metrics_args(p: argparse.ArgumentParser) -> None:
@@ -87,12 +115,47 @@ def _load_prompt(args, cfg: ModelConfig) -> list[int]:
                     f"--prompt-tokens entry {t!r} is not a token id in [0, {vocab_size})"
                 )
     else:
-        check_prompt_length(args.prompt_random, cfg)
-        rng = np.random.default_rng(args.seed)
-        tokens = rng.integers(0, vocab_size, size=int(args.prompt_random)).tolist()
+        tokens = _random_prompt(args.prompt_random, args.seed, cfg)
     if not tokens:
         raise ContractViolation("prompt must be non-empty")
     return tokens
+
+
+def _random_prompt(n: int, seed: int, cfg: ModelConfig) -> list[int]:
+    check_prompt_length(n, cfg)
+    return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=int(n)).tolist()
+
+
+def _check_args(args) -> None:
+    """Reject a negative seed and an output path that cannot be written, before any work."""
+    if getattr(args, "seed", 0) < 0:
+        raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
+    for dest, flag in (("out", "--out"), ("metrics_out", "--metrics-out")):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        parent, name = os.path.split(path)
+        if not name or os.path.isdir(path) or not os.path.isdir(parent or "."):
+            raise ContractViolation(f"{flag} {path!r} must name a file in an existing directory")
+
+
+def _run_all(args, weights, tokens, configs) -> list:
+    """Run every config on ``tokens``; with --metrics-out, append one document per run."""
+    results = [run_generation(weights, tokens, rc) for rc in configs]
+    if args.metrics_out:
+        docs = [
+            metrics_document(
+                weights=weights,
+                tokens=tokens,
+                rc=rc,
+                result=result,
+                include_wall_times=not args.no_wall_times,
+                include_scores=getattr(args, "emit_scores", False),
+            )
+            for rc, result in zip(configs, results)
+        ]
+        write_metrics(args.metrics_out, docs)
+    return results
 
 
 def _config_from_args(args, base: dict | None = None) -> ModelConfig:
@@ -150,65 +213,27 @@ def cmd_make_model(args) -> int:
 def cmd_generate(args) -> int:
     weights = load_model(args.model)
     tokens = _load_prompt(args, weights.config)
-    rc = RunConfig(
-        strategy=Strategy.parse(args.strategy),
-        max_new_tokens=args.max_new_tokens,
-        select_k=args.select_k,
-        filter_layer=args.filter_layer,
-        pool_kernel=args.pool_kernel,
-        pool_mode=args.pool_mode,
-        include_first=args.include_first,
-        observation_window=args.observation_window,
-        recent_keep=args.recent_keep,
-        window_in_budget=not args.window_outside_budget,
-    )
-    result = run_generation(weights, tokens, rc)
+    rc = _run_config(args, strategy=Strategy.parse(args.strategy))
+    (result,) = _run_all(args, weights, tokens, [rc])
     text = tokenizer.detokenize(result.output_tokens).decode("utf-8", errors="backslashreplace")
     print(text)
-    if args.metrics_out:
-        doc = metrics_document(
-            weights=weights,
-            tokens=tokens,
-            rc=rc,
-            result=result,
-            include_wall_times=not args.no_wall_times,
-            include_scores=args.emit_scores,
-        )
-        write_metrics(args.metrics_out, [doc])
     return 0
 
 
 def cmd_select(args) -> int:
     weights = load_model(args.model)
     tokens = _load_prompt(args, weights.config)
-    rc = RunConfig(
-        strategy=Strategy.GEMFILTER,
-        max_new_tokens=0,
-        select_k=args.select_k,
-        filter_layer=args.filter_layer,
-        pool_kernel=args.pool_kernel,
-        pool_mode=args.pool_mode,
-        include_first=args.include_first,
-    )
-    result = run_generation(weights, tokens, rc)
+    rc = _run_config(args, strategy=Strategy.GEMFILTER, max_new_tokens=0)
+    (result,) = _run_all(args, weights, tokens, [rc])
     sel = result.selection
     sub = decode_selection(tokens, sel)
     print(
         f"selected {len(sub)} of {len(tokens)} tokens "
-        f"(filter layer {args.filter_layer}, k={args.select_k})"
+        f"(filter layer {rc.filter_layer}, k={rc.select_k})"
     )
     if args.show_indices:
         print("indices:", " ".join(str(int(i)) for i in sel.indices))
     print(tokenizer.detokenize(sub).decode("utf-8", errors="backslashreplace"))
-    if args.metrics_out:
-        doc = metrics_document(
-            weights=weights,
-            tokens=tokens,
-            rc=rc,
-            result=result,
-            include_wall_times=not args.no_wall_times,
-        )
-        write_metrics(args.metrics_out, [doc])
     return 0
 
 
@@ -229,16 +254,9 @@ def cmd_needle(args) -> int:
         query_token=query_tokens[0],
         seed=args.seed,
     )
-    r_list = list(range(1, cfg.n_layers + 1)) if args.r_sweep else [args.filter_layer]
-    report = needle_run(
-        spec,
-        weights,
-        r_list,
-        args.select_k,
-        t_max=args.t_max,
-        pool_kernel=args.pool_kernel,
-        pool_mode=args.pool_mode,
-    )
+    rc = _run_config(args, strategy=Strategy.GEMFILTER)
+    r_list = list(range(1, cfg.n_layers + 1)) if args.r_sweep else [rc.filter_layer]
+    report = needle_run(spec, weights, r_list, rc)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -312,37 +330,16 @@ def cmd_bench(args) -> int:
         weights = load_model(args.model)
     else:
         weights = make_random_model(_config_from_args(args), args.seed)
-    cfg = weights.config
-    check_prompt_length(args.n, cfg)
-    rng = np.random.default_rng(args.seed)
-    tokens = rng.integers(0, cfg.vocab_size, size=args.n).tolist()
-    base = RunConfig(
-        strategy=Strategy.FULL,
-        max_new_tokens=args.t,
-        select_k=args.k,
-        filter_layer=args.r,
-        pool_kernel=args.pool_kernel,
-        pool_mode=args.pool_mode,
-        observation_window=args.observation_window,
-        recent_keep=args.recent_keep,
-        window_in_budget=not args.window_outside_budget,
+    tokens = _random_prompt(args.n, args.seed, weights.config)
+    configs = [
+        _run_config(args, strategy=s)
+        for s in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER)
+    ]
+    params = CostParams.from_weights(
+        weights, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer
     )
-    params = CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
-    measured = {}
-    docs = []
-    for strategy in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER):
-        rc = replace(base, strategy=strategy)
-        result = run_generation(weights, tokens, rc)
-        measured[strategy.value] = result.session.snapshot()
-        docs.append(
-            metrics_document(
-                weights=weights,
-                tokens=tokens,
-                rc=rc,
-                result=result,
-                include_wall_times=not args.no_wall_times,
-            )
-        )
+    results = _run_all(args, weights, tokens, configs)
+    measured = {rc.strategy.value: r.session.snapshot() for rc, r in zip(configs, results)}
     report = verify_counters(measured, cost_table(params))
     if args.json:
         print(
@@ -357,8 +354,6 @@ def cmd_bench(args) -> int:
         )
     else:
         print(report.format_text())
-    if args.metrics_out:
-        write_metrics(args.metrics_out, docs)
     return 0
 
 
@@ -375,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-model", help="create and save a model file")
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=("random", "copy"), default="random")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_make_model)
 
@@ -383,30 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_prompt_args(p)
     p.add_argument("--strategy", default="full", help="full | gemfilter | snapkv | h2o")
-    p.add_argument("--max-new-tokens", type=int, default=16)
-    p.add_argument("--select-k", type=int, default=64)
-    p.add_argument("--filter-layer", type=int, default=1)
-    p.add_argument("--pool-kernel", type=int, default=5)
-    p.add_argument("--pool-mode", choices=("avg", "max"), default="avg")
-    p.add_argument("--include-first", action="store_true")
-    p.add_argument("--observation-window", type=int, default=32)
-    p.add_argument("--recent-keep", type=int, default=32)
-    p.add_argument("--window-outside-budget", action="store_true")
+    _add_run_args(p, *RUN_FLAGS)
     p.add_argument("--emit-scores", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     _add_metrics_args(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("select", help="print the selected sub-sequence for inspection")
     p.add_argument("--model", required=True)
     _add_prompt_args(p)
-    p.add_argument("--filter-layer", type=int, default=1)
-    p.add_argument("--select-k", type=int, default=64)
-    p.add_argument("--pool-kernel", type=int, default=5)
-    p.add_argument("--pool-mode", choices=("avg", "max"), default="avg")
-    p.add_argument("--include-first", action="store_true")
+    _add_run_args(p, "filter_layer", "select_k", "pool_kernel", "pool_mode", "include_first")
     p.add_argument("--show-indices", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     _add_metrics_args(p)
     p.set_defaults(func=cmd_select)
 
@@ -416,13 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-percent", type=float, default=50.0)
     p.add_argument("--needle-text", default="bbbbbbbb")
     p.add_argument("--query-text", default=None)
-    p.add_argument("--select-k", type=int, default=64)
-    p.add_argument("--filter-layer", type=int, default=1)
+    _add_run_args(
+        p, "select_k", "filter_layer", "pool_kernel", "pool_mode", max_new_tokens="--t-max"
+    )
+    p.set_defaults(max_new_tokens=8)
     p.add_argument("--r-sweep", action="store_true", help="evaluate every layer")
-    p.add_argument("--t-max", type=int, default=8)
-    p.add_argument("--pool-kernel", type=int, default=5)
-    p.add_argument("--pool-mode", choices=("avg", "max"), default="avg")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     p.add_argument("--json", action="store_true")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_needle)
@@ -446,15 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     _add_config_args(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-kernel", type=int, default=5)
-    p.add_argument("--pool-mode", choices=("avg", "max"), default="avg")
-    p.add_argument("--observation-window", type=int, default=32)
-    p.add_argument("--recent-keep", type=int, default=32)
-    p.add_argument("--window-outside-budget", action="store_true")
+    _add_run_args(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
+    _add_seed_arg(p)
+    _add_run_args(
+        p, "pool_kernel", "pool_mode", "observation_window", "recent_keep", "window_in_budget"
+    )
     p.add_argument("--json", action="store_true")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_bench)
@@ -469,6 +447,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        _check_args(args)
         return args.func(args)
     except EngineError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

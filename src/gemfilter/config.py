@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, fields
 
 from .errors import ConfigurationError
+
+# Per annotated field type: the values it accepts, and how to name them.
+_FIELD_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+        "a finite number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -22,6 +33,11 @@ class ModelConfig:
     max_seq: int = 8192
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            accepts, kind = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
         if self.n_layers < 1:
             raise ConfigurationError("n_layers must be >= 1")
         if self.n_heads < 1 or self.n_kv_heads < 1:

@@ -121,33 +121,25 @@ def coverage_and_distance(indices: np.ndarray, span: tuple[int, int]) -> tuple[f
     return coverage, min(dists) if dists else int(10**9)
 
 
-def needle_run(
-    spec: NeedleSpec,
-    weights: ModelWeights,
-    r_list,
-    k: int,
-    *,
-    t_max: int = 8,
-    pool_kernel: int = 5,
-    pool_mode: str = "avg",
-) -> NeedleReport:
+def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -> NeedleReport:
     """Score the selection path against a planted needle.
 
-    For every layer in ``r_list``: run the gemfilter prompt phase and record
-    the selection's coverage and distance.  With a single layer, that run
-    also generates ``t_max`` tokens, which are compared against full-model
-    generation on the same prompt.
+    ``rc`` gives the selection settings and ``max_new_tokens``; every run is
+    gemfilter's, at each filter layer of ``r_list`` in turn, so ``rc``'s
+    strategy and filter layer are not read.  For every layer: run the
+    gemfilter prompt phase and record the selection's coverage and distance.
+    With a single layer, that run also generates ``rc.max_new_tokens``
+    tokens, which are compared against full-model generation on the same
+    prompt.
     """
     r_list = [int(r) for r in r_list]
     if not r_list:
         raise ContractViolation("r_list must name at least one filter layer")
-    if t_max < 0:
-        raise ContractViolation("t_max must be >= 0")
     n, max_seq = spec.haystack_len + 1, weights.config.max_seq  # haystack plus query
     check_prompt_length(n, weights.config)
     # A single layer's selection run also generates, for the two-pass check,
     # and the full run it is compared with decodes up to position n + t - 2.
-    t = t_max if len(r_list) == 1 else 0
+    t = rc.max_new_tokens if len(r_list) == 1 else 0
     if t >= 1 and n + t - 1 > max_seq:
         raise ContractViolation(
             f"needle prompt length {n} + t_max {t} - 1 exceeds max_seq {max_seq}"
@@ -155,17 +147,15 @@ def needle_run(
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     results = []
     for r in r_list:
-        rc = RunConfig(
-            Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r,
-            pool_kernel=pool_kernel, pool_mode=pool_mode,
-        )
-        gem = run_generation(weights, prompt, rc)
+        gem_rc = replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=t, filter_layer=r)
+        gem = run_generation(weights, prompt, gem_rc)
         coverage, dist = coverage_and_distance(gem.selection.indices, span)
         results.append(NeedleLayerResult(layer=r, coverage=coverage, min_distance=dist))
     match: bool | None = None
     if t > 0:
-        full = run_generation(weights, prompt, replace(rc, strategy=Strategy.FULL))
+        full = run_generation(weights, prompt, replace(gem_rc, strategy=Strategy.FULL))
         match = gem.output_tokens == full.output_tokens
     return NeedleReport(
-        spec=spec, k=k, layer_results=results, chosen_layer=r_list[0], generation_match=match
+        spec=spec, k=rc.select_k, layer_results=results, chosen_layer=r_list[0],
+        generation_match=match,
     )

@@ -292,7 +292,8 @@ def test_synthetic_needle_recovery():
                 query_token=98,
                 seed=depth,
             )
-            report = needle_run(spec, weights, [1], 64, t_max=4)
+            rc = RunConfig(Strategy.GEMFILTER, select_k=64, max_new_tokens=4)
+            report = needle_run(spec, weights, [1], rc)
             result = report.layer_results[0]
             assert result.coverage == 1.0, (haystack_len, depth)
             assert result.min_distance == 0, (haystack_len, depth)

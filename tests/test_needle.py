@@ -5,6 +5,7 @@ import pytest
 
 from gemfilter import needle, runner, selection
 from gemfilter.errors import ContractViolation
+from gemfilter.runner import RunConfig, Strategy
 from gemfilter.needle import (
     NeedleSpec,
     build_needle_prompt,
@@ -73,7 +74,8 @@ class TestNeedleRun:
     def test_copy_model_layer_one_hits(self):
         w = copy_weights()
         spec = NeedleSpec(haystack_len=256, depth_percent=50, needle=(98,) * 8, query_token=98, seed=1)
-        report = needle_run(spec, w, [1], 64, t_max=4)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=64, max_new_tokens=4)
+        report = needle_run(spec, w, [1], rc)
         lr = report.layer_results[0]
         assert lr.coverage == 1.0
         assert lr.min_distance == 0
@@ -82,13 +84,15 @@ class TestNeedleRun:
     def test_k_equals_prompt_full_coverage_every_layer(self):
         w = copy_weights()
         spec = NeedleSpec(haystack_len=64, depth_percent=75, needle=(98,) * 4, query_token=98, seed=2)
-        report = needle_run(spec, w, [1, 2], 65, t_max=0)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=65, max_new_tokens=0)
+        report = needle_run(spec, w, [1, 2], rc)
         assert all(lr.coverage == 1.0 for lr in report.layer_results)
 
     def test_layer_sweep_reports_each_layer(self):
         w = copy_weights()
         spec = NeedleSpec(haystack_len=128, depth_percent=25, needle=(98,) * 4, query_token=98, seed=3)
-        report = needle_run(spec, w, [1, 2], 32, t_max=4)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=32, max_new_tokens=4)
+        report = needle_run(spec, w, [1, 2], rc)
         assert [lr.layer for lr in report.layer_results] == [1, 2]
         assert report.generation_match is None  # only computed for a single layer
 
@@ -107,7 +111,8 @@ class TestNeedleRun:
         )
         w = make_random_model(cfg, 9)
         spec = NeedleSpec(haystack_len=96, depth_percent=40, needle=(98,) * 4, query_token=98, seed=4)
-        report = needle_run(spec, w, [1, 2], 16, t_max=2)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=2)
+        report = needle_run(spec, w, [1, 2], rc)
         for lr in report.layer_results:
             assert 0.0 <= lr.coverage <= 1.0
             assert lr.min_distance >= 0
@@ -115,7 +120,8 @@ class TestNeedleRun:
     def test_report_dict_shape(self):
         w = copy_weights()
         spec = NeedleSpec(haystack_len=64, depth_percent=0, needle=(98,) * 4, query_token=98)
-        doc = needle_run(spec, w, [1], 16, t_max=2).to_dict()
+        rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=2)
+        doc = needle_run(spec, w, [1], rc).to_dict()
         assert doc["haystack_len"] == 64
         assert doc["k"] == 16
         assert "metric_note" in doc and "coverage" in doc["layers"][0]
@@ -131,6 +137,7 @@ class TestNeedleRun:
         monkeypatch.setattr(runner, "select_indices", spy)
         monkeypatch.setattr(needle, "select_indices", spy, raising=False)
         spec = NeedleSpec(haystack_len=64, depth_percent=50, needle=(98,) * 4, query_token=98)
-        report = needle_run(spec, copy_weights(), r_list, 16, t_max=t_max)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=t_max)
+        report = needle_run(spec, copy_weights(), r_list, rc)
         assert layers == r_list
         assert [lr.coverage for lr in report.layer_results] == [1.0] * len(r_list)

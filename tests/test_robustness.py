@@ -113,8 +113,12 @@ def _huge_dims() -> bytes:
         (_json_header(b"1"), "JSON object"),
         (_json_header(b"null"), "JSON object"),
         (_huge_dims(), "truncated"),
+        (
+            _json_header(json.dumps({**tiny_config().to_dict(), "n_layers": 2.5}).encode()),
+            "invalid config header",
+        ),
     ],
-    ids=["name-0xff", "header-1", "header-null", "dims-2^31x2^30"],
+    ids=["name-0xff", "header-1", "header-null", "dims-2^31x2^30", "header-n_layers-2.5"],
 )
 def test_malformed_model_file(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.gfm"
@@ -187,6 +191,35 @@ def test_malformed_config_file_exit_one(tmp_path, capsys, text):
     config.write_text(text, encoding="utf-8")
     assert main(["make-model", "--out", str(tmp_path / "m.gfm"), "--config", str(config)]) == 1
     assert "ContractViolation" in capsys.readouterr().err
+
+
+CONFIG_FIELD_TYPES = {
+    "n_layers-2.5": ('{"n_layers": 2.5}', "n_layers must be an integer"),
+    "n_layers-true": ('{"n_layers": true}', "n_layers must be an integer"),
+    "head_dim-string": ('{"head_dim": "16"}', "head_dim must be an integer"),
+    "norm_eps-NaN": ('{"norm_eps": NaN}', "norm_eps must be a finite number"),
+    "rope_theta-Infinity": ('{"rope_theta": Infinity}', "rope_theta must be a finite number"),
+    "use_rope-1": ('{"use_rope": 1}', "use_rope must be true or false"),
+}
+
+
+@pytest.mark.parametrize("text, message", CONFIG_FIELD_TYPES.values(), ids=CONFIG_FIELD_TYPES)
+def test_mistyped_or_non_finite_config_field_rejected(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ModelConfig.from_dict({**tiny_config().to_dict(), **json.loads(text)})
+    config, model = tmp_path / "config.json", tmp_path / "m.gfm"
+    config.write_text(text, encoding="utf-8")
+    assert main(["make-model", "--out", str(model), "--config", str(config)]) == 1
+    assert f"error (ConfigurationError): {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_rope_theta_flag_rejected(tmp_path, capsys, theta):
+    model = tmp_path / "m.gfm"
+    assert main(["make-model", "--out", str(model), "--rope-theta", theta]) == 1
+    assert "ConfigurationError): rope_theta must be a finite number" in capsys.readouterr().err
+    assert not model.exists()
 
 
 # ------------------------------------------------------------- lengths
@@ -404,25 +437,26 @@ def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):
 def test_needle_negative_t_max_rejected(tmp_path, capsys):
     weights = make_random_model(tiny_config(), 3)
     spec = NeedleSpec(haystack_len=40, depth_percent=50.0, needle=(98,) * 4, query_token=98)
-    with pytest.raises(ContractViolation, match="t_max must be >= 0"):
-        needle_run(spec, weights, [1], 8, t_max=-1)
+    with pytest.raises(ContractViolation, match="max_new_tokens must be >= 0"):
+        needle_run(spec, weights, [1], RunConfig(Strategy.GEMFILTER, select_k=8, max_new_tokens=-1))
     model = tmp_path / "m.gfm"
     save_model(model, weights)
     assert main(["needle", "--model", str(model), "--haystack-len", "40", "--t-max", "-1"]) == 1
-    assert "t_max must be >= 0" in capsys.readouterr().err
+    assert "max_new_tokens must be >= 0" in capsys.readouterr().err
 
 
 def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
     weights = make_copy_model(copy_model_config(max_seq=64))
     spec = NeedleSpec(haystack_len=60, depth_percent=50.0, needle=(98,) * 4, query_token=98)
     # 61 prompt tokens + 4 new - 1 = 64 positions: fits exactly.
-    assert needle_run(spec, weights, [1], 16, t_max=4).generation_match is not None
+    rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=4)
+    assert needle_run(spec, weights, [1], rc).generation_match is not None
     calls = []
     monkeypatch.setattr("gemfilter.needle.run_generation", lambda *args: calls.append(args))
     with pytest.raises(
         ContractViolation, match=r"needle prompt length 61 \+ t_max 10 - 1 exceeds max_seq 64"
     ):
-        needle_run(spec, weights, [1], 16, t_max=10)
+        needle_run(spec, weights, [1], replace(rc, max_new_tokens=10))
     assert calls == []
 
 
@@ -455,3 +489,57 @@ def test_impossible_cost_shape_rejected(capsys, flags, fields):
 def test_negative_layer_weight_bytes_rejected():
     with pytest.raises(ContractViolation, match="layer weight bytes"):
         CostParams(**{**GOOD_COST, "layer_weight_bytes": -1})
+
+
+# ------------------------------------------------------------- output paths and seeds
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Record every run and every weight build the CLI would start."""
+    calls = []
+    for target in (
+        "gemfilter.cli.run_generation",
+        "gemfilter.needle.run_generation",
+        "gemfilter.cli.make_random_model",
+        "gemfilter.cli.make_copy_model",
+    ):
+        monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
+    return calls
+
+
+SHAPE = ["--layers", "2", "--heads", "2", "--kv-heads", "1", "--head-dim", "4"]
+# Each command that writes a file, with its output flag; "M" stands for a model path.
+WRITERS = {
+    "make-model": ["make-model", *SHAPE, "--out"],
+    "generate": ["generate", "--model", "M", "--prompt-random", "8", "--metrics-out"],
+    "select": ["select", "--model", "M", "--prompt-random", "8", "--metrics-out"],
+    "bench": ["bench", *SHAPE, "--n", "8", "--k", "4", "--t", "1", "--r", "1", "--metrics-out"],
+    "needle": ["needle", "--model", "M", "--haystack-len", "16", "--metrics-out"],
+}
+
+
+def _writer_argv(tmp_path, command, out):
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    return [str(model) if a == "M" else a for a in WRITERS[command]] + [str(out)]
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+@pytest.mark.parametrize("where", ["missing-dir", "existing-dir"])
+def test_unwritable_output_path_rejected_before_any_work(tmp_path, capsys, no_work, command, where):
+    out = tmp_path / "absent" / "x.out" if where == "missing-dir" else tmp_path
+    assert main(_writer_argv(tmp_path, command, out)) == 1
+    flag = WRITERS[command][-1]
+    assert f"error (ContractViolation): {flag} " in capsys.readouterr().err
+    assert no_work == []
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("command", ["make-model", "generate", "bench", "needle"])
+def test_negative_seed_rejected_before_any_work(tmp_path, capsys, no_work, command):
+    out = tmp_path / "out"
+    assert main([*_writer_argv(tmp_path, command, out), "--seed", "-1"]) == 1
+    assert "error (ContractViolation): --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert no_work == []
+    assert not out.exists()

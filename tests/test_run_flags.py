@@ -1,0 +1,102 @@
+"""The CLI's one flag table: every run command builds its RunConfig the same way."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from gemfilter.cli import RUN_FLAGS, build_parser, main
+from gemfilter.modelio import load_model
+from gemfilter.needle import NeedleSpec, needle_run
+from gemfilter.runner import RunConfig, Strategy
+
+
+@pytest.fixture(scope="module")
+def copy_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "copy.gfm"
+    assert main(["make-model", "--out", str(path), "--kind", "copy"]) == 0
+    return path
+
+
+def test_every_run_config_setting_has_one_flag():
+    assert list(RUN_FLAGS) == [f.name for f in fields(RunConfig) if f.name != "strategy"]
+    flags = [flag for flag, _ in RUN_FLAGS.values()]
+    assert len(set(flags)) == len(flags)
+
+
+GENERATE = dict(
+    max_new_tokens=16, select_k=64, filter_layer=1, pool_kernel=5, pool_mode="avg",
+    include_first=False, observation_window=32, recent_keep=32, window_in_budget=True,
+)
+MINIMAL_ARGV = {
+    "generate": (["--model", "m", "--prompt-text", "x"], GENERATE),
+    "select": (
+        ["--model", "m", "--prompt-text", "x"],
+        dict(select_k=64, filter_layer=1, pool_kernel=5, pool_mode="avg", include_first=False),
+    ),
+    "needle": (
+        ["--model", "m", "--haystack-len", "8"],
+        dict(select_k=64, filter_layer=1, max_new_tokens=8, pool_kernel=5, pool_mode="avg"),
+    ),
+    "bench": (
+        ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
+        dict(
+            max_new_tokens=2, select_k=4, filter_layer=1, pool_kernel=5, pool_mode="avg",
+            observation_window=32, recent_keep=32, window_in_budget=True,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+def test_each_command_keeps_its_settings_and_defaults(command):
+    argv, expected = MINIMAL_ARGV[command]
+    args = vars(build_parser().parse_args([command, *argv]))
+    assert {name: args[name] for name in RUN_FLAGS if name in args} == expected
+
+
+def _bench(capsys, tmp_path, tag, settings):
+    out = tmp_path / f"{tag}.ndjson"
+    argv = [
+        "bench", "--layers", "2", "--heads", "2", "--kv-heads", "1", "--head-dim", "8",
+        "--n", "40", *settings, "--observation-window", "4", "--recent-keep", "4",
+        "--json", "--no-wall-times", "--metrics-out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["wall_times"]
+    return doc, out.read_bytes()
+
+
+def test_bench_short_and_long_spellings_agree(capsys, tmp_path):
+    short = _bench(capsys, tmp_path, "short", ["--k", "16", "--t", "4", "--r", "2"])
+    long = _bench(
+        capsys, tmp_path, "long",
+        ["--select-k", "16", "--max-new-tokens", "4", "--filter-layer", "2"],
+    )
+    assert short == long
+    assert short[0]["ok"] is True
+    assert short[1].count(b"\n") == 4
+
+
+def _needle(capsys, copy_model, *extra):
+    argv = ["needle", "--model", str(copy_model), "--haystack-len", "96", "--select-k", "24"]
+    assert main([*argv, *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_needle_t_max_is_max_new_tokens(capsys, copy_model):
+    for output in ([], ["--json"]):
+        old = _needle(capsys, copy_model, "--t-max", "3", *output)
+        assert old == _needle(capsys, copy_model, "--max-new-tokens", "3", *output)
+
+
+def test_needle_json_is_needle_run_with_the_same_settings(capsys, copy_model):
+    doc = json.loads(
+        _needle(capsys, copy_model, "--pool-mode", "max", "--pool-kernel", "7", "--json")
+    )
+    spec = NeedleSpec(haystack_len=96, depth_percent=50.0, needle=(98,) * 8, query_token=98)
+    rc = RunConfig(
+        Strategy.GEMFILTER, select_k=24, max_new_tokens=8, pool_kernel=7, pool_mode="max"
+    )
+    assert doc == needle_run(spec, load_model(copy_model), [1], rc).to_dict()
