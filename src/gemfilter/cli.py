@@ -336,24 +336,25 @@ def cmd_bench(args) -> int:
         for s in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER)
     ]
     params = CostParams.from_weights(
-        weights, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer
+        weights, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer,
+        snapkv_extra_rows=configs[0].snapkv_extra_rows,
     )
     results = _run_all(args, weights, tokens, configs)
     measured = {rc.strategy.value: r.session.snapshot() for rc, r in zip(configs, results)}
     report = verify_counters(measured, cost_table(params))
+    if args.no_wall_times:
+        report.wall_times = {}
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "mismatches": [asdict(e) for e in report.mismatches],
-                    "wall_times": report.wall_times,
-                },
-                sort_keys=True,
-            )
-        )
+        doc = {"ok": report.ok, "mismatches": [asdict(e) for e in report.mismatches]}
+        if not args.no_wall_times:
+            doc["wall_times"] = report.wall_times
+        print(json.dumps(doc, sort_keys=True))
     else:
         print(report.format_text())
+    if not report.ok:
+        raise ContractViolation(
+            f"{len(report.mismatches)} counter terms differ from the cost model"
+        )
     return 0
 
 

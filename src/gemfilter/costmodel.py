@@ -13,7 +13,9 @@ integer identities.  The conventions, shared with the implementation:
   ``t - 1`` decode steps; decode step ``j`` attends over ``start + j`` keys.
 * KV bytes are key+value storage only, ``bytes_per_elem`` per element, with
   ``h_kv`` stored heads (the single-kv-head-per-group table is the special
-  case ``h_kv = h``).
+  case ``h_kv = h``).  An evicted layer keeps ``min(k, n)`` rows per head;
+  snapkv keeps ``min(k + snapkv_extra_rows, n)``, its observation window on
+  top of the budget when the window is outside it.
 * Weight bytes count transformer layers actually read in a phase
   (``layers_touched * w``); embeddings and the final norm live outside ``w``.
 
@@ -22,7 +24,6 @@ Wall time is measured and reported but never predicted here.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .counting import GENERATION, PROMPT, PhaseCost
@@ -48,10 +49,14 @@ class CostParams:
     vocab: int
     layer_weight_bytes: int
     bytes_per_elem: int = 4
+    # Rows snapkv keeps beyond the budget (RunConfig.snapkv_extra_rows).
+    snapkv_extra_rows: int = 0
 
     def __post_init__(self) -> None:
         if min(self.n, self.k, self.r, self.m, self.h, self.head_dim) < 1 or self.t < 0:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
+        if self.snapkv_extra_rows < 0:
+            raise ContractViolation("snapkv extra rows must be >= 0")
         if not 1 <= self.r <= self.m:
             raise ContractViolation(f"filter layer {self.r} outside 1..{self.m}")
         if self.h_kv < 1 or self.h % self.h_kv != 0:
@@ -68,7 +73,9 @@ class CostParams:
         return min(self.k, self.n)
 
     @classmethod
-    def from_weights(cls, weights, *, n: int, k: int, t: int, r: int) -> "CostParams":
+    def from_weights(
+        cls, weights, *, n: int, k: int, t: int, r: int, snapkv_extra_rows: int = 0
+    ) -> "CostParams":
         cfg = weights.config
         return cls(
             n=n,
@@ -83,6 +90,7 @@ class CostParams:
             hidden_mlp=cfg.hidden_mlp,
             vocab=cfg.vocab_size,
             layer_weight_bytes=weights.per_layer_bytes,
+            snapkv_extra_rows=snapkv_extra_rows,
         )
 
 
@@ -122,7 +130,8 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
     full layer plus all compressed layers; the filter pass costs r layers and
     retains nothing beyond one layer's K/V.  Generation-phase rows: the
     two-pass method re-prefills the k selected tokens (its k^2 term) while
-    the others decode against caches of n or k rows.  With t = 0 no layer
+    the others decode against caches of n or k rows (snapkv: k plus its
+    extra rows).  With t = 0 no layer
     runs in generation, so every generation counter is 0.
     """
     k = p.k_eff
@@ -137,12 +146,23 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         kv_bytes_peak=_kv_bytes(p, p.m, p.n),
         weight_bytes_touched=p.m * p.layer_weight_bytes,
     )
-    compress_prompt = PhaseCost(
-        PROMPT,
-        flops_by_tag=dict(full_prompt.flops_by_tag),
-        kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, k),
-        weight_bytes_touched=p.m * p.layer_weight_bytes,
-    )
+
+    def compress(kept: int) -> dict[str, PhaseCost]:
+        """An evicting strategy's phases when each layer keeps ``kept`` rows."""
+        prompt = PhaseCost(
+            PROMPT,
+            flops_by_tag=dict(full_prompt.flops_by_tag),
+            kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, kept),
+            weight_bytes_touched=p.m * p.layer_weight_bytes,
+        )
+        gen = PhaseCost(
+            GENERATION,
+            flops_by_tag=_decode_flops(p, kept, s),
+            kv_bytes_peak=_kv_bytes(p, gen_layers, kept + s),
+            weight_bytes_touched=gen_weight,
+        )
+        return {PROMPT: prompt, GENERATION: gen}
+
     filter_prompt = PhaseCost(
         PROMPT,
         flops_by_tag=_prefill_flops(p, p.n, p.r),
@@ -155,12 +175,6 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         kv_bytes_peak=_kv_bytes(p, gen_layers, p.n + s),
         weight_bytes_touched=gen_weight,
     )
-    compress_gen = PhaseCost(
-        GENERATION,
-        flops_by_tag=_decode_flops(p, k, s),
-        kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
-        weight_bytes_touched=gen_weight,
-    )
     twopass_gen = PhaseCost(
         GENERATION,
         flops_by_tag=_add(
@@ -171,11 +185,10 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         weight_bytes_touched=gen_layers * p.layer_weight_bytes,
     )
 
-    compress = {PROMPT: compress_prompt, GENERATION: compress_gen}
     return {
         "full": {PROMPT: full_prompt, GENERATION: full_gen},
-        "snapkv": compress,
-        "h2o": copy.deepcopy(compress),
+        "snapkv": compress(min(p.k + p.snapkv_extra_rows, p.n)),
+        "h2o": compress(k),
         "gemfilter": {PROMPT: filter_prompt, GENERATION: twopass_gen},
     }
 

@@ -3,8 +3,9 @@
 All kernels are pure functions of their inputs and deterministic for a fixed
 process configuration.  ``matmul`` reports its work to the ambient cost
 session (see :mod:`gemfilter.counting`).  The other matrix products, those
-of attention, are charged by the attention kernel itself
-(:func:`gemfilter.model._attention`), at their dense size; elementwise work
+of attention, are charged at their dense size by the model's
+:func:`~gemfilter.model.prefill` and :func:`~gemfilter.model.decode_step`,
+once per layer; elementwise work
 is not counted, by convention.  The layer's fused Q/K/V projection is one
 ``matmul`` over ``[wq | wk | wv]``, so its charge is the sum of the three
 separate products'.  ``rms_norm_rows`` is the one norm (a vector is a

@@ -7,13 +7,21 @@ tensor's name and shape in file order, and weight validation, model files
 The forward path is split the way the engine needs it: :func:`prefill` runs
 the prompt through the first ``upto_layer`` layers (optionally replacing
 each layer's cache, as soon as the layer finishes, with an evicted one or
-with nothing, and exposing the last computed layer's per-head Q/K for token
-selection), and :func:`decode_step` advances one token against mutable
-per-layer caches.  Both go through :func:`run_layer`, the one layer body.
+with nothing, and exposing the last computed layer's keys and last-row
+query for token selection), and :func:`decode_step` advances one token
+against mutable per-layer caches.  Both go through :func:`run_layer`, the
+one layer body, which appends its rows' K/V to a cache and attends to
+everything the cache holds: a decode step is one row, and the prompt runs
+through each layer in chunks of :data:`CHUNK_ROWS` rows, each overwriting
+its rows of the residual stream in place.  So a prompt pass holds the
+``n x d_model`` residual stream, the layer's ``n``-row cache and the kept
+ones, one ``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized
+transients; nothing else grows with ``n``.
 
 Eviction reads one score vector per query head: the float64 column sums of
-the last ``score_rows`` attention probability rows, reduced inside the
-attention kernel so the ``n x n`` probability matrix never outlives it.
+the last ``score_rows`` attention probability rows, accumulated per layer
+block by block inside the attention kernel, so the ``n x n`` probability
+matrix never exists.
 
 :class:`LayerKV` is the one KV cache: head-major keys and values with
 per-head original positions.  A full cache keeps every position; an evicted
@@ -26,8 +34,10 @@ float32.  One product with each layer's fused ``[wq | wk | wv]`` buffer
 projects Q, K and V, and Q/K rotate by rows of a per-model rotary table
 (:meth:`ModelWeights.rope`).  Attention (:func:`_attention`) runs every
 query head in one call, batched over the kv-head groups and blocked over
-query rows with a causal skip; it charges its dense products to the ambient
-cost session itself, and :func:`~gemfilter.kernels.matmul` charges the rest.
+query rows with a causal skip.  Its dense products are charged to the
+ambient cost session by :func:`prefill` (``n x n`` once per layer) and
+:func:`decode_step` (one row per layer), and
+:func:`~gemfilter.kernels.matmul` charges the rest.
 Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
 attention, eviction and token selection all group the query heads this way
 over the head-major keys, and none copies a key out per query head.
@@ -52,6 +62,10 @@ F32 = np.float32
 # (n_heads, ROW_BLOCK, keys) float32, the largest transient of a prompt pass;
 # 64 rows keep it small while each block's products stay BLAS-sized.
 ROW_BLOCK = 64
+# Prompt rows per run_layer call in prefill.  A multiple of ROW_BLOCK, so a
+# chunk's attention blocks are the rows one whole-prompt call's would be;
+# 256 rows keep the chunk's products as fast as one n-row product.
+CHUNK_ROWS = 256
 _ABOVE_DIAGONAL = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool), 1)
 
 
@@ -208,6 +222,17 @@ class LayerKV:
             raise ContractViolation("LayerKV positions must be strictly increasing")
         self._buffers = (self.keys, self.values, self.positions)
 
+    @classmethod
+    def empty(cls, n_kv_heads: int, head_dim: int, rows: int) -> "LayerKV":
+        """A cache holding nothing, with room reserved for ``rows`` rows per kv-head."""
+        cache = cls(
+            keys=np.empty((n_kv_heads, 0, head_dim), dtype=F32),
+            values=np.empty((n_kv_heads, 0, head_dim), dtype=F32),
+            positions=np.empty((n_kv_heads, 0), dtype=np.int64),
+        )
+        cache.reserve(rows)
+        return cache
+
     def __len__(self) -> int:
         return self.keys.shape[1]
 
@@ -264,7 +289,7 @@ class LayerKV:
 class PrefillResult:
     hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
     caches: list[LayerKV]
-    layer_q: np.ndarray  # (n, n_heads, head_dim) post-rotation Q of last computed layer
+    last_q: np.ndarray  # (n_heads, head_dim) post-rotation Q of the last row, last computed layer
     layer_k: np.ndarray  # (n_kv_heads, n, head_dim) post-rotation K of last computed layer
     logits: np.ndarray | None  # (vocab,) last-position logits, when requested
 
@@ -320,29 +345,33 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0):
+def _attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    received: np.ndarray | None = None,
+    first_scored: int = 0,
+) -> np.ndarray:
     """Causal attention of every query head at once, batched over kv-head groups.
 
     ``q`` is ``(h_kv, g, nq, d)`` and ``k``/``v`` are ``(h_kv, nk, d)`` and
     ``(h_kv, nk, d_v)``: query head ``j * g + i`` reads kv-head ``j``.  Queries
-    align with the end of the key sequence: query row ``i`` attends keys
-    ``0..(nk - nq + i)``.  A decode step is the one-row case.
+    align with the end of the key sequence: query row ``i`` is key row
+    ``nk - nq + i`` and attends keys ``0..(nk - nq + i)``.  A decode step is
+    the one-row case, a prompt chunk the rows just appended to its cache.
 
     Query rows run in blocks of :data:`ROW_BLOCK`.  A block scores only the
     keys its last row can see (the causal skip) and masks the upper triangle
     of its last ``b`` columns (a one-row block has none).  A row never spans
-    two blocks, so each block's softmax is exact, and the largest live score
-    array is ``(h_kv, g, ROW_BLOCK, nk)``, not ``nq x nk`` per head.
+    two blocks, so each block's softmax is exact, and one block's score
+    array, ``(h_kv, g, ROW_BLOCK, nk)``, is freed before the next is scored.
 
-    Returns ``(out, received)``: ``out`` is ``(h_kv, g, nq, d_v)``, and
-    ``received[j, i, c]`` is the float64 attention probability key ``c`` got
-    from the last ``score_rows`` query rows of head ``(j, i)``, summed block
-    by block, or None when ``score_rows`` is 0.
+    Returns ``out``, ``(h_kv, g, nq, d_v)``.  With a float64 ``received``
+    accumulator ``(h_kv, g, >= nk)``, each block adds to ``received[j, i, c]``
+    the attention probability key ``c`` gets from the block's query rows of
+    head ``(j, i)`` that are key row ``first_scored`` or later.
 
-    The FLOP charge is the dense one, as if every query row scored every key:
-    ``2 * h * nq * d * nk`` for the scores and ``2 * h * nq * nk * d_v`` for the
-    values, charged once per call.  The cost model counts these products;
-    the causal skip executes fewer.
+    Nothing is charged here: the callers charge the dense products.
     """
     hk, g, nq, dim = q.shape
     nk = k.shape[1]
@@ -350,18 +379,12 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0)
         raise ContractViolation(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     if nq > nk:
         raise ContractViolation("attention requires q rows <= k rows")
-    if not 0 <= score_rows <= nq:
-        raise ContractViolation(f"score_rows {score_rows} outside 0..{nq}")
-    count_matmul("attn_score", hk * g * nq, dim, nk)
-    count_matmul("attn_value", hk * g * nq, nk, v.shape[2])
     scale = F32(1.0 / np.sqrt(dim))
     offset = nk - nq
-    first_scored = nq - score_rows
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
     # Row-major storage, so the caller's (nq, h * d_v) view of it copies nothing.
     out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v)).transpose(1, 2, 0, 3)
-    received = np.zeros((hk, g, nk)) if score_rows else None
     for lo in range(0, nq, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, nq)
         b, cols = hi - lo, offset + hi
@@ -373,22 +396,33 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, score_rows: int = 0)
         np.exp(scores, out=scores)
         scores /= np.add.reduce(scores, axis=-1, keepdims=True)
         out[:, :, lo:hi] = scores @ values[:, :, :cols]
-        if hi > first_scored:
-            rows = scores[:, :, max(first_scored - lo, 0) :]
-            received[..., :cols] += rows.sum(axis=2, dtype=np.float64)
-    return out, received
+        if received is not None and cols > first_scored:
+            first = max(first_scored - offset - lo, 0)
+            received[..., :cols] += scores[:, :, first:].sum(axis=2, dtype=np.float64)
+        del scores  # free this block before the next one is scored
+    return out
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
+    """``x * sigmoid(x)``, written over ``x``."""
     # Clipping keeps exp() in range; beyond +-60 the sigmoid saturates in f32.
-    z = np.clip(x, -60.0, 60.0)
-    return x / (1.0 + np.exp(-z))
+    denom = np.clip(x, -60.0, 60.0)
+    np.negative(denom, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    x /= denom
+    return x
 
 
-def _mlp(xn: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    hidden = matmul(xn, lw.w_in, tag="mlp")
-    hidden = _silu(hidden)
-    return matmul(hidden, lw.w_out, tag="mlp")
+def _charge_attention(cfg: ModelConfig, rows: int, keys: int) -> None:
+    """Charge ``rows`` query rows of every head against ``keys`` keys, densely.
+
+    ``2 * h * rows * d * keys`` for the scores and as much for the values:
+    the products the cost model counts, as if every query row scored every
+    key.  The causal skip executes fewer.
+    """
+    count_matmul("attn_score", cfg.n_heads * rows, cfg.head_dim, keys)
+    count_matmul("attn_value", cfg.n_heads * rows, keys, cfg.head_dim)
 
 
 def run_layer(
@@ -396,22 +430,24 @@ def run_layer(
     weights: ModelWeights,
     layer_idx: int,
     positions: np.ndarray,
-    cache: LayerKV | None = None,
-    score_rows: int = 0,
-):
-    """One transformer layer over the rows of ``x`` at ``positions``.
+    cache: LayerKV,
+    received: np.ndarray | None = None,
+    first_scored: int = 0,
+) -> np.ndarray:
+    """One transformer layer over the rows of ``x`` at ``positions``, in place.
 
-    Without ``cache`` the rows attend causally to each other (a prompt pass)
-    and a new cache holding their K/V is returned; with one, their K/V rows
-    are appended to it and the rows attend to everything it holds (a decode
-    step).  One product projects Q, K and V (``weights.qkv``), Q and K are
-    rotated together by rows of the model's rotary table, and all query heads
-    attend in one :func:`_attention` call over the kv-head groups.  Returns
-    ``(x_out, q_heads, cache, scores)`` where Q is ``(n, n_heads, head_dim)``
-    and post-rotation.  With ``score_rows > 0``,
-    ``scores`` is the ``(n_heads, len(cache))`` float64 attention each key
-    received from the last ``score_rows`` rows of each query head (what cache
-    eviction consumes); otherwise it is None.
+    The rows' K/V are appended to ``cache`` and the rows attend causally to
+    everything it then holds: a decode step is one row, and :func:`prefill`
+    runs the prompt as consecutive row chunks into one cache.  The layer's
+    output overwrites ``x``; the cache is all a later chunk or step reads.
+    One product projects Q, K and V (``weights.qkv``), Q and K are rotated
+    together by rows of the model's rotary table, and all query heads attend
+    in one :func:`_attention` call over the kv-head groups, which adds to
+    ``received`` (``(h_kv, g, >= len(cache))`` float64) the attention each
+    key gets from the rows that are key row ``first_scored`` or later (what
+    cache eviction consumes).  Attention is not charged here (see
+    :func:`_charge_attention`).  Returns the rows' post-rotation Q,
+    ``(rows, n_heads, head_dim)``.
     """
     cfg = weights.config
     lw = weights.layers[layer_idx]
@@ -421,33 +457,42 @@ def run_layer(
 
     xn = rms_norm_rows(x, lw.attn_norm, cfg.norm_eps)
     qkv = matmul(xn, weights.qkv[layer_idx], tag="proj")
+    del xn
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
-    v = qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
     if cfg.use_rope:
         qk = _rotate(qk, *weights.rope(positions))
-    # Copy Q, K and V out, so the fused buffers are freed before attention.
     q = qk[:, :h].copy()
-    k = np.ascontiguousarray(qk[:, h:].transpose(1, 0, 2))
-    v = np.ascontiguousarray(v.transpose(1, 0, 2))
-    del qkv, qk
-    if cache is None:
-        cache = LayerKV(keys=k, values=v, positions=np.tile(positions, (hk, 1)))
-    else:
-        cache.append(k, v, positions)
+    v = qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
+    cache.append(qk[:, h:].transpose(1, 0, 2), v.transpose(1, 0, 2), positions)
+    del qkv, qk, v  # the cache holds K and V now
 
     grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
-    out, scores = _attention(grouped_q, cache.keys, cache.values, score_rows)
-    attn = out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model)
-    x = x + matmul(attn, lw.wo, tag="proj")
-    xn2 = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
-    x = x + _mlp(xn2, lw)
-    return x, q, cache, None if scores is None else scores.reshape(h, -1)
+    out = _attention(grouped_q, cache.keys, cache.values, received, first_scored)
+    x += matmul(out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model), lw.wo, tag="proj")
+    del out
+    xn = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
+    hidden = _silu(matmul(xn, lw.w_in, tag="mlp"))
+    del xn
+    x += matmul(hidden, lw.w_out, tag="mlp")
+    return q
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:
     """Final norm plus output embedding for a single hidden row."""
     normed = rms_norm_rows(hidden_row.reshape(1, -1), weights.final_norm, weights.config.norm_eps)
     return matmul(normed, weights.out_emb, tag="logits")[0]
+
+
+def _chunks(n: int):
+    """``(lo, hi)`` row ranges of a prompt pass: :data:`CHUNK_ROWS` rows each.
+
+    A one-row tail joins the chunk before it: a one-row product takes
+    another BLAS path than a many-row one, and its bits differ.
+    """
+    starts = list(range(0, n, CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, [*starts[1:], n])
 
 
 def prefill(
@@ -461,19 +506,28 @@ def prefill(
 ) -> PrefillResult:
     """Run the prompt through layers 1..upto_layer.
 
+    Each layer reserves an ``n``-row cache and runs the prompt through
+    :func:`run_layer` in :data:`CHUNK_ROWS`-row chunks, each appending its
+    K/V and overwriting its rows of the residual stream.  The chunks' query
+    blocks are those of one whole-prompt call, so every bit matches it, and
+    the layer's attention is charged once, densely over ``n x n``.
+
     ``evict(cache, scores)`` replaces each layer's full cache, as soon as the
     layer finishes, with the cache it returns, or with nothing when it
     returns None (the token-selection pass keeps no caches).  So at most one
     full layer is ever live next to the kept ones, which the KV byte
-    checkpoints reflect; ``scores`` is that layer's :func:`run_layer` score
-    array over the last ``score_rows`` prompt rows.  Logits require the full
-    stack and are computed for the last position only.
+    checkpoints reflect.  ``scores`` is ``(n_heads, n)`` float64: the
+    attention each key received from the last ``score_rows`` prompt rows,
+    one accumulator per layer (None when ``score_rows`` is 0).  Logits
+    require the full stack and are computed for the last position only.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("prefill requires a non-empty prompt")
     check_prompt_length(ids.size, cfg)
+    if score_rows < 0:
+        raise ContractViolation(f"score_rows {score_rows} must be >= 0")
     if score_rows > ids.size:
         raise ContractViolation(
             f"prompt length {ids.size} shorter than observation window {score_rows}"
@@ -486,11 +540,17 @@ def prefill(
     if want_logits and upto != cfg.n_layers:
         raise ContractViolation("logits require running every layer")
 
+    n, h, hk = ids.size, cfg.n_heads, cfg.n_kv_heads
     x = embed(ids, weights)
-    positions = np.arange(ids.size, dtype=np.int64)
     caches: list[LayerKV] = []
     for li in range(upto):
-        x, q, layer_kv, scores = run_layer(x, weights, li, positions, score_rows=score_rows)
+        layer_kv = LayerKV.empty(hk, cfg.head_dim, n)
+        received = np.zeros((hk, h // hk, n)) if score_rows else None
+        for lo, hi in _chunks(n):
+            positions = np.arange(lo, hi, dtype=np.int64)
+            q = run_layer(x[lo:hi], weights, li, positions, layer_kv, received, n - score_rows)
+        _charge_attention(cfg, n, n)
+        scores = None if received is None else received.reshape(h, n)
         kept = layer_kv if evict is None else evict(layer_kv, scores)
         if kept is not None:
             caches.append(kept)
@@ -498,11 +558,11 @@ def prefill(
         # A replaced layer's full cache is still live at this checkpoint.
         note_kv_bytes(live if kept is layer_kv else live + layer_kv.nbytes)
         if li < upto - 1:
-            del q, layer_kv  # drop this layer's full K/V before the next runs
+            del layer_kv, received, scores  # drop this layer's full K/V before the next runs
 
     logits = logits_from_hidden(x[-1], weights) if want_logits else None
     return PrefillResult(
-        hidden=x, caches=caches, layer_q=q, layer_k=layer_kv.keys, logits=logits
+        hidden=x, caches=caches, last_q=q[-1], layer_k=layer_kv.keys, logits=logits
     )
 
 
@@ -522,7 +582,8 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     x = embed([int(token)], weights)
     pos_arr = np.asarray([position], dtype=np.int64)
     for li, cache in enumerate(caches):
-        x = run_layer(x, weights, li, pos_arr, cache)[0]
+        run_layer(x, weights, li, pos_arr, cache)
+        _charge_attention(cfg, 1, len(cache))
     note_kv_bytes(sum(c.nbytes for c in caches))
     return logits_from_hidden(x[0], weights)
 

@@ -112,7 +112,7 @@ def select_indices(
     pre = prefill(
         ids, weights, upto_layer=r, want_logits=False, evict=lambda cache, scores: None
     )
-    scores = selection_scores(pre.layer_q[-1], pre.layer_k, pool_kernel, pool_mode)
+    scores = selection_scores(pre.last_q, pre.layer_k, pool_kernel, pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
     if include_first and 0 not in kept:
         kept = np.concatenate([kept[:-1], np.asarray([0], dtype=np.int64)])

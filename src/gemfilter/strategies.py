@@ -10,7 +10,7 @@ the window rows' attention, smoothed by 1-D pooling (snapkv), or a recency
 window plus the heaviest prefix positions by every row's attention (h2o).
 
 Both eviction rules read one score vector per kv-head from the prompt pass
-(:func:`~gemfilter.model.run_layer`): the attention mass each key receives
+(:func:`~gemfilter.model.prefill`): the attention mass each key receives
 from the last ``score_rows`` queries.  Each layer is evicted, by a per-head
 gather into a smaller :class:`~gemfilter.model.LayerKV`, as soon as it
 finishes, so at most one full layer is live next to the evicted ones, and
@@ -80,6 +80,11 @@ class RunConfig:
             raise ContractViolation("selection budget k must be >= 1")
         if self.filter_layer < 1:
             raise ContractViolation(f"filter layer {self.filter_layer} must be >= 1")
+
+    @property
+    def snapkv_extra_rows(self) -> int:
+        """Rows snapkv keeps beyond ``select_k``: its window, when outside the budget."""
+        return 0 if self.window_in_budget else self.observation_window
 
 
 def check_budget(k: int, n: int, window: int, name: str) -> None:

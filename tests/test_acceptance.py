@@ -18,9 +18,12 @@ from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.kernels import pool_1d, topk_indices
 from gemfilter.model import (
+    LayerKV,
     _attention,
     decode_step,
+    embed,
     prefill,
+    run_layer,
 )
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
@@ -154,7 +157,7 @@ def test_attention_brute_force_equivalence():
                 exps = np.exp(scores - scores.max())
                 probs = exps / exps.sum()
                 oracle[i] = sum(probs[j] * v[j].astype(np.float64) for j in range(i + 1))
-            out = _attention(q[None, None], k[None], v[None])[0][0, 0]
+            out = _attention(q[None, None], k[None], v[None])[0, 0]
             np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     # causality: perturbing token j never changes hidden states before j
@@ -317,13 +320,21 @@ def _probs_oracle(q, k):
     return probs
 
 
+def _prompt_queries(w, tokens):
+    """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
+    prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
+    n, cfg = len(tokens), w.config
+    cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
+    return run_layer(embed(tokens, w), w, 0, np.arange(n, dtype=np.int64), cache)
+
+
 def test_snapkv_h2o_small_instance_oracles():
     window, recent, kernel = 3, 3, 3
     for n in (8, 12, 16):
         cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, 600 + n)
         tokens = list(range(n))
-        pre = prefill(tokens, w)
+        pre, q = prefill(tokens, w), _prompt_queries(w, tokens)
         for k in (6, n):
             evicted = {}
             for strategy in (Strategy.SNAPKV, Strategy.H2O):
@@ -335,9 +346,7 @@ def test_snapkv_h2o_small_instance_oracles():
                 evicted[strategy] = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
             snap, heavy = evicted[Strategy.SNAPKV], evicted[Strategy.H2O]
             for kvh in range(cfg.n_kv_heads):
-                probs = _probs_oracle(
-                    pre.layer_q[:, kvh, :], pre.caches[0].keys[kvh]
-                )
+                probs = _probs_oracle(q[:, kvh, :], pre.caches[0].keys[kvh])
                 if k >= n:
                     assert snap[0].positions[kvh].tolist() == list(range(n))
                     assert heavy[0].positions[kvh].tolist() == list(range(n))

@@ -1,0 +1,160 @@
+"""The row-chunked prompt pass: bit parity across chunk sizes, and traced memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gemfilter import model
+from gemfilter.config import ModelConfig
+from gemfilter.costmodel import CostParams, cost_table
+from gemfilter.counting import PROMPT
+from gemfilter.model import ROW_BLOCK, prefill
+from gemfilter.runner import RunConfig, Strategy, run_generation
+from gemfilter.strategies import prompt_pass
+from gemfilter.testmodels import make_random_model
+
+C = 64  # the chunk size the parity tests compare against one whole-prompt chunk
+
+
+def chunk_bounds(n):
+    return list(model._chunks(n))
+
+
+def test_chunks_cover_the_prompt_and_merge_a_one_row_tail(monkeypatch):
+    monkeypatch.setattr(model, "CHUNK_ROWS", C)
+    assert model.CHUNK_ROWS % ROW_BLOCK == 0
+    assert chunk_bounds(1) == [(0, 1)]
+    assert chunk_bounds(C) == [(0, C)]
+    assert chunk_bounds(C + 1) == [(0, C + 1)]
+    assert chunk_bounds(C + 2) == [(0, C), (C, C + 2)]
+    assert chunk_bounds(2 * C + 1) == [(0, C), (C, 2 * C + 1)]
+    for n in range(1, 4 * C):
+        bounds = chunk_bounds(n)
+        assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(lo % C == 0 for lo, _ in bounds)
+        assert n == 1 or all(hi - lo > 1 for lo, hi in bounds)
+
+
+def observe(w, tokens, strategy):
+    """Every observable of one run, and of the same prompt pass with its evictions."""
+    n = len(tokens)
+    window = min(4, n)
+    rc = RunConfig(
+        strategy, max_new_tokens=3, select_k=16, filter_layer=2,
+        observation_window=window, recent_keep=window, pool_kernel=3,
+    )
+    result = run_generation(w, tokens, rc)
+    counters = {
+        phase: (cost.flops_by_tag, cost.kv_bytes_peak, cost.weight_bytes_touched)
+        for phase, cost in result.session.snapshot().items()
+    }
+    sel = result.selection
+    _, evict, score_rows, _ = prompt_pass(rc, n)
+    layers = []
+
+    def spy(cache, scores):
+        kept = cache if evict is None else evict(cache, scores)
+        layers.append(
+            (
+                None if scores is None else scores.copy(),
+                cache.keys.copy(), cache.values.copy(), cache.positions.copy(),
+                None if kept is None else (kept.positions, kept.keys, kept.values),
+            )
+        )
+        return kept
+
+    pre = prefill(tokens, w, evict=spy, score_rows=score_rows)
+    return {
+        "tokens": result.output_tokens,
+        "counters": counters,
+        "selection": None if sel is None else (sel.indices, sel.raw_scores),
+        "layers": layers,
+        "hidden": pre.hidden,
+        "logits": pre.logits,
+        "last_q": pre.last_q,
+    }
+
+
+def assert_bit_equal(a, b, path="run"):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, path
+        assert a.tobytes() == b.tobytes(), path
+    elif isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_bit_equal(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            assert_bit_equal(a[key], b[key], f"{path}.{key}")
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1)], ids=["g1", "g2", "g4"])
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, C + 2, 2 * C + 1])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_chunked_pass_bit_equals_one_chunk(monkeypatch, strategy, n, h, hk):
+    """64-row chunks give the bits of one whole-prompt chunk: tokens, selection,
+    eviction scores and kept positions per head, caches, hidden rows, counters.
+    At n = C + 1 and C + 2 the 4-row snapkv window straddles a chunk boundary."""
+    cfg = ModelConfig(
+        n_layers=2, n_heads=h, n_kv_heads=hk, head_dim=8, d_model=h * 8,
+        vocab_size=64, hidden_mlp=24, max_seq=512,
+    )
+    w = make_random_model(cfg, 3 + hk)
+    tokens = np.random.default_rng(n).integers(0, 64, n).tolist()
+    monkeypatch.setattr(model, "CHUNK_ROWS", C)
+    chunked = observe(w, tokens, strategy)
+    monkeypatch.setattr(model, "CHUNK_ROWS", 4 * C)
+    whole = observe(w, tokens, strategy)
+    assert_bit_equal(chunked, whole)
+
+
+# The ROADMAP profile model.
+PROFILE = ModelConfig(
+    n_layers=8, n_heads=4, n_kv_heads=2, head_dim=16, d_model=64,
+    vocab_size=260, hidden_mlp=128,
+)
+
+
+def traced_excess(w, n, strategy):
+    """A prompt-only run's tracemalloc peak minus cost_table's modeled KV peak."""
+    rc = RunConfig(strategy, max_new_tokens=0, select_k=256, filter_layer=3)
+    tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
+    tracemalloc.start()
+    try:
+        run_generation(w, tokens, rc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = CostParams.from_weights(w, n=n, k=256, t=0, r=3)
+    modeled = cost_table(params)[strategy.value][PROMPT].kv_bytes_peak
+    return peak - modeled, modeled
+
+
+@pytest.mark.parametrize("strategy", [Strategy.GEMFILTER, Strategy.FULL], ids=lambda s: s.value)
+def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
+    """From n = 1024 to 2048, what the prompt pass holds beyond the modeled KV
+    bytes grows by at most the residual stream (n x d_model float32), one
+    (n_heads, ROW_BLOCK, n) float32 score block, the int64 positions of the
+    cached rows, the prompt's int64 token ids, and 4 KiB of interpreter objects.
+    Transients with one row per prompt token (whole-prompt Q/K/V or MLP rows)
+    break it."""
+    cfg = PROFILE
+    w = make_random_model(cfg, 1)
+    # Fill the rotary table first: a model keeps it, so it is no run's transient.
+    run_generation(w, [i % 256 for i in range(2048)], RunConfig(strategy, max_new_tokens=0))
+    (small, kv_small), (large, kv_large) = (traced_excess(w, n, strategy) for n in (1024, 2048))
+    grown = 1024
+    positions = (kv_large - kv_small) // cfg.head_dim  # 8 bytes per 2 * head_dim * 4
+    allowed = (
+        grown * cfg.d_model * 4
+        + cfg.n_heads * ROW_BLOCK * grown * 4
+        + positions
+        + grown * 8
+        + 4096
+    )
+    assert large - small <= allowed, (large - small, allowed)

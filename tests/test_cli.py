@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gemfilter
+from gemfilter import cli
 from gemfilter.cli import main
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
@@ -475,6 +476,55 @@ class TestBenchCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["mismatches"] == []
+
+    # Snapkv keeps its 4-row window on top of the budget of 16.
+    WINDOW_OUTSIDE = [
+        "bench", "--layers", "3", "--heads", "4", "--kv-heads", "2", "--head-dim", "8",
+        "--n", "64", "--k", "16", "--t", "3", "--r", "2", "--observation-window", "4",
+        "--recent-keep", "4", "--pool-kernel", "3", "--window-outside-budget",
+    ]
+
+    def test_window_outside_budget_matches_cost_model(self, capsys):
+        assert main([*self.WINDOW_OUTSIDE, "--json", "--no-wall-times"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "mismatches": []}
+
+    @pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
+    def test_counter_mismatch_exits_1(self, capsys, monkeypatch, output):
+        real = cli.cost_table
+
+        def off_by_two(params):
+            table = real(params)
+            table["h2o"][PROMPT].flops_by_tag["attn_score"] += 2
+            return table
+
+        monkeypatch.setattr(cli, "cost_table", off_by_two)
+        assert main([*self.WINDOW_OUTSIDE, "--no-wall-times", *output]) == 1
+        captured = capsys.readouterr()
+        if output:
+            doc = json.loads(captured.out)
+            assert doc["ok"] is False
+            bad = [(e["method"], e["phase"], e["term"]) for e in doc["mismatches"]]
+            assert bad == [("h2o", PROMPT, "attn_score")]
+        else:
+            assert "FAIL h2o/prompt/attn_score" in captured.out
+            assert "counters DIVERGE" in captured.out
+        assert "1 counter terms differ from the cost model" in captured.err
+
+    @pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
+    def test_no_wall_times_output_is_byte_reproducible(self, output):
+        """Two processes print the same bytes: no wall time reaches stdout."""
+        src = str(Path(gemfilter.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [*self.WINDOW_OUTSIDE, "--no-wall-times", *output]
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", "from gemfilter.cli import entrypoint; entrypoint()", *argv],
+                capture_output=True, env=env, timeout=120, check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        assert b"wall_times" not in runs[0] and b"time " not in runs[0]
 
 
 @pytest.mark.parametrize(

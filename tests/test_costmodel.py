@@ -221,6 +221,31 @@ class TestVerifyCounters:
         assert [(e.phase, e.term) for e in report.mismatches] == [(PROMPT, "other")]
         assert "FAIL full/prompt/other" in report.format_text()
 
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_snapkv_window_outside_budget_grid(self, window):
+        """With the window outside the budget snapkv keeps min(k + window, n) rows."""
+        w = small_model(m=2, h=4, hk=2, dh=8, seed=9)
+        for n in (5, 8, 13):
+            tokens = np.random.default_rng(n).integers(0, 64, size=n).tolist()
+            for k in range(window, n + 3):
+                for t in (0, 1, 3):
+                    rc = RunConfig(
+                        Strategy.SNAPKV, max_new_tokens=t, select_k=k, pool_kernel=3,
+                        observation_window=window, window_in_budget=False,
+                    )
+                    measured = run_generation(w, tokens, rc).session.snapshot()
+                    table = cost_table(
+                        CostParams.from_weights(
+                            w, n=n, k=k, t=t, r=1, snapkv_extra_rows=rc.snapkv_extra_rows
+                        )
+                    )
+                    report = verify_counters({"snapkv": measured}, table)
+                    assert report.ok, (n, k, t, report.format_text())
+                    rows = min(k + window, n)
+                    assert table["snapkv"][PROMPT].kv_bytes_peak == 2 * 2 * 8 * 4 * (n + 2 * rows)
+        # Inside the budget the extra rows are 0 and the table is unchanged.
+        assert RunConfig(Strategy.SNAPKV, observation_window=window).snapkv_extra_rows == 0
+
     def test_filter_pass_weight_bytes_exactly_r_layers(self):
         w = small_model(m=4, seed=4)
         measured = self.run_all(w, 40, 10, 3, 3)

@@ -62,7 +62,7 @@ def attention_oracle(q, k, v):
 
 def one_head_attention(q, k, v):
     """Causal attention of one ``(nq, d)`` query head over ``(nk, d)`` keys and values."""
-    return _attention(q[None, None], k[None], v[None])[0][0, 0]
+    return _attention(q[None, None], k[None], v[None])[0, 0]
 
 
 def rotate_at(x, positions, theta):
@@ -173,7 +173,8 @@ class TestRopeTable:
         lw = w.layers[0]
         x = np.random.default_rng(5).standard_normal((9, 16)).astype(F32)
         positions = np.arange(9, dtype=np.int64)
-        _, q, cache, _ = run_layer(x, w, 0, positions)
+        cache = LayerKV.empty(1, 8, 9)
+        q = run_layer(x.copy(), w, 0, positions, cache)
         xn = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5)) * lw.attn_norm
         want_q = rope_pair_oracle((xn @ lw.wq).reshape(9, 2, 8), positions, theta)
         want_k = rope_pair_oracle((xn @ lw.wk).reshape(9, 1, 8), positions, theta)
@@ -389,7 +390,10 @@ class TestRunLayerScores:
         cfg = small_config(m=1, h=h, hk=hk, dh=8, max_seq=256)
         w = make_random_model(cfg, 21)
         x = embed([(5 * i + 2) % cfg.vocab_size for i in range(n)], w)
-        return x, w, run_layer(x, w, 0, np.arange(n, dtype=np.int64), score_rows=score_rows)
+        out, cache = x.copy(), LayerKV.empty(hk, 8, n)
+        received = np.zeros((hk, h // hk, n)) if score_rows else None
+        q = run_layer(out, w, 0, np.arange(n, dtype=np.int64), cache, received, n - score_rows)
+        return x, w, (out, q, cache, None if received is None else received.reshape(h, n))
 
     @pytest.mark.parametrize("n, h, hk, rows", run_layer_cases())
     def test_matches_probability_oracle(self, n, h, hk, rows):

@@ -64,7 +64,7 @@ def _bench(capsys, tmp_path, tag, settings):
     ]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    del doc["wall_times"]
+    assert "wall_times" not in doc
     return doc, out.read_bytes()
 
 

@@ -158,7 +158,7 @@ class TestSelectIndices:
         w = make_random_model(cfg, 30 + h + hk)
         tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
         pre = prefill(tokens, w, upto_layer=2, want_logits=False)
-        q, keys = pre.layer_q[-1].astype(np.float64), pre.layer_k.astype(np.float64)
+        q, keys = pre.last_q.astype(np.float64), pre.layer_k.astype(np.float64)
         expanded = [keys[qh // (h // hk)] for qh in range(h)]  # (n, d) per query head
         raw = sum((expanded[qh] * q[qh]).sum(axis=1) for qh in range(h))
         half = 2  # pool_kernel = 5

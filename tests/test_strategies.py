@@ -11,7 +11,7 @@ from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter import model, runner, selection
-from gemfilter.model import LayerKV, decode_step, prefill
+from gemfilter.model import LayerKV, decode_step, embed, prefill, run_layer
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
@@ -50,6 +50,14 @@ def masked_probs_oracle(q, k):
         exps = np.exp(scores - scores.max())
         probs[i, : i + 1] = exps / exps.sum()
     return probs
+
+
+def prompt_queries(w, tokens):
+    """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
+    prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
+    n, cfg = len(tokens), w.config
+    cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
+    return run_layer(embed(tokens, w), w, 0, np.arange(n, dtype=np.int64), cache)
 
 
 def pool_oracle(v, kernel):
@@ -182,15 +190,15 @@ class TestCompressAgainstBruteForce:
         tokens = list(range(n))
         window, k = 3, 6
         rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=window, pool_kernel=3)
-        pre = prefill(tokens, w)
+        pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows, _ = prompt_pass(rc, n)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
 
-        # Oracle recomputes each head's probabilities from the cached q/k.
+        # Oracle recomputes each head's probabilities from the layer's q and cached k.
         groups = cfg.n_heads // cfg.n_kv_heads
         for kvh in range(cfg.n_kv_heads):
             probs = [
-                masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[qh // groups])
+                masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[qh // groups])
                 for qh in range(kvh * groups, (kvh + 1) * groups)
             ]
             expected = snapkv_oracle(probs, k, window, 3)
@@ -203,11 +211,11 @@ class TestCompressAgainstBruteForce:
         tokens = list(range(n))
         k, recent = 6, 2
         rc = RunConfig(Strategy.H2O, select_k=k, recent_keep=recent)
-        pre = prefill(tokens, w)
+        pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows, _ = prompt_pass(rc, n)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         probs = [
-            masked_probs_oracle(pre.layer_q[:, qh, :], pre.caches[0].keys[0])
+            masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
         ]
         expected = h2o_oracle(probs, k, recent)
