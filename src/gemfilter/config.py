@@ -18,6 +18,19 @@ _FIELD_KINDS = {
 }
 
 
+def check_field_types(obj) -> None:
+    """Reject a value its dataclass field's annotated type does not accept.
+
+    Fields annotated with a type outside ``int``, ``float`` and ``bool`` are
+    left to the dataclass's own checks.
+    """
+    for f in fields(obj):
+        accepts, kind = _FIELD_KINDS.get(f.type, (None, None))
+        value = getattr(obj, f.name)
+        if accepts is not None and not accepts(value):
+            raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int
@@ -33,11 +46,7 @@ class ModelConfig:
     max_seq: int = 8192
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            accepts, kind = _FIELD_KINDS[f.type]
-            value = getattr(self, f.name)
-            if not accepts(value):
-                raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)
         if self.n_layers < 1:
             raise ConfigurationError("n_layers must be >= 1")
         if self.n_heads < 1 or self.n_kv_heads < 1:

@@ -18,10 +18,10 @@ its rows of the residual stream in place.  So a prompt pass holds the
 ones, one ``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized
 transients; nothing else grows with ``n``.
 
-Eviction reads one score vector per query head: the float64 column sums of
-the last ``score_rows`` attention probability rows, accumulated per layer
-block by block inside the attention kernel, so the ``n x n`` probability
-matrix never exists.
+Eviction reads one score vector per kv-head: the float64 column sums of
+the last ``score_rows`` attention probability rows of its query heads,
+accumulated per layer block by block inside the attention kernel, so the
+``n x n`` probability matrix never exists.
 
 :class:`LayerKV` is the one KV cache: head-major keys and values with
 per-head original positions.  A full cache keeps every position; an evicted
@@ -516,9 +516,10 @@ def prefill(
     layer finishes, with the cache it returns, or with nothing when it
     returns None (the token-selection pass keeps no caches).  So at most one
     full layer is ever live next to the kept ones, which the KV byte
-    checkpoints reflect.  ``scores`` is ``(n_heads, n)`` float64: the
+    checkpoints reflect.  ``scores`` is ``(n_kv_heads, n)`` float64: the
     attention each key received from the last ``score_rows`` prompt rows,
-    one accumulator per layer (None when ``score_rows`` is 0).  Logits
+    summed over the query heads of each kv-head's group, one accumulator per
+    layer (None when ``score_rows`` is 0).  Logits
     require the full stack and are computed for the last position only.
     """
     cfg = weights.config
@@ -550,7 +551,7 @@ def prefill(
             positions = np.arange(lo, hi, dtype=np.int64)
             q = run_layer(x[lo:hi], weights, li, positions, layer_kv, received, n - score_rows)
         _charge_attention(cfg, n, n)
-        scores = None if received is None else received.reshape(h, n)
+        scores = None if received is None else received.sum(axis=1)
         kept = layer_kv if evict is None else evict(layer_kv, scores)
         if kept is not None:
             caches.append(kept)

@@ -20,12 +20,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .counting import GENERATION, PROMPT, CostSession
-from .errors import ContractViolation
 from .kernels import argmax
 from .model import ModelWeights, greedy_decode, prefill
 from .selection import SelectionResult, decode_selection, select_indices
 # RunConfig and Strategy are importable from here too, where runs are made.
-from .strategies import RunConfig, Strategy, check_budget, prompt_pass
+from .strategies import RunConfig, Strategy, prompt_pass
 
 
 @dataclass
@@ -36,30 +35,14 @@ class RunResult:
 
 
 def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
-    t, n, max_seq = rc.max_new_tokens, np.size(tokens), weights.config.max_seq
-    filters, evict, score_rows, window = prompt_pass(rc, n)
-    # Reject what would fail after the first layer before any layer runs.
-    # Decoding t tokens after kept prompt positions writes positions up to
-    # kept + t - 2; gemfilter's second pass restarts at position 0 over
-    # min(k, n) tokens.  Empty, overlong and shorter-than-window prompts are
-    # left to prefill's checks.
-    if 1 <= n <= max_seq:
-        kept = min(rc.select_k, n) if filters else n
-        if t >= 1 and kept + t - 1 > max_seq:
-            raise ContractViolation(
-                f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
-            )
-        if window is not None and score_rows <= n:
-            check_budget(rc.select_k, n, *window)
+    t = rc.max_new_tokens
+    filters, evict, score_rows = prompt_pass(rc, np.size(tokens), weights.config.max_seq)
     session = CostSession()
     out, sel, phase = [], None, PROMPT
     with session.activate():
         if filters:
             with session.in_phase(PROMPT):
-                sel = select_indices(
-                    weights, tokens, rc.filter_layer, rc.select_k,
-                    rc.pool_kernel, rc.include_first, rc.pool_mode,
-                )
+                sel = select_indices(weights, tokens, rc)
             tokens, phase = decode_selection(tokens, sel), GENERATION
         if t or not filters:
             with session.in_phase(phase):

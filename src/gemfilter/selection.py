@@ -1,11 +1,12 @@
 """Early-layer token selection.
 
-The filter pass runs only the first ``r`` transformer layers of the prompt,
-scores every key position by the summed last-row attention of layer ``r``
-across all heads, and keeps the top ``k`` positions as one global, sorted
-index set.  The scores read layer ``r``'s head-major keys as its cache holds
-them: under grouped-query attention each kv-head's keys are contracted with
-the query heads of its group, the grouping attention itself uses.  The
+The filter pass runs only the first ``r`` (``RunConfig.filter_layer``)
+transformer layers of the prompt, scores every key position by the summed
+last-row attention of layer ``r`` across all heads, and keeps the top ``k``
+(``RunConfig.select_k``) positions as one global, sorted index set.  The
+scores read layer ``r``'s head-major keys as its cache holds them: under
+grouped-query attention each kv-head's keys are contracted with the query
+heads of its group, the grouping attention itself uses.  The
 second pass (driven by :func:`gemfilter.runner.run_generation`) re-runs the
 full model over just the selected sub-sequence with fresh positions 0..k-1
 (the rotary embedding is recomputed, so the positional span shrinks to
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .kernels import check_pooling, pool_1d, topk_indices
+from .kernels import pool_1d, topk_indices
 from .model import ModelWeights, prefill
+from .strategies import RunConfig
 
 
 @dataclass
@@ -40,7 +42,6 @@ class SelectionResult:
 
     indices: np.ndarray  # (min(k, n),) int64, strictly increasing
     raw_scores: np.ndarray  # (n,) pooled head-summed scores
-    filter_layer: int
     budget: int
 
     def __post_init__(self) -> None:
@@ -82,43 +83,31 @@ def selection_scores(
     return pool_1d(scores, pool_kernel, pool_mode)
 
 
-def select_indices(
-    weights: ModelWeights,
-    tokens,
-    r: int,
-    k: int,
-    pool_kernel: int = 5,
-    include_first: bool = False,
-    pool_mode: str = "avg",
-) -> SelectionResult:
-    """Run the r-layer filter pass and pick the top-k positions, sorted.
+def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionResult:
+    """Run the ``rc.filter_layer``-layer filter pass and pick the top ``rc.select_k`` positions.
 
-    Layers past ``r`` are never touched and no KV cache is retained, so the
-    charged prompt cost is exactly r layers' worth.  ``k`` larger than the
-    prompt clamps to selecting everything.  A pooling kernel or mode that
-    :func:`~gemfilter.kernels.pool_1d` would reject is rejected before the
-    filter pass runs.
+    Layers past the filter layer are never touched and no KV cache is
+    retained, so the charged prompt cost is exactly that many layers' worth.
+    A budget larger than the prompt clamps to selecting everything.  The
+    pooling and the lower bounds of ``k`` and ``r`` are :class:`RunConfig`'s
+    to check; the filter layer's upper bound needs the model and is checked
+    here.
     """
-    cfg = weights.config
+    cfg, r, k = weights.config, rc.filter_layer, rc.select_k
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("select_indices requires a non-empty prompt")
-    if not 1 <= r <= cfg.n_layers:
+    if r > cfg.n_layers:
         raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
-    if k < 1:
-        raise ContractViolation("selection budget k must be >= 1")
-    check_pooling(pool_kernel, pool_mode)
     # Keep no cache; without want_logits=False, r = m would bill a logits readout.
     pre = prefill(
         ids, weights, upto_layer=r, want_logits=False, evict=lambda cache, scores: None
     )
-    scores = selection_scores(pre.last_q, pre.layer_k, pool_kernel, pool_mode)
+    scores = selection_scores(pre.last_q, pre.layer_k, rc.pool_kernel, rc.pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
-    if include_first and 0 not in kept:
+    if rc.include_first and 0 not in kept:
         kept = np.concatenate([kept[:-1], np.asarray([0], dtype=np.int64)])
-    return SelectionResult(
-        indices=np.sort(kept), raw_scores=scores, filter_layer=r, budget=k
-    )
+    return SelectionResult(indices=np.sort(kept), raw_scores=scores, budget=k)
 
 
 def decode_selection(tokens, sel: SelectionResult) -> list[int]:

@@ -5,11 +5,13 @@ and :func:`prompt_pass` is the one place they are told apart.  Full keeps
 every position.  Gemfilter keeps one global top-k set, chosen by a filter
 pass over the first ``r`` layers (:func:`~gemfilter.selection.select_indices`),
 and its kept tokens replace the prompt.  SnapKV and H2O keep a set per layer
-and per kv-head: the observation window plus the best prefix positions by
-the window rows' attention, smoothed by 1-D pooling (snapkv), or a recency
-window plus the heaviest prefix positions by every row's attention (h2o).
+and per kv-head through one rule, :func:`keep_positions`: a trailing window
+plus the best positions before it.  SnapKV's window is the observation
+window and its scores are the window rows' attention, smoothed by 1-D
+pooling; H2O's window is the most recent positions and its scores are every
+row's attention.
 
-Both eviction rules read one score vector per kv-head from the prompt pass
+Both rules read one score vector per kv-head from the prompt pass
 (:func:`~gemfilter.model.prefill`): the attention mass each key receives
 from the last ``score_rows`` queries.  Each layer is evicted, by a per-head
 gather into a smaller :class:`~gemfilter.model.LayerKV`, as soon as it
@@ -26,9 +28,9 @@ from enum import Enum
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import ConfigurationError, ContractViolation
 from .kernels import check_pooling, pool_1d, topk_indices
-from .model import LayerKV
 
 
 class Strategy(str, Enum):
@@ -53,7 +55,8 @@ class RunConfig:
 
     ``pool_kernel``/``pool_mode`` smooth gemfilter's selection scores and
     snapkv's window scores.  With ``window_in_budget`` False, snapkv keeps its
-    observation window on top of the budget instead of inside it.
+    observation window on top of the budget instead of inside it.  Every
+    field is checked once, here, its type first.
     """
 
     strategy: Strategy
@@ -68,6 +71,11 @@ class RunConfig:
     window_in_budget: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, Strategy):
+            raise ConfigurationError(
+                f"strategy must be a Strategy, got {self.strategy!r}; Strategy.parse reads a name"
+            )
+        check_field_types(self)
         if self.observation_window < 1:
             raise ConfigurationError("observation_window must be >= 1")
         check_pooling(self.pool_kernel, self.pool_mode)
@@ -87,79 +95,73 @@ class RunConfig:
         return 0 if self.window_in_budget else self.observation_window
 
 
-def check_budget(k: int, n: int, window: int, name: str) -> None:
-    """Reject a budget ``k`` below the ``window`` positions always kept, unless ``k >= n``."""
-    if k < n and k < window:
-        raise ConfigurationError(f"budget k={k} smaller than {name} {window}")
+def keep_positions(scores: np.ndarray, budget: int, window: int) -> np.ndarray:
+    """The one keep rule: the ascending positions a kv-head keeps of ``n = len(scores)``.
 
-
-def snapkv_retained_indices(window_scores: np.ndarray, k: int, rc: RunConfig) -> np.ndarray:
-    """Ascending retained positions for one kv-head from window attention scores.
-
-    Scores are pooled with :func:`~gemfilter.kernels.pool_1d` in
-    ``rc.pool_mode``; the best ``k - window`` prefix positions join the
-    always-kept observation window.
+    Every position when ``budget >= n``; otherwise the last ``window``
+    positions plus the ``budget - window`` best-scoring positions before
+    them, ties going to the lower index.
     """
-    n = window_scores.shape[0]
-    w = rc.observation_window
-    if n < w:
-        raise ContractViolation(f"prompt length {n} shorter than observation window {w}")
-    if k >= n:
+    n = len(scores)
+    if budget >= n:
         return np.arange(n, dtype=np.int64)
-    check_budget(k, n, w, "observation window")
+    if budget < window:
+        raise ContractViolation(f"budget {budget} below the {window} positions always kept")
+    kept = np.zeros(n, dtype=bool)
+    kept[n - window :] = True
+    if budget > window:
+        kept[topk_indices(scores[: n - window], budget - window)] = True
+    return np.flatnonzero(kept)
+
+
+def snapkv_retained_indices(window_scores: np.ndarray, rc: RunConfig) -> np.ndarray:
+    """snapkv's positions for one kv-head: its window plus the best pooled prefix.
+
+    The window rows' attention is pooled with :func:`~gemfilter.kernels.pool_1d`
+    in ``rc.pool_mode`` over every position, window included.
+    """
     pooled = pool_1d(window_scores, rc.pool_kernel, rc.pool_mode)
-    prefix = pooled[: n - w]
-    n_prefix = (k - w) if rc.window_in_budget else min(k, n - w)
-    picked = topk_indices(prefix, n_prefix) if n_prefix > 0 else np.empty(0, dtype=np.int64)
-    window_positions = np.arange(n - w, n, dtype=np.int64)
-    return np.sort(np.concatenate([picked, window_positions]))
+    return keep_positions(pooled, rc.select_k + rc.snapkv_extra_rows, rc.observation_window)
 
 
-def h2o_retained_indices(col_scores: np.ndarray, k: int, rc: RunConfig) -> np.ndarray:
-    """Ascending retained positions for one kv-head from cumulative column sums."""
-    n = col_scores.shape[0]
-    r = rc.recent_keep
-    if k >= n:
-        return np.arange(n, dtype=np.int64)
-    check_budget(k, n, r, "recent_keep")
-    prefix = col_scores[: n - r]
-    picked = topk_indices(prefix, k - r) if k - r > 0 else np.empty(0, dtype=np.int64)
-    recent = np.arange(n - r, n, dtype=np.int64)
-    return np.sort(np.concatenate([picked, recent]))
+def h2o_retained_indices(col_scores: np.ndarray, rc: RunConfig) -> np.ndarray:
+    """h2o's positions for one kv-head: its recent window plus the heaviest prefix."""
+    return keep_positions(col_scores, rc.select_k, rc.recent_keep)
 
 
-def evict_layer(cache: LayerKV, scores: np.ndarray, keep) -> LayerKV:
-    """One layer's evicted cache: each kv-head keeps the rows ``keep`` picks for it.
+def prompt_pass(rc: RunConfig, n: int, max_seq: int):
+    """How ``rc.strategy`` runs over an ``n``-token prompt: ``(filters, evict, score_rows)``.
 
-    ``scores`` is ``(n_heads, n)``; the query heads of each kv-head group are
-    summed into that kv-head's score vector, which ``keep`` maps to ascending
-    retained positions.
+    ``filters``: a filter pass first replaces the prompt with its kept tokens.
+    ``evict`` and ``score_rows`` go to :func:`~gemfilter.model.prefill`.  The
+    keep rules are looked up by name on each call, so wrappers installed on
+    the module attributes (span tracing) see every call.  Rejected here,
+    before any layer runs: first a decode past ``max_seq`` (gemfilter's
+    second pass restarts at position 0 over ``min(k, n)`` tokens), then a
+    budget below the window eviction always keeps.  Empty, overlong and
+    shorter-than-window prompts are left to prefill's checks.
     """
-    per_kv = scores.reshape(cache.keys.shape[0], -1, scores.shape[1]).sum(axis=1)
-    return cache.gather(np.stack([keep(head) for head in per_kv]))
-
-
-def prompt_pass(rc: RunConfig, n: int):
-    """How ``rc.strategy`` runs over an ``n``-token prompt.
-
-    Returns ``(filters, evict, score_rows, window)``.  ``filters``: a filter
-    pass first replaces the prompt with its kept tokens.  ``evict`` and
-    ``score_rows`` go to :func:`~gemfilter.model.prefill`.  ``window`` is the
-    ``(size, name)`` of the positions eviction always keeps, for
-    :func:`check_budget`, or None.  The keep rules are looked up by name on
-    each call, so wrappers installed on the module attributes (span tracing)
-    see every call.
-    """
-    if rc.strategy is Strategy.SNAPKV:
-        def evict(cache, scores):
-            return evict_layer(
-                cache, scores, lambda head: snapkv_retained_indices(head, rc.select_k, rc)
+    filters = rc.strategy is Strategy.GEMFILTER
+    rule, score_rows, window = {
+        Strategy.SNAPKV: ("snapkv_retained_indices", rc.observation_window, rc.observation_window),
+        Strategy.H2O: ("h2o_retained_indices", n, rc.recent_keep),
+    }.get(rc.strategy, (None, 0, 0))
+    k, t = rc.select_k, rc.max_new_tokens
+    if 1 <= n <= max_seq:
+        kept = min(k, n) if filters else n
+        if t >= 1 and kept + t - 1 > max_seq:
+            raise ContractViolation(
+                f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
             )
-        return False, evict, rc.observation_window, (rc.observation_window, "observation window")
-    if rc.strategy is Strategy.H2O:
-        def evict(cache, scores):
-            return evict_layer(
-                cache, scores, lambda head: h2o_retained_indices(head, rc.select_k, rc)
+        if score_rows <= n and k < min(n, window):
+            raise ConfigurationError(
+                f"budget k={k} smaller than the {window} positions {rc.strategy.value} always keeps"
             )
-        return False, evict, n, (rc.recent_keep, "recent_keep")
-    return rc.strategy is Strategy.GEMFILTER, None, 0, None
+    if rule is None:
+        return filters, None, 0
+
+    def evict(cache, scores):
+        keep = globals()[rule]
+        return cache.gather(np.stack([keep(head, rc) for head in scores]))
+
+    return False, evict, score_rows

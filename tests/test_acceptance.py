@@ -342,7 +342,7 @@ def test_snapkv_h2o_small_instance_oracles():
                     strategy, select_k=k,
                     observation_window=window, pool_kernel=kernel, recent_keep=recent,
                 )
-                _, evict, score_rows, _ = prompt_pass(rc, n)
+                _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
                 evicted[strategy] = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
             snap, heavy = evicted[Strategy.SNAPKV], evicted[Strategy.H2O]
             for kvh in range(cfg.n_kv_heads):

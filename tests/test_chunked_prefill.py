@@ -51,7 +51,7 @@ def observe(w, tokens, strategy):
         for phase, cost in result.session.snapshot().items()
     }
     sel = result.selection
-    _, evict, score_rows, _ = prompt_pass(rc, n)
+    _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
     layers = []
 
     def spy(cache, scores):

@@ -7,6 +7,8 @@ from gemfilter.config import ModelConfig
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.model import prefill
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
+from gemfilter.runner import RunConfig, Strategy
+from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 from gemfilter.tokenizer import BOS, VOCAB_SIZE, detokenize, tokenize
 
@@ -182,9 +184,7 @@ class TestMakeCopyModel:
         needle_at = 20
         tokens = [97] * 50 + [98]
         tokens[needle_at] = 98
-        from gemfilter.selection import select_indices
-
-        sel = select_indices(w, tokens, r=1, k=3, pool_kernel=1)
+        sel = select_indices(w, tokens, RunConfig(Strategy.GEMFILTER, select_k=3, pool_kernel=1))
         assert needle_at in sel.indices.tolist()
 
         # closed-form oracle: d * <e(T_n), e(T_i)> up to one positive factor
@@ -202,21 +202,18 @@ class TestMakeCopyModel:
         for p in needle:
             tokens[p] = 98
         k = len(needle) + kernel - 1 + 2  # needle + pooling spill + query neighborhood
-        from gemfilter.selection import select_indices
-
-        sel = select_indices(w, tokens, r=1, k=k, pool_kernel=kernel)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=k, pool_kernel=kernel)
+        sel = select_indices(w, tokens, rc)
         assert set(needle) <= set(sel.indices.tolist())
 
     def test_depth_independent_without_positions(self):
         cfg = copy_model_config(n_layers=1)
         w = make_copy_model(cfg)
-        from gemfilter.selection import select_indices
-
         for start in (0, 60, 120):
             tokens = [97] * 128 + [98]
             for p in range(start, start + 8):
                 tokens[p] = 98
-            sel = select_indices(w, tokens, r=1, k=16)
+            sel = select_indices(w, tokens, RunConfig(Strategy.GEMFILTER, select_k=16))
             assert set(range(start, start + 8)) <= set(sel.indices.tolist())
 
     def test_incompatible_configs_rejected(self):

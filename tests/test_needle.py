@@ -130,9 +130,9 @@ class TestNeedleRun:
     def test_each_filter_pass_runs_once(self, monkeypatch, r_list, t_max):
         layers = []
 
-        def spy(weights, tokens, r, *args, **kwargs):
-            layers.append(r)
-            return selection.select_indices(weights, tokens, r, *args, **kwargs)
+        def spy(weights, tokens, rc):
+            layers.append(rc.filter_layer)
+            return selection.select_indices(weights, tokens, rc)
 
         monkeypatch.setattr(runner, "select_indices", spy)
         monkeypatch.setattr(needle, "select_indices", spy, raising=False)

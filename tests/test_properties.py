@@ -6,8 +6,10 @@ parameters violate a documented constraint) or produces counters that equal
 ``cost_table`` as integers.  The global selection and each head of an
 evicted cache keep ``min(k, n)`` strictly increasing positions, evicted
 caches resume decoding at position ``n``, and a budget covering the prompt
-makes snapkv/h2o generate the full-cache tokens.  Pooling equals brute-force
-windows for any odd kernel, wider than the vector or not.
+makes snapkv/h2o generate the full-cache tokens.  The keep rule both
+eviction policies share keeps the trailing window and the best positions
+before it.  Pooling equals brute-force windows for any odd kernel, wider
+than the vector or not.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from gemfilter.errors import EngineError
 from gemfilter.kernels import pool_1d
 from gemfilter.model import prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.strategies import prompt_pass
+from gemfilter.strategies import keep_positions, prompt_pass
 from gemfilter.testmodels import make_random_model
 
 
@@ -87,8 +89,8 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     for method in ("snapkv", "h2o"):
         if not _valid(method, p):
             continue
-        rc = RunConfig(Strategy(method), select_k=p["k"], **eviction)
-        _, evict, score_rows, _ = prompt_pass(rc, p["n"])
+        rc = RunConfig(Strategy(method), max_new_tokens=p["t"], select_k=p["k"], **eviction)
+        _, evict, score_rows = prompt_pass(rc, p["n"], weights.config.max_seq)
         compressed = prefill(tokens, weights, evict=evict, score_rows=score_rows).caches
         for layer in compressed:
             assert layer.positions.shape == (p["h_kv"], min(p["k"], p["n"]))
@@ -96,6 +98,31 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
             assert layer.next_position == p["n"]
         if p["k"] >= p["n"]:
             assert outputs[method] == outputs["full"]
+
+
+@st.composite
+def keep_cases(draw):
+    n = draw(st.integers(1, 40))
+    window = draw(st.integers(0, n))
+    budget = draw(st.integers(window, n + 4))
+    # Few distinct values, so ties are common.
+    scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return np.asarray(scores, dtype=np.float64), budget, window
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(keep_cases())
+def test_keep_positions_keeps_the_window_and_the_best_prefix(case):
+    scores, budget, window = case
+    n = scores.size
+    kept = keep_positions(scores, budget, window)
+    assert kept.dtype == np.int64 and kept.size == min(budget, n)
+    assert np.all(np.diff(kept) > 0)
+    assert set(range(n - window, n)) <= set(kept.tolist())
+    best = [int(p) for p in kept if p < n - window]
+    for dropped in sorted(set(range(n - window)) - set(best)):
+        for p in best:  # a dropped position scores lower, or equal and later
+            assert scores[dropped] < scores[p] or (scores[dropped] == scores[p] and dropped > p)
 
 
 @st.composite

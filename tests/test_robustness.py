@@ -6,7 +6,7 @@ CLI, which must exit with code 1 and name the error on stderr.
 
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,7 +57,7 @@ def test_nan_weights_fail_selection_on_copy_model():
     weights = make_copy_model(copy_model_config())
     weights.layers[0].wq[0, 0] = np.nan
     with pytest.raises(ContractViolation, match="not finite"):
-        select_indices(weights, list(range(40)), r=1, k=5)
+        select_indices(weights, list(range(40)), RunConfig(Strategy.GEMFILTER, select_k=5))
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -340,7 +340,7 @@ def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypat
     calls = []
     monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
     with CostSession().activate(), pytest.raises(ContractViolation, match="pool"):
-        select_indices(weights, tokens, r=1, k=4, **pool)
+        select_indices(weights, tokens, RunConfig(Strategy.GEMFILTER, select_k=4, **pool))
     with pytest.raises(ContractViolation, match="pool"):
         run_generation(weights, tokens, RunConfig(Strategy.GEMFILTER, select_k=4, **pool))
     if "pool_kernel" in pool:
@@ -388,6 +388,20 @@ def test_budget_and_filter_layer_below_one_are_one_error_class(
         assert generate_exit_code(model, *argv) == 1, strategy
         captured = capsys.readouterr()
         assert "ContractViolation" in captured.err and captured.out == "", strategy
+
+
+# RunConfig's int and bool settings, by annotation.
+RUN_TYPED_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.type in ("int", "bool")}
+
+
+@pytest.mark.parametrize("field", sorted(RUN_TYPED_FIELDS))
+def test_run_config_rejects_a_value_of_the_wrong_type(field):
+    """A float, string or None ends in no TypeError, and a bool is not an int (nor 1 a bool)."""
+    default = getattr(RunConfig(Strategy.FULL), field)
+    other = True if RUN_TYPED_FIELDS[field] == "int" else int(default)
+    for value in (float(default), str(default), None, other):
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            RunConfig(Strategy.SNAPKV, **{field: value})
 
 
 @pytest.mark.parametrize(

@@ -95,10 +95,15 @@ class TestSelectionScores:
 # ---------------------------------------------------------------- select
 
 
+def gem_rc(r, k, **settings):
+    """A gemfilter RunConfig filtering at layer ``r`` with budget ``k``."""
+    return RunConfig(Strategy.GEMFILTER, filter_layer=r, select_k=k, **settings)
+
+
 class TestSelectIndices:
     def test_k_at_least_n_selects_everything(self):
         w = make_random_model(small_config(), 2)
-        sel = select_indices(w, list(range(9)), r=1, k=50)
+        sel = select_indices(w, list(range(9)), gem_rc(r=1, k=50))
         assert sel.indices.tolist() == list(range(9))
 
     def test_prompt_flops_are_r_over_m_of_full_prefill(self):
@@ -107,7 +112,7 @@ class TestSelectIndices:
         tokens = list(range(24))
         s_sel, s_full = CostSession(), CostSession()
         with s_sel.activate():
-            select_indices(w, tokens, r=3, k=8)
+            select_indices(w, tokens, gem_rc(r=3, k=8))
         with s_full.activate():
             prefill(tokens, w, want_logits=False)
         sel_cost = s_sel.phase_cost(PROMPT)
@@ -121,7 +126,7 @@ class TestSelectIndices:
         w = make_random_model(cfg, 4)
         session = CostSession()
         with session.activate():
-            select_indices(w, list(range(16)), r=2, k=4)
+            select_indices(w, list(range(16)), gem_rc(r=2, k=4))
         assert session.phase_cost(PROMPT).weight_bytes_touched == 2 * w.per_layer_bytes
 
     def test_copy_model_needle_subset(self):
@@ -131,22 +136,22 @@ class TestSelectIndices:
         needle = [98] * 6
         tokens = [97] * 40 + needle + [97] * 40 + [98]
         k = len(needle) + 2 * (kernel // 2)  # needle plus pooling spill
-        sel = select_indices(w, tokens, r=1, k=k, pool_kernel=kernel)
+        sel = select_indices(w, tokens, gem_rc(r=1, k=k, pool_kernel=kernel))
         needle_positions = set(range(40, 46))
         assert needle_positions <= set(sel.indices.tolist())
 
     def test_r_out_of_range(self):
         w = make_random_model(small_config(m=2), 0)
         with pytest.raises(ContractViolation):
-            select_indices(w, [1, 2, 3], r=3, k=2)
+            select_indices(w, [1, 2, 3], gem_rc(r=3, k=2))
 
     def test_include_first_flag(self):
         cfg = copy_model_config(n_layers=1)
         w = make_copy_model(cfg)
         tokens = [97] * 30 + [98] * 4 + [98]
-        base = select_indices(w, tokens, r=1, k=6)
+        base = select_indices(w, tokens, gem_rc(r=1, k=6))
         assert 0 not in base.indices.tolist()
-        forced = select_indices(w, tokens, r=1, k=6, include_first=True)
+        forced = select_indices(w, tokens, gem_rc(r=1, k=6, include_first=True))
         assert forced.indices[0] == 0
         assert forced.indices.shape == base.indices.shape
 
@@ -167,7 +172,7 @@ class TestSelectIndices:
             ("avg", np.asarray([win.sum() / 5 for win in windows])),
             ("max", np.asarray([win.max() for win in windows])),
         ]:
-            sel = select_indices(w, tokens, r=2, k=4, pool_mode=mode)
+            sel = select_indices(w, tokens, gem_rc(r=2, k=4, pool_mode=mode))
             np.testing.assert_allclose(sel.raw_scores, oracle, rtol=1e-12, atol=0)
             top = np.argsort(-oracle, kind="stable")[: min(4, n)]
             assert sel.indices.tolist() == sorted(top.tolist())
@@ -179,7 +184,7 @@ class TestSelectIndices:
             n = int(rng.integers(4, 30))
             k = int(rng.integers(1, n + 3))
             tokens = rng.integers(0, 64, size=n).tolist()
-            sel = select_indices(w, tokens, r=1, k=k)
+            sel = select_indices(w, tokens, gem_rc(r=1, k=k))
             assert np.all(np.diff(sel.indices) > 0) or sel.indices.size <= 1
             assert sel.indices.size == min(k, n)
 
@@ -191,13 +196,13 @@ class TestDecodeSelection:
     def test_all_indices_returns_original(self):
         tokens = [9, 8, 7, 6]
         sel = SelectionResult(
-            indices=np.arange(4), raw_scores=np.zeros(4), filter_layer=1, budget=4
+            indices=np.arange(4), raw_scores=np.zeros(4), budget=4
         )
         assert decode_selection(tokens, sel) == tokens
 
     def test_singleton(self):
         sel = SelectionResult(
-            indices=np.asarray([0]), raw_scores=np.zeros(3), filter_layer=1, budget=1
+            indices=np.asarray([0]), raw_scores=np.zeros(3), budget=1
         )
         assert decode_selection([5, 6, 7], sel) == [5]
 
@@ -206,13 +211,13 @@ class TestDecodeSelection:
         w = make_copy_model(cfg)
         needle = [98] * 8
         tokens = [97] * 64 + needle + [97] * 64 + [98]
-        sel = select_indices(w, tokens, r=1, k=16)
+        sel = select_indices(w, tokens, gem_rc(r=1, k=16))
         sub = decode_selection(tokens, sel)
         assert "".join(map(chr, needle)) in "".join(map(chr, sub))
 
     def test_out_of_range_rejected(self):
         sel = SelectionResult(
-            indices=np.asarray([2]), raw_scores=np.zeros(3), filter_layer=1, budget=1
+            indices=np.asarray([2]), raw_scores=np.zeros(3), budget=1
         )
         with pytest.raises(ContractViolation):
             decode_selection([1, 2], sel)
@@ -298,7 +303,7 @@ class TestIndexSetShapes:
         cfg = small_config(m=3, h=4, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 12)
         tokens = list(range(40))
-        sel = select_indices(w, tokens, r=1, k=10)
+        sel = select_indices(w, tokens, gem_rc(r=1, k=10))
         assert sel.indices.ndim == 1
 
         rc = RunConfig(
@@ -311,7 +316,7 @@ class TestIndexSetShapes:
         result = run_generation(w, tokens, rc)
         assert result.selection is None  # no global set for the compressors
 
-        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         assert len(compressed) == cfg.n_layers
         for layer in compressed:

@@ -1,7 +1,9 @@
 """Compression strategy tests: brute-force score oracles on small instances."""
 
 import math
+import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +12,13 @@ from gemfilter.config import ModelConfig
 from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
-from gemfilter import model, runner, selection
+from gemfilter import kernels, model, runner, selection, strategies
 from gemfilter.model import LayerKV, decode_step, embed, prefill, run_layer
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
-    evict_layer,
     h2o_retained_indices,
+    keep_positions,
     prompt_pass,
     snapkv_retained_indices,
 )
@@ -93,6 +95,11 @@ def h2o_oracle(probs_per_head, k, recent):
     return sorted(order + list(range(n - recent, n)))
 
 
+def eviction(rc, n):
+    """The per-layer eviction :func:`prompt_pass` maps ``rc`` to over ``n`` prompt tokens."""
+    return prompt_pass(rc, n, max_seq=4096)[1]
+
+
 def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -113,24 +120,26 @@ def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
 class TestRetainedIndexRules:
     def test_snapkv_budget_covers_everything(self):
         scores = np.asarray([5.0, 1.0, 3.0, 2.0], dtype=np.float64)
-        params = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
-        assert snapkv_retained_indices(scores, 4, params).tolist() == [0, 1, 2, 3]
-        assert snapkv_retained_indices(scores, 9, params).tolist() == [0, 1, 2, 3]
+        for k in (4, 9):
+            params = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=2, pool_kernel=1)
+            assert snapkv_retained_indices(scores, params).tolist() == [0, 1, 2, 3]
 
     def test_snapkv_keeps_window_and_top_prefix(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        params = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
-        assert snapkv_retained_indices(scores, 3, params).tolist() == [1, 4, 5]
+        params = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        assert snapkv_retained_indices(scores, params).tolist() == [1, 4, 5]
 
     def test_snapkv_window_larger_than_budget_rejected(self):
-        params = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=1)
-        with pytest.raises(ConfigurationError):
-            snapkv_retained_indices(np.zeros(10), 3, params)
+        params = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=4, pool_kernel=1)
+        with pytest.raises(ContractViolation):
+            snapkv_retained_indices(np.zeros(10), params)
+        with pytest.raises(ConfigurationError, match="budget k=3 smaller than the 4 positions"):
+            prompt_pass(params, 10, max_seq=64)
 
     def test_snapkv_prompt_shorter_than_window_rejected(self):
-        params = RunConfig(Strategy.SNAPKV, observation_window=8, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, select_k=2, observation_window=8, pool_kernel=1)
         with pytest.raises(ContractViolation):
-            snapkv_retained_indices(np.zeros(4), 2, params)
+            snapkv_retained_indices(np.zeros(4), params)
 
     def test_snapkv_subset_monotone_in_k(self):
         rng = np.random.default_rng(0)
@@ -138,44 +147,57 @@ class TestRetainedIndexRules:
         params = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=5)
         prev: set[int] = set()
         for k in range(4, 41, 3):
-            kept = set(snapkv_retained_indices(scores, k, params).tolist())
+            kept = set(snapkv_retained_indices(scores, replace(params, select_k=k)).tolist())
             assert prev <= kept
             prev = kept
 
     def test_h2o_keeps_recent_and_heavy(self):
         scores = np.asarray([1.0, 7.0, 2.0, 5.0, 0.0, 0.0], dtype=np.float64)
-        params = RunConfig(Strategy.H2O, recent_keep=2)
-        assert h2o_retained_indices(scores, 4, params).tolist() == [1, 3, 4, 5]
+        params = RunConfig(Strategy.H2O, select_k=4, recent_keep=2)
+        assert h2o_retained_indices(scores, params).tolist() == [1, 3, 4, 5]
 
     def test_h2o_uniform_scores_tie_break_low_indices(self):
-        params = RunConfig(Strategy.H2O, recent_keep=3)
-        kept = h2o_retained_indices(np.full(10, 0.25), 6, params)
+        params = RunConfig(Strategy.H2O, select_k=6, recent_keep=3)
+        kept = h2o_retained_indices(np.full(10, 0.25), params)
         assert kept.tolist() == [0, 1, 2, 7, 8, 9]
 
     def test_h2o_recent_larger_than_budget_rejected(self):
-        params = RunConfig(Strategy.H2O, recent_keep=5)
-        with pytest.raises(ConfigurationError):
-            h2o_retained_indices(np.zeros(10), 4, params)
+        params = RunConfig(Strategy.H2O, select_k=4, recent_keep=5)
+        with pytest.raises(ContractViolation):
+            h2o_retained_indices(np.zeros(10), params)
+        with pytest.raises(ConfigurationError, match="budget k=4 smaller than the 5 positions"):
+            prompt_pass(params, 10, max_seq=64)
 
     def test_window_outside_budget_flag(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
         params = RunConfig(
-            Strategy.SNAPKV, observation_window=2, pool_kernel=1, window_in_budget=False
+            Strategy.SNAPKV, select_k=2, observation_window=2, pool_kernel=1,
+            window_in_budget=False,
         )
-        kept = snapkv_retained_indices(scores, 2, params)
+        kept = snapkv_retained_indices(scores, params)
         # budget applies to the prefix only; the window rides on top
         assert kept.tolist() == [1, 3, 4, 5]
 
     def test_max_pooling_mode(self):
         scores = np.asarray([0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
-        avg = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, pool_mode="avg")
-        mx = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, pool_mode="max")
-        kept_avg = snapkv_retained_indices(scores, 4, avg)
-        kept_max = snapkv_retained_indices(scores, 4, mx)
+        avg = RunConfig(
+            Strategy.SNAPKV, select_k=4, observation_window=2, pool_kernel=3, pool_mode="avg"
+        )
+        kept_avg = snapkv_retained_indices(scores, avg)
+        kept_max = snapkv_retained_indices(scores, replace(avg, pool_mode="max"))
         # both keep the spike and its pooled neighborhood under this budget
         assert 2 in kept_avg.tolist() and 2 in kept_max.tolist()
         with pytest.raises(ContractViolation):
             RunConfig(Strategy.SNAPKV, pool_mode="median")
+
+    def test_both_rules_are_one_keep_rule(self):
+        rng = np.random.default_rng(4)
+        scores = rng.random(20)
+        snap = RunConfig(Strategy.SNAPKV, select_k=7, observation_window=3, pool_kernel=1)
+        h2o = RunConfig(Strategy.H2O, select_k=7, recent_keep=3)
+        expected = keep_positions(scores, 7, 3)
+        assert snapkv_retained_indices(scores, snap).tolist() == expected.tolist()
+        assert h2o_retained_indices(scores, h2o).tolist() == expected.tolist()
 
 
 # ------------------------------------------------------------- compressors
@@ -191,7 +213,7 @@ class TestCompressAgainstBruteForce:
         window, k = 3, 6
         rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=window, pool_kernel=3)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
-        _, evict, score_rows, _ = prompt_pass(rc, n)
+        _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
 
         # Oracle recomputes each head's probabilities from the layer's q and cached k.
@@ -212,7 +234,7 @@ class TestCompressAgainstBruteForce:
         k, recent = 6, 2
         rc = RunConfig(Strategy.H2O, select_k=k, recent_keep=recent)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
-        _, evict, score_rows, _ = prompt_pass(rc, n)
+        _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         probs = [
             masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[0])
@@ -224,8 +246,8 @@ class TestCompressAgainstBruteForce:
     def test_k_equals_n_identity_retention(self):
         caches = dummy_caches(8)
         scores = np.random.default_rng(1).random((2, 8))
-        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3)
-        layer = evict_layer(caches[0], scores, lambda head: snapkv_retained_indices(head, 8, rc))
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=2, pool_kernel=3)
+        layer = eviction(rc, 8)(caches[0], scores)
         for kvh in range(2):
             assert layer.positions[kvh].tolist() == list(range(8))
             assert np.array_equal(layer.keys[kvh], caches[0].keys[kvh])
@@ -236,10 +258,8 @@ class TestCompressAgainstBruteForce:
         window_sums = np.zeros((2, n))
         window_sums[:, target] = 1.0
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
-        layer = evict_layer(
-            caches[0], window_sums, lambda head: snapkv_retained_indices(head, 3, rc)
-        )
+        rc = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        layer = eviction(rc, n)(caches[0], window_sums)
         for kvh in range(2):
             assert target in layer.positions[kvh].tolist()
 
@@ -249,10 +269,8 @@ class TestCompressAgainstBruteForce:
         window_sums[0, 1] = 5.0
         window_sums[1, 7] = 5.0
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=1)
-        layer = evict_layer(
-            caches[0], window_sums, lambda head: snapkv_retained_indices(head, 3, rc)
-        )
+        rc = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        layer = eviction(rc, n)(caches[0], window_sums)
         a = layer.positions[0].tolist()
         b = layer.positions[1].tolist()
         assert a != b
@@ -263,15 +281,12 @@ class TestCompressAgainstBruteForce:
         rng = np.random.default_rng(2)
         base = rng.random((2, n))
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=3)
-
-        def keep(head):
-            return snapkv_retained_indices(head, 8, rc)
-
-        first = evict_layer(caches[0], base, keep)
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=4, pool_kernel=3)
+        evict = eviction(rc, n)
+        first = evict(caches[0], base)
         tweaked = base.copy()
         tweaked[1] = rng.random(n)
-        second = evict_layer(caches[0], tweaked, keep)
+        second = evict(caches[0], tweaked)
         assert np.array_equal(first.positions[0], second.positions[0])
 
     def test_budget_exactness_random(self):
@@ -280,13 +295,11 @@ class TestCompressAgainstBruteForce:
             n = int(rng.integers(6, 30))
             k = int(rng.integers(4, n + 4))
             caches = dummy_caches(n, seed=int(rng.integers(0, 10**6)))
-            scores = {
-                snapkv_retained_indices: rng.random((2, n)),
-                h2o_retained_indices: rng.random((2, n)),
-            }
-            rc = RunConfig(Strategy.SNAPKV, observation_window=2, pool_kernel=3, recent_keep=2)
-            for rule, per_head in scores.items():
-                layer = evict_layer(caches[0], per_head, lambda head: rule(head, k, rc))
+            for strategy in (Strategy.SNAPKV, Strategy.H2O):
+                rc = RunConfig(
+                    strategy, select_k=k, observation_window=2, pool_kernel=3, recent_keep=2
+                )
+                layer = eviction(rc, n)(caches[0], rng.random((2, n)))
                 for kvh in range(2):
                     idx = layer.positions[kvh]
                     assert idx.shape[0] == min(k, n)
@@ -305,7 +318,7 @@ class TestCompressedDecode:
             Strategy.SNAPKV, select_k=len(tokens), observation_window=2, pool_kernel=1
         )
         pre = prefill(tokens, w)
-        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         for step_token in (3, 9, 1):
             full_logits = decode_step(step_token, pre.caches, w)
@@ -346,7 +359,7 @@ class TestCompressedDecode:
         tokens = list(range(12))
         k = 4
         rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=2, pool_kernel=1)
-        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         expected = 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
         assert sum(c.nbytes for c in compressed) == expected
@@ -357,7 +370,7 @@ class TestCompressedDecode:
         tokens = list(range(20))
         rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=4, pool_kernel=3)
         pre = prefill(tokens, w)
-        _, evict, score_rows, _ = prompt_pass(rc, len(tokens))
+        _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         evicted = prefill(tokens, w, evict=evict, score_rows=score_rows)
         streamed = evicted.caches
         assert evicted.logits is not None
@@ -373,7 +386,7 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 9)
         n, k = 32, 8
         rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=4, pool_kernel=3)
-        _, evict, score_rows, _ = prompt_pass(rc, n)
+        _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         session = CostSession()
         with session.activate():
             prefill(list(range(n)), w, evict=evict, score_rows=score_rows)
@@ -394,6 +407,71 @@ def test_unknown_strategy_rejected_before_any_layer_runs(tmp_path, capsys, monke
     assert main(argv) == 1
     assert "ConfigurationError" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [s.value for s in Strategy])
+def test_strategy_given_as_a_name_rejected(name):
+    """A name would match no strategy in prompt_pass and silently run the full cache."""
+    with pytest.raises(ConfigurationError, match="Strategy.parse"):
+        RunConfig(name)
+    assert RunConfig(Strategy.parse(name)).strategy is Strategy(name)
+
+
+# The module attributes span tracing wraps, and so must see every call.
+CALLED_BY_NAME = (
+    (strategies, "snapkv_retained_indices"),
+    (strategies, "h2o_retained_indices"),
+    (runner, "select_indices"),
+    (model, "prefill"),
+    (model, "run_layer"),
+    (model, "decode_step"),
+    (kernels, "pool_1d"),
+    (kernels, "topk_indices"),
+)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
+    """Each target is replaced wherever a gemfilter module binds it, as a tracer does.
+
+    A call through a reference captured before the run (a default argument, a
+    table of functions) would bypass the spy and leave a count short.
+    """
+    calls = {name: [] for _, name in CALLED_BY_NAME}
+    for owner, name in CALLED_BY_NAME:
+        real = getattr(owner, name)
+
+        def spy(*args, _calls=calls[name], _real=real, **kwargs):
+            _calls.append(args)
+            return _real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "gemfilter":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    m, hk, n, t = 2, 2, 24, 3
+    rc = RunConfig(
+        strategy, max_new_tokens=t, select_k=8,
+        observation_window=4, recent_keep=4, pool_kernel=3,
+    )
+    run_generation(make_random_model(small_config(m=m, h=4, hk=hk), 11), list(range(n)), rc)
+
+    per_head = m * hk
+    expected = {
+        "snapkv_retained_indices": per_head if strategy is Strategy.SNAPKV else 0,
+        "h2o_retained_indices": per_head if strategy is Strategy.H2O else 0,
+        "select_indices": int(strategy is Strategy.GEMFILTER),
+        "prefill": 2 if strategy is Strategy.GEMFILTER else 1,
+        "decode_step": t - 1,
+        "pool_1d": {Strategy.GEMFILTER: 1, Strategy.SNAPKV: per_head}.get(strategy, 0),
+        "topk_indices": {Strategy.FULL: 0, Strategy.GEMFILTER: 1}.get(strategy, per_head),
+    }
+    assert {name: len(calls[name]) for name in expected} == expected
+    assert calls["run_layer"]
+    for name in ("snapkv_retained_indices", "h2o_retained_indices"):
+        assert all(len(args[0]) == n for args in calls[name])
 
 
 # ------------------------------------------------------------- cache bytes
