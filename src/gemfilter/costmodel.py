@@ -18,6 +18,10 @@ integer identities.  The conventions, shared with the implementation:
   top of the budget when the window is outside it.
 * Weight bytes count transformer layers actually read in a phase
   (``layers_touched * w``); embeddings and the final norm live outside ``w``.
+* The filter pass runs ``r - 1`` layers in full and only layer ``r``'s
+  fused Q/K/V product, ``2*n*d_model*(d_model + 2*h_kv*head_dim)``, keeping
+  that layer's keys alone.  So the full/gemfilter prompt FLOP ratio is at
+  least the layer ratio ``m/r``; the filter pass still reads ``r`` layers.
 
 Wall time is measured and reported but never predicted here.
 """
@@ -127,12 +131,13 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
 
     Prompt-phase rows: a full-cache pass costs every layer over n tokens and
     retains all caches; the compressors cost the same pass but peak at one
-    full layer plus all compressed layers; the filter pass costs r layers and
-    retains nothing beyond one layer's K/V.  Generation-phase rows: the
-    two-pass method re-prefills the k selected tokens (its k^2 term) while
-    the others decode against caches of n or k rows (snapkv: k plus its
-    extra rows).  With t = 0 no layer
-    runs in generation, so every generation counter is 0.
+    full layer plus all compressed layers; the filter pass costs ``r - 1``
+    layers plus layer ``r``'s Q/K/V product, reads ``r`` layers' weights, and
+    peaks at one full layer's K/V (layer ``r``'s keys alone when ``r = 1``).
+    Generation-phase rows: the two-pass method re-prefills the k selected
+    tokens (its k^2 term) while the others decode against caches of n or k
+    rows (snapkv: k plus its extra rows).  With t = 0 no layer runs in
+    generation, so every generation counter is 0.
     """
     k = p.k_eff
     s = max(p.t - 1, 0)
@@ -163,10 +168,14 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         )
         return {PROMPT: prompt, GENERATION: gen}
 
+    # Layers 1..r-1 in full, then only the filter layer's fused Q/K/V product.
+    filter_flops = _prefill_flops(p, p.n, p.r - 1)
+    filter_flops["proj"] += 2 * p.n * p.d_model * (p.d_model + 2 * p.h_kv * p.head_dim)
     filter_prompt = PhaseCost(
         PROMPT,
-        flops_by_tag=_prefill_flops(p, p.n, p.r),
-        kv_bytes_peak=_kv_bytes(p, 1, p.n),
+        flops_by_tag=filter_flops,
+        # One full layer's K/V before the filter layer; the filter layer's keys alone.
+        kv_bytes_peak=_kv_bytes(p, 1, p.n) if p.r > 1 else _kv_bytes(p, 1, p.n) // 2,
         weight_bytes_touched=p.r * p.layer_weight_bytes,
     )
     full_gen = PhaseCost(
@@ -287,7 +296,10 @@ def format_cost_table(p: CostParams, table: dict[str, dict[str, PhaseCost]]) -> 
     gem_p = table["gemfilter"][PROMPT]
     if gem_p.matmul_flops:
         ratio = full_p.matmul_flops / gem_p.matmul_flops
-        lines.append(f"prompt flops ratio full/gemfilter = {ratio:.2f} (layer ratio {p.m}/{p.r} = {p.m / p.r:.2f})")
+        lines.append(
+            f"prompt flops ratio full/gemfilter = {ratio:.2f} "
+            f"(lower bound: layer ratio {p.m}/{p.r} = {p.m / p.r:.2f})"
+        )
     if gem_p.total_bytes:
         lines.append(
             "prompt bytes full : snapkv : gemfilter = "

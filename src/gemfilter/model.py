@@ -7,16 +7,15 @@ tensor's name and shape in file order, and weight validation, model files
 The forward path is split the way the engine needs it: :func:`prefill` runs
 the prompt through the first ``upto_layer`` layers (optionally replacing
 each layer's cache, as soon as the layer finishes, with an evicted one or
-with nothing, and exposing the last computed layer's keys and last-row
-query for token selection), and :func:`decode_step` advances one token
-against mutable per-layer caches.  Both go through :func:`run_layer`, the
-one layer body, which appends its rows' K/V to a cache and attends to
-everything the cache holds: a decode step is one row, and the prompt runs
-through each layer in chunks of :data:`CHUNK_ROWS` rows, each overwriting
-its rows of the residual stream in place.  So a prompt pass holds the
-``n x d_model`` residual stream, the layer's ``n``-row cache and the kept
-ones, one ``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized
-transients; nothing else grows with ``n``.
+with nothing), and :func:`decode_step` advances one token against mutable
+per-layer caches.  Both go through :func:`run_layer`, the one layer body,
+which appends its rows' K/V to a cache and attends to everything the cache
+holds: a decode step is one row, and the prompt runs through each layer in
+chunks of :data:`CHUNK_ROWS` rows, each overwriting its rows of the
+residual stream in place.  So a prompt pass holds the ``n x d_model``
+residual stream, the layer's ``n``-row cache and the kept ones, one
+``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized transients; nothing
+else grows with ``n``.
 
 Eviction reads one score vector per kv-head: the float64 column sums of
 the last ``score_rows`` attention probability rows of its query heads,
@@ -30,13 +29,14 @@ one past the largest position it holds.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
-float32.  One product with each layer's fused ``[wq | wk | wv]`` buffer
-projects Q, K and V, and Q/K rotate by rows of a per-model rotary table
-(:meth:`ModelWeights.rope`).  Attention (:func:`_attention`) runs every
-query head in one call, batched over the kv-head groups and blocked over
-query rows with a causal skip.  Its dense products are charged to the
-ambient cost session by :func:`prefill` (``n x n`` once per layer) and
-:func:`decode_step` (one row per layer), and
+float32.  The layer opens with :func:`project_qkv`: one product with the
+layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
+by rows of a per-model rotary table (:meth:`ModelWeights.rope`).  Token
+selection runs only this opening of its filter layer.  Attention
+(:func:`_attention`) runs every query head in one call, batched over the
+kv-head groups and blocked over query rows with a causal skip.  Its dense
+products are charged to the ambient cost session by :func:`prefill`
+(``n x n`` once per layer) and :func:`decode_step` (one row per layer), and
 :func:`~gemfilter.kernels.matmul` charges the rest.
 Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
 attention, eviction and token selection all group the query heads this way
@@ -289,8 +289,6 @@ class LayerKV:
 class PrefillResult:
     hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
     caches: list[LayerKV]
-    last_q: np.ndarray  # (n_heads, head_dim) post-rotation Q of the last row, last computed layer
-    layer_k: np.ndarray  # (n_kv_heads, n, head_dim) post-rotation K of last computed layer
     logits: np.ndarray | None  # (vocab,) last-position logits, when requested
 
 
@@ -425,6 +423,31 @@ def _charge_attention(cfg: ModelConfig, rows: int, keys: int) -> None:
     count_matmul("attn_value", cfg.n_heads * rows, keys, cfg.head_dim)
 
 
+def project_qkv(
+    x: np.ndarray, weights: ModelWeights, layer_idx: int, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The opening of a layer over the rows of ``x`` at ``positions``: its Q, K and V.
+
+    The attention RMS-norm, one product with the layer's fused
+    ``[wq | wk | wv]`` buffer (``weights.qkv``), and the rotation of Q and K
+    together by rows of the model's rotary table.  Reads the layer's
+    weights, so the layer is touched.  Returns ``qk``,
+    ``(rows, n_heads + n_kv_heads, head_dim)``, post-rotation Q heads then K
+    heads, and ``v``, ``(rows, n_kv_heads, head_dim)``.
+    """
+    cfg = weights.config
+    touch_layer(layer_idx, weights.per_layer_bytes)
+    n = x.shape[0]
+    h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
+    xn = rms_norm_rows(x, weights.layers[layer_idx].attn_norm, cfg.norm_eps)
+    qkv = matmul(xn, weights.qkv[layer_idx], tag="proj")
+    del xn
+    qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
+    if cfg.use_rope:
+        qk = _rotate(qk, *weights.rope(positions))
+    return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
+
+
 def run_layer(
     x: np.ndarray,
     weights: ModelWeights,
@@ -440,31 +463,23 @@ def run_layer(
     everything it then holds: a decode step is one row, and :func:`prefill`
     runs the prompt as consecutive row chunks into one cache.  The layer's
     output overwrites ``x``; the cache is all a later chunk or step reads.
-    One product projects Q, K and V (``weights.qkv``), Q and K are rotated
-    together by rows of the model's rotary table, and all query heads attend
-    in one :func:`_attention` call over the kv-head groups, which adds to
-    ``received`` (``(h_kv, g, >= len(cache))`` float64) the attention each
-    key gets from the rows that are key row ``first_scored`` or later (what
-    cache eviction consumes).  Attention is not charged here (see
-    :func:`_charge_attention`).  Returns the rows' post-rotation Q,
+    :func:`project_qkv` projects and rotates Q, K and V, and all query
+    heads attend in one :func:`_attention` call over the kv-head groups,
+    which adds to ``received`` (``(h_kv, g, >= len(cache))`` float64) the
+    attention each key gets from the rows that are key row ``first_scored``
+    or later (what cache eviction consumes).  Attention is not charged here
+    (see :func:`_charge_attention`).  Returns the rows' post-rotation Q,
     ``(rows, n_heads, head_dim)``.
     """
     cfg = weights.config
     lw = weights.layers[layer_idx]
-    touch_layer(layer_idx, weights.per_layer_bytes)
     n = x.shape[0]
     h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
-    xn = rms_norm_rows(x, lw.attn_norm, cfg.norm_eps)
-    qkv = matmul(xn, weights.qkv[layer_idx], tag="proj")
-    del xn
-    qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
-    if cfg.use_rope:
-        qk = _rotate(qk, *weights.rope(positions))
+    qk, v = project_qkv(x, weights, layer_idx, positions)
     q = qk[:, :h].copy()
-    v = qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
     cache.append(qk[:, h:].transpose(1, 0, 2), v.transpose(1, 0, 2), positions)
-    del qkv, qk, v  # the cache holds K and V now
+    del qk, v  # the cache holds K and V now
 
     grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
     out = _attention(grouped_q, cache.keys, cache.values, received, first_scored)
@@ -549,7 +564,7 @@ def prefill(
         received = np.zeros((hk, h // hk, n)) if score_rows else None
         for lo, hi in _chunks(n):
             positions = np.arange(lo, hi, dtype=np.int64)
-            q = run_layer(x[lo:hi], weights, li, positions, layer_kv, received, n - score_rows)
+            run_layer(x[lo:hi], weights, li, positions, layer_kv, received, n - score_rows)
         _charge_attention(cfg, n, n)
         scores = None if received is None else received.sum(axis=1)
         kept = layer_kv if evict is None else evict(layer_kv, scores)
@@ -558,13 +573,10 @@ def prefill(
         live = sum(c.nbytes for c in caches)
         # A replaced layer's full cache is still live at this checkpoint.
         note_kv_bytes(live if kept is layer_kv else live + layer_kv.nbytes)
-        if li < upto - 1:
-            del layer_kv, received, scores  # drop this layer's full K/V before the next runs
+        del layer_kv, received, scores  # drop this layer's full K/V before the next runs
 
     logits = logits_from_hidden(x[-1], weights) if want_logits else None
-    return PrefillResult(
-        hidden=x, caches=caches, last_q=q[-1], layer_k=layer_kv.keys, logits=logits
-    )
+    return PrefillResult(hidden=x, caches=caches, logits=logits)
 
 
 def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.ndarray:

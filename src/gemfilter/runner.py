@@ -51,7 +51,7 @@ def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
                 )
                 caches = pre.caches
                 out = [argmax(pre.logits)] if t else []
-                del pre  # its hidden rows and last-layer keys are not decoded against
+                del pre  # its hidden rows are not decoded against
         if t:
             with session.in_phase(GENERATION):
                 session.note_kv_bytes(sum(cache.nbytes for cache in caches))

@@ -1,16 +1,19 @@
 """Early-layer token selection.
 
-The filter pass runs only the first ``r`` (``RunConfig.filter_layer``)
-transformer layers of the prompt, scores every key position by the summed
-last-row attention of layer ``r`` across all heads, and keeps the top ``k``
-(``RunConfig.select_k``) positions as one global, sorted index set.  The
-scores read layer ``r``'s head-major keys as its cache holds them: under
-grouped-query attention each kv-head's keys are contracted with the query
-heads of its group, the grouping attention itself uses.  The
-second pass (driven by :func:`gemfilter.runner.run_generation`) re-runs the
-full model over just the selected sub-sequence with fresh positions 0..k-1
-(the rotary embedding is recomputed, so the positional span shrinks to
-k + t) and generates greedily.
+The filter pass runs the first ``r - 1`` (``RunConfig.filter_layer``)
+transformer layers of the prompt in full, then only the opening of layer
+``r``: its RMS-norm, fused Q/K/V product and rotation
+(:func:`~gemfilter.model.project_qkv`).  It scores every key position by the
+summed last-row attention of layer ``r`` across all heads, and keeps the top
+``k`` (``RunConfig.select_k``) positions as one global, sorted index set.
+Layer ``r``'s attention and MLP never run: the scores need only its keys and
+last-row query.  The scores read layer ``r``'s head-major keys in the layout
+a cache holds them: under grouped-query attention each kv-head's keys are
+contracted with the query heads of its group, the grouping attention itself
+uses.  The second pass (driven by :func:`gemfilter.runner.run_generation`)
+re-runs the full model over just the selected sub-sequence with fresh
+positions 0..k-1 (the rotary embedding is recomputed, so the positional span
+shrinks to k + t) and generates greedily.
 
 Selection scores are raw inner products summed over heads: no softmax and no
 1/sqrt(d) scale.  The scale alone would not change the top-k, since it
@@ -21,7 +24,8 @@ normaliser, so summed probabilities can keep a different set than summed
 raw products; raw products are this engine's scoring rule, not an
 equivalent of the probabilities.  The score readout is not charged to the
 FLOP counters; only model matmuls are counted, and the filter pass's cost is
-exactly the r-layer share of a full prompt pass.
+exactly the ``r - 1``-layer share of a full prompt pass plus layer ``r``'s
+Q/K/V product.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import note_kv_bytes
 from .errors import ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import ModelWeights, prefill
+from .model import F32, ModelWeights, _chunks, check_prompt_length, embed, prefill, project_qkv
 from .strategies import RunConfig
 
 
@@ -86,12 +91,15 @@ def selection_scores(
 def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionResult:
     """Run the ``rc.filter_layer``-layer filter pass and pick the top ``rc.select_k`` positions.
 
-    Layers past the filter layer are never touched and no KV cache is
-    retained, so the charged prompt cost is exactly that many layers' worth.
-    A budget larger than the prompt clamps to selecting everything.  The
-    pooling and the lower bounds of ``k`` and ``r`` are :class:`RunConfig`'s
-    to check; the filter layer's upper bound needs the model and is checked
-    here.
+    Layers before the filter layer run in full and keep no cache.  Of the
+    filter layer only :func:`~gemfilter.model.project_qkv` runs, in
+    prefill's row chunks: its keys fill one contiguous head-major ``(h_kv,
+    n, head_dim)`` buffer, the layout a cache holds, so the float64 score
+    sums match a full layer's bit for bit, and the last row's query is kept.
+    Layers past it are never touched.  A budget larger than the prompt
+    clamps to selecting everything.  The pooling and the lower bounds of
+    ``k`` and ``r`` are :class:`RunConfig`'s to check; the filter layer's
+    upper bound needs the model and is checked here.
     """
     cfg, r, k = weights.config, rc.filter_layer, rc.select_k
     ids = np.asarray(tokens, dtype=np.int64)
@@ -99,11 +107,19 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
         raise ContractViolation("select_indices requires a non-empty prompt")
     if r > cfg.n_layers:
         raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
-    # Keep no cache; without want_logits=False, r = m would bill a logits readout.
-    pre = prefill(
-        ids, weights, upto_layer=r, want_logits=False, evict=lambda cache, scores: None
-    )
-    scores = selection_scores(pre.last_q, pre.layer_k, rc.pool_kernel, rc.pool_mode)
+    check_prompt_length(ids.size, cfg)
+    if r > 1:
+        x = prefill(ids, weights, upto_layer=r - 1, evict=lambda cache, scores: None).hidden
+    else:
+        x = embed(ids, weights)
+    n, h = ids.size, cfg.n_heads
+    keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)
+    for lo, hi in _chunks(n):
+        qk, _ = project_qkv(x[lo:hi], weights, r - 1, np.arange(lo, hi, dtype=np.int64))
+        keys[:, lo:hi] = qk[:, h:].transpose(1, 0, 2)
+    del x
+    note_kv_bytes(keys.nbytes)
+    scores = selection_scores(qk[-1, :h], keys, rc.pool_kernel, rc.pool_mode)
     kept = topk_indices(scores, min(k, ids.size))
     if rc.include_first and 0 not in kept:
         kept = np.concatenate([kept[:-1], np.asarray([0], dtype=np.int64)])

@@ -138,22 +138,23 @@ def prompt_pass(rc: RunConfig, n: int, max_seq: int):
     the module attributes (span tracing) see every call.  Rejected here,
     before any layer runs: first a decode past ``max_seq`` (gemfilter's
     second pass restarts at position 0 over ``min(k, n)`` tokens), then a
-    budget below the window eviction always keeps.  Empty, overlong and
-    shorter-than-window prompts are left to prefill's checks.
+    budget its keep rule receives below the window that rule always keeps
+    (snapkv's window outside the budget rides on top of it).  Empty,
+    overlong and shorter-than-window prompts are left to prefill's checks.
     """
     filters = rc.strategy is Strategy.GEMFILTER
-    rule, score_rows, window = {
-        Strategy.SNAPKV: ("snapkv_retained_indices", rc.observation_window, rc.observation_window),
-        Strategy.H2O: ("h2o_retained_indices", n, rc.recent_keep),
-    }.get(rc.strategy, (None, 0, 0))
-    k, t = rc.select_k, rc.max_new_tokens
+    k, t, w = rc.select_k, rc.max_new_tokens, rc.observation_window
+    rule, score_rows, budget, window = {
+        Strategy.SNAPKV: ("snapkv_retained_indices", w, k + rc.snapkv_extra_rows, w),
+        Strategy.H2O: ("h2o_retained_indices", n, k, rc.recent_keep),
+    }.get(rc.strategy, (None, 0, k, 0))
     if 1 <= n <= max_seq:
         kept = min(k, n) if filters else n
         if t >= 1 and kept + t - 1 > max_seq:
             raise ContractViolation(
                 f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
             )
-        if score_rows <= n and k < min(n, window):
+        if score_rows <= n and budget < min(n, window):
             raise ConfigurationError(
                 f"budget k={k} smaller than the {window} positions {rc.strategy.value} always keeps"
             )

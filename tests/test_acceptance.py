@@ -209,7 +209,7 @@ def test_counter_identities_at_scale(big_runs):
 
 
 # -------------------------------------------------------------------------
-# Criterion: prompt-phase wall-time ratio tracks the layer ratio
+# Criterion: prompt-phase wall-time ratio tracks the prompt FLOP ratio
 # -------------------------------------------------------------------------
 
 
@@ -228,6 +228,12 @@ def _prompt_wall_ratio(weights, tokens, r, reps=3):
     return statistics.median(ratios)
 
 
+def _prompt_flop_ratio(weights, n, r):
+    """cost_table's full/gemfilter prompt FLOP ratio for a prompt-only run."""
+    table = cost_table(CostParams.from_weights(weights, n=n, k=64, t=0, r=r))
+    return table["full"][PROMPT].matmul_flops / table["gemfilter"][PROMPT].matmul_flops
+
+
 def test_prompt_speed_ratio():
     # warm the BLAS threads before timing
     a = np.ones((256, 256), dtype=F32)
@@ -237,14 +243,16 @@ def test_prompt_speed_ratio():
     w = make_random_model(cfg, 31)
     tokens = np.random.default_rng(1).integers(0, 260, size=4096).tolist()
     ratio = _prompt_wall_ratio(w, tokens, r=3)
-    expected = 8 / 3
+    expected = _prompt_flop_ratio(w, len(tokens), r=3)
+    assert 8 / 3 < expected < 8 / 2
     assert abs(ratio - expected) <= 0.25 * expected, f"ratio {ratio:.2f} vs {expected:.2f}"
 
     cfg2 = config(m=32, h=2, hk=2, dh=16, hidden=64, max_seq=1100)
     w2 = make_random_model(cfg2, 32)
     tokens2 = np.random.default_rng(2).integers(0, 260, size=1024).tolist()
     ratio2 = _prompt_wall_ratio(w2, tokens2, r=13)
-    expected2 = 32 / 13
+    expected2 = _prompt_flop_ratio(w2, len(tokens2), r=13)
+    assert 32 / 13 < expected2 < 32 / 12
     assert abs(ratio2 - expected2) <= 0.25 * expected2, f"ratio {ratio2:.2f} vs {expected2:.2f}"
 
 

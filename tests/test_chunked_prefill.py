@@ -73,7 +73,6 @@ def observe(w, tokens, strategy):
         "layers": layers,
         "hidden": pre.hidden,
         "logits": pre.logits,
-        "last_q": pre.last_q,
     }
 
 

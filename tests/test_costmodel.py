@@ -40,6 +40,11 @@ def params(n=1024, k=64, t=32, r=3, m=8, h=4, dh=16, hk=None, hidden=None, vocab
     )
 
 
+def qkv_flops(p):
+    """The filter layer's one fused Q/K/V product over the prompt."""
+    return 2 * p.n * p.d_model * (p.d_model + 2 * p.h_kv * p.head_dim)
+
+
 def small_model(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, max_seq=4096, seed=0):
     cfg = ModelConfig(
         n_layers=m,
@@ -56,16 +61,19 @@ def small_model(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, max_seq=4096, seed=0)
 
 class TestTableRatios:
     def test_prompt_ratio_thirteen_of_thirtytwo_layers(self):
-        """Layer ratio 32/13 shows up as the prompt speedup, about 2.46x."""
+        """Filtering at layer 13 of 32 runs 12 full layers plus layer 13's
+        Q/K/V product: the prompt speedup sits between 32/13 and 32/12."""
         p = params(n=4096, k=1024, t=64, r=13, m=32)
         table = cost_table(p)
         full = table["full"][PROMPT]
         gem = table["gemfilter"][PROMPT]
-        # attention terms scale exactly with the layer count
-        assert full.flops_by_tag["attn_score"] * 13 == gem.flops_by_tag["attn_score"] * 32
-        ratio = full.matmul_flops / gem.matmul_flops
-        assert ratio == pytest.approx(32 / 13, rel=0.01)
-        assert f"{32 / 13:.2f}" == "2.46"
+        # attention and MLP terms scale exactly with the r - 1 full layers
+        for tag in ("attn_score", "attn_value", "mlp"):
+            assert full.flops_by_tag[tag] * 12 == gem.flops_by_tag[tag] * 32
+        assert full.flops_by_tag["proj"] * 12 + qkv_flops(p) * 32 == gem.flops_by_tag["proj"] * 32
+        assert gem.flops_by_tag["logits"] == 0
+        ratio = (full.matmul_flops - full.flops_by_tag["logits"]) / gem.matmul_flops
+        assert 32 / 13 < ratio < 32 / 12
 
     def test_prompt_memory_case_study_proportion(self):
         """n >> m*k regime: bytes behave like mw+mhnd : mw+hnd : rw+hnd."""
@@ -119,12 +127,17 @@ class TestScalingLaws:
             )
 
     def test_filter_layer_scales_linearly_and_only_gemfilter(self):
+        """Full layers number r - 1; the filter layer adds one Q/K/V product."""
         a = cost_table(params(r=2))
         b = cost_table(params(r=4))
-        assert (
-            b["gemfilter"][PROMPT].flops_by_tag["attn_score"]
-            == 2 * a["gemfilter"][PROMPT].flops_by_tag["attn_score"]
-        )
+        gem_a = a["gemfilter"][PROMPT].flops_by_tag
+        gem_b = b["gemfilter"][PROMPT].flops_by_tag
+        for tag in ("attn_score", "attn_value", "mlp"):
+            assert gem_a[tag] > 0 and gem_b[tag] == 3 * gem_a[tag]
+        extra = qkv_flops(params())
+        assert gem_b["proj"] - extra == 3 * (gem_a["proj"] - extra)
+        one = cost_table(params(r=1))["gemfilter"][PROMPT].flops_by_tag
+        assert one == {**dict.fromkeys(one, 0), "proj": extra}
         assert b["full"][PROMPT].flops_by_tag == a["full"][PROMPT].flops_by_tag
         assert b["snapkv"][PROMPT].flops_by_tag == a["snapkv"][PROMPT].flops_by_tag
 
@@ -227,7 +240,7 @@ class TestVerifyCounters:
         w = small_model(m=2, h=4, hk=2, dh=8, seed=9)
         for n in (5, 8, 13):
             tokens = np.random.default_rng(n).integers(0, 64, size=n).tolist()
-            for k in range(window, n + 3):
+            for k in range(1, n + 3):
                 for t in (0, 1, 3):
                     rc = RunConfig(
                         Strategy.SNAPKV, max_new_tokens=t, select_k=k, pool_kernel=3,
@@ -300,6 +313,11 @@ class TestSessionIsolation:
 class TestFormatting:
     def test_table_text_contains_ratio(self):
         p = params(n=2048, k=256, t=16, r=13, m=32)
-        text = format_cost_table(p, cost_table(p))
+        table = cost_table(p)
+        text = format_cost_table(p, table)
         assert "2.46" in text
+        ratio = table["full"][PROMPT].matmul_flops / table["gemfilter"][PROMPT].matmul_flops
+        assert ratio > 32 / 13
+        line = f"prompt flops ratio full/gemfilter = {ratio:.2f} (lower bound: layer ratio 32/13"
+        assert any(row.startswith(line) for row in text.splitlines())
         assert "full" in text and "gemfilter" in text

@@ -196,9 +196,9 @@ class TestFusedProjection:
 
     def test_in_place_edit_reaches_projection(self):
         w = make_random_model(self.CFG, 3)
-        assert prefill(list(range(6)), w).layer_k.any()
+        assert prefill(list(range(6)), w).caches[1].keys.any()
         w.layers[1].wk[:, :] = 0.0
-        assert not prefill(list(range(6)), w).layer_k.any()
+        assert not prefill(list(range(6)), w).caches[1].keys.any()
 
     def test_model_bytes_identical_to_separate_tensors(self, tmp_path):
         """GFM1 bytes of both test models, pinned from separate wq/wk/wv buffers."""

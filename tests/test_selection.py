@@ -1,12 +1,17 @@
 """Selection-path tests: score construction, index sets, two-pass generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gemfilter import model
 from gemfilter.config import ModelConfig
+from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
-from gemfilter.model import prefill
+from gemfilter.kernels import topk_indices
+from gemfilter.model import LayerKV, embed, prefill, run_layer
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import (
     SelectionResult,
@@ -100,6 +105,18 @@ def gem_rc(r, k, **settings):
     return RunConfig(Strategy.GEMFILTER, filter_layer=r, select_k=k, **settings)
 
 
+def full_filter_layer(w, tokens, r):
+    """Layers 1..r run in full, each as prefill runs it: ``run_layer`` over
+    its chunks into one cache.  Returns layer r's last-row query and keys."""
+    cfg, n = w.config, len(tokens)
+    x = embed(tokens, w)
+    for li in range(r):
+        cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
+        for lo, hi in model._chunks(n):
+            q = run_layer(x[lo:hi], w, li, np.arange(lo, hi, dtype=np.int64), cache)
+    return q[-1], cache.keys
+
+
 class TestSelectIndices:
     def test_k_at_least_n_selects_everything(self):
         w = make_random_model(small_config(), 2)
@@ -107,6 +124,8 @@ class TestSelectIndices:
         assert sel.indices.tolist() == list(range(9))
 
     def test_prompt_flops_are_r_over_m_of_full_prefill(self):
+        """Filtering at layer 3 of 4 costs 2/4 of a full prefill plus layer 3's
+        one Q/K/V product; the filter layer's attention and MLP never run."""
         cfg = small_config(m=4)
         w = make_random_model(cfg, 3)
         tokens = list(range(24))
@@ -117,9 +136,12 @@ class TestSelectIndices:
             prefill(tokens, w, want_logits=False)
         sel_cost = s_sel.phase_cost(PROMPT)
         full_cost = s_full.phase_cost(PROMPT)
-        assert sel_cost.matmul_flops * 4 == full_cost.matmul_flops * 3
+        d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
+        qkv = 2 * len(tokens) * d * (d + 2 * kv)
+        assert set(sel_cost.flops_by_tag) == set(full_cost.flops_by_tag)
         for tag, flops in full_cost.flops_by_tag.items():
-            assert flops * 3 == sel_cost.flops_by_tag[tag] * 4
+            extra = qkv if tag == "proj" else 0
+            assert flops * 2 == (sel_cost.flops_by_tag[tag] - extra) * 4
 
     def test_filter_pass_touches_only_r_layers_of_weights(self):
         cfg = small_config(m=4)
@@ -162,8 +184,7 @@ class TestSelectIndices:
         cfg = small_config(m=2, h=h, hk=hk, dh=8)
         w = make_random_model(cfg, 30 + h + hk)
         tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
-        pre = prefill(tokens, w, upto_layer=2, want_logits=False)
-        q, keys = pre.last_q.astype(np.float64), pre.layer_k.astype(np.float64)
+        q, keys = (a.astype(np.float64) for a in full_filter_layer(w, tokens, 2))
         expanded = [keys[qh // (h // hk)] for qh in range(h)]  # (n, d) per query head
         raw = sum((expanded[qh] * q[qh]).sum(axis=1) for qh in range(h))
         half = 2  # pool_kernel = 5
@@ -187,6 +208,60 @@ class TestSelectIndices:
             sel = select_indices(w, tokens, gem_rc(r=1, k=k))
             assert np.all(np.diff(sel.indices) > 0) or sel.indices.size <= 1
             assert sel.indices.size == min(k, n)
+
+
+# ---------------------------------------------------------------- truncated filter layer
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 258, 513])
+@pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
+@pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
+def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
+    """For every filter layer r, the pass that stops at layer r's Q/K keeps the
+    indices and raw-score bytes of running layer r in full, and its counters
+    equal cost_table's.  n straddles the 256-row chunks and the one-row tail."""
+    m, k, t = 3, 8, 1
+    cfg = small_config(m=m, h=h, hk=hk, dh=8, use_rope=use_rope, max_seq=1024)
+    w = make_random_model(cfg, 40 + h + hk)
+    tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
+    assert model.CHUNK_ROWS == 256
+    for r in range(1, m + 1):
+        rc = RunConfig(Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r)
+        result = run_generation(w, tokens, rc)
+        last_q, keys = full_filter_layer(w, tokens, r)
+        full_prefill = prefill(tokens, w, upto_layer=r, want_logits=False)
+        assert keys.tobytes() == full_prefill.caches[-1].keys.tobytes(), r
+        scores = selection_scores(last_q, keys, rc.pool_kernel, rc.pool_mode)
+        kept = np.sort(topk_indices(scores, min(k, n)))
+        assert result.selection.raw_scores.tobytes() == scores.tobytes(), r
+        assert result.selection.indices.tobytes() == kept.tobytes(), r
+        table = cost_table(CostParams.from_weights(w, n=n, k=k, t=t, r=r))
+        report = verify_counters({"gemfilter": result.session.snapshot()}, table)
+        assert report.ok, (r, report.format_text())
+
+
+def test_first_layer_filter_pass_holds_no_score_block():
+    """From n = 1025 to 2049, an r = 1 filter pass on the copy model grows by at
+    most the residual stream, the filter layer's keys, the prompt's int64 token
+    ids and 4 KiB.  Running the filter layer's attention would add an
+    (n_heads, ROW_BLOCK, n) float32 score block, and its cache the values."""
+    cfg = copy_model_config()
+    w = make_copy_model(cfg)
+    rc = gem_rc(r=1, k=64)
+
+    def traced_peak(n):
+        tokens = np.random.default_rng(n).integers(97, 99, n).tolist()
+        tracemalloc.start()
+        try:
+            select_indices(w, tokens, rc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1025), traced_peak(2049)
+    grown = 1024
+    allowed = grown * (cfg.d_model * 4 + cfg.n_kv_heads * cfg.head_dim * 4 + 8) + 4096
+    assert large - small <= allowed, (large - small, allowed)
 
 
 # ---------------------------------------------------------------- decode_selection

@@ -424,6 +424,7 @@ CALLED_BY_NAME = (
     (runner, "select_indices"),
     (model, "prefill"),
     (model, "run_layer"),
+    (model, "project_qkv"),
     (model, "decode_step"),
     (kernels, "pool_1d"),
     (kernels, "topk_indices"),
@@ -463,13 +464,17 @@ def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
         "snapkv_retained_indices": per_head if strategy is Strategy.SNAPKV else 0,
         "h2o_retained_indices": per_head if strategy is Strategy.H2O else 0,
         "select_indices": int(strategy is Strategy.GEMFILTER),
-        "prefill": 2 if strategy is Strategy.GEMFILTER else 1,
+        # filter_layer = 1: the filter pass embeds the prompt without prefill.
+        "prefill": 1,
         "decode_step": t - 1,
         "pool_1d": {Strategy.GEMFILTER: 1, Strategy.SNAPKV: per_head}.get(strategy, 0),
         "topk_indices": {Strategy.FULL: 0, Strategy.GEMFILTER: 1}.get(strategy, per_head),
     }
     assert {name: len(calls[name]) for name in expected} == expected
     assert calls["run_layer"]
+    # Every layer opens with project_qkv; the one-chunk filter pass calls it alone.
+    filter_chunks = int(strategy is Strategy.GEMFILTER)
+    assert len(calls["project_qkv"]) == len(calls["run_layer"]) + filter_chunks
     for name in ("snapkv_retained_indices", "h2o_retained_indices"):
         assert all(len(args[0]) == n for args in calls[name])
 
