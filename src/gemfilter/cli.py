@@ -48,7 +48,6 @@ RUN_FLAGS = {
     "include_first": ("--include-first", dict(action="store_true")),
     "observation_window": ("--observation-window", dict(type=int)),
     "recent_keep": ("--recent-keep", dict(type=int)),
-    "window_in_budget": ("--window-outside-budget", dict(action="store_false")),
 }
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
@@ -126,10 +125,23 @@ def _random_prompt(n: int, seed: int, cfg: ModelConfig) -> list[int]:
     return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=int(n)).tolist()
 
 
+# The shape flags of ``cost`` and ``bench`` (``_add_config_args``); a model file fixes its shape.
+_SHAPE_FLAGS = (
+    "m", "h", "config", "layers", "heads", "kv_heads", "head_dim", "hidden_mlp", "vocab",
+    "max_seq", "rope_theta", "no_rope",
+)
+
+
 def _check_args(args) -> None:
-    """Reject a negative seed and an output path that cannot be written, before any work."""
+    """Reject a negative seed, shape flags next to ``--model`` and an output
+    path that cannot be written, before any work."""
     if getattr(args, "seed", 0) < 0:
         raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "model", None) is not None:
+        given = [name for name in _SHAPE_FLAGS if getattr(args, name, None) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ContractViolation(f"{flags} cannot be given with --model, which fixes the shape")
     for dest, flag in (("out", "--out"), ("metrics_out", "--metrics-out")):
         path = getattr(args, dest, None)
         if path is None:
@@ -194,7 +206,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab", type=int)
     p.add_argument("--max-seq", type=int)
     p.add_argument("--rope-theta", type=float)
-    p.add_argument("--no-rope", action="store_true")
+    p.add_argument("--no-rope", action="store_true", default=None)
 
 
 def cmd_make_model(args) -> int:
@@ -336,8 +348,7 @@ def cmd_bench(args) -> int:
         for s in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER)
     ]
     params = CostParams.from_weights(
-        weights, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer,
-        snapkv_extra_rows=configs[0].snapkv_extra_rows,
+        weights, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer
     )
     results = _run_all(args, weights, tokens, configs)
     measured = {rc.strategy.value: r.session.snapshot() for rc, r in zip(configs, results)}
@@ -431,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_run_args(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
     _add_seed_arg(p)
-    _add_run_args(
-        p, "pool_kernel", "pool_mode", "observation_window", "recent_keep", "window_in_budget"
-    )
+    _add_run_args(p, "pool_kernel", "pool_mode", "observation_window", "recent_keep")
     p.add_argument("--json", action="store_true")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_bench)

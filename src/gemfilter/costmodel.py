@@ -11,11 +11,10 @@ integer identities.  The conventions, shared with the implementation:
   ``2*d_model*vocab`` per position.
 * Generating ``t`` tokens takes the prompt pass's last-position logits plus
   ``t - 1`` decode steps; decode step ``j`` attends over ``start + j`` keys.
-* KV bytes are key+value storage only, ``bytes_per_elem`` per element, with
-  ``h_kv`` stored heads (the single-kv-head-per-group table is the special
-  case ``h_kv = h``).  An evicted layer keeps ``min(k, n)`` rows per head;
-  snapkv keeps ``min(k + snapkv_extra_rows, n)``, its observation window on
-  top of the budget when the window is outside it.
+* KV bytes are key+value storage only, ``BYTES_PER_ELEM`` per element (the
+  engine stores float32), with ``h_kv`` stored heads (the
+  single-kv-head-per-group table is the special case ``h_kv = h``).  An
+  evicted layer, snapkv's or h2o's, keeps ``min(k, n)`` rows per head.
 * Weight bytes count transformer layers actually read in a phase
   (``layers_touched * w``); embeddings and the final norm live outside ``w``.
 * The filter pass runs ``r - 1`` layers in full and only layer ``r``'s
@@ -34,6 +33,7 @@ from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
 
 FLOP_TERMS = ("attn_score", "attn_value", "proj", "mlp", "logits")
+BYTES_PER_ELEM = 4
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,10 @@ class CostParams:
     hidden_mlp: int
     vocab: int
     layer_weight_bytes: int
-    bytes_per_elem: int = 4
-    # Rows snapkv keeps beyond the budget (RunConfig.snapkv_extra_rows).
-    snapkv_extra_rows: int = 0
 
     def __post_init__(self) -> None:
         if min(self.n, self.k, self.r, self.m, self.h, self.head_dim) < 1 or self.t < 0:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
-        if self.snapkv_extra_rows < 0:
-            raise ContractViolation("snapkv extra rows must be >= 0")
         if not 1 <= self.r <= self.m:
             raise ContractViolation(f"filter layer {self.r} outside 1..{self.m}")
         if self.h_kv < 1 or self.h % self.h_kv != 0:
@@ -77,9 +72,7 @@ class CostParams:
         return min(self.k, self.n)
 
     @classmethod
-    def from_weights(
-        cls, weights, *, n: int, k: int, t: int, r: int, snapkv_extra_rows: int = 0
-    ) -> "CostParams":
+    def from_weights(cls, weights, *, n: int, k: int, t: int, r: int) -> "CostParams":
         cfg = weights.config
         return cls(
             n=n,
@@ -94,7 +87,6 @@ class CostParams:
             hidden_mlp=cfg.hidden_mlp,
             vocab=cfg.vocab_size,
             layer_weight_bytes=weights.per_layer_bytes,
-            snapkv_extra_rows=snapkv_extra_rows,
         )
 
 
@@ -123,7 +115,7 @@ def _add(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
 
 
 def _kv_bytes(p: CostParams, layers: int, rows: int) -> int:
-    return 2 * layers * p.h_kv * rows * p.head_dim * p.bytes_per_elem
+    return 2 * layers * p.h_kv * rows * p.head_dim * BYTES_PER_ELEM
 
 
 def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
@@ -136,8 +128,8 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
     peaks at one full layer's K/V (layer ``r``'s keys alone when ``r = 1``).
     Generation-phase rows: the two-pass method re-prefills the k selected
     tokens (its k^2 term) while the others decode against caches of n or k
-    rows (snapkv: k plus its extra rows).  With t = 0 no layer runs in
-    generation, so every generation counter is 0.
+    rows.  With t = 0 no layer runs in generation, so every generation
+    counter is 0.
     """
     k = p.k_eff
     s = max(p.t - 1, 0)
@@ -152,18 +144,18 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         weight_bytes_touched=p.m * p.layer_weight_bytes,
     )
 
-    def compress(kept: int) -> dict[str, PhaseCost]:
-        """An evicting strategy's phases when each layer keeps ``kept`` rows."""
+    def compress() -> dict[str, PhaseCost]:
+        """An evicting strategy's phases (fresh cells): each layer keeps ``k`` rows."""
         prompt = PhaseCost(
             PROMPT,
             flops_by_tag=dict(full_prompt.flops_by_tag),
-            kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, kept),
+            kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, k),
             weight_bytes_touched=p.m * p.layer_weight_bytes,
         )
         gen = PhaseCost(
             GENERATION,
-            flops_by_tag=_decode_flops(p, kept, s),
-            kv_bytes_peak=_kv_bytes(p, gen_layers, kept + s),
+            flops_by_tag=_decode_flops(p, k, s),
+            kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
             weight_bytes_touched=gen_weight,
         )
         return {PROMPT: prompt, GENERATION: gen}
@@ -196,8 +188,8 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
 
     return {
         "full": {PROMPT: full_prompt, GENERATION: full_gen},
-        "snapkv": compress(min(p.k + p.snapkv_extra_rows, p.n)),
-        "h2o": compress(k),
+        "snapkv": compress(),
+        "h2o": compress(),
         "gemfilter": {PROMPT: filter_prompt, GENERATION: twopass_gen},
     }
 

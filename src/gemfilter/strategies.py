@@ -53,10 +53,10 @@ class Strategy(str, Enum):
 class RunConfig:
     """Every setting of one generation run; a strategy reads the ones it needs.
 
+    ``select_k`` is the number of prompt positions kept: gemfilter's global
+    set, and each snapkv/h2o layer's set per kv-head, window included.
     ``pool_kernel``/``pool_mode`` smooth gemfilter's selection scores and
-    snapkv's window scores.  With ``window_in_budget`` False, snapkv keeps its
-    observation window on top of the budget instead of inside it.  Every
-    field is checked once, here, its type first.
+    snapkv's window scores.  Every field is checked once, here, its type first.
     """
 
     strategy: Strategy
@@ -68,7 +68,6 @@ class RunConfig:
     include_first: bool = False
     observation_window: int = 32
     recent_keep: int = 32
-    window_in_budget: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.strategy, Strategy):
@@ -88,11 +87,6 @@ class RunConfig:
             raise ContractViolation("selection budget k must be >= 1")
         if self.filter_layer < 1:
             raise ContractViolation(f"filter layer {self.filter_layer} must be >= 1")
-
-    @property
-    def snapkv_extra_rows(self) -> int:
-        """Rows snapkv keeps beyond ``select_k``: its window, when outside the budget."""
-        return 0 if self.window_in_budget else self.observation_window
 
 
 def keep_positions(scores: np.ndarray, budget: int, window: int) -> np.ndarray:
@@ -121,7 +115,7 @@ def snapkv_retained_indices(window_scores: np.ndarray, rc: RunConfig) -> np.ndar
     in ``rc.pool_mode`` over every position, window included.
     """
     pooled = pool_1d(window_scores, rc.pool_kernel, rc.pool_mode)
-    return keep_positions(pooled, rc.select_k + rc.snapkv_extra_rows, rc.observation_window)
+    return keep_positions(pooled, rc.select_k, rc.observation_window)
 
 
 def h2o_retained_indices(col_scores: np.ndarray, rc: RunConfig) -> np.ndarray:
@@ -138,23 +132,22 @@ def prompt_pass(rc: RunConfig, n: int, max_seq: int):
     the module attributes (span tracing) see every call.  Rejected here,
     before any layer runs: first a decode past ``max_seq`` (gemfilter's
     second pass restarts at position 0 over ``min(k, n)`` tokens), then a
-    budget its keep rule receives below the window that rule always keeps
-    (snapkv's window outside the budget rides on top of it).  Empty,
+    budget ``select_k`` below the window its keep rule always keeps.  Empty,
     overlong and shorter-than-window prompts are left to prefill's checks.
     """
     filters = rc.strategy is Strategy.GEMFILTER
     k, t, w = rc.select_k, rc.max_new_tokens, rc.observation_window
-    rule, score_rows, budget, window = {
-        Strategy.SNAPKV: ("snapkv_retained_indices", w, k + rc.snapkv_extra_rows, w),
-        Strategy.H2O: ("h2o_retained_indices", n, k, rc.recent_keep),
-    }.get(rc.strategy, (None, 0, k, 0))
+    rule, score_rows, window = {
+        Strategy.SNAPKV: ("snapkv_retained_indices", w, w),
+        Strategy.H2O: ("h2o_retained_indices", n, rc.recent_keep),
+    }.get(rc.strategy, (None, 0, 0))
     if 1 <= n <= max_seq:
         kept = min(k, n) if filters else n
         if t >= 1 and kept + t - 1 > max_seq:
             raise ContractViolation(
                 f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
             )
-        if score_rows <= n and budget < min(n, window):
+        if score_rows <= n and k < min(n, window):
             raise ConfigurationError(
                 f"budget k={k} smaller than the {window} positions {rc.strategy.value} always keeps"
             )

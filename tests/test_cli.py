@@ -477,16 +477,11 @@ class TestBenchCommand:
         assert doc["ok"] is True
         assert doc["mismatches"] == []
 
-    # Snapkv keeps its 4-row window on top of the budget of 16.
-    WINDOW_OUTSIDE = [
+    BENCH = [
         "bench", "--layers", "3", "--heads", "4", "--kv-heads", "2", "--head-dim", "8",
-        "--n", "64", "--k", "16", "--t", "3", "--r", "2", "--observation-window", "4",
-        "--recent-keep", "4", "--pool-kernel", "3", "--window-outside-budget",
+        "--n", "64", "--k", "20", "--t", "3", "--r", "2", "--observation-window", "4",
+        "--recent-keep", "4", "--pool-kernel", "3",
     ]
-
-    def test_window_outside_budget_matches_cost_model(self, capsys):
-        assert main([*self.WINDOW_OUTSIDE, "--json", "--no-wall-times"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"ok": True, "mismatches": []}
 
     @pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
     def test_counter_mismatch_exits_1(self, capsys, monkeypatch, output):
@@ -498,7 +493,7 @@ class TestBenchCommand:
             return table
 
         monkeypatch.setattr(cli, "cost_table", off_by_two)
-        assert main([*self.WINDOW_OUTSIDE, "--no-wall-times", *output]) == 1
+        assert main([*self.BENCH, "--no-wall-times", *output]) == 1
         captured = capsys.readouterr()
         if output:
             doc = json.loads(captured.out)
@@ -515,7 +510,7 @@ class TestBenchCommand:
         """Two processes print the same bytes: no wall time reaches stdout."""
         src = str(Path(gemfilter.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = [*self.WINDOW_OUTSIDE, "--no-wall-times", *output]
+        argv = [*self.BENCH, "--no-wall-times", *output]
         runs = [
             subprocess.run(
                 [sys.executable, "-c", "from gemfilter.cli import entrypoint; entrypoint()", *argv],
@@ -525,6 +520,28 @@ class TestBenchCommand:
         ]
         assert runs[0] == runs[1]
         assert b"wall_times" not in runs[0] and b"time " not in runs[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["cost", "--m", "7", "--h", "8"], "--m, --h"),
+        (
+            ["bench", "--layers", "0", "--heads", "8", "--observation-window", "2",
+             "--recent-keep", "2"],
+            "--layers, --heads",
+        ),
+    ],
+    ids=["cost", "bench"],
+)
+def test_shape_flags_with_model_rejected(random_model, capsys, argv, flags):
+    """A model file fixes the shape: a shape flag beside --model is an error, not ignored."""
+    run = ["--model", str(random_model), "--n", "16", "--k", "4", "--t", "2", "--r", "1"]
+    assert main([*argv, *run]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ContractViolation" in captured.err
+    assert f"{flags} cannot be given with --model" in captured.err
 
 
 @pytest.mark.parametrize(

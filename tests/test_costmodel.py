@@ -6,6 +6,7 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.costmodel import (
+    BYTES_PER_ELEM,
     CostParams,
     cost_table,
     format_cost_table,
@@ -79,7 +80,7 @@ class TestTableRatios:
         """n >> m*k regime: bytes behave like mw+mhnd : mw+hnd : rw+hnd."""
         p = params(n=131072, k=128, t=128, r=13, m=32, h=8, dh=128)
         table = cost_table(p)
-        w, B = p.layer_weight_bytes, p.bytes_per_elem
+        w, B = p.layer_weight_bytes, BYTES_PER_ELEM
 
         def approx_bytes(layers_w, layers_kv):
             return layers_w * w + 2 * layers_kv * p.h_kv * p.n * p.head_dim * B
@@ -236,28 +237,23 @@ class TestVerifyCounters:
 
     @pytest.mark.parametrize("window", [1, 3, 5])
     def test_snapkv_window_outside_budget_grid(self, window):
-        """With the window outside the budget snapkv keeps min(k + window, n) rows."""
+        """select_k from the window to n + window + 2: snapkv keeps min(k, n)
+        rows, counters exact."""
         w = small_model(m=2, h=4, hk=2, dh=8, seed=9)
         for n in (5, 8, 13):
             tokens = np.random.default_rng(n).integers(0, 64, size=n).tolist()
-            for k in range(1, n + 3):
+            for k in range(window, n + window + 3):
                 for t in (0, 1, 3):
                     rc = RunConfig(
                         Strategy.SNAPKV, max_new_tokens=t, select_k=k, pool_kernel=3,
-                        observation_window=window, window_in_budget=False,
+                        observation_window=window,
                     )
                     measured = run_generation(w, tokens, rc).session.snapshot()
-                    table = cost_table(
-                        CostParams.from_weights(
-                            w, n=n, k=k, t=t, r=1, snapkv_extra_rows=rc.snapkv_extra_rows
-                        )
-                    )
+                    table = cost_table(CostParams.from_weights(w, n=n, k=k, t=t, r=1))
                     report = verify_counters({"snapkv": measured}, table)
                     assert report.ok, (n, k, t, report.format_text())
-                    rows = min(k + window, n)
+                    rows = min(k, n)
                     assert table["snapkv"][PROMPT].kv_bytes_peak == 2 * 2 * 8 * 4 * (n + 2 * rows)
-        # Inside the budget the extra rows are 0 and the table is unchanged.
-        assert RunConfig(Strategy.SNAPKV, observation_window=window).snapkv_extra_rows == 0
 
     def test_filter_pass_weight_bytes_exactly_r_layers(self):
         w = small_model(m=4, seed=4)

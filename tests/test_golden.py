@@ -1,8 +1,8 @@
 """Golden runs: output tokens and phase counters on a fixed tiny grid.
 
-Every (shape, strategy, n, k, t) cell below, plus the snapkv/h2o cells under
-the non-default eviction settings (``pool_mode="max"`` and
-``window_in_budget=False``), runs through :func:`run_generation` and must
+Every (shape, strategy, n, k, t) cell below, plus the snapkv/h2o cells with
+``pool_mode="max"`` and the snapkv cells at ``select_k = k + observation_window``
+(suffix ``k-plus-window``), runs through :func:`run_generation` and must
 reproduce, exactly, the output tokens and
 the per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)``
 recorded in ``golden_runs.json``.  The file pins the engine's observable
@@ -12,6 +12,8 @@ class and message instead.
 Regenerate the file (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the cells added, removed and changed before it rewrites the file.
 """
 
 import json
@@ -30,12 +32,14 @@ SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
 EVICTION = dict(observation_window=2, pool_kernel=3, recent_keep=2)
-# Extra eviction settings run for snapkv/h2o only; their cells get a suffix.
-EVICTION_VARIANTS = {
-    "pool-max": dict(pool_mode="max"),
-    "window-outside-budget": dict(window_in_budget=False),
-}
 EVICTING = (Strategy.SNAPKV, Strategy.H2O)
+# Extra eviction settings, each run for the strategies it names; their cells get a suffix.
+EVICTION_VARIANTS = {
+    "pool-max": (EVICTING, lambda rc: replace(rc, pool_mode="max")),
+    "k-plus-window": (
+        (Strategy.SNAPKV,), lambda rc: replace(rc, select_k=rc.select_k + rc.observation_window)
+    ),
+}
 
 
 def _grid():
@@ -56,12 +60,9 @@ def _grid():
                             **(EVICTION if strategy in EVICTING else {}),
                         )
                         yield name, weights, tokens, rc
-                        if strategy in EVICTING:
-                            for suffix, eviction in EVICTION_VARIANTS.items():
-                                yield (
-                                    f"{name}/{suffix}", weights, tokens,
-                                    replace(rc, **eviction),
-                                )
+                        for suffix, (strategies, variant) in EVICTION_VARIANTS.items():
+                            if strategy in strategies:
+                                yield f"{name}/{suffix}", weights, tokens, variant(rc)
 
 
 def _outcome(weights, tokens, rc) -> dict:
@@ -88,8 +89,20 @@ def test_golden_runs_unchanged():
         assert measured[name] == expected[name], name
 
 
+def _diff(old: dict, new: dict) -> list[str]:
+    """One line per cell added (+), removed (-) or changed (~) from ``old`` to ``new``."""
+    return [
+        *(f"+ {name}" for name in new if name not in old),
+        *(f"- {name}" for name in old if name not in new),
+        *(f"~ {name}" for name in new if name in old and new[name] != old[name]),
+    ]
+
+
 if __name__ == "__main__":
     runs = record()
+    committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    changes = _diff(committed, json.loads(json.dumps(runs)))
+    print("\n".join(changes) if changes else "no cell added, removed or changed")
     lines = [f"  {json.dumps(name)}: {json.dumps(runs[name], sort_keys=True)}" for name in runs]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {len(runs)} golden runs to {GOLDEN}")

@@ -26,7 +26,7 @@ def test_every_run_config_setting_has_one_flag():
 
 GENERATE = dict(
     max_new_tokens=16, select_k=64, filter_layer=1, pool_kernel=5, pool_mode="avg",
-    include_first=False, observation_window=32, recent_keep=32, window_in_budget=True,
+    include_first=False, observation_window=32, recent_keep=32,
 )
 MINIMAL_ARGV = {
     "generate": (["--model", "m", "--prompt-text", "x"], GENERATE),
@@ -42,7 +42,7 @@ MINIMAL_ARGV = {
         ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
         dict(
             max_new_tokens=2, select_k=4, filter_layer=1, pool_kernel=5, pool_mode="avg",
-            observation_window=32, recent_keep=32, window_in_budget=True,
+            observation_window=32, recent_keep=32,
         ),
     ),
 }

@@ -170,13 +170,12 @@ class TestRetainedIndexRules:
 
     def test_window_outside_budget_flag(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        params = RunConfig(
-            Strategy.SNAPKV, select_k=2, observation_window=2, pool_kernel=1,
-            window_in_budget=False,
-        )
-        kept = snapkv_retained_indices(scores, params)
-        # budget applies to the prefix only; the window rides on top
-        assert kept.tolist() == [1, 3, 4, 5]
+        with pytest.raises(TypeError):
+            RunConfig(Strategy.SNAPKV, select_k=2, observation_window=2, window_in_budget=False)
+        # The window counts inside select_k: the old window-on-top result for a
+        # 2-position prefix budget is now select_k=4, the window plus 2.
+        params = RunConfig(Strategy.SNAPKV, select_k=4, observation_window=2, pool_kernel=1)
+        assert snapkv_retained_indices(scores, params).tolist() == [1, 3, 4, 5]
 
     def test_max_pooling_mode(self):
         scores = np.asarray([0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
