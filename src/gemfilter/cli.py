@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -20,7 +19,7 @@ from . import tokenizer
 from .config import ModelConfig
 from .costmodel import CostParams, cost_table, format_cost_table, verify_counters
 from .errors import ContractViolation, EngineError
-from .model import check_prompt_length, layer_shapes
+from .model import check_prompt_length
 from .modelio import load_model, save_model
 from .needle import NeedleSpec, needle_run
 from .runner import RunConfig, Strategy, metrics_document, run_generation, write_metrics
@@ -38,6 +37,19 @@ DEFAULT_CONFIG = dict(
 )
 
 
+# One flag per model-shape setting; one left out reads None and takes the base config's value.
+CONFIG_FLAGS = {
+    "n_layers": ("--layers", dict(type=int)),
+    "n_heads": ("--heads", dict(type=int)),
+    "n_kv_heads": ("--kv-heads", dict(type=int)),
+    "head_dim": ("--head-dim", dict(type=int)),
+    "hidden_mlp": ("--hidden-mlp", dict(type=int)),
+    "vocab_size": ("--vocab", dict(type=int)),
+    "max_seq": ("--max-seq", dict(type=int)),
+    "rope_theta": ("--rope-theta", dict(type=float)),
+    "use_rope": ("--no-rope", dict(action="store_false")),
+}
+
 # One flag per RunConfig setting but the strategy, with RunConfig's default.
 RUN_FLAGS = {
     "max_new_tokens": ("--max-new-tokens", dict(type=int)),
@@ -52,13 +64,15 @@ RUN_FLAGS = {
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _add_run_args(p: argparse.ArgumentParser, *names, required=False, **aliases) -> None:
-    """Register the settings ``names``, and each setting in ``aliases`` with its second spelling."""
+def _add_settings(p: argparse.ArgumentParser, *names, required=False, **aliases) -> None:
+    """Register the settings ``names``, and each setting in ``aliases`` with its
+    second spelling.  A run setting defaults to RunConfig's value, a shape
+    setting to None."""
     for name in (*names, *aliases):
-        flag, options = RUN_FLAGS[name]
+        flag, options = RUN_FLAGS[name] if name in RUN_FLAGS else CONFIG_FLAGS[name]
         spellings = (flag, aliases[name]) if name in aliases else (flag,)
         p.add_argument(
-            *spellings, dest=name, default=_RUN_DEFAULTS[name], required=required, **options
+            *spellings, dest=name, default=_RUN_DEFAULTS.get(name), required=required, **options
         )
 
 
@@ -125,22 +139,16 @@ def _random_prompt(n: int, seed: int, cfg: ModelConfig) -> list[int]:
     return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=int(n)).tolist()
 
 
-# The shape flags of ``cost`` and ``bench`` (``_add_config_args``); a model file fixes its shape.
-_SHAPE_FLAGS = (
-    "m", "h", "config", "layers", "heads", "kv_heads", "head_dim", "hidden_mlp", "vocab",
-    "max_seq", "rope_theta", "no_rope",
-)
-
-
 def _check_args(args) -> None:
     """Reject a negative seed, shape flags next to ``--model`` and an output
     path that cannot be written, before any work."""
     if getattr(args, "seed", 0) < 0:
         raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "model", None) is not None:
-        given = [name for name in _SHAPE_FLAGS if getattr(args, name, None) is not None]
+        shape = {"config": "--config", **{name: flag for name, (flag, _) in CONFIG_FLAGS.items()}}
+        given = [flag for name, flag in shape.items() if getattr(args, name, None) is not None]
         if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            flags = ", ".join(given)
             raise ContractViolation(f"{flags} cannot be given with --model, which fixes the shape")
     for dest, flag in (("out", "--out"), ("metrics_out", "--metrics-out")):
         path = getattr(args, dest, None)
@@ -177,36 +185,16 @@ def _config_from_args(args, base: dict | None = None) -> ModelConfig:
         if not isinstance(loaded, dict):
             raise ContractViolation("--config file must hold a JSON object")
         values.update(loaded)
-    overrides = {
-        "n_layers": args.layers,
-        "n_heads": args.heads,
-        "n_kv_heads": args.kv_heads,
-        "head_dim": args.head_dim,
-        "hidden_mlp": args.hidden_mlp,
-        "vocab_size": args.vocab,
-        "max_seq": args.max_seq,
-        "rope_theta": args.rope_theta,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    if getattr(args, "no_rope", False):
-        values["use_rope"] = False
+    for name in CONFIG_FLAGS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     values.pop("d_model", None)  # derived from the head layout
     return ModelConfig.from_dict(values)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of model config fields")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--kv-heads", type=int)
-    p.add_argument("--head-dim", type=int)
-    p.add_argument("--hidden-mlp", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--max-seq", type=int)
-    p.add_argument("--rope-theta", type=float)
-    p.add_argument("--no-rope", action="store_true", default=None)
+    _add_settings(p, *CONFIG_FLAGS)
 
 
 def cmd_make_model(args) -> int:
@@ -255,8 +243,9 @@ def cmd_needle(args) -> int:
     needle_tokens = tuple(tokenizer.tokenize(args.needle_text))
     if not needle_tokens:
         raise ContractViolation("--needle-text must be non-empty")
-    query_text = args.query_text if args.query_text is not None else args.needle_text[-1]
-    query_tokens = tokenizer.tokenize(query_text)
+    query_tokens = (
+        needle_tokens[-1:] if args.query_text is None else tokenizer.tokenize(args.query_text)
+    )
     if len(query_tokens) != 1:
         raise ContractViolation("--query-text must be a single byte")
     spec = NeedleSpec(
@@ -284,39 +273,9 @@ def cmd_needle(args) -> int:
     return 0
 
 
-def _cost_params(args) -> CostParams:
-    if args.model:
-        weights = load_model(args.model)
-        return CostParams.from_weights(weights, n=args.n, k=args.k, t=args.t, r=args.r)
-    # Missing shape values are the ones make-model and bench default to.
-    d = DEFAULT_CONFIG
-    h = args.h if args.h is not None else d["n_heads"]
-    head_dim = args.head_dim if args.head_dim is not None else d["head_dim"]
-    h_kv = args.kv_heads if args.kv_heads is not None else d["n_kv_heads"]
-    hidden = args.hidden_mlp if args.hidden_mlp is not None else d["hidden_mlp"]
-    vocab = args.vocab if args.vocab is not None else d["vocab_size"]
-    d_model = h * head_dim
-    if args.m is None:
-        raise ContractViolation("cost requires --m (layers) unless --model is given")
-    layer_elems = sum(math.prod(s) for s in layer_shapes(d_model, h_kv * head_dim, hidden))
-    return CostParams(
-        n=args.n,
-        k=args.k,
-        t=args.t,
-        r=args.r,
-        m=args.m,
-        h=h,
-        head_dim=head_dim,
-        h_kv=h_kv,
-        d_model=d_model,
-        hidden_mlp=hidden,
-        vocab=vocab,
-        layer_weight_bytes=4 * layer_elems,
-    )
-
-
 def cmd_cost(args) -> int:
-    params = _cost_params(args)
+    cfg = load_model(args.model).config if args.model else _config_from_args(args)
+    params = CostParams(cfg, n=args.n, k=args.k, t=args.t, r=args.r)
     table = cost_table(params)
     if args.json:
         doc = {
@@ -390,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_prompt_args(p)
     p.add_argument("--strategy", default="full", help="full | gemfilter | snapkv | h2o")
-    _add_run_args(p, *RUN_FLAGS)
+    _add_settings(p, *RUN_FLAGS)
     p.add_argument("--emit-scores", action="store_true")
     _add_seed_arg(p)
     _add_metrics_args(p)
@@ -399,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="print the selected sub-sequence for inspection")
     p.add_argument("--model", required=True)
     _add_prompt_args(p)
-    _add_run_args(p, "filter_layer", "select_k", "pool_kernel", "pool_mode", "include_first")
+    _add_settings(p, "filter_layer", "select_k", "pool_kernel", "pool_mode", "include_first")
     p.add_argument("--show-indices", action="store_true")
     _add_seed_arg(p)
     _add_metrics_args(p)
@@ -411,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-percent", type=float, default=50.0)
     p.add_argument("--needle-text", default="bbbbbbbb")
     p.add_argument("--query-text", default=None)
-    _add_run_args(
+    _add_settings(
         p, "select_k", "filter_layer", "pool_kernel", "pool_mode", max_new_tokens="--t-max"
     )
     p.set_defaults(max_new_tokens=8)
     p.add_argument("--r-sweep", action="store_true", help="evaluate every layer")
     _add_seed_arg(p)
     p.add_argument("--json", action="store_true")
-    _add_metrics_args(p)
+    p.add_argument("--metrics-out", help="append the report as one NDJSON document")
     p.set_defaults(func=cmd_needle)
 
     p = sub.add_parser("cost", help="print the closed-form cost table")
@@ -427,12 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--head-dim", type=int)
-    p.add_argument("--kv-heads", type=int)
-    p.add_argument("--hidden-mlp", type=int)
-    p.add_argument("--vocab", type=int)
+    _add_settings(
+        p, "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size", n_layers="--m", n_heads="--h"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cost)
 
@@ -440,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     _add_config_args(p)
     p.add_argument("--n", type=int, required=True)
-    _add_run_args(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
+    _add_settings(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
     _add_seed_arg(p)
-    _add_run_args(p, "pool_kernel", "pool_mode", "observation_window", "recent_keep")
+    _add_settings(p, "pool_kernel", "pool_mode", "observation_window", "recent_keep")
     p.add_argument("--json", action="store_true")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_bench)

@@ -51,6 +51,8 @@ class ModelConfig:
             raise ConfigurationError("n_layers must be >= 1")
         if self.n_heads < 1 or self.n_kv_heads < 1:
             raise ConfigurationError("head counts must be >= 1")
+        if self.head_dim < 1:
+            raise ConfigurationError("head_dim must be >= 1")
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigurationError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads ({self.n_kv_heads})"

@@ -2,13 +2,16 @@
 
 Every cell of the asymptotic complexity table is concretized with the
 engine's own constants so that measured counters can be checked as exact
-integer identities.  The conventions, shared with the implementation:
+integer identities.  :class:`CostParams` is a model's :class:`ModelConfig`,
+the one description of its shape, plus a run's ``n, k, t, r``.  The
+conventions, shared with the implementation:
 
-* One multiply-add = 2 FLOPs; only matmuls count.  Per layer over ``n``
-  tokens: attention scores and values cost ``2*h*n^2*head_dim`` each, the
-  q/k/v/o projections ``4*n*d_model^2 + 4*n*d_model*(h_kv*head_dim)``, and
-  the MLP ``4*n*d_model*hidden_mlp``.  A logits readout costs
-  ``2*d_model*vocab`` per position.
+* One multiply-add = 2 FLOPs; only matmuls count.  :func:`_layer_flops` is
+  the one per-layer formula: per layer over ``n`` tokens, attention scores
+  and values cost ``2*h*n^2*head_dim`` each, the projections the fused
+  Q/K/V product ``2*n*d_model*(d_model + 2*h_kv*head_dim)`` plus the output
+  product ``2*n*d_model^2``, and the MLP ``4*n*d_model*hidden_mlp``.  A
+  logits readout costs ``2*d_model*vocab`` per position.
 * Generating ``t`` tokens takes the prompt pass's last-position logits plus
   ``t - 1`` decode steps; decode step ``j`` attends over ``start + j`` keys.
 * KV bytes are key+value storage only, ``BYTES_PER_ELEM`` per element (the
@@ -16,11 +19,13 @@ integer identities.  The conventions, shared with the implementation:
   single-kv-head-per-group table is the special case ``h_kv = h``).  An
   evicted layer, snapkv's or h2o's, keeps ``min(k, n)`` rows per head.
 * Weight bytes count transformer layers actually read in a phase
-  (``layers_touched * w``); embeddings and the final norm live outside ``w``.
+  (``layers_touched * w``, with ``w`` from
+  :func:`~gemfilter.model.layer_weight_bytes`); embeddings and the final
+  norm live outside ``w``.
 * The filter pass runs ``r - 1`` layers in full and only layer ``r``'s
-  fused Q/K/V product, ``2*n*d_model*(d_model + 2*h_kv*head_dim)``, keeping
-  that layer's keys alone.  So the full/gemfilter prompt FLOP ratio is at
-  least the layer ratio ``m/r``; the filter pass still reads ``r`` layers.
+  fused Q/K/V product, keeping that layer's keys alone.  So the
+  full/gemfilter prompt FLOP ratio is at least the layer ratio ``m/r``; the
+  filter pass still reads ``r`` layers.
 
 Wall time is measured and reported but never predicted here.
 """
@@ -29,8 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import ModelConfig
 from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
+from .model import layer_weight_bytes
 
 FLOP_TERMS = ("attn_score", "attn_value", "proj", "mlp", "logits")
 BYTES_PER_ELEM = 4
@@ -38,34 +45,19 @@ BYTES_PER_ELEM = 4
 
 @dataclass(frozen=True)
 class CostParams:
-    """Inputs to the closed forms; dims mirror the model configuration."""
+    """Inputs to the closed forms: a model's shape and one run's sizes."""
 
+    config: ModelConfig
     n: int  # prompt length
     k: int  # selection / cache budget
     t: int  # generated tokens
     r: int  # filter layer
-    m: int  # layers
-    h: int  # query heads
-    head_dim: int
-    h_kv: int
-    d_model: int
-    hidden_mlp: int
-    vocab: int
-    layer_weight_bytes: int
 
     def __post_init__(self) -> None:
-        if min(self.n, self.k, self.r, self.m, self.h, self.head_dim) < 1 or self.t < 0:
+        if min(self.n, self.k, self.r) < 1 or self.t < 0:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
-        if not 1 <= self.r <= self.m:
-            raise ContractViolation(f"filter layer {self.r} outside 1..{self.m}")
-        if self.h_kv < 1 or self.h % self.h_kv != 0:
-            raise ContractViolation(
-                f"kv heads {self.h_kv} must be >= 1 and divide query heads {self.h}"
-            )
-        if min(self.hidden_mlp, self.vocab) < 1 or self.layer_weight_bytes < 0:
-            raise ContractViolation(
-                "hidden_mlp and vocab must be >= 1 and layer weight bytes >= 0"
-            )
+        if not 1 <= self.r <= self.config.n_layers:
+            raise ContractViolation(f"filter layer {self.r} outside 1..{self.config.n_layers}")
 
     @property
     def k_eff(self) -> int:
@@ -73,49 +65,32 @@ class CostParams:
 
     @classmethod
     def from_weights(cls, weights, *, n: int, k: int, t: int, r: int) -> "CostParams":
-        cfg = weights.config
-        return cls(
-            n=n,
-            k=k,
-            t=t,
-            r=r,
-            m=cfg.n_layers,
-            h=cfg.n_heads,
-            head_dim=cfg.head_dim,
-            h_kv=cfg.n_kv_heads,
-            d_model=cfg.d_model,
-            hidden_mlp=cfg.hidden_mlp,
-            vocab=cfg.vocab_size,
-            layer_weight_bytes=weights.per_layer_bytes,
-        )
+        return cls(weights.config, n=n, k=k, t=t, r=r)
 
 
-def _prefill_flops(p: CostParams, n_tokens: int, layers: int) -> dict[str, int]:
-    attn = layers * p.h * 2 * n_tokens * n_tokens * p.head_dim
-    proj = layers * n_tokens * (
-        4 * p.d_model * p.d_model + 4 * p.d_model * p.h_kv * p.head_dim
-    )
-    mlp = layers * 4 * n_tokens * p.d_model * p.hidden_mlp
+def _qkv_flops(cfg: ModelConfig, rows: int) -> int:
+    """The fused Q/K/V product over ``rows`` positions."""
+    return 2 * rows * cfg.d_model * (cfg.d_model + 2 * cfg.n_kv_heads * cfg.head_dim)
+
+
+def _layer_flops(cfg: ModelConfig, layers: int, rows: int, key_rows: int) -> dict[str, int]:
+    """``layers`` whole layers over ``rows`` positions that attend ``key_rows`` keys in all."""
+    attn = layers * cfg.n_heads * 2 * cfg.head_dim * key_rows
+    proj = layers * (_qkv_flops(cfg, rows) + 2 * rows * cfg.d_model * cfg.d_model)
+    mlp = layers * 4 * rows * cfg.d_model * cfg.hidden_mlp
     return {"attn_score": attn, "attn_value": attn, "proj": proj, "mlp": mlp, "logits": 0}
 
 
-def _decode_flops(p: CostParams, start: int, steps: int) -> dict[str, int]:
-    key_rows = steps * start + steps * (steps + 1) // 2
-    attn = p.m * p.h * 2 * p.head_dim * key_rows
-    proj = p.m * steps * (
-        4 * p.d_model * p.d_model + 4 * p.d_model * p.h_kv * p.head_dim
-    )
-    mlp = p.m * steps * 4 * p.d_model * p.hidden_mlp
-    logits = steps * 2 * p.d_model * p.vocab
-    return {"attn_score": attn, "attn_value": attn, "proj": proj, "mlp": mlp, "logits": logits}
+def _logits_flops(cfg: ModelConfig, rows: int) -> dict[str, int]:
+    return {"logits": rows * 2 * cfg.d_model * cfg.vocab_size}
 
 
 def _add(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
     return {term: a.get(term, 0) + b.get(term, 0) for term in FLOP_TERMS}
 
 
-def _kv_bytes(p: CostParams, layers: int, rows: int) -> int:
-    return 2 * layers * p.h_kv * rows * p.head_dim * BYTES_PER_ELEM
+def _kv_bytes(cfg: ModelConfig, layers: int, rows: int) -> int:
+    return 2 * layers * cfg.n_kv_heads * rows * cfg.head_dim * BYTES_PER_ELEM
 
 
 def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
@@ -131,17 +106,26 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
     rows.  With t = 0 no layer runs in generation, so every generation
     counter is 0.
     """
-    k = p.k_eff
+    cfg, n, k = p.config, p.n, p.k_eff
+    m, w = cfg.n_layers, layer_weight_bytes(cfg)
     s = max(p.t - 1, 0)
-    gen_layers = p.m if p.t >= 1 else 0
-    logits_once = 2 * p.d_model * p.vocab if p.t >= 1 else 0
-    gen_weight = p.m * p.layer_weight_bytes if p.t >= 2 else 0
+    gen_layers = m if p.t >= 1 else 0
+    first_logits = _logits_flops(cfg, 1 if p.t >= 1 else 0)
+    gen_weight = m * w if p.t >= 2 else 0
+
+    def prefill(layers: int, rows: int) -> dict[str, int]:
+        return _layer_flops(cfg, layers, rows, rows * rows)
+
+    def decode(start: int) -> dict[str, int]:
+        """``s`` decode steps; step ``j`` attends over ``start + j`` keys."""
+        steps = _layer_flops(cfg, m, s, s * start + s * (s + 1) // 2)
+        return _add(steps, _logits_flops(cfg, s))
 
     full_prompt = PhaseCost(
         PROMPT,
-        flops_by_tag=_add(_prefill_flops(p, p.n, p.m), {"logits": logits_once}),
-        kv_bytes_peak=_kv_bytes(p, p.m, p.n),
-        weight_bytes_touched=p.m * p.layer_weight_bytes,
+        flops_by_tag=_add(prefill(m, n), first_logits),
+        kv_bytes_peak=_kv_bytes(cfg, m, n),
+        weight_bytes_touched=m * w,
     )
 
     def compress() -> dict[str, PhaseCost]:
@@ -149,41 +133,36 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
         prompt = PhaseCost(
             PROMPT,
             flops_by_tag=dict(full_prompt.flops_by_tag),
-            kv_bytes_peak=_kv_bytes(p, 1, p.n) + _kv_bytes(p, p.m, k),
-            weight_bytes_touched=p.m * p.layer_weight_bytes,
+            kv_bytes_peak=_kv_bytes(cfg, 1, n) + _kv_bytes(cfg, m, k),
+            weight_bytes_touched=m * w,
         )
         gen = PhaseCost(
             GENERATION,
-            flops_by_tag=_decode_flops(p, k, s),
-            kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
+            flops_by_tag=decode(k),
+            kv_bytes_peak=_kv_bytes(cfg, gen_layers, k + s),
             weight_bytes_touched=gen_weight,
         )
         return {PROMPT: prompt, GENERATION: gen}
 
-    # Layers 1..r-1 in full, then only the filter layer's fused Q/K/V product.
-    filter_flops = _prefill_flops(p, p.n, p.r - 1)
-    filter_flops["proj"] += 2 * p.n * p.d_model * (p.d_model + 2 * p.h_kv * p.head_dim)
     filter_prompt = PhaseCost(
         PROMPT,
-        flops_by_tag=filter_flops,
+        # Layers 1..r-1 in full, then only the filter layer's fused Q/K/V product.
+        flops_by_tag=_add(prefill(p.r - 1, n), {"proj": _qkv_flops(cfg, n)}),
         # One full layer's K/V before the filter layer; the filter layer's keys alone.
-        kv_bytes_peak=_kv_bytes(p, 1, p.n) if p.r > 1 else _kv_bytes(p, 1, p.n) // 2,
-        weight_bytes_touched=p.r * p.layer_weight_bytes,
+        kv_bytes_peak=_kv_bytes(cfg, 1, n) if p.r > 1 else _kv_bytes(cfg, 1, n) // 2,
+        weight_bytes_touched=p.r * w,
     )
     full_gen = PhaseCost(
         GENERATION,
-        flops_by_tag=_decode_flops(p, p.n, s),
-        kv_bytes_peak=_kv_bytes(p, gen_layers, p.n + s),
+        flops_by_tag=decode(n),
+        kv_bytes_peak=_kv_bytes(cfg, gen_layers, n + s),
         weight_bytes_touched=gen_weight,
     )
     twopass_gen = PhaseCost(
         GENERATION,
-        flops_by_tag=_add(
-            _add(_prefill_flops(p, k, gen_layers), {"logits": logits_once}),
-            _decode_flops(p, k, s),
-        ),
-        kv_bytes_peak=_kv_bytes(p, gen_layers, k + s),
-        weight_bytes_touched=gen_layers * p.layer_weight_bytes,
+        flops_by_tag=_add(_add(prefill(gen_layers, k), first_logits), decode(k)),
+        kv_bytes_peak=_kv_bytes(cfg, gen_layers, k + s),
+        weight_bytes_touched=gen_layers * w,
     )
 
     return {
@@ -273,9 +252,12 @@ def verify_counters(
 
 def format_cost_table(p: CostParams, table: dict[str, dict[str, PhaseCost]]) -> str:
     """Aligned text rendering of the predicted table plus headline ratios."""
+    cfg = p.config
+    m = cfg.n_layers
     lines = [
-        f"cost model: n={p.n} k={p.k} t={p.t} r={p.r} m={p.m} h={p.h} "
-        f"head_dim={p.head_dim} h_kv={p.h_kv} d_model={p.d_model} w={p.layer_weight_bytes}B",
+        f"cost model: n={p.n} k={p.k} t={p.t} r={p.r} m={m} h={cfg.n_heads} "
+        f"head_dim={cfg.head_dim} h_kv={cfg.n_kv_heads} d_model={cfg.d_model} "
+        f"w={layer_weight_bytes(cfg)}B",
         f"{'method':<10} {'phase':<11} {'flops':>16} {'kv_bytes_peak':>14} {'weight_bytes':>13}",
     ]
     for method, phases in table.items():
@@ -290,7 +272,7 @@ def format_cost_table(p: CostParams, table: dict[str, dict[str, PhaseCost]]) -> 
         ratio = full_p.matmul_flops / gem_p.matmul_flops
         lines.append(
             f"prompt flops ratio full/gemfilter = {ratio:.2f} "
-            f"(lower bound: layer ratio {p.m}/{p.r} = {p.m / p.r:.2f})"
+            f"(lower bound: layer ratio {m}/{p.r} = {m / p.r:.2f})"
         )
     if gem_p.total_bytes:
         lines.append(

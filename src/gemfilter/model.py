@@ -2,7 +2,8 @@
 
 The weight layout is stated once, here: :func:`weight_shapes` yields every
 tensor's name and shape in file order, and weight validation, model files
-(:mod:`gemfilter.modelio`) and the ``cost`` CLI's layer bytes all read it.
+(:mod:`gemfilter.modelio`) and the cost model's layer bytes
+(:func:`layer_weight_bytes`) all read it.
 
 The forward path is split the way the engine needs it: :func:`prefill` runs
 the prompt through the first ``upto_layer`` layers (optionally replacing
@@ -47,6 +48,7 @@ counters match the closed forms in :mod:`gemfilter.costmodel` exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -88,18 +90,15 @@ class LayerWeights:
 LAYER_TENSORS = tuple(f.name for f in fields(LayerWeights))
 
 
-def layer_shapes(d_model: int, kv_dim: int, hidden_mlp: int) -> tuple[tuple[int, ...], ...]:
+def layer_shapes(cfg: ModelConfig) -> tuple[tuple[int, ...], ...]:
     """Shape of each layer tensor, in :data:`LAYER_TENSORS` order."""
-    return (
-        (d_model, d_model),
-        (d_model, kv_dim),
-        (d_model, kv_dim),
-        (d_model, d_model),
-        (d_model, hidden_mlp),
-        (hidden_mlp, d_model),
-        (d_model,),
-        (d_model,),
-    )
+    d, kv, hidden = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, cfg.hidden_mlp
+    return ((d, d), (d, kv), (d, kv), (d, d), (d, hidden), (hidden, d), (d,), (d,))
+
+
+def layer_weight_bytes(cfg: ModelConfig) -> int:
+    """Bytes of one transformer layer's float32 weights."""
+    return F32().itemsize * sum(math.prod(shape) for shape in layer_shapes(cfg))
 
 
 def weight_shapes(cfg: ModelConfig):
@@ -110,7 +109,7 @@ def weight_shapes(cfg: ModelConfig):
     """
     d = cfg.d_model
     yield "tok_emb", (cfg.vocab_size, d)
-    shapes = layer_shapes(d, cfg.n_kv_heads * cfg.head_dim, cfg.hidden_mlp)
+    shapes = layer_shapes(cfg)
     for i in range(cfg.n_layers):
         for name, shape in zip(LAYER_TENSORS, shapes):
             yield f"layers.{i}.{name}", shape

@@ -7,7 +7,6 @@ and memory criteria via a module-scoped fixture.
 """
 
 import math
-import statistics
 import time
 
 import numpy as np
@@ -214,18 +213,19 @@ def test_counter_identities_at_scale(big_runs):
 
 
 def _prompt_wall_ratio(weights, tokens, r, reps=3):
-    ratios = []
+    """Full over gemfilter prompt time, each the best of ``reps`` runs: host
+    load only ever adds time, so the fastest run of each is the least noisy."""
+    best = {}
     for _ in range(reps):
-        walls = {}
         for strategy, extra in (
             (Strategy.FULL, {}),
             (Strategy.GEMFILTER, {"filter_layer": r}),
         ):
             rc = RunConfig(strategy=strategy, max_new_tokens=0, select_k=64, **extra)
             result = run_generation(weights, tokens, rc)
-            walls[strategy.value] = result.session.phase_cost(PROMPT).wall_time
-        ratios.append(walls["full"] / walls["gemfilter"])
-    return statistics.median(ratios)
+            wall = result.session.phase_cost(PROMPT).wall_time
+            best[strategy.value] = min(wall, best.get(strategy.value, wall))
+    return best["full"] / best["gemfilter"]
 
 
 def _prompt_flop_ratio(weights, n, r):

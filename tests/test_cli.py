@@ -14,6 +14,8 @@ from gemfilter.cli import main
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
 from gemfilter.modelio import load_model
+from gemfilter.needle import NeedleSpec, needle_run
+from gemfilter.runner import RunConfig, Strategy
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +338,16 @@ class TestNeedleCommand:
         assert doc["layers"][0]["coverage"] == 1.0
         assert doc["layers"][0]["min_distance"] == 0
         assert doc["generation_match"] is True
+        # Without --query-text the query is the needle's last token: here the
+        # last byte of a two-byte character.
+        argv = ["needle", "--model", str(copy_model), "--haystack-len", "128", "--select-k", "32"]
+        assert main([*argv, "--t-max", "4", "--json", "--needle-text", "ééé"]) == 0
+        spec = NeedleSpec(
+            haystack_len=128, depth_percent=50.0, needle=tuple("ééé".encode()), query_token=0xA9
+        )
+        rc = RunConfig(Strategy.GEMFILTER, select_k=32, max_new_tokens=4)
+        report = needle_run(spec, load_model(copy_model), [1], rc)
+        assert json.loads(capsys.readouterr().out) == report.to_dict()
 
     def test_needle_sweep_text_header(self, copy_model, capsys):
         code = main(
@@ -525,7 +537,7 @@ class TestBenchCommand:
 @pytest.mark.parametrize(
     "argv, flags",
     [
-        (["cost", "--m", "7", "--h", "8"], "--m, --h"),
+        (["cost", "--m", "7", "--h", "8"], "--layers, --heads"),
         (
             ["bench", "--layers", "0", "--heads", "8", "--observation-window", "2",
              "--recent-keep", "2"],

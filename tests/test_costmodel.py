@@ -14,36 +14,34 @@ from gemfilter.costmodel import (
 )
 from gemfilter.errors import ContractViolation
 from gemfilter.kernels import matmul
-from gemfilter.model import prefill
+from gemfilter.model import layer_weight_bytes, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.testmodels import make_random_model
 
 
 def params(n=1024, k=64, t=32, r=3, m=8, h=4, dh=16, hk=None, hidden=None, vocab=260):
-    hk = h if hk is None else hk
-    d_model = h * dh
-    hidden = 4 * d_model if hidden is None else hidden
-    kv_dim = hk * dh
-    layer_elems = 2 * d_model * d_model + 2 * d_model * kv_dim + 2 * d_model * hidden + 2 * d_model
-    return CostParams(
-        n=n,
-        k=k,
-        t=t,
-        r=r,
-        m=m,
-        h=h,
+    cfg = ModelConfig(
+        n_layers=m,
+        n_heads=h,
+        n_kv_heads=h if hk is None else hk,
         head_dim=dh,
-        h_kv=hk,
-        d_model=d_model,
-        hidden_mlp=hidden,
-        vocab=vocab,
-        layer_weight_bytes=4 * layer_elems,
+        d_model=h * dh,
+        vocab_size=vocab,
+        hidden_mlp=4 * h * dh if hidden is None else hidden,
     )
+    return CostParams(cfg, n=n, k=k, t=t, r=r)
+
+
+def layer_bytes_by_hand(cfg):
+    """One layer's float32 bytes, written out: wq, wo; wk, wv; w_in, w_out; the two norms."""
+    d, kv_dim, hidden = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, cfg.hidden_mlp
+    return 4 * (2 * d * d + 2 * d * kv_dim + 2 * d * hidden + 2 * d)
 
 
 def qkv_flops(p):
     """The filter layer's one fused Q/K/V product over the prompt."""
-    return 2 * p.n * p.d_model * (p.d_model + 2 * p.h_kv * p.head_dim)
+    cfg = p.config
+    return 2 * p.n * cfg.d_model * (cfg.d_model + 2 * cfg.n_kv_heads * cfg.head_dim)
 
 
 def small_model(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, max_seq=4096, seed=0):
@@ -58,6 +56,16 @@ def small_model(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, max_seq=4096, seed=0)
         max_seq=max_seq,
     )
     return make_random_model(cfg, seed)
+
+
+@pytest.mark.parametrize(
+    "h, hk, dh, hidden", [(2, 2, 8, 32), (4, 2, 16, 128), (8, 1, 4, 7)], ids=["mha", "gqa", "mqa"]
+)
+def test_layer_weight_bytes_is_the_layer_element_sum(h, hk, dh, hidden):
+    w = small_model(h=h, hk=hk, dh=dh, hidden=hidden)
+    assert layer_weight_bytes(w.config) == layer_bytes_by_hand(w.config) == w.per_layer_bytes
+    table = cost_table(CostParams.from_weights(w, n=8, k=4, t=0, r=1))
+    assert table["full"][PROMPT].weight_bytes_touched == 2 * w.per_layer_bytes
 
 
 class TestTableRatios:
@@ -80,18 +88,19 @@ class TestTableRatios:
         """n >> m*k regime: bytes behave like mw+mhnd : mw+hnd : rw+hnd."""
         p = params(n=131072, k=128, t=128, r=13, m=32, h=8, dh=128)
         table = cost_table(p)
-        w, B = p.layer_weight_bytes, BYTES_PER_ELEM
+        cfg, B = p.config, BYTES_PER_ELEM
+        w = layer_bytes_by_hand(cfg)
 
         def approx_bytes(layers_w, layers_kv):
-            return layers_w * w + 2 * layers_kv * p.h_kv * p.n * p.head_dim * B
+            return layers_w * w + 2 * layers_kv * cfg.n_kv_heads * p.n * cfg.head_dim * B
 
         full = table["full"][PROMPT]
         snap = table["snapkv"][PROMPT]
         gem = table["gemfilter"][PROMPT]
-        assert full.total_bytes == approx_bytes(p.m, p.m)
+        assert full.total_bytes == approx_bytes(cfg.n_layers, cfg.n_layers)
         assert gem.total_bytes == approx_bytes(p.r, 1)
         # SnapKV carries the extra compressed term, negligible when n >> m*k.
-        assert snap.total_bytes == pytest.approx(approx_bytes(p.m, 1), rel=0.05)
+        assert snap.total_bytes == pytest.approx(approx_bytes(cfg.n_layers, 1), rel=0.05)
         assert gem.total_bytes < snap.total_bytes < full.total_bytes
 
     def test_generation_time_n_to_k_proportion(self):
@@ -105,7 +114,7 @@ class TestTableRatios:
         # over start+j keys, the two-pass method adds its k^2 prefill.
         s = p.t - 1
         tri = s * (s + 1) // 2
-        unit = p.m * p.h * 2 * p.head_dim
+        unit = p.config.n_layers * p.config.n_heads * 2 * p.config.head_dim
         assert full == unit * (p.n * s + tri)
         assert snap == unit * (p.k * s + tri)
         assert gem == unit * (p.k * p.k + p.k * s + tri)
@@ -144,7 +153,7 @@ class TestScalingLaws:
 
     def test_method_ordering_prompt(self):
         p = params(n=4096, k=256, t=32)
-        assert p.n >= max(p.head_dim, p.k, p.t)  # the regime the ordering claims need
+        assert p.n >= max(p.config.head_dim, p.k, p.t)  # the regime the ordering claims need
         table = cost_table(p)
         assert table["gemfilter"][PROMPT].matmul_flops < table["full"][PROMPT].matmul_flops
         assert table["full"][PROMPT].matmul_flops == table["snapkv"][PROMPT].matmul_flops

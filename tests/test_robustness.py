@@ -11,9 +11,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gemfilter.cli import main
+from gemfilter.cli import DEFAULT_CONFIG, main
 from gemfilter.config import ModelConfig
-from gemfilter.costmodel import CostParams
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, pool_1d, topk_indices
@@ -476,33 +475,30 @@ def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
 
 # ------------------------------------------------------------- cost shapes
 
-COST_ARGS = ["cost", "--n", "10", "--k", "4", "--t", "1", "--r", "1", "--m", "2"]
-GOOD_COST = dict(
-    n=10, k=4, t=1, r=1, m=2, h=4, head_dim=16, h_kv=4, d_model=64,
-    hidden_mlp=256, vocab=260, layer_weight_bytes=1024,
-)
+SHAPE_RUN = ["--n", "10", "--k", "4", "--t", "1", "--r", "1", "--layers", "2"]
 BAD_COST_SHAPES = {
-    "kv-heads--2": (["--kv-heads", "-2"], {"h_kv": -2}),
-    "kv-heads-0": (["--kv-heads", "0"], {"h_kv": 0}),
-    "kv-heads-3": (["--kv-heads", "3"], {"h_kv": 3}),
-    "vocab--5": (["--vocab", "-5"], {"vocab": -5}),
+    "kv-heads--2": (["--kv-heads", "-2"], {"n_kv_heads": -2}),
+    "kv-heads-0": (["--kv-heads", "0"], {"n_kv_heads": 0}),
+    "kv-heads-3": (["--kv-heads", "3"], {"n_kv_heads": 3}),
+    "vocab--5": (["--vocab", "-5"], {"vocab_size": -5}),
     "hidden-mlp-0": (["--hidden-mlp", "0"], {"hidden_mlp": 0}),
+    "head-dim-0": (["--head-dim", "0"], {"head_dim": 0}),
 }
 
 
 @pytest.mark.parametrize("flags, fields", BAD_COST_SHAPES.values(), ids=BAD_COST_SHAPES)
-def test_impossible_cost_shape_rejected(capsys, flags, fields):
-    CostParams(**GOOD_COST)
-    with pytest.raises(ContractViolation):
-        CostParams(**{**GOOD_COST, **fields})
-    assert main([*COST_ARGS, *flags]) == 1
-    captured = capsys.readouterr()
-    assert "ContractViolation" in captured.err and captured.out == ""
-
-
-def test_negative_layer_weight_bytes_rejected():
-    with pytest.raises(ContractViolation, match="layer weight bytes"):
-        CostParams(**{**GOOD_COST, "layer_weight_bytes": -1})
+def test_impossible_cost_shape_rejected(capsys, no_work, flags, fields):
+    """An inline shape is a ModelConfig: each command refuses it with ModelConfig's error."""
+    good = {**DEFAULT_CONFIG, "n_layers": 2}
+    ModelConfig.from_dict(good)
+    with pytest.raises(ConfigurationError) as refused:
+        ModelConfig.from_dict({**good, **fields})
+    for command in ("cost", "bench"):
+        assert main([command, *SHAPE_RUN, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error (ConfigurationError): {refused.value}\n"
+    assert no_work == []
 
 
 # ------------------------------------------------------------- output paths and seeds

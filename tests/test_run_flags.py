@@ -1,11 +1,16 @@
-"""The CLI's one flag table: every run command builds its RunConfig the same way."""
+"""The CLI's flag tables: every run command builds its RunConfig the same
+way, and every command that takes a model shape builds its ModelConfig the
+same way."""
 
 import json
 from dataclasses import fields
 
 import pytest
 
-from gemfilter.cli import RUN_FLAGS, build_parser, main
+from gemfilter.cli import (
+    CONFIG_FLAGS, DEFAULT_CONFIG, RUN_FLAGS, _config_from_args, build_parser, main,
+)
+from gemfilter.config import ModelConfig
 from gemfilter.modelio import load_model
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy
@@ -100,3 +105,46 @@ def test_needle_json_is_needle_run_with_the_same_settings(capsys, copy_model):
         Strategy.GEMFILTER, select_k=24, max_new_tokens=8, pool_kernel=7, pool_mode="max"
     )
     assert doc == needle_run(spec, load_model(copy_model), [1], rc).to_dict()
+
+
+# A value for each shape setting, each unlike DEFAULT_CONFIG's and valid on its own.
+SHAPE = dict(
+    n_layers=3, n_heads=8, n_kv_heads=1, head_dim=6, hidden_mlp=40, vocab_size=300,
+    max_seq=512, rope_theta=500.0, use_rope=False,
+)
+RUN = ["--n", "8", "--k", "4", "--t", "2", "--r", "1"]
+# Each command that takes a model shape, its other required flags, its shape
+# settings and their older spellings.
+SHAPE_COMMANDS = {
+    "make-model": (["--out", "m.gfm"], list(CONFIG_FLAGS), {}),
+    "bench": (RUN, list(CONFIG_FLAGS), {}),
+    "cost": (
+        RUN,
+        ["n_layers", "n_heads", "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size"],
+        {"n_layers": "--m", "n_heads": "--h"},
+    ),
+}
+
+
+def test_every_shape_setting_has_one_flag():
+    assert {name: flag for name, (flag, _) in CONFIG_FLAGS.items()} == {
+        "n_layers": "--layers", "n_heads": "--heads", "n_kv_heads": "--kv-heads",
+        "head_dim": "--head-dim", "hidden_mlp": "--hidden-mlp", "vocab_size": "--vocab",
+        "max_seq": "--max-seq", "rope_theta": "--rope-theta", "use_rope": "--no-rope",
+    }
+    # d_model follows from the head layout; norm_eps is set only through --config.
+    assert set(CONFIG_FLAGS) == {f.name for f in fields(ModelConfig)} - {"d_model", "norm_eps"}
+
+
+@pytest.mark.parametrize("command", list(SHAPE_COMMANDS))
+def test_each_shape_flag_sets_its_config_field(command):
+    run, names, older = SHAPE_COMMANDS[command]
+    parser = build_parser()
+    args = vars(parser.parse_args([command, *run]))
+    assert {name: args[name] for name in CONFIG_FLAGS if name in args} == dict.fromkeys(names)
+    for name in names:
+        flag = CONFIG_FLAGS[name][0]
+        for spelling in (flag, older.get(name, flag)):
+            given = [spelling] if name == "use_rope" else [spelling, str(SHAPE[name])]
+            config = _config_from_args(parser.parse_args([command, *run, *given]))
+            assert config == ModelConfig.from_dict({**DEFAULT_CONFIG, name: SHAPE[name]})
