@@ -56,10 +56,7 @@ RUN_FLAGS = {
     "select_k": ("--select-k", dict(type=int)),
     "filter_layer": ("--filter-layer", dict(type=int)),
     "pool_kernel": ("--pool-kernel", dict(type=int)),
-    "pool_mode": ("--pool-mode", dict(choices=("avg", "max"))),
-    "include_first": ("--include-first", dict(action="store_true")),
-    "observation_window": ("--observation-window", dict(type=int)),
-    "recent_keep": ("--recent-keep", dict(type=int)),
+    "window": ("--window", dict(type=int)),
 }
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="print the selected sub-sequence for inspection")
     p.add_argument("--model", required=True)
     _add_prompt_args(p)
-    _add_settings(p, "filter_layer", "select_k", "pool_kernel", "pool_mode", "include_first")
+    _add_settings(p, "filter_layer", "select_k", "pool_kernel")
     p.add_argument("--show-indices", action="store_true")
     _add_seed_arg(p)
     _add_metrics_args(p)
@@ -370,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-percent", type=float, default=50.0)
     p.add_argument("--needle-text", default="bbbbbbbb")
     p.add_argument("--query-text", default=None)
-    _add_settings(
-        p, "select_k", "filter_layer", "pool_kernel", "pool_mode", max_new_tokens="--t-max"
-    )
+    _add_settings(p, "select_k", "filter_layer", "pool_kernel", max_new_tokens="--t-max")
     p.set_defaults(max_new_tokens=8)
     p.add_argument("--r-sweep", action="store_true", help="evaluate every layer")
     _add_seed_arg(p)
@@ -398,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_settings(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
     _add_seed_arg(p)
-    _add_settings(p, "pool_kernel", "pool_mode", "observation_window", "recent_keep")
+    _add_settings(p, "pool_kernel", "window")
     p.add_argument("--json", action="store_true")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_bench)

@@ -12,9 +12,8 @@ separate products'.  ``rms_norm_rows`` is the one norm (a vector is a
 one-row matrix); it reduces with ``np.add.reduce`` directly, the same
 float32 sum and division ``np.mean`` makes, without ``np.mean``'s
 Python-level dispatch, which dominated a one-row call.  ``pool_1d`` is the
-one score-smoothing kernel; its ``"avg"`` and ``"max"`` modes differ only in
-the pad value and the window reduction, and ``check_pooling`` is the check
-it makes, for callers that reject a bad kernel before any work.  Ties in
+one score-smoothing kernel, an average pool, and ``check_pooling`` is the
+check it makes, for callers that reject a bad kernel before any work.  Ties in
 ``topk_indices`` and ``argmax`` always break toward the lower index so every
 downstream selection is reproducible.  Every selection and every emitted
 token passes through one of those two, so both reject non-finite input
@@ -59,42 +58,37 @@ def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     return x * inv * gain
 
 
-def check_pooling(kernel: int, mode: str) -> None:
-    """Reject a kernel or mode :func:`pool_1d` cannot apply.
+def check_pooling(kernel: int) -> None:
+    """Reject a kernel :func:`pool_1d` cannot apply.
 
     Only odd kernels preserve length, so even ones are rejected; a kernel
     above the largest float cannot divide a window's sum.
     """
-    if mode not in ("avg", "max"):
-        raise ContractViolation(f"unknown pooling mode {mode!r}; expected 'avg' or 'max'")
     if kernel > sys.float_info.max:
         raise ContractViolation(f"pool kernel exceeds the largest float {sys.float_info.max}")
     if kernel < 1 or kernel % 2 == 0:
         raise ContractViolation(f"pool kernel must be odd and >= 1, got {kernel}")
 
 
-def pool_1d(v: np.ndarray, kernel: int, mode: str = "avg") -> np.ndarray:
-    """Length-preserving 1-D pooling over the windows ``[i - kernel//2, i + kernel//2]``.
+def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
+    """Length-preserving 1-D average pooling over the windows ``[i - kernel//2, i + kernel//2]``.
 
-    ``"avg"``: the window's sum divided by ``kernel``, where positions outside
-    the vector contribute zeros and still count in the denominator.
-    ``"max"``: the window's maximum, clipped at the edges.  Padding stops at
-    ``n - 1`` per side, since a wider window reaches no further position, so
-    memory is O(n) for any kernel.
+    Each output is the window's sum divided by ``kernel``, where positions
+    outside the vector contribute zeros and still count in the denominator.
+    Padding stops at ``n - 1`` per side, since a wider window reaches no
+    further position, so memory is O(n) for any kernel.
     """
-    check_pooling(kernel, mode)
+    check_pooling(kernel)
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation("pool_1d expects a non-empty vector")
     if not np.issubdtype(v.dtype, np.floating):
         v = v.astype(np.float64)
     half = min(kernel // 2, v.size - 1)
-    padded = np.full(v.size + 2 * half, 0.0 if mode == "avg" else -np.inf, dtype=v.dtype)
+    padded = np.zeros(v.size + 2 * half, dtype=v.dtype)
     padded[half : half + v.size] = v
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    if mode == "avg":
-        return windows.sum(axis=1) / v.dtype.type(kernel)
-    return windows.max(axis=1)
+    return windows.sum(axis=1) / v.dtype.type(kernel)
 
 
 def topk_indices(v: np.ndarray, k: int) -> np.ndarray:

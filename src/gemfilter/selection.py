@@ -61,18 +61,15 @@ class SelectionResult:
         self.indices = idx
 
 
-def selection_scores(
-    last_q: np.ndarray, keys: np.ndarray, pool_kernel: int = 5, pool_mode: str = "avg"
-) -> np.ndarray:
-    """Pooled, head-summed inner products of the last query against all keys.
+def selection_scores(last_q: np.ndarray, keys: np.ndarray, pool_kernel: int) -> np.ndarray:
+    """Average-pooled, head-summed inner products of the last query against all keys.
 
     ``last_q`` is the final position's per-head query ``(h, head_dim)`` and
     ``keys`` the head-major key matrix ``(h_kv, n, head_dim)``, as the cache
     holds it: query head ``j * g + i`` reads kv-head ``j``, so the query heads
     are grouped as ``(h_kv, g, head_dim)`` and contracted with the keys in
     float64 without copying a key per query head.  Heads are summed before
-    pooling.  Average pooling is the default; ``pool_mode="max"`` is kept as
-    an A/B knob.
+    pooling.
     """
     last_q = np.asarray(last_q)
     keys = np.asarray(keys)
@@ -85,7 +82,7 @@ def selection_scores(
         )
     grouped = last_q.reshape(keys.shape[0], -1, d).astype(np.float64)
     scores = np.einsum("jnd,jgd->n", keys, grouped)
-    return pool_1d(scores, pool_kernel, pool_mode)
+    return pool_1d(scores, pool_kernel)
 
 
 def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionResult:
@@ -119,10 +116,8 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
         keys[:, lo:hi] = qk[:, h:].transpose(1, 0, 2)
     del x
     note_kv_bytes(keys.nbytes)
-    scores = selection_scores(qk[-1, :h], keys, rc.pool_kernel, rc.pool_mode)
+    scores = selection_scores(qk[-1, :h], keys, rc.pool_kernel)
     kept = topk_indices(scores, min(k, ids.size))
-    if rc.include_first and 0 not in kept:
-        kept = np.concatenate([kept[:-1], np.asarray([0], dtype=np.int64)])
     return SelectionResult(indices=np.sort(kept), raw_scores=scores, budget=k)
 
 

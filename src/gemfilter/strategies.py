@@ -6,10 +6,10 @@ every position.  Gemfilter keeps one global top-k set, chosen by a filter
 pass over the first ``r`` layers (:func:`~gemfilter.selection.select_indices`),
 and its kept tokens replace the prompt.  SnapKV and H2O keep a set per layer
 and per kv-head through one rule, :func:`keep_positions`: a trailing window
-plus the best positions before it.  SnapKV's window is the observation
-window and its scores are the window rows' attention, smoothed by 1-D
-pooling; H2O's window is the most recent positions and its scores are every
-row's attention.
+plus the best positions before it, the window being ``RunConfig.window``
+for both.  SnapKV scores with the window rows' attention (its observation
+window), smoothed by 1-D average pooling; H2O scores with every row's
+attention (the window is its recent window).
 
 Both rules read one score vector per kv-head from the prompt pass
 (:func:`~gemfilter.model.prefill`): the attention mass each key receives
@@ -17,8 +17,8 @@ from the last ``score_rows`` queries.  Each layer is evicted, by a per-head
 gather into a smaller :class:`~gemfilter.model.LayerKV`, as soon as it
 finishes, so at most one full layer is live next to the evicted ones, and
 evicted caches decode through the same :func:`~gemfilter.model.decode_step`
-as full ones.  Retained keys keep their original rotary positions; both
-windows keep position n - 1, so decode resumes at position n.
+as full ones.  Retained keys keep their original rotary positions; the
+window keeps position n - 1, so decode resumes at position n.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ class RunConfig:
 
     ``select_k`` is the number of prompt positions kept: gemfilter's global
     set, and each snapkv/h2o layer's set per kv-head, window included.
-    ``pool_kernel``/``pool_mode`` smooth gemfilter's selection scores and
-    snapkv's window scores.  Every field is checked once, here, its type first.
+    ``pool_kernel`` average-pools gemfilter's selection scores and snapkv's
+    window scores.  ``window`` is the trailing span snapkv and h2o always
+    keep, and the rows snapkv scores with.  Every field is checked once,
+    here, its type first.
     """
 
     strategy: Strategy
@@ -64,10 +66,7 @@ class RunConfig:
     select_k: int = 64
     filter_layer: int = 1
     pool_kernel: int = 5
-    pool_mode: str = "avg"
-    include_first: bool = False
-    observation_window: int = 32
-    recent_keep: int = 32
+    window: int = 32
 
     def __post_init__(self) -> None:
         if not isinstance(self.strategy, Strategy):
@@ -75,11 +74,9 @@ class RunConfig:
                 f"strategy must be a Strategy, got {self.strategy!r}; Strategy.parse reads a name"
             )
         check_field_types(self)
-        if self.observation_window < 1:
-            raise ConfigurationError("observation_window must be >= 1")
-        check_pooling(self.pool_kernel, self.pool_mode)
-        if self.recent_keep < 1:
-            raise ConfigurationError("recent_keep must be >= 1")
+        if self.window < 1:
+            raise ConfigurationError("window must be >= 1")
+        check_pooling(self.pool_kernel)
         if self.max_new_tokens < 0:
             raise ContractViolation("max_new_tokens must be >= 0")
         # The upper bound of filter_layer needs the model: select_indices checks it.
@@ -111,16 +108,16 @@ def keep_positions(scores: np.ndarray, budget: int, window: int) -> np.ndarray:
 def snapkv_retained_indices(window_scores: np.ndarray, rc: RunConfig) -> np.ndarray:
     """snapkv's positions for one kv-head: its window plus the best pooled prefix.
 
-    The window rows' attention is pooled with :func:`~gemfilter.kernels.pool_1d`
-    in ``rc.pool_mode`` over every position, window included.
+    The window rows' attention is average-pooled with
+    :func:`~gemfilter.kernels.pool_1d` over every position, window included.
     """
-    pooled = pool_1d(window_scores, rc.pool_kernel, rc.pool_mode)
-    return keep_positions(pooled, rc.select_k, rc.observation_window)
+    pooled = pool_1d(window_scores, rc.pool_kernel)
+    return keep_positions(pooled, rc.select_k, rc.window)
 
 
 def h2o_retained_indices(col_scores: np.ndarray, rc: RunConfig) -> np.ndarray:
     """h2o's positions for one kv-head: its recent window plus the heaviest prefix."""
-    return keep_positions(col_scores, rc.select_k, rc.recent_keep)
+    return keep_positions(col_scores, rc.select_k, rc.window)
 
 
 def prompt_pass(rc: RunConfig, n: int, max_seq: int):
@@ -132,14 +129,15 @@ def prompt_pass(rc: RunConfig, n: int, max_seq: int):
     the module attributes (span tracing) see every call.  Rejected here,
     before any layer runs: first a decode past ``max_seq`` (gemfilter's
     second pass restarts at position 0 over ``min(k, n)`` tokens), then a
-    budget ``select_k`` below the window its keep rule always keeps.  Empty,
-    overlong and shorter-than-window prompts are left to prefill's checks.
+    budget ``select_k`` below ``rc.window``, which snapkv and h2o always keep
+    (full and gemfilter keep no window).  Empty, overlong and
+    shorter-than-window prompts are left to prefill's checks.
     """
     filters = rc.strategy is Strategy.GEMFILTER
-    k, t, w = rc.select_k, rc.max_new_tokens, rc.observation_window
+    k, t, w = rc.select_k, rc.max_new_tokens, rc.window
     rule, score_rows, window = {
         Strategy.SNAPKV: ("snapkv_retained_indices", w, w),
-        Strategy.H2O: ("h2o_retained_indices", n, rc.recent_keep),
+        Strategy.H2O: ("h2o_retained_indices", n, w),
     }.get(rc.strategy, (None, 0, 0))
     if 1 <= n <= max_seq:
         kept = min(k, n) if filters else n

@@ -65,9 +65,8 @@ def big_runs():
             max_new_tokens=BIG["t"],
             select_k=BIG["k"],
             filter_layer=BIG["r"],
-            observation_window=32,
+            window=32,
             pool_kernel=5,
-            recent_keep=32,
         )
         result = run_generation(weights, tokens, rc)
         measured[strategy.value] = result.session.snapshot()
@@ -337,7 +336,7 @@ def _prompt_queries(w, tokens):
 
 
 def test_snapkv_h2o_small_instance_oracles():
-    window, recent, kernel = 3, 3, 3
+    window, kernel = 3, 3
     for n in (8, 12, 16):
         cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, 600 + n)
@@ -346,10 +345,7 @@ def test_snapkv_h2o_small_instance_oracles():
         for k in (6, n):
             evicted = {}
             for strategy in (Strategy.SNAPKV, Strategy.H2O):
-                rc = RunConfig(
-                    strategy, select_k=k,
-                    observation_window=window, pool_kernel=kernel, recent_keep=recent,
-                )
+                rc = RunConfig(strategy, select_k=k, window=window, pool_kernel=kernel)
                 _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
                 evicted[strategy] = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
             snap, heavy = evicted[Strategy.SNAPKV], evicted[Strategy.H2O]
@@ -376,9 +372,9 @@ def test_snapkv_h2o_small_instance_oracles():
                 assert snap[0].positions[kvh].tolist() == snap_expect
 
                 col = probs.sum(axis=0)
-                pre_h2o = col[: n - recent]
+                pre_h2o = col[: n - window]
                 h2o_expect = sorted(
-                    sorted(range(len(pre_h2o)), key=lambda i: (-pre_h2o[i], i))[: k - recent]
-                    + list(range(n - recent, n))
+                    sorted(range(len(pre_h2o)), key=lambda i: (-pre_h2o[i], i))[: k - window]
+                    + list(range(n - window, n))
                 )
                 assert heavy[0].positions[kvh].tolist() == h2o_expect

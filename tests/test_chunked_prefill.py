@@ -43,7 +43,7 @@ def observe(w, tokens, strategy):
     window = min(4, n)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=16, filter_layer=2,
-        observation_window=window, recent_keep=window, pool_kernel=3,
+        window=window, pool_kernel=3,
     )
     result = run_generation(w, tokens, rc)
     counters = {

@@ -12,7 +12,7 @@ import gemfilter
 from gemfilter import cli
 from gemfilter.cli import main
 from gemfilter.costmodel import CostParams, cost_table
-from gemfilter.counting import PROMPT
+from gemfilter.counting import PROMPT, CostSession
 from gemfilter.modelio import load_model
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy
@@ -54,8 +54,30 @@ def copy_model(tmp_path_factory):
 
 
 class TestExitCodes:
-    def test_unknown_flag_is_usage_error(self, random_model):
-        assert main(["generate", "--model", str(random_model), "--frobnicate"]) == 2
+    def test_unknown_flag_is_usage_error(self, random_model, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
+        prompt = ["--model", str(random_model), "--prompt-random", "8"]
+        run = {
+            "generate": prompt,
+            "select": prompt,
+            "needle": ["--model", str(random_model), "--haystack-len", "8"],
+            "bench": ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
+        }
+        # The deleted settings' flags, on each command that took them.
+        removed = {
+            ("--pool-mode", "max"): ("generate", "select", "needle", "bench"),
+            ("--include-first",): ("generate", "select"),
+            ("--observation-window", "4"): ("generate", "bench"),
+            ("--recent-keep", "4"): ("generate", "bench"),
+        }
+        cases = [("generate", ("--frobnicate",))]
+        cases += [(command, flag) for flag, commands in removed.items() for command in commands]
+        for command, flag in cases:
+            assert main([command, *run[command], *flag]) == 2, (command, flag)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unrecognized arguments" in captured.err
+        assert calls == []
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["transmogrify"]) == 2
@@ -146,9 +168,7 @@ class TestGenerate:
                 strategy,
                 "--select-k",
                 "24",
-                "--observation-window",
-                "8",
-                "--recent-keep",
+                "--window",
                 "8",
                 "--max-new-tokens",
                 "4",
@@ -246,24 +266,6 @@ class TestPromptSources:
         )
         assert code == 2
 
-    def test_pool_mode_flag_accepted(self, copy_model, capsys):
-        prompt = "a" * 40 + "bbbb" + "a" * 40 + "b"
-        code = main(
-            [
-                "select",
-                "--model",
-                str(copy_model),
-                "--prompt-text",
-                prompt,
-                "--select-k",
-                "12",
-                "--pool-mode",
-                "max",
-            ]
-        )
-        assert code == 0
-        assert "bbbb" in capsys.readouterr().out
-
 
 class TestSelect:
     def test_select_prints_planted_needle(self, copy_model, capsys):
@@ -290,8 +292,7 @@ class TestSelect:
     def test_select_record_is_a_zero_token_gemfilter_run(self, random_model, tmp_path, capsys):
         flags = [
             "--model", str(random_model), "--prompt-random", "40", "--seed", "5",
-            "--filter-layer", "2", "--select-k", "12", "--pool-kernel", "3",
-            "--pool-mode", "max", "--include-first", "--no-wall-times",
+            "--filter-layer", "2", "--select-k", "12", "--pool-kernel", "3", "--no-wall-times",
         ]
         sel_out, gen_out = tmp_path / "select.ndjson", tmp_path / "generate.ndjson"
         assert main(["select", *flags, "--metrics-out", str(sel_out)]) == 0
@@ -443,9 +444,7 @@ class TestBenchCommand:
                 "4",
                 "--r",
                 "1",
-                "--observation-window",
-                "4",
-                "--recent-keep",
+                "--window",
                 "4",
                 "--pool-kernel",
                 "3",
@@ -475,9 +474,7 @@ class TestBenchCommand:
                 "2",
                 "--r",
                 "1",
-                "--observation-window",
-                "4",
-                "--recent-keep",
+                "--window",
                 "4",
                 "--pool-kernel",
                 "3",
@@ -491,8 +488,7 @@ class TestBenchCommand:
 
     BENCH = [
         "bench", "--layers", "3", "--heads", "4", "--kv-heads", "2", "--head-dim", "8",
-        "--n", "64", "--k", "20", "--t", "3", "--r", "2", "--observation-window", "4",
-        "--recent-keep", "4", "--pool-kernel", "3",
+        "--n", "64", "--k", "20", "--t", "3", "--r", "2", "--window", "4", "--pool-kernel", "3",
     ]
 
     @pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
@@ -539,8 +535,7 @@ class TestBenchCommand:
     [
         (["cost", "--m", "7", "--h", "8"], "--layers, --heads"),
         (
-            ["bench", "--layers", "0", "--heads", "8", "--observation-window", "2",
-             "--recent-keep", "2"],
+            ["bench", "--layers", "0", "--heads", "8", "--window", "2"],
             "--layers, --heads",
         ),
     ],

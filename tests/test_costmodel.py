@@ -188,7 +188,7 @@ class TestScalingLaws:
 
 
 class TestVerifyCounters:
-    def run_all(self, w, n, k, t, r, window=4, recent=4):
+    def run_all(self, w, n, k, t, r, window=4):
         tokens = np.random.default_rng(42).integers(
             0, w.config.vocab_size, size=n
         ).tolist()
@@ -200,8 +200,7 @@ class TestVerifyCounters:
                 select_k=k,
                 filter_layer=r,
                 pool_kernel=3,
-                observation_window=window,
-                recent_keep=recent,
+                window=window,
             )
             result = run_generation(w, tokens, rc)
             measured[strategy.value] = result.session.snapshot()
@@ -255,7 +254,7 @@ class TestVerifyCounters:
                 for t in (0, 1, 3):
                     rc = RunConfig(
                         Strategy.SNAPKV, max_new_tokens=t, select_k=k, pool_kernel=3,
-                        observation_window=window,
+                        window=window,
                     )
                     measured = run_generation(w, tokens, rc).session.snapshot()
                     table = cost_table(CostParams.from_weights(w, n=n, k=k, t=t, r=1))

@@ -1,9 +1,8 @@
 """Golden runs: output tokens and phase counters on a fixed tiny grid.
 
-Every (shape, strategy, n, k, t) cell below, plus the snapkv/h2o cells with
-``pool_mode="max"`` and the snapkv cells at ``select_k = k + observation_window``
-(suffix ``k-plus-window``), runs through :func:`run_generation` and must
-reproduce, exactly, the output tokens and
+Every (shape, strategy, n, k, t) cell below, plus the snapkv cells at
+``select_k = k + window`` (suffix ``k-plus-window``), runs through
+:func:`run_generation` and must reproduce, exactly, the output tokens and
 the per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)``
 recorded in ``golden_runs.json``.  The file pins the engine's observable
 behaviour across internal refactors; a cell that raises records the error
@@ -31,14 +30,11 @@ GOLDEN = Path(__file__).with_name("golden_runs.json")
 SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
-EVICTION = dict(observation_window=2, pool_kernel=3, recent_keep=2)
+EVICTION = dict(window=2, pool_kernel=3)
 EVICTING = (Strategy.SNAPKV, Strategy.H2O)
 # Extra eviction settings, each run for the strategies it names; their cells get a suffix.
 EVICTION_VARIANTS = {
-    "pool-max": (EVICTING, lambda rc: replace(rc, pool_mode="max")),
-    "k-plus-window": (
-        (Strategy.SNAPKV,), lambda rc: replace(rc, select_k=rc.select_k + rc.observation_window)
-    ),
+    "k-plus-window": ((Strategy.SNAPKV,), lambda rc: replace(rc, select_k=rc.select_k + rc.window)),
 }
 
 

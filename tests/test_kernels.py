@@ -177,35 +177,6 @@ class TestAvgPool1d:
         assert pooled.sum() == pytest.approx(pool_oracle(v, kernel).sum(), abs=1e-9)
 
 
-class TestMaxPool1d:
-    def test_against_window_oracle(self):
-        rng = np.random.default_rng(40)
-        for _ in range(200):
-            n = int(rng.integers(1, 20))
-            kernel = int(rng.choice([1, 3, 5]))
-            v = rng.standard_normal(n)
-            half = kernel // 2
-            oracle = [
-                max(v[max(0, i - half) : min(n, i + half + 1)]) for i in range(n)
-            ]
-            np.testing.assert_allclose(pool_1d(v, kernel, "max"), oracle)
-
-    def test_negative_values_not_zero_clamped(self):
-        out = pool_1d(np.asarray([-3.0, -2.0, -5.0]), 3, "max")
-        assert out.tolist() == [-2.0, -2.0, -2.0]
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ContractViolation):
-            pool_1d(np.ones(4), 4, "max")
-
-    def test_pool_dispatch(self):
-        v = np.asarray([0.0, 6.0, 0.0])
-        assert pool_1d(v, 3, "avg").tolist() == [2.0, 2.0, 2.0]
-        assert pool_1d(v, 3, "max").tolist() == [6.0, 6.0, 6.0]
-        with pytest.raises(ContractViolation):
-            pool_1d(v, 3, "median")
-
-
 # ---------------------------------------------------------------- top-k
 
 

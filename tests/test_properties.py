@@ -1,6 +1,6 @@
 """Property tests over the whole parameter space, on tiny models.
 
-For any ``(n, k, t, r, m, h, h_kv, observation_window, recent_keep)`` each
+For any ``(n, k, t, r, m, h, h_kv)`` and window (drawn apart for snapkv and h2o) each
 strategy either raises a named :class:`EngineError` (exactly when the
 parameters violate a documented constraint) or produces counters that equal
 ``cost_table`` as integers.  The global selection and each head of an
@@ -63,7 +63,11 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     )
     weights = make_random_model(cfg, p["seed"])
     tokens = np.random.default_rng(p["seed"]).integers(0, cfg.vocab_size, p["n"]).tolist()
-    eviction = dict(observation_window=p["window"], pool_kernel=3, recent_keep=p["recent"])
+    # snapkv and h2o each get their own draw of the window.
+    eviction = {
+        "snapkv": dict(window=p["window"], pool_kernel=3),
+        "h2o": dict(window=p["recent"], pool_kernel=3),
+    }
     table = cost_table(
         CostParams.from_weights(weights, n=p["n"], k=p["k"], t=p["t"], r=p["r"])
     )
@@ -71,7 +75,7 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     for strategy in Strategy:
         rc = RunConfig(
             strategy=strategy, max_new_tokens=p["t"], select_k=p["k"],
-            filter_layer=p["r"], **(eviction if strategy.value in ("snapkv", "h2o") else {}),
+            filter_layer=p["r"], **eviction.get(strategy.value, {}),
         )
         try:
             result = run_generation(weights, tokens, rc)
@@ -89,7 +93,7 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
     for method in ("snapkv", "h2o"):
         if not _valid(method, p):
             continue
-        rc = RunConfig(Strategy(method), max_new_tokens=p["t"], select_k=p["k"], **eviction)
+        rc = RunConfig(Strategy(method), max_new_tokens=p["t"], select_k=p["k"], **eviction[method])
         _, evict, score_rows = prompt_pass(rc, p["n"], weights.config.max_seq)
         compressed = prefill(tokens, weights, evict=evict, score_rows=score_rows).caches
         for layer in compressed:
@@ -130,19 +134,17 @@ def pooling_cases(draw):
     n = draw(st.integers(1, 64))
     kernel = 2 * draw(st.integers(0, (3 * n + 8) // 2)) + 1  # odd, 1..3n+9
     v = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
-    return v, kernel, draw(st.sampled_from(["avg", "max"]))
+    return v, kernel
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pooling_cases())
 def test_pool_1d_matches_brute_force_windows(case):
-    v, kernel, mode = case
+    v, kernel = case
     n, half = v.size, kernel // 2
-    out = pool_1d(v, kernel, mode)
+    out = pool_1d(v, kernel)
     assert out.shape == (n,)
     windows = [v[max(i - half, 0) : i + half + 1] for i in range(n)]
-    if mode == "avg":  # zero padding: the clipped window's sum over the full kernel
-        oracle = [sum(win.tolist()) / kernel for win in windows]
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
-    else:
-        assert out.tolist() == [max(win.tolist()) for win in windows]
+    # Zero padding: the clipped window's sum over the full kernel.
+    oracle = [sum(win.tolist()) / kernel for win in windows]
+    np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)

@@ -63,7 +63,7 @@ def test_nan_weights_fail_selection_on_copy_model():
 def test_nan_weights_fail_every_strategy(strategy):
     rc = RunConfig(
         strategy=strategy, max_new_tokens=3, select_k=4,
-        observation_window=2, pool_kernel=3, recent_keep=2,
+        window=2, pool_kernel=3,
     )
     with pytest.raises(ContractViolation, match="not finite"):
         run_generation(nan_model(), list(range(10)), rc)
@@ -292,8 +292,7 @@ def test_pool_window_wider_than_the_vector_covers_all_of_it(n):
     """Padding stops at n - 1 per side, so memory stays O(n) for any kernel."""
     v = np.random.default_rng(n).standard_normal(n)
     for kernel in (2 * n - 1, 2 * n + 1, HUGE_KERNEL):
-        np.testing.assert_allclose(pool_1d(v, kernel, "avg"), v.sum() / kernel, rtol=1e-12)
-        assert np.array_equal(pool_1d(v, kernel, "max"), np.full(n, v.max()))
+        np.testing.assert_allclose(pool_1d(v, kernel), v.sum() / kernel, rtol=1e-12)
 
 
 POOLING_ARGV = pytest.mark.parametrize(
@@ -302,7 +301,7 @@ POOLING_ARGV = pytest.mark.parametrize(
         ["select", "--prompt-random", "20", "--select-k", "4"],
         ["needle", "--haystack-len", "20", "--select-k", "4", "--t-max", "2"],
         ["generate", "--strategy", "snapkv", "--prompt-random", "20", "--select-k", "8",
-         "--observation-window", "2", "--max-new-tokens", "2"],
+         "--window", "2", "--max-new-tokens", "2"],
     ],
     ids=["select", "needle", "generate-snapkv"],
 )
@@ -329,8 +328,7 @@ def test_pool_kernel_above_the_largest_float_is_named(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "pool", [dict(pool_kernel=4), dict(pool_kernel=0), dict(pool_mode="median")],
-    ids=["kernel-4", "kernel-0", "mode-median"],
+    "pool", [dict(pool_kernel=4), dict(pool_kernel=0)], ids=["kernel-4", "kernel-0"]
 )
 def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypatch, pool):
     weights, tokens = make_random_model(tiny_config(), 3), list(range(10))
@@ -342,30 +340,27 @@ def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypat
         select_indices(weights, tokens, RunConfig(Strategy.GEMFILTER, select_k=4, **pool))
     with pytest.raises(ContractViolation, match="pool"):
         run_generation(weights, tokens, RunConfig(Strategy.GEMFILTER, select_k=4, **pool))
-    if "pool_kernel" in pool:
-        argv = ["--prompt-random", "10", "--pool-kernel", str(pool["pool_kernel"])]
-        assert main(["select", "--model", str(model), *argv]) == 1
-        assert "ContractViolation" in capsys.readouterr().err
+    argv = ["--prompt-random", "10", "--pool-kernel", str(pool["pool_kernel"])]
+    assert main(["select", "--model", str(model), *argv]) == 1
+    assert "ContractViolation" in capsys.readouterr().err
     assert calls == []
 
 
 @pytest.mark.parametrize(
-    "pool", [dict(pool_kernel=4), dict(pool_kernel=0), dict(pool_mode="median")],
-    ids=["kernel-4", "kernel-0", "mode-median"],
+    "pool", [dict(pool_kernel=4), dict(pool_kernel=0)], ids=["kernel-4", "kernel-0"]
 )
 def test_bad_pooling_is_one_error_class_for_every_strategy(tmp_path, capsys, pool):
     for strategy in Strategy:
         with pytest.raises(ContractViolation, match="pool"):
             RunConfig(strategy, **pool)
-    if "pool_kernel" in pool:  # the CLI's --pool-mode choices reject "median" as usage
-        model = tmp_path / "m.gfm"
-        save_model(model, make_random_model(tiny_config(), 3))
-        flags = ["--model", str(model), "--prompt-random", "10"]
-        flags += ["--pool-kernel", str(pool["pool_kernel"])]
-        for argv in (["generate", "--strategy", "full"], ["generate", "--strategy", "snapkv"],
-                     ["select"]):
-            assert main([*argv, *flags]) == 1, argv
-            assert "ContractViolation" in capsys.readouterr().err, argv
+    model = tmp_path / "m.gfm"
+    save_model(model, make_random_model(tiny_config(), 3))
+    flags = ["--model", str(model), "--prompt-random", "10"]
+    flags += ["--pool-kernel", str(pool["pool_kernel"])]
+    for argv in (["generate", "--strategy", "full"], ["generate", "--strategy", "snapkv"],
+                 ["select"]):
+        assert main([*argv, *flags]) == 1, argv
+        assert "ContractViolation" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize(
@@ -389,31 +384,26 @@ def test_budget_and_filter_layer_below_one_are_one_error_class(
         assert "ContractViolation" in captured.err and captured.out == "", strategy
 
 
-# RunConfig's int and bool settings, by annotation.
-RUN_TYPED_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.type in ("int", "bool")}
+# RunConfig's settings besides the strategy, all ints.
+RUN_INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
 
 
-@pytest.mark.parametrize("field", sorted(RUN_TYPED_FIELDS))
+@pytest.mark.parametrize("field", sorted(RUN_INT_FIELDS))
 def test_run_config_rejects_a_value_of_the_wrong_type(field):
-    """A float, string or None ends in no TypeError, and a bool is not an int (nor 1 a bool)."""
+    """A float, string or None ends in no TypeError, and a bool is not an int."""
     default = getattr(RunConfig(Strategy.FULL), field)
-    other = True if RUN_TYPED_FIELDS[field] == "int" else int(default)
-    for value in (float(default), str(default), None, other):
+    for value in (float(default), str(default), None, True):
         with pytest.raises(ConfigurationError, match=f"{field} must be"):
             RunConfig(Strategy.SNAPKV, **{field: value})
 
 
-@pytest.mark.parametrize(
-    "strategy, window",
-    [(Strategy.SNAPKV, dict(observation_window=16)), (Strategy.H2O, dict(recent_keep=16))],
-    ids=["snapkv", "h2o"],
-)
-def test_budget_below_its_window_rejected_before_any_layer_runs(monkeypatch, strategy, window):
+@pytest.mark.parametrize("strategy", [Strategy.SNAPKV, Strategy.H2O], ids=["snapkv", "h2o"])
+def test_budget_below_its_window_rejected_before_any_layer_runs(monkeypatch, strategy):
     weights, tokens = make_random_model(tiny_config(), 3), list(range(40))
     calls = []
     monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
     with pytest.raises(ConfigurationError, match="budget k=8 smaller than"):
-        run_generation(weights, tokens, RunConfig(strategy, select_k=8, **window))
+        run_generation(weights, tokens, RunConfig(strategy, select_k=8, window=16))
     assert calls == []
 
 
@@ -423,7 +413,7 @@ def test_max_seq_far_beyond_the_run_costs_nothing(strategy):
     weights = make_random_model(replace(tiny_config(), max_seq=2**62), 3)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
-        observation_window=2, pool_kernel=3, recent_keep=2,
+        window=2, pool_kernel=3,
     )
     assert len(run_generation(weights, list(range(10)), rc).output_tokens) == 3
 

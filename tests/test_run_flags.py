@@ -29,26 +29,20 @@ def test_every_run_config_setting_has_one_flag():
     assert len(set(flags)) == len(flags)
 
 
-GENERATE = dict(
-    max_new_tokens=16, select_k=64, filter_layer=1, pool_kernel=5, pool_mode="avg",
-    include_first=False, observation_window=32, recent_keep=32,
-)
+GENERATE = dict(max_new_tokens=16, select_k=64, filter_layer=1, pool_kernel=5, window=32)
 MINIMAL_ARGV = {
     "generate": (["--model", "m", "--prompt-text", "x"], GENERATE),
     "select": (
         ["--model", "m", "--prompt-text", "x"],
-        dict(select_k=64, filter_layer=1, pool_kernel=5, pool_mode="avg", include_first=False),
+        dict(select_k=64, filter_layer=1, pool_kernel=5),
     ),
     "needle": (
         ["--model", "m", "--haystack-len", "8"],
-        dict(select_k=64, filter_layer=1, max_new_tokens=8, pool_kernel=5, pool_mode="avg"),
+        dict(select_k=64, filter_layer=1, max_new_tokens=8, pool_kernel=5),
     ),
     "bench": (
         ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
-        dict(
-            max_new_tokens=2, select_k=4, filter_layer=1, pool_kernel=5, pool_mode="avg",
-            observation_window=32, recent_keep=32,
-        ),
+        dict(max_new_tokens=2, select_k=4, filter_layer=1, pool_kernel=5, window=32),
     ),
 }
 
@@ -64,8 +58,8 @@ def _bench(capsys, tmp_path, tag, settings):
     out = tmp_path / f"{tag}.ndjson"
     argv = [
         "bench", "--layers", "2", "--heads", "2", "--kv-heads", "1", "--head-dim", "8",
-        "--n", "40", *settings, "--observation-window", "4", "--recent-keep", "4",
-        "--json", "--no-wall-times", "--metrics-out", str(out),
+        "--n", "40", *settings, "--window", "4", "--json", "--no-wall-times",
+        "--metrics-out", str(out),
     ]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -98,12 +92,10 @@ def test_needle_t_max_is_max_new_tokens(capsys, copy_model):
 
 def test_needle_json_is_needle_run_with_the_same_settings(capsys, copy_model):
     doc = json.loads(
-        _needle(capsys, copy_model, "--pool-mode", "max", "--pool-kernel", "7", "--json")
+        _needle(capsys, copy_model, "--pool-kernel", "7", "--json")
     )
     spec = NeedleSpec(haystack_len=96, depth_percent=50.0, needle=(98,) * 8, query_token=98)
-    rc = RunConfig(
-        Strategy.GEMFILTER, select_k=24, max_new_tokens=8, pool_kernel=7, pool_mode="max"
-    )
+    rc = RunConfig(Strategy.GEMFILTER, select_k=24, max_new_tokens=8, pool_kernel=7)
     assert doc == needle_run(spec, load_model(copy_model), [1], rc).to_dict()
 
 

@@ -84,7 +84,7 @@ class TestSelectionScores:
 
     def test_head_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            selection_scores(np.zeros((2, 4), dtype=F32), np.zeros((3, 5, 4), dtype=F32))
+            selection_scores(np.zeros((2, 4), dtype=F32), np.zeros((3, 5, 4), dtype=F32), 1)
 
     def test_positive_query_scaling_keeps_topk(self):
         rng = np.random.default_rng(1)
@@ -167,16 +167,6 @@ class TestSelectIndices:
         with pytest.raises(ContractViolation):
             select_indices(w, [1, 2, 3], gem_rc(r=3, k=2))
 
-    def test_include_first_flag(self):
-        cfg = copy_model_config(n_layers=1)
-        w = make_copy_model(cfg)
-        tokens = [97] * 30 + [98] * 4 + [98]
-        base = select_indices(w, tokens, gem_rc(r=1, k=6))
-        assert 0 not in base.indices.tolist()
-        forced = select_indices(w, tokens, gem_rc(r=1, k=6, include_first=True))
-        assert forced.indices[0] == 0
-        assert forced.indices.shape == base.indices.shape
-
     @pytest.mark.parametrize("n", [1, 5, 64, 65])
     @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
     def test_scores_match_expanded_key_oracle(self, h, hk, n):
@@ -189,14 +179,11 @@ class TestSelectIndices:
         raw = sum((expanded[qh] * q[qh]).sum(axis=1) for qh in range(h))
         half = 2  # pool_kernel = 5
         windows = [raw[max(i - half, 0) : i + half + 1] for i in range(n)]
-        for mode, oracle in [
-            ("avg", np.asarray([win.sum() / 5 for win in windows])),
-            ("max", np.asarray([win.max() for win in windows])),
-        ]:
-            sel = select_indices(w, tokens, gem_rc(r=2, k=4, pool_mode=mode))
-            np.testing.assert_allclose(sel.raw_scores, oracle, rtol=1e-12, atol=0)
-            top = np.argsort(-oracle, kind="stable")[: min(4, n)]
-            assert sel.indices.tolist() == sorted(top.tolist())
+        oracle = np.asarray([win.sum() / 5 for win in windows])
+        sel = select_indices(w, tokens, gem_rc(r=2, k=4))
+        np.testing.assert_allclose(sel.raw_scores, oracle, rtol=1e-12, atol=0)
+        top = np.argsort(-oracle, kind="stable")[: min(4, n)]
+        assert sel.indices.tolist() == sorted(top.tolist())
 
     def test_indices_always_strictly_ascending(self):
         rng = np.random.default_rng(5)
@@ -231,7 +218,7 @@ def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
         last_q, keys = full_filter_layer(w, tokens, r)
         full_prefill = prefill(tokens, w, upto_layer=r, want_logits=False)
         assert keys.tobytes() == full_prefill.caches[-1].keys.tobytes(), r
-        scores = selection_scores(last_q, keys, rc.pool_kernel, rc.pool_mode)
+        scores = selection_scores(last_q, keys, rc.pool_kernel)
         kept = np.sort(topk_indices(scores, min(k, n)))
         assert result.selection.raw_scores.tobytes() == scores.tobytes(), r
         assert result.selection.indices.tobytes() == kept.tobytes(), r
@@ -385,7 +372,7 @@ class TestIndexSetShapes:
             strategy=Strategy.SNAPKV,
             max_new_tokens=1,
             select_k=10,
-            observation_window=4,
+            window=4,
             pool_kernel=3,
         )
         result = run_generation(w, tokens, rc)

@@ -121,30 +121,33 @@ class TestRetainedIndexRules:
     def test_snapkv_budget_covers_everything(self):
         scores = np.asarray([5.0, 1.0, 3.0, 2.0], dtype=np.float64)
         for k in (4, 9):
-            params = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=2, pool_kernel=1)
+            params = RunConfig(Strategy.SNAPKV, select_k=k, window=2, pool_kernel=1)
             assert snapkv_retained_indices(scores, params).tolist() == [0, 1, 2, 3]
 
     def test_snapkv_keeps_window_and_top_prefix(self):
         scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        params = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, select_k=3, window=2, pool_kernel=1)
         assert snapkv_retained_indices(scores, params).tolist() == [1, 4, 5]
+        # The window counts inside select_k: one more kept position is the next best.
+        params = replace(params, select_k=4)
+        assert snapkv_retained_indices(scores, params).tolist() == [1, 3, 4, 5]
 
     def test_snapkv_window_larger_than_budget_rejected(self):
-        params = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=4, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, select_k=3, window=4, pool_kernel=1)
         with pytest.raises(ContractViolation):
             snapkv_retained_indices(np.zeros(10), params)
         with pytest.raises(ConfigurationError, match="budget k=3 smaller than the 4 positions"):
             prompt_pass(params, 10, max_seq=64)
 
     def test_snapkv_prompt_shorter_than_window_rejected(self):
-        params = RunConfig(Strategy.SNAPKV, select_k=2, observation_window=8, pool_kernel=1)
+        params = RunConfig(Strategy.SNAPKV, select_k=2, window=8, pool_kernel=1)
         with pytest.raises(ContractViolation):
             snapkv_retained_indices(np.zeros(4), params)
 
     def test_snapkv_subset_monotone_in_k(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal(40)
-        params = RunConfig(Strategy.SNAPKV, observation_window=4, pool_kernel=5)
+        params = RunConfig(Strategy.SNAPKV, window=4, pool_kernel=5)
         prev: set[int] = set()
         for k in range(4, 41, 3):
             kept = set(snapkv_retained_indices(scores, replace(params, select_k=k)).tolist())
@@ -153,50 +156,38 @@ class TestRetainedIndexRules:
 
     def test_h2o_keeps_recent_and_heavy(self):
         scores = np.asarray([1.0, 7.0, 2.0, 5.0, 0.0, 0.0], dtype=np.float64)
-        params = RunConfig(Strategy.H2O, select_k=4, recent_keep=2)
+        params = RunConfig(Strategy.H2O, select_k=4, window=2)
         assert h2o_retained_indices(scores, params).tolist() == [1, 3, 4, 5]
 
     def test_h2o_uniform_scores_tie_break_low_indices(self):
-        params = RunConfig(Strategy.H2O, select_k=6, recent_keep=3)
+        params = RunConfig(Strategy.H2O, select_k=6, window=3)
         kept = h2o_retained_indices(np.full(10, 0.25), params)
         assert kept.tolist() == [0, 1, 2, 7, 8, 9]
 
     def test_h2o_recent_larger_than_budget_rejected(self):
-        params = RunConfig(Strategy.H2O, select_k=4, recent_keep=5)
+        params = RunConfig(Strategy.H2O, select_k=4, window=5)
         with pytest.raises(ContractViolation):
             h2o_retained_indices(np.zeros(10), params)
         with pytest.raises(ConfigurationError, match="budget k=4 smaller than the 5 positions"):
             prompt_pass(params, 10, max_seq=64)
 
-    def test_window_outside_budget_flag(self):
-        scores = np.asarray([0.0, 9.0, 0.0, 1.0, 0.0, 0.0], dtype=np.float64)
-        with pytest.raises(TypeError):
-            RunConfig(Strategy.SNAPKV, select_k=2, observation_window=2, window_in_budget=False)
-        # The window counts inside select_k: the old window-on-top result for a
-        # 2-position prefix budget is now select_k=4, the window plus 2.
-        params = RunConfig(Strategy.SNAPKV, select_k=4, observation_window=2, pool_kernel=1)
-        assert snapkv_retained_indices(scores, params).tolist() == [1, 3, 4, 5]
-
-    def test_max_pooling_mode(self):
-        scores = np.asarray([0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64)
-        avg = RunConfig(
-            Strategy.SNAPKV, select_k=4, observation_window=2, pool_kernel=3, pool_mode="avg"
-        )
-        kept_avg = snapkv_retained_indices(scores, avg)
-        kept_max = snapkv_retained_indices(scores, replace(avg, pool_mode="max"))
-        # both keep the spike and its pooled neighborhood under this budget
-        assert 2 in kept_avg.tolist() and 2 in kept_max.tolist()
-        with pytest.raises(ContractViolation):
-            RunConfig(Strategy.SNAPKV, pool_mode="median")
-
     def test_both_rules_are_one_keep_rule(self):
         rng = np.random.default_rng(4)
         scores = rng.random(20)
-        snap = RunConfig(Strategy.SNAPKV, select_k=7, observation_window=3, pool_kernel=1)
-        h2o = RunConfig(Strategy.H2O, select_k=7, recent_keep=3)
+        snap = RunConfig(Strategy.SNAPKV, select_k=7, window=3, pool_kernel=1)
+        h2o = RunConfig(Strategy.H2O, select_k=7, window=3)
         expected = keep_positions(scores, 7, 3)
         assert snapkv_retained_indices(scores, snap).tolist() == expected.tolist()
         assert h2o_retained_indices(scores, h2o).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "field", ["window_in_budget", "observation_window", "recent_keep", "pool_mode", "include_first"]
+)
+def test_deleted_settings_are_not_fields(field):
+    """Each strategy reads one window and average-pools; no knob survives beside them."""
+    with pytest.raises(TypeError):
+        RunConfig(Strategy.SNAPKV, **{field: 2})
 
 
 # ------------------------------------------------------------- compressors
@@ -210,7 +201,7 @@ class TestCompressAgainstBruteForce:
         w = make_random_model(cfg, n)
         tokens = list(range(n))
         window, k = 3, 6
-        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=window, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, window=window, pool_kernel=3)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
@@ -231,7 +222,7 @@ class TestCompressAgainstBruteForce:
         w = make_random_model(cfg, 100 + n)
         tokens = list(range(n))
         k, recent = 6, 2
-        rc = RunConfig(Strategy.H2O, select_k=k, recent_keep=recent)
+        rc = RunConfig(Strategy.H2O, select_k=k, window=recent)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
@@ -245,7 +236,7 @@ class TestCompressAgainstBruteForce:
     def test_k_equals_n_identity_retention(self):
         caches = dummy_caches(8)
         scores = np.random.default_rng(1).random((2, 8))
-        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=2, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, window=2, pool_kernel=3)
         layer = eviction(rc, 8)(caches[0], scores)
         for kvh in range(2):
             assert layer.positions[kvh].tolist() == list(range(8))
@@ -257,7 +248,7 @@ class TestCompressAgainstBruteForce:
         window_sums = np.zeros((2, n))
         window_sums[:, target] = 1.0
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        rc = RunConfig(Strategy.SNAPKV, select_k=3, window=2, pool_kernel=1)
         layer = eviction(rc, n)(caches[0], window_sums)
         for kvh in range(2):
             assert target in layer.positions[kvh].tolist()
@@ -268,7 +259,7 @@ class TestCompressAgainstBruteForce:
         window_sums[0, 1] = 5.0
         window_sums[1, 7] = 5.0
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, select_k=3, observation_window=2, pool_kernel=1)
+        rc = RunConfig(Strategy.SNAPKV, select_k=3, window=2, pool_kernel=1)
         layer = eviction(rc, n)(caches[0], window_sums)
         a = layer.positions[0].tolist()
         b = layer.positions[1].tolist()
@@ -280,7 +271,7 @@ class TestCompressAgainstBruteForce:
         rng = np.random.default_rng(2)
         base = rng.random((2, n))
         caches = dummy_caches(n)
-        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=4, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, window=4, pool_kernel=3)
         evict = eviction(rc, n)
         first = evict(caches[0], base)
         tweaked = base.copy()
@@ -296,7 +287,7 @@ class TestCompressAgainstBruteForce:
             caches = dummy_caches(n, seed=int(rng.integers(0, 10**6)))
             for strategy in (Strategy.SNAPKV, Strategy.H2O):
                 rc = RunConfig(
-                    strategy, select_k=k, observation_window=2, pool_kernel=3, recent_keep=2
+                    strategy, select_k=k, window=2, pool_kernel=3
                 )
                 layer = eviction(rc, n)(caches[0], rng.random((2, n)))
                 for kvh in range(2):
@@ -314,7 +305,7 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 5)
         tokens = list(range(10))
         rc = RunConfig(
-            Strategy.SNAPKV, select_k=len(tokens), observation_window=2, pool_kernel=1
+            Strategy.SNAPKV, select_k=len(tokens), window=2, pool_kernel=1
         )
         pre = prefill(tokens, w)
         _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
@@ -357,7 +348,7 @@ class TestCompressedDecode:
         w = make_random_model(cfg, 7)
         tokens = list(range(12))
         k = 4
-        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=2, pool_kernel=1)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, window=2, pool_kernel=1)
         _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         expected = 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
@@ -367,7 +358,7 @@ class TestCompressedDecode:
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
-        rc = RunConfig(Strategy.SNAPKV, select_k=8, observation_window=4, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=8, window=4, pool_kernel=3)
         pre = prefill(tokens, w)
         _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         evicted = prefill(tokens, w, evict=evict, score_rows=score_rows)
@@ -384,7 +375,7 @@ class TestCompressedDecode:
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=256)
         w = make_random_model(cfg, 9)
         n, k = 32, 8
-        rc = RunConfig(Strategy.SNAPKV, select_k=k, observation_window=4, pool_kernel=3)
+        rc = RunConfig(Strategy.SNAPKV, select_k=k, window=4, pool_kernel=3)
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         session = CostSession()
         with session.activate():
@@ -454,7 +445,7 @@ def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
     m, hk, n, t = 2, 2, 24, 3
     rc = RunConfig(
         strategy, max_new_tokens=t, select_k=8,
-        observation_window=4, recent_keep=4, pool_kernel=3,
+        window=4, pool_kernel=3,
     )
     run_generation(make_random_model(small_config(m=m, h=4, hk=hk), 11), list(range(n)), rc)
 
@@ -516,7 +507,7 @@ def test_decode_holds_no_prompt_pass_result(monkeypatch, strategy):
     weights = make_random_model(small_config(m=2), 0)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
-        observation_window=2, pool_kernel=3, recent_keep=2,
+        window=2, pool_kernel=3,
     )
     assert len(run_generation(weights, list(range(12)), rc).output_tokens) == 3
     assert results and alive_at_decode == [[False] * len(results)]
