@@ -53,31 +53,43 @@ def copy_model(tmp_path_factory):
     return path
 
 
+# The deleted settings' flags, each with the commands that took it.
+DELETED_FLAGS = {
+    "pool-mode": (("--pool-mode", "max"), ("generate", "select", "needle", "bench")),
+    "include-first": (("--include-first",), ("generate", "select")),
+    "observation-window": (("--observation-window", "4"), ("generate", "bench")),
+    "recent-keep": (("--recent-keep", "4"), ("generate", "bench")),
+}
+
+
 class TestExitCodes:
-    def test_unknown_flag_is_usage_error(self, random_model, capsys, monkeypatch):
+    @staticmethod
+    def assert_usage_errors(model, cases, capsys, monkeypatch):
+        """Each (command, flags) case exits 2 naming the flag, before any counted work."""
         calls = []
         monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
-        prompt = ["--model", str(random_model), "--prompt-random", "8"]
+        prompt = ["--model", str(model), "--prompt-random", "8"]
         run = {
             "generate": prompt,
             "select": prompt,
-            "needle": ["--model", str(random_model), "--haystack-len", "8"],
+            "needle": ["--model", str(model), "--haystack-len", "8"],
             "bench": ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
         }
-        # The deleted settings' flags, on each command that took them.
-        removed = {
-            ("--pool-mode", "max"): ("generate", "select", "needle", "bench"),
-            ("--include-first",): ("generate", "select"),
-            ("--observation-window", "4"): ("generate", "bench"),
-            ("--recent-keep", "4"): ("generate", "bench"),
-        }
-        cases = [("generate", ("--frobnicate",))]
-        cases += [(command, flag) for flag, commands in removed.items() for command in commands]
         for command, flag in cases:
             assert main([command, *run[command], *flag]) == 2, (command, flag)
             captured = capsys.readouterr()
             assert captured.out == "" and "unrecognized arguments" in captured.err
         assert calls == []
+
+    def test_unknown_flag_is_usage_error(self, random_model, capsys, monkeypatch):
+        cases = [("generate", ("--frobnicate",))]
+        self.assert_usage_errors(random_model, cases, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("name", DELETED_FLAGS)
+    def test_deleted_setting_flag_is_usage_error(self, random_model, capsys, monkeypatch, name):
+        flag, commands = DELETED_FLAGS[name]
+        cases = [(command, flag) for command in commands]
+        self.assert_usage_errors(random_model, cases, capsys, monkeypatch)
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["transmogrify"]) == 2
