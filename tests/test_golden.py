@@ -48,7 +48,7 @@ def _grid():
         for n in (5, 33):
             tokens = [(7 * i + 3) % cfg.vocab_size for i in range(n)]
             for k in (4, n):
-                for t in (1, 6):
+                for t in (0, 1, 6):
                     for strategy in Strategy:
                         name = f"{shape}/{strategy.value}/n{n}/k{k}/t{t}"
                         rc = RunConfig(
