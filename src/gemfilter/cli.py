@@ -21,7 +21,7 @@ from .costmodel import CostParams, cost_table, format_cost_table, verify_counter
 from .errors import ContractViolation, EngineError
 from .model import check_prompt_length
 from .modelio import load_model, save_model
-from .needle import NeedleSpec, needle_run
+from .needle import METRIC_NOTE, NeedleSpec, needle_run
 from .runner import RunConfig, Strategy, metrics_document, run_generation, write_metrics
 from .selection import decode_selection
 from .testmodels import copy_model_config, make_copy_model, make_random_model
@@ -258,7 +258,7 @@ def cmd_needle(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
-        print(f"# {report.metric_note}")
+        print(f"# {METRIC_NOTE}")
         for lr in report.layer_results:
             print(
                 f"layer {lr.layer:>3}: coverage={lr.coverage:.3f} min_distance={lr.min_distance}"

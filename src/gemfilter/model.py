@@ -6,14 +6,15 @@ tensor's name and shape in file order, and weight validation, model files
 (:func:`layer_weight_bytes`) all read it.
 
 The forward path is split the way the engine needs it: :func:`prefill` runs
-the prompt through the first ``upto_layer`` layers (optionally replacing
-each layer's cache, as soon as the layer finishes, with an evicted one or
-with nothing), and :func:`decode_step` advances one token against mutable
-per-layer caches.  Both go through :func:`run_layer`, the one layer body,
-which appends its rows' K/V to a cache and attends to everything the cache
-holds: a decode step is one row, and the prompt runs through each layer in
-chunks of :data:`CHUNK_ROWS` rows, each overwriting its rows of the
-residual stream in place.  So a prompt pass holds the ``n x d_model``
+the prompt through the first ``upto_layer`` layers, from none to all of them
+(optionally replacing each layer's cache, as soon as the layer finishes,
+with an evicted one or with nothing) and computes no logits, and
+:func:`decode_step` advances one token against mutable per-layer caches.
+Both go through :func:`run_layer`, the one layer body, which appends its
+rows' K/V to a cache and attends to everything the cache holds: a decode
+step is one row, and the prompt runs through each layer in chunks of
+:data:`CHUNK_ROWS` rows, each overwriting its rows of the residual stream
+in place.  So a prompt pass holds the ``n x d_model``
 residual stream, the layer's ``n``-row cache and the kept ones, one
 ``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized transients; nothing
 else grows with ``n``.
@@ -286,9 +287,8 @@ class LayerKV:
 
 @dataclass
 class PrefillResult:
-    hidden: np.ndarray  # (n, d_model) last computed layer's output (pre final norm)
+    hidden: np.ndarray  # (n, d_model) last run layer's output (pre final norm), or the embedding
     caches: list[LayerKV]
-    logits: np.ndarray | None  # (vocab,) last-position logits, when requested
 
 
 def check_prompt_length(n: int, cfg: ModelConfig) -> None:
@@ -514,11 +514,13 @@ def prefill(
     weights: ModelWeights,
     upto_layer: int | None = None,
     *,
-    want_logits: bool | None = None,
     evict=None,
     score_rows: int = 0,
 ) -> PrefillResult:
-    """Run the prompt through layers 1..upto_layer.
+    """Embed the prompt and run it through layers 1..upto_layer (every layer by default).
+
+    ``upto_layer`` lies in ``0..n_layers``; at 0 the result is the prompt's
+    embedding, with no caches, nothing charged and no layer touched.
 
     Each layer reserves an ``n``-row cache and runs the prompt through
     :func:`run_layer` in :data:`CHUNK_ROWS`-row chunks, each appending its
@@ -533,8 +535,8 @@ def prefill(
     checkpoints reflect.  ``scores`` is ``(n_kv_heads, n)`` float64: the
     attention each key received from the last ``score_rows`` prompt rows,
     summed over the query heads of each kv-head's group, one accumulator per
-    layer (None when ``score_rows`` is 0).  Logits
-    require the full stack and are computed for the last position only.
+    layer (None when ``score_rows`` is 0).  No logits are computed: a caller
+    that wants them applies :func:`logits_from_hidden` to the last hidden row.
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
@@ -544,16 +546,10 @@ def prefill(
     if score_rows < 0:
         raise ContractViolation(f"score_rows {score_rows} must be >= 0")
     if score_rows > ids.size:
-        raise ContractViolation(
-            f"prompt length {ids.size} shorter than observation window {score_rows}"
-        )
+        raise ContractViolation(f"prompt length {ids.size} shorter than window {score_rows}")
     upto = cfg.n_layers if upto_layer is None else int(upto_layer)
-    if not 1 <= upto <= cfg.n_layers:
-        raise ContractViolation(f"upto_layer {upto} outside 1..{cfg.n_layers}")
-    if want_logits is None:
-        want_logits = upto == cfg.n_layers
-    if want_logits and upto != cfg.n_layers:
-        raise ContractViolation("logits require running every layer")
+    if not 0 <= upto <= cfg.n_layers:
+        raise ContractViolation(f"upto_layer {upto} outside 0..{cfg.n_layers}")
 
     n, h, hk = ids.size, cfg.n_heads, cfg.n_kv_heads
     x = embed(ids, weights)
@@ -573,9 +569,7 @@ def prefill(
         # A replaced layer's full cache is still live at this checkpoint.
         note_kv_bytes(live if kept is layer_kv else live + layer_kv.nbytes)
         del layer_kv, received, scores  # drop this layer's full K/V before the next runs
-
-    logits = logits_from_hidden(x[-1], weights) if want_logits else None
-    return PrefillResult(hidden=x, caches=caches, logits=logits)
+    return PrefillResult(hidden=x, caches=caches)
 
 
 def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.ndarray:

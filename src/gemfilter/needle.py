@@ -86,11 +86,10 @@ class NeedleReport:
     layer_results: list[NeedleLayerResult]
     chosen_layer: int
     generation_match: bool | None = None
-    metric_note: str = METRIC_NOTE
 
     def to_dict(self) -> dict:
         return {
-            "metric_note": self.metric_note,
+            "metric_note": METRIC_NOTE,
             "haystack_len": self.spec.haystack_len,
             "depth_percent": self.spec.depth_percent,
             "needle_len": len(self.spec.needle),
@@ -142,7 +141,7 @@ def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -
     t = rc.max_new_tokens if len(r_list) == 1 else 0
     if t >= 1 and n + t - 1 > max_seq:
         raise ContractViolation(
-            f"needle prompt length {n} + t_max {t} - 1 exceeds max_seq {max_seq}"
+            f"needle prompt length {n} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
         )
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     results = []

@@ -2,13 +2,16 @@
 
 Every strategy runs its prompt pass (:func:`~gemfilter.model.prefill`, with
 the eviction and scored rows :func:`~gemfilter.strategies.prompt_pass` maps
-it to), takes its first token from that pass's logits, and decodes the rest
-with :func:`~gemfilter.model.greedy_decode` against the caches the pass
-kept.  The prompt pass bills the prompt phase and the decode the generation
-phase.  Gemfilter differs in one way: its filter pass bills the prompt
-phase, and its kept tokens replace the prompt, whose pass then bills the
-generation phase.  Every run gets a private :class:`CostSession`, so
-concurrent runs never share counters.
+it to), takes its first token from the logits of that pass's last hidden
+row (:func:`~gemfilter.model.logits_from_hidden`, in the pass's phase), and
+decodes the rest with :func:`~gemfilter.model.greedy_decode` against the
+caches the pass kept.  The prompt pass bills the prompt phase and the
+decode the generation phase.  Gemfilter differs in one way: its filter pass
+(the same prefill stopped at layer ``r - 1``, plus layer ``r``'s Q/K) bills
+the prompt phase, and its kept tokens replace the prompt, whose pass then
+bills the generation phase (and is skipped when no token is asked for).
+Every run gets a private :class:`CostSession`, so concurrent runs never
+share counters.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .counting import GENERATION, PROMPT, CostSession
 from .kernels import argmax
-from .model import ModelWeights, greedy_decode, prefill
+from .model import ModelWeights, greedy_decode, logits_from_hidden, prefill
 from .selection import SelectionResult, decode_selection, select_indices
 # RunConfig and Strategy are importable from here too, where runs are made.
 from .strategies import RunConfig, Strategy, prompt_pass
@@ -46,11 +49,9 @@ def run_generation(weights: ModelWeights, tokens, rc: RunConfig) -> RunResult:
             tokens, phase = decode_selection(tokens, sel), GENERATION
         if t or not filters:
             with session.in_phase(phase):
-                pre = prefill(
-                    tokens, weights, want_logits=t >= 1, evict=evict, score_rows=score_rows
-                )
+                pre = prefill(tokens, weights, evict=evict, score_rows=score_rows)
                 caches = pre.caches
-                out = [argmax(pre.logits)] if t else []
+                out = [argmax(logits_from_hidden(pre.hidden[-1], weights))] if t else []
                 del pre  # its hidden rows are not decoded against
         if t:
             with session.in_phase(GENERATION):

@@ -1,8 +1,9 @@
 """Early-layer token selection.
 
-The filter pass runs the first ``r - 1`` (``RunConfig.filter_layer``)
-transformer layers of the prompt in full, then only the opening of layer
-``r``: its RMS-norm, fused Q/K/V product and rotation
+The filter pass is the first ``r`` (``RunConfig.filter_layer``) layers of
+the same model: :func:`~gemfilter.model.prefill` runs the first ``r - 1``
+in full, keeping no cache (none at all when ``r = 1``), then only the
+opening of layer ``r`` runs: its RMS-norm, fused Q/K/V product and rotation
 (:func:`~gemfilter.model.project_qkv`).  It scores every key position by the
 summed last-row attention of layer ``r`` across all heads, and keeps the top
 ``k`` (``RunConfig.select_k``) positions as one global, sorted index set.
@@ -37,7 +38,7 @@ import numpy as np
 from .counting import note_kv_bytes
 from .errors import ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import F32, ModelWeights, _chunks, check_prompt_length, embed, prefill, project_qkv
+from .model import F32, ModelWeights, _chunks, prefill, project_qkv
 from .strategies import RunConfig
 
 
@@ -88,28 +89,22 @@ def selection_scores(last_q: np.ndarray, keys: np.ndarray, pool_kernel: int) -> 
 def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionResult:
     """Run the ``rc.filter_layer``-layer filter pass and pick the top ``rc.select_k`` positions.
 
-    Layers before the filter layer run in full and keep no cache.  Of the
-    filter layer only :func:`~gemfilter.model.project_qkv` runs, in
-    prefill's row chunks: its keys fill one contiguous head-major ``(h_kv,
-    n, head_dim)`` buffer, the layout a cache holds, so the float64 score
-    sums match a full layer's bit for bit, and the last row's query is kept.
+    Four steps: check the filter layer against the model; run the ``r - 1``
+    layers before it through :func:`~gemfilter.model.prefill`, which checks
+    the prompt and keeps no cache (at ``r = 1`` it only embeds); run only
+    :func:`~gemfilter.model.project_qkv` of the filter layer, in prefill's
+    row chunks, its keys filling one contiguous head-major ``(h_kv, n,
+    head_dim)`` buffer, the layout a cache holds, so the float64 score sums
+    match a full layer's bit for bit; and score with the last row's query.
     Layers past it are never touched.  A budget larger than the prompt
     clamps to selecting everything.  The pooling and the lower bounds of
-    ``k`` and ``r`` are :class:`RunConfig`'s to check; the filter layer's
-    upper bound needs the model and is checked here.
+    ``k`` and ``r`` are :class:`RunConfig`'s to check.
     """
     cfg, r, k = weights.config, rc.filter_layer, rc.select_k
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ContractViolation("select_indices requires a non-empty prompt")
     if r > cfg.n_layers:
         raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
-    check_prompt_length(ids.size, cfg)
-    if r > 1:
-        x = prefill(ids, weights, upto_layer=r - 1, evict=lambda cache, scores: None).hidden
-    else:
-        x = embed(ids, weights)
-    n, h = ids.size, cfg.n_heads
+    x = prefill(tokens, weights, upto_layer=r - 1, evict=lambda cache, scores: None).hidden
+    n, h = x.shape[0], cfg.n_heads
     keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)
     for lo, hi in _chunks(n):
         qk, _ = project_qkv(x[lo:hi], weights, r - 1, np.arange(lo, hi, dtype=np.int64))
@@ -117,7 +112,7 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
     del x
     note_kv_bytes(keys.nbytes)
     scores = selection_scores(qk[-1, :h], keys, rc.pool_kernel)
-    kept = topk_indices(scores, min(k, ids.size))
+    kept = topk_indices(scores, min(k, n))
     return SelectionResult(indices=np.sort(kept), raw_scores=scores, budget=k)
 
 

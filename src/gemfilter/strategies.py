@@ -125,8 +125,8 @@ def prompt_pass(rc: RunConfig, n: int, max_seq: int):
 
     ``filters``: a filter pass first replaces the prompt with its kept tokens.
     ``evict`` and ``score_rows`` go to :func:`~gemfilter.model.prefill`.  The
-    keep rules are looked up by name on each call, so wrappers installed on
-    the module attributes (span tracing) see every call.  Rejected here,
+    table of keep rules is built on each call from the module attributes, so
+    wrappers installed on them (span tracing) are what runs.  Rejected here,
     before any layer runs: first a decode past ``max_seq`` (gemfilter's
     second pass restarts at position 0 over ``min(k, n)`` tokens), then a
     budget ``select_k`` below ``rc.window``, which snapkv and h2o always keep
@@ -135,25 +135,24 @@ def prompt_pass(rc: RunConfig, n: int, max_seq: int):
     """
     filters = rc.strategy is Strategy.GEMFILTER
     k, t, w = rc.select_k, rc.max_new_tokens, rc.window
-    rule, score_rows, window = {
-        Strategy.SNAPKV: ("snapkv_retained_indices", w, w),
-        Strategy.H2O: ("h2o_retained_indices", n, w),
-    }.get(rc.strategy, (None, 0, 0))
+    rule, score_rows = {
+        Strategy.SNAPKV: (snapkv_retained_indices, w),
+        Strategy.H2O: (h2o_retained_indices, n),
+    }.get(rc.strategy, (None, 0))
     if 1 <= n <= max_seq:
         kept = min(k, n) if filters else n
         if t >= 1 and kept + t - 1 > max_seq:
             raise ContractViolation(
                 f"kept prompt length {kept} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
             )
-        if score_rows <= n and k < min(n, window):
+        if rule is not None and score_rows <= n and k < min(n, w):
             raise ConfigurationError(
-                f"budget k={k} smaller than the {window} positions {rc.strategy.value} always keeps"
+                f"budget k={k} smaller than the {w} positions {rc.strategy.value} always keeps"
             )
     if rule is None:
         return filters, None, 0
 
     def evict(cache, scores):
-        keep = globals()[rule]
-        return cache.gather(np.stack([keep(head, rc) for head in scores]))
+        return cache.gather(np.stack([rule(head, rc) for head in scores]))
 
     return False, evict, score_rows

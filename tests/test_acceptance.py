@@ -21,6 +21,7 @@ from gemfilter.model import (
     _attention,
     decode_step,
     embed,
+    logits_from_hidden,
     prefill,
     run_layer,
 )
@@ -162,11 +163,11 @@ def test_attention_brute_force_equivalence():
     cfg = config(m=2, h=2, hk=2, dh=8, max_seq=64)
     w = make_random_model(cfg, 17)
     tokens = list(range(16))
-    ref = prefill(tokens, w, want_logits=False).hidden
+    ref = prefill(tokens, w).hidden
     for j in (3, 8, 15):
         mutated = list(tokens)
         mutated[j] = 259
-        out = prefill(mutated, w, want_logits=False).hidden
+        out = prefill(mutated, w).hidden
         assert np.array_equal(out[:j], ref[:j])
 
 
@@ -183,11 +184,11 @@ def test_decode_prefill_consistency():
         prompt = rng.integers(0, cfg.vocab_size, size=10).tolist()
         pre = prefill(prompt, w)
         seq = list(prompt)
-        nxt = int(np.argmax(pre.logits))
+        nxt = int(np.argmax(logits_from_hidden(pre.hidden[-1], w)))
         for _ in range(8):
             seq.append(nxt)
             incremental = decode_step(nxt, pre.caches, w)
-            reference = prefill(seq, w).logits
+            reference = logits_from_hidden(prefill(seq, w).hidden[-1], w)
             np.testing.assert_allclose(incremental, reference, atol=1e-4)
             assert int(np.argmax(incremental)) == int(np.argmax(reference))
             nxt = int(np.argmax(incremental))

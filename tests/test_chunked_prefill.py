@@ -9,7 +9,7 @@ from gemfilter import model
 from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
-from gemfilter.model import ROW_BLOCK, prefill
+from gemfilter.model import ROW_BLOCK, logits_from_hidden, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import make_random_model
@@ -72,7 +72,7 @@ def observe(w, tokens, strategy):
         "selection": None if sel is None else (sel.indices, sel.raw_scores),
         "layers": layers,
         "hidden": pre.hidden,
-        "logits": pre.logits,
+        "logits": logits_from_hidden(pre.hidden[-1], w),
     }
 
 

@@ -297,7 +297,7 @@ class TestSessionIsolation:
         def worker(name, n):
             session = CostSession()
             with session.activate():
-                prefill(list(range(n)), w, want_logits=False)
+                prefill(list(range(n)), w)
             results[name] = session.phase_cost(PROMPT).flops_by_tag["attn_score"]
 
         threads = [

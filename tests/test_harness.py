@@ -5,7 +5,7 @@ import pytest
 
 from gemfilter.config import ModelConfig
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
-from gemfilter.model import prefill
+from gemfilter.model import logits_from_hidden, prefill
 from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
 from gemfilter.runner import RunConfig, Strategy
 from gemfilter.selection import select_indices
@@ -163,7 +163,7 @@ class TestMakeRandomModel:
         tokens = np.random.default_rng(0).integers(0, 64, size=1024).tolist()
         pre = prefill(tokens, w)
         assert np.all(np.isfinite(pre.hidden))
-        assert np.all(np.isfinite(pre.logits))
+        assert np.all(np.isfinite(logits_from_hidden(pre.hidden[-1], w)))
 
     def test_per_layer_bytes_identical(self):
         w = make_random_model(small_config(m=3), 13)

@@ -18,6 +18,7 @@ from gemfilter.model import (
     _rotate,
     decode_step,
     embed,
+    logits_from_hidden,
     prefill,
     run_layer,
 )
@@ -256,7 +257,9 @@ class TestRepeatKv:
         a = prefill(tokens, w)
         b = prefill(tokens, w_full)
         np.testing.assert_allclose(a.hidden, b.hidden, atol=1e-6)
-        np.testing.assert_allclose(a.logits, b.logits, atol=1e-6)
+        np.testing.assert_allclose(
+            logits_from_hidden(a.hidden[-1], w), logits_from_hidden(b.hidden[-1], w_full), atol=1e-6
+        )
 
 
 # ---------------------------------------------------------------- attention
@@ -425,9 +428,9 @@ class TestRunLayerScores:
 class TestPrefill:
     def test_one_token_full_pass_has_logits(self):
         w = make_random_model(small_config(), 7)
-        pre = prefill([3], w)
-        assert pre.logits is not None and pre.logits.shape == (64,)
-        assert np.all(np.isfinite(pre.logits))
+        logits = logits_from_hidden(prefill([3], w).hidden[-1], w)
+        assert logits.shape == (64,)
+        assert np.all(np.isfinite(logits))
 
     def test_partial_prefill_charges_r_over_m(self):
         cfg = small_config(m=4)
@@ -435,9 +438,9 @@ class TestPrefill:
         tokens = list(range(20))
         s_full, s_part = CostSession(), CostSession()
         with s_full.activate():
-            prefill(tokens, w, want_logits=False)
+            prefill(tokens, w)
         with s_part.activate():
-            prefill(tokens, w, upto_layer=3, want_logits=False, evict=lambda cache, scores: None)
+            prefill(tokens, w, upto_layer=3, evict=lambda cache, scores: None)
         full = s_full.phase_cost(PROMPT).flops_by_tag
         part = s_part.phase_cost(PROMPT).flops_by_tag
         for tag in ("attn_score", "attn_value", "proj", "mlp"):
@@ -465,25 +468,32 @@ class TestPrefill:
     def test_causality_exact(self):
         w = make_random_model(small_config(), 10)
         tokens = list(range(12))
-        ref = prefill(tokens, w, want_logits=False).hidden
+        ref = prefill(tokens, w).hidden
         perturbed = list(tokens)
         j = 7
         perturbed[j] = 63
-        out = prefill(perturbed, w, want_logits=False).hidden
+        out = prefill(perturbed, w).hidden
         assert np.array_equal(out[:j], ref[:j])
         assert not np.array_equal(out[j:], ref[j:])
 
     def test_upto_layer_out_of_range(self):
         w = make_random_model(small_config(m=2), 0)
-        with pytest.raises(ContractViolation):
-            prefill([1, 2], w, upto_layer=3)
-        with pytest.raises(ContractViolation):
-            prefill([1, 2], w, upto_layer=0)
+        for upto in (-1, 3):
+            with pytest.raises(ContractViolation, match=rf"upto_layer {upto} outside 0\.\.2"):
+                prefill([1, 2], w, upto_layer=upto)
 
-    def test_logits_require_full_stack(self):
+    def test_upto_layer_zero_only_embeds(self):
         w = make_random_model(small_config(m=2), 0)
-        with pytest.raises(ContractViolation):
-            prefill([1, 2], w, upto_layer=1, want_logits=True)
+        tokens = [5, 1, 9]
+        session = CostSession()
+        with session.activate():
+            pre = prefill(tokens, w, upto_layer=0)
+        assert pre.hidden.tobytes() == embed(tokens, w).tobytes()
+        assert pre.hidden.dtype == F32 and pre.hidden.shape == (3, w.config.d_model)
+        assert pre.caches == []
+        for cost in session.snapshot().values():
+            assert cost.flops_by_tag == {}
+            assert cost.kv_bytes_peak == 0 and cost.weight_bytes_touched == 0
 
     def test_max_seq_enforced(self):
         w = make_random_model(small_config(max_seq=8), 0)
@@ -569,11 +579,11 @@ class TestDecodeStep:
         prompt = rng.integers(0, cfg.vocab_size, size=9).tolist()
         pre = prefill(prompt, w)
         seq = list(prompt)
-        nxt = int(np.argmax(pre.logits))
+        nxt = int(np.argmax(logits_from_hidden(pre.hidden[-1], w)))
         for _ in range(8):
             seq.append(nxt)
             logits_inc = decode_step(nxt, pre.caches, w)
-            logits_ref = prefill(seq, w).logits
+            logits_ref = logits_from_hidden(prefill(seq, w).hidden[-1], w)
             np.testing.assert_allclose(logits_inc, logits_ref, atol=1e-4)
             nxt_inc = int(np.argmax(logits_inc))
             assert nxt_inc == int(np.argmax(logits_ref))
@@ -626,7 +636,7 @@ class TestGreedyGenerate:
         seq = list(prompt)
         slow = []
         for _ in range(6):
-            logits = prefill(seq, w).logits
+            logits = logits_from_hidden(prefill(seq, w).hidden[-1], w)
             nxt = int(np.argmax(logits))
             slow.append(nxt)
             seq.append(nxt)

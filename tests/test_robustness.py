@@ -457,7 +457,8 @@ def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
     calls = []
     monkeypatch.setattr("gemfilter.needle.run_generation", lambda *args: calls.append(args))
     with pytest.raises(
-        ContractViolation, match=r"needle prompt length 61 \+ t_max 10 - 1 exceeds max_seq 64"
+        ContractViolation,
+        match=r"needle prompt length 61 \+ max_new_tokens 10 - 1 exceeds max_seq 64",
     ):
         needle_run(spec, weights, [1], replace(rc, max_new_tokens=10))
     assert calls == []

@@ -133,7 +133,7 @@ class TestSelectIndices:
         with s_sel.activate():
             select_indices(w, tokens, gem_rc(r=3, k=8))
         with s_full.activate():
-            prefill(tokens, w, want_logits=False)
+            prefill(tokens, w)
         sel_cost = s_sel.phase_cost(PROMPT)
         full_cost = s_full.phase_cost(PROMPT)
         d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
@@ -216,7 +216,7 @@ def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
         rc = RunConfig(Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r)
         result = run_generation(w, tokens, rc)
         last_q, keys = full_filter_layer(w, tokens, r)
-        full_prefill = prefill(tokens, w, upto_layer=r, want_logits=False)
+        full_prefill = prefill(tokens, w, upto_layer=r)
         assert keys.tobytes() == full_prefill.caches[-1].keys.tobytes(), r
         scores = selection_scores(last_q, keys, rc.pool_kernel)
         kept = np.sort(topk_indices(scores, min(k, n)))

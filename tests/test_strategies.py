@@ -13,7 +13,7 @@ from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter import kernels, model, runner, selection, strategies
-from gemfilter.model import LayerKV, decode_step, embed, prefill, run_layer
+from gemfilter.model import LayerKV, decode_step, embed, logits_from_hidden, prefill, run_layer
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
@@ -363,8 +363,9 @@ class TestCompressedDecode:
         _, evict, score_rows = prompt_pass(rc, len(tokens), w.config.max_seq)
         evicted = prefill(tokens, w, evict=evict, score_rows=score_rows)
         streamed = evicted.caches
-        assert evicted.logits is not None
-        np.testing.assert_array_equal(evicted.logits, pre.logits)
+        np.testing.assert_array_equal(
+            logits_from_hidden(evicted.hidden[-1], w), logits_from_hidden(pre.hidden[-1], w)
+        )
         for full, kept in zip(pre.caches, streamed):
             for kvh in range(cfg.n_kv_heads):
                 rows = kept.positions[kvh]  # full caches hold position i at row i
@@ -454,8 +455,7 @@ def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
         "snapkv_retained_indices": per_head if strategy is Strategy.SNAPKV else 0,
         "h2o_retained_indices": per_head if strategy is Strategy.H2O else 0,
         "select_indices": int(strategy is Strategy.GEMFILTER),
-        # filter_layer = 1: the filter pass embeds the prompt without prefill.
-        "prefill": 1,
+        "prefill": 1 + int(strategy is Strategy.GEMFILTER),
         "decode_step": t - 1,
         "pool_1d": {Strategy.GEMFILTER: 1, Strategy.SNAPKV: per_head}.get(strategy, 0),
         "topk_indices": {Strategy.FULL: 0, Strategy.GEMFILTER: 1}.get(strategy, per_head),
