@@ -42,10 +42,12 @@ def _grid():
     for shape, (m, h, hk, dh, r) in SHAPES.items():
         cfg = ModelConfig(
             n_layers=m, n_heads=h, n_kv_heads=hk, head_dim=dh, d_model=h * dh,
-            vocab_size=64, hidden_mlp=16, max_seq=64,
+            vocab_size=64, hidden_mlp=16, max_seq=256,
         )
         weights = make_random_model(cfg, len(shape) + m)
-        for n in (5, 33):
+        # n = 130 runs query blocks of 64 + 64 + 2 rows: a second block, the
+        # causal skip across blocks and a short tail block.
+        for n in (5, 33, 130):
             tokens = [(7 * i + 3) % cfg.vocab_size for i in range(n)]
             for k in (4, n):
                 for t in (0, 1, 6):
