@@ -15,8 +15,8 @@ rows' K/V to a cache and attends to everything the cache holds: a decode
 step is one row, and the prompt runs through each layer in chunks of
 :data:`CHUNK_ROWS` rows, each overwriting its rows of the residual stream
 in place.  So a prompt pass holds the ``n x d_model``
-residual stream, the layer's ``n``-row cache and the kept ones, one
-``(n_heads, ROW_BLOCK, n)`` score block and chunk-sized transients; nothing
+residual stream, the layer's ``n``-row cache and the kept ones, one query
+head's ``(ROW_BLOCK, n)`` score block and chunk-sized transients; nothing
 else grows with ``n``.
 
 Eviction reads one score vector per kv-head: the float64 column sums of
@@ -35,10 +35,11 @@ float32.  The layer opens with :func:`project_qkv`: one product with the
 layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
 by rows of a per-model rotary table (:meth:`ModelWeights.rope`).  Token
 selection runs only this opening of its filter layer.  Attention
-(:func:`_attention`) runs every query head in one call, batched over the
-kv-head groups and blocked over query rows with a causal skip.  Its dense
-products are charged to the ambient cost session by :func:`prefill`
-(``n x n`` once per layer) and :func:`decode_step` (one row per layer), and
+(:func:`_attention`) runs every query head in one call, blocked over query
+rows with a causal skip: a decode step scores all heads in one product, a
+taller block one head at a time.  Its dense products are charged to the
+ambient cost session by :func:`prefill` (``n x n`` once per layer) and
+:func:`decode_step` (one row per layer), and
 :func:`~gemfilter.kernels.matmul` charges the rest.
 Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
 attention, eviction and token selection all group the query heads this way
@@ -61,9 +62,9 @@ from .kernels import argmax, matmul, rms_norm_rows
 
 F32 = np.float32
 
-# Query rows per attention block.  A block's score array is
-# (n_heads, ROW_BLOCK, keys) float32, the largest transient of a prompt pass;
-# 64 rows keep it small while each block's products stay BLAS-sized.
+# Query rows per attention block.  A block's score array is one query head's
+# (ROW_BLOCK, keys) float32, the largest transient of a prompt pass; 64 rows
+# keep it small while each block's products stay BLAS-sized.
 ROW_BLOCK = 64
 # Prompt rows per run_layer call in prefill.  A multiple of ROW_BLOCK, so a
 # chunk's attention blocks are the rows one whole-prompt call's would be;
@@ -349,7 +350,7 @@ def _attention(
     received: np.ndarray | None = None,
     first_scored: int = 0,
 ) -> np.ndarray:
-    """Causal attention of every query head at once, batched over kv-head groups.
+    """Causal attention of every query head, grouped by kv-head.
 
     ``q`` is ``(h_kv, g, nq, d)`` and ``k``/``v`` are ``(h_kv, nk, d)`` and
     ``(h_kv, nk, d_v)``: query head ``j * g + i`` reads kv-head ``j``.  Queries
@@ -360,8 +361,13 @@ def _attention(
     Query rows run in blocks of :data:`ROW_BLOCK`.  A block scores only the
     keys its last row can see (the causal skip) and masks the upper triangle
     of its last ``b`` columns (a one-row block has none).  A row never spans
-    two blocks, so each block's softmax is exact, and one block's score
-    array, ``(h_kv, g, ROW_BLOCK, nk)``, is freed before the next is scored.
+    two blocks, so each block's softmax is exact.  A one-row block (a decode
+    step) scores every head in one stacked product, ``h x nk`` floats; a
+    taller block scores, normalises and accumulates one query head at a
+    time, so one ``(ROW_BLOCK, nk)`` score array is live, freed before the
+    next head's is scored.  Both give the same bytes: a stacked product runs
+    one GEMM per head on the strides a head's slice has, the softmax reduces
+    row by row, and the float64 column sums add the same rows in order.
 
     Returns ``out``, ``(h_kv, g, nq, d_v)``.  With a float64 ``received``
     accumulator ``(h_kv, g, >= nk)``, each block adds to ``received[j, i, c]``
@@ -385,18 +391,21 @@ def _attention(
     for lo in range(0, nq, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, nq)
         b, cols = hi - lo, offset + hi
-        scores = q[:, :, lo:hi] @ keys_t[..., :cols]
-        scores *= scale
-        if b > 1:
-            scores[..., cols - b :][..., _ABOVE_DIAGONAL[:b, :b]] = -np.inf
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        out[:, :, lo:hi] = scores @ values[:, :, :cols]
-        if received is not None and cols > first_scored:
-            first = max(first_scored - offset - lo, 0)
-            received[..., :cols] += scores[:, :, first:].sum(axis=2, dtype=np.float64)
-        del scores  # free this block before the next one is scored
+        # Every head at once, or query head (j, i) and kv-head j's index in keys_t.
+        heads = [(..., ...)] if b == 1 else [((j, i), (j, 0)) for j in range(hk) for i in range(g)]
+        for head, kv in heads:
+            scores = q[head][..., lo:hi, :] @ keys_t[kv][..., :cols]
+            scores *= scale
+            if b > 1:
+                np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
+            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+            out[head][..., lo:hi, :] = scores @ values[kv][..., :cols, :]
+            if received is not None and cols > first_scored:
+                first = max(first_scored - offset - lo, 0)
+                received[head][..., :cols] += scores[..., first:, :].sum(axis=-2, dtype=np.float64)
+            del scores  # free this head's block before the next one is scored
     return out
 
 
@@ -520,7 +529,9 @@ def prefill(
     """Embed the prompt and run it through layers 1..upto_layer (every layer by default).
 
     ``upto_layer`` lies in ``0..n_layers``; at 0 the result is the prompt's
-    embedding, with no caches, nothing charged and no layer touched.
+    embedding, with no caches, nothing charged and no layer touched.  The
+    prompt's length is :func:`check_prompt_length`'s to check, its shape and
+    token ids :func:`embed`'s.
 
     Each layer reserves an ``n``-row cache and runs the prompt through
     :func:`run_layer` in :data:`CHUNK_ROWS`-row chunks, each appending its
@@ -540,8 +551,6 @@ def prefill(
     """
     cfg = weights.config
     ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ContractViolation("prefill requires a non-empty prompt")
     check_prompt_length(ids.size, cfg)
     if score_rows < 0:
         raise ContractViolation(f"score_rows {score_rows} must be >= 0")

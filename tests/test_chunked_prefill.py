@@ -134,14 +134,15 @@ def traced_excess(w, n, strategy):
     return peak - modeled, modeled
 
 
-@pytest.mark.parametrize("strategy", [Strategy.GEMFILTER, Strategy.FULL], ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
     """From n = 1024 to 2048, what the prompt pass holds beyond the modeled KV
     bytes grows by at most the residual stream (n x d_model float32), one
-    (n_heads, ROW_BLOCK, n) float32 score block, the int64 positions of the
-    cached rows, the prompt's int64 token ids, and 4 KiB of interpreter objects.
-    Transients with one row per prompt token (whole-prompt Q/K/V or MLP rows)
-    break it."""
+    head's (ROW_BLOCK, n) float32 score block, the int64 positions of the
+    cached rows, the prompt's int64 token ids, and 4 KiB of interpreter objects;
+    snapkv and h2o also hold their float64 eviction accumulators, one row per
+    query head and the per-kv-head sums.  Transients with one row per prompt
+    token (whole-prompt Q/K/V or MLP rows) or one score block per head break it."""
     cfg = PROFILE
     w = make_random_model(cfg, 1)
     # Fill the rotary table first: a model keeps it, so it is no run's transient.
@@ -149,11 +150,13 @@ def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
     (small, kv_small), (large, kv_large) = (traced_excess(w, n, strategy) for n in (1024, 2048))
     grown = 1024
     positions = (kv_large - kv_small) // cfg.head_dim  # 8 bytes per 2 * head_dim * 4
+    evicting = strategy in (Strategy.SNAPKV, Strategy.H2O)
     allowed = (
         grown * cfg.d_model * 4
-        + cfg.n_heads * ROW_BLOCK * grown * 4
+        + ROW_BLOCK * grown * 4
         + positions
         + grown * 8
+        + evicting * (cfg.n_heads + cfg.n_kv_heads) * grown * 8
         + 4096
     )
     assert large - small <= allowed, (large - small, allowed)

@@ -10,6 +10,7 @@ from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.model import (
+    ROW_BLOCK,
     LayerKV,
     LayerWeights,
     ModelWeights,
@@ -24,6 +25,7 @@ from gemfilter.model import (
 )
 from gemfilter.modelio import dump_bytes, load_model, save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
+from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 F32 = np.float32
@@ -310,6 +312,58 @@ class TestCausalAttention:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
+def stacked_attention(q, k, v, received=None, first_scored=0):
+    """The all-heads form of the kernel: each query block scores every head in
+    one stacked product and masks its upper triangle by boolean indexing.
+    The same float32 steps as :func:`_attention`, so the same bytes."""
+    hk, g, nq, dim = q.shape
+    nk = k.shape[1]
+    offset = nk - nq
+    keys_t, values = k.transpose(0, 2, 1)[:, None], v[:, None]
+    above = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool), 1)
+    out = np.empty((hk, g, nq, v.shape[2]), dtype=F32)
+    for lo in range(0, nq, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, nq)
+        b, cols = hi - lo, offset + hi
+        scores = q[:, :, lo:hi] @ keys_t[..., :cols]
+        scores *= F32(1.0 / np.sqrt(dim))
+        scores[..., cols - b :][..., above[:b, :b]] = -np.inf
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        out[:, :, lo:hi] = scores @ values[:, :, :cols]
+        if received is not None and cols > first_scored:
+            first = max(first_scored - offset - lo, 0)
+            received[..., :cols] += scores[:, :, first:].sum(axis=2, dtype=np.float64)
+    return out
+
+
+# nq = 130 runs blocks of 64 + 64 + 2 rows; 7 extra keys align the queries
+# as a chunk after an earlier one does.
+@pytest.mark.parametrize("nq", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize(
+    "hk, g", [(2, 2), (1, 4), (4, 1), (2, 1)], ids=["hk2-g2", "hk1-g4", "hk4-g1", "hk2-g1"]
+)
+def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
+    """``_attention``'s output and ``received`` bytes equal the stacked
+    all-heads kernel's, in the layout run_layer passes: query heads as a view
+    of ``(nq, h, d)`` rows, keys and values as views of reserved cache rows."""
+    rng = np.random.default_rng(1000 * hk + 100 * g + nq)
+    dim = 8
+    for extra in (0, 7):
+        nk = nq + extra
+        q = rng.standard_normal((nq, hk * g, dim)).astype(F32)
+        q = q.reshape(nq, hk, g, dim).transpose(1, 2, 0, 3)
+        k, v = rng.standard_normal((2, hk, nk + 5, dim)).astype(F32)[:, :, :nk]
+        assert _attention(q, k, v).tobytes() == stacked_attention(q, k, v).tobytes()
+        # First scored key row: the first, one mid-prompt, the last.
+        for first_scored in (0, extra + nq // 2, nk - 1):
+            got, want = np.zeros((2, hk, g, nk))
+            out = _attention(q, k, v, got, first_scored)
+            assert out.tobytes() == stacked_attention(q, k, v, want, first_scored).tobytes()
+            assert got.tobytes() == want.tobytes(), first_scored
+
+
 def softmax_via_attention(scores):
     """softmax(scores), read out of one width-1 query over identity values."""
     s = np.asarray(scores, dtype=F32)
@@ -499,6 +553,23 @@ class TestPrefill:
         w = make_random_model(small_config(max_seq=8), 0)
         with pytest.raises(ContractViolation):
             prefill(list(range(9)), w)
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ([], r"prompt length 0 must be >= 1"),
+            ([[1, 2], [3, 4]], r"embed expects a non-empty token sequence"),
+            (list(range(9)), r"prompt length 9 exceeds max_seq 8"),
+        ],
+        ids=["empty", "2-d", "over-max-seq"],
+    )
+    def test_prompt_rejected_through_prefill_and_selection(self, tokens, message):
+        w = make_random_model(small_config(max_seq=8), 0)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=2, filter_layer=2)
+        with pytest.raises(ContractViolation, match=message):
+            prefill(tokens, w)
+        with pytest.raises(ContractViolation, match=message):
+            select_indices(w, tokens, rc)
 
 
 # ---------------------------------------------------------------- decode

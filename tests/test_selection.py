@@ -230,8 +230,8 @@ def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
 def test_first_layer_filter_pass_holds_no_score_block():
     """From n = 1025 to 2049, an r = 1 filter pass on the copy model grows by at
     most the residual stream, the filter layer's keys, the prompt's int64 token
-    ids and 4 KiB.  Running the filter layer's attention would add an
-    (n_heads, ROW_BLOCK, n) float32 score block, and its cache the values."""
+    ids and 4 KiB.  Running the filter layer's attention would add one query
+    head's (ROW_BLOCK, n) float32 score block, and its cache the values."""
     cfg = copy_model_config()
     w = make_copy_model(cfg)
     rc = gem_rc(r=1, k=64)
