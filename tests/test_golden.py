@@ -2,11 +2,13 @@
 
 Every (shape, strategy, n, k, t) cell below, plus the snapkv cells at
 ``select_k = k + window`` (suffix ``k-plus-window``), runs through
-:func:`run_generation` and must reproduce, exactly, the output tokens and
-the per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)``
-recorded in ``golden_runs.json``.  The file pins the engine's observable
-behaviour across internal refactors; a cell that raises records the error
-class and message instead.
+:func:`run_generation` and must reproduce, exactly, the output tokens, the
+per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)`` and the
+SHA-256 of the bytes of every logits vector the run computes, in order
+(``logits_sha256``), recorded in ``golden_runs.json``.  The digest makes a
+logit bit drift visible even where it flips no argmax.  The file pins the
+engine's observable behaviour across internal refactors; a cell that
+raises records the error class and message instead.
 
 Regenerate the file (only when a behaviour change is intended) with::
 
@@ -15,9 +17,13 @@ Regenerate the file (only when a behaviour change is intended) with::
 which prints the cells added, removed and changed before it rewrites the file.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
+
+from gemfilter import model, runner
 
 from gemfilter.config import ModelConfig
 from gemfilter.errors import EngineError
@@ -64,15 +70,31 @@ def _grid():
 
 
 def _outcome(weights, tokens, rc) -> dict:
-    try:
-        result = run_generation(weights, tokens, rc)
-    except EngineError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    digest = hashlib.sha256()
+
+    def logits_from_hidden(hidden_row, weights, real=model.logits_from_hidden):
+        logits = real(hidden_row, weights)
+        digest.update(logits.tobytes())
+        return logits
+
+    # The first token's logits are computed by the runner, the rest by decode_step.
+    with (
+        mock.patch.object(runner, "logits_from_hidden", logits_from_hidden),
+        mock.patch.object(model, "logits_from_hidden", logits_from_hidden),
+    ):
+        try:
+            result = run_generation(weights, tokens, rc)
+        except EngineError as exc:
+            return {"error": f"{type(exc).__name__}: {exc}"}
     phases = {
         phase: [cost.flops_by_tag, cost.kv_bytes_peak, cost.weight_bytes_touched]
         for phase, cost in result.session.snapshot().items()
     }
-    return {"tokens": [int(x) for x in result.output_tokens], "phases": phases}
+    return {
+        "tokens": [int(x) for x in result.output_tokens],
+        "phases": phases,
+        "logits_sha256": digest.hexdigest(),
+    }
 
 
 def record() -> dict:
