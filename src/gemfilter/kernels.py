@@ -4,16 +4,20 @@ All kernels are pure functions of their inputs and deterministic for a fixed
 process configuration.  ``matmul`` reports its work to the ambient cost
 session (see :mod:`gemfilter.counting`).  The other matrix products, those
 of attention, are charged at their dense size by the model's
-:func:`~gemfilter.model.prefill` and :func:`~gemfilter.model.decode_step`,
-once per layer; elementwise work
-is not counted, by convention.  The layer's fused Q/K/V projection is one
-``matmul`` over ``[wq | wk | wv]``, so its charge is the sum of the three
-separate products'.  ``rms_norm_rows`` is the one norm (a vector is a
-one-row matrix); it reduces with ``np.add.reduce`` directly, the same
-float32 sum and division ``np.mean`` makes, without ``np.mean``'s
-Python-level dispatch, which dominated a one-row call.  ``pool_1d`` is the
-one score-smoothing kernel, an average pool, and ``check_pooling`` is the
-check it makes, for callers that reject a bad kernel before any work.  Ties in
+:func:`~gemfilter.model.prefill`, once per layer, and
+:func:`~gemfilter.model.decode_step`, once per step for all its layers;
+elementwise work is not counted, by convention.  The layer's fused Q/K/V
+projection is one ``matmul`` over ``[wq | wk | wv]``, so its charge is the
+sum of the three separate products'.
+
+``rms_norm_rows`` is the one norm (a vector is a one-row matrix), called
+twice per layer and once for the logits.  It reduces with
+``np.add.reduce`` directly, the same float32 sum and division ``np.mean``
+makes, without ``np.mean``'s Python-level dispatch, which dominated a
+one-row call; its Python-number scalars cost a one-row call no more than
+float32 scalars built per call would.  ``pool_1d`` is the one
+score-smoothing kernel, an average pool, and ``check_pooling`` is the check
+it makes, for callers that reject a bad kernel before any work.  Ties in
 ``topk_indices`` and ``argmax`` always break toward the lower index so every
 downstream selection is reproducible.  Every selection and every emitted
 token passes through one of those two, so both reject non-finite input

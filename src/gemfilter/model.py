@@ -27,20 +27,23 @@ accumulated per layer block by block inside the attention kernel, so the
 :class:`LayerKV` is the one KV cache: head-major keys and values with
 per-head original positions.  A full cache keeps every position; an evicted
 one keeps a per-head subset (:meth:`LayerKV.gather`), and decoding resumes
-one past the largest position it holds.
+one past the largest position it holds, which the cache tracks as it
+grows.  An append must bring one strictly increasing position per row, past
+every position held.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
 float32.  The layer opens with :func:`project_qkv`: one product with the
 layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
-by rows of a per-model rotary table (:meth:`ModelWeights.rope`).  Token
-selection runs only this opening of its filter layer.  Attention
-(:func:`_attention`) runs every query head in one call, blocked over query
-rows with a causal skip: a decode step scores all heads in one product, a
-taller block one head at a time.  Its dense products are charged to the
-ambient cost session by :func:`prefill` (``n x n`` once per layer) and
-:func:`decode_step` (one row per layer), and
-:func:`~gemfilter.kernels.matmul` charges the rest.
+by rows of a per-model rotary table (:meth:`ModelWeights.rope`), which a
+decode step looks up once for all its layers.  Token selection runs only
+this opening of its filter layer.  Attention (:func:`_attention`) runs
+every query head in one call, blocked over query rows with a causal skip:
+a decode step scores all heads in one product and returns it without an
+output array, a taller block scores one head at a time.  Its dense products
+are charged to the ambient cost session by :func:`prefill` (``n x n`` once
+per layer) and :func:`decode_step` (one row per layer, in one charge per
+step), and :func:`~gemfilter.kernels.matmul` charges the rest.
 Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
 attention, eviction and token selection all group the query heads this way
 over the head-major keys, and none copies a key out per query head.
@@ -209,7 +212,8 @@ class LayerKV:
 
     The three arrays are views of the rows held in buffers that may have room
     for more (:meth:`reserve`), so appends write in place; ``nbytes`` counts
-    the rows held, not the room.
+    the rows held, not the room.  The cache tracks :attr:`next_position`
+    as rows are appended, so a decode step reads it without a scan.
     """
 
     keys: np.ndarray  # (n_kv_heads, seq, head_dim)
@@ -222,6 +226,7 @@ class LayerKV:
         if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
         self._buffers = (self.keys, self.values, self.positions)
+        self._next_position = max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
 
     @classmethod
     def empty(cls, n_kv_heads: int, head_dim: int, rows: int) -> "LayerKV":
@@ -244,7 +249,7 @@ class LayerKV:
     @property
     def next_position(self) -> int:
         """One past the largest position held: where decoding resumes."""
-        return max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
+        return self._next_position
 
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` more rows; the appends that fill it reallocate nothing."""
@@ -262,13 +267,24 @@ class LayerKV:
     def append(self, k_rows: np.ndarray, v_rows: np.ndarray, positions: np.ndarray) -> None:
         """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at ``positions``.
 
-        Writes into reserved room; without room, grows the buffers to fit.
+        ``positions`` is ``(s,)``, strictly increasing, and past every
+        position held.  Writes into reserved room; without room, grows the
+        buffers to fit.
         """
+        rows = k_rows.shape[1]
+        if not rows or positions.shape != (rows,) or v_rows.shape[:2] != k_rows.shape[:2]:
+            raise ContractViolation(
+                "append expects k/v rows (n_kv_heads, s >= 1, ...) and (s,) positions, got "
+                f"k{k_rows.shape} v{v_rows.shape} positions{positions.shape}"
+            )
         held = len(self)
-        if held and int(positions[0]) < self.next_position:
+        if held and positions[0] < self._next_position:
             raise ContractViolation("appended position must exceed the cache maximum")
-        end = held + k_rows.shape[1]
-        self.reserve(end - held)
+        # A one-row append (a decode step) has no order to check.
+        if rows > 1 and not np.all(np.diff(positions) > 0):
+            raise ContractViolation("appended positions must be strictly increasing")
+        end = held + rows
+        self.reserve(rows)
         keys, values, held_positions = self._buffers
         keys[:, held:end] = k_rows
         values[:, held:end] = v_rows
@@ -276,6 +292,7 @@ class LayerKV:
         self.keys, self.values, self.positions = (
             keys[:, :end], values[:, :end], held_positions[:, :end]
         )
+        self._next_position = int(positions[-1]) + 1
 
     def gather(self, rows: np.ndarray) -> "LayerKV":
         """A new cache keeping rows ``rows[j]`` (ascending) of each kv-head ``j``."""
@@ -358,16 +375,17 @@ def _attention(
     ``nk - nq + i`` and attends keys ``0..(nk - nq + i)``.  A decode step is
     the one-row case, a prompt chunk the rows just appended to its cache.
 
-    Query rows run in blocks of :data:`ROW_BLOCK`.  A block scores only the
-    keys its last row can see (the causal skip) and masks the upper triangle
-    of its last ``b`` columns (a one-row block has none).  A row never spans
-    two blocks, so each block's softmax is exact.  A one-row block (a decode
-    step) scores every head in one stacked product, ``h x nk`` floats; a
-    taller block scores, normalises and accumulates one query head at a
-    time, so one ``(ROW_BLOCK, nk)`` score array is live, freed before the
-    next head's is scored.  Both give the same bytes: a stacked product runs
-    one GEMM per head on the strides a head's slice has, the softmax reduces
-    row by row, and the float64 column sums add the same rows in order.
+    A one-row call (a decode step) scores every head in one stacked product,
+    ``h x nk`` floats, and returns its value product as it comes.  Taller
+    calls run their query rows in blocks of :data:`ROW_BLOCK`.  A block
+    scores only the keys its last row can see (the causal skip) and masks
+    the upper triangle of its last ``b`` columns.  A row never spans two
+    blocks, so each block's softmax is exact.  A block scores, normalises
+    and accumulates one query head at a time, so one ``(ROW_BLOCK, nk)``
+    score array is live, freed before the next head's is scored.  Both give
+    the same bytes: a stacked product runs one GEMM per head on the strides
+    a head's slice has, the softmax reduces row by row, and the float64
+    column sums add the same rows in order.
 
     Returns ``out``, ``(h_kv, g, nq, d_v)``.  With a float64 ``received``
     accumulator ``(h_kv, g, >= nk)``, each block adds to ``received[j, i, c]``
@@ -382,25 +400,26 @@ def _attention(
         raise ContractViolation(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     if nq > nk:
         raise ContractViolation("attention requires q rows <= k rows")
-    scale = F32(1.0 / np.sqrt(dim))
-    offset = nk - nq
+    scale = F32(1.0 / math.sqrt(dim))
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
+    if nq == 1:
+        scores = _softmax_rows(q @ keys_t, scale)
+        if received is not None and nk > first_scored:
+            received[..., :nk] += scores.sum(axis=-2, dtype=np.float64)
+        return scores @ values
+    offset = nk - nq
     # Row-major storage, so the caller's (nq, h * d_v) view of it copies nothing.
     out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v)).transpose(1, 2, 0, 3)
+    # Query head (j, i) and kv-head j's index in keys_t.
+    heads = [((j, i), (j, 0)) for j in range(hk) for i in range(g)]
     for lo in range(0, nq, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, nq)
         b, cols = hi - lo, offset + hi
-        # Every head at once, or query head (j, i) and kv-head j's index in keys_t.
-        heads = [(..., ...)] if b == 1 else [((j, i), (j, 0)) for j in range(hk) for i in range(g)]
         for head, kv in heads:
             scores = q[head][..., lo:hi, :] @ keys_t[kv][..., :cols]
-            scores *= scale
-            if b > 1:
-                np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
-            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+            np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
+            _softmax_rows(scores, scale)
             out[head][..., lo:hi, :] = scores @ values[kv][..., :cols, :]
             if received is not None and cols > first_scored:
                 first = max(first_scored - offset - lo, 0)
@@ -409,10 +428,25 @@ def _attention(
     return out
 
 
+def _softmax_rows(scores: np.ndarray, scale: np.float32) -> np.ndarray:
+    """Softmax of each row of ``scale * scores``, written over ``scores``.
+
+    Masked entries hold ``-inf`` and stay ``-inf`` when scaled, so they get 0.
+    """
+    scores *= scale
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
 def _silu(x: np.ndarray) -> np.ndarray:
     """``x * sigmoid(x)``, written over ``x``."""
     # Clipping keeps exp() in range; beyond +-60 the sigmoid saturates in f32.
-    denom = np.clip(x, -60.0, 60.0)
+    # Two ufuncs clip to the bytes np.clip gives, NaN included, without its
+    # Python-level dispatch.
+    denom = np.minimum(x, 60.0)
+    np.maximum(denom, -60.0, out=denom)
     np.negative(denom, out=denom)
     np.exp(denom, out=denom)
     denom += 1.0
@@ -432,16 +466,22 @@ def _charge_attention(cfg: ModelConfig, rows: int, keys: int) -> None:
 
 
 def project_qkv(
-    x: np.ndarray, weights: ModelWeights, layer_idx: int, positions: np.ndarray
+    x: np.ndarray,
+    weights: ModelWeights,
+    layer_idx: int,
+    positions: np.ndarray,
+    rotary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The opening of a layer over the rows of ``x`` at ``positions``: its Q, K and V.
 
     The attention RMS-norm, one product with the layer's fused
     ``[wq | wk | wv]`` buffer (``weights.qkv``), and the rotation of Q and K
-    together by rows of the model's rotary table.  Reads the layer's
-    weights, so the layer is touched.  Returns ``qk``,
-    ``(rows, n_heads + n_kv_heads, head_dim)``, post-rotation Q heads then K
-    heads, and ``v``, ``(rows, n_kv_heads, head_dim)``.
+    together by rows of the model's rotary table: ``rotary``, the rows
+    ``weights.rope(positions)`` returns, when the caller runs several layers
+    at the same positions and looked them up once (a decode step does), or
+    looked up here.  Reads the layer's weights, so the layer is touched.
+    Returns ``qk``, ``(rows, n_heads + n_kv_heads, head_dim)``,
+    post-rotation Q heads then K heads, and ``v``, ``(rows, n_kv_heads, head_dim)``.
     """
     cfg = weights.config
     touch_layer(layer_idx, weights.per_layer_bytes)
@@ -452,7 +492,7 @@ def project_qkv(
     del xn
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
     if cfg.use_rope:
-        qk = _rotate(qk, *weights.rope(positions))
+        qk = _rotate(qk, *(rotary or weights.rope(positions)))
     return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
 
 
@@ -464,6 +504,7 @@ def run_layer(
     cache: LayerKV,
     received: np.ndarray | None = None,
     first_scored: int = 0,
+    rotary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One transformer layer over the rows of ``x`` at ``positions``, in place.
 
@@ -471,7 +512,8 @@ def run_layer(
     everything it then holds: a decode step is one row, and :func:`prefill`
     runs the prompt as consecutive row chunks into one cache.  The layer's
     output overwrites ``x``; the cache is all a later chunk or step reads.
-    :func:`project_qkv` projects and rotates Q, K and V, and all query
+    :func:`project_qkv` projects and rotates Q, K and V (by ``rotary``, the
+    rows at ``positions`` if the caller looked them up), and all query
     heads attend in one :func:`_attention` call over the kv-head groups,
     which adds to ``received`` (``(h_kv, g, >= len(cache))`` float64) the
     attention each key gets from the rows that are key row ``first_scored``
@@ -484,7 +526,7 @@ def run_layer(
     n = x.shape[0]
     h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
-    qk, v = project_qkv(x, weights, layer_idx, positions)
+    qk, v = project_qkv(x, weights, layer_idx, positions, rotary)
     q = qk[:, :h].copy()
     cache.append(qk[:, h:].transpose(1, 0, 2), v.transpose(1, 0, 2), positions)
     del qk, v  # the cache holds K and V now
@@ -585,7 +627,10 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     """Advance generation by one token; appends one K/V row per layer and head.
 
     The new token's position is one past the largest cached position, and the
-    returned logits cover the whole vocabulary.
+    returned logits cover the whole vocabulary.  Every layer rotates by the
+    same rotary rows, looked up once per step, and the step's attention is
+    charged once, over the keys of every layer: the same totals as one
+    charge per layer.
     """
     cfg = weights.config
     if not caches or len(caches) != cfg.n_layers:
@@ -596,9 +641,10 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
 
     x = embed([int(token)], weights)
     pos_arr = np.asarray([position], dtype=np.int64)
+    rotary = weights.rope(pos_arr) if cfg.use_rope else None
     for li, cache in enumerate(caches):
-        run_layer(x, weights, li, pos_arr, cache)
-        _charge_attention(cfg, 1, len(cache))
+        run_layer(x, weights, li, pos_arr, cache, rotary=rotary)
+    _charge_attention(cfg, 1, sum(len(c) for c in caches))
     note_kv_bytes(sum(c.nbytes for c in caches))
     return logits_from_hidden(x[0], weights)
 

@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gemfilter import model
 from gemfilter.config import ModelConfig
+from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.model import (
@@ -17,6 +20,7 @@ from gemfilter.model import (
     _attention,
     _rope_table,
     _rotate,
+    _silu,
     decode_step,
     embed,
     logits_from_hidden,
@@ -640,6 +644,68 @@ class TestLayerKV:
         cache.append(*self._row(7))  # the gathered cache owns its rows
         assert len(kept) == 3 and kept.next_position == 7
 
+    def _rows(self, positions, v_rows=None):
+        rng = np.random.default_rng(len(positions))
+        shape = (self.HK, 2, self.DH)
+        k = rng.standard_normal(shape).astype(F32)
+        return k, k.copy() if v_rows is None else v_rows, np.asarray(positions, dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ([7, 6], "strictly increasing"),
+            ([6, 6], "strictly increasing"),
+            ([4, 9], "exceed the cache maximum"),
+            ([9], "positions"),
+            ([5, 6, 7], "positions"),
+            ([[5, 6]], "positions"),
+        ],
+        ids=["decreasing", "repeated", "not-past-cache", "one-for-two-rows", "three-for-two-rows", "2-d"],
+    )
+    def test_append_rejects_bad_positions(self, positions, message):
+        cache = self._cache()
+        before = [part.copy() for part in self._parts(cache)]
+        with pytest.raises(ContractViolation, match=message):
+            cache.append(*self._rows(positions))
+        for mine, theirs in zip(self._parts(cache), before):
+            np.testing.assert_array_equal(mine, theirs)
+        assert cache.next_position == 5
+
+    def test_append_rejects_positions_that_go_back_after_a_row(self):
+        cache = LayerKV.empty(self.HK, self.DH, 4)
+        cache.append(*self._row(0))
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            cache.append(*self._rows([5, 3]))
+        cache.append(*self._rows([5, 6]))
+        assert cache.next_position == 7
+        with pytest.raises(ContractViolation, match="exceed the cache maximum"):
+            cache.append(*self._row(6))
+
+    def test_append_rejects_values_that_disagree_with_keys(self):
+        cache = self._cache()
+        one_row_values = np.zeros((self.HK, 1, self.DH), dtype=F32)
+        with pytest.raises(ContractViolation, match="append expects"):
+            cache.append(*self._rows([5, 6], v_rows=one_row_values))
+        fewer_heads = np.zeros((1, 2, self.DH), dtype=F32)
+        with pytest.raises(ContractViolation, match="append expects"):
+            cache.append(*self._rows([5, 6], v_rows=fewer_heads))
+        assert len(cache) == 5
+
+    def test_one_row_append_checks_no_order(self, monkeypatch):
+        """A decode step's one-row append pays nothing for the increasing check."""
+        cache = self._cache()
+        calls = []
+        monkeypatch.setattr(np, "diff", lambda *args, **kwargs: calls.append(args))
+        cache.append(*self._row(5))
+        assert calls == [] and cache.next_position == 6
+
+    def test_next_position_of_an_evicted_cache_is_past_its_largest_head(self):
+        cache = self._cache(n=6)
+        kept = cache.gather(np.asarray([[0, 2], [1, 5]]))
+        assert kept.next_position == 6 and LayerKV.empty(self.HK, self.DH, 1).next_position == 0
+        kept.append(*self._row(6))
+        assert kept.positions.tolist() == [[0, 2, 6], [1, 5, 6]] and kept.next_position == 7
+
 
 class TestDecodeStep:
     @pytest.mark.parametrize("seed", range(10))
@@ -692,6 +758,68 @@ class TestDecodeStep:
         w = make_random_model(small_config(), 0)
         with pytest.raises(ContractViolation):
             decode_step(1, [], w)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("use_rope", [True, False])
+    def test_one_step_calls_each_kernel_a_fixed_number_of_times(self, monkeypatch, m, use_rope):
+        """Per step: rotary rows once (never without RoPE), 2m + 1 norms, 4m + 1 products."""
+        cfg = small_config(m=m, h=4, hk=2, dh=8, use_rope=use_rope)
+        w = make_random_model(cfg, 14)
+        prompt, t = [3, 1, 4, 1, 5], 2
+        calls = {"rope": 0, "rms_norm_rows": 0, "matmul": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        pre = prefill(prompt, w)
+        monkeypatch.setattr(ModelWeights, "rope", counted("rope", ModelWeights.rope))
+        for name in ("rms_norm_rows", "matmul"):
+            monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
+        decode_step(2, pre.caches, w)
+        assert calls == {"rope": int(use_rope), "rms_norm_rows": 2 * m + 1, "matmul": 4 * m + 1}
+        monkeypatch.undo()
+
+        # The step's counters, charged once for all layers, are the closed form's.
+        rc = RunConfig(Strategy.FULL, max_new_tokens=t)
+        measured = run_generation(w, prompt, rc).session.phase_cost(GENERATION)
+        predicted = cost_table(CostParams.from_weights(w, n=len(prompt), k=64, t=t, r=1))
+        assert replace(measured, wall_time=0.0) == predicted["full"][GENERATION]
+
+
+# ---------------------------------------------------------------- activation
+
+
+def silu_clip_formula(x):
+    """The activation as first written: the sigmoid's exponent clipped by ``np.clip``."""
+    return x / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def silu_edge_values():
+    tiny = np.finfo(F32).smallest_subnormal
+    edges = [60.0, np.inf, 1e30, tiny, tiny * 7, np.finfo(F32).tiny / 2, 0.0]
+    edges += [np.nextafter(F32(60), F32(np.inf)), np.nextafter(F32(60), F32(0))]
+    return np.asarray(edges + [-e for e in edges] + [np.nan, -np.nan], dtype=F32)
+
+
+@pytest.mark.parametrize("rows", [1, 300])
+def test_silu_bytes_equal_the_clip_formula_on_edge_values(rows):
+    edges = silu_edge_values()
+    rng = np.random.default_rng(rows)
+    x = np.concatenate(
+        [
+            np.stack([np.roll(edges, i) for i in range(rows)]),
+            (rng.standard_normal((rows, 16)) * 40).astype(F32),
+        ],
+        axis=1,
+    )
+    with np.errstate(all="ignore"):
+        expected = silu_clip_formula(x)
+        got = _silu(x.copy())
+    assert got.dtype == F32 and got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- greedy
