@@ -32,8 +32,20 @@ from gemfilter.testmodels import make_random_model
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
-# name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer)
-SHAPES = {"m2h4kv2": (2, 4, 2, 8, 1), "m3h4kv1": (3, 4, 1, 4, 2)}
+# name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer, use_rope).
+# The last has one query head per kv-head and no rotation, as the needle
+# model does.
+SHAPES = {
+    "m2h4kv2": (2, 4, 2, 8, 1, True),
+    "m3h4kv1": (3, 4, 1, 4, 2, True),
+    "m2h2kv2-norope": (2, 2, 2, 8, 1, False),
+}
+# n = 130 runs query blocks of 64 + 64 + 2 rows: a second block, the causal
+# skip across blocks and a short tail block.  Past CHUNK_ROWS = 256, _chunks
+# joins a one-row tail to the chunk before it: n = 257 runs as one 257-row
+# chunk, n = 513 as a 256-row chunk and a second, 257-row one.
+LENGTHS = (5, 33, 130, 257, 513)
+STEPS = (0, 1, 6)
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
 EVICTION = dict(window=2, pool_kernel=3)
@@ -45,18 +57,17 @@ EVICTION_VARIANTS = {
 
 
 def _grid():
-    for shape, (m, h, hk, dh, r) in SHAPES.items():
+    for shape, (m, h, hk, dh, r, use_rope) in SHAPES.items():
         cfg = ModelConfig(
             n_layers=m, n_heads=h, n_kv_heads=hk, head_dim=dh, d_model=h * dh,
-            vocab_size=64, hidden_mlp=16, max_seq=256,
+            vocab_size=64, hidden_mlp=16, use_rope=use_rope,
+            max_seq=max(LENGTHS) + max(STEPS),
         )
         weights = make_random_model(cfg, len(shape) + m)
-        # n = 130 runs query blocks of 64 + 64 + 2 rows: a second block, the
-        # causal skip across blocks and a short tail block.
-        for n in (5, 33, 130):
+        for n in LENGTHS:
             tokens = [(7 * i + 3) % cfg.vocab_size for i in range(n)]
             for k in (4, n):
-                for t in (0, 1, 6):
+                for t in STEPS:
                     for strategy in Strategy:
                         name = f"{shape}/{strategy.value}/n{n}/k{k}/t{t}"
                         rc = RunConfig(
