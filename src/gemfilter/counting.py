@@ -7,9 +7,10 @@ pass and the iterative generation loop.  Only matrix products are counted
 activations) is excluded by convention so that the closed-form cost model can
 be checked as exact integer identities.
 
-Sessions are installed ambiently (a context variable), so the numeric kernels
-and model code report work without threading a counter argument through every
-call.  Concurrent runs each activate their own session; nothing is shared.
+Sessions are installed ambiently (a context variable), so the model code,
+which charges every product it runs, reports work without threading a counter
+argument through every call.  Concurrent runs each activate their own
+session; nothing is shared.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class PhaseCost:
     :func:`~gemfilter.costmodel.cost_table` predicts one per strategy and
     phase; wall time is measured only.  Tags: ``attn_score`` is Q.K^T,
     ``attn_value`` probs.V, ``proj`` the q/k/v/o projections, ``mlp`` the
-    MLP, ``logits`` the output embedding, and ``other`` an untagged matmul.
+    MLP and ``logits`` the output embedding, each charged by
+    :mod:`gemfilter.model` where it runs the product.
     """
 
     phase: str

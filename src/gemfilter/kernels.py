@@ -1,14 +1,9 @@
 """Dense numeric kernels the rest of the engine composes.
 
 All kernels are pure functions of their inputs and deterministic for a fixed
-process configuration.  ``matmul`` reports its work to the ambient cost
-session (see :mod:`gemfilter.counting`).  The other matrix products, those
-of attention, are charged at their dense size by the model's
-:func:`~gemfilter.model.prefill`, once per layer, and
-:func:`~gemfilter.model.decode_step`, once per step for all its layers;
-elementwise work is not counted, by convention.  The layer's fused Q/K/V
-projection is one ``matmul`` over ``[wq | wk | wv]``, so its charge is the
-sum of the three separate products'.
+process configuration.  None charges the cost session: :mod:`gemfilter.model`
+charges every product it runs, and elementwise work is not counted, by
+convention.
 
 ``rms_norm_rows`` is the one norm (a vector is a one-row matrix), called
 twice per layer and once for the logits.  It reduces with
@@ -30,24 +25,7 @@ import sys
 
 import numpy as np
 
-from .counting import count_matmul
 from .errors import ContractViolation
-
-
-def matmul(a: np.ndarray, b: np.ndarray, tag: str = "other") -> np.ndarray:
-    """Matrix product of two 2-D arrays.
-
-    Charges ``2 * M * K * N`` FLOPs to the active cost session under ``tag``
-    (one multiply-add = 2 FLOPs).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    count_matmul(tag, a.shape[0], a.shape[1], b.shape[1])
-    return a @ b
 
 
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

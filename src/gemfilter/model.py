@@ -40,10 +40,12 @@ decode step looks up once for all its layers.  Token selection runs only
 this opening of its filter layer.  Attention (:func:`_attention`) runs
 every query head in one call, blocked over query rows with a causal skip:
 a decode step scores all heads in one product and returns it without an
-output array, a taller block scores one head at a time.  Its dense products
-are charged to the ambient cost session by :func:`prefill` (``n x n`` once
-per layer) and :func:`decode_step` (one row per layer, in one charge per
-step), and :func:`~gemfilter.kernels.matmul` charges the rest.
+output array, a taller block scores one head at a time.  This module
+charges every product it runs to the ambient cost session: attention's
+dense products in :func:`prefill` (``n x n`` once per layer) and
+:func:`decode_step` (one row per layer, in one charge per step), and each
+projection, MLP and logits product right after the line that runs it, at
+the shapes of its operands.
 Query head ``j * g + i`` reads kv-head ``j`` (``g`` query heads per group):
 attention, eviction and token selection all group the query heads this way
 over the head-major keys, and none copies a key out per query head.
@@ -61,7 +63,7 @@ import numpy as np
 from .config import ModelConfig
 from .counting import count_matmul, note_kv_bytes, touch_layer
 from .errors import ConfigurationError, ContractViolation
-from .kernels import argmax, matmul, rms_norm_rows
+from .kernels import argmax, rms_norm_rows
 
 F32 = np.float32
 
@@ -488,7 +490,8 @@ def project_qkv(
     n = x.shape[0]
     h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     xn = rms_norm_rows(x, weights.layers[layer_idx].attn_norm, cfg.norm_eps)
-    qkv = matmul(xn, weights.qkv[layer_idx], tag="proj")
+    qkv = xn @ weights.qkv[layer_idx]
+    count_matmul("proj", n, *weights.qkv[layer_idx].shape)
     del xn
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
     if cfg.use_rope:
@@ -533,19 +536,24 @@ def run_layer(
 
     grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
     out = _attention(grouped_q, cache.keys, cache.values, received, first_scored)
-    x += matmul(out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model), lw.wo, tag="proj")
+    x += out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model) @ lw.wo
+    count_matmul("proj", n, *lw.wo.shape)
     del out
     xn = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
-    hidden = _silu(matmul(xn, lw.w_in, tag="mlp"))
+    hidden = _silu(xn @ lw.w_in)
+    count_matmul("mlp", n, *lw.w_in.shape)
     del xn
-    x += matmul(hidden, lw.w_out, tag="mlp")
+    x += hidden @ lw.w_out
+    count_matmul("mlp", n, *lw.w_out.shape)
     return q
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:
     """Final norm plus output embedding for a single hidden row."""
     normed = rms_norm_rows(hidden_row.reshape(1, -1), weights.final_norm, weights.config.norm_eps)
-    return matmul(normed, weights.out_emb, tag="logits")[0]
+    logits = normed @ weights.out_emb
+    count_matmul("logits", 1, *weights.out_emb.shape)
+    return logits[0]
 
 
 def _chunks(n: int):

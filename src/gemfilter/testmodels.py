@@ -8,21 +8,41 @@ so the head-summed last-row score of key position i is (up to one positive
 normalization factor per layer) the embedding inner product between token i
 and the final query token.  Positions of tokens equal to the query token
 therefore win every selection, at any depth, with no positional term.
+
+Both refuse, before allocating anything, a config whose weights alone would
+not fit in the machine's physical memory.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigurationError
-from .model import F32, LayerWeights, ModelWeights
+from .model import F32, LayerWeights, ModelWeights, layer_weight_bytes
 
 _COPY_EMBED_SEED = 0x5EED
 
 
+def _check_fits_in_memory(cfg: ModelConfig) -> None:
+    """Reject ``cfg`` if its float32 weights exceed the machine's physical memory.
+
+    The layers, the two embeddings and the final norm, in closed form.
+    """
+    d = cfg.d_model
+    need = cfg.n_layers * layer_weight_bytes(cfg) + F32().itemsize * (2 * cfg.vocab_size * d + d)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"model weights need {need} bytes, more than the {have} bytes of physical memory"
+        )
+
+
 def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite."""
+    _check_fits_in_memory(cfg)
     rng = np.random.default_rng(seed)
     scale = F32(1.0 / np.sqrt(cfg.d_model))
     kv_dim = cfg.n_kv_heads * cfg.head_dim
@@ -78,6 +98,7 @@ def make_copy_model(cfg: ModelConfig) -> ModelWeights:
         raise ConfigurationError("copy model requires head_dim >= 64")
     if cfg.n_layers < 1:
         raise ConfigurationError("copy model requires at least one layer")
+    _check_fits_in_memory(cfg)
 
     eye = np.eye(cfg.d_model, dtype=F32)
     layers = [

@@ -13,7 +13,6 @@ from gemfilter.costmodel import (
     verify_counters,
 )
 from gemfilter.errors import ContractViolation
-from gemfilter.kernels import matmul
 from gemfilter.model import layer_weight_bytes, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.testmodels import make_random_model
@@ -233,11 +232,9 @@ class TestVerifyCounters:
         assert len(bad) == 1
         assert (bad[0].method, bad[0].phase, bad[0].term) == ("full", PROMPT, "attn_score")
         assert "attn_score" in report.format_text()
-        # A measured term the model does not predict: an untagged product
-        # charged to the run's session lands under "other".
+        # A measured term the model does not predict is a mismatch of its own.
         result = run_generation(w, list(range(32)), RunConfig(Strategy.FULL, max_new_tokens=4))
-        with result.session.activate():
-            matmul(np.ones((1, 1)), np.ones((1, 1)))
+        result.session.count_matmul("other", 1, 1, 1)
         report = verify_counters({"full": result.session.snapshot()}, predicted)
         assert not report.ok
         assert [(e.phase, e.term) for e in report.mismatches] == [(PROMPT, "other")]

@@ -559,6 +559,18 @@ class TestPrefill:
             prefill(list(range(9)), w)
 
     @pytest.mark.parametrize(
+        "score_rows, message",
+        [(-1, "score_rows -1 must be >= 0"), (4, "prompt length 3 shorter than window 4")],
+        ids=["negative", "past-the-prompt"],
+    )
+    def test_score_rows_outside_the_prompt_rejected(self, score_rows, message):
+        w = make_random_model(small_config(), 0)
+        session = CostSession()
+        with session.activate(), pytest.raises(ContractViolation, match=message):
+            prefill([1, 2, 3], w, score_rows=score_rows)
+        assert session.total_flops == 0
+
+    @pytest.mark.parametrize(
         "tokens, message",
         [
             ([], r"prompt length 0 must be >= 1"),
@@ -691,6 +703,22 @@ class TestLayerKV:
             cache.append(*self._rows([5, 6], v_rows=fewer_heads))
         assert len(cache) == 5
 
+    @pytest.mark.parametrize(
+        "part, replacement, message",
+        [
+            ("values", np.zeros((2, 5, 3), dtype=F32), "component shapes disagree"),
+            ("positions", np.zeros((2, 4), dtype=np.int64), "component shapes disagree"),
+            ("positions", np.asarray([[0, 1, 2, 3, 4], [0, 1, 3, 3, 4]]), "strictly increasing"),
+            ("positions", np.asarray([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]), "strictly increasing"),
+        ],
+        ids=["values-shape", "positions-shape", "repeated", "decreasing"],
+    )
+    def test_construction_rejects_disagreeing_parts(self, part, replacement, message):
+        parts = dict(zip(("keys", "values", "positions"), self._parts(self._cache())))
+        parts[part] = replacement
+        with pytest.raises(ContractViolation, match=message):
+            LayerKV(**parts)
+
     def test_one_row_append_checks_no_order(self, monkeypatch):
         """A decode step's one-row append pays nothing for the increasing check."""
         cache = self._cache()
@@ -754,6 +782,18 @@ class TestDecodeStep:
         assert gen["attn_score"] == expected
         assert gen["attn_value"] == expected
 
+    def test_decode_past_max_seq_rejected(self):
+        """Called directly, a step whose position would be max_seq changes nothing."""
+        w = make_random_model(small_config(max_seq=6), 0)
+        caches = prefill([1, 2, 3, 4, 5], w).caches
+        decode_step(6, caches, w)  # position 5, the last of max_seq = 6
+        assert caches[0].next_position == 6
+        session = CostSession()
+        with session.activate(), pytest.raises(ContractViolation, match="exceed max_seq"):
+            decode_step(7, caches, w)
+        assert [len(c) for c in caches] == [6, 6]
+        assert session.total_flops == 0
+
     def test_decode_without_caches_rejected(self):
         w = make_random_model(small_config(), 0)
         with pytest.raises(ContractViolation):
@@ -762,11 +802,12 @@ class TestDecodeStep:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("use_rope", [True, False])
     def test_one_step_calls_each_kernel_a_fixed_number_of_times(self, monkeypatch, m, use_rope):
-        """Per step: rotary rows once (never without RoPE), 2m + 1 norms, 4m + 1 products."""
+        """Per step: rotary rows once (never without RoPE), 2m + 1 norms, and a
+        charge for each of the 4m + 1 products plus 2 for all layers' attention."""
         cfg = small_config(m=m, h=4, hk=2, dh=8, use_rope=use_rope)
         w = make_random_model(cfg, 14)
         prompt, t = [3, 1, 4, 1, 5], 2
-        calls = {"rope": 0, "rms_norm_rows": 0, "matmul": 0}
+        calls = {"rope": 0, "rms_norm_rows": 0, "count_matmul": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -777,10 +818,11 @@ class TestDecodeStep:
 
         pre = prefill(prompt, w)
         monkeypatch.setattr(ModelWeights, "rope", counted("rope", ModelWeights.rope))
-        for name in ("rms_norm_rows", "matmul"):
+        for name in ("rms_norm_rows", "count_matmul"):
             monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
         decode_step(2, pre.caches, w)
-        assert calls == {"rope": int(use_rope), "rms_norm_rows": 2 * m + 1, "matmul": 4 * m + 1}
+        expected = {"rope": int(use_rope), "rms_norm_rows": 2 * m + 1, "count_matmul": (4 * m + 1) + 2}
+        assert calls == expected
         monkeypatch.undo()
 
         # The step's counters, charged once for all layers, are the closed form's.

@@ -6,6 +6,7 @@ CLI, which must exit with code 1 and name the error on stderr.
 
 import json
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -543,4 +544,53 @@ def test_negative_seed_rejected_before_any_work(tmp_path, capsys, no_work, comma
     assert main([*_writer_argv(tmp_path, command, out), "--seed", "-1"]) == 1
     assert "error (ContractViolation): --seed must be >= 0, got -1" in capsys.readouterr().err
     assert no_work == []
+    assert not out.exists()
+
+
+# ------------------------------------------------------------- model size
+
+# One config field each, far beyond any machine's memory: a flag and its value.
+HUGE_SHAPES = {
+    "vocab": ("--vocab", "vocab_size"),
+    "hidden-mlp": ("--hidden-mlp", "hidden_mlp"),
+    "layers": ("--layers", "n_layers"),
+}
+HUGE = 100_000_000_000
+
+
+@pytest.mark.parametrize("field", [f for _, f in HUGE_SHAPES.values()], ids=HUGE_SHAPES)
+@pytest.mark.parametrize("kind", ["random", "copy"])
+def test_model_beyond_physical_memory_refused_before_any_allocation(kind, field):
+    if kind == "copy":
+        cfg, build = copy_model_config(), make_copy_model
+    else:
+        cfg, build = tiny_config(), lambda c: make_random_model(c, 0)
+    cfg = replace(cfg, **{field: HUGE})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="bytes of physical memory"):
+            build(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("flag", [f for f, _ in HUGE_SHAPES.values()], ids=HUGE_SHAPES)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["make-model", "--out", "OUT"],
+        ["make-model", "--kind", "copy", "--out", "OUT"],
+        ["bench", "--n", "8", "--k", "4", "--t", "1", "--r", "1"],
+    ],
+    ids=["make-model", "make-model-copy", "bench"],
+)
+def test_model_beyond_physical_memory_through_cli(tmp_path, capsys, command, flag):
+    out = tmp_path / "m.gfm"
+    argv = [str(out) if a == "OUT" else a for a in command]
+    assert main([*argv, flag, str(HUGE)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error (ConfigurationError): model weights need ")
+    assert "Traceback" not in captured.err
     assert not out.exists()

@@ -277,6 +277,23 @@ class TestDecodeSelection:
         sub = decode_selection(tokens, sel)
         assert "".join(map(chr, needle)) in "".join(map(chr, sub))
 
+    @pytest.mark.parametrize(
+        "indices, budget, message",
+        [
+            ([0, 1], 3, r"min\(budget, n\) indices"),
+            ([0, 1, 2, 3, 4], 5, r"min\(budget, n\) indices"),
+            ([[0, 1]], 2, r"min\(budget, n\) indices"),
+            ([-1, 2], 2, "out of range"),
+            ([1, 4], 2, "out of range"),
+            ([2, 2], 2, "strictly increasing"),
+            ([3, 1], 2, "strictly increasing"),
+        ],
+        ids=["fewer", "more-than-n", "2-d", "negative", "past-n", "repeated", "decreasing"],
+    )
+    def test_malformed_selection_rejected(self, indices, budget, message):
+        with pytest.raises(ContractViolation, match=message):
+            SelectionResult(indices=np.asarray(indices), raw_scores=np.zeros(4), budget=budget)
+
     def test_out_of_range_rejected(self):
         sel = SelectionResult(
             indices=np.asarray([2]), raw_scores=np.zeros(3), budget=1
