@@ -14,7 +14,9 @@ Regenerate the file (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the cells added, removed and changed before it rewrites the file.
+which prints the cells added, removed and changed, and for a changed cell the
+fields that changed (bare), were added (``+``) or removed (``-``), before it
+rewrites the file.
 """
 
 import hashlib
@@ -120,13 +122,35 @@ def test_golden_runs_unchanged():
         assert measured[name] == expected[name], name
 
 
+def _fields_moved(old: dict, new: dict) -> str:
+    """The fields of one cell that changed (bare), were added (+) or removed (-)."""
+    return " ".join([
+        *(f for f in new if f in old and new[f] != old[f]),
+        *(f"+{f}" for f in new if f not in old),
+        *(f"-{f}" for f in old if f not in new),
+    ])
+
+
 def _diff(old: dict, new: dict) -> list[str]:
-    """One line per cell added (+), removed (-) or changed (~) from ``old`` to ``new``."""
+    """One line per cell added (+), removed (-) or changed (~) from ``old`` to ``new``.
+
+    A changed cell's line names the fields that moved, as :func:`_fields_moved`.
+    """
     return [
         *(f"+ {name}" for name in new if name not in old),
         *(f"- {name}" for name in old if name not in new),
-        *(f"~ {name}" for name in new if name in old and new[name] != old[name]),
+        *(
+            f"~ {name}: {_fields_moved(old[name], new[name])}"
+            for name in new
+            if name in old and new[name] != old[name]
+        ),
     ]
+
+
+def test_diff_names_the_fields_that_moved():
+    old = {"kept": {"a": 1}, "gone": {"a": 1}, "moved": {"a": 1, "b": 2, "c": 3}}
+    new = {"kept": {"a": 1}, "new": {"a": 1}, "moved": {"a": 0, "c": 3, "d": 4}}
+    assert _diff(old, new) == ["+ new", "- gone", "~ moved: a +d -b"]
 
 
 if __name__ == "__main__":
