@@ -6,7 +6,13 @@ Every (shape, strategy, n, k, t) cell below, plus the snapkv cells at
 per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)`` and the
 SHA-256 of the bytes of every logits vector the run computes, in order
 (``logits_sha256``), recorded in ``golden_runs.json``.  The digest makes a
-logit bit drift visible even where it flips no argmax.  The file pins the
+logit bit drift visible even where it flips no argmax.  ``caches_sha256``
+digests the keys, values and positions of every layer's cache, once as the
+runner's prefill returns them (after eviction) and again after the last
+decode step, so a kept or decoded position that moves shows even where no
+logit does (without RoPE, a position changes no logit).  A gemfilter cell
+adds ``selection_sha256``, the bytes of its selection's indices and raw
+scores.  The file pins the
 engine's observable behaviour across internal refactors; a cell that
 raises records the error class and message instead.
 
@@ -82,32 +88,55 @@ def _grid():
                                 yield f"{name}/{suffix}", weights, tokens, variant(rc)
 
 
+def _caches_digest(digest, caches) -> None:
+    for cache in caches:
+        for part in (cache.keys, cache.values, cache.positions):
+            digest.update(part.tobytes())
+
+
 def _outcome(weights, tokens, rc) -> dict:
-    digest = hashlib.sha256()
+    logits_digest, caches_digest = hashlib.sha256(), hashlib.sha256()
+    kept = []
 
     def logits_from_hidden(hidden_row, weights, real=model.logits_from_hidden):
         logits = real(hidden_row, weights)
-        digest.update(logits.tobytes())
+        logits_digest.update(logits.tobytes())
         return logits
+
+    def prefill(*args, real=runner.prefill, **kwargs):
+        result = real(*args, **kwargs)
+        kept.extend(result.caches)
+        _caches_digest(caches_digest, result.caches)
+        return result
 
     # The first token's logits are computed by the runner, the rest by decode_step.
     with (
         mock.patch.object(runner, "logits_from_hidden", logits_from_hidden),
         mock.patch.object(model, "logits_from_hidden", logits_from_hidden),
+        mock.patch.object(runner, "prefill", prefill),
     ):
         try:
             result = run_generation(weights, tokens, rc)
         except EngineError as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
+    # The caches again, as the last decode step left them.
+    _caches_digest(caches_digest, kept)
     phases = {
         phase: [cost.flops_by_tag, cost.kv_bytes_peak, cost.weight_bytes_touched]
         for phase, cost in result.session.snapshot().items()
     }
-    return {
+    outcome = {
         "tokens": [int(x) for x in result.output_tokens],
         "phases": phases,
-        "logits_sha256": digest.hexdigest(),
+        "logits_sha256": logits_digest.hexdigest(),
+        "caches_sha256": caches_digest.hexdigest(),
     }
+    if result.selection is not None:
+        sel = result.selection
+        outcome["selection_sha256"] = hashlib.sha256(
+            sel.indices.tobytes() + sel.raw_scores.tobytes()
+        ).hexdigest()
+    return outcome
 
 
 def record() -> dict:
