@@ -28,15 +28,16 @@ accumulated per layer block by block inside the attention kernel, so the
 per-head original positions.  A full cache keeps every position; an evicted
 one keeps a per-head subset (:meth:`LayerKV.gather`), and decoding resumes
 one past the largest position it holds, which the cache tracks as it
-grows.  An append must bring one strictly increasing position per row, past
-every position held.
+grows.  That is where a new row goes: an append writes its rows at the
+cache's next positions, so a prompt chunk follows the one before it and a
+decode step follows the prompt, and no caller passes a position.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
 float32.  The layer opens with :func:`project_qkv`: one product with the
 layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
-by rows of a per-model rotary table (:meth:`ModelWeights.rope`), which a
-decode step looks up once for all its layers.  Token selection runs only
+by a view of the per-model rotary table's rows (:meth:`ModelWeights.rope`)
+at the positions the rows take in the layer's cache.  Token selection runs only
 this opening of its filter layer.  Attention (:func:`_attention`) runs
 every query head in one call, blocked over query rows with a causal skip:
 a decode step scores all heads in one product and returns it without an
@@ -131,7 +132,7 @@ class ModelWeights:
     Each layer's ``wq``/``wk``/``wv`` are column views of one
     ``(d_model, d_model + 2 * kv_dim)`` buffer, ``qkv[i]``, so one product
     projects Q, K and V, and an in-place edit of any of the three reaches it.
-    With ``use_rope``, :meth:`rope` reads the rotary table's rows.
+    :meth:`rope` views the rotary table's rows (None without RoPE).
     """
 
     config: ModelConfig
@@ -169,21 +170,22 @@ class ModelWeights:
         if cfg.use_rope:
             self._rope = _rope_table(np.arange(0), cfg.head_dim, cfg.rope_theta)
 
-    def rope(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the rotary table at ascending ``positions`` in ``0..max_seq-1``.
+    def rope(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Views of the rotary table's rows at positions ``start..stop-1``, or None without RoPE.
 
-        The rows are :func:`_rope_table`'s for those positions.  The table is
-        filled as far as the positions asked for, doubling up to ``max_seq``,
-        so a model whose ``max_seq`` is far beyond what it runs never holds a
-        table that size.
+        ``stop`` is at most ``max_seq``.  The rows are :func:`_rope_table`'s
+        for those positions.  The table is filled as far as the positions
+        asked for, doubling up to ``max_seq``, so a model whose ``max_seq`` is
+        far beyond what it runs never holds a table that size.
         """
+        if self._rope is None:
+            return None
         cos, sin = self._rope
-        need = int(positions[-1]) + 1
-        if need > len(cos):
+        if stop > len(cos):
             cfg = self.config
-            rows = min(cfg.max_seq, max(need, 2 * len(cos)))
+            rows = min(cfg.max_seq, max(stop, 2 * len(cos)))
             self._rope = cos, sin = _rope_table(np.arange(rows), cfg.head_dim, cfg.rope_theta)
-        return cos[positions], sin[positions]
+        return cos[start:stop], sin[start:stop]
 
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
@@ -214,8 +216,8 @@ class LayerKV:
 
     The three arrays are views of the rows held in buffers that may have room
     for more (:meth:`reserve`), so appends write in place; ``nbytes`` counts
-    the rows held, not the room.  The cache tracks :attr:`next_position`
-    as rows are appended, so a decode step reads it without a scan.
+    the rows held, not the room.  The cache tracks :attr:`next_position`,
+    the position its next appended row takes, without a scan.
     """
 
     keys: np.ndarray  # (n_kv_heads, seq, head_dim)
@@ -266,35 +268,26 @@ class LayerKV:
         self._buffers = tuple(buffers)
         self.keys, self.values, self.positions = (buf[:, :held] for buf in buffers)
 
-    def append(self, k_rows: np.ndarray, v_rows: np.ndarray, positions: np.ndarray) -> None:
-        """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at ``positions``.
+    def append(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at :attr:`next_position` on.
 
-        ``positions`` is ``(s,)``, strictly increasing, and past every
-        position held.  Writes into reserved room; without room, grows the
-        buffers to fit.
+        Writes into reserved room; without room, grows the buffers to fit.
         """
         rows = k_rows.shape[1]
-        if not rows or positions.shape != (rows,) or v_rows.shape[:2] != k_rows.shape[:2]:
+        if not rows or v_rows.shape[:2] != k_rows.shape[:2]:
             raise ContractViolation(
-                "append expects k/v rows (n_kv_heads, s >= 1, ...) and (s,) positions, got "
-                f"k{k_rows.shape} v{v_rows.shape} positions{positions.shape}"
+                "append expects k/v rows (n_kv_heads, s >= 1, ...), got "
+                f"k{k_rows.shape} v{v_rows.shape}"
             )
-        held = len(self)
-        if held and positions[0] < self._next_position:
-            raise ContractViolation("appended position must exceed the cache maximum")
-        # A one-row append (a decode step) has no order to check.
-        if rows > 1 and not np.all(np.diff(positions) > 0):
-            raise ContractViolation("appended positions must be strictly increasing")
+        held, start = len(self), self._next_position
         end = held + rows
         self.reserve(rows)
-        keys, values, held_positions = self._buffers
+        keys, values, positions = self._buffers
         keys[:, held:end] = k_rows
         values[:, held:end] = v_rows
-        held_positions[:, held:end] = positions
-        self.keys, self.values, self.positions = (
-            keys[:, :end], values[:, :end], held_positions[:, :end]
-        )
-        self._next_position = int(positions[-1]) + 1
+        positions[:, held:end] = np.arange(start, start + rows)
+        self.keys, self.values, self.positions = keys[:, :end], values[:, :end], positions[:, :end]
+        self._next_position = start + rows
 
     def gather(self, rows: np.ndarray) -> "LayerKV":
         """A new cache keeping rows ``rows[j]`` (ascending) of each kv-head ``j``."""
@@ -468,20 +461,14 @@ def _charge_attention(cfg: ModelConfig, rows: int, keys: int) -> None:
 
 
 def project_qkv(
-    x: np.ndarray,
-    weights: ModelWeights,
-    layer_idx: int,
-    positions: np.ndarray,
-    rotary: tuple[np.ndarray, np.ndarray] | None = None,
+    x: np.ndarray, weights: ModelWeights, layer_idx: int, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The opening of a layer over the rows of ``x`` at ``positions``: its Q, K and V.
+    """The opening of a layer over the rows of ``x``, at positions ``start`` on: its Q, K and V.
 
     The attention RMS-norm, one product with the layer's fused
     ``[wq | wk | wv]`` buffer (``weights.qkv``), and the rotation of Q and K
-    together by rows of the model's rotary table: ``rotary``, the rows
-    ``weights.rope(positions)`` returns, when the caller runs several layers
-    at the same positions and looked them up once (a decode step does), or
-    looked up here.  Reads the layer's weights, so the layer is touched.
+    together by the rows ``weights.rope(start, start + rows)`` views (none
+    without RoPE).  Reads the layer's weights, so the layer is touched.
     Returns ``qk``, ``(rows, n_heads + n_kv_heads, head_dim)``,
     post-rotation Q heads then K heads, and ``v``, ``(rows, n_kv_heads, head_dim)``.
     """
@@ -494,8 +481,9 @@ def project_qkv(
     count_matmul("proj", n, *weights.qkv[layer_idx].shape)
     del xn
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
-    if cfg.use_rope:
-        qk = _rotate(qk, *(rotary or weights.rope(positions)))
+    rotary = weights.rope(start, start + n)
+    if rotary is not None:
+        qk = _rotate(qk, *rotary)
     return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
 
 
@@ -503,20 +491,18 @@ def run_layer(
     x: np.ndarray,
     weights: ModelWeights,
     layer_idx: int,
-    positions: np.ndarray,
     cache: LayerKV,
     received: np.ndarray | None = None,
     first_scored: int = 0,
-    rotary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """One transformer layer over the rows of ``x`` at ``positions``, in place.
+    """One transformer layer over the rows of ``x``, in place, at ``cache``'s next positions.
 
-    The rows' K/V are appended to ``cache`` and the rows attend causally to
-    everything it then holds: a decode step is one row, and :func:`prefill`
-    runs the prompt as consecutive row chunks into one cache.  The layer's
-    output overwrites ``x``; the cache is all a later chunk or step reads.
-    :func:`project_qkv` projects and rotates Q, K and V (by ``rotary``, the
-    rows at ``positions`` if the caller looked them up), and all query
+    The rows take positions ``cache.next_position`` on: their K/V are
+    appended to ``cache`` and they attend causally to everything it then
+    holds.  A decode step is one row, and :func:`prefill` runs the prompt as
+    consecutive row chunks into one cache.  The layer's output overwrites
+    ``x``; the cache is all a later chunk or step reads.
+    :func:`project_qkv` projects and rotates Q, K and V, and all query
     heads attend in one :func:`_attention` call over the kv-head groups,
     which adds to ``received`` (``(h_kv, g, >= len(cache))`` float64) the
     attention each key gets from the rows that are key row ``first_scored``
@@ -529,9 +515,9 @@ def run_layer(
     n = x.shape[0]
     h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
-    qk, v = project_qkv(x, weights, layer_idx, positions, rotary)
+    qk, v = project_qkv(x, weights, layer_idx, cache.next_position)
     q = qk[:, :h].copy()
-    cache.append(qk[:, h:].transpose(1, 0, 2), v.transpose(1, 0, 2), positions)
+    cache.append(qk[:, h:].transpose(1, 0, 2), v.transpose(1, 0, 2))
     del qk, v  # the cache holds K and V now
 
     grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
@@ -617,8 +603,7 @@ def prefill(
         layer_kv = LayerKV.empty(hk, cfg.head_dim, n)
         received = np.zeros((hk, h // hk, n)) if score_rows else None
         for lo, hi in _chunks(n):
-            positions = np.arange(lo, hi, dtype=np.int64)
-            run_layer(x[lo:hi], weights, li, positions, layer_kv, received, n - score_rows)
+            run_layer(x[lo:hi], weights, li, layer_kv, received, n - score_rows)
         _charge_attention(cfg, n, n)
         scores = None if received is None else received.sum(axis=1)
         kept = layer_kv if evict is None else evict(layer_kv, scores)
@@ -634,24 +619,27 @@ def prefill(
 def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.ndarray:
     """Advance generation by one token; appends one K/V row per layer and head.
 
-    The new token's position is one past the largest cached position, and the
-    returned logits cover the whole vocabulary.  Every layer rotates by the
-    same rotary rows, looked up once per step, and the step's attention is
-    charged once, over the keys of every layer: the same totals as one
-    charge per layer.
+    The new token's position is every cache's :attr:`~LayerKV.next_position`,
+    one past the largest cached position; caches that disagree on it are
+    rejected before anything is appended or charged.  The returned logits
+    cover the whole vocabulary.  The step's attention is charged once, over
+    the keys of every layer: the same totals as one charge per layer.
     """
     cfg = weights.config
     if not caches or len(caches) != cfg.n_layers:
         raise ContractViolation("decode_step requires one prefilled cache per layer")
     position = caches[0].next_position
+    if any(cache.next_position != position for cache in caches):
+        raise ContractViolation(
+            "decode_step requires every cache to resume at one position, got "
+            f"{[cache.next_position for cache in caches]}"
+        )
     if position + 1 > cfg.max_seq:
         raise ContractViolation("cache would exceed max_seq")
 
     x = embed([int(token)], weights)
-    pos_arr = np.asarray([position], dtype=np.int64)
-    rotary = weights.rope(pos_arr) if cfg.use_rope else None
     for li, cache in enumerate(caches):
-        run_layer(x, weights, li, pos_arr, cache, rotary=rotary)
+        run_layer(x, weights, li, cache)
     _charge_attention(cfg, 1, sum(len(c) for c in caches))
     note_kv_bytes(sum(c.nbytes for c in caches))
     return logits_from_hidden(x[0], weights)

@@ -107,7 +107,7 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
     n, h = x.shape[0], cfg.n_heads
     keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)
     for lo, hi in _chunks(n):
-        qk, _ = project_qkv(x[lo:hi], weights, r - 1, np.arange(lo, hi, dtype=np.int64))
+        qk, _ = project_qkv(x[lo:hi], weights, r - 1, lo)
         keys[:, lo:hi] = qk[:, h:].transpose(1, 0, 2)
     del x
     note_kv_bytes(keys.nbytes)

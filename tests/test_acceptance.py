@@ -333,7 +333,7 @@ def _prompt_queries(w, tokens):
     prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
     n, cfg = len(tokens), w.config
     cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
-    return run_layer(embed(tokens, w), w, 0, np.arange(n, dtype=np.int64), cache)
+    return run_layer(embed(tokens, w), w, 0, cache)
 
 
 def test_snapkv_h2o_small_instance_oracles():

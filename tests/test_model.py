@@ -163,15 +163,14 @@ class TestRopeTable:
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
         assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
-        assert np.array_equal(_rotate(x, *w.rope(positions)), expected)  # as run_layer rotates
+        assert np.array_equal(_rotate(x, *w.rope(0, positions.size)), expected)  # as run_layer rotates
 
     def test_grown_table_equals_one_built_at_once(self):
         """Asked for a few positions at a time, the table's rows stay the same bits."""
         w, fresh = make_random_model(self.CFG, 0), make_random_model(self.CFG, 0)
-        positions = np.arange(self.CFG.max_seq)
-        whole = fresh.rope(positions)
+        whole = fresh.rope(0, self.CFG.max_seq)
         for lo, hi in [(0, 1), (1, 7), (7, 8), (8, 200), (299, 300)]:
-            for got, want in zip(w.rope(positions[lo:hi]), whole):
+            for got, want in zip(w.rope(lo, hi), whole):
                 assert np.array_equal(got, want[lo:hi])
 
     def test_run_layer_rotation_matches_oracle(self):
@@ -181,7 +180,7 @@ class TestRopeTable:
         x = np.random.default_rng(5).standard_normal((9, 16)).astype(F32)
         positions = np.arange(9, dtype=np.int64)
         cache = LayerKV.empty(1, 8, 9)
-        q = run_layer(x.copy(), w, 0, positions, cache)
+        q = run_layer(x.copy(), w, 0, cache)
         xn = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5)) * lw.attn_norm
         want_q = rope_pair_oracle((xn @ lw.wq).reshape(9, 2, 8), positions, theta)
         want_k = rope_pair_oracle((xn @ lw.wk).reshape(9, 1, 8), positions, theta)
@@ -453,7 +452,7 @@ class TestRunLayerScores:
         x = embed([(5 * i + 2) % cfg.vocab_size for i in range(n)], w)
         out, cache = x.copy(), LayerKV.empty(hk, 8, n)
         received = np.zeros((hk, h // hk, n)) if score_rows else None
-        q = run_layer(out, w, 0, np.arange(n, dtype=np.int64), cache, received, n - score_rows)
+        q = run_layer(out, w, 0, cache, received, n - score_rows)
         return x, w, (out, q, cache, None if received is None else received.reshape(h, n))
 
     @pytest.mark.parametrize("n, h, hk, rows", run_layer_cases())
@@ -605,14 +604,11 @@ class TestLayerKV:
             positions=np.tile(np.arange(n, dtype=np.int64), (self.HK, 1)),
         )
 
-    def _row(self, pos):
-        rng = np.random.default_rng(pos)
+    def _row(self, seed):
+        """One row's keys and values per kv-head; the same ``seed``, the same row."""
+        rng = np.random.default_rng(seed)
         shape = (self.HK, 1, self.DH)
-        return (
-            rng.standard_normal(shape).astype(F32),
-            rng.standard_normal(shape).astype(F32),
-            np.asarray([pos], dtype=np.int64),
-        )
+        return rng.standard_normal(shape).astype(F32), rng.standard_normal(shape).astype(F32)
 
     @staticmethod
     def _parts(cache):
@@ -656,51 +652,18 @@ class TestLayerKV:
         cache.append(*self._row(7))  # the gathered cache owns its rows
         assert len(kept) == 3 and kept.next_position == 7
 
-    def _rows(self, positions, v_rows=None):
-        rng = np.random.default_rng(len(positions))
-        shape = (self.HK, 2, self.DH)
-        k = rng.standard_normal(shape).astype(F32)
-        return k, k.copy() if v_rows is None else v_rows, np.asarray(positions, dtype=np.int64)
-
-    @pytest.mark.parametrize(
-        "positions, message",
-        [
-            ([7, 6], "strictly increasing"),
-            ([6, 6], "strictly increasing"),
-            ([4, 9], "exceed the cache maximum"),
-            ([9], "positions"),
-            ([5, 6, 7], "positions"),
-            ([[5, 6]], "positions"),
-        ],
-        ids=["decreasing", "repeated", "not-past-cache", "one-for-two-rows", "three-for-two-rows", "2-d"],
-    )
-    def test_append_rejects_bad_positions(self, positions, message):
-        cache = self._cache()
-        before = [part.copy() for part in self._parts(cache)]
-        with pytest.raises(ContractViolation, match=message):
-            cache.append(*self._rows(positions))
-        for mine, theirs in zip(self._parts(cache), before):
-            np.testing.assert_array_equal(mine, theirs)
-        assert cache.next_position == 5
-
-    def test_append_rejects_positions_that_go_back_after_a_row(self):
-        cache = LayerKV.empty(self.HK, self.DH, 4)
-        cache.append(*self._row(0))
-        with pytest.raises(ContractViolation, match="strictly increasing"):
-            cache.append(*self._rows([5, 3]))
-        cache.append(*self._rows([5, 6]))
-        assert cache.next_position == 7
-        with pytest.raises(ContractViolation, match="exceed the cache maximum"):
-            cache.append(*self._row(6))
+    def _rows(self, v_rows=None):
+        k = np.random.default_rng(2).standard_normal((self.HK, 2, self.DH)).astype(F32)
+        return k, k.copy() if v_rows is None else v_rows
 
     def test_append_rejects_values_that_disagree_with_keys(self):
         cache = self._cache()
         one_row_values = np.zeros((self.HK, 1, self.DH), dtype=F32)
         with pytest.raises(ContractViolation, match="append expects"):
-            cache.append(*self._rows([5, 6], v_rows=one_row_values))
+            cache.append(*self._rows(v_rows=one_row_values))
         fewer_heads = np.zeros((1, 2, self.DH), dtype=F32)
         with pytest.raises(ContractViolation, match="append expects"):
-            cache.append(*self._rows([5, 6], v_rows=fewer_heads))
+            cache.append(*self._rows(v_rows=fewer_heads))
         assert len(cache) == 5
 
     @pytest.mark.parametrize(
@@ -718,14 +681,6 @@ class TestLayerKV:
         parts[part] = replacement
         with pytest.raises(ContractViolation, match=message):
             LayerKV(**parts)
-
-    def test_one_row_append_checks_no_order(self, monkeypatch):
-        """A decode step's one-row append pays nothing for the increasing check."""
-        cache = self._cache()
-        calls = []
-        monkeypatch.setattr(np, "diff", lambda *args, **kwargs: calls.append(args))
-        cache.append(*self._row(5))
-        assert calls == [] and cache.next_position == 6
 
     def test_next_position_of_an_evicted_cache_is_past_its_largest_head(self):
         cache = self._cache(n=6)
@@ -799,11 +754,26 @@ class TestDecodeStep:
         with pytest.raises(ContractViolation):
             decode_step(1, [], w)
 
+    @pytest.mark.parametrize("ahead", [0, 2], ids=["first-ahead", "last-ahead"])
+    def test_decode_rejects_caches_at_different_positions(self, ahead):
+        """A cache ahead of the others, the first or a later one, is rejected
+        before any layer appends or anything is charged."""
+        w = make_random_model(small_config(m=3), 0)
+        caches = prefill([1, 2, 3, 4, 5], w).caches
+        caches[ahead].append(caches[ahead].keys[:, -1:], caches[ahead].values[:, -1:])
+        lengths = [len(c) for c in caches]
+        session = CostSession()
+        with session.activate(), pytest.raises(ContractViolation, match="one position"):
+            decode_step(6, caches, w)
+        assert [len(c) for c in caches] == lengths
+        assert session.total_flops == 0
+
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("use_rope", [True, False])
     def test_one_step_calls_each_kernel_a_fixed_number_of_times(self, monkeypatch, m, use_rope):
-        """Per step: rotary rows once (never without RoPE), 2m + 1 norms, and a
-        charge for each of the 4m + 1 products plus 2 for all layers' attention."""
+        """Per step: one rotary lookup per layer (None without RoPE), 2m + 1
+        norms, and a charge for each of the 4m + 1 products plus 2 for all
+        layers' attention."""
         cfg = small_config(m=m, h=4, hk=2, dh=8, use_rope=use_rope)
         w = make_random_model(cfg, 14)
         prompt, t = [3, 1, 4, 1, 5], 2
@@ -821,7 +791,7 @@ class TestDecodeStep:
         for name in ("rms_norm_rows", "count_matmul"):
             monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
         decode_step(2, pre.caches, w)
-        expected = {"rope": int(use_rope), "rms_norm_rows": 2 * m + 1, "count_matmul": (4 * m + 1) + 2}
+        expected = {"rope": m, "rms_norm_rows": 2 * m + 1, "count_matmul": (4 * m + 1) + 2}
         assert calls == expected
         monkeypatch.undo()
 

@@ -113,7 +113,7 @@ def full_filter_layer(w, tokens, r):
     for li in range(r):
         cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
         for lo, hi in model._chunks(n):
-            q = run_layer(x[lo:hi], w, li, np.arange(lo, hi, dtype=np.int64), cache)
+            q = run_layer(x[lo:hi], w, li, cache)
     return q[-1], cache.keys
 
 

@@ -59,7 +59,7 @@ def prompt_queries(w, tokens):
     prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
     n, cfg = len(tokens), w.config
     cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
-    return run_layer(embed(tokens, w), w, 0, np.arange(n, dtype=np.int64), cache)
+    return run_layer(embed(tokens, w), w, 0, cache)
 
 
 def pool_oracle(v, kernel):
