@@ -140,7 +140,7 @@ class ModelWeights:
     layers: list[LayerWeights]
     final_norm: np.ndarray
     out_emb: np.ndarray
-    # Weight bytes of one transformer layer (identical across layers).
+    # Weight bytes of one transformer layer: every layer's shapes and dtype are checked.
     per_layer_bytes: int = field(init=False, repr=False, compare=False)
     # Per layer, the [wq | wk | wv] buffer the three are views of.
     qkv: list[np.ndarray] = field(init=False, repr=False, compare=False)
@@ -156,10 +156,9 @@ class ModelWeights:
         for (name, arr), (_, shape) in zip(self.named_tensors(), weight_shapes(cfg)):
             if arr.shape != shape:
                 raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
-        sizes = {lw.nbytes() for lw in self.layers}
-        if len(sizes) != 1:
-            raise ConfigurationError("per-layer weight byte sizes must be identical")
-        self.per_layer_bytes = sizes.pop()
+            if arr.dtype != F32:
+                raise ConfigurationError(f"{name} has dtype {arr.dtype}, expected float32")
+        self.per_layer_bytes = self.layers[0].nbytes()
         d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
         self.qkv = []
         for lw in self.layers:
@@ -321,7 +320,7 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= vocab:
         bad = int(ids[(ids < 0) | (ids >= vocab)][0])
         raise ContractViolation(f"token id {bad} outside vocabulary of size {vocab}")
-    return weights.tok_emb[ids].astype(F32, copy=True)
+    return weights.tok_emb[ids]  # a copy: the layers overwrite it in place
 
 
 def _rope_table(positions: np.ndarray, head_dim: int, theta: float):

@@ -85,6 +85,7 @@ class TestEmbed:
         w = make_random_model(small_config(), 0)
         out = embed([0], w)
         assert np.array_equal(out[0], w.tok_emb[0])
+        assert out.dtype == F32 and not np.shares_memory(out, w.tok_emb)
 
     def test_repeated_token_identical_rows(self):
         w = make_random_model(small_config(), 0)
@@ -218,6 +219,16 @@ class TestFusedProjection:
             assert hashlib.sha256(dump_bytes(weights)).hexdigest() == digest
             save_model(tmp_path / "m.gfm", weights)
             assert hashlib.sha256(dump_bytes(load_model(tmp_path / "m.gfm"))).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64])
+    def test_weights_that_are_not_float32_are_rejected(self, dtype):
+        """float64 weights would double the bytes the counters predict, and
+        integer ones run to garbage that looks valid: both are named and refused."""
+        named = dict(make_random_model(self.CFG, 3).named_tensors())
+        named["layers.1.w_in"] = named["layers.1.w_in"].astype(dtype)
+        with pytest.raises(ConfigurationError, match=r"layers\.1\.w_in has dtype .*float32"):
+            ModelWeights.from_named(self.CFG, named)
 
 
 # ---------------------------------------------------------------- grouped-query heads
