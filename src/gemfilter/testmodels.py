@@ -48,7 +48,9 @@ def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     kv_dim = cfg.n_kv_heads * cfg.head_dim
 
     def mat(rows: int, cols: int) -> np.ndarray:
-        return (rng.standard_normal((rows, cols), dtype=np.float32) * scale).astype(F32)
+        out = rng.standard_normal((rows, cols), dtype=F32)
+        out *= scale  # in place: the build peaks near the weights it returns
+        return out
 
     layers = [
         LayerWeights(
@@ -73,10 +75,19 @@ def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
 
 
 def _unit_rows(rows: int, cols: int, seed: int) -> np.ndarray:
+    """``rows`` seeded random float32 unit vectors of length ``cols``.
+
+    Drawn and normalised in float64, 1024 rows at a time, so the build holds
+    one block of float64 next to the float32 table; the blocks draw the
+    generator's stream in order, so the bytes are those of one whole draw.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((rows, cols))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x.astype(F32)
+    out = np.empty((rows, cols), dtype=F32)
+    for lo in range(0, rows, 1024):
+        block = rng.standard_normal((min(1024, rows - lo), cols))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        out[lo : lo + len(block)] = block
+    return out
 
 
 def make_copy_model(cfg: ModelConfig) -> ModelWeights:

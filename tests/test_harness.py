@@ -1,5 +1,7 @@
 """Harness tests: tokenizer round trips, model file format, seeded models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,23 @@ class TestMakeCopyModel:
         )
         with pytest.raises(ConfigurationError):
             make_copy_model(cfg_gqa)
+
+
+# ---------------------------------------------------------------- build memory
+
+
+@pytest.mark.parametrize(
+    "builder", [make_copy_model, lambda cfg: make_random_model(cfg, 0)], ids=["copy", "random"]
+)
+def test_builder_peaks_near_the_weights_it_builds(builder):
+    """At a vocab-heavy shape (two 20000 x 128 embeddings, 21 MB of weights),
+    a build's traced peak stays within 10% of the weights it returns: no
+    float64 table and no second copy of a matrix is live next to them."""
+    cfg = copy_model_config(vocab_size=20000)
+    tracemalloc.start()
+    try:
+        weights = builder(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(array.nbytes for _, array in weights.named_tensors())
