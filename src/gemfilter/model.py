@@ -37,8 +37,8 @@ MLP with a sigmoid-weighted linear activation -> residual add.  All math is
 float32.  The layer opens with :func:`project_qkv`: one product with the
 layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
 by a view of the per-model rotary table's rows (:meth:`ModelWeights.rope`)
-at the positions the rows take in the layer's cache.  Token selection runs only
-this opening of its filter layer.  Attention (:func:`_attention`) runs
+at the positions the rows take in the layer's cache.  Token selection runs
+only this opening of its filter layer.  Attention (:func:`_attention`) runs
 every query head in one call, blocked over query rows with a causal skip:
 a decode step scores all heads in one product and returns it without an
 output array, a taller block scores one head at a time.  This module

@@ -12,9 +12,8 @@ runner's prefill returns them (after eviction) and again after the last
 decode step, so a kept or decoded position that moves shows even where no
 logit does (without RoPE, a position changes no logit).  A gemfilter cell
 adds ``selection_sha256``, the bytes of its selection's indices and raw
-scores.  The file pins the
-engine's observable behaviour across internal refactors; a cell that
-raises records the error class and message instead.
+scores.  The file pins the engine's observable behaviour across internal
+refactors; a cell that raises records the error class and message instead.
 
 Regenerate the file (only when a behaviour change is intended) with::
 
@@ -88,7 +87,7 @@ def _grid():
                                 yield f"{name}/{suffix}", weights, tokens, variant(rc)
 
 
-def _caches_digest(digest, caches) -> None:
+def _digest_caches(digest, caches) -> None:
     for cache in caches:
         for part in (cache.keys, cache.values, cache.positions):
             digest.update(part.tobytes())
@@ -106,7 +105,7 @@ def _outcome(weights, tokens, rc) -> dict:
     def prefill(*args, real=runner.prefill, **kwargs):
         result = real(*args, **kwargs)
         kept.extend(result.caches)
-        _caches_digest(caches_digest, result.caches)
+        _digest_caches(caches_digest, result.caches)
         return result
 
     # The first token's logits are computed by the runner, the rest by decode_step.
@@ -120,7 +119,7 @@ def _outcome(weights, tokens, rc) -> dict:
         except EngineError as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
     # The caches again, as the last decode step left them.
-    _caches_digest(caches_digest, kept)
+    _digest_caches(caches_digest, kept)
     phases = {
         phase: [cost.flops_by_tag, cost.kv_bytes_peak, cost.weight_bytes_touched]
         for phase, cost in result.session.snapshot().items()

@@ -164,7 +164,8 @@ class TestRopeTable:
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
         assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
-        assert np.array_equal(_rotate(x, *w.rope(0, positions.size)), expected)  # as run_layer rotates
+        # As run_layer rotates.
+        assert np.array_equal(_rotate(x, *w.rope(0, positions.size)), expected)
 
     def test_grown_table_equals_one_built_at_once(self):
         """Asked for a few positions at a time, the table's rows stay the same bits."""
