@@ -52,7 +52,7 @@ SHAPES = {
 # joins a one-row tail to the chunk before it: n = 257 runs as one 257-row
 # chunk, n = 513 as a 256-row chunk and a second, 257-row one.
 LENGTHS = (5, 33, 130, 257, 513)
-STEPS = (0, 1, 6)
+STEPS = (0, 1, 6, 20)
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
 EVICTION = dict(window=2, pool_kernel=3)
