@@ -215,8 +215,10 @@ class LayerKV:
 
     The three arrays are views of the rows held in buffers that may have room
     for more (:meth:`reserve`), so appends write in place; ``nbytes`` counts
-    the rows held, not the room.  The cache tracks :attr:`next_position`,
-    the position its next appended row takes, without a scan.
+    the rows held, not the room.  Growing the room copies one part at a
+    time, so at most one part of the layer is ever held twice.  The cache
+    tracks :attr:`next_position`, the position its next appended row takes,
+    without a scan.
     """
 
     keys: np.ndarray  # (n_kv_heads, seq, head_dim)
@@ -228,7 +230,7 @@ class LayerKV:
             raise ContractViolation("LayerKV component shapes disagree")
         if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
-        self._buffers = (self.keys, self.values, self.positions)
+        self._buffers = [self.keys, self.values, self.positions]
         self._next_position = max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
 
     @classmethod
@@ -255,17 +257,23 @@ class LayerKV:
         return self._next_position
 
     def reserve(self, rows: int) -> None:
-        """Make room for ``rows`` more rows; the appends that fill it reallocate nothing."""
+        """Make room for ``rows`` more rows; the appends that fill it reallocate nothing.
+
+        The parts grow one at a time, keys, then values, then positions: each
+        is copied into its larger buffer, and its old buffer is dropped before
+        the next part grows.  So while the layer grows it holds at most one
+        part twice, never all three.
+        """
         held = len(self)
         if self._buffers[0].shape[1] >= held + rows:
             return
-        buffers = []
-        for part in (self.keys, self.values, self.positions):
-            buf = np.empty((part.shape[0], held + rows, *part.shape[2:]), dtype=part.dtype)
-            buf[:, :held] = part
-            buffers.append(buf)
-        self._buffers = tuple(buffers)
-        self.keys, self.values, self.positions = (buf[:, :held] for buf in buffers)
+        for i, name in enumerate(("keys", "values", "positions")):
+            part = getattr(self, name)
+            grown = np.empty((part.shape[0], held + rows, *part.shape[2:]), dtype=part.dtype)
+            grown[:, :held] = part
+            self._buffers[i] = grown
+            setattr(self, name, grown[:, :held])
+            del part, grown  # the old buffer goes here, before the next part grows
 
     def append(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at :attr:`next_position` on.
@@ -649,7 +657,10 @@ def greedy_decode(
 ) -> list[int]:
     """The ``steps`` greedy tokens after ``token``, one decode step each.
 
-    Each cache first reserves the ``steps`` rows the loop appends.
+    Each cache first reserves the ``steps`` rows the loop appends, one layer
+    and one part at a time (:meth:`LayerKV.reserve`), so at most one part of
+    one layer is ever held twice and generation adds to a request's peak
+    only the rows it decodes.
     """
     for cache in caches:
         cache.reserve(steps)

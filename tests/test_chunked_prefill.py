@@ -1,6 +1,7 @@
 """The row-chunked prompt pass: bit parity across chunk sizes, and traced memory."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gemfilter.counting import PROMPT
 from gemfilter.model import ROW_BLOCK, logits_from_hidden, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import prompt_pass
-from gemfilter.testmodels import make_random_model
+from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
 C = 64  # the chunk size the parity tests compare against one whole-prompt chunk
 
@@ -160,3 +161,43 @@ def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
         + 4096
     )
     assert large - small <= allowed, (large - small, allowed)
+
+
+# Whole requests on the benchmark's two shapes: name -> (weights, n, k, r).
+REQUEST_SHAPES = {
+    "copy-n2049": (lambda: make_copy_model(copy_model_config()), 2049, 64, 1),
+    "profile-n1024": (lambda: make_random_model(PROFILE, 1), 1024, 256, 3),
+}
+
+
+def traced_request_peak(w, tokens, rc):
+    """tracemalloc's peak over one whole request: prompt pass and generation."""
+    tracemalloc.start()
+    try:
+        run_generation(w, tokens, rc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", list(REQUEST_SHAPES))
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_decoding_adds_to_a_request_peak_only_the_rows_it_decodes(strategy, shape):
+    """From t = 1 to t = 64, a request's traced peak grows by at most the K/V
+    and int64 positions of the 63 rows it decodes into each layer's kv-heads,
+    plus 4 KiB of interpreter objects.  Growing the caches for those rows
+    copies one part of one layer at a time; a copy that holds a whole layer
+    twice breaks it on the copy model, where one layer's keys outweigh what
+    the prompt pass holds beyond its caches."""
+    build, n, k, r = REQUEST_SHAPES[shape]
+    w = build()
+    cfg = w.config
+    tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
+    rc = RunConfig(strategy, max_new_tokens=64, select_k=k, filter_layer=r)
+    run_generation(w, tokens, rc)  # fill the rotary table: a model keeps it
+    one, many = (
+        traced_request_peak(w, tokens, replace(rc, max_new_tokens=t)) for t in (1, 64)
+    )
+    row = cfg.n_layers * cfg.n_kv_heads * (2 * cfg.head_dim * 4 + 8)
+    allowed = 63 * row + 4096
+    assert many - one <= allowed, (many - one, allowed)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -649,6 +650,22 @@ class TestLayerKV:
         assert cache.nbytes == held and len(cache) == 5
         cache.append(*self._row(5))
         assert cache.nbytes == held * 6 // 5 and len(cache) == 6
+
+    def test_reserve_holds_at_most_one_old_part_twice(self):
+        """Growing copies keys, then values, then positions, and drops each old
+        buffer before the next part grows: the peak is the grown buffers plus
+        the old keys, the largest part, not all three old parts."""
+        tracemalloc.start()
+        try:
+            cache = self._cache(n=1024)
+            old_keys = cache.keys.nbytes
+            tracemalloc.reset_peak()
+            cache.reserve(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown = sum(part.base.nbytes for part in self._parts(cache))
+        assert peak <= grown + old_keys + 4096, (peak, grown + old_keys)
 
     def test_gather_on_reserved_cache(self):
         cache, plain = self._cache(), self._cache()
