@@ -230,7 +230,7 @@ class LayerKV:
             raise ContractViolation("LayerKV component shapes disagree")
         if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
             raise ContractViolation("LayerKV positions must be strictly increasing")
-        self._buffers = [self.keys, self.values, self.positions]
+        self._buffers = (self.keys, self.values, self.positions)
         self._next_position = max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
 
     @classmethod
@@ -271,9 +271,9 @@ class LayerKV:
             part = getattr(self, name)
             grown = np.empty((part.shape[0], held + rows, *part.shape[2:]), dtype=part.dtype)
             grown[:, :held] = part
-            self._buffers[i] = grown
+            self._buffers = self._buffers[:i] + (grown,) + self._buffers[i + 1 :]
             setattr(self, name, grown[:, :held])
-            del part, grown  # the old buffer goes here, before the next part grows
+            del part, grown  # frees the old buffer before the next part grows
 
     def append(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append new tokens' rows, ``(n_kv_heads, s, head_dim)``, at :attr:`next_position` on.
