@@ -120,16 +120,21 @@ PROFILE = ModelConfig(
 )
 
 
+def traced_request_peak(w, tokens, rc):
+    """tracemalloc's peak over one whole request: prompt pass and generation."""
+    tracemalloc.start()
+    try:
+        run_generation(w, tokens, rc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def traced_excess(w, n, strategy):
     """A prompt-only run's tracemalloc peak minus cost_table's modeled KV peak."""
     rc = RunConfig(strategy, max_new_tokens=0, select_k=256, filter_layer=3)
     tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
-    tracemalloc.start()
-    try:
-        run_generation(w, tokens, rc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_request_peak(w, tokens, rc)
     params = CostParams.from_weights(w, n=n, k=256, t=0, r=3)
     modeled = cost_table(params)[strategy.value][PROMPT].kv_bytes_peak
     return peak - modeled, modeled
@@ -168,16 +173,6 @@ REQUEST_SHAPES = {
     "copy-n2049": (lambda: make_copy_model(copy_model_config()), 2049, 64, 1),
     "profile-n1024": (lambda: make_random_model(PROFILE, 1), 1024, 256, 3),
 }
-
-
-def traced_request_peak(w, tokens, rc):
-    """tracemalloc's peak over one whole request: prompt pass and generation."""
-    tracemalloc.start()
-    try:
-        run_generation(w, tokens, rc)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", list(REQUEST_SHAPES))
