@@ -37,7 +37,9 @@ def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     # The sum and the division np.mean makes, without its dispatch.
     mean_sq = np.add.reduce(np.square(x), axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(mean_sq + x.dtype.type(eps))
-    return x * inv * gain
+    out = x * inv
+    out *= gain  # in place, so only one array the size of x is made
+    return out
 
 
 def check_pooling(kernel: int) -> None:

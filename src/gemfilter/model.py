@@ -16,8 +16,12 @@ step is one row, and the prompt runs through each layer in chunks of
 :data:`CHUNK_ROWS` rows, each overwriting its rows of the residual stream
 in place.  So a prompt pass holds the ``n x d_model``
 residual stream, the layer's ``n``-row cache and the kept ones, one query
-head's ``(ROW_BLOCK, n)`` score block and chunk-sized transients; nothing
-else grows with ``n``.
+head's ``(ROW_BLOCK, n)`` score block and one chunk's working set; nothing
+else grows with ``n``.  A chunk's working set is one stage at a time: its
+normed rows and fused Q/K/V product, rotated in place; then its Q copy,
+which attention overwrites with its output; then its MLP rows, the normed
+ones dropped before the activation.  Token selection's filter pass holds
+its layer's keys and one chunk's product at a time.
 
 Eviction reads one score vector per kv-head: the float64 column sums of
 the last ``score_rows`` attention probability rows of its query heads,
@@ -40,8 +44,8 @@ by a view of the per-model rotary table's rows (:meth:`ModelWeights.rope`)
 at the positions the rows take in the layer's cache.  Token selection runs
 only this opening of its filter layer.  Attention (:func:`_attention`) runs
 every query head in one call, blocked over query rows with a causal skip:
-a decode step scores all heads in one product and returns it without an
-output array, a taller block scores one head at a time.  This module
+a decode step scores all heads in one product, a taller block scores one
+head at a time, and the output overwrites the layer's Q copy.  This module
 charges every product it runs to the ambient cost session: attention's
 dense products in :func:`prefill` (``n x n`` once per layer) and
 :func:`decode_step` (one row per layer, in one charge per step), and each
@@ -350,16 +354,23 @@ def _rope_table(positions: np.ndarray, head_dim: int, theta: float):
     )
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _rotate(
+    x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rotate the dimension pairs of ``x`` ``(seq, heads, head_dim)`` by :func:`_rope_table` rows.
 
     ``even * cos - odd * sin`` and ``even * sin + odd * cos``, as three
-    array operations over the pairs and their swapped view.
+    array operations over the pairs and their swapped view:
+    ``fl(fl(pairs * cos) + fl(swapped * sin))``.  The swapped product is
+    made first, so ``out``, an array of ``x``'s shape that may be ``x``
+    itself, takes the result with one temporary the size of ``x``; without
+    ``out`` a new array does, and ``x`` is left as it was.
     """
     pairs = x.reshape(*x.shape[:2], -1, 2)
-    out = pairs * cos
-    out += pairs[..., ::-1] * sin
-    return out.reshape(x.shape)
+    swapped = pairs[..., ::-1] * sin
+    rotated = np.multiply(pairs, cos, out=None if out is None else out.reshape(pairs.shape))
+    rotated += swapped
+    return rotated.reshape(x.shape)
 
 
 def _attention(
@@ -368,6 +379,7 @@ def _attention(
     v: np.ndarray,
     received: np.ndarray | None = None,
     first_scored: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Causal attention of every query head, grouped by kv-head.
 
@@ -378,7 +390,7 @@ def _attention(
     the one-row case, a prompt chunk the rows just appended to its cache.
 
     A one-row call (a decode step) scores every head in one stacked product,
-    ``h x nk`` floats, and returns its value product as it comes.  Taller
+    ``h x nk`` floats, and its value product is the output.  Taller
     calls run their query rows in blocks of :data:`ROW_BLOCK`.  A block
     scores only the keys its last row can see (the causal skip) and masks
     the upper triangle of its last ``b`` columns.  A row never spans two
@@ -389,10 +401,17 @@ def _attention(
     a head's slice has, the softmax reduces row by row, and the float64
     column sums add the same rows in order.
 
-    Returns ``out``, ``(h_kv, g, nq, d_v)``.  With a float64 ``received``
-    accumulator ``(h_kv, g, >= nk)``, each block adds to ``received[j, i, c]``
-    the attention probability key ``c`` gets from the block's query rows of
-    head ``(j, i)`` that are key row ``first_scored`` or later.
+    Returns the output, ``(h_kv, g, nq, d_v)``: written into ``out`` when
+    one is passed, else into a new row-major ``(nq, h_kv, g, d_v)`` array
+    viewed that way, so the caller's ``(nq, h * d_v)`` view copies nothing.
+    ``out`` may be ``q`` itself: a block writes a head's rows only after
+    scoring them and no later block reads them, so attention over ``q`` in
+    place gives the same bytes without a second Q-sized array.
+
+    With a float64 ``received`` accumulator ``(h_kv, g, >= nk)``, each block
+    adds to ``received[j, i, c]`` the attention probability key ``c`` gets
+    from the block's query rows of head ``(j, i)`` that are key row
+    ``first_scored`` or later.
 
     Nothing is charged here: the callers charge the dense products.
     """
@@ -405,14 +424,16 @@ def _attention(
     scale = F32(1.0 / math.sqrt(dim))
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
+    if out is None:
+        out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v))
+        out = out.transpose(1, 2, 0, 3)
     if nq == 1:
         scores = _softmax_rows(q @ keys_t, scale)
         if received is not None and nk > first_scored:
             received[..., :nk] += scores.sum(axis=-2, dtype=np.float64)
-        return scores @ values
+        out[...] = scores @ values
+        return out
     offset = nk - nq
-    # Row-major storage, so the caller's (nq, h * d_v) view of it copies nothing.
-    out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v)).transpose(1, 2, 0, 3)
     # Query head (j, i) and kv-head j's index in keys_t.
     heads = [((j, i), (j, 0)) for j in range(hk) for i in range(g)]
     for lo in range(0, nq, ROW_BLOCK):
@@ -444,11 +465,10 @@ def _softmax_rows(scores: np.ndarray, scale: np.float32) -> np.ndarray:
 
 def _silu(x: np.ndarray) -> np.ndarray:
     """``x * sigmoid(x)``, written over ``x``."""
-    # Clipping keeps exp() in range; beyond +-60 the sigmoid saturates in f32.
-    # Two ufuncs clip to the bytes np.clip gives, NaN included, without its
-    # Python-level dispatch.
-    denom = np.minimum(x, 60.0)
-    np.maximum(denom, -60.0, out=denom)
+    # The lower clamp keeps exp() in range.  No upper one is needed: from
+    # x = 60 on, 1 + exp(-x) rounds to 1.0 in float32, as it would if x were
+    # clamped to 60, and NaN and +-inf give the bytes a two-sided clamp gives.
+    denom = np.maximum(x, -60.0)
     np.negative(denom, out=denom)
     np.exp(denom, out=denom)
     denom += 1.0
@@ -475,9 +495,11 @@ def project_qkv(
     The attention RMS-norm, one product with the layer's fused
     ``[wq | wk | wv]`` buffer (``weights.qkv``), and the rotation of Q and K
     together by the rows ``weights.rope(start, start + rows)`` views (none
-    without RoPE).  Reads the layer's weights, so the layer is touched.
-    Returns ``qk``, ``(rows, n_heads + n_kv_heads, head_dim)``,
-    post-rotation Q heads then K heads, and ``v``, ``(rows, n_kv_heads, head_dim)``.
+    without RoPE), in place over the product.  Reads the layer's weights,
+    so the layer is touched.  Returns ``qk``, ``(rows, n_heads + n_kv_heads,
+    head_dim)``, post-rotation Q heads then K heads, and ``v``, ``(rows,
+    n_kv_heads, head_dim)``: two views of the product, so either keeps all
+    of it alive.
     """
     cfg = weights.config
     touch_layer(layer_idx, weights.per_layer_bytes)
@@ -490,7 +512,7 @@ def project_qkv(
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
     rotary = weights.rope(start, start + n)
     if rotary is not None:
-        qk = _rotate(qk, *rotary)
+        _rotate(qk, *rotary, out=qk)
     return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
 
 
@@ -501,7 +523,7 @@ def run_layer(
     cache: LayerKV,
     received: np.ndarray | None = None,
     first_scored: int = 0,
-) -> np.ndarray:
+) -> None:
     """One transformer layer over the rows of ``x``, in place, at ``cache``'s next positions.
 
     The rows take positions ``cache.next_position`` on: their K/V are
@@ -514,8 +536,11 @@ def run_layer(
     which adds to ``received`` (``(h_kv, g, >= len(cache))`` float64) the
     attention each key gets from the rows that are key row ``first_scored``
     or later (what cache eviction consumes).  Attention is not charged here
-    (see :func:`_charge_attention`).  Returns the rows' post-rotation Q,
-    ``(rows, n_heads, head_dim)``.
+    (see :func:`_charge_attention`).
+
+    One Q-sized array lives through attention: the rows' Q copy, which
+    attention overwrites with its output.  The normed rows of the MLP are
+    dropped before the activation.
     """
     cfg = weights.config
     lw = weights.layers[layer_idx]
@@ -528,17 +553,16 @@ def run_layer(
     del qk, v  # the cache holds K and V now
 
     grouped_q = q.reshape(n, hk, h // hk, dh).transpose(1, 2, 0, 3)
-    out = _attention(grouped_q, cache.keys, cache.values, received, first_scored)
-    x += out.transpose(2, 0, 1, 3).reshape(n, cfg.d_model) @ lw.wo
+    _attention(grouped_q, cache.keys, cache.values, received, first_scored, out=grouped_q)
+    x += q.reshape(n, cfg.d_model) @ lw.wo  # q holds the attention output now
     count_matmul("proj", n, *lw.wo.shape)
-    del out
+    del q, grouped_q
     xn = rms_norm_rows(x, lw.mlp_norm, cfg.norm_eps)
-    hidden = _silu(xn @ lw.w_in)
+    hidden = xn @ lw.w_in
     count_matmul("mlp", n, *lw.w_in.shape)
     del xn
-    x += hidden @ lw.w_out
+    x += _silu(hidden) @ lw.w_out
     count_matmul("mlp", n, *lw.w_out.shape)
-    return q
 
 
 def logits_from_hidden(hidden_row: np.ndarray, weights: ModelWeights) -> np.ndarray:

@@ -96,9 +96,10 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
     row chunks, its keys filling one contiguous head-major ``(h_kv, n,
     head_dim)`` buffer, the layout a cache holds, so the float64 score sums
     match a full layer's bit for bit; and score with the last row's query.
-    Layers past it are never touched.  A budget larger than the prompt
-    clamps to selecting everything.  The pooling and the lower bounds of
-    ``k`` and ``r`` are :class:`RunConfig`'s to check.
+    Only that query outlives its chunk, so the pass holds one chunk's
+    product at a time.  Layers past it are never touched.  A budget larger
+    than the prompt clamps to selecting everything.  The pooling and the
+    lower bounds of ``k`` and ``r`` are :class:`RunConfig`'s to check.
     """
     cfg, r, k = weights.config, rc.filter_layer, rc.select_k
     if r > cfg.n_layers:
@@ -107,11 +108,13 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
     n, h = x.shape[0], cfg.n_heads
     keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)
     for lo, hi in _chunks(n):
-        qk, _ = project_qkv(x[lo:hi], weights, r - 1, lo)
+        qk = project_qkv(x[lo:hi], weights, r - 1, lo)[0]
         keys[:, lo:hi] = qk[:, h:].transpose(1, 0, 2)
+        last_q = qk[-1, :h].copy()
+        del qk  # drop the chunk's Q/K/V product before the next one is made
     del x
     note_kv_bytes(keys.nbytes)
-    scores = selection_scores(qk[-1, :h], keys, rc.pool_kernel)
+    scores = selection_scores(last_q, keys, rc.pool_kernel)
     kept = topk_indices(scores, min(k, n))
     return SelectionResult(indices=np.sort(kept), raw_scores=scores, budget=k)
 

@@ -17,13 +17,12 @@ from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.kernels import pool_1d, topk_indices
 from gemfilter.model import (
-    LayerKV,
     _attention,
     decode_step,
     embed,
     logits_from_hidden,
     prefill,
-    run_layer,
+    project_qkv,
 )
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
@@ -330,10 +329,9 @@ def _probs_oracle(q, k):
 
 def _prompt_queries(w, tokens):
     """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
-    prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
-    n, cfg = len(tokens), w.config
-    cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
-    return run_layer(embed(tokens, w), w, 0, cache)
+    prompt, from one :func:`project_qkv` call: the rows prefill's first chunk
+    projects when the prompt is one chunk."""
+    return project_qkv(embed(tokens, w), w, 0, 0)[0][:, : w.config.n_heads]
 
 
 def test_snapkv_h2o_small_instance_oracles():

@@ -12,6 +12,7 @@ from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
 from gemfilter.model import ROW_BLOCK, logits_from_hidden, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
+from gemfilter.selection import select_indices
 from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 
@@ -196,3 +197,62 @@ def test_decoding_adds_to_a_request_peak_only_the_rows_it_decodes(strategy, shap
     row = cfg.n_layers * cfg.n_kv_heads * (2 * cfg.head_dim * 4 + 8)
     allowed = 63 * row + 4096
     assert many - one <= allowed, (many - one, allowed)
+
+
+def test_the_filter_pass_holds_one_chunks_product():
+    """The r = 1 filter pass on the copy model at n = 2049 holds at most the
+    residual stream, the filter layer's keys, the largest chunk's normed rows
+    and fused Q/K/V product, the prompt's int64 ids and 4 KiB of interpreter
+    objects.  Holding a chunk's product while the next one is made breaks it."""
+    cfg = copy_model_config()
+    w = make_copy_model(cfg)
+    n = 2049
+    tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
+    rc = RunConfig(Strategy.GEMFILTER, select_k=64, filter_layer=1)
+    tracemalloc.start()
+    try:
+        select_indices(w, tokens, rc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = max(hi - lo for lo, hi in model._chunks(n))
+    qkv_width = w.qkv[0].shape[1]
+    allowed = 4 * (
+        n * cfg.d_model
+        + cfg.n_kv_heads * n * cfg.head_dim
+        + rows * (cfg.d_model + qkv_width)
+    ) + 8 * n + 4096
+    assert peak <= allowed, (peak, allowed)
+
+
+def test_a_chunk_holds_one_query_sized_array_through_attention(monkeypatch):
+    """Through a 256-row chunk's attention, run_layer holds its Q copy and
+    attention holds one head's score block, one block's value product, the
+    buffer numpy's ufuncs take to broadcast a row statistic over the block
+    in place (``np.getbufsize()`` elements) and 4 KiB of interpreter objects:
+    the output overwrites the Q copy, so no second Q-sized array exists."""
+    cfg = PROFILE
+    w = make_random_model(cfg, 1)
+    rows = model.CHUNK_ROWS
+    x = model.embed(np.arange(rows) % cfg.vocab_size, w)
+    cache = model.LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, rows)
+    w.rope(0, rows)  # fill the rotary table: a model keeps it
+    attention, seen = model._attention, {}
+
+    def traced_attention(*args, **kwargs):
+        tracemalloc.reset_peak()
+        out = attention(*args, **kwargs)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(model, "_attention", traced_attention)
+    tracemalloc.start()
+    try:
+        model.run_layer(x, w, 0, cache)
+    finally:
+        tracemalloc.stop()
+    query = rows * cfg.n_heads * cfg.head_dim * 4
+    score_block = ROW_BLOCK * rows * 4
+    value_block = ROW_BLOCK * cfg.head_dim * 4
+    allowed = query + score_block + value_block + np.getbufsize() * 4 + 4096
+    assert seen["peak"] <= allowed, (seen["peak"], allowed)

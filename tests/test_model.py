@@ -26,6 +26,7 @@ from gemfilter.model import (
     embed,
     logits_from_hidden,
     prefill,
+    project_qkv,
     run_layer,
 )
 from gemfilter.modelio import dump_bytes, load_model, save_model
@@ -165,8 +166,10 @@ class TestRopeTable:
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
         assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
-        # As run_layer rotates.
+        # As run_layer rotates, into a new array and in place over x.
         assert np.array_equal(_rotate(x, *w.rope(0, positions.size)), expected)
+        _rotate(x, *w.rope(0, positions.size), out=x)
+        assert x.tobytes() == expected.tobytes()
 
     def test_grown_table_equals_one_built_at_once(self):
         """Asked for a few positions at a time, the table's rows stay the same bits."""
@@ -183,7 +186,8 @@ class TestRopeTable:
         x = np.random.default_rng(5).standard_normal((9, 16)).astype(F32)
         positions = np.arange(9, dtype=np.int64)
         cache = LayerKV.empty(1, 8, 9)
-        q = run_layer(x.copy(), w, 0, cache)
+        q = project_qkv(x, w, 0, 0)[0][:, : self.CFG.n_heads]
+        run_layer(x.copy(), w, 0, cache)
         xn = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5)) * lw.attn_norm
         want_q = rope_pair_oracle((xn @ lw.wq).reshape(9, 2, 8), positions, theta)
         want_k = rope_pair_oracle((xn @ lw.wk).reshape(9, 1, 8), positions, theta)
@@ -372,6 +376,10 @@ def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
         q = q.reshape(nq, hk, g, dim).transpose(1, 2, 0, 3)
         k, v = rng.standard_normal((2, hk, nk + 5, dim)).astype(F32)[:, :, :nk]
         assert _attention(q, k, v).tobytes() == stacked_attention(q, k, v).tobytes()
+        # In place over a copy of the query rows, as run_layer runs it.
+        over_q = q.transpose(2, 0, 1, 3).copy().transpose(1, 2, 0, 3)
+        assert _attention(over_q, k, v, out=over_q) is over_q
+        assert over_q.tobytes() == stacked_attention(q, k, v).tobytes()
         # First scored key row: the first, one mid-prompt, the last.
         for first_scored in (0, extra + nq // 2, nk - 1):
             got, want = np.zeros((2, hk, g, nk))
@@ -465,7 +473,8 @@ class TestRunLayerScores:
         x = embed([(5 * i + 2) % cfg.vocab_size for i in range(n)], w)
         out, cache = x.copy(), LayerKV.empty(hk, 8, n)
         received = np.zeros((hk, h // hk, n)) if score_rows else None
-        q = run_layer(out, w, 0, cache, received, n - score_rows)
+        q = project_qkv(x, w, 0, 0)[0][:, :h]
+        run_layer(out, w, 0, cache, received, n - score_rows)
         return x, w, (out, q, cache, None if received is None else received.reshape(h, n))
 
     @pytest.mark.parametrize("n, h, hk, rows", run_layer_cases())
@@ -844,6 +853,37 @@ def silu_edge_values():
     edges = [60.0, np.inf, 1e30, tiny, tiny * 7, np.finfo(F32).tiny / 2, 0.0]
     edges += [np.nextafter(F32(60), F32(np.inf)), np.nextafter(F32(60), F32(0))]
     return np.asarray(edges + [-e for e in edges] + [np.nan, -np.nan], dtype=F32)
+
+
+def silu_two_sided(x):
+    """The activation with its exponent clamped on both sides, by two ufuncs."""
+    return x / (1.0 + np.exp(-np.maximum(np.minimum(x, 60.0), -60.0)))
+
+
+def test_silu_needs_no_upper_clamp():
+    """From 60 on, 1 + exp(-x) rounds to 1.0 in float32, so the one-sided
+    clamp gives the two-sided bytes: on +-inf, NaN, +-60 and the ulps around
+    them, subnormals, and 10^4 random bit patterns and 10^4 random values."""
+    ulps = []
+    for edge in (F32(60), F32(-60)):
+        for direction in (np.inf, -np.inf):
+            step = edge
+            for _ in range(4):
+                step = np.nextafter(step, F32(direction))
+                ulps.append(step)
+    rng = np.random.default_rng(60)
+    x = np.concatenate(
+        [
+            silu_edge_values(),
+            np.asarray(ulps, dtype=F32),
+            rng.integers(0, 2**32, 10**4, dtype=np.uint64).astype(np.uint32).view(F32),
+            (rng.standard_normal(10**4) * 100).astype(F32),
+        ]
+    )
+    with np.errstate(all="ignore"):
+        expected = silu_two_sided(x)
+        got = _silu(x.copy())
+    assert got.dtype == F32 and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 300])

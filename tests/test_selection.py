@@ -11,7 +11,7 @@ from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
 from gemfilter.kernels import topk_indices
-from gemfilter.model import LayerKV, embed, prefill, run_layer
+from gemfilter.model import LayerKV, embed, prefill, project_qkv, run_layer
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import (
     SelectionResult,
@@ -107,13 +107,15 @@ def gem_rc(r, k, **settings):
 
 def full_filter_layer(w, tokens, r):
     """Layers 1..r run in full, each as prefill runs it: ``run_layer`` over
-    its chunks into one cache.  Returns layer r's last-row query and keys."""
+    its chunks into one cache.  Returns layer r's last-row query, projected
+    by ``project_qkv`` as ``run_layer`` projects the last chunk, and keys."""
     cfg, n = w.config, len(tokens)
     x = embed(tokens, w)
     for li in range(r):
         cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
         for lo, hi in model._chunks(n):
-            q = run_layer(x[lo:hi], w, li, cache)
+            q = project_qkv(x[lo:hi], w, li, lo)[0][:, : cfg.n_heads]
+            run_layer(x[lo:hi], w, li, cache)
     return q[-1], cache.keys
 
 

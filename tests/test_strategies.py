@@ -13,7 +13,14 @@ from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter import kernels, model, runner, selection, strategies
-from gemfilter.model import LayerKV, decode_step, embed, logits_from_hidden, prefill, run_layer
+from gemfilter.model import (
+    LayerKV,
+    decode_step,
+    embed,
+    logits_from_hidden,
+    prefill,
+    project_qkv,
+)
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
@@ -56,10 +63,9 @@ def masked_probs_oracle(q, k):
 
 def prompt_queries(w, tokens):
     """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
-    prompt, from one :func:`run_layer` call: the rows prefill's first chunk runs."""
-    n, cfg = len(tokens), w.config
-    cache = LayerKV.empty(cfg.n_kv_heads, cfg.head_dim, n)
-    return run_layer(embed(tokens, w), w, 0, cache)
+    prompt, from one :func:`project_qkv` call: the rows prefill's first chunk
+    projects when the prompt is one chunk."""
+    return project_qkv(embed(tokens, w), w, 0, 0)[0][:, : w.config.n_heads]
 
 
 def pool_oracle(v, kernel):
