@@ -13,14 +13,7 @@ from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter import kernels, model, runner, selection, strategies
-from gemfilter.model import (
-    LayerKV,
-    decode_step,
-    embed,
-    logits_from_hidden,
-    prefill,
-    project_qkv,
-)
+from gemfilter.model import LayerKV, decode_step, embed, logits_from_hidden, prefill, project_qkv
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
