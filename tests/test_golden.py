@@ -40,18 +40,22 @@ from gemfilter.testmodels import make_random_model
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
 # name -> (n_layers, n_heads, n_kv_heads, head_dim, filter layer, use_rope).
-# The last has one query head per kv-head and no rotation, as the needle
-# model does.
+# The third has one query head per kv-head and no rotation, as the needle
+# model does; the last groups four query heads per kv-head and selects at
+# its last layer (r = m).
 SHAPES = {
     "m2h4kv2": (2, 4, 2, 8, 1, True),
     "m3h4kv1": (3, 4, 1, 4, 2, True),
     "m2h2kv2-norope": (2, 2, 2, 8, 1, False),
+    "m3h8kv2": (3, 8, 2, 4, 3, True),
 }
+# n = 1 is the one prompt whose pass runs one-row layers, as a decode step
+# does; n = 63, 64 and 65 sit at the edges of a ROW_BLOCK = 64 query block.
 # n = 130 runs query blocks of 64 + 64 + 2 rows: a second block, the causal
 # skip across blocks and a short tail block.  Past CHUNK_ROWS = 256, _chunks
 # joins a one-row tail to the chunk before it: n = 257 runs as one 257-row
 # chunk, n = 513 as a 256-row chunk and a second, 257-row one.
-LENGTHS = (5, 33, 130, 257, 513)
+LENGTHS = (1, 2, 5, 33, 63, 64, 65, 130, 257, 513)
 STEPS = (0, 1, 6, 20)
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
