@@ -8,9 +8,10 @@ convention.
 ``rms_norm_rows`` is the one norm (a vector is a one-row matrix), called
 twice per layer and once for the logits.  It reduces with
 ``np.add.reduce`` directly, the same float32 sum and division ``np.mean``
-makes, without ``np.mean``'s Python-level dispatch, which dominated a
-one-row call; its Python-number scalars cost a one-row call no more than
-float32 scalars built per call would.  ``pool_1d`` is the one
+makes, without ``np.mean``'s Python-level dispatch.  A one-row call (every
+norm of a decode step) works out its row's statistic on scalars, each step
+one IEEE operation rounded to the row's dtype, so it gives the bytes of
+the array chain without four one-element ufunc calls.  ``pool_1d`` is the one
 score-smoothing kernel, an average pool, and ``check_pooling`` is the check
 it makes, for callers that reject a bad kernel before any work.  Ties in
 ``topk_indices`` and ``argmax`` always break toward the lower index so every
@@ -21,6 +22,7 @@ rather than pick from NaN scores or logits.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -29,14 +31,31 @@ from .errors import ContractViolation
 
 
 def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """Root-mean-square normalization of each row: ``x * gain / sqrt(mean(x^2) + eps)``."""
+    """Root-mean-square normalization of each row: ``x * gain / sqrt(mean(x^2) + eps)``.
+
+    ``x`` is float16, float32 or float64 and ``eps >= 0``.  Every step of
+    the statistic rounds to ``x``'s dtype: the row sum, ``/ d``, ``+ eps``,
+    the square root and ``1 / ...``.  One row takes them on scalars: numpy
+    scalars divide and add in the dtype, and ``math.sqrt``'s double result
+    rounded to the dtype is the correctly rounded root.  So a one-row call
+    gives the bytes of the ``(rows, 1)`` array chain taller calls run.
+    """
     x = np.asarray(x)
     gain = np.asarray(gain)
-    if x.ndim != 2 or gain.ndim != 1 or x.shape[1] != gain.shape[0]:
-        raise ContractViolation("rms_norm_rows expects (n, d) inputs and a length-d gain")
-    # The sum and the division np.mean makes, without its dispatch.
-    mean_sq = np.add.reduce(np.square(x), axis=1, keepdims=True) / x.shape[1]
-    inv = 1.0 / np.sqrt(mean_sq + x.dtype.type(eps))
+    if x.ndim != 2 or x.dtype.char not in "efd" or gain.ndim != 1 or x.shape[1] != gain.shape[0]:
+        raise ContractViolation(
+            "rms_norm_rows expects (n, d) float16, float32 or float64 rows and a length-d gain"
+        )
+    if not eps >= 0:
+        raise ContractViolation(f"rms_norm_rows eps must be >= 0, got {eps}")
+    f = x.dtype.type
+    if x.shape[0] == 1:
+        mean_sq = np.add.reduce(np.square(x[0])) / x.shape[1]
+        inv = 1.0 / f(math.sqrt(mean_sq + f(eps)))
+    else:
+        # The sum and the division np.mean makes, without its dispatch.
+        mean_sq = np.add.reduce(np.square(x), axis=1, keepdims=True) / x.shape[1]
+        inv = 1.0 / np.sqrt(mean_sq + f(eps))
     out = x * inv
     out *= gain  # in place, so only one array the size of x is made
     return out

@@ -61,6 +61,7 @@ counters match the closed forms in :mod:`gemfilter.costmodel` exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -323,16 +324,39 @@ def check_prompt_length(n: int, cfg: ModelConfig) -> None:
         raise ContractViolation(f"prompt length {n} exceeds max_seq {cfg.max_seq}")
 
 
+def _out_of_vocabulary(token: int, vocab: int) -> ContractViolation:
+    return ContractViolation(f"token id {token} outside vocabulary of size {vocab}")
+
+
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
-    """Look up embedding rows; row i is the table row for tokens[i]."""
-    ids = np.asarray(tokens, dtype=np.int64)
+    """Look up embedding rows; row i is the table row for tokens[i].
+
+    The ids are integers of any numpy integer dtype; floats, strings and
+    bools are rejected, not truncated or parsed.
+    """
+    ids = np.asarray(tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("embed expects a non-empty token sequence")
+    if ids.dtype.kind not in "iu":
+        raise ContractViolation(f"token ids must be integers, got dtype {ids.dtype}")
     vocab = weights.config.vocab_size
     if ids.min() < 0 or ids.max() >= vocab:
-        bad = int(ids[(ids < 0) | (ids >= vocab)][0])
-        raise ContractViolation(f"token id {bad} outside vocabulary of size {vocab}")
+        raise _out_of_vocabulary(int(ids[(ids < 0) | (ids >= vocab)][0]), vocab)
     return weights.tok_emb[ids]  # a copy: the layers overwrite it in place
+
+
+def _token_row(token, weights: ModelWeights) -> np.ndarray:
+    """``embed([token])`` for one integer id: a ``(1, d_model)`` copy of its table row."""
+    if isinstance(token, (bool, np.bool_)):
+        raise ContractViolation("token ids must be integers, got bool")
+    try:
+        token = operator.index(token)
+    except TypeError:
+        raise ContractViolation(f"token ids must be integers, got {type(token).__name__}") from None
+    vocab = weights.config.vocab_size
+    if not 0 <= token < vocab:
+        raise _out_of_vocabulary(token, vocab)
+    return weights.tok_emb[token : token + 1].copy()
 
 
 def _rope_table(positions: np.ndarray, head_dim: int, theta: float):
@@ -617,7 +641,7 @@ def prefill(
     that wants them applies :func:`logits_from_hidden` to the last hidden row.
     """
     cfg = weights.config
-    ids = np.asarray(tokens, dtype=np.int64)
+    ids = np.asarray(tokens)
     check_prompt_length(ids.size, cfg)
     if score_rows < 0:
         raise ContractViolation(f"score_rows {score_rows} must be >= 0")
@@ -650,6 +674,13 @@ def prefill(
 def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.ndarray:
     """Advance generation by one token; appends one K/V row per layer and head.
 
+    The step's row is a copy of ``token``'s embedding row, the bytes
+    ``embed([token])`` gives, without its array round trip: ``token`` is a
+    Python or numpy integer (not a bool), and an id outside the vocabulary
+    is rejected with :func:`embed`'s message, before anything is appended or
+    charged.  Every norm of the step is a one-row :func:`rms_norm_rows`
+    call, whose statistic is worked out on scalars.
+
     The new token's position is every cache's :attr:`~LayerKV.next_position`,
     one past the largest cached position; caches that disagree on it are
     rejected before anything is appended or charged.  The returned logits
@@ -668,7 +699,7 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     if position + 1 > cfg.max_seq:
         raise ContractViolation("cache would exceed max_seq")
 
-    x = embed([int(token)], weights)
+    x = _token_row(token, weights)
     for li, cache in enumerate(caches):
         run_layer(x, weights, li, cache)
     _charge_attention(cfg, 1, sum(len(c) for c in caches))

@@ -89,6 +89,45 @@ class TestRmsNorm:
         inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + F32(1e-5))
         assert np.array_equal(rms_norm_rows(x, gain, 1e-5), x * inv * gain)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 7, 64, 129, 300])
+    def test_one_row_bytes_equal_the_array_formula(self, d, dtype):
+        """A one-row call, which works its statistic out on scalars, gives the
+        bytes of the (rows, 1) array chain: on signed zeros, infinities, NaN,
+        subnormals, the largest finite values and random bit patterns."""
+        finfo = np.finfo(dtype)
+        bits = np.dtype(f"u{finfo.dtype.itemsize}")
+        specials = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, finfo.max, -finfo.max,
+             finfo.smallest_subnormal, -finfo.smallest_subnormal, finfo.tiny, 1.0],
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(d)
+        rows = [specials[i : i + 1].repeat(d) for i in range(len(specials))]
+        with np.errstate(all="ignore"):
+            for _ in range(24):
+                patterns = rng.integers(0, np.iinfo(bits).max, d, dtype=bits, endpoint=True)
+                rows.append(patterns.view(dtype))
+                rows.append(rng.choice(specials, d))
+                rows.append((rng.standard_normal(d) * 10.0 ** rng.integers(-45, 45)).astype(dtype))
+            for eps in (1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 0.1, 1.0):
+                for row in rows:
+                    x = row[None]
+                    gain = rng.standard_normal(d).astype(dtype)
+                    mean_sq = np.add.reduce(np.square(x), axis=1, keepdims=True) / d
+                    expected = x * (1.0 / np.sqrt(mean_sq + dtype(eps))) * gain
+                    assert rms_norm_rows(x, gain, eps).tobytes() == expected.tobytes(), (eps, row)
+
+    @pytest.mark.parametrize("eps", [-1e-5, float("nan")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        with pytest.raises(ContractViolation, match="eps must be >= 0"):
+            rms_norm_rows(np.ones((1, 3), dtype=F32), np.ones(3, dtype=F32), eps)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_, np.longdouble])
+    def test_rows_that_are_not_float16_32_or_64_rejected(self, dtype):
+        with pytest.raises(ContractViolation, match="float16, float32 or float64"):
+            rms_norm_rows(np.ones((1, 3), dtype=dtype), np.ones(3, dtype=F32), 1e-5)
+
 
 # ---------------------------------------------------------------- pooling
 

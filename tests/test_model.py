@@ -106,6 +106,21 @@ class TestEmbed:
         with pytest.raises(ContractViolation):
             embed([0, 16], w)
 
+    @pytest.mark.parametrize(
+        "ids", [[1.5, 2.2], ["1", "2"], np.array([1.0, 2.0]), [True, False]],
+        ids=["float", "str", "float-array", "bool"],
+    )
+    def test_non_integer_ids_rejected(self, ids):
+        w = make_random_model(small_config(), 0)
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            embed(ids, w)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64, np.uint64])
+    def test_every_integer_dtype_accepted(self, dtype):
+        w = make_random_model(small_config(), 0)
+        ids = [3, 1, 4]
+        assert embed(np.array(ids, dtype=dtype), w).tobytes() == embed(ids, w).tobytes()
+
 
 # ---------------------------------------------------------------- rope
 
@@ -787,6 +802,42 @@ class TestDecodeStep:
         assert [len(c) for c in caches] == [6, 6]
         assert session.total_flops == 0
 
+    @pytest.mark.parametrize(
+        "token", [0, 63, np.int32(17), np.int64(42)], ids=["first", "last", "int32", "int64"]
+    )
+    def test_step_row_is_the_embedding_row(self, monkeypatch, token):
+        """The row a step runs through its first layer is ``embed([token])``, byte for byte."""
+        w = make_random_model(small_config(vocab=64), 3)
+        caches = prefill([1, 2, 3], w).caches
+        rows = []
+
+        def first_layer_row(x, weights, layer_idx, *args, real=model.run_layer):
+            if layer_idx == 0:
+                rows.append(x.copy())
+            return real(x, weights, layer_idx, *args)
+
+        monkeypatch.setattr(model, "run_layer", first_layer_row)
+        decode_step(token, caches, w)
+        expected = embed([token], w)
+        assert rows[0].dtype == expected.dtype and rows[0].shape == expected.shape
+        assert rows[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", [-1, 64, np.int64(2**40)])
+    def test_step_out_of_vocabulary_rejected_as_embed_rejects_it(self, token):
+        """A step rejects an id outside the vocabulary with embed's message,
+        before anything is appended or charged."""
+        w = make_random_model(small_config(vocab=64), 3)
+        caches = prefill([1, 2, 3], w).caches
+        with pytest.raises(ContractViolation) as from_embed:
+            embed([token], w)
+        session = CostSession()
+        with session.activate(), pytest.raises(ContractViolation) as from_step:
+            decode_step(token, caches, w)
+        assert str(from_step.value) == str(from_embed.value)
+        assert str(from_step.value) == f"token id {int(token)} outside vocabulary of size 64"
+        assert [len(c) for c in caches] == [3, 3]
+        assert session.total_flops == 0
+
     def test_decode_without_caches_rejected(self):
         w = make_random_model(small_config(), 0)
         with pytest.raises(ContractViolation):
@@ -921,3 +972,28 @@ class TestGreedyGenerate:
         w = make_random_model(small_config(), 0)
         rc = RunConfig(Strategy.FULL, max_new_tokens=0)
         assert run_generation(w, [1, 2], rc).output_tokens == []
+
+    @pytest.mark.parametrize(
+        "token", [3.7, "4", np.float32(2.9), True, np.True_],
+        ids=["float", "str", "float32", "bool", "numpy-bool"],
+    )
+    def test_non_integer_token_rejected(self, token):
+        """A token that is not an integer is rejected, not truncated or parsed,
+        before any cache grows."""
+        w = make_random_model(small_config(), 0)
+        caches = prefill([1, 2, 3], w).caches
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            model.greedy_decode(w, caches, token, 2)
+        assert [len(c) for c in caches] == [3, 3]
+
+    @pytest.mark.parametrize(
+        "prompt", [[1.5, 2.2, 3.9], ["1", "2", "3"], np.array([1.5, 2.0]), [True, False, True]],
+        ids=["float", "str", "float-array", "bool"],
+    )
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_non_integer_prompt_rejected(self, prompt, strategy):
+        """A prompt of ids that are not integers is rejected, not truncated or parsed."""
+        w = make_random_model(small_config(), 0)
+        rc = RunConfig(strategy, max_new_tokens=2, select_k=2, filter_layer=1, window=1)
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            run_generation(w, prompt, rc)
