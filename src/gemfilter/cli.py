@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -61,16 +62,13 @@ RUN_FLAGS = {
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _add_settings(p: argparse.ArgumentParser, *names, required=False, **aliases) -> None:
-    """Register the settings ``names``, and each setting in ``aliases`` with its
-    second spelling.  A run setting defaults to RunConfig's value, a shape
-    setting to None."""
-    for name in (*names, *aliases):
+def _add_settings(p: argparse.ArgumentParser, *names, required=False) -> None:
+    """Register the settings ``names``, each by its one flag.  A run setting
+    defaults to RunConfig's value, a shape setting to None."""
+    for name in names:
         flag, options = RUN_FLAGS[name] if name in RUN_FLAGS else CONFIG_FLAGS[name]
-        spellings = (flag, aliases[name]) if name in aliases else (flag,)
-        p.add_argument(
-            *spellings, dest=name, default=_RUN_DEFAULTS.get(name), required=required, **options
-        )
+        default = _RUN_DEFAULTS.get(name)
+        p.add_argument(flag, dest=name, default=default, required=required, **options)
 
 
 def _run_config(args, **fixed) -> RunConfig:
@@ -272,7 +270,7 @@ def cmd_needle(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_model(args.model).config if args.model else _config_from_args(args)
-    params = CostParams(cfg, n=args.n, k=args.k, t=args.t, r=args.r)
+    params = CostParams(cfg, n=args.n, k=args.select_k, t=args.max_new_tokens, r=args.filter_layer)
     table = cost_table(params)
     if args.json:
         doc = {
@@ -333,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
             "KV compression baselines, and an exact cost model."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A flag parses only as spelled: no prefix of it is a second spelling.
+    exact = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     p = sub.add_parser("make-model", help="create and save a model file")
     p.add_argument("--out", required=True)
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-percent", type=float, default=50.0)
     p.add_argument("--needle-text", default="bbbbbbbb")
     p.add_argument("--query-text", default=None)
-    _add_settings(p, "select_k", "filter_layer", "pool_kernel", max_new_tokens="--t-max")
+    _add_settings(p, "select_k", "filter_layer", "pool_kernel", "max_new_tokens")
     p.set_defaults(max_new_tokens=8)
     p.add_argument("--r-sweep", action="store_true", help="evaluate every layer")
     _add_seed_arg(p)
@@ -378,12 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="print the closed-form cost table")
     p.add_argument("--model")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_settings(
-        p, "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size", n_layers="--m", n_heads="--h"
-    )
+    _add_settings(p, "select_k", "max_new_tokens", "filter_layer", required=True)
+    _add_settings(p, "n_layers", "n_heads", "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cost)
 
@@ -391,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     _add_config_args(p)
     p.add_argument("--n", type=int, required=True)
-    _add_settings(p, required=True, select_k="--k", max_new_tokens="--t", filter_layer="--r")
+    _add_settings(p, "select_k", "max_new_tokens", "filter_layer", required=True)
     _add_seed_arg(p)
     _add_settings(p, "pool_kernel", "window")
     p.add_argument("--json", action="store_true")

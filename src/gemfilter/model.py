@@ -328,13 +328,24 @@ def _out_of_vocabulary(token: int, vocab: int) -> ContractViolation:
     return ContractViolation(f"token id {token} outside vocabulary of size {vocab}")
 
 
+def _token_ids(tokens) -> np.ndarray:
+    """``np.asarray(tokens)``, a list or tuple holding a bool rejected first.
+
+    ``np.asarray`` reads ``[1, True]`` as the integers ``[1, 1]``; an array's
+    dtype is left to the caller.  The check is one set lookup per element.
+    """
+    if isinstance(tokens, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, tokens)):
+        raise ContractViolation("token ids must be integers, got bool")
+    return np.asarray(tokens)
+
+
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
     """Look up embedding rows; row i is the table row for tokens[i].
 
     The ids are integers of any numpy integer dtype; floats, strings and
-    bools are rejected, not truncated or parsed.
+    bools, in a list too, are rejected, not truncated or parsed.
     """
-    ids = np.asarray(tokens)
+    ids = _token_ids(tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("embed expects a non-empty token sequence")
     if ids.dtype.kind not in "iu":
@@ -378,23 +389,19 @@ def _rope_table(positions: np.ndarray, head_dim: int, theta: float):
     )
 
 
-def _rotate(
-    x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Rotate the dimension pairs of ``x`` ``(seq, heads, head_dim)`` by :func:`_rope_table` rows.
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Rotate the pairs of ``x`` ``(seq, heads, head_dim)`` in place by :func:`_rope_table` rows.
 
     ``even * cos - odd * sin`` and ``even * sin + odd * cos``, as three
     array operations over the pairs and their swapped view:
     ``fl(fl(pairs * cos) + fl(swapped * sin))``.  The swapped product is
-    made first, so ``out``, an array of ``x``'s shape that may be ``x``
-    itself, takes the result with one temporary the size of ``x``; without
-    ``out`` a new array does, and ``x`` is left as it was.
+    made first, so one temporary the size of ``x`` is the only one.  ``x``
+    must reshape to its pairs as a view.
     """
     pairs = x.reshape(*x.shape[:2], -1, 2)
     swapped = pairs[..., ::-1] * sin
-    rotated = np.multiply(pairs, cos, out=None if out is None else out.reshape(pairs.shape))
-    rotated += swapped
-    return rotated.reshape(x.shape)
+    pairs *= cos
+    pairs += swapped
 
 
 def _attention(
@@ -403,7 +410,8 @@ def _attention(
     v: np.ndarray,
     received: np.ndarray | None = None,
     first_scored: int = 0,
-    out: np.ndarray | None = None,
+    *,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Causal attention of every query head, grouped by kv-head.
 
@@ -425,9 +433,7 @@ def _attention(
     a head's slice has, the softmax reduces row by row, and the float64
     column sums add the same rows in order.
 
-    Returns the output, ``(h_kv, g, nq, d_v)``: written into ``out`` when
-    one is passed, else into a new row-major ``(nq, h_kv, g, d_v)`` array
-    viewed that way, so the caller's ``(nq, h * d_v)`` view copies nothing.
+    Writes the output, ``(h_kv, g, nq, d_v)``, into ``out`` and returns it.
     ``out`` may be ``q`` itself: a block writes a head's rows only after
     scoring them and no later block reads them, so attention over ``q`` in
     place gives the same bytes without a second Q-sized array.
@@ -448,9 +454,6 @@ def _attention(
     scale = F32(1.0 / math.sqrt(dim))
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
-    if out is None:
-        out = np.empty((nq, hk, g, v.shape[2]), dtype=np.result_type(q, k, v))
-        out = out.transpose(1, 2, 0, 3)
     if nq == 1:
         scores = _softmax_rows(q @ keys_t, scale)
         if received is not None and nk > first_scored:
@@ -536,7 +539,7 @@ def project_qkv(
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
     rotary = weights.rope(start, start + n)
     if rotary is not None:
-        _rotate(qk, *rotary, out=qk)
+        _rotate(qk, *rotary)
     return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
 
 
@@ -641,7 +644,7 @@ def prefill(
     that wants them applies :func:`logits_from_hidden` to the last hidden row.
     """
     cfg = weights.config
-    ids = np.asarray(tokens)
+    ids = _token_ids(tokens)
     check_prompt_length(ids.size, cfg)
     if score_rows < 0:
         raise ContractViolation(f"score_rows {score_rows} must be >= 0")

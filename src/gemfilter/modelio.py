@@ -15,7 +15,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -31,24 +30,20 @@ MAGIC = b"GFM1"
 DTYPE_F32 = 1
 
 
-def _write(fh, weights: ModelWeights) -> None:
-    fh.write(MAGIC)
-    header = json.dumps(weights.config.to_dict(), sort_keys=True).encode("utf-8")
-    fh.write(struct.pack("<I", len(header)))
-    fh.write(header)
-    for name, arr in weights.named_tensors():
-        payload = np.ascontiguousarray(arr, dtype="<f4")
-        name_bytes = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(name_bytes)))
-        fh.write(name_bytes)
-        fh.write(struct.pack("<BB", DTYPE_F32, payload.ndim))
-        fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
-        fh.write(payload.tobytes(order="C"))
-
-
 def save_model(path, weights: ModelWeights) -> None:
     with open(path, "wb") as fh:
-        _write(fh, weights)
+        fh.write(MAGIC)
+        header = json.dumps(weights.config.to_dict(), sort_keys=True).encode("utf-8")
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for name, arr in weights.named_tensors():
+            payload = np.ascontiguousarray(arr, dtype="<f4")
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_bytes)))
+            fh.write(name_bytes)
+            fh.write(struct.pack("<BB", DTYPE_F32, payload.ndim))
+            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+            fh.write(payload.tobytes(order="C"))
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -127,10 +122,3 @@ def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
     if tensors:
         raise ModelFormatError(f"unexpected tensors in file: {sorted(tensors)}")
     return ModelWeights.from_named(cfg, named)
-
-
-def dump_bytes(weights: ModelWeights) -> bytes:
-    """Serialize to bytes in the same format as :func:`save_model`."""
-    buf = io.BytesIO()
-    _write(buf, weights)
-    return buf.getvalue()

@@ -81,10 +81,15 @@ class NeedleLayerResult:
 
 @dataclass
 class NeedleReport:
+    """A needle run's scores, with the settings its gemfilter runs used.
+
+    ``rc`` is the first layer's run: ``filter_layer`` is ``r_list[0]`` and
+    ``max_new_tokens`` the tokens that run generated.
+    """
+
     spec: NeedleSpec
-    k: int
+    rc: RunConfig
     layer_results: list[NeedleLayerResult]
-    chosen_layer: int
     generation_match: bool | None = None
 
     def to_dict(self) -> dict:
@@ -93,8 +98,7 @@ class NeedleReport:
             "haystack_len": self.spec.haystack_len,
             "depth_percent": self.spec.depth_percent,
             "needle_len": len(self.spec.needle),
-            "k": self.k,
-            "chosen_layer": self.chosen_layer,
+            **self.rc.settings(),
             "layers": [
                 {"layer": lr.layer, "coverage": lr.coverage, "min_distance": lr.min_distance}
                 for lr in self.layer_results
@@ -144,17 +148,14 @@ def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -
             f"needle prompt length {n} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
         )
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
+    first = replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=t, filter_layer=r_list[0])
     results = []
     for r in r_list:
-        gem_rc = replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=t, filter_layer=r)
-        gem = run_generation(weights, prompt, gem_rc)
+        gem = run_generation(weights, prompt, replace(first, filter_layer=r))
         coverage, dist = coverage_and_distance(gem.selection.indices, span)
         results.append(NeedleLayerResult(layer=r, coverage=coverage, min_distance=dist))
     match: bool | None = None
     if t > 0:
-        full = run_generation(weights, prompt, replace(gem_rc, strategy=Strategy.FULL))
+        full = run_generation(weights, prompt, replace(first, strategy=Strategy.FULL))
         match = gem.output_tokens == full.output_tokens
-    return NeedleReport(
-        spec=spec, k=rc.select_k, layer_results=results, chosen_layer=r_list[0],
-        generation_match=match,
-    )
+    return NeedleReport(spec=spec, rc=first, layer_results=results, generation_match=match)

@@ -78,17 +78,13 @@ def metrics_document(
     include_wall_times: bool = True,
     include_scores: bool = False,
 ) -> dict:
-    """One metrics record per run (serialized as one NDJSON line)."""
-    cfg = weights.config
-    params = {
-        "n": int(np.asarray(tokens).size),
-        "k": rc.select_k,
-        "t": rc.max_new_tokens,
-        "r": rc.filter_layer,
-        "m": cfg.n_layers,
-        "h": cfg.n_heads,
-        "d": cfg.head_dim,
-    }
+    """One metrics record per run (serialized as one NDJSON line).
+
+    ``params`` names the prompt length ``n``, every setting of ``rc`` but
+    the strategy and every field of the model's config, each by its field
+    name, and ``run_id`` hashes them all with the strategy and the tokens.
+    """
+    params = {"n": int(np.size(tokens)), **rc.settings(), **weights.config.to_dict()}
     doc: dict = {
         "run_id": deterministic_run_id(rc.strategy.value, tokens, params),
         "strategy": rc.strategy.value,

@@ -23,7 +23,7 @@ window keeps position n - 1, so decode resumes at position n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -84,6 +84,10 @@ class RunConfig:
             raise ContractViolation("selection budget k must be >= 1")
         if self.filter_layer < 1:
             raise ContractViolation(f"filter layer {self.filter_layer} must be >= 1")
+
+    def settings(self) -> dict:
+        """Every setting but the strategy, by field name: what a run record names."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "strategy"}
 
 
 def keep_positions(scores: np.ndarray, budget: int, window: int) -> np.ndarray:

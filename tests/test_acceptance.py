@@ -155,7 +155,7 @@ def test_attention_brute_force_equivalence():
                 exps = np.exp(scores - scores.max())
                 probs = exps / exps.sum()
                 oracle[i] = sum(probs[j] * v[j].astype(np.float64) for j in range(i + 1))
-            out = _attention(q[None, None], k[None], v[None])[0, 0]
+            out = _attention(q[None, None], k[None], v[None], out=np.empty((1, 1, n, d), F32))[0, 0]
             np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     # causality: perturbing token j never changes hidden states before j

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -53,12 +54,22 @@ def copy_model(tmp_path_factory):
     return path
 
 
-# The deleted settings' flags, each with the commands that took it.
+# bench's and cost's required run settings.
+RUN_SETTINGS = ["--select-k", "4", "--max-new-tokens", "2", "--filter-layer", "1"]
+
+# The deleted flags, each with the commands that took it; the short ones
+# were second spellings of a run or shape setting's flag.
 DELETED_FLAGS = {
     "pool-mode": (("--pool-mode", "max"), ("generate", "select", "needle", "bench")),
     "include-first": (("--include-first",), ("generate", "select")),
     "observation-window": (("--observation-window", "4"), ("generate", "bench")),
     "recent-keep": (("--recent-keep", "4"), ("generate", "bench")),
+    "k": (("--k", "4"), ("bench", "cost")),
+    "t": (("--t", "2"), ("bench", "cost")),
+    "r": (("--r", "1"), ("bench", "cost")),
+    "t-max": (("--t-max", "3"), ("needle",)),
+    "m": (("--m", "3"), ("cost",)),
+    "h": (("--h", "2"), ("cost",)),
 }
 
 
@@ -73,7 +84,8 @@ class TestExitCodes:
             "generate": prompt,
             "select": prompt,
             "needle": ["--model", str(model), "--haystack-len", "8"],
-            "bench": ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
+            "bench": ["--n", "8", *RUN_SETTINGS],
+            "cost": ["--n", "8", *RUN_SETTINGS],
         }
         for command, flag in cases:
             assert main([command, *run[command], *flag]) == 2, (command, flag)
@@ -341,7 +353,7 @@ class TestNeedleCommand:
                 "32",
                 "--filter-layer",
                 "1",
-                "--t-max",
+                "--max-new-tokens",
                 "4",
                 "--json",
             ]
@@ -354,7 +366,7 @@ class TestNeedleCommand:
         # Without --query-text the query is the needle's last token: here the
         # last byte of a two-byte character.
         argv = ["needle", "--model", str(copy_model), "--haystack-len", "128", "--select-k", "32"]
-        assert main([*argv, "--t-max", "4", "--json", "--needle-text", "ééé"]) == 0
+        assert main([*argv, "--max-new-tokens", "4", "--json", "--needle-text", "ééé"]) == 0
         spec = NeedleSpec(
             haystack_len=128, depth_percent=50.0, needle=tuple("ééé".encode()), query_token=0xA9
         )
@@ -373,7 +385,7 @@ class TestNeedleCommand:
                 "--r-sweep",
                 "--select-k",
                 "24",
-                "--t-max",
+                "--max-new-tokens",
                 "0",
             ]
         )
@@ -386,7 +398,8 @@ class TestNeedleCommand:
 class TestCostCommand:
     def test_prints_layer_ratio(self, capsys):
         code = main(
-            ["cost", "--n", "4096", "--k", "1024", "--t", "64", "--r", "13", "--m", "32"]
+            ["cost", "--n", "4096", "--select-k", "1024", "--max-new-tokens", "64",
+             "--filter-layer", "13", "--layers", "32"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -394,7 +407,8 @@ class TestCostCommand:
 
     def test_json_structure(self, capsys):
         code = main(
-            ["cost", "--n", "256", "--k", "32", "--t", "8", "--r", "2", "--m", "4", "--json"]
+            ["cost", "--n", "256", "--select-k", "32", "--max-new-tokens", "8",
+             "--filter-layer", "2", "--layers", "4", "--json"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -407,8 +421,11 @@ class TestCostCommand:
         assert main(["make-model", "--out", str(model), "--layers", "3", "--head-dim", "8"]) == 0
         capsys.readouterr()
         docs = []
-        for source in (["--m", "3", "--head-dim", "8"], ["--model", str(model)]):
-            argv = ["cost", *source, "--n", "256", "--k", "32", "--t", "8", "--r", "1", "--json"]
+        for source in (["--layers", "3", "--head-dim", "8"], ["--model", str(model)]):
+            argv = [
+                "cost", *source, "--n", "256", "--select-k", "32", "--max-new-tokens", "8",
+                "--filter-layer", "1", "--json",
+            ]
             assert main(argv) == 0
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0] == docs[1]
@@ -421,11 +438,11 @@ class TestCostCommand:
                 str(random_model),
                 "--n",
                 "128",
-                "--k",
+                "--select-k",
                 "16",
-                "--t",
+                "--max-new-tokens",
                 "4",
-                "--r",
+                "--filter-layer",
                 "1",
             ]
         )
@@ -450,11 +467,11 @@ class TestBenchCommand:
                 "32",
                 "--n",
                 "48",
-                "--k",
+                "--select-k",
                 "12",
-                "--t",
+                "--max-new-tokens",
                 "4",
-                "--r",
+                "--filter-layer",
                 "1",
                 "--window",
                 "4",
@@ -480,11 +497,11 @@ class TestBenchCommand:
                 "8",
                 "--n",
                 "32",
-                "--k",
+                "--select-k",
                 "8",
-                "--t",
+                "--max-new-tokens",
                 "2",
-                "--r",
+                "--filter-layer",
                 "1",
                 "--window",
                 "4",
@@ -500,7 +517,8 @@ class TestBenchCommand:
 
     BENCH = [
         "bench", "--layers", "3", "--heads", "4", "--kv-heads", "2", "--head-dim", "8",
-        "--n", "64", "--k", "20", "--t", "3", "--r", "2", "--window", "4", "--pool-kernel", "3",
+        "--n", "64", "--select-k", "20", "--max-new-tokens", "3", "--filter-layer", "2",
+        "--window", "4", "--pool-kernel", "3",
     ]
 
     @pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
@@ -545,7 +563,7 @@ class TestBenchCommand:
 @pytest.mark.parametrize(
     "argv, flags",
     [
-        (["cost", "--m", "7", "--h", "8"], "--layers, --heads"),
+        (["cost", "--layers", "7", "--heads", "8"], "--layers, --heads"),
         (
             ["bench", "--layers", "0", "--heads", "8", "--window", "2"],
             "--layers, --heads",
@@ -555,7 +573,7 @@ class TestBenchCommand:
 )
 def test_shape_flags_with_model_rejected(random_model, capsys, argv, flags):
     """A model file fixes the shape: a shape flag beside --model is an error, not ignored."""
-    run = ["--model", str(random_model), "--n", "16", "--k", "4", "--t", "2", "--r", "1"]
+    run = ["--model", str(random_model), "--n", "16", *RUN_SETTINGS]
     assert main([*argv, *run]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -566,7 +584,8 @@ def test_shape_flags_with_model_rejected(random_model, capsys, argv, flags):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cost", "--n", "256", "--k", "32", "--t", "8", "--r", "1", "--m", "4"],
+        ["cost", "--n", "256", "--select-k", "32", "--max-new-tokens", "8", "--filter-layer", "1",
+         "--layers", "4"],
         ["select", "--prompt-random", "20", "--select-k", "4", "--show-indices"],
     ],
     ids=["cost", "select"],
@@ -588,3 +607,22 @@ def test_closed_stdout_exits_1_without_traceback(random_model, argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Each ``gemfilter ...`` command of README's ``## CLI`` code block, its
+    ``\\`` continuations joined, as the argument list after ``gemfilter``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gemfilter ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "make-model", "generate", "select", "needle", "cost", "bench",
+    }
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -8,7 +8,7 @@ import pytest
 from gemfilter.config import ModelConfig
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.model import logits_from_hidden, prefill
-from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
+from gemfilter.modelio import MAGIC, load_model, save_model
 from gemfilter.runner import RunConfig, Strategy
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
@@ -71,7 +71,8 @@ class TestModelFile:
             assert name_a == name_b
             assert np.array_equal(a, b), name_a
         # a second save produces identical bytes
-        assert dump_bytes(loaded) == dump_bytes(w)
+        save_model(tmp_path / "again.gfm", loaded)
+        assert (tmp_path / "again.gfm").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gfm"
@@ -99,10 +100,7 @@ class TestModelFile:
         w.tok_emb = np.zeros((w.config.vocab_size, w.config.d_model + 1), dtype=np.float32)
         path = tmp_path / "m.gfm"
         # bypass ModelWeights validation: write the inconsistent tensor directly
-        from gemfilter.modelio import _write
-
-        with open(path, "wb") as fh:
-            _write(fh, w)
+        save_model(path, w)
         with pytest.raises(ModelFormatError, match="tok_emb"):
             load_model(path)
 
@@ -115,11 +113,8 @@ class TestModelFile:
             def named_tensors(self):
                 return (nt for nt in list(w.named_tensors())[:-1])
 
-        from gemfilter.modelio import _write
-
         path = tmp_path / "m.gfm"
-        with open(path, "wb") as fh:
-            _write(fh, Partial())
+        save_model(path, Partial())
         with pytest.raises(ModelFormatError, match="missing tensor out_emb"):
             load_model(path)
 
@@ -133,11 +128,8 @@ class TestModelFile:
                 items = list(w.named_tensors())
                 return iter(items + [items[0]])
 
-        from gemfilter.modelio import _write
-
         path = tmp_path / "m.gfm"
-        with open(path, "wb") as fh:
-            _write(fh, Doubled())
+        save_model(path, Doubled())
         with pytest.raises(ModelFormatError, match="more than once"):
             load_model(path)
 

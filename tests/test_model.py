@@ -29,7 +29,7 @@ from gemfilter.model import (
     project_qkv,
     run_layer,
 )
-from gemfilter.modelio import dump_bytes, load_model, save_model
+from gemfilter.modelio import load_model, save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
@@ -71,12 +71,21 @@ def attention_oracle(q, k, v):
 
 def one_head_attention(q, k, v):
     """Causal attention of one ``(nq, d)`` query head over ``(nk, d)`` keys and values."""
-    return _attention(q[None, None], k[None], v[None])[0, 0]
+    out = np.empty((1, 1, q.shape[0], v.shape[1]), dtype=F32)
+    return _attention(q[None, None], k[None], v[None], out=out)[0, 0]
+
+
+def new_out(q, v):
+    """A new row-major ``(nq, h_kv, g, d_v)`` output, viewed as ``_attention`` writes it."""
+    hk, g, nq, _ = q.shape
+    return np.empty((nq, hk, g, v.shape[2]), dtype=F32).transpose(1, 2, 0, 3)
 
 
 def rotate_at(x, positions, theta):
-    """Rotate ``(seq, heads, head_dim)`` rows at any integer ``positions``."""
-    return _rotate(x, *_rope_table(positions, x.shape[2], theta))
+    """A copy of ``(seq, heads, head_dim)`` rows rotated at any integer ``positions``."""
+    x = x.copy()
+    _rotate(x, *_rope_table(positions, x.shape[2], theta))
+    return x
 
 
 # ---------------------------------------------------------------- embed
@@ -172,9 +181,8 @@ class TestRopeTable:
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
         assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
-        # As run_layer rotates, into a new array and in place over x.
-        assert np.array_equal(_rotate(x, *w.rope(0, positions.size)), expected)
-        _rotate(x, *w.rope(0, positions.size), out=x)
+        # As run_layer rotates, in place over x with the model's table.
+        _rotate(x, *w.rope(0, positions.size))
         assert x.tobytes() == expected.tobytes()
 
     def test_grown_table_equals_one_built_at_once(self):
@@ -228,9 +236,10 @@ class TestFusedProjection:
             "2fa18ec02f65bca2107253937c9eb19d3a4fe344f548a153c420c1278a4784c8": copy_model,
         }
         for digest, weights in pinned.items():
-            assert hashlib.sha256(dump_bytes(weights)).hexdigest() == digest
             save_model(tmp_path / "m.gfm", weights)
-            assert hashlib.sha256(dump_bytes(load_model(tmp_path / "m.gfm"))).hexdigest() == digest
+            assert hashlib.sha256((tmp_path / "m.gfm").read_bytes()).hexdigest() == digest
+            save_model(tmp_path / "again.gfm", load_model(tmp_path / "m.gfm"))
+            assert hashlib.sha256((tmp_path / "again.gfm").read_bytes()).hexdigest() == digest
 
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64])
@@ -381,7 +390,8 @@ def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
         q = rng.standard_normal((nq, hk * g, dim)).astype(F32)
         q = q.reshape(nq, hk, g, dim).transpose(1, 2, 0, 3)
         k, v = rng.standard_normal((2, hk, nk + 5, dim)).astype(F32)[:, :, :nk]
-        assert _attention(q, k, v).tobytes() == stacked_attention(q, k, v).tobytes()
+        out = _attention(q, k, v, out=new_out(q, v))
+        assert out.tobytes() == stacked_attention(q, k, v).tobytes()
         # In place over a copy of the query rows, as run_layer runs it.
         over_q = q.transpose(2, 0, 1, 3).copy().transpose(1, 2, 0, 3)
         assert _attention(over_q, k, v, out=over_q) is over_q
@@ -389,7 +399,7 @@ def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
         # First scored key row: the first, one mid-prompt, the last.
         for first_scored in (0, extra + nq // 2, nk - 1):
             got, want = np.zeros((2, hk, g, nk))
-            out = _attention(q, k, v, got, first_scored)
+            out = _attention(q, k, v, got, first_scored, out=new_out(q, v))
             assert out.tobytes() == stacked_attention(q, k, v, want, first_scored).tobytes()
             assert got.tobytes() == want.tobytes(), first_scored
 
@@ -979,8 +989,12 @@ class TestGreedyGenerate:
         assert [len(c) for c in caches] == [3, 3]
 
     @pytest.mark.parametrize(
-        "prompt", [[1.5, 2.2, 3.9], ["1", "2", "3"], np.array([1.5, 2.0]), [True, False, True]],
-        ids=["float", "str", "float-array", "bool"],
+        "prompt",
+        [
+            [1.5, 2.2, 3.9], ["1", "2", "3"], np.array([1.5, 2.0]), [True, False, True],
+            [1, True, 3], (1, 2, np.False_),
+        ],
+        ids=["float", "str", "float-array", "bool", "int-bool", "int-numpy-bool"],
     )
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_non_integer_prompt_rejected(self, prompt, strategy):
@@ -989,3 +1003,12 @@ class TestGreedyGenerate:
         rc = RunConfig(strategy, max_new_tokens=2, select_k=2, filter_layer=1, window=1)
         with pytest.raises(ContractViolation, match="token ids must be integers"):
             run_generation(w, prompt, rc)
+
+    @pytest.mark.parametrize("prompt", [[1, True, 3], (1, 2, np.False_)], ids=["bool", "numpy-bool"])
+    def test_a_bool_among_integer_ids_rejected(self, prompt):
+        """``np.asarray`` reads ``[1, True, 3]`` as the integers ``[1, 1, 3]``:
+        prefill and embed reject the bool before it gets there."""
+        w = make_random_model(small_config(), 0)
+        for call in (prefill, embed):
+            with pytest.raises(ContractViolation, match="token ids must be integers, got bool"):
+                call(prompt, w)

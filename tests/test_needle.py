@@ -1,5 +1,7 @@
 """Needle harness tests: prompt construction, diagnostics, reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,8 +125,28 @@ class TestNeedleRun:
         rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=2)
         doc = needle_run(spec, w, [1], rc).to_dict()
         assert doc["haystack_len"] == 64
-        assert doc["k"] == 16
+        assert {name: doc[name] for name in rc.settings()} == rc.settings()
         assert "metric_note" in doc and "coverage" in doc["layers"][0]
+
+    def test_report_names_the_settings_its_runs_used(self):
+        """A sweep's report names its first layer and the 0 tokens its runs generated."""
+        w = copy_weights()
+        spec = NeedleSpec(haystack_len=64, depth_percent=0, needle=(98,) * 4, query_token=98)
+        rc = RunConfig(Strategy.FULL, select_k=16, max_new_tokens=2, filter_layer=2)
+        report = needle_run(spec, w, [2, 1], rc)
+        assert report.rc == replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=0)
+        assert report.to_dict()["filter_layer"] == 2
+
+    def test_reports_at_two_pool_kernels_differ(self):
+        w = copy_weights()
+        spec = NeedleSpec(haystack_len=64, depth_percent=30, needle=(98,) * 4, query_token=98)
+        three, five = (
+            needle_run(spec, w, [1], RunConfig(Strategy.GEMFILTER, select_k=8, pool_kernel=p))
+            .to_dict()
+            for p in (3, 5)
+        )
+        assert (three["pool_kernel"], five["pool_kernel"]) == (3, 5)
+        assert three != five
 
     @pytest.mark.parametrize("r_list, t_max", [([1], 4), ([1, 2], 4), ([1], 0)])
     def test_each_filter_pass_runs_once(self, monkeypatch, r_list, t_max):

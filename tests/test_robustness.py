@@ -6,8 +6,10 @@ CLI, which must exit with code 1 and name the error on stderr.
 
 import json
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,15 @@ from gemfilter.config import ModelConfig
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, pool_1d, topk_indices
-from gemfilter.modelio import MAGIC, dump_bytes, load_model, save_model
+from gemfilter.modelio import MAGIC, load_model, save_model
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+
+
+# bench's required run settings, each by its one flag.
+RUN_SETTINGS = ["--select-k", "4", "--max-new-tokens", "1", "--filter-layer", "1"]
 
 
 def tiny_config():
@@ -85,9 +91,17 @@ def _header(cfg: ModelConfig) -> bytes:
     return MAGIC + struct.pack("<I", len(header)) + header
 
 
+def _model_bytes(weights) -> bytes:
+    """The bytes ``save_model`` writes for ``weights``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.gfm"
+        save_model(path, weights)
+        return path.read_bytes()
+
+
 def _bad_name() -> bytes:
     weights = make_random_model(tiny_config(), 1)
-    data = bytearray(dump_bytes(weights))
+    data = bytearray(_model_bytes(weights))
     (header_len,) = struct.unpack("<I", data[4:8])
     data[8 + header_len + 4] = 0xFF  # first byte of the first tensor name
     return bytes(data)
@@ -153,7 +167,7 @@ def test_gfm1_fuzz_truncation_and_bit_flips(tmp_path):
         n_layers=1, n_heads=1, n_kv_heads=1, head_dim=2, d_model=2,
         vocab_size=2, hidden_mlp=1, max_seq=8,
     )
-    good = dump_bytes(make_random_model(cfg, 0))
+    good = _model_bytes(make_random_model(cfg, 0))
     variants = [good[:cut] for cut in range(len(good))]
     for i in range(len(good)):
         for mask in (*(1 << bit for bit in range(8)), 0xFF):
@@ -231,8 +245,8 @@ def test_non_finite_rope_theta_flag_rejected(tmp_path, capsys, theta):
         ["generate", "--prompt-random", "-1"],
         ["generate", "--prompt-random", "3000000000"],
         ["needle", "--haystack-len", "3000000000"],
-        ["bench", "--n", "-3", "--k", "2", "--t", "1", "--r", "1"],
-        ["bench", "--n", "3000000000", "--k", "2", "--t", "1", "--r", "1"],
+        ["bench", "--n", "-3", *RUN_SETTINGS],
+        ["bench", "--n", "3000000000", *RUN_SETTINGS],
     ],
     ids=["generate-neg", "generate-3e9", "needle-3e9", "bench-neg", "bench-3e9"],
 )
@@ -300,7 +314,7 @@ POOLING_ARGV = pytest.mark.parametrize(
     "argv",
     [
         ["select", "--prompt-random", "20", "--select-k", "4"],
-        ["needle", "--haystack-len", "20", "--select-k", "4", "--t-max", "2"],
+        ["needle", "--haystack-len", "20", "--select-k", "4", "--max-new-tokens", "2"],
         ["generate", "--strategy", "snapkv", "--prompt-random", "20", "--select-k", "8",
          "--window", "2", "--max-new-tokens", "2"],
     ],
@@ -432,7 +446,10 @@ def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("gemfilter.cli.run_generation", lambda *args: calls.append(args))
     model = tmp_path / "m.gfm"
     save_model(model, make_random_model(tiny_config(), 3))
-    argv = ["bench", "--model", str(model), "--n", "8", "--k", "4", "--t", "1", "--r", "99"]
+    argv = [
+        "bench", "--model", str(model), "--n", "8",
+        "--select-k", "4", "--max-new-tokens", "1", "--filter-layer", "99",
+    ]
     assert main(argv) == 1
     assert calls == []
     assert "filter layer 99 outside 1..2" in capsys.readouterr().err
@@ -445,7 +462,8 @@ def test_needle_negative_t_max_rejected(tmp_path, capsys):
         needle_run(spec, weights, [1], RunConfig(Strategy.GEMFILTER, select_k=8, max_new_tokens=-1))
     model = tmp_path / "m.gfm"
     save_model(model, weights)
-    assert main(["needle", "--model", str(model), "--haystack-len", "40", "--t-max", "-1"]) == 1
+    argv = ["needle", "--model", str(model), "--haystack-len", "40", "--max-new-tokens", "-1"]
+    assert main(argv) == 1
     assert "max_new_tokens must be >= 0" in capsys.readouterr().err
 
 
@@ -467,7 +485,7 @@ def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
 
 # ------------------------------------------------------------- cost shapes
 
-SHAPE_RUN = ["--n", "10", "--k", "4", "--t", "1", "--r", "1", "--layers", "2"]
+SHAPE_RUN = ["--n", "10", *RUN_SETTINGS, "--layers", "2"]
 BAD_COST_SHAPES = {
     "kv-heads--2": (["--kv-heads", "-2"], {"n_kv_heads": -2}),
     "kv-heads-0": (["--kv-heads", "0"], {"n_kv_heads": 0}),
@@ -516,7 +534,7 @@ WRITERS = {
     "make-model": ["make-model", *SHAPE, "--out"],
     "generate": ["generate", "--model", "M", "--prompt-random", "8", "--metrics-out"],
     "select": ["select", "--model", "M", "--prompt-random", "8", "--metrics-out"],
-    "bench": ["bench", *SHAPE, "--n", "8", "--k", "4", "--t", "1", "--r", "1", "--metrics-out"],
+    "bench": ["bench", *SHAPE, "--n", "8", *RUN_SETTINGS, "--metrics-out"],
     "needle": ["needle", "--model", "M", "--haystack-len", "16", "--metrics-out"],
 }
 
@@ -582,7 +600,7 @@ def test_model_beyond_physical_memory_refused_before_any_allocation(kind, field)
     [
         ["make-model", "--out", "OUT"],
         ["make-model", "--kind", "copy", "--out", "OUT"],
-        ["bench", "--n", "8", "--k", "4", "--t", "1", "--r", "1"],
+        ["bench", "--n", "8", *RUN_SETTINGS],
     ],
     ids=["make-model", "make-model-copy", "bench"],
 )

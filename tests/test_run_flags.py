@@ -41,8 +41,12 @@ MINIMAL_ARGV = {
         dict(select_k=64, filter_layer=1, max_new_tokens=8, pool_kernel=5),
     ),
     "bench": (
-        ["--n", "8", "--k", "4", "--t", "2", "--r", "1"],
+        ["--n", "8", "--select-k", "4", "--max-new-tokens", "2", "--filter-layer", "1"],
         dict(max_new_tokens=2, select_k=4, filter_layer=1, pool_kernel=5, window=32),
+    ),
+    "cost": (
+        ["--n", "8", "--select-k", "4", "--max-new-tokens", "2", "--filter-layer", "1"],
+        dict(max_new_tokens=2, select_k=4, filter_layer=1),
     ),
 }
 
@@ -54,46 +58,10 @@ def test_each_command_keeps_its_settings_and_defaults(command):
     assert {name: args[name] for name in RUN_FLAGS if name in args} == expected
 
 
-def _bench(capsys, tmp_path, tag, settings):
-    out = tmp_path / f"{tag}.ndjson"
-    argv = [
-        "bench", "--layers", "2", "--heads", "2", "--kv-heads", "1", "--head-dim", "8",
-        "--n", "40", *settings, "--window", "4", "--json", "--no-wall-times",
-        "--metrics-out", str(out),
-    ]
-    assert main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "wall_times" not in doc
-    return doc, out.read_bytes()
-
-
-def test_bench_short_and_long_spellings_agree(capsys, tmp_path):
-    short = _bench(capsys, tmp_path, "short", ["--k", "16", "--t", "4", "--r", "2"])
-    long = _bench(
-        capsys, tmp_path, "long",
-        ["--select-k", "16", "--max-new-tokens", "4", "--filter-layer", "2"],
-    )
-    assert short == long
-    assert short[0]["ok"] is True
-    assert short[1].count(b"\n") == 4
-
-
-def _needle(capsys, copy_model, *extra):
-    argv = ["needle", "--model", str(copy_model), "--haystack-len", "96", "--select-k", "24"]
-    assert main([*argv, *extra]) == 0
-    return capsys.readouterr().out
-
-
-def test_needle_t_max_is_max_new_tokens(capsys, copy_model):
-    for output in ([], ["--json"]):
-        old = _needle(capsys, copy_model, "--t-max", "3", *output)
-        assert old == _needle(capsys, copy_model, "--max-new-tokens", "3", *output)
-
-
 def test_needle_json_is_needle_run_with_the_same_settings(capsys, copy_model):
-    doc = json.loads(
-        _needle(capsys, copy_model, "--pool-kernel", "7", "--json")
-    )
+    argv = ["needle", "--model", str(copy_model), "--haystack-len", "96", "--select-k", "24"]
+    assert main([*argv, "--pool-kernel", "7", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     spec = NeedleSpec(haystack_len=96, depth_percent=50.0, needle=(98,) * 8, query_token=98)
     rc = RunConfig(Strategy.GEMFILTER, select_k=24, max_new_tokens=8, pool_kernel=7)
     assert doc == needle_run(spec, load_model(copy_model), [1], rc).to_dict()
@@ -104,17 +72,12 @@ SHAPE = dict(
     n_layers=3, n_heads=8, n_kv_heads=1, head_dim=6, hidden_mlp=40, vocab_size=300,
     max_seq=512, rope_theta=500.0, use_rope=False,
 )
-RUN = ["--n", "8", "--k", "4", "--t", "2", "--r", "1"]
-# Each command that takes a model shape, its other required flags, its shape
-# settings and their older spellings.
+RUN = MINIMAL_ARGV["bench"][0]
+# Each command that takes a model shape, its other required flags and its shape settings.
 SHAPE_COMMANDS = {
-    "make-model": (["--out", "m.gfm"], list(CONFIG_FLAGS), {}),
-    "bench": (RUN, list(CONFIG_FLAGS), {}),
-    "cost": (
-        RUN,
-        ["n_layers", "n_heads", "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size"],
-        {"n_layers": "--m", "n_heads": "--h"},
-    ),
+    "make-model": (["--out", "m.gfm"], list(CONFIG_FLAGS)),
+    "bench": (RUN, list(CONFIG_FLAGS)),
+    "cost": (RUN, ["n_layers", "n_heads", "n_kv_heads", "head_dim", "hidden_mlp", "vocab_size"]),
 }
 
 
@@ -130,13 +93,12 @@ def test_every_shape_setting_has_one_flag():
 
 @pytest.mark.parametrize("command", list(SHAPE_COMMANDS))
 def test_each_shape_flag_sets_its_config_field(command):
-    run, names, older = SHAPE_COMMANDS[command]
+    run, names = SHAPE_COMMANDS[command]
     parser = build_parser()
     args = vars(parser.parse_args([command, *run]))
     assert {name: args[name] for name in CONFIG_FLAGS if name in args} == dict.fromkeys(names)
     for name in names:
         flag = CONFIG_FLAGS[name][0]
-        for spelling in (flag, older.get(name, flag)):
-            given = [spelling] if name == "use_rope" else [spelling, str(SHAPE[name])]
-            config = _config_from_args(parser.parse_args([command, *run, *given]))
-            assert config == ModelConfig.from_dict({**DEFAULT_CONFIG, name: SHAPE[name]})
+        given = [flag] if name == "use_rope" else [flag, str(SHAPE[name])]
+        config = _config_from_args(parser.parse_args([command, *run, *given]))
+        assert config == ModelConfig.from_dict({**DEFAULT_CONFIG, name: SHAPE[name]})
