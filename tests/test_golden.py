@@ -7,10 +7,10 @@ per-phase ``(flops_by_tag, kv_bytes_peak, weight_bytes_touched)`` and the
 SHA-256 of the bytes of every logits vector the run computes, in order
 (``logits_sha256``), recorded in ``golden_runs.json``.  The digest makes a
 logit bit drift visible even where it flips no argmax.  ``caches_sha256``
-digests the keys, values and positions of every layer's cache, once as the
-runner's prefill returns them (after eviction) and again after the last
-decode step, so a kept or decoded position that moves shows even where no
-logit does (without RoPE, a position changes no logit).  A gemfilter cell
+digests the keys, values and next position of every layer's cache, once as
+the runner's prefill returns them (after eviction) and again after the last
+decode step, so a kept row or a resume position that moves shows even where
+no logit does (without RoPE, a position changes no logit).  A gemfilter cell
 adds ``selection_sha256``, the bytes of its selection's indices and raw
 scores.  The file pins the engine's observable behaviour across internal
 refactors; a cell that raises records the error class and message instead.
@@ -93,8 +93,9 @@ def _grid():
 
 def _digest_caches(digest, caches) -> None:
     for cache in caches:
-        for part in (cache.keys, cache.values, cache.positions):
-            digest.update(part.tobytes())
+        digest.update(cache.keys.tobytes())
+        digest.update(cache.values.tobytes())
+        digest.update(str(cache.next_position).encode())
 
 
 def _outcome(weights, tokens, rc) -> dict:
