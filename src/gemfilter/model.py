@@ -28,13 +28,13 @@ the last ``score_rows`` attention probability rows of its query heads,
 accumulated per layer block by block inside the attention kernel, so the
 ``n x n`` probability matrix never exists.
 
-:class:`LayerKV` is the one KV cache: head-major keys and values with
-per-head original positions.  A full cache keeps every position; an evicted
-one keeps a per-head subset (:meth:`LayerKV.gather`), and decoding resumes
-one past the largest position it holds, which the cache tracks as it
-grows.  That is where a new row goes: an append writes its rows at the
-cache's next positions, so a prompt chunk follows the one before it and a
-decode step follows the prompt, and no caller passes a position.
+:class:`LayerKV` is the one KV cache: head-major post-rotation keys and
+values, and the position its next row takes; attention aligns rows by
+index, so no row's position is stored.  A full cache keeps every row; an
+evicted one keeps a per-head subset (:meth:`LayerKV.gather`) and resumes
+where the full one would.  An append writes its rows at the cache's next
+positions, so a prompt chunk follows the one before it and a decode step
+follows the prompt, and no caller passes a position.
 
 Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
@@ -94,9 +94,6 @@ class LayerWeights:
     w_out: np.ndarray
     attn_norm: np.ndarray
     mlp_norm: np.ndarray
-
-    def nbytes(self) -> int:
-        return sum([getattr(self, name).nbytes for name in LAYER_TENSORS])
 
 
 # One layer's tensors in file order: the field order of LayerWeights.
@@ -163,7 +160,7 @@ class ModelWeights:
                 raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
             if arr.dtype != F32:
                 raise ConfigurationError(f"{name} has dtype {arr.dtype}, expected float32")
-        self.per_layer_bytes = self.layers[0].nbytes()
+        self.per_layer_bytes = layer_weight_bytes(cfg)
         d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
         self.qkv = []
         for lw in self.layers:
@@ -212,40 +209,36 @@ class ModelWeights:
 
 @dataclass
 class LayerKV:
-    """Per-layer key/value cache: post-rotation keys, plus original positions.
+    """Per-layer key/value cache: post-rotation keys and values, and the next row's position.
 
-    Rows of kv-head ``j`` are ``keys[j]``/``values[j]``, at original positions
-    ``positions[j]``.  A full cache holds the same positions for every head;
-    eviction keeps a different subset per head.
+    Rows of kv-head ``j`` are ``keys[j]``/``values[j]``.  A full cache holds
+    every row for every head; eviction keeps a different subset per head.
+    ``next_position`` is the position the next appended row takes: each
+    append adds its rows to it, and an evicted cache keeps its source's.
 
-    The three arrays are views of the rows held in buffers that may have room
+    The two arrays are views of the rows held in buffers that may have room
     for more (:meth:`reserve`), so appends write in place; ``nbytes`` counts
     the rows held, not the room.  Growing the room copies one part at a
-    time, so at most one part of the layer is ever held twice.  The cache
-    tracks :attr:`next_position`, the position its next appended row takes,
-    without a scan.
+    time, so at most one part of the layer is ever held twice.
     """
 
     keys: np.ndarray  # (n_kv_heads, seq, head_dim)
     values: np.ndarray  # (n_kv_heads, seq, head_dim)
-    positions: np.ndarray  # (n_kv_heads, seq) int64, strictly increasing per head
+    next_position: int  # an integer >= seq
 
     def __post_init__(self) -> None:
-        if self.keys.shape != self.values.shape or self.keys.shape[:2] != self.positions.shape:
+        if self.keys.shape != self.values.shape:
             raise ContractViolation("LayerKV component shapes disagree")
-        if self.positions.shape[1] > 1 and not np.all(np.diff(self.positions, axis=1) > 0):
-            raise ContractViolation("LayerKV positions must be strictly increasing")
-        self._buffers = (self.keys, self.values, self.positions)
-        self._next_position = max(self.positions[:, -1].tolist()) + 1 if len(self) else 0
+        pos = self.next_position
+        if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)) or pos < len(self):
+            raise ContractViolation(f"next_position {pos!r} is not an integer >= len {len(self)}")
+        self._buffers = [self.keys, self.values]
 
     @classmethod
     def empty(cls, n_kv_heads: int, head_dim: int, rows: int) -> "LayerKV":
-        """A cache holding nothing, with room reserved for ``rows`` rows per kv-head."""
-        cache = cls(
-            keys=np.empty((n_kv_heads, 0, head_dim), dtype=F32),
-            values=np.empty((n_kv_heads, 0, head_dim), dtype=F32),
-            positions=np.empty((n_kv_heads, 0), dtype=np.int64),
-        )
+        """An empty cache at position 0, with room reserved for ``rows`` rows per kv-head."""
+        part = np.empty((n_kv_heads, 0, head_dim), dtype=F32)
+        cache = cls(keys=part, values=part.copy(), next_position=0)
         cache.reserve(rows)
         return cache
 
@@ -256,27 +249,22 @@ class LayerKV:
     def nbytes(self) -> int:
         return self.keys.nbytes + self.values.nbytes
 
-    @property
-    def next_position(self) -> int:
-        """One past the largest position held: where decoding resumes."""
-        return self._next_position
-
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` more rows; the appends that fill it reallocate nothing.
 
-        The parts grow one at a time, keys, then values, then positions: each
-        is copied into its larger buffer, and its old buffer is dropped before
-        the next part grows.  So while the layer grows it holds at most one
-        part twice, never all three.
+        The parts grow one at a time, keys, then values: each is copied into
+        its larger buffer, and its old buffer is dropped before the next part
+        grows.  So while the layer grows it holds at most one part twice,
+        never both.
         """
         held = len(self)
         if self._buffers[0].shape[1] >= held + rows:
             return
-        for i, name in enumerate(("keys", "values", "positions")):
+        for i, name in enumerate(("keys", "values")):
             part = getattr(self, name)
-            grown = np.empty((part.shape[0], held + rows, *part.shape[2:]), dtype=part.dtype)
+            grown = np.empty((part.shape[0], held + rows, part.shape[2]), dtype=part.dtype)
             grown[:, :held] = part
-            self._buffers = self._buffers[:i] + (grown,) + self._buffers[i + 1 :]
+            self._buffers[i] = grown
             setattr(self, name, grown[:, :held])
             del part, grown  # frees the old buffer before the next part grows
 
@@ -291,22 +279,34 @@ class LayerKV:
                 "append expects k/v rows (n_kv_heads, s >= 1, ...), got "
                 f"k{k_rows.shape} v{v_rows.shape}"
             )
-        held, start = len(self), self._next_position
-        end = held + rows
+        held, end = len(self), len(self) + rows
         self.reserve(rows)
-        keys, values, positions = self._buffers
+        keys, values = self._buffers
         keys[:, held:end] = k_rows
         values[:, held:end] = v_rows
-        positions[:, held:end] = np.arange(start, start + rows)
-        self.keys, self.values, self.positions = keys[:, :end], values[:, :end], positions[:, :end]
-        self._next_position = start + rows
+        self.keys, self.values = keys[:, :end], values[:, :end]
+        self.next_position += rows
 
     def gather(self, rows: np.ndarray) -> "LayerKV":
-        """A new cache keeping rows ``rows[j]`` (ascending) of each kv-head ``j``."""
+        """A new cache keeping rows ``rows[j]`` of each kv-head ``j``, resuming where this one does.
+
+        ``rows`` must be ``(n_kv_heads, r)`` integers, strictly increasing in
+        each head and within ``0..len - 1``.
+        """
+        rows = np.asarray(rows)
+        if (
+            rows.dtype.kind not in "iu" or rows.ndim != 2 or len(rows) != len(self.keys)
+            or (rows.size and not 0 <= rows.min() <= rows.max() < len(self))
+            or not np.all(rows[:, 1:] > rows[:, :-1])
+        ):
+            raise ContractViolation(
+                f"gather expects ({len(self.keys)}, r) integer rows, strictly increasing "
+                f"within 0..{len(self) - 1} in each head, got {rows.dtype} {rows.shape}"
+            )
         return LayerKV(
             keys=np.take_along_axis(self.keys, rows[:, :, None], axis=1),
             values=np.take_along_axis(self.values, rows[:, :, None], axis=1),
-            positions=np.take_along_axis(self.positions, rows, axis=1),
+            next_position=self.next_position,
         )
 
 
@@ -684,11 +684,11 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     charged.  Every norm of the step is a one-row :func:`rms_norm_rows`
     call, whose statistic is worked out on scalars.
 
-    The new token's position is every cache's :attr:`~LayerKV.next_position`,
-    one past the largest cached position; caches that disagree on it are
-    rejected before anything is appended or charged.  The returned logits
-    cover the whole vocabulary.  The step's attention is charged once, over
-    the keys of every layer: the same totals as one charge per layer.
+    The new token's position is every cache's ``next_position``; caches that
+    disagree on it are rejected before anything is appended or charged.  The
+    returned logits cover the whole vocabulary.  The step's attention is
+    charged once, over the keys of every layer: the same totals as one
+    charge per layer.
     """
     cfg = weights.config
     if not caches or len(caches) != cfg.n_layers:

@@ -17,8 +17,7 @@ from the last ``score_rows`` queries.  Each layer is evicted, by a per-head
 gather into a smaller :class:`~gemfilter.model.LayerKV`, as soon as it
 finishes, so at most one full layer is live next to the evicted ones, and
 evicted caches decode through the same :func:`~gemfilter.model.decode_step`
-as full ones.  Retained keys keep their original rotary positions; the
-window keeps position n - 1, so decode resumes at position n.
+as full ones, from position n, their kept keys rotated at their own positions.
 """
 
 from __future__ import annotations

@@ -334,7 +334,7 @@ def _prompt_queries(w, tokens):
     return project_qkv(embed(tokens, w), w, 0, 0)[0][:, : w.config.n_heads]
 
 
-def test_snapkv_h2o_small_instance_oracles():
+def test_snapkv_h2o_small_instance_oracles(gathered_rows):
     window, kernel = 3, 3
     for n in (8, 12, 16):
         cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
@@ -342,19 +342,20 @@ def test_snapkv_h2o_small_instance_oracles():
         tokens = list(range(n))
         pre, q = prefill(tokens, w), _prompt_queries(w, tokens)
         for k in (6, n):
-            evicted = {}
+            evicted, kept = {}, {}
             for strategy in (Strategy.SNAPKV, Strategy.H2O):
                 rc = RunConfig(strategy, select_k=k, window=window, pool_kernel=kernel)
                 _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
                 evicted[strategy] = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
-            snap, heavy = evicted[Strategy.SNAPKV], evicted[Strategy.H2O]
+                kept[strategy] = gathered_rows[-1]  # the one layer's kept rows
+            snap, heavy = kept[Strategy.SNAPKV], kept[Strategy.H2O]
             for kvh in range(cfg.n_kv_heads):
                 probs = _probs_oracle(q[:, kvh, :], pre.caches[0].keys[kvh])
                 if k >= n:
-                    assert snap[0].positions[kvh].tolist() == list(range(n))
-                    assert heavy[0].positions[kvh].tolist() == list(range(n))
+                    assert snap[kvh].tolist() == list(range(n))
+                    assert heavy[kvh].tolist() == list(range(n))
                     assert np.array_equal(
-                        snap[0].keys[kvh], pre.caches[0].keys[kvh]
+                        evicted[Strategy.SNAPKV][0].keys[kvh], pre.caches[0].keys[kvh]
                     )
                     continue
                 window_scores = probs[n - window :].sum(axis=0)
@@ -368,7 +369,7 @@ def test_snapkv_h2o_small_instance_oracles():
                     sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - window]
                     + list(range(n - window, n))
                 )
-                assert snap[0].positions[kvh].tolist() == snap_expect
+                assert snap[kvh].tolist() == snap_expect
 
                 col = probs.sum(axis=0)
                 pre_h2o = col[: n - window]
@@ -376,4 +377,4 @@ def test_snapkv_h2o_small_instance_oracles():
                     sorted(range(len(pre_h2o)), key=lambda i: (-pre_h2o[i], i))[: k - window]
                     + list(range(n - window, n))
                 )
-                assert heavy[0].positions[kvh].tolist() == h2o_expect
+                assert heavy[kvh].tolist() == h2o_expect

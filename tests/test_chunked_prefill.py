@@ -39,8 +39,13 @@ def test_chunks_cover_the_prompt_and_merge_a_one_row_tail(monkeypatch):
         assert n == 1 or all(hi - lo > 1 for lo, hi in bounds)
 
 
-def observe(w, tokens, strategy):
-    """Every observable of one run, and of the same prompt pass with its evictions."""
+def observe(w, tokens, strategy, gathered_rows):
+    """Every observable of one run, and of the same prompt pass with its evictions.
+
+    ``gathered_rows`` is the gather spy's list: the rows each eviction of the
+    run and of the pass kept per head are read from it.
+    """
+    start = len(gathered_rows)
     n = len(tokens)
     window = min(4, n)
     rc = RunConfig(
@@ -61,8 +66,8 @@ def observe(w, tokens, strategy):
         layers.append(
             (
                 None if scores is None else scores.copy(),
-                cache.keys.copy(), cache.values.copy(), cache.positions.copy(),
-                None if kept is None else (kept.positions, kept.keys, kept.values),
+                cache.keys.copy(), cache.values.copy(), cache.next_position,
+                None if kept is None else (kept.next_position, kept.keys, kept.values),
             )
         )
         return kept
@@ -73,6 +78,7 @@ def observe(w, tokens, strategy):
         "counters": counters,
         "selection": None if sel is None else (sel.indices, sel.raw_scores),
         "layers": layers,
+        "kept_rows": gathered_rows[start:],
         "hidden": pre.hidden,
         "logits": logits_from_hidden(pre.hidden[-1], w),
     }
@@ -97,7 +103,7 @@ def assert_bit_equal(a, b, path="run"):
 @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1)], ids=["g1", "g2", "g4"])
 @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, C + 2, 2 * C + 1])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-def test_chunked_pass_bit_equals_one_chunk(monkeypatch, strategy, n, h, hk):
+def test_chunked_pass_bit_equals_one_chunk(monkeypatch, gathered_rows, strategy, n, h, hk):
     """64-row chunks give the bits of one whole-prompt chunk: tokens, selection,
     eviction scores and kept positions per head, caches, hidden rows, counters.
     At n = C + 1 and C + 2 the 4-row snapkv window straddles a chunk boundary."""
@@ -108,9 +114,9 @@ def test_chunked_pass_bit_equals_one_chunk(monkeypatch, strategy, n, h, hk):
     w = make_random_model(cfg, 3 + hk)
     tokens = np.random.default_rng(n).integers(0, 64, n).tolist()
     monkeypatch.setattr(model, "CHUNK_ROWS", C)
-    chunked = observe(w, tokens, strategy)
+    chunked = observe(w, tokens, strategy, gathered_rows)
     monkeypatch.setattr(model, "CHUNK_ROWS", 4 * C)
-    whole = observe(w, tokens, strategy)
+    whole = observe(w, tokens, strategy, gathered_rows)
     assert_bit_equal(chunked, whole)
 
 
@@ -137,31 +143,27 @@ def traced_excess(w, n, strategy):
     tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
     peak = traced_request_peak(w, tokens, rc)
     params = CostParams.from_weights(w, n=n, k=256, t=0, r=3)
-    modeled = cost_table(params)[strategy.value][PROMPT].kv_bytes_peak
-    return peak - modeled, modeled
+    return peak - cost_table(params)[strategy.value][PROMPT].kv_bytes_peak
 
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
     """From n = 1024 to 2048, what the prompt pass holds beyond the modeled KV
     bytes grows by at most the residual stream (n x d_model float32), one
-    head's (ROW_BLOCK, n) float32 score block, the int64 positions of the
-    cached rows, the prompt's int64 token ids, and 4 KiB of interpreter objects;
-    snapkv and h2o also hold their float64 eviction accumulators, one row per
-    query head and the per-kv-head sums.  Transients with one row per prompt
+    head's (ROW_BLOCK, n) float32 score block, the prompt's int64 token ids,
+    and 4 KiB of interpreter objects; snapkv and h2o also hold their float64
+    eviction accumulators, one row per query head and the per-kv-head sums.  Transients with one row per prompt
     token (whole-prompt Q/K/V or MLP rows) or one score block per head break it."""
     cfg = PROFILE
     w = make_random_model(cfg, 1)
     # Fill the rotary table first: a model keeps it, so it is no run's transient.
     run_generation(w, [i % 256 for i in range(2048)], RunConfig(strategy, max_new_tokens=0))
-    (small, kv_small), (large, kv_large) = (traced_excess(w, n, strategy) for n in (1024, 2048))
+    small, large = (traced_excess(w, n, strategy) for n in (1024, 2048))
     grown = 1024
-    positions = (kv_large - kv_small) // cfg.head_dim  # 8 bytes per 2 * head_dim * 4
     evicting = strategy in (Strategy.SNAPKV, Strategy.H2O)
     allowed = (
         grown * cfg.d_model * 4
         + ROW_BLOCK * grown * 4
-        + positions
         + grown * 8
         + evicting * (cfg.n_heads + cfg.n_kv_heads) * grown * 8
         + 4096
@@ -180,8 +182,8 @@ REQUEST_SHAPES = {
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_decoding_adds_to_a_request_peak_only_the_rows_it_decodes(strategy, shape):
     """From t = 1 to t = 64, a request's traced peak grows by at most the K/V
-    and int64 positions of the 63 rows it decodes into each layer's kv-heads,
-    plus 4 KiB of interpreter objects.  Growing the caches for those rows
+    of the 63 rows it decodes into each layer's kv-heads, plus 4 KiB of
+    interpreter objects.  Growing the caches for those rows
     copies one part of one layer at a time; a copy that holds a whole layer
     twice breaks it on the copy model, where one layer's keys outweigh what
     the prompt pass holds beyond its caches."""
@@ -194,7 +196,7 @@ def test_decoding_adds_to_a_request_peak_only_the_rows_it_decodes(strategy, shap
     one, many = (
         traced_request_peak(w, tokens, replace(rc, max_new_tokens=t)) for t in (1, 64)
     )
-    row = cfg.n_layers * cfg.n_kv_heads * (2 * cfg.head_dim * 4 + 8)
+    row = cfg.n_layers * cfg.n_kv_heads * 2 * cfg.head_dim * 4
     allowed = 63 * row + 4096
     assert many - one <= allowed, (many - one, allowed)
 

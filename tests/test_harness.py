@@ -7,7 +7,7 @@ import pytest
 
 from gemfilter.config import ModelConfig
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
-from gemfilter.model import logits_from_hidden, prefill
+from gemfilter.model import LAYER_TENSORS, logits_from_hidden, prefill
 from gemfilter.modelio import MAGIC, load_model, save_model
 from gemfilter.runner import RunConfig, Strategy
 from gemfilter.selection import select_indices
@@ -161,7 +161,7 @@ class TestMakeRandomModel:
 
     def test_per_layer_bytes_identical(self):
         w = make_random_model(small_config(m=3), 13)
-        sizes = {lw.nbytes() for lw in w.layers}
+        sizes = {sum(getattr(lw, name).nbytes for name in LAYER_TENSORS) for lw in w.layers}
         assert len(sizes) == 1
         assert w.per_layer_bytes == sizes.pop()
 

@@ -640,7 +640,7 @@ class TestLayerKV:
         return LayerKV(
             keys=rng.standard_normal(shape).astype(F32),
             values=rng.standard_normal(shape).astype(F32),
-            positions=np.tile(np.arange(n, dtype=np.int64), (self.HK, 1)),
+            next_position=n,
         )
 
     def _row(self, seed):
@@ -651,7 +651,7 @@ class TestLayerKV:
 
     @staticmethod
     def _parts(cache):
-        return (cache.keys, cache.values, cache.positions)
+        return (cache.keys, cache.values)
 
     def test_append_after_reserve_does_not_reallocate(self):
         cache, grown = self._cache(), self._cache()
@@ -666,7 +666,7 @@ class TestLayerKV:
         assert all(p.base is not b for p, b in zip(self._parts(cache), buffers))
         for mine, theirs in zip(self._parts(cache), self._parts(grown)):
             np.testing.assert_array_equal(mine, theirs)
-        assert cache.positions[0].tolist() == list(range(9)) and cache.next_position == 9
+        assert cache.next_position == 9
 
     def test_nbytes_counts_rows_held_not_capacity(self):
         cache = self._cache(n=5)
@@ -678,9 +678,9 @@ class TestLayerKV:
         assert cache.nbytes == held * 6 // 5 and len(cache) == 6
 
     def test_reserve_holds_at_most_one_old_part_twice(self):
-        """Growing copies keys, then values, then positions, and drops each old
-        buffer before the next part grows: the peak is the grown buffers plus
-        the old keys, the largest part, not all three old parts."""
+        """Growing copies keys, then values, and drops each old buffer before
+        the next part grows: the peak is the grown buffers plus the old keys,
+        not both old parts."""
         tracemalloc.start()
         try:
             cache = self._cache(n=1024)
@@ -703,7 +703,9 @@ class TestLayerKV:
         kept = cache.gather(rows)
         for mine, theirs in zip(self._parts(kept), self._parts(plain.gather(rows))):
             np.testing.assert_array_equal(mine, theirs)
-        assert kept.positions.tolist() == rows.tolist()
+        for j in range(self.HK):
+            assert kept.keys[j].tobytes() == plain.keys[j][rows[j]].tobytes()
+            assert kept.values[j].tobytes() == plain.values[j][rows[j]].tobytes()
         cache.append(*self._row(7))  # the gathered cache owns its rows
         assert len(kept) == 3 and kept.next_position == 7
 
@@ -725,24 +727,64 @@ class TestLayerKV:
         "part, replacement, message",
         [
             ("values", np.zeros((2, 5, 3), dtype=F32), "component shapes disagree"),
-            ("positions", np.zeros((2, 4), dtype=np.int64), "component shapes disagree"),
-            ("positions", np.asarray([[0, 1, 2, 3, 4], [0, 1, 3, 3, 4]]), "strictly increasing"),
-            ("positions", np.asarray([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]), "strictly increasing"),
+            ("next_position", 4, "next_position 4 is not an integer >= len 5"),
+            ("next_position", 5.5, "next_position 5.5 is not an integer"),
+            ("next_position", True, "next_position True is not an integer"),
         ],
-        ids=["values-shape", "positions-shape", "repeated", "decreasing"],
+        ids=["values-shape", "position-below-rows", "float-position", "bool-position"],
     )
     def test_construction_rejects_disagreeing_parts(self, part, replacement, message):
-        parts = dict(zip(("keys", "values", "positions"), self._parts(self._cache())))
+        cache = self._cache()
+        parts = dict(keys=cache.keys, values=cache.values, next_position=cache.next_position)
         parts[part] = replacement
         with pytest.raises(ContractViolation, match=message):
             LayerKV(**parts)
 
-    def test_next_position_of_an_evicted_cache_is_past_its_largest_head(self):
+    def test_a_cache_may_resume_past_its_rows(self):
+        """An evicted cache holds fewer rows than its position: a next_position
+        at or past len is accepted, and appends go on from it."""
+        cache = self._cache()
+        kept = LayerKV(cache.keys[:, :2], cache.values[:, :2], next_position=5)
+        assert len(kept) == 2 and kept.next_position == 5
+        assert LayerKV.empty(self.HK, self.DH, 1).next_position == 0
+        kept.append(*self._row(5))
+        assert len(kept) == 3 and kept.next_position == 6
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.asarray([[0, 1, 3], [0, 3, 3]]),
+            np.asarray([[0, 1, 3], [4, 3, 2]]),
+            np.asarray([[0, 5], [1, 2]]),
+            np.asarray([[-1], [-1]]),
+            np.asarray([[0, 2], [-3, 1]]),
+            np.asarray([[0, 1]]),
+            np.asarray([0, 1]),
+            np.asarray([[0.0, 1.0], [0.0, 1.0]]),
+            np.asarray([[False, True], [False, True]]),
+        ],
+        ids=[
+            "repeated", "decreasing", "past-the-end", "negative", "negative-first",
+            "too-few-heads", "one-dimensional", "float", "bool",
+        ],
+    )
+    def test_gather_rejects_rows_it_cannot_keep(self, rows):
+        """Rows must be (n_kv_heads, r) integers, strictly increasing in each
+        head, within 0..len-1: a negative row would wrap to the end and a
+        repeated one would keep a row twice."""
+        cache = self._cache()
+        with pytest.raises(ContractViolation, match="gather expects"):
+            cache.gather(rows)
+
+    def test_gather_keeps_its_source_position(self):
+        """An evicted cache resumes where its source does, whichever rows it
+        keeps: none of the last row here, and no row at all."""
         cache = self._cache(n=6)
-        kept = cache.gather(np.asarray([[0, 2], [1, 5]]))
-        assert kept.next_position == 6 and LayerKV.empty(self.HK, self.DH, 1).next_position == 0
+        for rows in ([[0, 2], [1, 4]], [[5], [5]], np.empty((self.HK, 0), dtype=np.int64)):
+            kept = cache.gather(np.asarray(rows))
+            assert kept.next_position == 6 and len(kept) == np.shape(rows)[1]
         kept.append(*self._row(6))
-        assert kept.positions.tolist() == [[0, 2, 6], [1, 5, 6]] and kept.next_position == 7
+        assert len(kept) == 1 and kept.next_position == 7
 
 
 class TestDecodeStep:
@@ -771,7 +813,7 @@ class TestDecodeStep:
         assert all(len(c) == 4 for c in pre.caches)
         decode_step(5, pre.caches, w)
         assert all(len(c) == 5 for c in pre.caches)
-        assert all(np.all(c.positions[:, -1] == 4) for c in pre.caches)
+        assert all(c.next_position == 5 for c in pre.caches)
 
     def test_generation_score_flops_match_closed_form(self):
         cfg = small_config(m=3, h=2, hk=2, dh=8)

@@ -13,7 +13,7 @@ than the vector or not.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gemfilter.config import ModelConfig
@@ -54,9 +54,13 @@ def _valid(method: str, p: dict) -> bool:
     return True
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(instances())
-def test_counters_eviction_invariants_and_k_ge_n(p):
+# The gather spy is set up once for all examples; each example reads only the rows it adds.
+@settings(
+    max_examples=120, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(p=instances())
+def test_counters_eviction_invariants_and_k_ge_n(gathered_rows, p):
     cfg = ModelConfig(
         n_layers=p["m"], n_heads=p["h"], n_kv_heads=p["h_kv"], head_dim=4,
         d_model=4 * p["h"], vocab_size=32, hidden_mlp=8, max_seq=32,
@@ -95,10 +99,12 @@ def test_counters_eviction_invariants_and_k_ge_n(p):
             continue
         rc = RunConfig(Strategy(method), max_new_tokens=p["t"], select_k=p["k"], **eviction[method])
         _, evict, score_rows = prompt_pass(rc, p["n"], weights.config.max_seq)
+        start = len(gathered_rows)
         compressed = prefill(tokens, weights, evict=evict, score_rows=score_rows).caches
-        for layer in compressed:
-            assert layer.positions.shape == (p["h_kv"], min(p["k"], p["n"]))
-            assert np.all(np.diff(layer.positions, axis=1) > 0)
+        assert len(gathered_rows) - start == len(compressed) == p["m"]
+        for layer, rows in zip(compressed, gathered_rows[start:]):
+            assert rows.shape == (p["h_kv"], min(p["k"], p["n"])) == layer.keys.shape[:2]
+            assert np.all(np.diff(rows, axis=1) > 0)
             assert layer.next_position == p["n"]
         if p["k"] >= p["n"]:
             assert outputs[method] == outputs["full"]

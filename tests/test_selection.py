@@ -401,4 +401,4 @@ class TestIndexSetShapes:
         compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
         assert len(compressed) == cfg.n_layers
         for layer in compressed:
-            assert layer.positions.shape == (cfg.n_kv_heads, 10)
+            assert layer.keys.shape == layer.values.shape == (cfg.n_kv_heads, 10, cfg.head_dim)

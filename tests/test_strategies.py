@@ -107,7 +107,7 @@ def dummy_caches(n, hk=2, dh=4, layers=1, seed=0):
             LayerKV(
                 keys=rng.standard_normal((hk, n, dh)).astype(F32),
                 values=rng.standard_normal((hk, n, dh)).astype(F32),
-                positions=np.tile(np.arange(n, dtype=np.int64), (hk, 1)),
+                next_position=n,
             )
         )
     return out
@@ -194,7 +194,7 @@ def test_deleted_settings_are_not_fields(field):
 
 class TestCompressAgainstBruteForce:
     @pytest.mark.parametrize("n", [8, 12, 16])
-    def test_snapkv_matches_probability_oracle(self, n):
+    def test_snapkv_matches_probability_oracle(self, gathered_rows, n):
         """End to end on a 1-layer model: engine scores vs explicit attention."""
         cfg = small_config(m=1, h=2, hk=2, dh=8, max_seq=64)
         w = make_random_model(cfg, n)
@@ -203,7 +203,7 @@ class TestCompressAgainstBruteForce:
         rc = RunConfig(Strategy.SNAPKV, select_k=k, window=window, pool_kernel=3)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
-        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
+        prefill(tokens, w, evict=evict, score_rows=score_rows)
 
         # Oracle recomputes each head's probabilities from the layer's q and cached k.
         groups = cfg.n_heads // cfg.n_kv_heads
@@ -213,10 +213,10 @@ class TestCompressAgainstBruteForce:
                 for qh in range(kvh * groups, (kvh + 1) * groups)
             ]
             expected = snapkv_oracle(probs, k, window, 3)
-            assert compressed[0].positions[kvh].tolist() == expected
+            assert gathered_rows[0][kvh].tolist() == expected
 
     @pytest.mark.parametrize("n", [8, 12, 16])
-    def test_h2o_matches_probability_oracle(self, n):
+    def test_h2o_matches_probability_oracle(self, gathered_rows, n):
         cfg = small_config(m=1, h=2, hk=1, dh=8, max_seq=64)
         w = make_random_model(cfg, 100 + n)
         tokens = list(range(n))
@@ -224,61 +224,61 @@ class TestCompressAgainstBruteForce:
         rc = RunConfig(Strategy.H2O, select_k=k, window=recent)
         pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
-        compressed = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
+        prefill(tokens, w, evict=evict, score_rows=score_rows)
         probs = [
             masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
         ]
         expected = h2o_oracle(probs, k, recent)
-        assert compressed[0].positions[0].tolist() == expected
+        assert gathered_rows[0][0].tolist() == expected
 
-    def test_k_equals_n_identity_retention(self):
+    def test_k_equals_n_identity_retention(self, gathered_rows):
         caches = dummy_caches(8)
         scores = np.random.default_rng(1).random((2, 8))
         rc = RunConfig(Strategy.SNAPKV, select_k=8, window=2, pool_kernel=3)
         layer = eviction(rc, 8)(caches[0], scores)
         for kvh in range(2):
-            assert layer.positions[kvh].tolist() == list(range(8))
+            assert gathered_rows[0][kvh].tolist() == list(range(8))
             assert np.array_equal(layer.keys[kvh], caches[0].keys[kvh])
             assert np.array_equal(layer.values[kvh], caches[0].values[kvh])
 
-    def test_one_hot_window_attention_key_retained_every_head(self):
+    def test_one_hot_window_attention_key_retained_every_head(self, gathered_rows):
         n, target = 10, 2
         window_sums = np.zeros((2, n))
         window_sums[:, target] = 1.0
         caches = dummy_caches(n)
         rc = RunConfig(Strategy.SNAPKV, select_k=3, window=2, pool_kernel=1)
-        layer = eviction(rc, n)(caches[0], window_sums)
+        eviction(rc, n)(caches[0], window_sums)
         for kvh in range(2):
-            assert target in layer.positions[kvh].tolist()
+            assert target in gathered_rows[0][kvh].tolist()
 
-    def test_disjoint_heads_get_different_sets(self):
+    def test_disjoint_heads_get_different_sets(self, gathered_rows):
         n = 12
         window_sums = np.zeros((2, n))
         window_sums[0, 1] = 5.0
         window_sums[1, 7] = 5.0
         caches = dummy_caches(n)
         rc = RunConfig(Strategy.SNAPKV, select_k=3, window=2, pool_kernel=1)
-        layer = eviction(rc, n)(caches[0], window_sums)
-        a = layer.positions[0].tolist()
-        b = layer.positions[1].tolist()
+        eviction(rc, n)(caches[0], window_sums)
+        a, b = gathered_rows[0].tolist()
         assert a != b
         assert 1 in a and 7 in b
 
-    def test_per_head_sets_independent_of_other_heads(self):
+    def test_per_head_sets_independent_of_other_heads(self, gathered_rows):
         n = 16
         rng = np.random.default_rng(2)
         base = rng.random((2, n))
         caches = dummy_caches(n)
         rc = RunConfig(Strategy.SNAPKV, select_k=8, window=4, pool_kernel=3)
         evict = eviction(rc, n)
-        first = evict(caches[0], base)
+        evict(caches[0], base)
         tweaked = base.copy()
         tweaked[1] = rng.random(n)
-        second = evict(caches[0], tweaked)
-        assert np.array_equal(first.positions[0], second.positions[0])
+        evict(caches[0], tweaked)
+        first, second = gathered_rows
+        assert np.array_equal(first[0], second[0])
 
-    def test_budget_exactness_random(self):
+    def test_budget_exactness_random(self, gathered_rows):
         rng = np.random.default_rng(3)
         for _ in range(25):
             n = int(rng.integers(6, 30))
@@ -289,8 +289,8 @@ class TestCompressAgainstBruteForce:
                     strategy, select_k=k, window=2, pool_kernel=3
                 )
                 layer = eviction(rc, n)(caches[0], rng.random((2, n)))
-                for kvh in range(2):
-                    idx = layer.positions[kvh]
+                assert len(layer) == min(k, n) and layer.next_position == n
+                for idx in gathered_rows[-1]:
                     assert idx.shape[0] == min(k, n)
                     assert np.all(np.diff(idx) > 0)
 
@@ -328,19 +328,33 @@ class TestCompressedDecode:
         full_logits = decode_step(98, pre.caches, w)
 
         keep = sorted(set(needle_positions) | set(range(len(tokens) - 8, len(tokens))))
-        pre2 = prefill(tokens, w)
-        layers = []
-        for cache in pre2.caches:
-            idx = np.asarray(keep, dtype=np.int64)
-            layers.append(
-                LayerKV(
-                    keys=np.stack([cache.keys[j][idx] for j in range(cfg.n_kv_heads)]),
-                    values=np.stack([cache.values[j][idx] for j in range(cfg.n_kv_heads)]),
-                    positions=np.stack([cache.positions[j][idx] for j in range(cfg.n_kv_heads)]),
-                )
-            )
+        rows = np.tile(np.asarray(keep), (cfg.n_kv_heads, 1))
+        layers = [cache.gather(rows) for cache in prefill(tokens, w).caches]
         comp_logits = decode_step(98, layers, w)
         np.testing.assert_allclose(comp_logits, full_logits, atol=1e-2)
+
+    @pytest.mark.parametrize("strategy", [Strategy.SNAPKV, Strategy.H2O], ids=lambda s: s.value)
+    @pytest.mark.parametrize(
+        "n, k, window",
+        [(1, 1, 1), (1, 4, 1), (6, 1, 1), (6, 3, 1), (6, 3, 3), (6, 6, 2), (6, 9, 4), (13, 5, 1)],
+    )
+    def test_an_evicted_cache_resumes_at_the_prompt_length(self, strategy, n, k, window):
+        """Every kept cache resumes at n, as the full one does, whichever rows
+        it kept.  Layer 0's first decoded K row depends only on the token and
+        its position, so it is byte-equal to the full run's."""
+        cfg = small_config(m=2, h=4, hk=2, dh=8, max_seq=64)
+        w = make_random_model(cfg, 17)
+        tokens = np.random.default_rng(n + k).integers(0, cfg.vocab_size, n).tolist()
+        rc = RunConfig(strategy, select_k=k, window=window, pool_kernel=3)
+        _, evict, score_rows = prompt_pass(rc, n, cfg.max_seq)
+        kept = prefill(tokens, w, evict=evict, score_rows=score_rows).caches
+        full = prefill(tokens, w).caches
+        assert [len(c) for c in kept] == [min(k, n)] * cfg.n_layers
+        assert [c.next_position for c in kept] == [n] * cfg.n_layers
+        decode_step(5, kept, w)
+        decode_step(5, full, w)
+        assert kept[0].keys[:, -1].tobytes() == full[0].keys[:, -1].tobytes()
+        assert [c.next_position for c in kept] == [n + 1] * cfg.n_layers
 
     def test_compressed_cache_bytes_closed_form(self):
         cfg = small_config(m=2, h=2, hk=2, dh=4, max_seq=64)
@@ -353,7 +367,7 @@ class TestCompressedDecode:
         expected = 2 * cfg.n_layers * cfg.n_kv_heads * k * cfg.head_dim * 4
         assert sum(c.nbytes for c in compressed) == expected
 
-    def test_streaming_prefill_matches_full_then_compress(self):
+    def test_streaming_prefill_matches_full_then_compress(self, gathered_rows):
         cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
@@ -365,9 +379,11 @@ class TestCompressedDecode:
         np.testing.assert_array_equal(
             logits_from_hidden(evicted.hidden[-1], w), logits_from_hidden(pre.hidden[-1], w)
         )
-        for full, kept in zip(pre.caches, streamed):
+        assert len(gathered_rows) == cfg.n_layers
+        for full, kept, layer_rows in zip(pre.caches, streamed, gathered_rows):
+            assert kept.next_position == full.next_position == len(tokens)
             for kvh in range(cfg.n_kv_heads):
-                rows = kept.positions[kvh]  # full caches hold position i at row i
+                rows = layer_rows[kvh]
                 assert np.array_equal(kept.keys[kvh], full.keys[kvh][rows])
                 assert np.array_equal(kept.values[kvh], full.values[kvh][rows])
 
