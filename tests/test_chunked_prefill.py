@@ -152,8 +152,9 @@ def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
     bytes grows by at most the residual stream (n x d_model float32), one
     head's (ROW_BLOCK, n) float32 score block, the prompt's int64 token ids,
     and 4 KiB of interpreter objects; snapkv and h2o also hold their float64
-    eviction accumulators, one row per query head and the per-kv-head sums.  Transients with one row per prompt
-    token (whole-prompt Q/K/V or MLP rows) or one score block per head break it."""
+    eviction accumulators, one row per query head and the per-kv-head sums.
+    Transients with one row per prompt token (whole-prompt Q/K/V or MLP rows)
+    or one score block per head break it."""
     cfg = PROFILE
     w = make_random_model(cfg, 1)
     # Fill the rotary table first: a model keeps it, so it is no run's transient.
