@@ -22,20 +22,33 @@ Regenerate the file (only when a behaviour change is intended) with::
 which prints the cells added, removed and changed, and for a changed cell the
 fields that changed (bare), were added (``+``) or removed (``-``), before it
 rewrites the file.
+
+Before a re-record, say what a bit change did with the drift report::
+
+    PYTHONPATH=src python tests/test_golden.py --against <checkout of the parent>
+
+It writes nothing.  It imports the other checkout's ``src/gemfilter`` under
+another module name, runs both engines over the grid, and prints one line per
+cell whose outcome moved: whether its tokens, gemfilter selection indices and
+snapkv/h2o kept rows (the ``rows`` each eviction hands ``LayerKV.gather``)
+are equal, and the largest logit difference in float32 ulps.  Where a token
+differs, the line gives the other engine's top-2 logit margin at the first
+differing step; where a selection differs, its k-th vs (k+1)-th score
+margin.  A small margin points at a near tie, a large one at logic.
 """
 
+import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
-from gemfilter import model, runner
-
-from gemfilter.config import ModelConfig
-from gemfilter.errors import EngineError
-from gemfilter.runner import RunConfig, Strategy, run_generation
-from gemfilter.testmodels import make_random_model
+import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
@@ -60,34 +73,41 @@ STEPS = (0, 1, 6, 20)
 # The eviction settings of the snapkv/h2o cells; full and gemfilter cells
 # keep the defaults (gemfilter pools its selection with kernel 5).
 EVICTION = dict(window=2, pool_kernel=3)
-EVICTING = (Strategy.SNAPKV, Strategy.H2O)
+EVICTING = ("snapkv", "h2o")
 # Extra eviction settings, each run for the strategies it names; their cells get a suffix.
 EVICTION_VARIANTS = {
-    "k-plus-window": ((Strategy.SNAPKV,), lambda rc: replace(rc, select_k=rc.select_k + rc.window)),
+    "k-plus-window": (("snapkv",), lambda rc: replace(rc, select_k=rc.select_k + rc.window)),
 }
 
 
-def _grid():
+def _engine(package: str = "gemfilter") -> SimpleNamespace:
+    """The modules of the engine importable as ``package`` that a golden run reads."""
+    names = ("config", "errors", "model", "runner", "testmodels")
+    return SimpleNamespace(**{name: importlib.import_module(f"{package}.{name}") for name in names})
+
+
+def _grid(engine: SimpleNamespace):
+    ModelConfig, RunConfig = engine.config.ModelConfig, engine.runner.RunConfig
     for shape, (m, h, hk, dh, r, use_rope) in SHAPES.items():
         cfg = ModelConfig(
             n_layers=m, n_heads=h, n_kv_heads=hk, head_dim=dh, d_model=h * dh,
             vocab_size=64, hidden_mlp=16, use_rope=use_rope,
             max_seq=max(LENGTHS) + max(STEPS),
         )
-        weights = make_random_model(cfg, len(shape) + m)
+        weights = engine.testmodels.make_random_model(cfg, len(shape) + m)
         for n in LENGTHS:
             tokens = [(7 * i + 3) % cfg.vocab_size for i in range(n)]
             for k in (4, n):
                 for t in STEPS:
-                    for strategy in Strategy:
+                    for strategy in engine.runner.Strategy:
                         name = f"{shape}/{strategy.value}/n{n}/k{k}/t{t}"
                         rc = RunConfig(
                             strategy=strategy, max_new_tokens=t, select_k=k, filter_layer=r,
-                            **(EVICTION if strategy in EVICTING else {}),
+                            **(EVICTION if strategy.value in EVICTING else {}),
                         )
                         yield name, weights, tokens, rc
                         for suffix, (strategies, variant) in EVICTION_VARIANTS.items():
-                            if strategy in strategies:
+                            if strategy.value in strategies:
                                 yield f"{name}/{suffix}", weights, tokens, variant(rc)
 
 
@@ -98,13 +118,22 @@ def _digest_caches(digest, caches) -> None:
         digest.update(str(cache.next_position).encode())
 
 
-def _outcome(weights, tokens, rc) -> dict:
+def _run(engine: SimpleNamespace, weights, tokens, rc) -> tuple[dict, dict]:
+    """One cell on ``engine``: its outcome, and what the drift report reads.
+
+    The second dict holds every logits vector the run computes, in order
+    (``logits``), the ``rows`` of every :meth:`LayerKV.gather` call
+    (``rows``) and the run's selection (``selection``, or None).
+    """
+    model, runner = engine.model, engine.runner
     logits_digest, caches_digest = hashlib.sha256(), hashlib.sha256()
     kept = []
+    seen = {"logits": [], "rows": [], "selection": None}
 
     def logits_from_hidden(hidden_row, weights, real=model.logits_from_hidden):
         logits = real(hidden_row, weights)
         logits_digest.update(logits.tobytes())
+        seen["logits"].append(logits)
         return logits
 
     def prefill(*args, real=runner.prefill, **kwargs):
@@ -113,16 +142,21 @@ def _outcome(weights, tokens, rc) -> dict:
         _digest_caches(caches_digest, result.caches)
         return result
 
+    def gather(cache, rows, real=model.LayerKV.gather):
+        seen["rows"].append(np.array(rows))
+        return real(cache, rows)
+
     # The first token's logits are computed by the runner, the rest by decode_step.
     with (
         mock.patch.object(runner, "logits_from_hidden", logits_from_hidden),
         mock.patch.object(model, "logits_from_hidden", logits_from_hidden),
         mock.patch.object(runner, "prefill", prefill),
+        mock.patch.object(model.LayerKV, "gather", gather),
     ):
         try:
-            result = run_generation(weights, tokens, rc)
-        except EngineError as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
+            result = runner.run_generation(weights, tokens, rc)
+        except engine.errors.EngineError as exc:
+            return {"error": f"{type(exc).__name__}: {exc}"}, seen
     # The caches again, as the last decode step left them.
     _digest_caches(caches_digest, kept)
     phases = {
@@ -136,20 +170,21 @@ def _outcome(weights, tokens, rc) -> dict:
         "caches_sha256": caches_digest.hexdigest(),
     }
     if result.selection is not None:
-        sel = result.selection
+        sel = seen["selection"] = result.selection
         outcome["selection_sha256"] = hashlib.sha256(
             sel.indices.tobytes() + sel.raw_scores.tobytes()
         ).hexdigest()
-    return outcome
+    return json.loads(json.dumps(outcome)), seen
 
 
 def record() -> dict:
-    return {name: _outcome(w, toks, rc) for name, w, toks, rc in _grid()}
+    engine = _engine()
+    return {name: _run(engine, w, toks, rc)[0] for name, w, toks, rc in _grid(engine)}
 
 
 def test_golden_runs_unchanged():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    measured = json.loads(json.dumps(record()))
+    measured = record()
     assert sorted(measured) == sorted(expected)
     for name in expected:
         assert measured[name] == expected[name], name
@@ -186,10 +221,169 @@ def test_diff_names_the_fields_that_moved():
     assert _diff(old, new) == ["+ new", "- gone", "~ moved: a +d -b"]
 
 
+def _load_checkout(checkout: Path, name: str = "gemfilter_against") -> SimpleNamespace:
+    """The engine of another checkout, its ``src/gemfilter`` imported as package ``name``.
+
+    The package imports its own modules only relatively, so it loads next
+    to this tree's ``gemfilter`` without either seeing the other.
+    """
+    src = Path(checkout) / "src" / "gemfilter"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return _engine(name)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest distance between float32 arrays ``a`` and ``b``, in ulps.
+
+    Each float's bits, read as a sign-magnitude integer, order the floats:
+    neighbours are one apart, and ``+0`` and ``-0`` both read 0.
+    """
+    def ordered(x):
+        bits = np.asarray(x, dtype=np.float32).view(np.int32).astype(np.int64)
+        return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+
+    return int(np.abs(ordered(a) - ordered(b)).max(initial=0))
+
+
+def _margin(values, rank: int) -> str:
+    """The gap between the ``rank``-th and ``rank + 1``-th largest of ``values``, and its share of max |value|."""
+    top = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    gap = top[rank - 1] - top[rank]
+    return f"{gap:.3g}, {gap / max(np.abs(top).max(), np.finfo(float).tiny):.3g} of max |value|"
+
+
+def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, dict, int]:
+    """How one moved cell moved from ``old`` (the other engine's run) to ``new``.
+
+    Returns the report's words for it; what flipped, ``tokens``,
+    ``selection`` and ``rows``, each True where it differs; and the largest
+    logit difference in ulps, up to the first flipped token.
+    """
+    if "error" in old or "error" in new:
+        return f"{old.get('error', 'ran')} -> {new.get('error', 'ran')}", {}, 0
+    words, flips = [], {}
+    tokens_old, tokens_new = old["tokens"], new["tokens"]
+    flip = next((i for i, (a, b) in enumerate(zip(tokens_old, tokens_new)) if a != b), None)
+    flips["tokens"] = flip is not None or len(tokens_old) != len(tokens_new)
+    if flip is None:
+        words.append("tokens " + ("differ in length" if flips["tokens"] else "equal"))
+    else:
+        words.append(f"tokens differ at step {flip} (parent top-2 margin "
+                     f"{_margin(old_seen['logits'][flip], 1)})")
+    sel_old, sel_new = old_seen["selection"], new_seen["selection"]
+    if sel_old is not None:
+        flips["selection"] = not np.array_equal(sel_old.indices, sel_new.indices)
+        k = len(sel_old.indices)
+        words.append(
+            f"selection differs (parent k-th vs (k+1)-th margin {_margin(sel_old.raw_scores, k)})"
+            if flips["selection"] else "selection equal"
+        )
+    if old_seen["rows"] or new_seen["rows"]:
+        moved = [
+            i for i, (a, b) in enumerate(zip(old_seen["rows"], new_seen["rows"]))
+            if not np.array_equal(a, b)
+        ]
+        flips["rows"] = bool(moved) or len(old_seen["rows"]) != len(new_seen["rows"])
+        words.append(f"kept rows differ from layer {moved[0]}" if moved else
+                     "kept rows " + ("differ in count" if flips["rows"] else "equal"))
+    # Past a flipped token the two runs decode different rows: compare up to it.
+    steps = len(tokens_new) if flip is None else flip + 1
+    pairs = list(zip(old_seen["logits"], new_seen["logits"]))[:steps]
+    ulps = max((_ulps(a, b) for a, b in pairs), default=0)
+    diff = max((float(np.abs(a - b).max()) for a, b in pairs), default=0.0)
+    words.append(f"logits {ulps} ulps (max |diff| {diff:.3g})")
+    return ", ".join(words), flips, ulps
+
+
+def drift_report(checkout: Path) -> list[str]:
+    """One line per cell whose outcome differs between ``checkout``'s engine and this one, then a summary."""
+    here, there = _engine(), _load_checkout(checkout)
+    lines, fields, flipped = [], {}, {"tokens": 0, "selection": 0, "rows": 0}
+    cells = errors = largest = 0
+    for (name, *cell), (_, *other) in zip(_grid(here), _grid(there), strict=True):
+        new, new_seen = _run(here, *cell)
+        old, old_seen = _run(there, *other)
+        cells += 1
+        errors += "error" in new
+        if new == old:
+            continue
+        moved = _fields_moved(old, new)
+        for field in moved.split():
+            fields[field] = fields.get(field, 0) + 1
+        words, flips, ulps = _drift(old, new, old_seen, new_seen)
+        for what, differs in flips.items():
+            flipped[what] += differs
+        largest = max(largest, ulps)
+        lines.append(f"~ {name} [{moved}]: {words}")
+    moved_fields = ", ".join(f"{field} {count}" for field, count in sorted(fields.items()))
+    lines += [
+        f"{cells} cells ({cells - errors} run, {errors} raise), {len(lines)} moved",
+        f"fields moved: {moved_fields or 'none'}",
+        f"cells whose tokens changed: {flipped['tokens']}, selection: {flipped['selection']}, "
+        f"kept rows: {flipped['rows']}; largest logit drift before any flip: {largest} ulps",
+    ]
+    return lines
+
+
+def test_ulps_count_the_floats_between():
+    one, tiny = np.float32(1), np.nextafter(np.float32(0), np.float32(1))
+    assert _ulps(np.array([one]), np.array([np.nextafter(one, np.float32(2))])) == 1
+    assert _ulps(np.array([0.0, 2.0], np.float32), np.array([-0.0, 2.0], np.float32)) == 0
+    assert _ulps(np.array([-tiny]), np.array([tiny])) == 2
+
+
+def test_drift_names_each_flip_with_the_parent_margin():
+    f32 = lambda *x: np.array(x, dtype=np.float32)
+    selection = lambda *idx: SimpleNamespace(
+        indices=np.array(idx), raw_scores=np.array([4.0, 1.0, 3.0, 2.5])
+    )
+    old = {"tokens": [0, 1]}
+    old_seen = {"logits": [f32(2, 1), f32(1, 1.25)], "rows": [], "selection": selection(0, 2)}
+    same_seen = {**old_seen, "logits": [f32(2, 1), np.nextafter(f32(1, 1.25), f32(2, 2))]}
+    assert _drift(old, old, old_seen, same_seen) == (
+        "tokens equal, selection equal, logits 1 ulps (max |diff| 1.19e-07)",
+        {"tokens": False, "selection": False}, 1,
+    )
+    flipped_seen = {
+        "logits": [f32(2, 1), f32(1.5, 1)], "rows": [], "selection": selection(0, 3),
+    }
+    words, flips, _ = _drift(old, {"tokens": [0, 0]}, old_seen, flipped_seen)
+    assert words.startswith(
+        "tokens differ at step 1 (parent top-2 margin 0.25, 0.2 of max |value|), "
+        "selection differs (parent k-th vs (k+1)-th margin 0.5, 0.125 of max |value|)"
+    )
+    assert flips == {"tokens": True, "selection": True}
+    rows = [np.array([[0, 1]]), np.array([[0, 2]])]
+    words, flips, _ = _drift(
+        old, old, {**old_seen, "selection": None, "rows": rows},
+        {**old_seen, "selection": None, "rows": rows[:1] + [np.array([[1, 2]])]},
+    )
+    assert words == "tokens equal, kept rows differ from layer 1, logits 0 ulps (max |diff| 0)"
+    assert flips == {"tokens": False, "rows": True}
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Re-record the golden runs, or report how they drift from another checkout's."
+    )
+    parser.add_argument(
+        "--against", type=Path, metavar="CHECKOUT",
+        help="a checkout of the engine to compare with (its src/gemfilter); report only, write nothing",
+    )
+    args = parser.parse_args()
+    if args.against is not None:
+        if not (args.against / "src" / "gemfilter" / "__init__.py").is_file():
+            parser.error(f"{args.against} holds no src/gemfilter package")
+        print("\n".join(drift_report(args.against)))
+        sys.exit(0)
     runs = record()
     committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    changes = _diff(committed, json.loads(json.dumps(runs)))
+    changes = _diff(committed, runs)
     print("\n".join(changes) if changes else "no cell added, removed or changed")
     lines = [f"  {json.dumps(name)}: {json.dumps(runs[name], sort_keys=True)}" for name in runs]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
