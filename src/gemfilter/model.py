@@ -146,8 +146,8 @@ class ModelWeights:
     per_layer_bytes: int = field(init=False, repr=False, compare=False)
     # Per layer, the [wq | wk | wv] buffer the three are views of.
     qkv: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    # The rotary (cos, sin) table filled so far (see rope), or None without RoPE.
-    _rope: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
+    # The complex64 rotary table filled so far (see rope), or None without RoPE.
+    _rope: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -171,22 +171,23 @@ class ModelWeights:
         if cfg.use_rope:
             self._rope = _rope_table(np.arange(0), cfg.head_dim, cfg.rope_theta)
 
-    def rope(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Views of the rotary table's rows at positions ``start..stop-1``, or None without RoPE.
+    def rope(self, start: int, stop: int) -> np.ndarray | None:
+        """A view of the rotary table's rows at positions ``start..stop-1``, or None without RoPE.
 
         ``stop`` is at most ``max_seq``.  The rows are :func:`_rope_table`'s
-        for those positions.  The table is filled as far as the positions
-        asked for, doubling up to ``max_seq``, so a model whose ``max_seq`` is
-        far beyond what it runs never holds a table that size.
+        for those positions, one complex64 ``cos + i*sin`` per pair.  The
+        table is filled as far as the positions asked for, doubling up to
+        ``max_seq``, so a model whose ``max_seq`` is far beyond what it runs
+        never holds a table that size.
         """
-        if self._rope is None:
+        table = self._rope
+        if table is None:
             return None
-        cos, sin = self._rope
-        if stop > len(cos):
+        if stop > len(table):
             cfg = self.config
-            rows = min(cfg.max_seq, max(stop, 2 * len(cos)))
-            self._rope = cos, sin = _rope_table(np.arange(rows), cfg.head_dim, cfg.rope_theta)
-        return cos[start:stop], sin[start:stop]
+            rows = min(cfg.max_seq, max(stop, 2 * len(table)))
+            self._rope = table = _rope_table(np.arange(rows), cfg.head_dim, cfg.rope_theta)
+        return table[start:stop]
 
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
@@ -370,38 +371,35 @@ def _token_row(token, weights: ModelWeights) -> np.ndarray:
     return weights.tok_emb[token : token + 1].copy()
 
 
-def _rope_table(positions: np.ndarray, head_dim: int, theta: float):
-    """Rotary ``(cos, sin)`` rows at ``positions``, shaped ``(seq, 1, head_dim // 2, 2)``.
+def _rope_table(positions: np.ndarray, head_dim: int, theta: float) -> np.ndarray:
+    """Rotary rows at ``positions``: complex64 ``cos + i*sin``, shaped ``(seq, 1, head_dim // 2)``.
 
-    Pair ``i`` at position ``p`` rotates by ``p * theta**(-2i/head_dim)``.  Each
-    pair holds ``(cos, cos)`` and ``(-sin, sin)``, the factors :func:`_rotate`
-    applies to ``(x_even, x_odd)`` and to the swapped pair ``(x_odd, x_even)``.
+    Pair ``i`` at position ``p`` rotates by ``p * theta**(-2i/head_dim)``;
+    the angle's cosine and sine are worked out in float64 and each rounded
+    once to float32.  The middle axis broadcasts a row over every head.
     """
     if head_dim % 2 != 0:
         raise ConfigurationError("rotary embedding requires an even head_dim")
     rates = theta ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * rates[None, :]
-    cos = np.cos(angles).astype(F32)
-    sin = np.sin(angles).astype(F32)
-    return (
-        np.stack([cos, cos], axis=-1)[:, None],
-        np.stack([-sin, sin], axis=-1)[:, None],
-    )
+    table = np.empty(angles.shape, dtype=np.complex64)
+    table.real = np.cos(angles)
+    table.imag = np.sin(angles)
+    return table[:, None]
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+def _rotate(x: np.ndarray, table: np.ndarray) -> None:
     """Rotate the pairs of ``x`` ``(seq, heads, head_dim)`` in place by :func:`_rope_table` rows.
 
-    ``even * cos - odd * sin`` and ``even * sin + odd * cos``, as three
-    array operations over the pairs and their swapped view:
-    ``fl(fl(pairs * cos) + fl(swapped * sin))``.  The swapped product is
-    made first, so one temporary the size of ``x`` is the only one.  ``x``
-    must reshape to its pairs as a view.
+    Each ``(even, odd)`` pair is viewed as the complex number ``even + i*odd``
+    and multiplied by its row's ``cos + i*sin``: one in-place ufunc call, with
+    no temporary.  The bits are numpy's complex64 loop's, as a product's are
+    the BLAS kernel's; on x86-64 it rounds each part once with a fused
+    multiply-add, ``fl(even*cos - fl(odd*sin))`` and
+    ``fl(even*sin + fl(odd*cos))``.  ``x``'s last axis must be contiguous.
     """
-    pairs = x.reshape(*x.shape[:2], -1, 2)
-    swapped = pairs[..., ::-1] * sin
-    pairs *= cos
-    pairs += swapped
+    pairs = x.view(np.complex64)
+    pairs *= table
 
 
 def _attention(
@@ -455,7 +453,7 @@ def _attention(
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
     if nq == 1:
-        scores = _softmax_rows(q @ keys_t, scale)
+        scores = _softmax_rows((q * scale) @ keys_t)
         if received is not None and nk > first_scored:
             received[..., :nk] += scores.sum(axis=-2, dtype=np.float64)
         out[...] = scores @ values
@@ -467,9 +465,9 @@ def _attention(
         hi = min(lo + ROW_BLOCK, nq)
         b, cols = hi - lo, offset + hi
         for head, kv in heads:
-            scores = q[head][..., lo:hi, :] @ keys_t[kv][..., :cols]
+            scores = (q[head][..., lo:hi, :] * scale) @ keys_t[kv][..., :cols]
             np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
-            _softmax_rows(scores, scale)
+            _softmax_rows(scores)
             out[head][..., lo:hi, :] = scores @ values[kv][..., :cols, :]
             if received is not None and cols > first_scored:
                 first = max(first_scored - offset - lo, 0)
@@ -478,12 +476,12 @@ def _attention(
     return out
 
 
-def _softmax_rows(scores: np.ndarray, scale: np.float32) -> np.ndarray:
-    """Softmax of each row of ``scale * scores``, written over ``scores``.
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each row of ``scores``, written over ``scores``.
 
-    Masked entries hold ``-inf`` and stay ``-inf`` when scaled, so they get 0.
+    The scores come scaled: :func:`_attention` scales the queries.  Masked
+    entries hold ``-inf``, so they get 0.
     """
-    scores *= scale
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.add.reduce(scores, axis=-1, keepdims=True)
@@ -539,7 +537,7 @@ def project_qkv(
     qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
     rotary = weights.rope(start, start + n)
     if rotary is not None:
-        _rotate(qk, *rotary)
+        _rotate(qk, rotary)
     return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
 
 
@@ -684,29 +682,40 @@ def decode_step(token: int, caches: list[LayerKV], weights: ModelWeights) -> np.
     charged.  Every norm of the step is a one-row :func:`rms_norm_rows`
     call, whose statistic is worked out on scalars.
 
-    The new token's position is every cache's ``next_position``; caches that
-    disagree on it are rejected before anything is appended or charged.  The
-    returned logits cover the whole vocabulary.  The step's attention is
-    charged once, over the keys of every layer: the same totals as one
-    charge per layer.
+    The new token's position is every cache's ``next_position``.  Caches that
+    disagree on it, or whose keys or values are not float32 ``(n_kv_heads,
+    rows, head_dim)`` of this model, are rejected in one walk, before
+    anything is appended or charged.  The returned logits cover the whole
+    vocabulary.  The step's attention is charged once, over the keys of
+    every layer: the same totals as one charge per layer.  Its KV bytes
+    follow from the same key count, since every cache row holds one float32
+    key and value per kv-head.
     """
     cfg = weights.config
     if not caches or len(caches) != cfg.n_layers:
         raise ContractViolation("decode_step requires one prefilled cache per layer")
-    position = caches[0].next_position
-    if any(cache.next_position != position for cache in caches):
-        raise ContractViolation(
-            "decode_step requires every cache to resume at one position, got "
-            f"{[cache.next_position for cache in caches]}"
-        )
+    position, heads = caches[0].next_position, (cfg.n_kv_heads, cfg.head_dim)
+    for li, cache in enumerate(caches):
+        if cache.next_position != position:
+            raise ContractViolation(
+                "decode_step requires every cache to resume at one position, got "
+                f"{[cache.next_position for cache in caches]}"
+            )
+        keys, values = cache.keys, cache.values
+        if keys.shape[::2] != heads or keys.dtype != F32 or values.dtype != F32:
+            raise ContractViolation(
+                f"layer {li} cache holds {keys.dtype} keys {keys.shape} and {values.dtype} "
+                f"values; the model takes float32 ({heads[0]}, rows, {heads[1]})"
+            )
     if position + 1 > cfg.max_seq:
         raise ContractViolation("cache would exceed max_seq")
 
     x = _token_row(token, weights)
     for li, cache in enumerate(caches):
         run_layer(x, weights, li, cache)
-    _charge_attention(cfg, 1, sum(len(c) for c in caches))
-    note_kv_bytes(sum(c.nbytes for c in caches))
+    rows = sum(len(cache) for cache in caches)
+    _charge_attention(cfg, 1, rows)
+    note_kv_bytes(rows * 2 * cfg.n_kv_heads * cfg.head_dim * F32().itemsize)
     return logits_from_hidden(x[0], weights)
 
 

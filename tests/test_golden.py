@@ -49,6 +49,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
@@ -257,15 +258,15 @@ def _margin(values, rank: int) -> str:
     return f"{gap:.3g}, {gap / max(np.abs(top).max(), np.finfo(float).tiny):.3g} of max |value|"
 
 
-def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, dict, int]:
+def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, dict, int, float]:
     """How one moved cell moved from ``old`` (the other engine's run) to ``new``.
 
     Returns the report's words for it; what flipped, ``tokens``,
     ``selection`` and ``rows``, each True where it differs; and the largest
-    logit difference in ulps, up to the first flipped token.
+    logit difference, in ulps and absolute, up to the first flipped token.
     """
     if "error" in old or "error" in new:
-        return f"{old.get('error', 'ran')} -> {new.get('error', 'ran')}", {}, 0
+        return f"{old.get('error', 'ran')} -> {new.get('error', 'ran')}", {}, 0, 0.0
     words, flips = [], {}
     tokens_old, tokens_new = old["tokens"], new["tokens"]
     flip = next((i for i, (a, b) in enumerate(zip(tokens_old, tokens_new)) if a != b), None)
@@ -297,7 +298,7 @@ def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, d
     ulps = max((_ulps(a, b) for a, b in pairs), default=0)
     diff = max((float(np.abs(a - b).max()) for a, b in pairs), default=0.0)
     words.append(f"logits {ulps} ulps (max |diff| {diff:.3g})")
-    return ", ".join(words), flips, ulps
+    return ", ".join(words), flips, ulps, diff
 
 
 def drift_report(checkout: Path) -> list[str]:
@@ -305,6 +306,7 @@ def drift_report(checkout: Path) -> list[str]:
     here, there = _engine(), _load_checkout(checkout)
     lines, fields, flipped = [], {}, {"tokens": 0, "selection": 0, "rows": 0}
     cells = errors = largest = 0
+    widest = 0.0
     for (name, *cell), (_, *other) in zip(_grid(here), _grid(there), strict=True):
         new, new_seen = _run(here, *cell)
         old, old_seen = _run(there, *other)
@@ -315,17 +317,18 @@ def drift_report(checkout: Path) -> list[str]:
         moved = _fields_moved(old, new)
         for field in moved.split():
             fields[field] = fields.get(field, 0) + 1
-        words, flips, ulps = _drift(old, new, old_seen, new_seen)
+        words, flips, ulps, diff = _drift(old, new, old_seen, new_seen)
         for what, differs in flips.items():
             flipped[what] += differs
-        largest = max(largest, ulps)
+        largest, widest = max(largest, ulps), max(widest, diff)
         lines.append(f"~ {name} [{moved}]: {words}")
     moved_fields = ", ".join(f"{field} {count}" for field, count in sorted(fields.items()))
     lines += [
         f"{cells} cells ({cells - errors} run, {errors} raise), {len(lines)} moved",
         f"fields moved: {moved_fields or 'none'}",
         f"cells whose tokens changed: {flipped['tokens']}, selection: {flipped['selection']}, "
-        f"kept rows: {flipped['rows']}; largest logit drift before any flip: {largest} ulps",
+        f"kept rows: {flipped['rows']}; largest logit drift before any flip: {largest} ulps, "
+        f"max |diff| {widest:.3g}",
     ]
     return lines
 
@@ -347,19 +350,19 @@ def test_drift_names_each_flip_with_the_parent_margin():
     same_seen = {**old_seen, "logits": [f32(2, 1), np.nextafter(f32(1, 1.25), f32(2, 2))]}
     assert _drift(old, old, old_seen, same_seen) == (
         "tokens equal, selection equal, logits 1 ulps (max |diff| 1.19e-07)",
-        {"tokens": False, "selection": False}, 1,
+        {"tokens": False, "selection": False}, 1, pytest.approx(2.0**-23),
     )
     flipped_seen = {
         "logits": [f32(2, 1), f32(1.5, 1)], "rows": [], "selection": selection(0, 3),
     }
-    words, flips, _ = _drift(old, {"tokens": [0, 0]}, old_seen, flipped_seen)
+    words, flips, *_ = _drift(old, {"tokens": [0, 0]}, old_seen, flipped_seen)
     assert words.startswith(
         "tokens differ at step 1 (parent top-2 margin 0.25, 0.2 of max |value|), "
         "selection differs (parent k-th vs (k+1)-th margin 0.5, 0.125 of max |value|)"
     )
     assert flips == {"tokens": True, "selection": True}
     rows = [np.array([[0, 1]]), np.array([[0, 2]])]
-    words, flips, _ = _drift(
+    words, flips, *_ = _drift(
         old, old, {**old_seen, "selection": None, "rows": rows},
         {**old_seen, "selection": None, "rows": rows[:1] + [np.array([[1, 2]])]},
     )

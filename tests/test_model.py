@@ -84,7 +84,7 @@ def new_out(q, v):
 def rotate_at(x, positions, theta):
     """A copy of ``(seq, heads, head_dim)`` rows rotated at any integer ``positions``."""
     x = x.copy()
-    _rotate(x, *_rope_table(positions, x.shape[2], theta))
+    _rotate(x, _rope_table(positions, x.shape[2], theta))
     return x
 
 
@@ -158,40 +158,83 @@ class TestRope:
             small_config(dh=7, h=1)
 
 
-def rope_pair_oracle(x, positions, theta):
-    """The pair rotation written out: ``even * cos - odd * sin``, ``even * sin + odd * cos``."""
-    dh = x.shape[2]
+def rope_factors(positions, dh, theta):
+    """Each pair's rotation at ``positions``: float32 ``(cos, sin)``, ``(seq, 1, dh // 2)``."""
     rates = theta ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * rates[None, :]
-    cos = np.cos(angles).astype(F32)[:, None, :]
-    sin = np.sin(angles).astype(F32)[:, None, :]
+    angles = np.asarray(positions, dtype=np.float64)[:, None, None] * rates
+    return np.cos(angles).astype(F32), np.sin(angles).astype(F32)
+
+
+def rope_pair_oracle(x, positions, theta):
+    """The pair rotation written out as one fused multiply-add per part.
+
+    ``fl(even * cos - fl(odd * sin))`` and ``fl(even * sin + fl(odd * cos))``:
+    the inner product rounded to float32, the outer one exact in float64, and
+    each part rounded once to float32.
+    """
+    cos, sin = rope_factors(positions, x.shape[2], theta)
     even, odd = x[..., 0::2], x[..., 1::2]
+    wide = lambda a: a.astype(np.float64)
     out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out[..., 0::2] = wide(even) * cos - wide(odd * sin)
+    out[..., 1::2] = wide(even) * sin + wide(odd * cos)
     return out
 
 
 class TestRopeTable:
     CFG = small_config(m=1, h=2, hk=1, dh=8, max_seq=300)
 
-    def test_bit_identical_to_apply_rope_at_every_position(self):
+    def test_table_is_one_complex_row_per_position(self):
+        table = make_random_model(self.CFG, 0).rope(0, self.CFG.max_seq)
+        cos, sin = rope_factors(np.arange(self.CFG.max_seq), 8, self.CFG.rope_theta)
+        assert table.dtype == np.complex64 and table.shape == (self.CFG.max_seq, 1, 4)
+        assert table.real.tobytes() == cos.tobytes() and table.imag.tobytes() == sin.tobytes()
+
+    def test_bit_identical_to_the_fma_oracle_at_every_position(self):
         w = make_random_model(self.CFG, 0)
         positions = np.arange(self.CFG.max_seq)
         x = np.random.default_rng(3).standard_normal((positions.size, 3, 8)).astype(F32)
         expected = rope_pair_oracle(x, positions, self.CFG.rope_theta)
-        assert np.array_equal(rotate_at(x, positions, self.CFG.rope_theta), expected)
+        assert rotate_at(x, positions, self.CFG.rope_theta).tobytes() == expected.tobytes()
         # As run_layer rotates, in place over x with the model's table.
-        _rotate(x, *w.rope(0, positions.size))
+        _rotate(x, w.rope(0, positions.size))
         assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (299, 300), (10, 266), (44, 300)])
+    def test_one_row_and_a_chunk_of_a_fused_product_equal_the_oracle(self, lo, hi):
+        """A decode row and a 256-row chunk, rotated in place as strided views
+        of a fused Q/K/V product; the V columns are left as they were."""
+        w, rows = make_random_model(self.CFG, 0), hi - lo
+        fused = np.random.default_rng(lo).standard_normal((rows, 4 * 8)).astype(F32)
+        qk = fused[:, : 3 * 8].reshape(rows, 3, 8)
+        expected, v = rope_pair_oracle(qk.copy(), np.arange(lo, hi), self.CFG.rope_theta), fused[:, 24:].copy()
+        _rotate(qk, w.rope(lo, hi))
+        assert qk.tobytes() == expected.tobytes() and fused[:, 24:].tobytes() == v.tobytes()
+
+    def test_rotation_error_no_larger_than_the_three_call_form(self):
+        """Against a float64 rotation by the table's own float32 factors, at
+        d_h = 128, the complex multiply's max error is no larger than the
+        broadcast form's, ``fl(fl(pairs * cos) + fl(swapped * sin))`` over the
+        reversed-stride view of the pairs.  Errors are in float32 ulps of each
+        pair's norm, which the rotation keeps."""
+        dh, theta, positions = 128, 10000.0, np.arange(512)
+        x = np.random.default_rng(8).standard_normal((positions.size, 4, dh)).astype(F32)
+        cos, sin = rope_factors(positions, dh, theta)
+        pairs = x.reshape(*x.shape[:2], -1, 2)
+        wide = pairs.astype(np.float64)
+        even, odd, c, s = wide[..., 0], wide[..., 1], cos.astype(np.float64), sin.astype(np.float64)
+        exact = np.stack([even * c - odd * s, even * s + odd * c], axis=-1)
+        ulp = np.spacing(np.hypot(even, odd).astype(F32))[..., None]
+        three_call = pairs * np.stack([cos, cos], axis=-1) + pairs[..., ::-1] * np.stack([-sin, sin], axis=-1)
+        err = lambda got: (np.abs(got.reshape(exact.shape) - exact) / ulp).max()
+        assert err(rotate_at(x, positions, theta)) <= err(three_call)
 
     def test_grown_table_equals_one_built_at_once(self):
         """Asked for a few positions at a time, the table's rows stay the same bits."""
         w, fresh = make_random_model(self.CFG, 0), make_random_model(self.CFG, 0)
         whole = fresh.rope(0, self.CFG.max_seq)
         for lo, hi in [(0, 1), (1, 7), (7, 8), (8, 200), (299, 300)]:
-            for got, want in zip(w.rope(lo, hi), whole):
-                assert np.array_equal(got, want[lo:hi])
+            assert w.rope(lo, hi).tobytes() == whole[lo:hi].tobytes()
 
     def test_run_layer_rotation_matches_oracle(self):
         """The layer's Q and cached K are the oracle rotations of the projections."""
@@ -350,7 +393,8 @@ class TestCausalAttention:
 def stacked_attention(q, k, v, received=None, first_scored=0):
     """The all-heads form of the kernel: each query block scores every head in
     one stacked product and masks its upper triangle by boolean indexing.
-    The same float32 steps as :func:`_attention`, so the same bytes."""
+    The same float32 steps as :func:`_attention`, the query block scaled
+    before its product, so the same bytes."""
     hk, g, nq, dim = q.shape
     nk = k.shape[1]
     offset = nk - nq
@@ -360,8 +404,7 @@ def stacked_attention(q, k, v, received=None, first_scored=0):
     for lo in range(0, nq, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, nq)
         b, cols = hi - lo, offset + hi
-        scores = q[:, :, lo:hi] @ keys_t[..., :cols]
-        scores *= F32(1.0 / np.sqrt(dim))
+        scores = (q[:, :, lo:hi] * F32(1.0 / np.sqrt(dim))) @ keys_t[..., :cols]
         scores[..., cols - b :][..., above[:b, :b]] = -np.inf
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
@@ -899,6 +942,27 @@ class TestDecodeStep:
         with session.activate(), pytest.raises(ContractViolation, match="one position"):
             decode_step(6, caches, w)
         assert [len(c) for c in caches] == lengths
+        assert session.total_flops == 0
+
+    @pytest.mark.parametrize("bad", ["head-dim", "kv-heads", "float64-keys", "float64-values"])
+    @pytest.mark.parametrize("layer", [0, 2], ids=["first", "last"])
+    def test_decode_rejects_caches_the_model_cannot_extend(self, bad, layer):
+        """A cache of another head_dim, kv-head count or dtype, the first or a
+        later one, is rejected before any layer appends or anything is charged."""
+        w = make_random_model(small_config(m=3, h=4, hk=2, dh=4), 0)
+        caches = prefill([1, 2, 3, 4, 5], w).caches
+        keys, values = caches[layer].keys, caches[layer].values
+        keys, values = {
+            "head-dim": (keys[..., :2], values[..., :2]),
+            "kv-heads": (keys[:1], values[:1]),
+            "float64-keys": (keys.astype(np.float64), values),
+            "float64-values": (keys, values.astype(np.float64)),
+        }[bad]
+        caches[layer] = LayerKV(keys=keys, values=values, next_position=5)
+        session = CostSession()
+        with session.activate(), pytest.raises(ContractViolation, match=f"layer {layer} cache"):
+            decode_step(6, caches, w)
+        assert [(len(c), c.next_position) for c in caches] == [(5, 5)] * 3
         assert session.total_flops == 0
 
     @pytest.mark.parametrize("m", [1, 3])
