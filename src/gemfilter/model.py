@@ -40,12 +40,16 @@ Layer body: RMS-norm -> attention -> residual add -> RMS-norm -> two-matrix
 MLP with a sigmoid-weighted linear activation -> residual add.  All math is
 float32.  The layer opens with :func:`project_qkv`: one product with the
 layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
-by a view of the per-model rotary table's rows (:meth:`ModelWeights.rope`)
-at the positions the rows take in the layer's cache.  Token selection runs
-only this opening of its filter layer.  Attention (:func:`_attention`) runs
-every query head in one call, blocked over query rows with a causal skip:
-a decode step scores all heads in one product, a taller block scores one
-head at a time, and the output overwrites the layer's Q copy.  This module
+in place by one complex multiply (:func:`_rotate`): their pairs, viewed as
+complex64, times a view of the per-model complex64 rotary table's rows
+(:meth:`ModelWeights.rope`) at the positions the rows take in the layer's
+cache.  Token selection runs only this opening of its filter layer.
+Attention (:func:`_attention`) runs every query head in one call, blocked
+over query rows with a causal skip, each query block scaled by
+``1/sqrt(head_dim)`` before its score product: a decode step scores all
+heads in one product, a taller block scores one head at a time, and the
+output overwrites the layer's Q copy.  Products take their bits from the
+BLAS kernel and the rotation from numpy's complex64 loop.  This module
 charges every product it runs to the ambient cost session: attention's
 dense products in :func:`prefill` (``n x n`` once per layer) and
 :func:`decode_step` (one row per layer, in one charge per step), and each
@@ -411,13 +415,19 @@ def _attention(
     *,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Causal attention of every query head, grouped by kv-head.
+    """Causal attention of every query head, grouped by kv-head: ``softmax(q k^T / sqrt(d)) v``.
 
     ``q`` is ``(h_kv, g, nq, d)`` and ``k``/``v`` are ``(h_kv, nk, d)`` and
     ``(h_kv, nk, d_v)``: query head ``j * g + i`` reads kv-head ``j``.  Queries
     align with the end of the key sequence: query row ``i`` is key row
     ``nk - nq + i`` and attends keys ``0..(nk - nq + i)``.  A decode step is
     the one-row case, a prompt chunk the rows just appended to its cache.
+
+    The scale multiplies a copy of each query block, the one decode row or
+    one head's block of rows, before its score product, so the
+    ``(rows, nk)`` scores are never scaled and ``q`` is left as it is.
+    Where ``1/sqrt(d)`` is a power of two (``d`` a power of 4) the fold is
+    exact: the scores are the bits that scaling them would give.
 
     A one-row call (a decode step) scores every head in one stacked product,
     ``h x nk`` floats, and its value product is the output.  Taller
@@ -427,9 +437,9 @@ def _attention(
     blocks, so each block's softmax is exact.  A block scores, normalises
     and accumulates one query head at a time, so one ``(ROW_BLOCK, nk)``
     score array is live, freed before the next head's is scored.  Both give
-    the same bytes: a stacked product runs one GEMM per head on the strides
-    a head's slice has, the softmax reduces row by row, and the float64
-    column sums add the same rows in order.
+    the same bytes: a stacked product runs one GEMM per head, the softmax
+    reduces row by row, and the float64 column sums add the same rows in
+    order.
 
     Writes the output, ``(h_kv, g, nq, d_v)``, into ``out`` and returns it.
     ``out`` may be ``q`` itself: a block writes a head's rows only after

@@ -222,13 +222,13 @@ def test_diff_names_the_fields_that_moved():
     assert _diff(old, new) == ["+ new", "- gone", "~ moved: a +d -b"]
 
 
-def _load_checkout(checkout: Path, name: str = "gemfilter_against") -> SimpleNamespace:
-    """The engine of another checkout, its ``src/gemfilter`` imported as package ``name``.
+def _load_checkout(checkout: Path) -> SimpleNamespace:
+    """The engine of another checkout, its ``src/gemfilter`` imported as package ``gemfilter_against``.
 
     The package imports its own modules only relatively, so it loads next
     to this tree's ``gemfilter`` without either seeing the other.
     """
-    src = Path(checkout) / "src" / "gemfilter"
+    src, name = Path(checkout) / "src" / "gemfilter", "gemfilter_against"
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)]
     )
@@ -327,7 +327,7 @@ def drift_report(checkout: Path) -> list[str]:
         f"{cells} cells ({cells - errors} run, {errors} raise), {len(lines)} moved",
         f"fields moved: {moved_fields or 'none'}",
         f"cells whose tokens changed: {flipped['tokens']}, selection: {flipped['selection']}, "
-        f"kept rows: {flipped['rows']}; largest logit drift before any flip: {largest} ulps, "
+        f"kept rows: {flipped['rows']}; largest logit drift up to any flip: {largest} ulps, "
         f"max |diff| {widest:.3g}",
     ]
     return lines
@@ -383,11 +383,11 @@ if __name__ == "__main__":
         if not (args.against / "src" / "gemfilter" / "__init__.py").is_file():
             parser.error(f"{args.against} holds no src/gemfilter package")
         print("\n".join(drift_report(args.against)))
-        sys.exit(0)
-    runs = record()
-    committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    changes = _diff(committed, runs)
-    print("\n".join(changes) if changes else "no cell added, removed or changed")
-    lines = [f"  {json.dumps(name)}: {json.dumps(runs[name], sort_keys=True)}" for name in runs]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(runs)} golden runs to {GOLDEN}")
+    else:
+        runs = record()
+        committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        changes = _diff(committed, runs)
+        print("\n".join(changes) if changes else "no cell added, removed or changed")
+        lines = [f"  {json.dumps(name)}: {json.dumps(runs[name], sort_keys=True)}" for name in runs]
+        GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+        print(f"wrote {len(runs)} golden runs to {GOLDEN}")
