@@ -223,7 +223,7 @@ def test_diff_names_the_fields_that_moved():
 
 
 def _load_checkout(checkout: Path) -> SimpleNamespace:
-    """The engine of another checkout, its ``src/gemfilter`` imported as package ``gemfilter_against``.
+    """The engine of another checkout: its ``src/gemfilter``, imported as ``gemfilter_against``.
 
     The package imports its own modules only relatively, so it loads next
     to this tree's ``gemfilter`` without either seeing the other.
@@ -252,7 +252,10 @@ def _ulps(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _margin(values, rank: int) -> str:
-    """The gap between the ``rank``-th and ``rank + 1``-th largest of ``values``, and its share of max |value|."""
+    """The gap between the ``rank``-th and ``rank + 1``-th largest values.
+
+    Given absolute and as a share of the largest ``|value|``.
+    """
     top = np.sort(np.asarray(values, dtype=np.float64))[::-1]
     gap = top[rank - 1] - top[rank]
     return f"{gap:.3g}, {gap / max(np.abs(top).max(), np.finfo(float).tiny):.3g} of max |value|"
@@ -302,7 +305,7 @@ def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, d
 
 
 def drift_report(checkout: Path) -> list[str]:
-    """One line per cell whose outcome differs between ``checkout``'s engine and this one, then a summary."""
+    """One line per cell that moved from ``checkout``'s engine to this one, then a summary."""
     here, there = _engine(), _load_checkout(checkout)
     lines, fields, flipped = [], {}, {"tokens": 0, "selection": 0, "rows": 0}
     cells = errors = largest = 0
@@ -376,7 +379,7 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--against", type=Path, metavar="CHECKOUT",
-        help="a checkout of the engine to compare with (its src/gemfilter); report only, write nothing",
+        help="a checkout whose src/gemfilter to compare with; report only, write nothing",
     )
     args = parser.parse_args()
     if args.against is not None:

@@ -207,7 +207,8 @@ class TestRopeTable:
         w, rows = make_random_model(self.CFG, 0), hi - lo
         fused = np.random.default_rng(lo).standard_normal((rows, 4 * 8)).astype(F32)
         qk = fused[:, : 3 * 8].reshape(rows, 3, 8)
-        expected, v = rope_pair_oracle(qk.copy(), np.arange(lo, hi), self.CFG.rope_theta), fused[:, 24:].copy()
+        expected = rope_pair_oracle(qk.copy(), np.arange(lo, hi), self.CFG.rope_theta)
+        v = fused[:, 24:].copy()
         _rotate(qk, w.rope(lo, hi))
         assert qk.tobytes() == expected.tobytes() and fused[:, 24:].tobytes() == v.tobytes()
 
@@ -225,7 +226,9 @@ class TestRopeTable:
         even, odd, c, s = wide[..., 0], wide[..., 1], cos.astype(np.float64), sin.astype(np.float64)
         exact = np.stack([even * c - odd * s, even * s + odd * c], axis=-1)
         ulp = np.spacing(np.hypot(even, odd).astype(F32))[..., None]
-        three_call = pairs * np.stack([cos, cos], axis=-1) + pairs[..., ::-1] * np.stack([-sin, sin], axis=-1)
+        three_call = (
+            pairs * np.stack([cos, cos], axis=-1) + pairs[..., ::-1] * np.stack([-sin, sin], axis=-1)
+        )
         err = lambda got: (np.abs(got.reshape(exact.shape) - exact) / ulp).max()
         assert err(rotate_at(x, positions, theta)) <= err(three_call)
 
