@@ -34,7 +34,9 @@ snapkv/h2o kept rows (the ``rows`` each eviction hands ``LayerKV.gather``)
 are equal, and the largest logit difference in float32 ulps.  Where a token
 differs, the line gives the other engine's top-2 logit margin at the first
 differing step; where a selection differs, its k-th vs (k+1)-th score
-margin.  A small margin points at a near tie, a large one at logic.
+margin; where kept rows differ, the first layer and kv-head whose rows do and
+the k-th vs (k+1)-th margin of the scores the keep rule ranked there.  A
+small margin points at a near tie, a large one at logic.
 """
 
 import argparse
@@ -83,7 +85,7 @@ EVICTION_VARIANTS = {
 
 def _engine(package: str = "gemfilter") -> SimpleNamespace:
     """The modules of the engine importable as ``package`` that a golden run reads."""
-    names = ("config", "errors", "model", "runner", "testmodels")
+    names = ("config", "errors", "kernels", "model", "runner", "testmodels")
     return SimpleNamespace(**{name: importlib.import_module(f"{package}.{name}") for name in names})
 
 
@@ -119,17 +121,29 @@ def _digest_caches(digest, caches) -> None:
         digest.update(str(cache.next_position).encode())
 
 
+def _keep_ranking(engine: SimpleNamespace, scores: np.ndarray, rc) -> tuple[np.ndarray, int]:
+    """What the keep rule ranks in one layer: ``(ranked, rank)``.
+
+    ``ranked`` holds, per kv-head, the scores of the positions before the
+    window (pooled first for snapkv), and ``rank`` is how many of them are kept.
+    """
+    if rc.strategy.value == "snapkv":
+        scores = np.stack([engine.kernels.pool_1d(head, rc.pool_kernel) for head in scores])
+    return scores[:, : scores.shape[1] - rc.window], rc.select_k - rc.window
+
+
 def _run(engine: SimpleNamespace, weights, tokens, rc) -> tuple[dict, dict]:
     """One cell on ``engine``: its outcome, and what the drift report reads.
 
     The second dict holds every logits vector the run computes, in order
     (``logits``), the ``rows`` of every :meth:`LayerKV.gather` call
-    (``rows``) and the run's selection (``selection``, or None).
+    (``rows``), per evicted layer what its keep rule ranked (``keep``, see
+    :func:`_keep_ranking`) and the run's selection (``selection``, or None).
     """
     model, runner = engine.model, engine.runner
     logits_digest, caches_digest = hashlib.sha256(), hashlib.sha256()
     kept = []
-    seen = {"logits": [], "rows": [], "selection": None}
+    seen = {"logits": [], "rows": [], "keep": [], "selection": None}
 
     def logits_from_hidden(hidden_row, weights, real=model.logits_from_hidden):
         logits = real(hidden_row, weights)
@@ -147,12 +161,24 @@ def _run(engine: SimpleNamespace, weights, tokens, rc) -> tuple[dict, dict]:
         seen["rows"].append(np.array(rows))
         return real(cache, rows)
 
+    def prompt_pass(*args, real=runner.prompt_pass):
+        filters, evict, score_rows = real(*args)
+        if evict is None:
+            return filters, evict, score_rows
+
+        def recording(cache, scores):
+            seen["keep"].append(_keep_ranking(engine, scores, rc))
+            return evict(cache, scores)
+
+        return filters, recording, score_rows
+
     # The first token's logits are computed by the runner, the rest by decode_step.
     with (
         mock.patch.object(runner, "logits_from_hidden", logits_from_hidden),
         mock.patch.object(model, "logits_from_hidden", logits_from_hidden),
         mock.patch.object(runner, "prefill", prefill),
         mock.patch.object(model.LayerKV, "gather", gather),
+        mock.patch.object(runner, "prompt_pass", prompt_pass),
     ):
         try:
             result = runner.run_generation(weights, tokens, rc)
@@ -293,8 +319,16 @@ def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, d
             if not np.array_equal(a, b)
         ]
         flips["rows"] = bool(moved) or len(old_seen["rows"]) != len(new_seen["rows"])
-        words.append(f"kept rows differ from layer {moved[0]}" if moved else
-                     "kept rows " + ("differ in count" if flips["rows"] else "equal"))
+        if moved:
+            layer = moved[0]
+            head = int(np.flatnonzero(
+                (old_seen["rows"][layer] != new_seen["rows"][layer]).any(axis=1)
+            )[0])
+            ranked, rank = old_seen["keep"][layer]
+            words.append(f"kept rows differ from layer {layer} kv-head {head} (parent k-th vs "
+                         f"(k+1)-th margin {_margin(ranked[head], rank)})")
+        else:
+            words.append("kept rows " + ("differ in count" if flips["rows"] else "equal"))
     # Past a flipped token the two runs decode different rows: compare up to it.
     steps = len(tokens_new) if flip is None else flip + 1
     pairs = list(zip(old_seen["logits"], new_seen["logits"]))[:steps]
@@ -364,13 +398,43 @@ def test_drift_names_each_flip_with_the_parent_margin():
         "selection differs (parent k-th vs (k+1)-th margin 0.5, 0.125 of max |value|)"
     )
     assert flips == {"tokens": True, "selection": True}
-    rows = [np.array([[0, 1]]), np.array([[0, 2]])]
-    words, flips, *_ = _drift(
-        old, old, {**old_seen, "selection": None, "rows": rows},
-        {**old_seen, "selection": None, "rows": rows[:1] + [np.array([[1, 2]])]},
+
+
+def test_drift_names_a_kept_row_flip_with_the_parent_keep_margin():
+    """A kept-row flip names its first layer and kv-head and the margin the
+    parent's keep rule ranked there; ``_run`` captures what each layer ranked."""
+    engine = _engine()
+    cfg = engine.config.ModelConfig(
+        n_layers=2, n_heads=4, n_kv_heads=2, head_dim=8, d_model=32,
+        vocab_size=64, hidden_mlp=16, max_seq=64,
     )
-    assert words == "tokens equal, kept rows differ from layer 1, logits 0 ulps (max |diff| 0)"
+    weights = engine.testmodels.make_random_model(cfg, 5)
+    rc = engine.runner.RunConfig(
+        strategy=engine.runner.Strategy.SNAPKV, max_new_tokens=1, select_k=6, **EVICTION
+    )
+    _, seen = _run(engine, weights, list(range(20)), rc)
+    assert [ranked.shape for ranked, _ in seen["keep"]] == [(2, 18)] * 2
+    assert [rank for _, rank in seen["keep"]] == [4, 4]
+    for (ranked, rank), rows in zip(seen["keep"], seen["rows"]):
+        for head in range(2):
+            best = engine.kernels.topk_indices(ranked[head], rank)
+            assert rows[head].tolist() == sorted(best.tolist()) + [18, 19]
+
+    old = {"tokens": [0]}
+    logits = [np.array([2, 1], dtype=np.float32)]
+    rows = [np.array([[0, 1], [0, 1]]), np.array([[0, 2], [1, 2]])]
+    keep = [(np.zeros((2, 3)), 1), (np.array([[5.0, 1.0, 4.0], [1.0, 3.0, 2.0]]), 1)]
+    old_seen = {"logits": logits, "rows": rows, "keep": keep, "selection": None}
+    new_seen = {**old_seen, "rows": rows[:1] + [np.array([[0, 2], [0, 2]])]}
+    words, flips, *_ = _drift(old, old, old_seen, new_seen)
+    assert words == (
+        "tokens equal, kept rows differ from layer 1 kv-head 1 (parent k-th vs (k+1)-th "
+        "margin 1, 0.333 of max |value|), logits 0 ulps (max |diff| 0)"
+    )
     assert flips == {"tokens": False, "rows": True}
+    words, flips, *_ = _drift(old, old, old_seen, old_seen)
+    assert words == "tokens equal, kept rows equal, logits 0 ulps (max |diff| 0)"
+    assert flips == {"tokens": False, "rows": False}
 
 
 if __name__ == "__main__":
