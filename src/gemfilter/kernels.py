@@ -79,7 +79,11 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     Each output is the window's sum divided by ``kernel``, where positions
     outside the vector contribute zeros and still count in the denominator.
     Padding stops at ``n - 1`` per side, since a wider window reaches no
-    further position, so memory is O(n) for any kernel.
+    further position, so memory is O(n) for any kernel.  Every position
+    whose window covers the whole vector gets one shared value,
+    ``sum(v) / kernel``: their padded windows differ only in where the zeros
+    sit, which moves the sum's rounding, and a tie among them must break
+    toward the lower index, not by rounding.
     """
     check_pooling(kernel)
     v = np.asarray(v)
@@ -87,11 +91,14 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
         raise ContractViolation("pool_1d expects a non-empty vector")
     if not np.issubdtype(v.dtype, np.floating):
         v = v.astype(np.float64)
-    half = min(kernel // 2, v.size - 1)
+    reach = kernel // 2
+    half = min(reach, v.size - 1)
     padded = np.zeros(v.size + 2 * half, dtype=v.dtype)
     padded[half : half + v.size] = v
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    return windows.sum(axis=1) / v.dtype.type(kernel)
+    out = windows.sum(axis=1) / v.dtype.type(kernel)
+    out[max(v.size - 1 - reach, 0) : reach + 1] = np.add.reduce(v) / v.dtype.type(kernel)
+    return out
 
 
 def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
