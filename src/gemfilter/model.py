@@ -25,8 +25,10 @@ its layer's keys and one chunk's product at a time.
 
 Eviction reads one score vector per kv-head: the float64 column sums of
 the last ``score_rows`` attention probability rows of its query heads,
-accumulated per layer block by block inside the attention kernel, so the
-``n x n`` probability matrix never exists.
+accumulated per layer block by block inside the attention kernel.  No
+probability is ever written: each block's sums weight its exponentiated
+score rows by their float64 reciprocal row sums in one einsum, so neither
+the ``n x n`` probability matrix nor a block of it exists.
 
 :class:`LayerKV` is the one KV cache: head-major post-rotation keys and
 values, and the position its next row takes; attention aligns rows by
@@ -46,9 +48,10 @@ complex64, times a view of the per-model complex64 rotary table's rows
 cache.  Token selection runs only this opening of its filter layer.
 Attention (:func:`_attention`) runs every query head in one call, blocked
 over query rows with a causal skip, each query block scaled by
-``1/sqrt(head_dim)`` before its score product: a decode step scores all
-heads in one product, a taller block scores one head at a time, and the
-output overwrites the layer's Q copy.  Products take their bits from the
+``1/sqrt(head_dim)`` before its score product and its value product divided
+by the row sums of the exponentiated scores: a decode step scores all heads
+in one product, a taller block scores one head at a time, and the output
+overwrites the layer's Q copy.  Products take their bits from the
 BLAS kernel and the rotation from numpy's complex64 loop.  This module
 charges every product it runs to the ambient cost session: attention's
 dense products in :func:`prefill` (``n x n`` once per layer) and
@@ -429,17 +432,22 @@ def _attention(
     Where ``1/sqrt(d)`` is a power of two (``d`` a power of 4) the fold is
     exact: the scores are the bits that scaling them would give.
 
+    No probability is written.  :func:`_exp_rows` turns the scores into
+    softmax's numerators ``e`` in place, and the value product ``e v`` is
+    divided by the row sums ``s``: ``d_v`` divisions a row, not ``nk``.
+
     A one-row call (a decode step) scores every head in one stacked product,
-    ``h x nk`` floats, and its value product is the output.  Taller
-    calls run their query rows in blocks of :data:`ROW_BLOCK`.  A block
-    scores only the keys its last row can see (the causal skip) and masks
-    the upper triangle of its last ``b`` columns.  A row never spans two
-    blocks, so each block's softmax is exact.  A block scores, normalises
-    and accumulates one query head at a time, so one ``(ROW_BLOCK, nk)``
-    score array is live, freed before the next head's is scored.  Both give
-    the same bytes: a stacked product runs one GEMM per head, the softmax
-    reduces row by row, and the float64 column sums add the same rows in
-    order.
+    ``h x nk`` floats, sums each row with ``np.add.reduce`` and divides its
+    value product into ``out``.  Taller calls run their query rows in blocks
+    of :data:`ROW_BLOCK`.  A block scores only the keys its last row can see
+    (the causal skip) and masks the upper triangle of its last ``b``
+    columns.  A row never spans two blocks, so each block's softmax is
+    exact.  A block scores, normalises and accumulates one query head at a
+    time, so one ``(ROW_BLOCK, nk)`` score array is live, freed before the
+    next head's is scored; its row sums are one ``np.einsum("ij->i")``.  The
+    per-head loop gives the bytes one stacked all-heads product would: that
+    product runs one GEMM per head, and the einsums of a stacked block reduce
+    each row, and add each column's rows, in the same order.
 
     Writes the output, ``(h_kv, g, nq, d_v)``, into ``out`` and returns it.
     ``out`` may be ``q`` itself: a block writes a head's rows only after
@@ -449,7 +457,11 @@ def _attention(
     With a float64 ``received`` accumulator ``(h_kv, g, >= nk)``, each block
     adds to ``received[j, i, c]`` the attention probability key ``c`` gets
     from the block's query rows of head ``(j, i)`` that are key row
-    ``first_scored`` or later.
+    ``first_scored`` or later: :func:`_received_mass`, the float64 sum of
+    ``e * (1 / s)`` over those rows.  Every block runs the same steps whether
+    or not it is scored, so the output's bytes depend on neither
+    ``received`` nor ``first_scored``: strategies differ only in the
+    positions they keep.
 
     Nothing is charged here: the callers charge the dense products.
     """
@@ -463,11 +475,11 @@ def _attention(
     keys_t = k.transpose(0, 2, 1)[:, None]  # (h_kv, 1, d, nk): shared by the group
     values = v[:, None]
     if nq == 1:
-        scores = _softmax_rows((q * scale) @ keys_t)
+        scores = _exp_rows((q * scale) @ keys_t)
+        sums = np.add.reduce(scores, axis=-1, keepdims=True)
         if received is not None and nk > first_scored:
-            received[..., :nk] += scores.sum(axis=-2, dtype=np.float64)
-        out[...] = scores @ values
-        return out
+            received[..., :nk] += _received_mass(scores, sums[..., 0])
+        return np.divide(scores @ values, sums, out=out)
     offset = nk - nq
     # Query head (j, i) and kv-head j's index in keys_t.
     heads = [((j, i), (j, 0)) for j in range(hk) for i in range(g)]
@@ -477,25 +489,37 @@ def _attention(
         for head, kv in heads:
             scores = (q[head][..., lo:hi, :] * scale) @ keys_t[kv][..., :cols]
             np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
-            _softmax_rows(scores)
-            out[head][..., lo:hi, :] = scores @ values[kv][..., :cols, :]
+            _exp_rows(scores)
+            sums = np.einsum("ij->i", scores)
+            np.divide(scores @ values[kv][..., :cols, :], sums[:, None], out=out[head][..., lo:hi, :])
             if received is not None and cols > first_scored:
                 first = max(first_scored - offset - lo, 0)
-                received[head][..., :cols] += scores[..., first:, :].sum(axis=-2, dtype=np.float64)
+                received[head][..., :cols] += _received_mass(scores[first:], sums[first:])
             del scores  # free this head's block before the next one is scored
     return out
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax of each row of ``scores``, written over ``scores``.
+def _exp_rows(scores: np.ndarray) -> np.ndarray:
+    """Each row of ``scores`` less its maximum, exponentiated, written over ``scores``.
 
-    The scores come scaled: :func:`_attention` scales the queries.  Masked
-    entries hold ``-inf``, so they get 0.
+    Softmax's numerators: :func:`_attention` divides its value product by
+    their row sums rather than the rows themselves.  The scores come scaled,
+    since :func:`_attention` scales the queries.  Masked entries hold
+    ``-inf``, so they get 0.
     """
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     return scores
+
+
+def _received_mass(exp_rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Float64 column sums of the probability rows ``exp_rows / sums``, never written.
+
+    ``(..., rows, cols)`` float32 numerators and their ``(..., rows)`` float32
+    sums give ``(..., cols)``: column ``c`` is the float64 sum over the rows
+    of ``e[r, c] * (1 / s[r])``, the reciprocal taken in float64.
+    """
+    return np.einsum("...i,...ij->...j", 1.0 / sums.astype(np.float64), exp_rows, dtype=np.float64)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:

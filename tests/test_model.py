@@ -396,8 +396,11 @@ class TestCausalAttention:
 def stacked_attention(q, k, v, received=None, first_scored=0):
     """The all-heads form of the kernel: each query block scores every head in
     one stacked product and masks its upper triangle by boolean indexing.
-    The same float32 steps as :func:`_attention`, the query block scaled
-    before its product, so the same bytes."""
+    The same float32 steps as :func:`_attention`, so the same bytes: the query
+    block scaled before its product, each row less its maximum exponentiated,
+    row sums by one einsum (``np.add.reduce`` where ``nq == 1``), the value
+    product divided by them, and the scored rows' float64 column sums of
+    ``e * (1 / s)``."""
     hk, g, nq, dim = q.shape
     nk = k.shape[1]
     offset = nk - nq
@@ -411,31 +414,43 @@ def stacked_attention(q, k, v, received=None, first_scored=0):
         scores[..., cols - b :][..., above[:b, :b]] = -np.inf
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        out[:, :, lo:hi] = scores @ values[:, :, :cols]
+        sums = np.add.reduce(scores, axis=-1) if nq == 1 else np.einsum("...ij->...i", scores)
+        out[:, :, lo:hi] = (scores @ values[:, :, :cols]) / sums[..., None]
         if received is not None and cols > first_scored:
             first = max(first_scored - offset - lo, 0)
-            received[..., :cols] += scores[:, :, first:].sum(axis=2, dtype=np.float64)
+            weights = 1.0 / sums[..., first:].astype(np.float64)
+            received[..., :cols] += np.einsum(
+                "...i,...ij->...j", weights, scores[:, :, first:], dtype=np.float64
+            )
     return out
+
+
+def grouped_qkv(rng, hk, g, nq, nk, dim=8):
+    """Query heads as a view of ``(nq, h, d)`` rows, keys and values as views
+    of reserved cache rows: the layout run_layer passes ``_attention``."""
+    q = rng.standard_normal((nq, hk * g, dim)).astype(F32)
+    q = q.reshape(nq, hk, g, dim).transpose(1, 2, 0, 3)
+    k, v = rng.standard_normal((2, hk, nk + 5, dim)).astype(F32)[:, :, :nk]
+    return q, k, v
 
 
 # nq = 130 runs blocks of 64 + 64 + 2 rows; 7 extra keys align the queries
 # as a chunk after an earlier one does.
-@pytest.mark.parametrize("nq", [1, 2, 63, 64, 65, 130])
-@pytest.mark.parametrize(
+ATTENTION_ROWS = pytest.mark.parametrize("nq", [1, 2, 63, 64, 65, 130])
+ATTENTION_LAYOUTS = pytest.mark.parametrize(
     "hk, g", [(2, 2), (1, 4), (4, 1), (2, 1)], ids=["hk2-g2", "hk1-g4", "hk4-g1", "hk2-g1"]
 )
+
+
+@ATTENTION_ROWS
+@ATTENTION_LAYOUTS
 def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
     """``_attention``'s output and ``received`` bytes equal the stacked
-    all-heads kernel's, in the layout run_layer passes: query heads as a view
-    of ``(nq, h, d)`` rows, keys and values as views of reserved cache rows."""
+    all-heads kernel's, in the layout run_layer passes."""
     rng = np.random.default_rng(1000 * hk + 100 * g + nq)
-    dim = 8
     for extra in (0, 7):
         nk = nq + extra
-        q = rng.standard_normal((nq, hk * g, dim)).astype(F32)
-        q = q.reshape(nq, hk, g, dim).transpose(1, 2, 0, 3)
-        k, v = rng.standard_normal((2, hk, nk + 5, dim)).astype(F32)[:, :, :nk]
+        q, k, v = grouped_qkv(rng, hk, g, nq, nk)
         out = _attention(q, k, v, out=new_out(q, v))
         assert out.tobytes() == stacked_attention(q, k, v).tobytes()
         # In place over a copy of the query rows, as run_layer runs it.
@@ -448,6 +463,24 @@ def test_attention_bytes_equal_the_stacked_all_heads_kernel(hk, g, nq):
             out = _attention(q, k, v, got, first_scored, out=new_out(q, v))
             assert out.tobytes() == stacked_attention(q, k, v, want, first_scored).tobytes()
             assert got.tobytes() == want.tobytes(), first_scored
+
+
+@ATTENTION_ROWS
+@ATTENTION_LAYOUTS
+def test_attention_output_bytes_do_not_depend_on_the_scored_rows(hk, g, nq):
+    """Every strategy runs the same steps on every block: the output bytes
+    are the same with no ``received`` accumulator and with one from any first
+    scored key row, including none at all (``first_scored = nk``)."""
+    rng = np.random.default_rng(2000 * hk + 100 * g + nq)
+    for extra in (0, 7):
+        nk = nq + extra
+        q, k, v = grouped_qkv(rng, hk, g, nq, nk)
+        plain = _attention(q, k, v, out=new_out(q, v)).tobytes()
+        for first_scored in (0, 1, extra, extra + nq // 2, nk - 1, nk):
+            received = np.zeros((hk, g, nk))
+            got = _attention(q, k, v, received, first_scored, out=new_out(q, v))
+            assert got.tobytes() == plain, first_scored
+            assert np.any(received) == (first_scored < nk)
 
 
 def softmax_via_attention(scores):
@@ -491,6 +524,28 @@ def received_oracle(probs_rows, n):
         for j in range(n):
             out[j] += float(row[j])
     return out
+
+
+def exp_rows_and_sums(qrows, keys):
+    """The float32 numerators ``e`` and row sums ``s`` ``_attention`` takes for
+    one ``(nq, d)`` query head over ``(nk, d)`` keys, replicating its block
+    steps: query blocks of ROW_BLOCK rows, each scaled before its score
+    product over the keys its last row sees, masked above the diagonal, less
+    each row's maximum, exponentiated and summed by one einsum.  ``e`` is
+    ``(nq, nk)``, zero past the keys each block scores."""
+    nq, dim = qrows.shape
+    nk = keys.shape[0]
+    offset = nk - nq
+    e, s = np.zeros((nq, nk), dtype=F32), np.empty(nq, dtype=F32)
+    for lo in range(0, nq, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, nq)
+        cols = offset + hi
+        block = (qrows[lo:hi] * F32(1.0 / np.sqrt(dim))) @ keys[:cols].T
+        block[np.triu(np.ones(block.shape, dtype=bool), offset + lo + 1)] = -np.inf
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        e[lo:hi, :cols], s[lo:hi] = block, np.einsum("ij->i", block)
+    return e, s
 
 
 def run_layer_cases():
@@ -546,9 +601,10 @@ class TestRunLayerScores:
         for qh in range(h):
             kvh = qh // (h // hk)  # GQA: query heads j*g .. j*g+g-1 read kv-head j
             qrows, keys = q[:, qh, :], cache.keys[kvh]
-            # The engine's own float32 probabilities (identity values), summed
+            # The engine's own float32 numerators and row sums, e / s summed
             # in float64 by hand: only the summation order may differ.
-            probs = one_head_attention(qrows, keys, np.eye(n, dtype=F32))
+            e, sums = exp_rows_and_sums(qrows, keys)
+            probs = e.astype(np.float64) / sums.astype(np.float64)[:, None]
             np.testing.assert_allclose(
                 scores[qh], received_oracle(probs[n - rows :], n), rtol=0, atol=1e-9
             )
