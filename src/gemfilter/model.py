@@ -491,7 +491,8 @@ def _attention(
             np.copyto(scores[..., cols - b :], -np.inf, where=_ABOVE_DIAGONAL[:b, :b])
             _exp_rows(scores)
             sums = np.einsum("ij->i", scores)
-            np.divide(scores @ values[kv][..., :cols, :], sums[:, None], out=out[head][..., lo:hi, :])
+            rows = out[head][..., lo:hi, :]
+            np.divide(scores @ values[kv][..., :cols, :], sums[:, None], out=rows)
             if received is not None and cols > first_scored:
                 first = max(first_scored - offset - lo, 0)
                 received[head][..., :cols] += _received_mass(scores[first:], sums[first:])
