@@ -409,16 +409,17 @@ def test_drift_names_a_kept_row_flip_with_the_parent_keep_margin():
         vocab_size=64, hidden_mlp=16, max_seq=64,
     )
     weights = engine.testmodels.make_random_model(cfg, 5)
-    rc = engine.runner.RunConfig(
-        strategy=engine.runner.Strategy.SNAPKV, max_new_tokens=1, select_k=6, **EVICTION
-    )
-    _, seen = _run(engine, weights, list(range(20)), rc)
-    assert [ranked.shape for ranked, _ in seen["keep"]] == [(2, 18)] * 2
-    assert [rank for _, rank in seen["keep"]] == [4, 4]
-    for (ranked, rank), rows in zip(seen["keep"], seen["rows"]):
-        for head in range(2):
-            best = engine.kernels.topk_indices(ranked[head], rank)
-            assert rows[head].tolist() == sorted(best.tolist()) + [18, 19]
+    for strategy in EVICTING:
+        rc = engine.runner.RunConfig(
+            strategy=engine.runner.Strategy(strategy), max_new_tokens=1, select_k=6, **EVICTION
+        )
+        _, seen = _run(engine, weights, list(range(20)), rc)
+        assert [ranked.shape for ranked, _ in seen["keep"]] == [(2, 18)] * 2
+        assert [rank for _, rank in seen["keep"]] == [4, 4]
+        for (ranked, rank), rows in zip(seen["keep"], seen["rows"]):
+            for head in range(2):
+                best = engine.kernels.topk_indices(ranked[head], rank)
+                assert rows[head].tolist() == sorted(best.tolist()) + [18, 19], strategy
 
     old = {"tokens": [0]}
     logits = [np.array([2, 1], dtype=np.float32)]
