@@ -113,8 +113,13 @@ def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= v.size:
         raise ContractViolation(f"topk k={k} out of range for length {v.size}")
     _require_finite(v, "topk_indices")
-    order = np.argsort(-v, kind="stable")
-    return order[:k].astype(np.int64)
+    # The k-th largest value by a partition, not a full sort: every position
+    # above it is kept, then the lowest-index positions equal to it.
+    kth = np.partition(v, v.size - k)[v.size - k]
+    above = np.flatnonzero(v > kth)
+    ties = np.flatnonzero(v == kth)[: k - above.size]
+    chosen = np.sort(np.concatenate([above, ties]))
+    return chosen[np.argsort(-v[chosen], kind="stable")].astype(np.int64)
 
 
 def argmax(v: np.ndarray) -> int:

@@ -23,11 +23,11 @@ which attention overwrites with its output; then its MLP rows, the normed
 ones dropped before the activation.  Token selection's filter pass holds
 its layer's keys and one chunk's product at a time.
 
-Eviction reads one score vector per kv-head: the float64 column sums of
-the last ``score_rows`` attention probability rows of its query heads,
-accumulated per layer block by block inside the attention kernel.  No
-probability is ever written: each block's sums weight its exponentiated
-score rows by their float64 reciprocal row sums in one einsum, so neither
+Eviction reads one score vector per kv-head: the column sums of the last
+``score_rows`` attention probability rows of its query heads, accumulated
+per layer in float64, block by block, inside the attention kernel.  No
+probability is ever written: each block sums its exponentiated score rows,
+weighted by their reciprocal row sums, in one float32 einsum, so neither
 the ``n x n`` probability matrix nor a block of it exists.
 
 :class:`LayerKV` is the one KV cache: head-major post-rotation keys and
@@ -311,9 +311,10 @@ class LayerKV:
                 f"gather expects ({len(self.keys)}, r) integer rows, strictly increasing "
                 f"within 0..{len(self) - 1} in each head, got {rows.dtype} {rows.shape}"
             )
+        heads = np.arange(len(rows))[:, None]
         return LayerKV(
-            keys=np.take_along_axis(self.keys, rows[:, :, None], axis=1),
-            values=np.take_along_axis(self.values, rows[:, :, None], axis=1),
+            keys=self.keys[heads, rows],
+            values=self.values[heads, rows],
             next_position=self.next_position,
         )
 
@@ -457,7 +458,7 @@ def _attention(
     With a float64 ``received`` accumulator ``(h_kv, g, >= nk)``, each block
     adds to ``received[j, i, c]`` the attention probability key ``c`` gets
     from the block's query rows of head ``(j, i)`` that are key row
-    ``first_scored`` or later: :func:`_received_mass`, the float64 sum of
+    ``first_scored`` or later: :func:`_received_mass`, the float32 sum of
     ``e * (1 / s)`` over those rows.  Every block runs the same steps whether
     or not it is scored, so the output's bytes depend on neither
     ``received`` nor ``first_scored``: strategies differ only in the
@@ -514,13 +515,19 @@ def _exp_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _received_mass(exp_rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Float64 column sums of the probability rows ``exp_rows / sums``, never written.
+    """Float32 column sums of the probability rows ``exp_rows / sums``, never written.
 
     ``(..., rows, cols)`` float32 numerators and their ``(..., rows)`` float32
-    sums give ``(..., cols)``: column ``c`` is the float64 sum over the rows
-    of ``e[r, c] * (1 / s[r])``, the reciprocal taken in float64.
+    sums give ``(..., cols)`` float32: column ``c`` is the sum over the rows,
+    in row order, of ``e[r, c] * (1 / s[r])``.  A block has at most
+    :data:`ROW_BLOCK` rows, and :func:`_attention` adds each block's sums to
+    a float64 accumulator.  It is numpy's einsum, not a BLAS product
+    ``(1 / s) @ e``: the einsum adds every column's rows in one order, so
+    identical key columns receive identical bits and a tie among them breaks
+    toward the lower index, where a BLAS kernel's vector tail can sum its
+    last columns another way.
     """
-    return np.einsum("...i,...ij->...j", 1.0 / sums.astype(np.float64), exp_rows, dtype=np.float64)
+    return np.einsum("...i,...ij->...j", 1.0 / sums, exp_rows)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:

@@ -36,7 +36,10 @@ differs, the line gives the other engine's top-2 logit margin at the first
 differing step; where a selection differs, its k-th vs (k+1)-th score
 margin; where kept rows differ, the first layer and kv-head whose rows do and
 the k-th vs (k+1)-th margin of the scores the keep rule ranked there.  A
-small margin points at a near tie, a large one at logic.
+small margin points at a near tie, a large one at logic.  The summary's
+last line covers every eviction of every cell, moved or not: the largest
+drift of the ranked scores over the other engine's margin, and where.
+Under 0.5, no kept row can have flipped.
 """
 
 import argparse
@@ -277,14 +280,63 @@ def _ulps(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.abs(ordered(a) - ordered(b)).max(initial=0))
 
 
-def _margin(values, rank: int) -> str:
-    """The gap between the ``rank``-th and ``rank + 1``-th largest values.
-
-    Given absolute and as a share of the largest ``|value|``.
-    """
+def _gap(values, rank: int) -> float:
+    """The gap between the ``rank``-th and ``rank + 1``-th largest values."""
     top = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-    gap = top[rank - 1] - top[rank]
-    return f"{gap:.3g}, {gap / max(np.abs(top).max(), np.finfo(float).tiny):.3g} of max |value|"
+    return float(top[rank - 1] - top[rank])
+
+
+def _margin(values, rank: int) -> str:
+    """:func:`_gap`, absolute and as a share of the largest ``|value|``."""
+    gap, largest = _gap(values, rank), np.abs(np.asarray(values, dtype=np.float64)).max()
+    return f"{gap:.3g}, {gap / max(largest, np.finfo(float).tiny):.3g} of max |value|"
+
+
+def _keep_margin(old: np.ndarray, new: np.ndarray, rank: int) -> float:
+    """The old scores' k-th vs (k+1)-th margin, a tie there that ``new`` keeps counted as one score.
+
+    Where the old scores tie across the cut, the index decides which of the
+    tied positions are kept.  If the new scores hold every tied one equal,
+    the index still decides, so the margin is the gap from the tie to the
+    nearest other old score (``inf`` if there is none); if they do not, 0.
+    """
+    gap = _gap(old, rank)
+    if gap:
+        return gap
+    tied = old == np.sort(old)[-rank]
+    if np.unique(new[tied]).size > 1:
+        return 0.0
+    return float(np.abs(old[~tied] - old[tied][0]).min(initial=np.inf))
+
+
+def _approaches(old_keep: list, new_keep: list):
+    """Yield ``(ratio, layer, head)`` for each eviction and kv-head whose keep rule ranked.
+
+    ``ratio`` is the largest ``|drift|`` of the ranked scores from ``old_keep``
+    to ``new_keep`` over the old margin there (:func:`_keep_margin`; 0 for
+    no drift, ``inf`` for drift at a broken tie).  A kept row can flip only
+    where two ranked scores on either side of the margin close it, so only
+    at a ratio of 0.5 or more.  An eviction that keeps every position, or
+    only its window, ranks nothing.
+    """
+    for layer, ((old, rank), (new, _)) in enumerate(zip(old_keep, new_keep)):
+        if not 0 < rank < old.shape[1]:
+            continue
+        for head, (a, b) in enumerate(zip(old, new)):
+            drift, margin = float(np.abs(b - a).max()), _keep_margin(a, b, rank)
+            yield (drift / margin if margin else np.inf if drift else 0.0), layer, head
+
+
+def _approach_line(closest: tuple | None, ranked: int) -> str:
+    """The summary line of the closest approach, ``(ratio, cell, layer, head)``, over ``ranked``."""
+    if closest is None:
+        return "closest approach to a kept-row flip: no eviction ranked"
+    ratio, name, layer, head = closest
+    return (
+        f"closest approach to a kept-row flip: largest keep-score drift {ratio:.3g} of the "
+        f"parent's k-th vs (k+1)-th margin, at {name} layer {layer} kv-head {head}, over "
+        f"{ranked} ranked evictions per kv-head (under 0.5, no kept row can flip)"
+    )
 
 
 def _drift(old: dict, new: dict, old_seen: dict, new_seen: dict) -> tuple[str, dict, int, float]:
@@ -342,13 +394,17 @@ def drift_report(checkout: Path) -> list[str]:
     """One line per cell that moved from ``checkout``'s engine to this one, then a summary."""
     here, there = _engine(), _load_checkout(checkout)
     lines, fields, flipped = [], {}, {"tokens": 0, "selection": 0, "rows": 0}
-    cells = errors = largest = 0
-    widest = 0.0
+    cells = errors = largest = ranked = 0
+    widest, closest = 0.0, None
     for (name, *cell), (_, *other) in zip(_grid(here), _grid(there), strict=True):
         new, new_seen = _run(here, *cell)
         old, old_seen = _run(there, *other)
         cells += 1
         errors += "error" in new
+        for ratio, layer, head in _approaches(old_seen["keep"], new_seen["keep"]):
+            ranked += 1
+            if closest is None or ratio > closest[0]:
+                closest = (ratio, name, layer, head)
         if new == old:
             continue
         moved = _fields_moved(old, new)
@@ -366,6 +422,7 @@ def drift_report(checkout: Path) -> list[str]:
         f"cells whose tokens changed: {flipped['tokens']}, selection: {flipped['selection']}, "
         f"kept rows: {flipped['rows']}; largest logit drift up to any flip: {largest} ulps, "
         f"max |diff| {widest:.3g}",
+        _approach_line(closest, ranked),
     ]
     return lines
 
@@ -436,6 +493,40 @@ def test_drift_names_a_kept_row_flip_with_the_parent_keep_margin():
     words, flips, *_ = _drift(old, old, old_seen, old_seen)
     assert words == "tokens equal, kept rows equal, logits 0 ulps (max |diff| 0)"
     assert flips == {"tokens": False, "rows": False}
+
+
+def test_closest_approach_divides_each_drift_by_the_parent_keep_margin():
+    """Every eviction and kv-head that ranks gives its largest drift over the
+    parent's keep margin, moved rows or not; a tie across the cut counts as
+    one score while it holds and reads inf once broken; an eviction keeping
+    every position or none by rank gives nothing."""
+    old_keep = [
+        (np.zeros((2, 3)), 0),  # the window alone: nothing ranked
+        (np.array([[5.0, 1.0, 4.0], [1.0, 3.0, 2.0]]), 1),  # margins 1 and 1
+        # Ties across the cut: kept with a gap of 4 to the 1.0, kept with no
+        # other score, and broken.
+        (np.array([[5.0, 5.0, 1.0], [2.0, 2.0, 2.0]]), 1),
+        (np.array([[2.0, 2.0, 1.0]]), 1),
+        (np.array([[1.0, 2.0]]), 2),  # every position kept
+    ]
+    new_keep = [
+        (np.ones((2, 3)), 0),
+        (np.array([[5.0, 1.25, 4.0], [1.0, 3.0, 2.4]]), 1),
+        (np.array([[5.5, 5.5, 1.0], [2.5, 2.5, 2.5]]), 1),
+        (np.array([[2.0, 2.0 + 2.0**-40, 1.0]]), 1),
+        (np.array([[9.0, 2.0]]), 2),
+    ]
+    got = list(_approaches(old_keep, new_keep))
+    assert got == [
+        (0.25, 1, 0), (pytest.approx(0.4), 1, 1), (0.125, 2, 0), (0.0, 2, 1), (np.inf, 3, 0)
+    ]
+    assert [ratio for ratio, *_ in _approaches(old_keep, old_keep)] == [0.0] * 5
+    assert _approach_line((0.4, "m2h4kv2/h2o/n33/k4/t1", 1, 1), 4) == (
+        "closest approach to a kept-row flip: largest keep-score drift 0.4 of the parent's "
+        "k-th vs (k+1)-th margin, at m2h4kv2/h2o/n33/k4/t1 layer 1 kv-head 1, over 4 ranked "
+        "evictions per kv-head (under 0.5, no kept row can flip)"
+    )
+    assert _approach_line(None, 0) == "closest approach to a kept-row flip: no eviction ranked"
 
 
 if __name__ == "__main__":

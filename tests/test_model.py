@@ -19,6 +19,8 @@ from gemfilter.model import (
     LayerWeights,
     ModelWeights,
     _attention,
+    _exp_rows,
+    _received_mass,
     _rope_table,
     _rotate,
     _silu,
@@ -399,8 +401,8 @@ def stacked_attention(q, k, v, received=None, first_scored=0):
     The same float32 steps as :func:`_attention`, so the same bytes: the query
     block scaled before its product, each row less its maximum exponentiated,
     row sums by one einsum (``np.add.reduce`` where ``nq == 1``), the value
-    product divided by them, and the scored rows' float64 column sums of
-    ``e * (1 / s)``."""
+    product divided by them, and the scored rows' float32 column sums of
+    ``e * (1 / s)``, added to the float64 accumulator."""
     hk, g, nq, dim = q.shape
     nk = k.shape[1]
     offset = nk - nq
@@ -418,9 +420,8 @@ def stacked_attention(q, k, v, received=None, first_scored=0):
         out[:, :, lo:hi] = (scores @ values[:, :, :cols]) / sums[..., None]
         if received is not None and cols > first_scored:
             first = max(first_scored - offset - lo, 0)
-            weights = 1.0 / sums[..., first:].astype(np.float64)
             received[..., :cols] += np.einsum(
-                "...i,...ij->...j", weights, scores[:, :, first:], dtype=np.float64
+                "...i,...ij->...j", 1.0 / sums[..., first:], scores[:, :, first:]
             )
     return out
 
@@ -526,6 +527,24 @@ def received_oracle(probs_rows, n):
     return out
 
 
+@pytest.mark.parametrize("rows", [1, 2, 63, 64])
+@pytest.mark.parametrize("cols", [5, 17, 65, 257, 2049])
+def test_identical_key_columns_receive_identical_mass(rows, cols):
+    """A key column repeated first, in the middle and last of a block gets
+    the same mass bits at each place, so a tie among equal keys breaks
+    toward the lower index, not by where a column sits.  A BLAS product
+    ``(1 / s) @ e`` can sum the columns of its vector tail in another order
+    and fails this."""
+    rng = np.random.default_rng(100 * rows + cols)
+    scores = rng.standard_normal((rows, cols)).astype(F32)
+    places = [0, cols // 2, cols - 1]
+    scores[:, places] = rng.standard_normal((rows, 1)).astype(F32)
+    e = _exp_rows(scores)
+    mass = _received_mass(e, np.einsum("ij->i", e))
+    assert mass.dtype == F32 and mass.shape == (cols,)
+    assert len({mass[c].tobytes() for c in places}) == 1
+
+
 def exp_rows_and_sums(qrows, keys):
     """The float32 numerators ``e`` and row sums ``s`` ``_attention`` takes for
     one ``(nq, d)`` query head over ``(nk, d)`` keys, replicating its block
@@ -583,6 +602,9 @@ class TestRunLayerScores:
     """run_layer's score array: attention each key received from the last rows."""
 
     N = 11
+    # Relative rounding of a block's float32 column sums: (ROW_BLOCK + 2) ulps
+    # of 1, for the reciprocal, the products and the partial sums.
+    SUM_ROUNDING = (ROW_BLOCK + 2) * 2.0**-24
 
     def _layer(self, score_rows, n=N, h=4, hk=2):
         cfg = small_config(m=1, h=h, hk=hk, dh=8, max_seq=256)
@@ -602,16 +624,19 @@ class TestRunLayerScores:
             kvh = qh // (h // hk)  # GQA: query heads j*g .. j*g+g-1 read kv-head j
             qrows, keys = q[:, qh, :], cache.keys[kvh]
             # The engine's own float32 numerators and row sums, e / s summed
-            # in float64 by hand: only the summation order may differ.
+            # in float64 by hand.  The engine rounds 1 / s and each product
+            # and partial sum of a block's <= ROW_BLOCK rows to float32; every
+            # term is >= 0, so each column is within SUM_ROUNDING of it.
             e, sums = exp_rows_and_sums(qrows, keys)
             probs = e.astype(np.float64) / sums.astype(np.float64)[:, None]
             np.testing.assert_allclose(
-                scores[qh], received_oracle(probs[n - rows :], n), rtol=0, atol=1e-9
+                scores[qh], received_oracle(probs[n - rows :], n),
+                rtol=self.SUM_ROUNDING, atol=1e-12,
             )
             # Against probabilities computed in float64 throughout.
             exact = attention_oracle(qrows, keys, np.eye(n))
             np.testing.assert_allclose(
-                scores[qh], received_oracle(exact[n - rows :], n), rtol=0, atol=1e-6
+                scores[qh], received_oracle(exact[n - rows :], n), rtol=1e-6, atol=1e-6
             )
         np.testing.assert_allclose(out, layer_oracle(x, w, q, cache), rtol=1e-5, atol=1e-5)
 
