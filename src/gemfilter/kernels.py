@@ -116,9 +116,9 @@ def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
     # The k-th largest value by a partition, not a full sort: every position
     # above it is kept, then the lowest-index positions equal to it.
     kth = np.partition(v, v.size - k)[v.size - k]
-    above = np.flatnonzero(v > kth)
-    ties = np.flatnonzero(v == kth)[: k - above.size]
-    chosen = np.sort(np.concatenate([above, ties]))
+    kept = v > kth
+    kept[np.flatnonzero(v == kth)[: k - np.count_nonzero(kept)]] = True
+    chosen = np.flatnonzero(kept)
     return chosen[np.argsort(-v[chosen], kind="stable")].astype(np.int64)
 
 

@@ -518,8 +518,8 @@ def _received_mass(exp_rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Float32 column sums of the probability rows ``exp_rows / sums``, never written.
 
     ``(..., rows, cols)`` float32 numerators and their ``(..., rows)`` float32
-    sums give ``(..., cols)`` float32: column ``c`` is the sum over the rows,
-    in row order, of ``e[r, c] * (1 / s[r])``.  A block has at most
+    sums give ``(..., cols)`` float32: column ``c`` is the sum over the rows
+    of ``e[r, c] * (1 / s[r])``.  A block has at most
     :data:`ROW_BLOCK` rows, and :func:`_attention` adds each block's sums to
     a float64 accumulator.  It is numpy's einsum, not a BLAS product
     ``(1 / s) @ e``: the einsum adds every column's rows in one order, so

@@ -335,7 +335,7 @@ def _approach_line(closest: tuple | None, ranked: int) -> str:
     return (
         f"closest approach to a kept-row flip: largest keep-score drift {ratio:.3g} of the "
         f"parent's k-th vs (k+1)-th margin, at {name} layer {layer} kv-head {head}, over "
-        f"{ranked} ranked evictions per kv-head (under 0.5, no kept row can flip)"
+        f"{ranked} ranked evictions of a layer's kv-head (under 0.5, no kept row can flip)"
     )
 
 
@@ -524,7 +524,7 @@ def test_closest_approach_divides_each_drift_by_the_parent_keep_margin():
     assert _approach_line((0.4, "m2h4kv2/h2o/n33/k4/t1", 1, 1), 4) == (
         "closest approach to a kept-row flip: largest keep-score drift 0.4 of the parent's "
         "k-th vs (k+1)-th margin, at m2h4kv2/h2o/n33/k4/t1 layer 1 kv-head 1, over 4 ranked "
-        "evictions per kv-head (under 0.5, no kept row can flip)"
+        "evictions of a layer's kv-head (under 0.5, no kept row can flip)"
     )
     assert _approach_line(None, 0) == "closest approach to a kept-row flip: no eviction ranked"
 
