@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import ModelConfig
+from .config import ModelConfig, check_field_types
 from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
 from .model import layer_weight_bytes
@@ -54,6 +54,7 @@ class CostParams:
     r: int  # filter layer
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if min(self.n, self.k, self.r) < 1 or self.t < 0:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
         if not 1 <= self.r <= self.config.n_layers:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation
+from .config import check_field_types
+from .errors import ConfigurationError, ContractViolation
 from .model import ModelWeights, check_prompt_length
 from .runner import RunConfig, Strategy, run_generation
 
@@ -35,6 +36,16 @@ class NeedleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        ids = isinstance(self.needle, tuple) and all(
+            isinstance(t, int) and not isinstance(t, bool) for t in self.needle
+        )
+        if not ids:
+            raise ConfigurationError(
+                f"needle must be a tuple of integer token ids, got {self.needle!r}"
+            )
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if self.haystack_len < 1:
             raise ContractViolation("haystack_len must be >= 1")
         if not 0 <= self.depth_percent <= 100:
@@ -135,7 +146,6 @@ def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -
     tokens, which are compared against full-model generation on the same
     prompt.
     """
-    r_list = [int(r) for r in r_list]
     if not r_list:
         raise ContractViolation("r_list must name at least one filter layer")
     n, max_seq = spec.haystack_len + 1, weights.config.max_seq  # haystack plus query
@@ -149,11 +159,12 @@ def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -
         )
     prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     first = replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=t, filter_layer=r_list[0])
+    runs = [replace(first, filter_layer=r) for r in r_list]  # every layer checked before any runs
     results = []
-    for r in r_list:
-        gem = run_generation(weights, prompt, replace(first, filter_layer=r))
+    for run in runs:
+        gem = run_generation(weights, prompt, run)
         coverage, dist = coverage_and_distance(gem.selection.indices, span)
-        results.append(NeedleLayerResult(layer=r, coverage=coverage, min_distance=dist))
+        results.append(NeedleLayerResult(run.filter_layer, coverage, dist))
     match: bool | None = None
     if t > 0:
         full = run_generation(weights, prompt, replace(first, strategy=Strategy.FULL))

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from gemfilter.cli import main
 from gemfilter.model import LayerKV
 
-_acceptance_results = []
+# Per acceptance criterion: whether none of its setup, call and teardown failed.
+_acceptance_results = {}
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
     rep = outcome.get_result()
-    if rep.when == "call" and item.fspath.basename == "test_acceptance.py":
-        _acceptance_results.append((item.name, rep.passed))
+    if item.path.name == "test_acceptance.py":
+        _acceptance_results[item.name] = _acceptance_results.get(item.name, True) and not rep.failed
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -19,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.write_line("")
     terminalreporter.write_line("acceptance criteria:")
-    for name, passed in _acceptance_results:
+    for name, passed in _acceptance_results.items():
         terminalreporter.write_line(f"  {name}: {'PASS' if passed else 'FAIL'}")
 
 
@@ -44,3 +46,11 @@ def gathered_rows(monkeypatch):
 
     monkeypatch.setattr(LayerKV, "gather", gather)
     return seen
+
+
+@pytest.fixture(scope="module")
+def copy_model(tmp_path_factory):
+    """The path of a copy model file that ``make-model`` wrote, one per test module."""
+    path = tmp_path_factory.mktemp("models") / "copy.gfm"
+    assert main(["make-model", "--out", str(path), "--kind", "copy"]) == 0
+    return path

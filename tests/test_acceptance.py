@@ -6,44 +6,30 @@ PASS/FAIL line per criterion.  The heavyweight instrumented runs at
 and memory criteria via a module-scoped fixture.
 """
 
-import math
-import time
-
 import numpy as np
 import pytest
 
-from gemfilter.config import ModelConfig
-from gemfilter.counting import GENERATION, PROMPT, CostSession
+from gemfilter.counting import PROMPT
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.kernels import pool_1d, topk_indices
-from gemfilter.model import (
-    _attention,
-    decode_step,
-    embed,
-    logits_from_hidden,
-    prefill,
-    project_qkv,
-)
+from gemfilter.model import _attention, decode_step, logits_from_hidden, prefill
 from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from helpers import (
+    attention_oracle,
+    causal_probs,
+    config,
+    h2o_oracle,
+    pool_oracle,
+    prompt_queries,
+    snapkv_oracle,
+    snapshots,
+    topk_oracle,
+)
 
 F32 = np.float32
-
-
-def config(m, h, hk, dh, vocab=260, hidden=None, max_seq=8192, use_rope=True):
-    return ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden if hidden is not None else 2 * h * dh,
-        use_rope=use_rope,
-        max_seq=max_seq,
-    )
 
 
 # -------------------------------------------------------------------------
@@ -55,21 +41,15 @@ BIG = dict(n=4096, k=256, t=32, r=3, m=8, h=4)
 
 @pytest.fixture(scope="module")
 def big_runs():
-    cfg = config(m=BIG["m"], h=BIG["h"], hk=2, dh=16, hidden=128, max_seq=BIG["n"] + BIG["t"] + 1)
+    cfg = config(
+        m=BIG["m"], h=BIG["h"], hk=2, dh=16, vocab=260, hidden=128, max_seq=BIG["n"] + BIG["t"] + 1
+    )
     weights = make_random_model(cfg, 2024)
     tokens = np.random.default_rng(99).integers(0, cfg.vocab_size, size=BIG["n"]).tolist()
-    measured = {}
-    for strategy in (Strategy.FULL, Strategy.SNAPKV, Strategy.H2O, Strategy.GEMFILTER):
-        rc = RunConfig(
-            strategy=strategy,
-            max_new_tokens=BIG["t"],
-            select_k=BIG["k"],
-            filter_layer=BIG["r"],
-            window=32,
-            pool_kernel=5,
-        )
-        result = run_generation(weights, tokens, rc)
-        measured[strategy.value] = result.session.snapshot()
+    measured = snapshots(
+        weights, tokens, max_new_tokens=BIG["t"], select_k=BIG["k"], filter_layer=BIG["r"],
+        window=32, pool_kernel=5,
+    )
     params = CostParams.from_weights(weights, n=BIG["n"], k=BIG["k"], t=BIG["t"], r=BIG["r"])
     return weights, measured, params
 
@@ -87,7 +67,7 @@ def test_k_equals_n_equivalence():
             for d_model in (64, 128):
                 dh = d_model // h
                 hk = h // 2 if h > 1 else 1
-                cfg = config(m=m, h=h, hk=hk, dh=dh, max_seq=256)
+                cfg = config(m=m, h=h, hk=hk, dh=dh, vocab=260, hidden=2 * h * dh, max_seq=256)
                 for seed in (0, 1):
                     w = make_random_model(cfg, 1000 * m + 10 * h + d_model + seed)
                     n = int(rng.integers(12, 40))
@@ -116,22 +96,13 @@ def test_topk_and_pooling_oracles():
         n = int(rng.integers(1, 40))
         k = int(rng.integers(1, n + 1))
         v = rng.integers(-6, 7, size=n).astype(np.float64)
-        expected = sorted(range(n), key=lambda i: (-v[i], i))[:k]
-        assert topk_indices(v, k).tolist() == expected
+        assert topk_indices(v, k).tolist() == topk_oracle(v, k)
 
     for _ in range(1000):
         n = int(rng.integers(1, 40))
         kernel = int(rng.choice([1, 3, 5, 7, 9]))
         v = rng.standard_normal(n)
-        half = kernel // 2
-        oracle = np.zeros(n)
-        for i in range(n):
-            total = 0.0
-            for j in range(i - half, i + half + 1):
-                if 0 <= j < n:
-                    total += v[j]
-            oracle[i] = total / kernel
-        np.testing.assert_allclose(pool_1d(v, kernel), oracle, atol=1e-6)
+        np.testing.assert_allclose(pool_1d(v, kernel), pool_oracle(v, kernel), atol=1e-6)
 
 
 # -------------------------------------------------------------------------
@@ -147,19 +118,11 @@ def test_attention_brute_force_equivalence():
             q = rng.standard_normal((n, d)).astype(F32)
             k = rng.standard_normal((n, d)).astype(F32)
             v = rng.standard_normal((n, d)).astype(F32)
-            oracle = np.zeros((n, d))
-            for i in range(n):
-                scores = np.asarray(
-                    [q[i].astype(np.float64) @ k[j].astype(np.float64) for j in range(i + 1)]
-                ) / math.sqrt(d)
-                exps = np.exp(scores - scores.max())
-                probs = exps / exps.sum()
-                oracle[i] = sum(probs[j] * v[j].astype(np.float64) for j in range(i + 1))
             out = _attention(q[None, None], k[None], v[None], out=np.empty((1, 1, n, d), F32))[0, 0]
-            np.testing.assert_allclose(out, oracle, atol=1e-6)
+            np.testing.assert_allclose(out, attention_oracle(q, k, v), atol=1e-6)
 
     # causality: perturbing token j never changes hidden states before j
-    cfg = config(m=2, h=2, hk=2, dh=8, max_seq=64)
+    cfg = config(m=2, h=2, hk=2, dh=8, vocab=260, max_seq=64)
     w = make_random_model(cfg, 17)
     tokens = list(range(16))
     ref = prefill(tokens, w).hidden
@@ -177,7 +140,7 @@ def test_attention_brute_force_equivalence():
 
 def test_decode_prefill_consistency():
     for seed in range(10):
-        cfg = config(m=2, h=2, hk=1, dh=8, max_seq=64)
+        cfg = config(m=2, h=2, hk=1, dh=8, vocab=260, max_seq=64)
         w = make_random_model(cfg, seed)
         rng = np.random.default_rng(500 + seed)
         prompt = rng.integers(0, cfg.vocab_size, size=10).tolist()
@@ -238,7 +201,7 @@ def test_prompt_speed_ratio():
     a = np.ones((256, 256), dtype=F32)
     (a @ a).sum()
 
-    cfg = config(m=8, h=2, hk=2, dh=16, hidden=64, max_seq=4200)
+    cfg = config(m=8, h=2, hk=2, dh=16, vocab=260, hidden=64, max_seq=4200)
     w = make_random_model(cfg, 31)
     tokens = np.random.default_rng(1).integers(0, 260, size=4096).tolist()
     ratio = _prompt_wall_ratio(w, tokens, r=3)
@@ -246,7 +209,7 @@ def test_prompt_speed_ratio():
     assert 8 / 3 < expected < 8 / 2
     assert abs(ratio - expected) <= 0.25 * expected, f"ratio {ratio:.2f} vs {expected:.2f}"
 
-    cfg2 = config(m=32, h=2, hk=2, dh=16, hidden=64, max_seq=1100)
+    cfg2 = config(m=32, h=2, hk=2, dh=16, vocab=260, hidden=64, max_seq=1100)
     w2 = make_random_model(cfg2, 32)
     tokens2 = np.random.default_rng(2).integers(0, 260, size=1024).tolist()
     ratio2 = _prompt_wall_ratio(w2, tokens2, r=13)
@@ -315,32 +278,13 @@ def test_synthetic_needle_recovery():
 # -------------------------------------------------------------------------
 
 
-def _probs_oracle(q, k):
-    n, d = q.shape
-    probs = np.zeros((n, n))
-    for i in range(n):
-        scores = np.asarray(
-            [q[i].astype(np.float64) @ k[j].astype(np.float64) for j in range(i + 1)]
-        ) / math.sqrt(d)
-        exps = np.exp(scores - scores.max())
-        probs[i, : i + 1] = exps / exps.sum()
-    return probs
-
-
-def _prompt_queries(w, tokens):
-    """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
-    prompt, from one :func:`project_qkv` call: the rows prefill's first chunk
-    projects when the prompt is one chunk."""
-    return project_qkv(embed(tokens, w), w, 0, 0)[0][:, : w.config.n_heads]
-
-
 def test_snapkv_h2o_small_instance_oracles(gathered_rows):
     window, kernel = 3, 3
     for n in (8, 12, 16):
-        cfg = config(m=1, h=2, hk=2, dh=8, max_seq=64)
+        cfg = config(m=1, h=2, hk=2, dh=8, vocab=260, max_seq=64)
         w = make_random_model(cfg, 600 + n)
         tokens = list(range(n))
-        pre, q = prefill(tokens, w), _prompt_queries(w, tokens)
+        pre, q = prefill(tokens, w), prompt_queries(w, tokens)
         for k in (6, n):
             evicted, kept = {}, {}
             for strategy in (Strategy.SNAPKV, Strategy.H2O):
@@ -350,7 +294,7 @@ def test_snapkv_h2o_small_instance_oracles(gathered_rows):
                 kept[strategy] = gathered_rows[-1]  # the one layer's kept rows
             snap, heavy = kept[Strategy.SNAPKV], kept[Strategy.H2O]
             for kvh in range(cfg.n_kv_heads):
-                probs = _probs_oracle(q[:, kvh, :], pre.caches[0].keys[kvh])
+                probs = causal_probs(q[:, kvh, :], pre.caches[0].keys[kvh])
                 if k >= n:
                     assert snap[kvh].tolist() == list(range(n))
                     assert heavy[kvh].tolist() == list(range(n))
@@ -358,23 +302,5 @@ def test_snapkv_h2o_small_instance_oracles(gathered_rows):
                         evicted[Strategy.SNAPKV][0].keys[kvh], pre.caches[0].keys[kvh]
                     )
                     continue
-                window_scores = probs[n - window :].sum(axis=0)
-                half = kernel // 2
-                pooled = np.zeros(n)
-                for i in range(n):
-                    lo, hi = max(0, i - half), min(n, i + half + 1)
-                    pooled[i] = window_scores[lo:hi].sum() / kernel
-                prefix = pooled[: n - window]
-                snap_expect = sorted(
-                    sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - window]
-                    + list(range(n - window, n))
-                )
-                assert snap[kvh].tolist() == snap_expect
-
-                col = probs.sum(axis=0)
-                pre_h2o = col[: n - window]
-                h2o_expect = sorted(
-                    sorted(range(len(pre_h2o)), key=lambda i: (-pre_h2o[i], i))[: k - window]
-                    + list(range(n - window, n))
-                )
-                assert heavy[kvh].tolist() == h2o_expect
+                assert snap[kvh].tolist() == snapkv_oracle([probs], k, window, kernel)
+                assert heavy[kvh].tolist() == h2o_oracle([probs], k, window)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gemfilter import model
-from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import PROMPT
 from gemfilter.model import ROW_BLOCK, logits_from_hidden, prefill
@@ -15,6 +14,7 @@ from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from helpers import config, copy_weights, traced_peak
 
 C = 64  # the chunk size the parity tests compare against one whole-prompt chunk
 
@@ -107,10 +107,7 @@ def test_chunked_pass_bit_equals_one_chunk(monkeypatch, gathered_rows, strategy,
     """64-row chunks give the bits of one whole-prompt chunk: tokens, selection,
     eviction scores and kept positions per head, caches, hidden rows, counters.
     At n = C + 1 and C + 2 the 4-row snapkv window straddles a chunk boundary."""
-    cfg = ModelConfig(
-        n_layers=2, n_heads=h, n_kv_heads=hk, head_dim=8, d_model=h * 8,
-        vocab_size=64, hidden_mlp=24, max_seq=512,
-    )
+    cfg = config(m=2, h=h, hk=hk, dh=8, vocab=64, hidden=24, max_seq=512)
     w = make_random_model(cfg, 3 + hk)
     tokens = np.random.default_rng(n).integers(0, 64, n).tolist()
     monkeypatch.setattr(model, "CHUNK_ROWS", C)
@@ -121,10 +118,7 @@ def test_chunked_pass_bit_equals_one_chunk(monkeypatch, gathered_rows, strategy,
 
 
 # The ROADMAP profile model.
-PROFILE = ModelConfig(
-    n_layers=8, n_heads=4, n_kv_heads=2, head_dim=16, d_model=64,
-    vocab_size=260, hidden_mlp=128,
-)
+PROFILE = config(m=8, h=4, hk=2, dh=16, vocab=260, hidden=128, max_seq=8192)
 
 
 def traced_request_peak(w, tokens, rc):
@@ -174,7 +168,7 @@ def test_traced_prompt_memory_grows_like_the_modeled_kv(strategy):
 
 # Whole requests on the benchmark's two shapes: name -> (weights, n, k, r).
 REQUEST_SHAPES = {
-    "copy-n2049": (lambda: make_copy_model(copy_model_config()), 2049, 64, 1),
+    "copy-n2049": (copy_weights, 2049, 64, 1),
     "profile-n1024": (lambda: make_random_model(PROFILE, 1), 1024, 256, 3),
 }
 
@@ -212,12 +206,7 @@ def test_the_filter_pass_holds_one_chunks_product():
     n = 2049
     tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
     rc = RunConfig(Strategy.GEMFILTER, select_k=64, filter_layer=1)
-    tracemalloc.start()
-    try:
-        select_indices(w, tokens, rc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(select_indices, w, tokens, rc)
     rows = max(hi - lo for lo, hi in model._chunks(n))
     qkv_width = w.qkv[0].shape[1]
     allowed = 4 * (

@@ -47,13 +47,6 @@ def random_model(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def copy_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "copy.gfm"
-    assert main(["make-model", "--out", str(path), "--kind", "copy"]) == 0
-    return path
-
-
 # bench's and cost's required run settings.
 RUN_SETTINGS = ["--select-k", "4", "--max-new-tokens", "2", "--filter-layer", "1"]
 

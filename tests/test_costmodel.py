@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gemfilter.config import ModelConfig
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.costmodel import (
     BYTES_PER_ELEM,
@@ -12,21 +11,17 @@ from gemfilter.costmodel import (
     format_cost_table,
     verify_counters,
 )
-from gemfilter.errors import ContractViolation
+from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.model import layer_weight_bytes, prefill
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.testmodels import make_random_model
+from helpers import config, snapshots
 
 
 def params(n=1024, k=64, t=32, r=3, m=8, h=4, dh=16, hk=None, hidden=None, vocab=260):
-    cfg = ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=h if hk is None else hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=4 * h * dh if hidden is None else hidden,
+    cfg = config(
+        m=m, h=h, hk=h if hk is None else hk, dh=dh, vocab=vocab,
+        hidden=4 * h * dh if hidden is None else hidden, max_seq=8192,
     )
     return CostParams(cfg, n=n, k=k, t=t, r=r)
 
@@ -43,25 +38,11 @@ def qkv_flops(p):
     return 2 * p.n * cfg.d_model * (cfg.d_model + 2 * cfg.n_kv_heads * cfg.head_dim)
 
 
-def small_model(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, max_seq=4096, seed=0):
-    cfg = ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden,
-        max_seq=max_seq,
-    )
-    return make_random_model(cfg, seed)
-
-
 @pytest.mark.parametrize(
     "h, hk, dh, hidden", [(2, 2, 8, 32), (4, 2, 16, 128), (8, 1, 4, 7)], ids=["mha", "gqa", "mqa"]
 )
 def test_layer_weight_bytes_is_the_layer_element_sum(h, hk, dh, hidden):
-    w = small_model(h=h, hk=hk, dh=dh, hidden=hidden)
+    w = make_random_model(config(h=h, hk=hk, dh=dh, hidden=hidden), 0)
     assert layer_weight_bytes(w.config) == layer_bytes_by_hand(w.config) == w.per_layer_bytes
     table = cost_table(CostParams.from_weights(w, n=8, k=4, t=0, r=1))
     assert table["full"][PROMPT].weight_bytes_touched == 2 * w.per_layer_bytes
@@ -184,29 +165,20 @@ class TestScalingLaws:
             params(r=9, m=8)
         with pytest.raises(ContractViolation):
             params(n=0)
+        for name, value in (("t", 1.5), ("n", 4.5), ("n", True), ("k", True), ("r", 1.0)):
+            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+                params(**{name: value})
 
 
 class TestVerifyCounters:
     def run_all(self, w, n, k, t, r, window=4):
-        tokens = np.random.default_rng(42).integers(
-            0, w.config.vocab_size, size=n
-        ).tolist()
-        measured = {}
-        for strategy in Strategy:
-            rc = RunConfig(
-                strategy=strategy,
-                max_new_tokens=t,
-                select_k=k,
-                filter_layer=r,
-                pool_kernel=3,
-                window=window,
-            )
-            result = run_generation(w, tokens, rc)
-            measured[strategy.value] = result.session.snapshot()
-        return measured
+        tokens = np.random.default_rng(42).integers(0, w.config.vocab_size, size=n).tolist()
+        return snapshots(
+            w, tokens, max_new_tokens=t, select_k=k, filter_layer=r, pool_kernel=3, window=window
+        )
 
     def test_exact_match_small_instance(self):
-        w = small_model(m=3, h=4, hk=2, dh=8, seed=1)
+        w = make_random_model(config(m=3, h=4, hk=2, dh=8), 1)
         n, k, t, r = 48, 12, 7, 2
         measured = self.run_all(w, n, k, t, r)
         predicted = cost_table(CostParams.from_weights(w, n=n, k=k, t=t, r=r))
@@ -214,7 +186,7 @@ class TestVerifyCounters:
         assert report.ok, report.format_text()
 
     def test_exact_match_t_zero_and_t_one(self):
-        w = small_model(m=2, h=2, hk=1, dh=8, seed=2)
+        w = make_random_model(config(m=2, h=2, hk=1, dh=8), 2)
         for t in (0, 1):
             measured = self.run_all(w, 32, 8, t, 1)
             predicted = cost_table(CostParams.from_weights(w, n=32, k=8, t=t, r=1))
@@ -222,7 +194,7 @@ class TestVerifyCounters:
             assert report.ok, report.format_text()
 
     def test_mismatch_names_the_diverging_term(self):
-        w = small_model(seed=3)
+        w = make_random_model(config(), 3)
         measured = self.run_all(w, 32, 8, 4, 1)
         predicted = cost_table(CostParams.from_weights(w, n=32, k=8, t=4, r=1))
         measured["full"][PROMPT].flops_by_tag["attn_score"] += 2
@@ -244,7 +216,7 @@ class TestVerifyCounters:
     def test_snapkv_window_outside_budget_grid(self, window):
         """select_k from the window to n + window + 2: snapkv keeps min(k, n)
         rows, counters exact."""
-        w = small_model(m=2, h=4, hk=2, dh=8, seed=9)
+        w = make_random_model(config(m=2, h=4, hk=2, dh=8), 9)
         for n in (5, 8, 13):
             tokens = np.random.default_rng(n).integers(0, 64, size=n).tolist()
             for k in range(window, n + window + 3):
@@ -261,13 +233,13 @@ class TestVerifyCounters:
                     assert table["snapkv"][PROMPT].kv_bytes_peak == 2 * 2 * 8 * 4 * (n + 2 * rows)
 
     def test_filter_pass_weight_bytes_exactly_r_layers(self):
-        w = small_model(m=4, seed=4)
+        w = make_random_model(config(m=4), 4)
         measured = self.run_all(w, 40, 10, 3, 3)
         gem_prompt = measured["gemfilter"][PROMPT]
         assert gem_prompt.weight_bytes_touched == 3 * w.per_layer_bytes
 
     def test_standard_prompt_kv_bytes_closed_form(self):
-        w = small_model(m=3, h=2, hk=2, dh=8, seed=5)
+        w = make_random_model(config(m=3, h=2, hk=2, dh=8), 5)
         n = 40
         measured = self.run_all(w, n, 10, 2, 1)
         cfg = w.config
@@ -275,7 +247,7 @@ class TestVerifyCounters:
         assert measured["full"][PROMPT].kv_bytes_peak == expected
 
     def test_wall_times_reported_not_asserted(self):
-        w = small_model(seed=6)
+        w = make_random_model(config(), 6)
         measured = self.run_all(w, 32, 8, 3, 1)
         predicted = cost_table(CostParams.from_weights(w, n=32, k=8, t=3, r=1))
         report = verify_counters(measured, predicted)
@@ -288,7 +260,7 @@ class TestSessionIsolation:
         """Sessions are per-run state; parallel runs never share counters."""
         import threading
 
-        w = small_model(m=2, h=2, hk=2, dh=8, seed=7)
+        w = make_random_model(config(m=2, h=2, hk=2, dh=8), 7)
         results = {}
 
         def worker(name, n):

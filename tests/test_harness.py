@@ -1,11 +1,11 @@
 """Harness tests: tokenizer round trips, model file format, seeded models."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gemfilter.config import ModelConfig
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.model import LAYER_TENSORS, logits_from_hidden, prefill
 from gemfilter.modelio import MAGIC, load_model, save_model
@@ -13,19 +13,10 @@ from gemfilter.runner import RunConfig, Strategy
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 from gemfilter.tokenizer import BOS, VOCAB_SIZE, detokenize, tokenize
+from helpers import config
 
 
-def small_config(m=2, h=2, hk=1, dh=8, vocab=32, hidden=16, max_seq=2048):
-    return ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden,
-        max_seq=max_seq,
-    )
+CFG = config(m=2, h=2, hk=1, dh=8, vocab=32, hidden=16, max_seq=2048)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -62,7 +53,7 @@ class TestTokenizer:
 
 class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
-        w = make_random_model(small_config(), 3)
+        w = make_random_model(CFG, 3)
         path = tmp_path / "m.gfm"
         save_model(path, w)
         loaded = load_model(path)
@@ -81,7 +72,7 @@ class TestModelFile:
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
-        w = make_random_model(small_config(), 4)
+        w = make_random_model(CFG, 4)
         path = tmp_path / "m.gfm"
         save_model(path, w)
         data = path.read_bytes()
@@ -96,7 +87,7 @@ class TestModelFile:
             load_model(path)
 
     def test_dim_conflict_names_the_tensor(self, tmp_path):
-        w = make_random_model(small_config(), 5)
+        w = make_random_model(CFG, 5)
         w.tok_emb = np.zeros((w.config.vocab_size, w.config.d_model + 1), dtype=np.float32)
         path = tmp_path / "m.gfm"
         # bypass ModelWeights validation: write the inconsistent tensor directly
@@ -105,7 +96,7 @@ class TestModelFile:
             load_model(path)
 
     def test_missing_tensor_named(self, tmp_path):
-        w = make_random_model(small_config(), 6)
+        w = make_random_model(CFG, 6)
 
         class Partial:
             config = w.config
@@ -119,7 +110,7 @@ class TestModelFile:
             load_model(path)
 
     def test_duplicate_tensor_rejected(self, tmp_path):
-        w = make_random_model(small_config(), 7)
+        w = make_random_model(CFG, 7)
 
         class Doubled:
             config = w.config
@@ -139,20 +130,20 @@ class TestModelFile:
 
 class TestMakeRandomModel:
     def test_same_seed_identical(self):
-        cfg = small_config()
+        cfg = CFG
         a = make_random_model(cfg, 11)
         b = make_random_model(cfg, 11)
         for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
             assert np.array_equal(ta, tb)
 
     def test_different_seeds_differ(self):
-        cfg = small_config()
+        cfg = CFG
         a = make_random_model(cfg, 1)
         b = make_random_model(cfg, 2)
         assert not np.array_equal(a.tok_emb, b.tok_emb)
 
     def test_long_prompt_prefill_stays_finite(self):
-        cfg = small_config(m=2, h=2, hk=2, dh=16, vocab=64, max_seq=2048)
+        cfg = config(m=2, h=2, hk=2, dh=16, vocab=64, hidden=16, max_seq=2048)
         w = make_random_model(cfg, 12)
         tokens = np.random.default_rng(0).integers(0, 64, size=1024).tolist()
         pre = prefill(tokens, w)
@@ -160,7 +151,7 @@ class TestMakeRandomModel:
         assert np.all(np.isfinite(logits_from_hidden(pre.hidden[-1], w)))
 
     def test_per_layer_bytes_identical(self):
-        w = make_random_model(small_config(m=3), 13)
+        w = make_random_model(replace(CFG, n_layers=3), 13)
         sizes = {sum(getattr(lw, name).nbytes for name in LAYER_TENSORS) for lw in w.layers}
         assert len(sizes) == 1
         assert w.per_layer_bytes == sizes.pop()
@@ -211,39 +202,16 @@ class TestMakeCopyModel:
             assert set(range(start, start + 8)) <= set(sel.indices.tolist())
 
     def test_incompatible_configs_rejected(self):
-        cfg_rope = ModelConfig(
-            n_layers=1,
-            n_heads=1,
-            n_kv_heads=1,
-            head_dim=64,
-            d_model=64,
-            vocab_size=260,
-            hidden_mlp=16,
-            use_rope=True,
-        )
+        cfg_rope = config(m=1, h=1, hk=1, dh=64, vocab=260, hidden=16, max_seq=8192)
         with pytest.raises(ConfigurationError):
             make_copy_model(cfg_rope)
-        cfg_small_head = ModelConfig(
-            n_layers=1,
-            n_heads=1,
-            n_kv_heads=1,
-            head_dim=32,
-            d_model=32,
-            vocab_size=260,
-            hidden_mlp=16,
-            use_rope=False,
+        cfg_small_head = config(
+            m=1, h=1, hk=1, dh=32, vocab=260, hidden=16, use_rope=False, max_seq=8192
         )
         with pytest.raises(ConfigurationError):
             make_copy_model(cfg_small_head)
-        cfg_gqa = ModelConfig(
-            n_layers=1,
-            n_heads=2,
-            n_kv_heads=1,
-            head_dim=64,
-            d_model=128,
-            vocab_size=260,
-            hidden_mlp=16,
-            use_rope=False,
+        cfg_gqa = config(
+            m=1, h=2, hk=1, dh=64, vocab=260, hidden=16, use_rope=False, max_seq=8192
         )
         with pytest.raises(ConfigurationError):
             make_copy_model(cfg_gqa)

@@ -12,29 +12,12 @@ from gemfilter.kernels import (
     rms_norm_rows,
     topk_indices,
 )
+from helpers import pool_oracle, topk_oracle
 
 F32 = np.float32
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def pool_oracle(v, kernel):
-    """Direct zero-padded window sum divided by the kernel size."""
-    half = kernel // 2
-    out = np.zeros(len(v), dtype=np.float64)
-    for i in range(len(v)):
-        total = 0.0
-        for j in range(i - half, i + half + 1):
-            if 0 <= j < len(v):
-                total += float(v[j])
-        out[i] = total / kernel
-    return out
-
-
-def topk_oracle(v, k):
-    """Full sort by (-value, index)."""
-    return sorted(range(len(v)), key=lambda i: (-float(v[i]), i))[:k]
 
 
 def argmax_oracle(v):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gemfilter import model
-from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
@@ -34,41 +33,10 @@ from gemfilter.model import (
 from gemfilter.modelio import load_model, save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
-from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from gemfilter.testmodels import make_random_model
+from helpers import attention_oracle, config, copy_weights
 
 F32 = np.float32
-
-
-def small_config(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, use_rope=True, max_seq=4096):
-    return ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden,
-        use_rope=use_rope,
-        max_seq=max_seq,
-    )
-
-
-def attention_oracle(q, k, v):
-    """Explicit masked softmax, one row at a time, float64 throughout."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nq, d = q.shape
-    nk = k.shape[0]
-    offset = nk - nq
-    out = np.zeros((nq, v.shape[1]))
-    for i in range(nq):
-        limit = offset + i + 1
-        scores = np.asarray([q[i] @ k[j] for j in range(limit)]) / math.sqrt(d)
-        exps = np.exp(scores - scores.max())
-        probs = exps / exps.sum()
-        out[i] = sum(probs[j] * v[j] for j in range(limit))
-    return out
 
 
 def one_head_attention(q, k, v):
@@ -95,31 +63,31 @@ def rotate_at(x, positions, theta):
 
 class TestEmbed:
     def test_row_lookup(self):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         out = embed([0], w)
         assert np.array_equal(out[0], w.tok_emb[0])
         assert out.dtype == F32 and not np.shares_memory(out, w.tok_emb)
 
     def test_repeated_token_identical_rows(self):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         out = embed([5, 5, 5], w)
         assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
     def test_full_sequence_matches_lookup_loop(self):
-        w = make_random_model(small_config(), 1)
+        w = make_random_model(config(), 1)
         ids = [3, 1, 4, 1, 5, 9, 2, 6]
         out = embed(ids, w)
         for i, tid in enumerate(ids):
             assert np.array_equal(out[i], w.tok_emb[tid])
 
     def test_out_of_range_rejected(self):
-        w = make_random_model(small_config(vocab=16), 0)
+        w = make_random_model(config(vocab=16), 0)
         with pytest.raises(ContractViolation):
             embed([0, 16], w)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64, np.uint64])
     def test_every_integer_dtype_accepted(self, dtype):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         ids = [3, 1, 4]
         assert embed(np.array(ids, dtype=dtype), w).tobytes() == embed(ids, w).tobytes()
 
@@ -157,7 +125,7 @@ class TestRope:
         with pytest.raises(ConfigurationError):
             _rope_table([0], 7, 10000.0)
         with pytest.raises(ConfigurationError):
-            small_config(dh=7, h=1)
+            config(dh=7, h=1)
 
 
 def rope_factors(positions, dh, theta):
@@ -184,7 +152,7 @@ def rope_pair_oracle(x, positions, theta):
 
 
 class TestRopeTable:
-    CFG = small_config(m=1, h=2, hk=1, dh=8, max_seq=300)
+    CFG = config(m=1, h=2, hk=1, dh=8, max_seq=300)
 
     def test_table_is_one_complex_row_per_position(self):
         table = make_random_model(self.CFG, 0).rope(0, self.CFG.max_seq)
@@ -258,7 +226,7 @@ class TestRopeTable:
 
 
 class TestFusedProjection:
-    CFG = small_config(m=2, h=4, hk=2, dh=8, max_seq=4096)
+    CFG = config(m=2, h=4, hk=2, dh=8, max_seq=4096)
 
     def test_qkv_weights_are_column_views_of_one_buffer(self):
         w = make_random_model(self.CFG, 3)
@@ -278,7 +246,7 @@ class TestFusedProjection:
     def test_model_bytes_identical_to_separate_tensors(self, tmp_path):
         """GFM1 bytes of both test models, pinned from separate wq/wk/wv buffers."""
         random_model = make_random_model(self.CFG, 3)
-        copy_model = make_copy_model(copy_model_config())
+        copy_model = copy_weights()
         pinned = {
             "d0d8c3687153603142f32873436dc112895fd8a6371d8f6fdb5fb5a24d1bfbaf": random_model,
             "2fa18ec02f65bca2107253937c9eb19d3a4fe344f548a153c420c1278a4784c8": copy_model,
@@ -306,11 +274,11 @@ class TestFusedProjection:
 class TestRepeatKv:
     def test_non_divisible_head_layout_rejected(self):
         with pytest.raises(ConfigurationError):
-            small_config(h=3, hk=2, dh=8)
+            config(h=3, hk=2, dh=8)
 
     def test_gqa_equals_explicit_duplication(self):
         """Grouped model == model with kv projections explicitly duplicated per head."""
-        cfg = small_config(m=2, h=4, hk=2, dh=8)
+        cfg = config(m=2, h=4, hk=2, dh=8)
         w = make_random_model(cfg, 3)
         dh = cfg.head_dim
         groups = cfg.n_heads // cfg.n_kv_heads
@@ -318,7 +286,7 @@ class TestRepeatKv:
             [mat[:, (qh // groups) * dh : (qh // groups + 1) * dh] for qh in range(cfg.n_heads)],
             axis=1,
         )
-        cfg_full = small_config(m=2, h=4, hk=4, dh=8)
+        cfg_full = config(m=2, h=4, hk=4, dh=8)
         w_full = ModelWeights(
             config=cfg_full,
             tok_emb=w.tok_emb.copy(),
@@ -607,7 +575,7 @@ class TestRunLayerScores:
     SUM_ROUNDING = (ROW_BLOCK + 2) * 2.0**-24
 
     def _layer(self, score_rows, n=N, h=4, hk=2):
-        cfg = small_config(m=1, h=h, hk=hk, dh=8, max_seq=256)
+        cfg = config(m=1, h=h, hk=hk, dh=8, max_seq=256)
         w = make_random_model(cfg, 21)
         x = embed([(5 * i + 2) % cfg.vocab_size for i in range(n)], w)
         out, cache = x.copy(), LayerKV.empty(hk, 8, n)
@@ -649,13 +617,13 @@ class TestRunLayerScores:
 
 class TestPrefill:
     def test_one_token_full_pass_has_logits(self):
-        w = make_random_model(small_config(), 7)
+        w = make_random_model(config(), 7)
         logits = logits_from_hidden(prefill([3], w).hidden[-1], w)
         assert logits.shape == (64,)
         assert np.all(np.isfinite(logits))
 
     def test_partial_prefill_charges_r_over_m(self):
-        cfg = small_config(m=4)
+        cfg = config(m=4)
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
         s_full, s_part = CostSession(), CostSession()
@@ -669,7 +637,7 @@ class TestPrefill:
             assert full[tag] * 3 == part[tag] * 4
 
     def test_evict_to_nothing_keeps_no_cache(self):
-        cfg = small_config(m=3)
+        cfg = config(m=3)
         w = make_random_model(cfg, 11)
         n = 10
         session = CostSession()
@@ -680,7 +648,7 @@ class TestPrefill:
         assert session.phase_cost(PROMPT).kv_bytes_peak == one_layer
 
     def test_prefix_property(self):
-        w = make_random_model(small_config(), 9)
+        w = make_random_model(config(), 9)
         base = prefill(list(range(10)), w)
         extended = prefill(list(range(10)) + [42], w)
         for c_base, c_ext in zip(base.caches, extended.caches):
@@ -688,7 +656,7 @@ class TestPrefill:
             np.testing.assert_allclose(c_ext.values[:, :10], c_base.values, atol=1e-5)
 
     def test_causality_exact(self):
-        w = make_random_model(small_config(), 10)
+        w = make_random_model(config(), 10)
         tokens = list(range(12))
         ref = prefill(tokens, w).hidden
         perturbed = list(tokens)
@@ -699,13 +667,13 @@ class TestPrefill:
         assert not np.array_equal(out[j:], ref[j:])
 
     def test_upto_layer_out_of_range(self):
-        w = make_random_model(small_config(m=2), 0)
+        w = make_random_model(config(m=2), 0)
         for upto in (-1, 3):
             with pytest.raises(ContractViolation, match=rf"upto_layer {upto} outside 0\.\.2"):
                 prefill([1, 2], w, upto_layer=upto)
 
     def test_upto_layer_zero_only_embeds(self):
-        w = make_random_model(small_config(m=2), 0)
+        w = make_random_model(config(m=2), 0)
         tokens = [5, 1, 9]
         session = CostSession()
         with session.activate():
@@ -718,7 +686,7 @@ class TestPrefill:
             assert cost.kv_bytes_peak == 0 and cost.weight_bytes_touched == 0
 
     def test_max_seq_enforced(self):
-        w = make_random_model(small_config(max_seq=8), 0)
+        w = make_random_model(config(max_seq=8), 0)
         with pytest.raises(ContractViolation):
             prefill(list(range(9)), w)
 
@@ -728,7 +696,7 @@ class TestPrefill:
         ids=["negative", "past-the-prompt"],
     )
     def test_score_rows_outside_the_prompt_rejected(self, score_rows, message):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         session = CostSession()
         with session.activate(), pytest.raises(ContractViolation, match=message):
             prefill([1, 2, 3], w, score_rows=score_rows)
@@ -745,7 +713,7 @@ class TestPrefill:
         ids=["empty", "2-d", "over-max-seq", "float"],
     )
     def test_prompt_rejected_through_prefill_and_selection(self, tokens, message):
-        w = make_random_model(small_config(max_seq=8), 0)
+        w = make_random_model(config(max_seq=8), 0)
         rc = RunConfig(Strategy.GEMFILTER, select_k=2, filter_layer=2)
         with pytest.raises(ContractViolation, match=message):
             prefill(tokens, w)
@@ -917,7 +885,7 @@ class TestLayerKV:
 class TestDecodeStep:
     @pytest.mark.parametrize("seed", range(10))
     def test_decode_matches_reprefill(self, seed):
-        cfg = small_config(m=2, h=2, hk=1, dh=8)
+        cfg = config(m=2, h=2, hk=1, dh=8)
         w = make_random_model(cfg, seed)
         rng = np.random.default_rng(1000 + seed)
         prompt = rng.integers(0, cfg.vocab_size, size=9).tolist()
@@ -934,7 +902,7 @@ class TestDecodeStep:
             nxt = nxt_inc
 
     def test_cache_grows_one_row_per_layer_per_step(self):
-        w = make_random_model(small_config(), 11)
+        w = make_random_model(config(), 11)
         pre = prefill([1, 2, 3], w)
         decode_step(4, pre.caches, w)
         assert all(len(c) == 4 for c in pre.caches)
@@ -943,7 +911,7 @@ class TestDecodeStep:
         assert all(c.next_position == 5 for c in pre.caches)
 
     def test_generation_score_flops_match_closed_form(self):
-        cfg = small_config(m=3, h=2, hk=2, dh=8)
+        cfg = config(m=3, h=2, hk=2, dh=8)
         w = make_random_model(cfg, 12)
         n, t = 11, 5
         session = CostSession()
@@ -963,7 +931,7 @@ class TestDecodeStep:
 
     def test_decode_past_max_seq_rejected(self):
         """Called directly, a step whose position would be max_seq changes nothing."""
-        w = make_random_model(small_config(max_seq=6), 0)
+        w = make_random_model(config(max_seq=6), 0)
         caches = prefill([1, 2, 3, 4, 5], w).caches
         decode_step(6, caches, w)  # position 5, the last of max_seq = 6
         assert caches[0].next_position == 6
@@ -978,7 +946,7 @@ class TestDecodeStep:
     )
     def test_step_row_is_the_embedding_row(self, monkeypatch, token):
         """The row a step runs through its first layer is ``embed([token])``, byte for byte."""
-        w = make_random_model(small_config(vocab=64), 3)
+        w = make_random_model(config(vocab=64), 3)
         caches = prefill([1, 2, 3], w).caches
         rows = []
 
@@ -997,7 +965,7 @@ class TestDecodeStep:
     def test_step_out_of_vocabulary_rejected_as_embed_rejects_it(self, token):
         """A step rejects an id outside the vocabulary with embed's message,
         before anything is appended or charged."""
-        w = make_random_model(small_config(vocab=64), 3)
+        w = make_random_model(config(vocab=64), 3)
         caches = prefill([1, 2, 3], w).caches
         with pytest.raises(ContractViolation) as from_embed:
             embed([token], w)
@@ -1010,7 +978,7 @@ class TestDecodeStep:
         assert session.total_flops == 0
 
     def test_decode_without_caches_rejected(self):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         with pytest.raises(ContractViolation):
             decode_step(1, [], w)
 
@@ -1018,7 +986,7 @@ class TestDecodeStep:
     def test_decode_rejects_caches_at_different_positions(self, ahead):
         """A cache ahead of the others, the first or a later one, is rejected
         before any layer appends or anything is charged."""
-        w = make_random_model(small_config(m=3), 0)
+        w = make_random_model(config(m=3), 0)
         caches = prefill([1, 2, 3, 4, 5], w).caches
         caches[ahead].append(caches[ahead].keys[:, -1:], caches[ahead].values[:, -1:])
         lengths = [len(c) for c in caches]
@@ -1033,7 +1001,7 @@ class TestDecodeStep:
     def test_decode_rejects_caches_the_model_cannot_extend(self, bad, layer):
         """A cache of another head_dim, kv-head count or dtype, the first or a
         later one, is rejected before any layer appends or anything is charged."""
-        w = make_random_model(small_config(m=3, h=4, hk=2, dh=4), 0)
+        w = make_random_model(config(m=3, h=4, hk=2, dh=4), 0)
         caches = prefill([1, 2, 3, 4, 5], w).caches
         keys, values = caches[layer].keys, caches[layer].values
         keys, values = {
@@ -1055,7 +1023,7 @@ class TestDecodeStep:
         """Per step: one rotary lookup per layer (None without RoPE), 2m + 1
         norms, and a charge for each of the 4m + 1 products plus 2 for all
         layers' attention."""
-        cfg = small_config(m=m, h=4, hk=2, dh=8, use_rope=use_rope)
+        cfg = config(m=m, h=4, hk=2, dh=8, use_rope=use_rope)
         w = make_random_model(cfg, 14)
         prompt, t = [3, 1, 4, 1, 5], 2
         calls = {"rope": 0, "rms_norm_rows": 0, "count_matmul": 0}
@@ -1146,7 +1114,7 @@ def test_silu_bytes_equal_the_clip_formula_on_edge_values(rows):
 
 class TestGreedyGenerate:
     def test_incremental_equals_reprefill_tokens(self):
-        cfg = small_config(m=2, h=2, hk=2, dh=8)
+        cfg = config(m=2, h=2, hk=2, dh=8)
         w = make_random_model(cfg, 13)
         prompt = [5, 9, 13, 2]
         fast = run_generation(w, prompt, RunConfig(Strategy.FULL, max_new_tokens=6)).output_tokens
@@ -1161,7 +1129,7 @@ class TestGreedyGenerate:
         assert fast == slow
 
     def test_zero_tokens(self):
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         rc = RunConfig(Strategy.FULL, max_new_tokens=0)
         assert run_generation(w, [1, 2], rc).output_tokens == []
 
@@ -1172,7 +1140,7 @@ class TestGreedyGenerate:
     def test_non_integer_token_rejected(self, token):
         """A token that is not an integer is rejected, not truncated or parsed,
         before any cache grows."""
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         caches = prefill([1, 2, 3], w).caches
         with pytest.raises(ContractViolation, match="token ids must be integers"):
             model.greedy_decode(w, caches, token, 2)
@@ -1189,7 +1157,7 @@ class TestGreedyGenerate:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_non_integer_prompt_rejected(self, prompt, strategy):
         """A prompt of ids that are not integers is rejected, not truncated or parsed."""
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         rc = RunConfig(strategy, max_new_tokens=2, select_k=2, filter_layer=1, window=1)
         with pytest.raises(ContractViolation, match="token ids must be integers"):
             run_generation(w, prompt, rc)
@@ -1198,7 +1166,7 @@ class TestGreedyGenerate:
     def test_a_bool_among_integer_ids_rejected(self, prompt):
         """``np.asarray`` reads ``[1, True, 3]`` as the integers ``[1, 1, 3]``:
         prefill and embed reject the bool before it gets there."""
-        w = make_random_model(small_config(), 0)
+        w = make_random_model(config(), 0)
         for call in (prefill, embed):
             with pytest.raises(ContractViolation, match="token ids must be integers, got bool"):
                 call(prompt, w)

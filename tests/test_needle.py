@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gemfilter import needle, runner, selection
-from gemfilter.errors import ContractViolation
+from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter.runner import RunConfig, Strategy
 from gemfilter.needle import (
     NeedleSpec,
@@ -14,12 +14,9 @@ from gemfilter.needle import (
     coverage_and_distance,
     needle_run,
 )
-from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from gemfilter.testmodels import make_random_model
 from gemfilter.tokenizer import VOCAB_SIZE
-
-
-def copy_weights():
-    return make_copy_model(copy_model_config())
+from helpers import config, copy_weights
 
 
 class TestPromptConstruction:
@@ -46,6 +43,31 @@ class TestPromptConstruction:
     def test_needle_must_fit(self):
         with pytest.raises(ContractViolation):
             NeedleSpec(haystack_len=3, depth_percent=0, needle=(1, 2, 3, 4), query_token=1)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("seed", -1, ContractViolation),
+            ("seed", 1.5, ConfigurationError),
+            ("haystack_len", 20.5, ConfigurationError),
+            ("haystack_len", True, ConfigurationError),
+            ("query_token", True, ConfigurationError),
+            ("depth_percent", True, ConfigurationError),
+            ("needle", (True, True), ConfigurationError),
+            ("needle", (3, 3.0), ConfigurationError),
+            ("needle", [3, 3], ConfigurationError),
+            ("needle", 3, ConfigurationError),
+        ],
+        ids=[
+            "negative-seed", "float-seed", "float-haystack_len", "bool-haystack_len",
+            "bool-query_token", "bool-depth_percent", "bool-needle", "float-needle",
+            "list-needle", "int-needle",
+        ],
+    )
+    def test_fields_are_checked(self, field, value, error):
+        good = dict(haystack_len=20, depth_percent=50.0, needle=(3, 3), query_token=4, seed=0)
+        with pytest.raises(error, match=field):
+            NeedleSpec(**{**good, field: value})
 
     def test_depth_bounds(self):
         with pytest.raises(ContractViolation):
@@ -99,19 +121,7 @@ class TestNeedleRun:
         assert report.generation_match is None  # only computed for a single layer
 
     def test_random_model_reports_without_quality_assertions(self):
-        from gemfilter.config import ModelConfig
-
-        cfg = ModelConfig(
-            n_layers=2,
-            n_heads=2,
-            n_kv_heads=2,
-            head_dim=8,
-            d_model=16,
-            vocab_size=VOCAB_SIZE,
-            hidden_mlp=32,
-            max_seq=512,
-        )
-        w = make_random_model(cfg, 9)
+        w = make_random_model(config(vocab=VOCAB_SIZE, max_seq=512), 9)
         spec = NeedleSpec(haystack_len=96, depth_percent=40, needle=(98,) * 4, query_token=98, seed=4)
         rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=2)
         report = needle_run(spec, w, [1, 2], rc)
@@ -163,3 +173,14 @@ class TestNeedleRun:
         report = needle_run(spec, copy_weights(), r_list, rc)
         assert layers == r_list
         assert [lr.coverage for lr in report.layer_results] == [1.0] * len(r_list)
+
+    @pytest.mark.parametrize("r_list", [[1.7], [True], [1, 1.7]])
+    def test_layers_are_not_coerced(self, monkeypatch, r_list):
+        """A layer that is not an integer is refused before any layer runs."""
+        layers = []
+        monkeypatch.setattr(runner, "select_indices", lambda *args: layers.append(args))
+        spec = NeedleSpec(haystack_len=64, depth_percent=50, needle=(98,) * 4, query_token=98)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=0)
+        with pytest.raises(ConfigurationError, match="filter_layer must be an integer"):
+            needle_run(spec, copy_weights(), r_list, rc)
+        assert layers == []

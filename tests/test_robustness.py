@@ -24,21 +24,18 @@ from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from helpers import config, copy_weights
 
 
 # bench's required run settings, each by its one flag.
 RUN_SETTINGS = ["--select-k", "4", "--max-new-tokens", "1", "--filter-layer", "1"]
 
 
-def tiny_config():
-    return ModelConfig(
-        n_layers=2, n_heads=2, n_kv_heads=1, head_dim=4, d_model=8,
-        vocab_size=260, hidden_mlp=8, max_seq=64,
-    )
+TINY = config(m=2, h=2, hk=1, dh=4, vocab=260, hidden=8, max_seq=64)
 
 
 def nan_model():
-    weights = make_random_model(tiny_config(), 0)
+    weights = make_random_model(TINY, 0)
     weights.layers[0].wq[0, 0] = np.nan
     return weights
 
@@ -60,7 +57,7 @@ def test_kernels_reject_non_finite(bad):
 
 
 def test_nan_weights_fail_selection_on_copy_model():
-    weights = make_copy_model(copy_model_config())
+    weights = copy_weights()
     weights.layers[0].wq[0, 0] = np.nan
     with pytest.raises(ContractViolation, match="not finite"):
         select_indices(weights, list(range(40)), RunConfig(Strategy.GEMFILTER, select_k=5))
@@ -100,7 +97,7 @@ def _model_bytes(weights) -> bytes:
 
 
 def _bad_name() -> bytes:
-    weights = make_random_model(tiny_config(), 1)
+    weights = make_random_model(TINY, 1)
     data = bytearray(_model_bytes(weights))
     (header_len,) = struct.unpack("<I", data[4:8])
     data[8 + header_len + 4] = 0xFF  # first byte of the first tensor name
@@ -114,7 +111,7 @@ def _json_header(text: bytes) -> bytes:
 def _huge_dims() -> bytes:
     name = b"tok_emb"
     return (
-        _header(tiny_config())
+        _header(TINY)
         + struct.pack("<I", len(name)) + name
         + struct.pack("<BB", 1, 2) + struct.pack("<2I", 2**31, 2**30)
     )
@@ -128,7 +125,7 @@ def _huge_dims() -> bytes:
         (_json_header(b"null"), "JSON object"),
         (_huge_dims(), "truncated"),
         (
-            _json_header(json.dumps({**tiny_config().to_dict(), "n_layers": 2.5}).encode()),
+            _json_header(json.dumps({**TINY.to_dict(), "n_layers": 2.5}).encode()),
             "invalid config header",
         ),
     ],
@@ -153,7 +150,7 @@ def test_tensor_rank_outside_one_or_two_rejected(tmp_path):
     path = tmp_path / "rank.gfm"
     for rank in (0, 3, 66):
         path.write_bytes(
-            _header(tiny_config())
+            _header(TINY)
             + struct.pack("<I", len(name)) + name
             + struct.pack("<BB", 1, rank) + struct.pack(f"<{rank}I", *[1] * rank)
         )
@@ -163,10 +160,7 @@ def test_tensor_rank_outside_one_or_two_rejected(tmp_path):
 
 def test_gfm1_fuzz_truncation_and_bit_flips(tmp_path):
     """Every cut and every flipped bit of a tiny model loads or raises ModelFormatError."""
-    cfg = ModelConfig(
-        n_layers=1, n_heads=1, n_kv_heads=1, head_dim=2, d_model=2,
-        vocab_size=2, hidden_mlp=1, max_seq=8,
-    )
+    cfg = config(m=1, h=1, hk=1, dh=2, vocab=2, hidden=1, max_seq=8)
     good = _model_bytes(make_random_model(cfg, 0))
     variants = [good[:cut] for cut in range(len(good))]
     for i in range(len(good)):
@@ -192,7 +186,7 @@ def test_gfm1_fuzz_truncation_and_bit_flips(tmp_path):
 )
 def test_malformed_prompt_tokens_exit_one(tmp_path, capsys, text):
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 2))
+    save_model(model, make_random_model(TINY, 2))
     prompt = tmp_path / "prompt.json"
     prompt.write_text(text, encoding="utf-8")
     assert generate_exit_code(model, "--prompt-tokens", str(prompt)) == 1
@@ -220,7 +214,7 @@ CONFIG_FIELD_TYPES = {
 @pytest.mark.parametrize("text, message", CONFIG_FIELD_TYPES.values(), ids=CONFIG_FIELD_TYPES)
 def test_mistyped_or_non_finite_config_field_rejected(tmp_path, capsys, text, message):
     with pytest.raises(ConfigurationError, match=message):
-        ModelConfig.from_dict({**tiny_config().to_dict(), **json.loads(text)})
+        ModelConfig.from_dict({**TINY.to_dict(), **json.loads(text)})
     config, model = tmp_path / "config.json", tmp_path / "m.gfm"
     config.write_text(text, encoding="utf-8")
     assert main(["make-model", "--out", str(model), "--config", str(config)]) == 1
@@ -253,7 +247,7 @@ def test_non_finite_rope_theta_flag_rejected(tmp_path, capsys, theta):
 def test_prompt_length_outside_max_seq_exit_one(tmp_path, capsys, argv):
     """Rejected before the prompt is allocated: a 3e9-token prompt is 22 GiB."""
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     assert main([argv[0], "--model", str(model), *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert "ContractViolation" in err and "prompt length" in err
@@ -261,7 +255,7 @@ def test_prompt_length_outside_max_seq_exit_one(tmp_path, capsys, argv):
 
 def short_model():
     """max_seq 256: a 200-token prompt leaves room for 57 new tokens."""
-    return make_random_model(replace(tiny_config(), max_seq=256), 3)
+    return make_random_model(replace(TINY, max_seq=256), 3)
 
 
 @pytest.mark.parametrize("strategy", ["full", "snapkv", "h2o"])
@@ -325,7 +319,7 @@ POOLING_ARGV = pytest.mark.parametrize(
 @POOLING_ARGV
 def test_huge_pool_kernel_runs_through_cli(tmp_path, capsys, argv):
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     flags = [*argv[1:], "--pool-kernel", str(HUGE_KERNEL)]
     assert main([argv[0], "--model", str(model), *flags]) == 0
     assert capsys.readouterr().err == ""
@@ -334,7 +328,7 @@ def test_huge_pool_kernel_runs_through_cli(tmp_path, capsys, argv):
 @POOLING_ARGV
 def test_pool_kernel_above_the_largest_float_is_named(tmp_path, capsys, argv):
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     flags = [*argv[1:], "--pool-kernel", str(OVERFLOW_KERNEL)]
     assert main([argv[0], "--model", str(model), *flags]) == 1
     err = capsys.readouterr().err
@@ -346,7 +340,7 @@ def test_pool_kernel_above_the_largest_float_is_named(tmp_path, capsys, argv):
     "pool", [dict(pool_kernel=4), dict(pool_kernel=0)], ids=["kernel-4", "kernel-0"]
 )
 def test_bad_pooling_rejected_before_the_filter_pass(tmp_path, capsys, monkeypatch, pool):
-    weights, tokens = make_random_model(tiny_config(), 3), list(range(10))
+    weights, tokens = make_random_model(TINY, 3), list(range(10))
     model = tmp_path / "m.gfm"
     save_model(model, weights)
     calls = []
@@ -369,7 +363,7 @@ def test_bad_pooling_is_one_error_class_for_every_strategy(tmp_path, capsys, poo
         with pytest.raises(ContractViolation, match="pool"):
             RunConfig(strategy, **pool)
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     flags = ["--model", str(model), "--prompt-random", "10"]
     flags += ["--pool-kernel", str(pool["pool_kernel"])]
     for argv in (["generate", "--strategy", "full"], ["generate", "--strategy", "snapkv"],
@@ -391,7 +385,7 @@ def test_budget_and_filter_layer_below_one_are_one_error_class(
         with pytest.raises(ContractViolation, match=">= 1"):
             RunConfig(strategy, **{field: value})
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     for strategy in Strategy:
         argv = ["--strategy", strategy.value, "--prompt-random", "20", flag, str(value)]
         assert generate_exit_code(model, *argv) == 1, strategy
@@ -414,7 +408,7 @@ def test_run_config_rejects_a_value_of_the_wrong_type(field):
 
 @pytest.mark.parametrize("strategy", [Strategy.SNAPKV, Strategy.H2O], ids=["snapkv", "h2o"])
 def test_budget_below_its_window_rejected_before_any_layer_runs(monkeypatch, strategy):
-    weights, tokens = make_random_model(tiny_config(), 3), list(range(40))
+    weights, tokens = make_random_model(TINY, 3), list(range(40))
     calls = []
     monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
     with pytest.raises(ConfigurationError, match="budget k=8 smaller than"):
@@ -425,7 +419,7 @@ def test_budget_below_its_window_rejected_before_any_layer_runs(monkeypatch, str
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_max_seq_far_beyond_the_run_costs_nothing(strategy):
     """A model may claim a max_seq it never reaches; the rotary table only covers what runs."""
-    weights = make_random_model(replace(tiny_config(), max_seq=2**62), 3)
+    weights = make_random_model(replace(TINY, max_seq=2**62), 3)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
         window=2, pool_kernel=3,
@@ -445,7 +439,7 @@ def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("gemfilter.cli.run_generation", lambda *args: calls.append(args))
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     argv = [
         "bench", "--model", str(model), "--n", "8",
         "--select-k", "4", "--max-new-tokens", "1", "--filter-layer", "99",
@@ -456,7 +450,7 @@ def test_bench_checks_cost_params_before_any_run(tmp_path, capsys, monkeypatch):
 
 
 def test_needle_negative_t_max_rejected(tmp_path, capsys):
-    weights = make_random_model(tiny_config(), 3)
+    weights = make_random_model(TINY, 3)
     spec = NeedleSpec(haystack_len=40, depth_percent=50.0, needle=(98,) * 4, query_token=98)
     with pytest.raises(ContractViolation, match="max_new_tokens must be >= 0"):
         needle_run(spec, weights, [1], RunConfig(Strategy.GEMFILTER, select_k=8, max_new_tokens=-1))
@@ -541,7 +535,7 @@ WRITERS = {
 
 def _writer_argv(tmp_path, command, out):
     model = tmp_path / "m.gfm"
-    save_model(model, make_random_model(tiny_config(), 3))
+    save_model(model, make_random_model(TINY, 3))
     return [str(model) if a == "M" else a for a in WRITERS[command]] + [str(out)]
 
 
@@ -582,7 +576,7 @@ def test_model_beyond_physical_memory_refused_before_any_allocation(kind, field)
     if kind == "copy":
         cfg, build = copy_model_config(), make_copy_model
     else:
-        cfg, build = tiny_config(), lambda c: make_random_model(c, 0)
+        cfg, build = TINY, lambda c: make_random_model(c, 0)
     cfg = replace(cfg, **{field: HUGE})
     tracemalloc.start()
     try:

@@ -16,13 +16,6 @@ from gemfilter.needle import NeedleSpec, needle_run
 from gemfilter.runner import RunConfig, Strategy
 
 
-@pytest.fixture(scope="module")
-def copy_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "copy.gfm"
-    assert main(["make-model", "--out", str(path), "--kind", "copy"]) == 0
-    return path
-
-
 def test_every_run_config_setting_has_one_flag():
     assert list(RUN_FLAGS) == [f.name for f in fields(RunConfig) if f.name != "strategy"]
     flags = [flag for flag, _ in RUN_FLAGS.values()]

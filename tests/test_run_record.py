@@ -10,11 +10,9 @@ from gemfilter.config import ModelConfig
 from gemfilter.counting import CostSession
 from gemfilter.runner import RunConfig, RunResult, Strategy, metrics_document, run_generation
 from gemfilter.testmodels import make_random_model
+from helpers import config
 
-CFG = ModelConfig(
-    n_layers=2, n_heads=2, n_kv_heads=1, head_dim=8, d_model=16,
-    vocab_size=64, hidden_mlp=16, max_seq=128,
-)
+CFG = config(m=2, h=2, hk=1, dh=8, vocab=64, hidden=16, max_seq=128)
 RC = RunConfig(Strategy.SNAPKV, max_new_tokens=4, select_k=16, pool_kernel=3, window=4)
 TOKENS = list(range(40))
 

@@ -1,12 +1,9 @@
 """Selection-path tests: score construction, index sets, two-pass generation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from gemfilter import model
-from gemfilter.config import ModelConfig
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
@@ -21,22 +18,9 @@ from gemfilter.selection import (
 )
 from gemfilter.strategies import prompt_pass
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from helpers import config, traced_peak
 
 F32 = np.float32
-
-
-def small_config(m=2, h=2, hk=2, dh=8, vocab=64, hidden=32, use_rope=True, max_seq=4096):
-    return ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden,
-        use_rope=use_rope,
-        max_seq=max_seq,
-    )
 
 
 # ---------------------------------------------------------------- scores
@@ -121,14 +105,14 @@ def full_filter_layer(w, tokens, r):
 
 class TestSelectIndices:
     def test_k_at_least_n_selects_everything(self):
-        w = make_random_model(small_config(), 2)
+        w = make_random_model(config(), 2)
         sel = select_indices(w, list(range(9)), gem_rc(r=1, k=50))
         assert sel.indices.tolist() == list(range(9))
 
     def test_prompt_flops_are_r_over_m_of_full_prefill(self):
         """Filtering at layer 3 of 4 costs 2/4 of a full prefill plus layer 3's
         one Q/K/V product; the filter layer's attention and MLP never run."""
-        cfg = small_config(m=4)
+        cfg = config(m=4)
         w = make_random_model(cfg, 3)
         tokens = list(range(24))
         s_sel, s_full = CostSession(), CostSession()
@@ -146,7 +130,7 @@ class TestSelectIndices:
             assert flops * 2 == (sel_cost.flops_by_tag[tag] - extra) * 4
 
     def test_filter_pass_touches_only_r_layers_of_weights(self):
-        cfg = small_config(m=4)
+        cfg = config(m=4)
         w = make_random_model(cfg, 4)
         session = CostSession()
         with session.activate():
@@ -165,7 +149,7 @@ class TestSelectIndices:
         assert needle_positions <= set(sel.indices.tolist())
 
     def test_r_out_of_range(self):
-        w = make_random_model(small_config(m=2), 0)
+        w = make_random_model(config(m=2), 0)
         with pytest.raises(ContractViolation):
             select_indices(w, [1, 2, 3], gem_rc(r=3, k=2))
 
@@ -173,7 +157,7 @@ class TestSelectIndices:
     @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
     def test_scores_match_expanded_key_oracle(self, h, hk, n):
         """Under GQA, kv-head j serves query heads j*g .. j*g+g-1 (g = h / hk)."""
-        cfg = small_config(m=2, h=h, hk=hk, dh=8)
+        cfg = config(m=2, h=h, hk=hk, dh=8)
         w = make_random_model(cfg, 30 + h + hk)
         tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
         q, keys = (a.astype(np.float64) for a in full_filter_layer(w, tokens, 2))
@@ -189,7 +173,7 @@ class TestSelectIndices:
 
     def test_indices_always_strictly_ascending(self):
         rng = np.random.default_rng(5)
-        w = make_random_model(small_config(), 6)
+        w = make_random_model(config(), 6)
         for _ in range(10):
             n = int(rng.integers(4, 30))
             k = int(rng.integers(1, n + 3))
@@ -210,7 +194,7 @@ def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
     indices and raw-score bytes of running layer r in full, and its counters
     equal cost_table's.  n straddles the 256-row chunks and the one-row tail."""
     m, k, t = 3, 8, 1
-    cfg = small_config(m=m, h=h, hk=hk, dh=8, use_rope=use_rope, max_seq=1024)
+    cfg = config(m=m, h=h, hk=hk, dh=8, use_rope=use_rope, max_seq=1024)
     w = make_random_model(cfg, 40 + h + hk)
     tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
     assert model.CHUNK_ROWS == 256
@@ -238,16 +222,11 @@ def test_first_layer_filter_pass_holds_no_score_block():
     w = make_copy_model(cfg)
     rc = gem_rc(r=1, k=64)
 
-    def traced_peak(n):
+    def peak(n):
         tokens = np.random.default_rng(n).integers(97, 99, n).tolist()
-        tracemalloc.start()
-        try:
-            select_indices(w, tokens, rc)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(select_indices, w, tokens, rc)[1]
 
-    small, large = traced_peak(1025), traced_peak(2049)
+    small, large = peak(1025), peak(2049)
     grown = 1024
     allowed = grown * (cfg.d_model * 4 + cfg.n_kv_heads * cfg.head_dim * 4 + 8) + 4096
     assert large - small <= allowed, (large - small, allowed)
@@ -317,7 +296,7 @@ class TestSelectionGen:
     def test_k_equals_n_matches_full_generation(self):
         rng = np.random.default_rng(7)
         for seed in range(6):
-            cfg = small_config(m=2, h=2, hk=1, dh=8)
+            cfg = config(m=2, h=2, hk=1, dh=8)
             w = make_random_model(cfg, seed)
             prompt = rng.integers(0, cfg.vocab_size, size=17).tolist()
             full = run_generation(w, prompt, RunConfig(Strategy.FULL, max_new_tokens=10))
@@ -334,7 +313,7 @@ class TestSelectionGen:
 
     def test_generation_phase_flops_closed_form(self):
         """Second pass: full prefill over k tokens plus t-1 decode steps."""
-        cfg = small_config(m=3, h=2, hk=2, dh=8)
+        cfg = config(m=3, h=2, hk=2, dh=8)
         w = make_random_model(cfg, 8)
         n, k, t, r = 30, 10, 6, 2
         session = two_pass(w, list(range(n)), r=r, k=k, t=t).session
@@ -346,7 +325,7 @@ class TestSelectionGen:
         assert gen["attn_value"] == prefill_attn + decode_attn
 
     def test_counter_conservation_across_phases(self):
-        cfg = small_config(m=2)
+        cfg = config(m=2)
         w = make_random_model(cfg, 9)
         session = two_pass(w, list(range(20)), r=1, k=8, t=4).session
         snap = session.snapshot()
@@ -357,7 +336,7 @@ class TestSelectionGen:
         assert snap[PROMPT].matmul_flops > 0 and snap[GENERATION].matmul_flops > 0
 
     def test_t_zero_skips_second_pass(self):
-        cfg = small_config(m=2)
+        cfg = config(m=2)
         w = make_random_model(cfg, 10)
         run = two_pass(w, list(range(12)), r=1, k=6, t=0)
         assert run.output_tokens == []
@@ -366,7 +345,7 @@ class TestSelectionGen:
         assert gen.matmul_flops == 0 and gen.kv_bytes_peak == 0
 
     def test_k_above_n_clamps(self):
-        cfg = small_config(m=2)
+        cfg = config(m=2)
         w = make_random_model(cfg, 11)
         run = two_pass(w, list(range(8)), r=1, k=100, t=3)
         assert run.selection.indices.tolist() == list(range(8))
@@ -381,7 +360,7 @@ class TestIndexSetShapes:
     def test_one_global_set_vs_per_layer_per_head_sets(self):
         """The selection path carries a single index set; the compressors carry
         one per layer per kv-head."""
-        cfg = small_config(m=3, h=4, hk=2, dh=8, max_seq=128)
+        cfg = config(m=3, h=4, hk=2, dh=8, max_seq=128)
         w = make_random_model(cfg, 12)
         tokens = list(range(40))
         sel = select_indices(w, tokens, gem_rc(r=1, k=10))

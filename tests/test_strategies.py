@@ -1,6 +1,5 @@
 """Compression strategy tests: brute-force score oracles on small instances."""
 
-import math
 import sys
 import weakref
 from dataclasses import replace
@@ -8,12 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gemfilter.config import ModelConfig
 from gemfilter.cli import main
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation
 from gemfilter import kernels, model, runner, selection, strategies
-from gemfilter.model import LayerKV, decode_step, embed, logits_from_hidden, prefill, project_qkv
+from gemfilter.model import LayerKV, decode_step, logits_from_hidden, prefill
 from gemfilter.modelio import save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.strategies import (
@@ -23,75 +21,9 @@ from gemfilter.strategies import (
     snapkv_retained_indices,
 )
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
+from helpers import causal_probs, config, h2o_oracle, prompt_queries, snapkv_oracle
 
 F32 = np.float32
-
-
-def small_config(m=1, h=2, hk=2, dh=8, vocab=64, hidden=16, use_rope=True, max_seq=4096):
-    return ModelConfig(
-        n_layers=m,
-        n_heads=h,
-        n_kv_heads=hk,
-        head_dim=dh,
-        d_model=h * dh,
-        vocab_size=vocab,
-        hidden_mlp=hidden,
-        use_rope=use_rope,
-        max_seq=max_seq,
-    )
-
-
-def masked_probs_oracle(q, k):
-    """Full causal probability matrix, explicit normalization in float64."""
-    n, d = q.shape
-    probs = np.zeros((n, n))
-    for i in range(n):
-        scores = np.asarray(
-            [float(np.dot(q[i].astype(np.float64), k[j].astype(np.float64))) for j in range(i + 1)]
-        ) / math.sqrt(d)
-        exps = np.exp(scores - scores.max())
-        probs[i, : i + 1] = exps / exps.sum()
-    return probs
-
-
-def prompt_queries(w, tokens):
-    """Layer 0's post-rotation queries ``(n, n_heads, head_dim)`` over the whole
-    prompt, from one :func:`project_qkv` call: the rows prefill's first chunk
-    projects when the prompt is one chunk."""
-    return project_qkv(embed(tokens, w), w, 0, 0)[0][:, : w.config.n_heads]
-
-
-def pool_oracle(v, kernel):
-    half = kernel // 2
-    out = np.zeros(len(v))
-    for i in range(len(v)):
-        total = 0.0
-        for j in range(max(0, i - half), min(len(v), i + half + 1)):
-            total += float(v[j])
-        out[i] = total / kernel
-    return out
-
-
-def snapkv_oracle(probs_per_head, k, window, kernel):
-    """Brute-force retained set from explicit per-head probability matrices."""
-    n = probs_per_head[0].shape[0]
-    scores = np.zeros(n)
-    for probs in probs_per_head:
-        scores += probs[n - window :].sum(axis=0)
-    pooled = pool_oracle(scores, kernel)
-    prefix = pooled[: n - window]
-    order = sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - window]
-    return sorted(order + list(range(n - window, n)))
-
-
-def h2o_oracle(probs_per_head, k, recent):
-    n = probs_per_head[0].shape[0]
-    scores = np.zeros(n)
-    for probs in probs_per_head:
-        scores += probs.sum(axis=0)
-    prefix = scores[: n - recent]
-    order = sorted(range(len(prefix)), key=lambda i: (-prefix[i], i))[: k - recent]
-    return sorted(order + list(range(n - recent, n)))
 
 
 def eviction(rc, n):
@@ -196,7 +128,7 @@ class TestCompressAgainstBruteForce:
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_snapkv_matches_probability_oracle(self, gathered_rows, n):
         """End to end on a 1-layer model: engine scores vs explicit attention."""
-        cfg = small_config(m=1, h=2, hk=2, dh=8, max_seq=64)
+        cfg = config(m=1, h=2, hk=2, dh=8, hidden=16, max_seq=64)
         w = make_random_model(cfg, n)
         tokens = list(range(n))
         window, k = 3, 6
@@ -209,7 +141,7 @@ class TestCompressAgainstBruteForce:
         groups = cfg.n_heads // cfg.n_kv_heads
         for kvh in range(cfg.n_kv_heads):
             probs = [
-                masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[qh // groups])
+                causal_probs(q[:, qh, :], pre.caches[0].keys[qh // groups])
                 for qh in range(kvh * groups, (kvh + 1) * groups)
             ]
             expected = snapkv_oracle(probs, k, window, 3)
@@ -217,7 +149,7 @@ class TestCompressAgainstBruteForce:
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_h2o_matches_probability_oracle(self, gathered_rows, n):
-        cfg = small_config(m=1, h=2, hk=1, dh=8, max_seq=64)
+        cfg = config(m=1, h=2, hk=1, dh=8, hidden=16, max_seq=64)
         w = make_random_model(cfg, 100 + n)
         tokens = list(range(n))
         k, recent = 6, 2
@@ -226,7 +158,7 @@ class TestCompressAgainstBruteForce:
         _, evict, score_rows = prompt_pass(rc, n, w.config.max_seq)
         prefill(tokens, w, evict=evict, score_rows=score_rows)
         probs = [
-            masked_probs_oracle(q[:, qh, :], pre.caches[0].keys[0])
+            causal_probs(q[:, qh, :], pre.caches[0].keys[0])
             for qh in range(cfg.n_heads)
         ]
         expected = h2o_oracle(probs, k, recent)
@@ -300,7 +232,7 @@ class TestCompressAgainstBruteForce:
 
 class TestCompressedDecode:
     def test_k_equals_n_decode_bit_exact(self):
-        cfg = small_config(m=2, h=4, hk=2, dh=8, max_seq=128)
+        cfg = config(m=2, h=4, hk=2, dh=8, hidden=16, max_seq=128)
         w = make_random_model(cfg, 5)
         tokens = list(range(10))
         rc = RunConfig(
@@ -342,7 +274,7 @@ class TestCompressedDecode:
         """Every kept cache resumes at n, as the full one does, whichever rows
         it kept.  Layer 0's first decoded K row depends only on the token and
         its position, so it is byte-equal to the full run's."""
-        cfg = small_config(m=2, h=4, hk=2, dh=8, max_seq=64)
+        cfg = config(m=2, h=4, hk=2, dh=8, hidden=16, max_seq=64)
         w = make_random_model(cfg, 17)
         tokens = np.random.default_rng(n + k).integers(0, cfg.vocab_size, n).tolist()
         rc = RunConfig(strategy, select_k=k, window=window, pool_kernel=3)
@@ -357,7 +289,7 @@ class TestCompressedDecode:
         assert [c.next_position for c in kept] == [n + 1] * cfg.n_layers
 
     def test_compressed_cache_bytes_closed_form(self):
-        cfg = small_config(m=2, h=2, hk=2, dh=4, max_seq=64)
+        cfg = config(m=2, h=2, hk=2, dh=4, hidden=16, max_seq=64)
         w = make_random_model(cfg, 7)
         tokens = list(range(12))
         k = 4
@@ -368,7 +300,7 @@ class TestCompressedDecode:
         assert sum(c.nbytes for c in compressed) == expected
 
     def test_streaming_prefill_matches_full_then_compress(self, gathered_rows):
-        cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=128)
+        cfg = config(m=3, h=2, hk=2, dh=8, hidden=16, max_seq=128)
         w = make_random_model(cfg, 8)
         tokens = list(range(20))
         rc = RunConfig(Strategy.SNAPKV, select_k=8, window=4, pool_kernel=3)
@@ -388,7 +320,7 @@ class TestCompressedDecode:
                 assert np.array_equal(kept.values[kvh], full.values[kvh][rows])
 
     def test_streaming_prefill_kv_peak_is_one_layer_plus_compressed(self):
-        cfg = small_config(m=3, h=2, hk=2, dh=8, max_seq=256)
+        cfg = config(m=3, h=2, hk=2, dh=8, hidden=16, max_seq=256)
         w = make_random_model(cfg, 9)
         n, k = 32, 8
         rc = RunConfig(Strategy.SNAPKV, select_k=k, window=4, pool_kernel=3)
@@ -406,7 +338,7 @@ class TestCompressedDecode:
 
 def test_unknown_strategy_rejected_before_any_layer_runs(tmp_path, capsys, monkeypatch):
     model_path = tmp_path / "m.gfm"
-    save_model(model_path, make_random_model(small_config(m=2), 10))
+    save_model(model_path, make_random_model(config(m=2, hidden=16), 10))
     calls = []
     monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
     argv = ["generate", "--model", str(model_path), "--prompt-random", "8", "--strategy", "bogus"]
@@ -463,7 +395,7 @@ def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
         strategy, max_new_tokens=t, select_k=8,
         window=4, pool_kernel=3,
     )
-    run_generation(make_random_model(small_config(m=m, h=4, hk=hk), 11), list(range(n)), rc)
+    run_generation(make_random_model(config(m=m, h=4, hk=hk, hidden=16), 11), list(range(n)), rc)
 
     per_head = m * hk
     expected = {
@@ -519,7 +451,7 @@ def test_decode_holds_no_prompt_pass_result(monkeypatch, strategy):
         monkeypatch.setattr(module, "prefill", spy_prefill)
     for module in (model, runner):
         monkeypatch.setattr(module, "greedy_decode", spy_decode)
-    weights = make_random_model(small_config(m=2), 0)
+    weights = make_random_model(config(m=2, hidden=16), 0)
     rc = RunConfig(
         strategy, max_new_tokens=3, select_k=4,
         window=2, pool_kernel=3,
