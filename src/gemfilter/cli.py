@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import tokenizer
-from .config import ModelConfig
+from .config import ModelConfig, is_integer
 from .costmodel import CostParams, cost_table, format_cost_table, verify_counters
 from .errors import ContractViolation, EngineError
 from .model import check_prompt_length
@@ -118,7 +118,7 @@ def _load_prompt(args, cfg: ModelConfig) -> list[int]:
         if not isinstance(tokens, list):
             raise ContractViolation("--prompt-tokens file must hold a JSON array")
         for t in tokens:
-            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < vocab_size:
+            if not is_integer(t) or not 0 <= t < vocab_size:
                 raise ContractViolation(
                     f"--prompt-tokens entry {t!r} is not a token id in [0, {vocab_size})"
                 )
@@ -131,7 +131,7 @@ def _load_prompt(args, cfg: ModelConfig) -> list[int]:
 
 def _random_prompt(n: int, seed: int, cfg: ModelConfig) -> list[int]:
     check_prompt_length(n, cfg)
-    return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=int(n)).tolist()
+    return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=n).tolist()
 
 
 def _check_args(args) -> None:
@@ -180,10 +180,11 @@ def _config_from_args(args, base: dict | None = None) -> ModelConfig:
         if not isinstance(loaded, dict):
             raise ContractViolation("--config file must hold a JSON object")
         values.update(loaded)
-    for name in CONFIG_FLAGS:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    values.pop("d_model", None)  # derived from the head layout
+        if "d_model" in loaded:
+            ModelConfig.from_dict(values)  # it must fit the file's head layout
+    flags = {name: getattr(args, name, None) for name in CONFIG_FLAGS}
+    values.update((name, value) for name, value in flags.items() if value is not None)
+    values.pop("d_model", None)  # it follows the head layout the flags leave
     return ModelConfig.from_dict(values)
 
 

@@ -5,13 +5,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, fields
 
+import numpy as np
+
 from .errors import ConfigurationError
+
+
+def is_integer(value) -> bool:
+    """The one integer rule: a Python or numpy integer, never a bool or ``np.bool_``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 # Per annotated field type: the values it accepts, and how to name them.
 _FIELD_KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (is_integer, "an integer"),
     "float": (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+        lambda v: (is_integer(v) or isinstance(v, (float, np.floating))) and math.isfinite(v),
         "a finite number",
     ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
@@ -21,14 +29,16 @@ _FIELD_KINDS = {
 def check_field_types(obj) -> None:
     """Reject a value its dataclass field's annotated type does not accept.
 
-    Fields annotated with a type outside ``int``, ``float`` and ``bool`` are
-    left to the dataclass's own checks.
+    An accepted numpy scalar is stored as the equal Python scalar; fields of
+    types other than ``int``, ``float`` and ``bool`` are left to the dataclass.
     """
     for f in fields(obj):
         accepts, kind = _FIELD_KINDS.get(f.type, (None, None))
         value = getattr(obj, f.name)
         if accepts is not None and not accepts(value):
             raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
+        elif accepts is not None and isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigurationError(f"unknown config fields: {sorted(extra)}")
-        values = dict(data)
-        # d_model may be omitted; it is determined by the head layout.
-        if "d_model" not in values and "n_heads" in values and "head_dim" in values:
-            values["d_model"] = values["n_heads"] * values["head_dim"]
+        h, dh = data.get("n_heads"), data.get("head_dim")
+        # d_model may be omitted; it is determined by an integer head layout.
+        values = {"d_model": h * dh if is_integer(h) and is_integer(dh) else None, **data}
         try:
             return cls(**values)
         except TypeError as exc:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .config import ModelConfig, check_field_types
 from .counting import GENERATION, PROMPT, PhaseCost
 from .errors import ContractViolation
-from .model import layer_weight_bytes
+from .model import check_filter_layer, layer_weight_bytes
 
 FLOP_TERMS = ("attn_score", "attn_value", "proj", "mlp", "logits")
 BYTES_PER_ELEM = 4
@@ -57,8 +57,7 @@ class CostParams:
         check_field_types(self)
         if min(self.n, self.k, self.r) < 1 or self.t < 0:
             raise ContractViolation("cost parameters must be positive (t may be 0)")
-        if not 1 <= self.r <= self.config.n_layers:
-            raise ContractViolation(f"filter layer {self.r} outside 1..{self.config.n_layers}")
+        check_filter_layer(self.r, self.config)
 
     @property
     def k_eff(self) -> int:

@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from .config import is_integer
 from .errors import ContractViolation
 
 
@@ -64,13 +65,13 @@ def rms_norm_rows(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
 def check_pooling(kernel: int) -> None:
     """Reject a kernel :func:`pool_1d` cannot apply.
 
-    Only odd kernels preserve length, so even ones are rejected; a kernel
-    above the largest float cannot divide a window's sum.
+    Only odd integer kernels preserve length, so even ones are rejected; a
+    kernel above the largest float cannot divide a window's sum.
     """
+    if not is_integer(kernel) or kernel < 1 or kernel % 2 == 0:
+        raise ContractViolation(f"pool kernel must be an odd integer >= 1, got {kernel!r}")
     if kernel > sys.float_info.max:
         raise ContractViolation(f"pool kernel exceeds the largest float {sys.float_info.max}")
-    if kernel < 1 or kernel % 2 == 0:
-        raise ContractViolation(f"pool kernel must be odd and >= 1, got {kernel}")
 
 
 def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
@@ -110,8 +111,8 @@ def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation("topk_indices expects a non-empty vector")
-    if not 1 <= k <= v.size:
-        raise ContractViolation(f"topk k={k} out of range for length {v.size}")
+    if not is_integer(k) or not 1 <= k <= v.size:
+        raise ContractViolation(f"topk k={k!r} is not an integer in 1..{v.size}")
     _require_finite(v, "topk_indices")
     # The k-th largest value by a partition, not a full sort: every position
     # above it is kept, then the lowest-index positions equal to it.

@@ -68,12 +68,11 @@ counters match the closed forms in :mod:`gemfilter.costmodel` exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, is_integer
 from .counting import count_matmul, note_kv_bytes, touch_layer
 from .errors import ConfigurationError, ContractViolation
 from .kernels import argmax, rms_norm_rows
@@ -238,9 +237,9 @@ class LayerKV:
         if self.keys.shape != self.values.shape:
             raise ContractViolation("LayerKV component shapes disagree")
         pos = self.next_position
-        if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)) or pos < len(self):
+        if not is_integer(pos) or pos < len(self):
             raise ContractViolation(f"next_position {pos!r} is not an integer >= len {len(self)}")
-        self._buffers = [self.keys, self.values]
+        self.next_position, self._buffers = int(pos), [self.keys, self.values]
 
     @classmethod
     def empty(cls, n_kv_heads: int, head_dim: int, rows: int) -> "LayerKV":
@@ -265,6 +264,8 @@ class LayerKV:
         grows.  So while the layer grows it holds at most one part twice,
         never both.
         """
+        if not is_integer(rows) or rows < 0:
+            raise ContractViolation(f"reserve rows {rows!r} is not an integer >= 0")
         held = len(self)
         if self._buffers[0].shape[1] >= held + rows:
             return
@@ -288,7 +289,8 @@ class LayerKV:
                 f"k{k_rows.shape} v{v_rows.shape}"
             )
         held, end = len(self), len(self) + rows
-        self.reserve(rows)
+        if self._buffers[0].shape[1] < end:
+            self.reserve(rows)
         keys, values = self._buffers
         keys[:, held:end] = k_rows
         values[:, held:end] = v_rows
@@ -333,6 +335,12 @@ def check_prompt_length(n: int, cfg: ModelConfig) -> None:
         raise ContractViolation(f"prompt length {n} exceeds max_seq {cfg.max_seq}")
 
 
+def check_filter_layer(r: int, cfg: ModelConfig) -> None:
+    """Reject a filter layer outside ``1..n_layers``."""
+    if not 1 <= r <= cfg.n_layers:
+        raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
+
+
 def _out_of_vocabulary(token: int, vocab: int) -> ContractViolation:
     return ContractViolation(f"token id {token} outside vocabulary of size {vocab}")
 
@@ -367,12 +375,8 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
 
 def _token_row(token, weights: ModelWeights) -> np.ndarray:
     """``embed([token])`` for one integer id: a ``(1, d_model)`` copy of its table row."""
-    if isinstance(token, (bool, np.bool_)):
-        raise ContractViolation("token ids must be integers, got bool")
-    try:
-        token = operator.index(token)
-    except TypeError:
-        raise ContractViolation(f"token ids must be integers, got {type(token).__name__}") from None
+    if not is_integer(token):
+        raise ContractViolation(f"token ids must be integers, got {type(token).__name__}")
     vocab = weights.config.vocab_size
     if not 0 <= token < vocab:
         raise _out_of_vocabulary(token, vocab)
@@ -686,13 +690,13 @@ def prefill(
     cfg = weights.config
     ids = _token_ids(tokens)
     check_prompt_length(ids.size, cfg)
-    if score_rows < 0:
-        raise ContractViolation(f"score_rows {score_rows} must be >= 0")
+    if not is_integer(score_rows) or score_rows < 0:
+        raise ContractViolation(f"score_rows {score_rows!r} must be >= 0 and an integer")
     if score_rows > ids.size:
         raise ContractViolation(f"prompt length {ids.size} shorter than window {score_rows}")
-    upto = cfg.n_layers if upto_layer is None else int(upto_layer)
-    if not 0 <= upto <= cfg.n_layers:
-        raise ContractViolation(f"upto_layer {upto} outside 0..{cfg.n_layers}")
+    upto = cfg.n_layers if upto_layer is None else upto_layer
+    if not is_integer(upto) or not 0 <= upto <= cfg.n_layers:
+        raise ContractViolation(f"upto_layer {upto!r} outside 0..{cfg.n_layers}")
 
     n, h, hk = ids.size, cfg.n_heads, cfg.n_kv_heads
     x = embed(ids, weights)
@@ -771,6 +775,8 @@ def greedy_decode(
     one layer is ever held twice and generation adds to a request's peak
     only the rows it decodes.
     """
+    if not is_integer(steps) or steps < 0:
+        raise ContractViolation(f"steps {steps!r} is not an integer >= 0")
     for cache in caches:
         cache.reserve(steps)
     out: list[int] = []

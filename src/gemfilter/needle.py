@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import check_field_types
+from .config import check_field_types, is_integer
 from .errors import ConfigurationError, ContractViolation
-from .model import ModelWeights, check_prompt_length
+from .model import ModelWeights, check_filter_layer, check_prompt_length
 from .runner import RunConfig, Strategy, run_generation
+from .strategies import prompt_pass
 
 METRIC_NOTE = (
     "exact metrics: coverage = |needle indices in selection| / needle length; "
@@ -37,10 +38,7 @@ class NeedleSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        ids = isinstance(self.needle, tuple) and all(
-            isinstance(t, int) and not isinstance(t, bool) for t in self.needle
-        )
-        if not ids:
+        if not isinstance(self.needle, tuple) or not all(map(is_integer, self.needle)):
             raise ConfigurationError(
                 f"needle must be a tuple of integer token ids, got {self.needle!r}"
             )
@@ -120,19 +118,11 @@ class NeedleReport:
 
 def coverage_and_distance(indices: np.ndarray, span: tuple[int, int]) -> tuple[float, int]:
     start, end = span
-    needle_len = end - start
+    if not len(indices):
+        raise ContractViolation("coverage_and_distance expects at least one index")
     inside = np.count_nonzero((indices >= start) & (indices < end))
-    coverage = inside / needle_len
-    if inside:
-        return coverage, 0
-    below = indices[indices < start]
-    above = indices[indices >= end]
-    dists = []
-    if below.size:
-        dists.append(int(start - below.max()))
-    if above.size:
-        dists.append(int(above.min() - (end - 1)))
-    return coverage, min(dists) if dists else int(10**9)
+    distance = 0 if inside else int(np.maximum(start - indices, indices - (end - 1)).min())
+    return inside / (end - start), distance
 
 
 def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -> NeedleReport:
@@ -144,29 +134,27 @@ def needle_run(spec: NeedleSpec, weights: ModelWeights, r_list, rc: RunConfig) -
     gemfilter prompt phase and record the selection's coverage and distance.
     With a single layer, that run also generates ``rc.max_new_tokens``
     tokens, which are compared against full-model generation on the same
-    prompt.
+    prompt.  Each planned run's filter layer and decode bound
+    (:func:`~gemfilter.strategies.prompt_pass`) are checked before the first runs.
     """
     if not r_list:
         raise ContractViolation("r_list must name at least one filter layer")
-    n, max_seq = spec.haystack_len + 1, weights.config.max_seq  # haystack plus query
-    check_prompt_length(n, weights.config)
-    # A single layer's selection run also generates, for the two-pass check,
-    # and the full run it is compared with decodes up to position n + t - 2.
+    cfg, n = weights.config, spec.haystack_len + 1  # haystack plus query
+    check_prompt_length(n, cfg)
+    # A single layer's selection run also generates, for the two-pass check.
     t = rc.max_new_tokens if len(r_list) == 1 else 0
-    if t >= 1 and n + t - 1 > max_seq:
-        raise ContractViolation(
-            f"needle prompt length {n} + max_new_tokens {t} - 1 exceeds max_seq {max_seq}"
-        )
-    prompt, span = build_needle_prompt(spec, weights.config.vocab_size)
     first = replace(rc, strategy=Strategy.GEMFILTER, max_new_tokens=t, filter_layer=r_list[0])
-    runs = [replace(first, filter_layer=r) for r in r_list]  # every layer checked before any runs
+    runs = [replace(first, filter_layer=r) for r in r_list]
+    full = [replace(first, strategy=Strategy.FULL)] if t else []
+    for run in runs + full:
+        check_filter_layer(run.filter_layer, cfg)
+        prompt_pass(run, n, cfg.max_seq)
+    prompt, span = build_needle_prompt(spec, cfg.vocab_size)
     results = []
     for run in runs:
         gem = run_generation(weights, prompt, run)
         coverage, dist = coverage_and_distance(gem.selection.indices, span)
         results.append(NeedleLayerResult(run.filter_layer, coverage, dist))
-    match: bool | None = None
-    if t > 0:
-        full = run_generation(weights, prompt, replace(first, strategy=Strategy.FULL))
-        match = gem.output_tokens == full.output_tokens
+    full_tokens = [run_generation(weights, prompt, run).output_tokens for run in full]
+    match = gem.output_tokens == full_tokens[0] if full else None
     return NeedleReport(spec=spec, rc=first, layer_results=results, generation_match=match)

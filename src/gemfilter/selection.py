@@ -38,7 +38,7 @@ import numpy as np
 from .counting import note_kv_bytes
 from .errors import ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import F32, ModelWeights, _chunks, prefill, project_qkv
+from .model import F32, ModelWeights, _chunks, check_filter_layer, prefill, project_qkv
 from .strategies import RunConfig
 
 
@@ -102,8 +102,7 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
     lower bounds of ``k`` and ``r`` are :class:`RunConfig`'s to check.
     """
     cfg, r, k = weights.config, rc.filter_layer, rc.select_k
-    if r > cfg.n_layers:
-        raise ContractViolation(f"filter layer {r} outside 1..{cfg.n_layers}")
+    check_filter_layer(r, cfg)
     x = prefill(tokens, weights, upto_layer=r - 1, evict=lambda cache, scores: None).hidden
     n, h = x.shape[0], cfg.n_heads
     keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)

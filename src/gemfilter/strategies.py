@@ -78,7 +78,7 @@ class RunConfig:
         check_pooling(self.pool_kernel)
         if self.max_new_tokens < 0:
             raise ContractViolation("max_new_tokens must be >= 0")
-        # The upper bound of filter_layer needs the model: select_indices checks it.
+        # The upper bound of filter_layer needs the model: check_filter_layer checks it.
         if self.select_k < 1:
             raise ContractViolation("selection budget k must be >= 1")
         if self.filter_layer < 1:

@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-from .config import ModelConfig
-from .errors import ConfigurationError
+from .config import ModelConfig, is_integer
+from .errors import ConfigurationError, ContractViolation
 from .model import F32, LayerWeights, ModelWeights, layer_weight_bytes
 
 _COPY_EMBED_SEED = 0x5EED
@@ -42,6 +42,8 @@ def _check_fits_in_memory(cfg: ModelConfig) -> None:
 
 def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite."""
+    if not is_integer(seed) or seed < 0:
+        raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
     _check_fits_in_memory(cfg)
     rng = np.random.default_rng(seed)
     scale = F32(1.0 / np.sqrt(cfg.d_model))
@@ -107,8 +109,6 @@ def make_copy_model(cfg: ModelConfig) -> ModelWeights:
         raise ConfigurationError("copy model requires n_kv_heads == n_heads")
     if cfg.head_dim < 64:
         raise ConfigurationError("copy model requires head_dim >= 64")
-    if cfg.n_layers < 1:
-        raise ConfigurationError("copy model requires at least one layer")
     _check_fits_in_memory(cfg)
 
     eye = np.eye(cfg.d_model, dtype=F32)

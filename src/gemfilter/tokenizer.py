@@ -7,6 +7,7 @@ special ids render as readable escapes instead of bytes.
 
 from __future__ import annotations
 
+from .config import is_integer
 from .errors import ContractViolation
 
 BYTE_VOCAB = 256
@@ -24,12 +25,8 @@ def tokenize(data: bytes | str) -> list[int]:
 
 def detokenize(ids) -> bytes:
     out = bytearray()
-    for raw in ids:
-        tid = int(raw)
-        if 0 <= tid < BYTE_VOCAB:
-            out.append(tid)
-        elif BYTE_VOCAB <= tid < VOCAB_SIZE:
-            out.extend(SPECIAL_TOKENS[tid - BYTE_VOCAB].encode("ascii"))
-        else:
-            raise ContractViolation(f"token id {tid} outside vocabulary of size {VOCAB_SIZE}")
+    for tid in ids:
+        if not is_integer(tid) or not 0 <= tid < VOCAB_SIZE:
+            raise ContractViolation(f"token id {tid!r} outside vocabulary of size {VOCAB_SIZE}")
+        out.extend(SPECIAL_TOKENS[tid - BYTE_VOCAB].encode("ascii") if tid >= BYTE_VOCAB else [tid])
     return bytes(out)

@@ -575,6 +575,28 @@ def test_shape_flags_with_model_rejected(random_model, capsys, argv, flags):
 
 
 @pytest.mark.parametrize(
+    "kind, loaded, flags, d_model",
+    [
+        ("random", {"n_heads": 4, "head_dim": 16, "d_model": 64}, [], 64),
+        ("random", {"n_heads": 4, "head_dim": 16, "d_model": 64}, ["--heads", "2"], 32),
+        ("random", {"head_dim": 8, "d_model": 32}, [], 32),
+        ("copy", {"n_layers": 1}, ["--head-dim", "96"], 192),
+        ("copy", {"head_dim": 96, "d_model": 192}, [], 192),
+    ],
+    ids=["file", "heads-flag", "base-heads", "copy-head-dim-flag", "copy-file"],
+)
+def test_d_model_follows_the_head_layout(tmp_path, capsys, kind, loaded, flags, d_model):
+    """A --config file's d_model is kept; shape flags read after it carry d_model with them,
+    and the base shape's own d_model never outlives a change to its head layout."""
+    config, model = tmp_path / "config.json", tmp_path / "m.gfm"
+    config.write_text(json.dumps(loaded), encoding="utf-8")
+    argv = ["make-model", "--kind", kind, "--out", str(model), "--config", str(config), *flags]
+    assert main(argv) == 0
+    assert f"d_model={d_model}" in capsys.readouterr().out
+    assert load_model(model).config.d_model == d_model
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cost", "--n", "256", "--select-k", "32", "--max-new-tokens", "8", "--filter-layer", "1",

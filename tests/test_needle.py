@@ -93,6 +93,24 @@ class TestCoverageMetric:
         cov, dist = coverage_and_distance(np.asarray([12]), (4, 8))
         assert dist == 12 - 7
 
+    def test_matches_a_brute_force_distance(self):
+        """The distance is the least ``|i - j|`` over kept ``i`` and span positions ``j``."""
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 120))
+            length = int(rng.integers(1, min(n, 20) + 1))
+            start = int(rng.integers(0, n - length + 1))
+            indices = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            cov, dist = coverage_and_distance(indices, (start, start + length))
+            span = np.arange(start, start + length)
+            assert dist == np.abs(indices[:, None] - span[None, :]).min()
+            assert type(dist) is int
+            assert cov == np.isin(span, indices).mean()
+
+    def test_empty_index_set_rejected(self):
+        with pytest.raises(ContractViolation, match="at least one index"):
+            coverage_and_distance(np.asarray([], dtype=np.int64), (4, 8))
+
 
 class TestNeedleRun:
     def test_copy_model_layer_one_hits(self):
@@ -183,4 +201,17 @@ class TestNeedleRun:
         rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=0)
         with pytest.raises(ConfigurationError, match="filter_layer must be an integer"):
             needle_run(spec, copy_weights(), r_list, rc)
+        assert layers == []
+
+    @pytest.mark.parametrize("t_max", [0, 4])
+    def test_every_layer_checked_before_any_filter_pass(self, monkeypatch, t_max):
+        """A layer past the model, last in the list, is refused before the first runs."""
+        layers = []
+        monkeypatch.setattr(runner, "select_indices", lambda *args: layers.append(args))
+        spec = NeedleSpec(haystack_len=64, depth_percent=50, needle=(98,) * 4, query_token=98)
+        rc = RunConfig(Strategy.GEMFILTER, select_k=16, max_new_tokens=t_max)
+        with pytest.raises(ContractViolation, match="filter layer 5 outside 1..2"):
+            needle_run(spec, copy_weights(), [1, 2, 5], rc)
+        with pytest.raises(ContractViolation, match="filter layer 5 outside 1..2"):
+            needle_run(spec, copy_weights(), [5], rc)
         assert layers == []

@@ -4,7 +4,9 @@ Each case is checked at the API that first sees the input and through the
 CLI, which must exit with code 1 and name the error on stderr.
 """
 
+import argparse
 import json
+import pickle
 import struct
 import tempfile
 import tracemalloc
@@ -14,14 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemfilter.cli import DEFAULT_CONFIG, main
+from gemfilter.cli import DEFAULT_CONFIG, _load_prompt, main
 from gemfilter.config import ModelConfig
+from gemfilter.costmodel import CostParams
 from gemfilter.counting import CostSession
 from gemfilter.errors import ConfigurationError, ContractViolation, ModelFormatError
 from gemfilter.kernels import argmax, pool_1d, topk_indices
+from gemfilter.model import F32, LayerKV, decode_step, greedy_decode, prefill
 from gemfilter.modelio import MAGIC, load_model, save_model
 from gemfilter.needle import NeedleSpec, needle_run
-from gemfilter.runner import RunConfig, Strategy, run_generation
+from gemfilter.runner import RunConfig, Strategy, metrics_document, run_generation
 from gemfilter.selection import select_indices
 from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 from helpers import config, copy_weights
@@ -208,6 +212,10 @@ CONFIG_FIELD_TYPES = {
     "norm_eps-NaN": ('{"norm_eps": NaN}', "norm_eps must be a finite number"),
     "rope_theta-Infinity": ('{"rope_theta": Infinity}', "rope_theta must be a finite number"),
     "use_rope-1": ('{"use_rope": 1}', "use_rope must be true or false"),
+    # A d_model the file names stays, and must fit the file's head layout.
+    "d_model-100": ('{"n_heads": 4, "head_dim": 16, "d_model": 100}', "d_model"),
+    # d_model is derived from integers only: "4" * 2.5 is not attempted.
+    "n_heads-string": ('{"n_heads": "4", "head_dim": 2.5}', "n_heads must be an integer"),
 }
 
 
@@ -471,10 +479,162 @@ def test_needle_decode_overrun_rejected_before_any_run(monkeypatch):
     monkeypatch.setattr("gemfilter.needle.run_generation", lambda *args: calls.append(args))
     with pytest.raises(
         ContractViolation,
-        match=r"needle prompt length 61 \+ max_new_tokens 10 - 1 exceeds max_seq 64",
+        match=r"kept prompt length 61 \+ max_new_tokens 10 - 1 exceeds max_seq 64",
     ):
         needle_run(spec, weights, [1], replace(rc, max_new_tokens=10))
     assert calls == []
+
+
+# ------------------------------------------------------------- the integer rule
+
+PROMPT = [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def _no_setup(value_of):
+    """An entry point whose setup needs nothing: each value is called as it is."""
+    return lambda tmp_path: value_of
+
+
+def _decode(tmp_path):
+    weights = make_random_model(TINY, 3)
+    caches = prefill(PROMPT, weights).caches
+    return lambda token: decode_step(token, caches, weights)
+
+
+def _greedy(tmp_path):
+    weights = make_random_model(TINY, 3)
+    caches = prefill(PROMPT, weights).caches
+    return lambda steps: greedy_decode(weights, caches, 5, steps)
+
+
+def _prefill(keyword):
+    def make(tmp_path):
+        weights = make_random_model(TINY, 3)
+        return lambda value: prefill(PROMPT, weights, **{keyword: value})
+
+    return make
+
+
+def _reserve(tmp_path):
+    cache = LayerKV.empty(1, 4, 2)
+
+    def reserve(rows):
+        cache.reserve(rows)
+        return cache
+
+    return reserve
+
+
+def _needle(field):
+    def make(tmp_path):
+        weights = copy_weights()
+        rc = RunConfig(Strategy.GEMFILTER, select_k=4, max_new_tokens=2)
+
+        def run(value):
+            spec = dict(haystack_len=20, depth_percent=50.0, needle=(98, 98), query_token=98)
+            spec[field] = (98, value) if field == "needle" else value
+            return needle_run(NeedleSpec(**spec), weights, [1], rc).to_dict()
+
+        return run
+
+    return make
+
+
+def _prompt_tokens(tmp_path):
+    def load(value):
+        path = tmp_path / "prompt.json"
+        path.write_text(json.dumps([3, value], default=lambda v: v.item()), encoding="utf-8")
+        return _load_prompt(argparse.Namespace(prompt_text=None, prompt_tokens=path), TINY)
+
+    return load
+
+
+def _empty_cache(position):
+    part = np.zeros((1, 0, 4), dtype=F32)
+    return LayerKV(keys=part, values=part.copy(), next_position=position)
+
+
+# Every scalar integer an entry point takes: (setup returning the call, an accepted value).
+INTEGER_ARGS = {
+    "ModelConfig.n_layers": (_no_setup(lambda v: replace(TINY, n_layers=v)), 2),
+    "RunConfig.select_k": (_no_setup(lambda v: RunConfig(Strategy.SNAPKV, select_k=v)), 4),
+    "CostParams.k": (_no_setup(lambda v: CostParams(TINY, n=8, k=v, t=1, r=1)), 4),
+    "NeedleSpec.haystack_len": (_needle("haystack_len"), 20),
+    "NeedleSpec.needle": (_needle("needle"), 97),
+    "LayerKV.next_position": (_no_setup(_empty_cache), 3),
+    "LayerKV.reserve": (_reserve, 3),
+    "LayerKV.empty": (_no_setup(lambda v: LayerKV.empty(1, 4, v)), 3),
+    "decode_step.token": (_decode, 5),
+    "greedy_decode.steps": (_greedy, 2),
+    "prefill.upto_layer": (_prefill("upto_layer"), 1),
+    "prefill.score_rows": (_prefill("score_rows"), 2),
+    "pool_1d.kernel": (_no_setup(lambda v: pool_1d(np.arange(8.0), v)), 3),
+    "topk_indices.k": (_no_setup(lambda v: topk_indices(np.arange(8.0), v)), 3),
+    "make_random_model.seed": (_no_setup(lambda v: make_random_model(TINY, v)), 3),
+    "--prompt-tokens entry": (_prompt_tokens, 5),
+}
+NOT_INTEGERS = {
+    "1.7": 1.7, "True": True, "np.True_": np.True_, "str-1": "1", "-1": -1, "None": None,
+}
+BAD_INTEGER_CASES = [
+    pytest.param(entry, value, id=f"{entry}-{name}")
+    for entry in INTEGER_ARGS
+    for name, value in NOT_INTEGERS.items()
+    if not (value is None and entry == "prefill.upto_layer")  # None is every layer
+]
+
+
+@pytest.mark.parametrize("entry, value", BAD_INTEGER_CASES)
+def test_a_value_that_is_not_an_integer_is_refused_before_any_work(
+    monkeypatch, tmp_path, entry, value
+):
+    """No integer argument is coerced: 1.7, a bool, a string or None is refused,
+    as is -1, by a named error before any layer runs or any counter moves."""
+    call = INTEGER_ARGS[entry][0](tmp_path)
+    calls = []
+    monkeypatch.setattr(CostSession, "count_matmul", lambda self, *args: calls.append(args))
+    with CostSession().activate(), pytest.raises((ConfigurationError, ContractViolation)):
+        call(value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("np_int", [np.int32, np.int64])
+@pytest.mark.parametrize("entry", [e for e in INTEGER_ARGS if e != "--prompt-tokens entry"])
+def test_a_numpy_integer_acts_as_the_equal_int(tmp_path, entry, np_int):
+    """A numpy integer gives the bytes and types the equal Python int gives."""
+    make, good = INTEGER_ARGS[entry]
+    want = pickle.dumps(make(tmp_path)(good))
+    assert pickle.dumps(make(tmp_path)(np_int(good))) == want
+
+
+@pytest.mark.parametrize("np_int", [np.int32, np.int64])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_numpy_integer_settings_run_as_the_equal_ints(strategy, np_int):
+    """An equal RunConfig and ModelConfig, the same run_id, tokens and session snapshot."""
+    settings = dict(max_new_tokens=3, select_k=8, filter_layer=2, pool_kernel=3, window=4)
+    rc = RunConfig(strategy, **settings)
+    np_rc = RunConfig(strategy, **{name: np_int(v) for name, v in settings.items()})
+    assert np_rc == rc and np_rc.settings() == rc.settings()
+    assert {type(v) for v in np_rc.settings().values()} == {int}
+    shape = {
+        name: np_int(v) if type(v) is int else np.float64(v) if type(v) is float else v
+        for name, v in TINY.to_dict().items()
+    }
+    np_cfg = ModelConfig(**shape)
+    assert json.dumps(np_cfg.to_dict()) == json.dumps(TINY.to_dict())
+    assert json.dumps(replace(TINY, rope_theta=np.float32(1e4)).to_dict()) == json.dumps(
+        TINY.to_dict()
+    )
+    tokens = list(range(1, 21))
+    docs = []
+    for cfg, run in ((TINY, rc), (np_cfg, np_rc)):
+        weights = make_random_model(cfg, np_int(3) if cfg is np_cfg else 3)
+        result = run_generation(weights, tokens, run)
+        doc = metrics_document(
+            weights=weights, tokens=tokens, rc=run, result=result, include_wall_times=False
+        )
+        docs.append(json.dumps(doc, sort_keys=True))
+    assert docs[0] == docs[1]
 
 
 # ------------------------------------------------------------- cost shapes
