@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -15,13 +16,17 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    """A finite float, or an integer a float can hold (a larger one has no finite float)."""
+    if is_integer(value):
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, (float, np.floating)) and math.isfinite(value)
+
+
 # Per annotated field type: the values it accepts, and how to name them.
 _FIELD_KINDS = {
     "int": (is_integer, "an integer"),
-    "float": (
-        lambda v: (is_integer(v) or isinstance(v, (float, np.floating))) and math.isfinite(v),
-        "a finite number",
-    ),
+    "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
 

@@ -22,8 +22,10 @@ conventions, shared with the implementation:
   (``layers_touched * w``, with ``w`` from
   :func:`~gemfilter.model.layer_weight_bytes`); embeddings and the final
   norm live outside ``w``.
-* The filter pass runs ``r - 1`` layers in full and only layer ``r``'s
-  fused Q/K/V product, keeping that layer's keys alone.  So the
+* The filter pass runs ``r - 1`` layers in full and, of layer ``r``, only
+  what selection reads: the key product over ``n`` rows and the query
+  product over the last one, ``2*n*d_model*h_kv*head_dim + 2*d_model^2``
+  (:func:`_filter_flops`), keeping that layer's keys alone.  So the
   full/gemfilter prompt FLOP ratio is at least the layer ratio ``m/r``; the
   filter pass still reads ``r`` layers.
 
@@ -73,6 +75,11 @@ def _qkv_flops(cfg: ModelConfig, rows: int) -> int:
     return 2 * rows * cfg.d_model * (cfg.d_model + 2 * cfg.n_kv_heads * cfg.head_dim)
 
 
+def _filter_flops(cfg: ModelConfig, rows: int) -> int:
+    """The filter layer's key product over ``rows`` positions and its one-row query product."""
+    return 2 * rows * cfg.d_model * cfg.n_kv_heads * cfg.head_dim + 2 * cfg.d_model * cfg.d_model
+
+
 def _layer_flops(cfg: ModelConfig, layers: int, rows: int, key_rows: int) -> dict[str, int]:
     """``layers`` whole layers over ``rows`` positions that attend ``key_rows`` keys in all."""
     attn = layers * cfg.n_heads * 2 * cfg.head_dim * key_rows
@@ -99,8 +106,9 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
     Prompt-phase rows: a full-cache pass costs every layer over n tokens and
     retains all caches; the compressors cost the same pass but peak at one
     full layer plus all compressed layers; the filter pass costs ``r - 1``
-    layers plus layer ``r``'s Q/K/V product, reads ``r`` layers' weights, and
-    peaks at one full layer's K/V (layer ``r``'s keys alone when ``r = 1``).
+    layers plus layer ``r``'s key and last-row query products, reads ``r``
+    layers' weights, and peaks at one full layer's K/V (layer ``r``'s keys
+    alone when ``r = 1``).
     Generation-phase rows: the two-pass method re-prefills the k selected
     tokens (its k^2 term) while the others decode against caches of n or k
     rows.  With t = 0 no layer runs in generation, so every generation
@@ -146,8 +154,8 @@ def cost_table(p: CostParams) -> dict[str, dict[str, PhaseCost]]:
 
     filter_prompt = PhaseCost(
         PROMPT,
-        # Layers 1..r-1 in full, then only the filter layer's fused Q/K/V product.
-        flops_by_tag=_add(prefill(p.r - 1, n), {"proj": _qkv_flops(cfg, n)}),
+        # Layers 1..r-1 in full, then only the filter layer's keys and last-row query.
+        flops_by_tag=_add(prefill(p.r - 1, n), {"proj": _filter_flops(cfg, n)}),
         # One full layer's K/V before the filter layer; the filter layer's keys alone.
         kv_bytes_peak=_kv_bytes(cfg, 1, n) if p.r > 1 else _kv_bytes(cfg, 1, n) // 2,
         weight_bytes_touched=p.r * w,

@@ -21,7 +21,7 @@ else grows with ``n``.  A chunk's working set is one stage at a time: its
 normed rows and fused Q/K/V product, rotated in place; then its Q copy,
 which attention overwrites with its output; then its MLP rows, the normed
 ones dropped before the activation.  Token selection's filter pass holds
-its layer's keys and one chunk's product at a time.
+its layer's keys, one chunk's key product and then one query row.
 
 Eviction reads one score vector per kv-head: the column sums of the last
 ``score_rows`` attention probability rows of its query heads, accumulated
@@ -45,7 +45,9 @@ layer's fused ``[wq | wk | wv]`` buffer projects Q, K and V, and Q/K rotate
 in place by one complex multiply (:func:`_rotate`): their pairs, viewed as
 complex64, times a view of the per-model complex64 rotary table's rows
 (:meth:`ModelWeights.rope`) at the positions the rows take in the layer's
-cache.  Token selection runs only this opening of its filter layer.
+cache.  Token selection runs only the part of this opening its scores read:
+the same steps (:func:`project_heads`) with the filter layer's ``wk`` view
+over every row and its ``wq`` view over the last row, and no V product.
 Attention (:func:`_attention`) runs every query head in one call, blocked
 over query rows with a causal skip, each query block scaled by
 ``1/sqrt(head_dim)`` before its score product and its value product divided
@@ -345,14 +347,15 @@ def _out_of_vocabulary(token: int, vocab: int) -> ContractViolation:
     return ContractViolation(f"token id {token} outside vocabulary of size {vocab}")
 
 
-def _token_ids(tokens) -> np.ndarray:
+def _token_ids(tokens, what: str = "token ids") -> np.ndarray:
     """``np.asarray(tokens)``, a list or tuple holding a bool rejected first.
 
     ``np.asarray`` reads ``[1, True]`` as the integers ``[1, 1]``; an array's
     dtype is left to the caller.  The check is one set lookup per element.
+    ``what`` names the values in the message.
     """
     if isinstance(tokens, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, tokens)):
-        raise ContractViolation("token ids must be integers, got bool")
+        raise ContractViolation(f"{what} must be integers, got bool")
     return np.asarray(tokens)
 
 
@@ -558,33 +561,53 @@ def _charge_attention(cfg: ModelConfig, rows: int, keys: int) -> None:
     count_matmul("attn_value", cfg.n_heads * rows, keys, cfg.head_dim)
 
 
+def project_heads(
+    x: np.ndarray,
+    weights: ModelWeights,
+    layer_idx: int,
+    start: int,
+    w: np.ndarray,
+    rotated: int | None = None,
+) -> np.ndarray:
+    """The rows of ``x`` projected by ``w``, one of the layer's attention weights, as heads.
+
+    The steps every projection of a layer's opening takes: the attention
+    RMS-norm, one product with ``w`` (a ``(d_model, heads * head_dim)``
+    matrix: the fused ``weights.qkv[layer_idx]``, or its ``wq`` or ``wk``
+    view), and the rotation of the first ``rotated`` heads (all by default)
+    by the rows ``weights.rope(start, start + rows)`` views (none without
+    RoPE), in place over the product.  Reads the layer's weights, so the
+    layer is touched, and charges the product to ``proj``.  Returns the
+    product as ``(rows, heads, head_dim)``.
+    """
+    cfg = weights.config
+    touch_layer(layer_idx, weights.per_layer_bytes)
+    n = x.shape[0]
+    xn = rms_norm_rows(x, weights.layers[layer_idx].attn_norm, cfg.norm_eps)
+    out = xn @ w
+    count_matmul("proj", n, *w.shape)
+    del xn
+    heads = out.reshape(n, -1, cfg.head_dim)
+    rotary = weights.rope(start, start + n)
+    if rotary is not None:
+        _rotate(heads[:, :rotated], rotary)
+    return heads
+
+
 def project_qkv(
     x: np.ndarray, weights: ModelWeights, layer_idx: int, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The opening of a layer over the rows of ``x``, at positions ``start`` on: its Q, K and V.
 
-    The attention RMS-norm, one product with the layer's fused
-    ``[wq | wk | wv]`` buffer (``weights.qkv``), and the rotation of Q and K
-    together by the rows ``weights.rope(start, start + rows)`` views (none
-    without RoPE), in place over the product.  Reads the layer's weights,
-    so the layer is touched.  Returns ``qk``, ``(rows, n_heads + n_kv_heads,
-    head_dim)``, post-rotation Q heads then K heads, and ``v``, ``(rows,
-    n_kv_heads, head_dim)``: two views of the product, so either keeps all
-    of it alive.
+    :func:`project_heads` with the layer's fused ``[wq | wk | wv]`` buffer
+    (``weights.qkv``), Q and K rotated together.  Returns ``qk``, ``(rows,
+    n_heads + n_kv_heads, head_dim)``, post-rotation Q heads then K heads,
+    and ``v``, ``(rows, n_kv_heads, head_dim)``: two views of the product,
+    so either keeps all of it alive.
     """
-    cfg = weights.config
-    touch_layer(layer_idx, weights.per_layer_bytes)
-    n = x.shape[0]
-    h, hk, dh = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    xn = rms_norm_rows(x, weights.layers[layer_idx].attn_norm, cfg.norm_eps)
-    qkv = xn @ weights.qkv[layer_idx]
-    count_matmul("proj", n, *weights.qkv[layer_idx].shape)
-    del xn
-    qk = qkv[:, : (h + hk) * dh].reshape(n, h + hk, dh)
-    rotary = weights.rope(start, start + n)
-    if rotary is not None:
-        _rotate(qk, rotary)
-    return qk, qkv[:, (h + hk) * dh :].reshape(n, hk, dh)
+    rotated = weights.config.n_heads + weights.config.n_kv_heads
+    heads = project_heads(x, weights, layer_idx, start, weights.qkv[layer_idx], rotated)
+    return heads[:, :rotated], heads[:, rotated:]
 
 
 def run_layer(

@@ -2,11 +2,13 @@
 
 The filter pass is the first ``r`` (``RunConfig.filter_layer``) layers of
 the same model: :func:`~gemfilter.model.prefill` runs the first ``r - 1``
-in full, keeping no cache (none at all when ``r = 1``), then only the
-opening of layer ``r`` runs: its RMS-norm, fused Q/K/V product and rotation
-(:func:`~gemfilter.model.project_qkv`).  It scores every key position by the
-summed last-row attention of layer ``r`` across all heads, and keeps the top
-``k`` (``RunConfig.select_k``) positions as one global, sorted index set.
+in full, keeping no cache (none at all when ``r = 1``), then only what the
+scores read of layer ``r`` runs: its RMS-norm, key product and rotation over
+every row, and the same steps with its query weights over the last row
+(:func:`~gemfilter.model.project_heads`); no V product.  It scores every
+key position by the summed last-row attention of layer ``r`` across all
+heads, and keeps the top ``k`` (``RunConfig.select_k``) positions as one
+global, sorted index set.
 Layer ``r``'s attention and MLP never run: the scores need only its keys and
 last-row query.  The scores read layer ``r``'s head-major keys in the layout
 a cache holds them: under grouped-query attention each kv-head's keys are
@@ -26,7 +28,7 @@ raw products; raw products are this engine's scoring rule, not an
 equivalent of the probabilities.  The score readout is not charged to the
 FLOP counters; only model matmuls are counted, and the filter pass's cost is
 exactly the ``r - 1``-layer share of a full prompt pass plus layer ``r``'s
-Q/K/V product.
+key product over ``n`` rows and query product over one.
 """
 
 from __future__ import annotations
@@ -38,8 +40,18 @@ import numpy as np
 from .counting import note_kv_bytes
 from .errors import ContractViolation
 from .kernels import pool_1d, topk_indices
-from .model import F32, ModelWeights, _chunks, check_filter_layer, prefill, project_qkv
+from .model import (
+    F32, ModelWeights, _chunks, _token_ids, check_filter_layer, prefill, project_heads,
+)
 from .strategies import RunConfig
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; floats and bools are rejected, not truncated."""
+    arr = _token_ids(values, what)
+    if arr.dtype.kind not in "iu":
+        raise ContractViolation(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -51,7 +63,7 @@ class SelectionResult:
     budget: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _int64_array(self.indices, "selection indices")
         n = self.raw_scores.shape[0]
         if idx.ndim != 1 or idx.size != min(self.budget, n):
             raise ContractViolation("selection must keep min(budget, n) indices")
@@ -91,26 +103,27 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
 
     Four steps: check the filter layer against the model; run the ``r - 1``
     layers before it through :func:`~gemfilter.model.prefill`, which checks
-    the prompt and keeps no cache (at ``r = 1`` it only embeds); run only
-    :func:`~gemfilter.model.project_qkv` of the filter layer, in prefill's
-    row chunks, its keys filling one contiguous head-major ``(h_kv, n,
-    head_dim)`` buffer, the layout a cache holds, so the float64 score sums
-    match a full layer's bit for bit; and score with the last row's query.
-    Only that query outlives its chunk, so the pass holds one chunk's
-    product at a time.  Layers past it are never touched.  A budget larger
-    than the prompt clamps to selecting everything.  The pooling and the
-    lower bounds of ``k`` and ``r`` are :class:`RunConfig`'s to check.
+    the prompt and keeps no cache (at ``r = 1`` it only embeds); project
+    the filter layer's keys with its ``wk`` in prefill's row chunks, filling
+    one contiguous head-major ``(h_kv, n, head_dim)`` buffer, the layout a
+    cache holds, and its query with its ``wq`` over the last row alone
+    (:func:`~gemfilter.model.project_heads` both times); and score.  No Q
+    row but the last and no V is ever made, so the pass holds one chunk's
+    key product at a time, then one query row.  These are not the fused
+    product's bits (a narrower or one-row product may round its last bit
+    otherwise), but the same keys and query to float32 rounding.  Layers
+    past it are never touched.  A budget larger than the prompt clamps to
+    selecting everything.  The pooling and the lower bounds of ``k`` and
+    ``r`` are :class:`RunConfig`'s to check.
     """
     cfg, r, k = weights.config, rc.filter_layer, rc.select_k
     check_filter_layer(r, cfg)
     x = prefill(tokens, weights, upto_layer=r - 1, evict=lambda cache, scores: None).hidden
-    n, h = x.shape[0], cfg.n_heads
+    n, lw = x.shape[0], weights.layers[r - 1]
     keys = np.empty((cfg.n_kv_heads, n, cfg.head_dim), dtype=F32)
     for lo, hi in _chunks(n):
-        qk = project_qkv(x[lo:hi], weights, r - 1, lo)[0]
-        keys[:, lo:hi] = qk[:, h:].transpose(1, 0, 2)
-        last_q = qk[-1, :h].copy()
-        del qk  # drop the chunk's Q/K/V product before the next one is made
+        keys[:, lo:hi] = project_heads(x[lo:hi], weights, r - 1, lo, lw.wk).transpose(1, 0, 2)
+    last_q = project_heads(x[-1:], weights, r - 1, n - 1, lw.wq)[0]
     del x
     note_kv_bytes(keys.nbytes)
     scores = selection_scores(last_q, keys, rc.pool_kernel)
@@ -119,8 +132,11 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
 
 
 def decode_selection(tokens, sel: SelectionResult) -> list[int]:
-    """The selected sub-sequence in original order, for display and reuse."""
-    ids = np.asarray(tokens, dtype=np.int64)
+    """The selected sub-sequence in original order, for display and reuse.
+
+    ``tokens`` is a sequence of integer ids; floats and bools are rejected.
+    """
+    ids = _int64_array(tokens, "token ids")
     if sel.indices.size and (sel.indices[0] < 0 or sel.indices[-1] >= ids.size):
         raise ContractViolation("selection indices out of range for this sequence")
     return [int(t) for t in ids[sel.indices]]

@@ -199,8 +199,10 @@ def test_decoding_adds_to_a_request_peak_only_the_rows_it_decodes(strategy, shap
 def test_the_filter_pass_holds_one_chunks_product():
     """The r = 1 filter pass on the copy model at n = 2049 holds at most the
     residual stream, the filter layer's keys, the largest chunk's normed rows
-    and fused Q/K/V product, the prompt's int64 ids and 4 KiB of interpreter
-    objects.  Holding a chunk's product while the next one is made breaks it."""
+    and ``h_kv * head_dim``-wide key product, one query row, the prompt's
+    int64 ids and 4 KiB of interpreter objects.  Holding a chunk's product
+    while the next one is made, a V product, or a Q product over more than
+    the last row breaks it."""
     cfg = copy_model_config()
     w = make_copy_model(cfg)
     n = 2049
@@ -208,11 +210,12 @@ def test_the_filter_pass_holds_one_chunks_product():
     rc = RunConfig(Strategy.GEMFILTER, select_k=64, filter_layer=1)
     _, peak = traced_peak(select_indices, w, tokens, rc)
     rows = max(hi - lo for lo, hi in model._chunks(n))
-    qkv_width = w.qkv[0].shape[1]
+    kv_width = cfg.n_kv_heads * cfg.head_dim
     allowed = 4 * (
         n * cfg.d_model
         + cfg.n_kv_heads * n * cfg.head_dim
-        + rows * (cfg.d_model + qkv_width)
+        + rows * (cfg.d_model + kv_width)
+        + cfg.d_model
     ) + 8 * n + 4096
     assert peak <= allowed, (peak, allowed)
 

@@ -32,10 +32,10 @@ def layer_bytes_by_hand(cfg):
     return 4 * (2 * d * d + 2 * d * kv_dim + 2 * d * hidden + 2 * d)
 
 
-def qkv_flops(p):
-    """The filter layer's one fused Q/K/V product over the prompt."""
+def filter_flops(p):
+    """The filter layer's key product over the prompt and query product over its last row."""
     cfg = p.config
-    return 2 * p.n * cfg.d_model * (cfg.d_model + 2 * cfg.n_kv_heads * cfg.head_dim)
+    return 2 * p.n * cfg.d_model * cfg.n_kv_heads * cfg.head_dim + 2 * cfg.d_model**2
 
 
 @pytest.mark.parametrize(
@@ -50,8 +50,9 @@ def test_layer_weight_bytes_is_the_layer_element_sum(h, hk, dh, hidden):
 
 class TestTableRatios:
     def test_prompt_ratio_thirteen_of_thirtytwo_layers(self):
-        """Filtering at layer 13 of 32 runs 12 full layers plus layer 13's
-        Q/K/V product: the prompt speedup sits between 32/13 and 32/12."""
+        """Filtering at layer 13 of 32 runs 12 full layers plus layer 13's key
+        and last-row query products: the prompt speedup sits between 32/13
+        and 32/12."""
         p = params(n=4096, k=1024, t=64, r=13, m=32)
         table = cost_table(p)
         full = table["full"][PROMPT]
@@ -59,7 +60,8 @@ class TestTableRatios:
         # attention and MLP terms scale exactly with the r - 1 full layers
         for tag in ("attn_score", "attn_value", "mlp"):
             assert full.flops_by_tag[tag] * 12 == gem.flops_by_tag[tag] * 32
-        assert full.flops_by_tag["proj"] * 12 + qkv_flops(p) * 32 == gem.flops_by_tag["proj"] * 32
+        filter_proj = filter_flops(p) * 32
+        assert full.flops_by_tag["proj"] * 12 + filter_proj == gem.flops_by_tag["proj"] * 32
         assert gem.flops_by_tag["logits"] == 0
         ratio = (full.matmul_flops - full.flops_by_tag["logits"]) / gem.matmul_flops
         assert 32 / 13 < ratio < 32 / 12
@@ -117,14 +119,14 @@ class TestScalingLaws:
             )
 
     def test_filter_layer_scales_linearly_and_only_gemfilter(self):
-        """Full layers number r - 1; the filter layer adds one Q/K/V product."""
+        """Full layers number r - 1; the filter layer adds its key and last-row query products."""
         a = cost_table(params(r=2))
         b = cost_table(params(r=4))
         gem_a = a["gemfilter"][PROMPT].flops_by_tag
         gem_b = b["gemfilter"][PROMPT].flops_by_tag
         for tag in ("attn_score", "attn_value", "mlp"):
             assert gem_a[tag] > 0 and gem_b[tag] == 3 * gem_a[tag]
-        extra = qkv_flops(params())
+        extra = filter_flops(params())
         assert gem_b["proj"] - extra == 3 * (gem_a["proj"] - extra)
         one = cost_table(params(r=1))["gemfilter"][PROMPT].flops_by_tag
         assert one == {**dict.fromkeys(one, 0), "proj": extra}
@@ -231,6 +233,34 @@ class TestVerifyCounters:
                     assert report.ok, (n, k, t, report.format_text())
                     rows = min(k, n)
                     assert table["snapkv"][PROMPT].kv_bytes_peak == 2 * 2 * 8 * 4 * (n + 2 * rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 257, 513])
+    @pytest.mark.parametrize("r", [1, 3], ids=["r1", "r-m"])
+    @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
+    def test_filter_layer_charges_n_key_rows_and_one_query_row(self, monkeypatch, h, hk, r, n):
+        """The filter layer charges, after the last full layer's attention,
+        prefill's chunks of ``wk`` rows, ``n`` in all, then one ``wq`` row,
+        and nothing else; the run's counters equal cost_table's."""
+        w = make_random_model(config(m=3, h=h, hk=hk, dh=8, max_seq=1024), h + hk)
+        charges, count = [], CostSession.count_matmul
+
+        def spy(session, *charge):
+            charges.append(charge)
+            count(session, *charge)
+
+        monkeypatch.setattr(CostSession, "count_matmul", spy)
+        tokens = np.random.default_rng(n).integers(0, w.config.vocab_size, n).tolist()
+        rc = RunConfig(Strategy.GEMFILTER, max_new_tokens=0, select_k=4, filter_layer=r)
+        session = run_generation(w, tokens, rc).session
+        after = max((i + 1 for i, c in enumerate(charges) if c[0] == "attn_value"), default=0)
+        *keys, query = charges[after:]
+        d, kv = w.config.d_model, hk * w.config.head_dim
+        assert all(charge[0] == "proj" and charge[2:] == (d, kv) for charge in keys), keys
+        assert sum(rows for _, rows, _, _ in keys) == n
+        assert query == ("proj", 1, d, d)
+        table = cost_table(CostParams.from_weights(w, n=n, k=4, t=0, r=r))
+        report = verify_counters({"gemfilter": session.snapshot()}, table)
+        assert report.ok, report.format_text()
 
     def test_filter_pass_weight_bytes_exactly_r_layers(self):
         w = make_random_model(config(m=4), 4)

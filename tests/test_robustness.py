@@ -132,8 +132,15 @@ def _huge_dims() -> bytes:
             _json_header(json.dumps({**TINY.to_dict(), "n_layers": 2.5}).encode()),
             "invalid config header",
         ),
+        (
+            _json_header(json.dumps({**TINY.to_dict(), "rope_theta": 10**400}).encode()),
+            "invalid config header: rope_theta must be a finite number",
+        ),
     ],
-    ids=["name-0xff", "header-1", "header-null", "dims-2^31x2^30", "header-n_layers-2.5"],
+    ids=[
+        "name-0xff", "header-1", "header-null", "dims-2^31x2^30", "header-n_layers-2.5",
+        "header-rope_theta-1e400",
+    ],
 )
 def test_malformed_model_file(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.gfm"
@@ -211,6 +218,9 @@ CONFIG_FIELD_TYPES = {
     "head_dim-string": ('{"head_dim": "16"}', "head_dim must be an integer"),
     "norm_eps-NaN": ('{"norm_eps": NaN}', "norm_eps must be a finite number"),
     "rope_theta-Infinity": ('{"rope_theta": Infinity}', "rope_theta must be a finite number"),
+    # An integer past the largest float has no finite float; converting it overflows.
+    "rope_theta-1e400": ('{"rope_theta": 1%s}' % ("0" * 400), "rope_theta must be a finite number"),
+    "norm_eps-minus-1e309": ('{"norm_eps": -1%s}' % ("0" * 309), "norm_eps must be a finite number"),
     "use_rope-1": ('{"use_rope": 1}', "use_rope must be true or false"),
     # A d_model the file names stays, and must fit the file's head layout.
     "d_model-100": ('{"n_heads": 4, "head_dim": 16, "d_model": 100}', "d_model"),

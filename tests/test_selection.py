@@ -7,7 +7,7 @@ from gemfilter import model
 from gemfilter.costmodel import CostParams, cost_table, verify_counters
 from gemfilter.counting import GENERATION, PROMPT, CostSession
 from gemfilter.errors import ContractViolation
-from gemfilter.kernels import topk_indices
+from gemfilter.kernels import rms_norm_rows, topk_indices
 from gemfilter.model import LayerKV, embed, prefill, project_qkv, run_layer
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import (
@@ -103,6 +103,57 @@ def full_filter_layer(w, tokens, r):
     return q[-1], cache.keys
 
 
+def narrow_filter_layer(w, tokens, r):
+    """Layers 1..r-1 run in full, as prefill runs them; then layer r's keys
+    and last-row query, each from its own product of the normed rows: ``wk``
+    over prefill's chunks, ``wq`` over the last row alone, each rotated at its
+    rows' positions.  Returns that query and the keys, head-major and
+    contiguous as a cache holds them."""
+    cfg, n = w.config, len(tokens)
+    lw = w.layers[r - 1]
+    x = prefill(tokens, w, upto_layer=r - 1).hidden
+
+    def project(rows, weight, start):
+        heads = rms_norm_rows(rows, lw.attn_norm, cfg.norm_eps) @ weight
+        heads = heads.reshape(len(rows), -1, cfg.head_dim)
+        rotary = w.rope(start, start + len(rows))
+        if rotary is not None:
+            pairs = heads.view(np.complex64)
+            pairs *= rotary
+        return heads
+
+    keys = np.concatenate([project(x[lo:hi], lw.wk, lo) for lo, hi in model._chunks(n)])
+    return project(x[-1:], lw.wq, n - 1)[0], np.ascontiguousarray(keys.transpose(1, 0, 2))
+
+
+def rounding_bound(w, tokens, r, pool_kernel):
+    """How far the narrow and fused products' raw scores may lie apart, per position.
+
+    Both evaluate each query and key element as a float32 dot product of the
+    same normed row with the same weight column, ``d = d_model`` terms long,
+    in different orders: each is within ``gamma_d * A`` of the exact one,
+    ``A = |normed row| @ |weight column|`` and ``gamma_d = d u / (1 - d u)``
+    (``u = 2**-24``), so they differ by at most ``2 gamma_d A``.  The rotation
+    mixes a pair, bounded by ``A_even + A_odd``, and rounds each part once
+    (``2 u`` of that sum more).  So every element differs by at most ``c * Ā``,
+    with ``c = 2 gamma_d + 2 u`` and ``Ā`` the pair sum, and the pooled
+    head-summed scores by ``(2 c + c**2)`` times the pooled scores of ``Ā``.
+    """
+    cfg, n = w.config, len(tokens)
+    lw, d, u = w.layers[r - 1], cfg.d_model, 2.0**-24
+    x = prefill(tokens, w, upto_layer=r - 1).hidden
+
+    def magnitude(rows, weight):
+        normed = np.abs(rms_norm_rows(rows, lw.attn_norm, cfg.norm_eps)).astype(np.float64)
+        a = (normed @ np.abs(weight).astype(np.float64)).reshape(len(rows), -1, cfg.head_dim)
+        return np.repeat(a[..., 0::2] + a[..., 1::2], 2, axis=-1)
+
+    gamma = d * u / (1 - d * u)
+    c = 2 * gamma + 2 * u
+    q_bound, k_bound = magnitude(x[-1:], lw.wq)[0], magnitude(x, lw.wk).transpose(1, 0, 2)
+    return (2 * c + c * c) * selection_scores(q_bound, k_bound, pool_kernel)
+
+
 class TestSelectIndices:
     def test_k_at_least_n_selects_everything(self):
         w = make_random_model(config(), 2)
@@ -111,7 +162,8 @@ class TestSelectIndices:
 
     def test_prompt_flops_are_r_over_m_of_full_prefill(self):
         """Filtering at layer 3 of 4 costs 2/4 of a full prefill plus layer 3's
-        one Q/K/V product; the filter layer's attention and MLP never run."""
+        key product over every row and query product over the last one; the
+        filter layer's V product, attention and MLP never run."""
         cfg = config(m=4)
         w = make_random_model(cfg, 3)
         tokens = list(range(24))
@@ -123,10 +175,10 @@ class TestSelectIndices:
         sel_cost = s_sel.phase_cost(PROMPT)
         full_cost = s_full.phase_cost(PROMPT)
         d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
-        qkv = 2 * len(tokens) * d * (d + 2 * kv)
+        filter_proj = 2 * len(tokens) * d * kv + 2 * d * d
         assert set(sel_cost.flops_by_tag) == set(full_cost.flops_by_tag)
         for tag, flops in full_cost.flops_by_tag.items():
-            extra = qkv if tag == "proj" else 0
+            extra = filter_proj if tag == "proj" else 0
             assert flops * 2 == (sel_cost.flops_by_tag[tag] - extra) * 4
 
     def test_filter_pass_touches_only_r_layers_of_weights(self):
@@ -160,7 +212,7 @@ class TestSelectIndices:
         cfg = config(m=2, h=h, hk=hk, dh=8)
         w = make_random_model(cfg, 30 + h + hk)
         tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, n).tolist()
-        q, keys = (a.astype(np.float64) for a in full_filter_layer(w, tokens, 2))
+        q, keys = (a.astype(np.float64) for a in narrow_filter_layer(w, tokens, 2))
         expanded = [keys[qh // (h // hk)] for qh in range(h)]  # (n, d) per query head
         raw = sum((expanded[qh] * q[qh]).sum(axis=1) for qh in range(h))
         half = 2  # pool_kernel = 5
@@ -190,9 +242,14 @@ class TestSelectIndices:
 @pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
 @pytest.mark.parametrize("h, hk", [(4, 4), (4, 2), (4, 1), (8, 2)])
 def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
-    """For every filter layer r, the pass that stops at layer r's Q/K keeps the
-    indices and raw-score bytes of running layer r in full, and its counters
-    equal cost_table's.  n straddles the 256-row chunks and the one-row tail."""
+    """For every filter layer r, the pass that stops at layer r's keys and
+    last-row query gives the raw-score bytes of the narrow oracle, raw scores
+    within float32 rounding of running layer r in full (:func:`rounding_bound`),
+    the indices that full layer keeps but where rounding breaks a tie, and
+    counters equal to cost_table's.  n straddles the 256-row chunks and the
+    one-row tail.  Without RoPE, equal tokens give equal keys, so two pooling
+    windows over the same tokens tie exactly (h, h_kv = 4, 1 at n = 65), and
+    the window sums' rounding breaks the tie as it falls."""
     m, k, t = 3, 8, 1
     cfg = config(m=m, h=h, hk=hk, dh=8, use_rope=use_rope, max_seq=1024)
     w = make_random_model(cfg, 40 + h + hk)
@@ -201,13 +258,23 @@ def test_truncated_pass_bit_equals_full_filter_layer(h, hk, use_rope, n):
     for r in range(1, m + 1):
         rc = RunConfig(Strategy.GEMFILTER, max_new_tokens=t, select_k=k, filter_layer=r)
         result = run_generation(w, tokens, rc)
+        raw = result.selection.raw_scores
+        narrow = selection_scores(*narrow_filter_layer(w, tokens, r), rc.pool_kernel)
+        assert raw.tobytes() == narrow.tobytes(), r
         last_q, keys = full_filter_layer(w, tokens, r)
         full_prefill = prefill(tokens, w, upto_layer=r)
         assert keys.tobytes() == full_prefill.caches[-1].keys.tobytes(), r
         scores = selection_scores(last_q, keys, rc.pool_kernel)
+        bound = rounding_bound(w, tokens, r, rc.pool_kernel)
+        assert np.all(np.abs(raw - scores) <= bound), r
+        # The full layer's own top k, short of a tie rounding breaks either way:
+        # a position may take the place of one the full layer keeps only where
+        # their full-layer scores lie within the two positions' bounds.
         kept = np.sort(topk_indices(scores, min(k, n)))
-        assert result.selection.raw_scores.tobytes() == scores.tobytes(), r
-        assert result.selection.indices.tobytes() == kept.tobytes(), r
+        dropped = np.setdiff1d(kept, result.selection.indices)
+        added = np.setdiff1d(result.selection.indices, kept)
+        margins = scores[dropped][:, None] - scores[added]
+        assert np.all(margins <= bound[dropped][:, None] + bound[added]), (r, dropped, added)
         table = cost_table(CostParams.from_weights(w, n=n, k=k, t=t, r=r))
         report = verify_counters({"gemfilter": result.session.snapshot()}, table)
         assert report.ok, (r, report.format_text())
@@ -274,6 +341,26 @@ class TestDecodeSelection:
     def test_malformed_selection_rejected(self, indices, budget, message):
         with pytest.raises(ContractViolation, match=message):
             SelectionResult(indices=np.asarray(indices), raw_scores=np.zeros(4), budget=budget)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([0.5, 1.7]), np.array([0.0, 1.0]), np.array([False, True]), [0, True]],
+        ids=["fractional", "whole-floats", "bool-array", "bool-in-list"],
+    )
+    def test_non_integer_indices_rejected_not_truncated(self, indices):
+        with pytest.raises(ContractViolation, match="selection indices must be integers"):
+            SelectionResult(indices=indices, raw_scores=np.zeros(4), budget=2)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [[1.9, 2.2, 3.1, 4.0], np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, bool), [1, 2, True, 4]],
+        ids=["fractional", "whole-floats", "bool-array", "bool-in-list"],
+    )
+    def test_non_integer_tokens_rejected_not_truncated(self, tokens):
+        sel = SelectionResult(indices=np.asarray([1, 2]), raw_scores=np.zeros(4), budget=2)
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            decode_selection(tokens, sel)
+        assert decode_selection(np.arange(4, dtype=np.uint8) + 5, sel) == [6, 7]
 
     def test_out_of_range_rejected(self):
         sel = SelectionResult(

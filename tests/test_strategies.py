@@ -363,6 +363,7 @@ CALLED_BY_NAME = (
     (model, "prefill"),
     (model, "run_layer"),
     (model, "project_qkv"),
+    (model, "project_heads"),
     (model, "decode_step"),
     (kernels, "pool_1d"),
     (kernels, "topk_indices"),
@@ -409,9 +410,11 @@ def test_traced_functions_are_called_by_module_attribute(monkeypatch, strategy):
     }
     assert {name: len(calls[name]) for name in expected} == expected
     assert calls["run_layer"]
-    # Every layer opens with project_qkv; the one-chunk filter pass calls it alone.
-    filter_chunks = int(strategy is Strategy.GEMFILTER)
-    assert len(calls["project_qkv"]) == len(calls["run_layer"]) + filter_chunks
+    # Every layer opens with project_qkv, which projects through project_heads;
+    # the one-chunk filter pass calls project_heads alone, for its keys and query.
+    assert len(calls["project_qkv"]) == len(calls["run_layer"])
+    filter_calls = 2 * int(strategy is Strategy.GEMFILTER)
+    assert len(calls["project_heads"]) == len(calls["run_layer"]) + filter_calls
     for name in ("snapkv_retained_indices", "h2o_retained_indices"):
         assert all(len(args[0]) == n for args in calls[name])
 
