@@ -135,9 +135,10 @@ def rounding_bound(w, tokens, r, pool_kernel):
     ``A = |normed row| @ |weight column|`` and ``gamma_d = d u / (1 - d u)``
     (``u = 2**-24``), so they differ by at most ``2 gamma_d A``.  The rotation
     mixes a pair, bounded by ``A_even + A_odd``, and rounds each part once
-    (``2 u`` of that sum more).  So every element differs by at most ``c * Ā``,
-    with ``c = 2 gamma_d + 2 u`` and ``Ā`` the pair sum, and the pooled
-    head-summed scores by ``(2 c + c**2)`` times the pooled scores of ``Ā``.
+    (``2 u`` of that sum more).  So every element differs by at most
+    ``c * A_pair``, with ``c = 2 gamma_d + 2 u`` and ``A_pair`` the pair sum,
+    and the pooled head-summed scores by ``(2 c + c**2)`` times the pooled
+    scores of ``A_pair``.
     """
     cfg, n = w.config, len(tokens)
     lw, d, u = w.layers[r - 1], cfg.d_model, 2.0**-24
