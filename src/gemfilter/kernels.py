@@ -74,17 +74,22 @@ def check_pooling(kernel: int) -> None:
         raise ContractViolation(f"pool kernel exceeds the largest float {sys.float_info.max}")
 
 
+_SORT_BLOCK = 1 << 16  # window values pool_1d sorts at once: 512 KiB of float64
+
+
 def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     """Length-preserving 1-D average pooling over the windows ``[i - kernel//2, i + kernel//2]``.
 
     Each output is the window's sum divided by ``kernel``, where positions
     outside the vector contribute zeros and still count in the denominator.
-    Padding stops at ``n - 1`` per side, since a wider window reaches no
-    further position, so memory is O(n) for any kernel.  Every position
-    whose window covers the whole vector gets one shared value,
-    ``sum(v) / kernel``: their padded windows differ only in where the zeros
-    sit, which moves the sum's rounding, and a tie among them must break
-    toward the lower index, not by rounding.
+    Each window is summed in ascending order of its values, so two windows
+    holding the same values in another order (equal scores either side of a
+    run) pool to the same bits, and a tie among them breaks toward the lower
+    index, not by rounding.  Padding stops at ``n - 1`` per side, since a
+    wider window reaches no further position, and the windows are sorted
+    ``_SORT_BLOCK`` values at a time, so memory is O(n) for any kernel.
+    Every position whose window covers the whole vector gets one shared
+    value, ``sum(v) / kernel``.
     """
     check_pooling(kernel)
     v = np.asarray(v)
@@ -97,7 +102,11 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     padded = np.zeros(v.size + 2 * half, dtype=v.dtype)
     padded[half : half + v.size] = v
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    out = windows.sum(axis=1) / v.dtype.type(kernel)
+    out = np.empty(v.size, dtype=v.dtype)
+    rows = max(1, _SORT_BLOCK // windows.shape[1])
+    for lo in range(0, v.size, rows):
+        out[lo : lo + rows] = np.sort(windows[lo : lo + rows], axis=1).sum(axis=1)
+    out /= v.dtype.type(kernel)
     out[max(v.size - 1 - reach, 0) : reach + 1] = np.add.reduce(v) / v.dtype.type(kernel)
     return out
 

@@ -166,6 +166,20 @@ class TestAvgPool1d:
         assert np.all(out[3:9] == v.sum() / 17)
         np.testing.assert_allclose(out, pool_oracle(v, 17), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, F32])
+    def test_windows_over_the_same_values_tie_toward_the_lower_index(self, dtype):
+        """``v[0] == v[5]``, so the kernel-5 windows of positions 2 and 3 hold
+        the same values in another order: they pool to the same bits, and
+        top-k keeps position 2 first, whatever order a sum would meet them."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            v = rng.standard_normal(6).astype(dtype)
+            v[5] = v[0]
+            out = pool_1d(v, 5)
+            assert out[2].tobytes() == out[3].tobytes(), v
+            if out[2] >= out.max():
+                assert topk_indices(out, 1).tolist() == [2]
+
     def test_sum_conservation_minus_boundary_leakage(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(32)
