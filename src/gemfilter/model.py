@@ -348,15 +348,20 @@ def _out_of_vocabulary(token: int, vocab: int) -> ContractViolation:
 
 
 def _token_ids(tokens, what: str = "token ids") -> np.ndarray:
-    """``np.asarray(tokens)``, a list or tuple holding a bool rejected first.
+    """``np.asarray(tokens)`` of a numpy integer dtype; floats, strings and bools are rejected.
 
-    ``np.asarray`` reads ``[1, True]`` as the integers ``[1, 1]``; an array's
-    dtype is left to the caller.  The check is one set lookup per element.
-    ``what`` names the values in the message.
+    ``np.asarray`` reads ``[1, True]`` as the integers ``[1, 1]``, so a list
+    or tuple holding a bool is rejected first, one set lookup per element.
+    The array keeps its dtype, so no value is truncated or wrapped.  An
+    empty input passes whatever dtype it reads as, for the caller's own
+    size check.  ``what`` names the values in the message.
     """
     if isinstance(tokens, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, tokens)):
         raise ContractViolation(f"{what} must be integers, got bool")
-    return np.asarray(tokens)
+    ids = np.asarray(tokens)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ContractViolation(f"{what} must be integers, got dtype {ids.dtype}")
+    return ids
 
 
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
@@ -368,8 +373,6 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
     ids = _token_ids(tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise ContractViolation("embed expects a non-empty token sequence")
-    if ids.dtype.kind not in "iu":
-        raise ContractViolation(f"token ids must be integers, got dtype {ids.dtype}")
     vocab = weights.config.vocab_size
     if ids.min() < 0 or ids.max() >= vocab:
         raise _out_of_vocabulary(int(ids[(ids < 0) | (ids >= vocab)][0]), vocab)

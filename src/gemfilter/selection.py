@@ -46,14 +46,6 @@ from .model import (
 from .strategies import RunConfig
 
 
-def _int64_array(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; floats and bools are rejected, not truncated."""
-    arr = _token_ids(values, what)
-    if arr.dtype.kind not in "iu":
-        raise ContractViolation(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
 @dataclass
 class SelectionResult:
     """A single global index set: ascending positions, plus the raw scores."""
@@ -63,15 +55,16 @@ class SelectionResult:
     budget: int
 
     def __post_init__(self) -> None:
-        idx = _int64_array(self.indices, "selection indices")
+        idx = _token_ids(self.indices, "selection indices")
         n = self.raw_scores.shape[0]
         if idx.ndim != 1 or idx.size != min(self.budget, n):
             raise ContractViolation("selection must keep min(budget, n) indices")
         if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise ContractViolation("selection index out of range")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
+        # Compared, not differenced: an unsigned difference wraps.
+        if np.any(idx[1:] <= idx[:-1]):
             raise ContractViolation("selection indices must be strictly increasing")
-        self.indices = idx
+        self.indices = idx.astype(np.int64)  # every value is in 0..n-1
 
 
 def selection_scores(last_q: np.ndarray, keys: np.ndarray, pool_kernel: int) -> np.ndarray:
@@ -134,9 +127,12 @@ def select_indices(weights: ModelWeights, tokens, rc: RunConfig) -> SelectionRes
 def decode_selection(tokens, sel: SelectionResult) -> list[int]:
     """The selected sub-sequence in original order, for display and reuse.
 
-    ``tokens`` is a sequence of integer ids; floats and bools are rejected.
+    ``tokens`` is a one-dimensional sequence of integer ids; floats and
+    bools are rejected.
     """
-    ids = _int64_array(tokens, "token ids")
+    ids = _token_ids(tokens)
+    if ids.ndim != 1:
+        raise ContractViolation(f"decode_selection expects a token sequence, got shape {ids.shape}")
     if sel.indices.size and (sel.indices[0] < 0 or sel.indices[-1] >= ids.size):
         raise ContractViolation("selection indices out of range for this sequence")
     return [int(t) for t in ids[sel.indices]]

@@ -357,6 +357,31 @@ class TestDecodeSelection:
             decode_selection(tokens, sel)
         assert decode_selection(np.arange(4, dtype=np.uint8) + 5, sel) == [6, 7]
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [([3, 1], "strictly increasing"), ([1, 2**63], "out of range")],
+        ids=["decreasing", "past-int64"],
+    )
+    def test_unsigned_indices_checked_before_the_int64_cast(self, indices, message):
+        """An unsigned difference or cast would wrap; neither happens before the checks."""
+        idx = np.asarray(indices, dtype=np.uint64)
+        with pytest.raises(ContractViolation, match=message):
+            SelectionResult(indices=idx, raw_scores=np.zeros(4), budget=2)
+        sel = SelectionResult(indices=np.asarray([1, 3], np.uint8), raw_scores=np.zeros(4), budget=2)
+        assert sel.indices.dtype == np.int64 and sel.indices.tolist() == [1, 3]
+
+    def test_token_values_pass_through_uncast(self):
+        sel = SelectionResult(indices=np.asarray([0]), raw_scores=np.zeros(1), budget=1)
+        assert decode_selection(np.asarray([2**64 - 1], np.uint64), sel) == [2**64 - 1]
+        empty = SelectionResult(indices=[], raw_scores=np.zeros(0), budget=1)
+        assert decode_selection([], empty) == []
+
+    @pytest.mark.parametrize("tokens", [[[1, 2, 3, 4]], [[1, 2], [3, 4]], 7])
+    def test_tokens_that_are_not_one_dimensional_rejected(self, tokens):
+        sel = SelectionResult(indices=np.asarray([0, 1]), raw_scores=np.zeros(4), budget=2)
+        with pytest.raises(ContractViolation, match="expects a token sequence"):
+            decode_selection(tokens, sel)
+
     def test_out_of_range_rejected(self):
         sel = SelectionResult(
             indices=np.asarray([2]), raw_scores=np.zeros(3), budget=1
