@@ -87,7 +87,8 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     run) pool to the same bits, and a tie among them breaks toward the lower
     index, not by rounding.  Padding stops at ``n - 1`` per side, since a
     wider window reaches no further position, and the windows are sorted
-    ``_SORT_BLOCK`` values at a time, so memory is O(n) for any kernel.
+    in blocks of at most ``max(_SORT_BLOCK, 2n - 1)`` values, so memory is
+    O(n) for any kernel.
     Every position whose window covers the whole vector gets one shared
     value, ``sum(v) / kernel``.
     """
