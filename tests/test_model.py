@@ -33,7 +33,7 @@ from gemfilter.model import (
 from gemfilter.modelio import load_model, save_model
 from gemfilter.runner import RunConfig, Strategy, run_generation
 from gemfilter.selection import select_indices
-from gemfilter.testmodels import make_random_model
+from gemfilter.testmodels import copy_model_config, make_copy_model, make_random_model
 from helpers import attention_oracle, config, copy_weights
 
 F32 = np.float32
@@ -244,15 +244,26 @@ class TestFusedProjection:
         assert not prefill(list(range(6)), w).caches[1].keys.any()
 
     def test_model_bytes_identical_to_separate_tensors(self, tmp_path):
-        """GFM1 bytes of both test models, pinned from separate wq/wk/wv buffers."""
-        random_model = make_random_model(self.CFG, 3)
-        copy_model = copy_weights()
+        """GFM1 bytes of both test models, pinned from separate wq/wk/wv buffers
+        and hand-written builders: the default shapes, a GQA random model with
+        an odd MLP, a small vocabulary and no RoPE, and a one-layer copy model
+        with wide heads and a large vocabulary."""
+        gqa = config(m=3, h=4, hk=1, dh=8, vocab=97, hidden=37, use_rope=False)
+        wide_copy = copy_model_config(n_layers=1, head_dim=128, vocab_size=1000)
         pinned = {
-            "d0d8c3687153603142f32873436dc112895fd8a6371d8f6fdb5fb5a24d1bfbaf": random_model,
-            "2fa18ec02f65bca2107253937c9eb19d3a4fe344f548a153c420c1278a4784c8": copy_model,
+            "d0d8c3687153603142f32873436dc112895fd8a6371d8f6fdb5fb5a24d1bfbaf": lambda: (
+                make_random_model(self.CFG, 3)
+            ),
+            "2fa18ec02f65bca2107253937c9eb19d3a4fe344f548a153c420c1278a4784c8": copy_weights,
+            "50c6ed9e04557ff07f49a6d8b11f4f03bdedcad1977670a175f95da1d8d02d2a": lambda: (
+                make_random_model(gqa, 11)
+            ),
+            "4570a5dbd982aa1970a86333e793902b5ce952a4f4f798e38b92521c99e78df4": lambda: (
+                make_copy_model(wide_copy)
+            ),
         }
-        for digest, weights in pinned.items():
-            save_model(tmp_path / "m.gfm", weights)
+        for digest, build in pinned.items():
+            save_model(tmp_path / "m.gfm", build())
             assert hashlib.sha256((tmp_path / "m.gfm").read_bytes()).hexdigest() == digest
             save_model(tmp_path / "again.gfm", load_model(tmp_path / "m.gfm"))
             assert hashlib.sha256((tmp_path / "again.gfm").read_bytes()).hexdigest() == digest
