@@ -195,7 +195,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_make_model(args) -> int:
     if args.kind == "copy":
-        base = copy_model_config(vocab_size=tokenizer.VOCAB_SIZE).to_dict()
+        base = copy_model_config().to_dict()
         cfg = _config_from_args(args, base=base)
         weights = make_copy_model(cfg)
     else:

@@ -21,7 +21,10 @@ import numpy as np
 
 from .config import ModelConfig, is_integer
 from .errors import ConfigurationError, ContractViolation
-from .model import F32, LayerWeights, ModelWeights, layer_weight_bytes
+from .model import (
+    F32, LAYER_TENSORS, LayerWeights, ModelWeights, layer_shapes, layer_weight_bytes,
+)
+from .tokenizer import VOCAB_SIZE
 
 _COPY_EMBED_SEED = 0x5EED
 
@@ -40,40 +43,41 @@ def _check_fits_in_memory(cfg: ModelConfig) -> None:
         )
 
 
+def _from_layout(cfg: ModelConfig, fill, embeddings) -> ModelWeights:
+    """Weights in :func:`~gemfilter.model.layer_shapes`' layout, once it is known they fit.
+
+    Layer by layer, each matrix is ``fill(name, shape)`` in
+    :data:`~gemfilter.model.LAYER_TENSORS` order and each gain is ones;
+    then ``embeddings()`` gives ``(tok_emb, out_emb)``, and the final norm
+    is ones.
+    """
+    _check_fits_in_memory(cfg)
+    shapes = list(zip(LAYER_TENSORS, layer_shapes(cfg)))
+    layers = [
+        LayerWeights(*(fill(n, s) if len(s) == 2 else np.ones(s, dtype=F32) for n, s in shapes))
+        for _ in range(cfg.n_layers)
+    ]
+    tok_emb, out_emb = embeddings()
+    return ModelWeights(cfg, tok_emb, layers, np.ones(cfg.d_model, dtype=F32), out_emb)
+
+
 def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
-    """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite."""
+    """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite.
+
+    Drawn layer by layer in layout order, then ``tok_emb``, then ``out_emb``.
+    """
     if not is_integer(seed) or seed < 0:
         raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
-    _check_fits_in_memory(cfg)
     rng = np.random.default_rng(seed)
     scale = F32(1.0 / np.sqrt(cfg.d_model))
-    kv_dim = cfg.n_kv_heads * cfg.head_dim
 
-    def mat(rows: int, cols: int) -> np.ndarray:
-        out = rng.standard_normal((rows, cols), dtype=F32)
+    def mat(_, shape: tuple[int, int]) -> np.ndarray:
+        out = rng.standard_normal(shape, dtype=F32)
         out *= scale  # in place: the build peaks near the weights it returns
         return out
 
-    layers = [
-        LayerWeights(
-            wq=mat(cfg.d_model, cfg.d_model),
-            wk=mat(cfg.d_model, kv_dim),
-            wv=mat(cfg.d_model, kv_dim),
-            wo=mat(cfg.d_model, cfg.d_model),
-            w_in=mat(cfg.d_model, cfg.hidden_mlp),
-            w_out=mat(cfg.hidden_mlp, cfg.d_model),
-            attn_norm=np.ones(cfg.d_model, dtype=F32),
-            mlp_norm=np.ones(cfg.d_model, dtype=F32),
-        )
-        for _ in range(cfg.n_layers)
-    ]
-    return ModelWeights(
-        config=cfg,
-        tok_emb=mat(cfg.vocab_size, cfg.d_model),
-        layers=layers,
-        final_norm=np.ones(cfg.d_model, dtype=F32),
-        out_emb=mat(cfg.d_model, cfg.vocab_size),
-    )
+    d, vocab = cfg.d_model, cfg.vocab_size
+    return _from_layout(cfg, mat, lambda: (mat("tok_emb", (vocab, d)), mat("out_emb", (d, vocab))))
 
 
 def _unit_rows(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -109,30 +113,16 @@ def make_copy_model(cfg: ModelConfig) -> ModelWeights:
         raise ConfigurationError("copy model requires n_kv_heads == n_heads")
     if cfg.head_dim < 64:
         raise ConfigurationError("copy model requires head_dim >= 64")
-    _check_fits_in_memory(cfg)
 
-    eye = np.eye(cfg.d_model, dtype=F32)
-    layers = [
-        LayerWeights(
-            wq=eye.copy(),
-            wk=eye.copy(),
-            wv=eye.copy(),
-            wo=eye.copy(),
-            w_in=np.zeros((cfg.d_model, cfg.hidden_mlp), dtype=F32),
-            w_out=np.zeros((cfg.hidden_mlp, cfg.d_model), dtype=F32),
-            attn_norm=np.ones(cfg.d_model, dtype=F32),
-            mlp_norm=np.ones(cfg.d_model, dtype=F32),
-        )
-        for _ in range(cfg.n_layers)
-    ]
-    tok_emb = _unit_rows(cfg.vocab_size, cfg.d_model, _COPY_EMBED_SEED)
-    return ModelWeights(
-        config=cfg,
-        tok_emb=tok_emb,
-        layers=layers,
-        final_norm=np.ones(cfg.d_model, dtype=F32),
-        out_emb=tok_emb.T.copy(),
-    )
+    def projection(name: str, shape: tuple[int, int]) -> np.ndarray:
+        mlp = name in ("w_in", "w_out")
+        return np.zeros(shape, dtype=F32) if mlp else np.eye(*shape, dtype=F32)
+
+    def embeddings() -> tuple[np.ndarray, np.ndarray]:
+        tok_emb = _unit_rows(cfg.vocab_size, cfg.d_model, _COPY_EMBED_SEED)
+        return tok_emb, tok_emb.T.copy()
+
+    return _from_layout(cfg, projection, embeddings)
 
 
 def copy_model_config(
@@ -141,7 +131,7 @@ def copy_model_config(
     n_heads: int = 2,
     head_dim: int = 64,
     hidden_mlp: int = 64,
-    vocab_size: int = 260,
+    vocab_size: int = VOCAB_SIZE,
     max_seq: int = 16384,
 ) -> ModelConfig:
     """A config satisfying the copy-model constraints."""
