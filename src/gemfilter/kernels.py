@@ -85,12 +85,11 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     Each window is summed in ascending order of its values, so two windows
     holding the same values in another order (equal scores either side of a
     run) pool to the same bits, and a tie among them breaks toward the lower
-    index, not by rounding.  Padding stops at ``n - 1`` per side, since a
-    wider window reaches no further position, and the windows are sorted
-    in blocks of at most ``max(_SORT_BLOCK, 2n - 1)`` values, so memory is
-    O(n) for any kernel.
-    Every position whose window covers the whole vector gets one shared
-    value, ``sum(v) / kernel``.
+    index, not by rounding.  That covers the windows spanning the whole
+    vector: each holds ``v`` and the same count of padding zeros.  Padding
+    stops at ``n - 1`` per side, since a wider window reaches no further
+    position, and the windows are sorted in blocks of at most
+    ``max(_SORT_BLOCK, 2n - 1)`` values, so memory is O(n) for any kernel.
     """
     check_pooling(kernel)
     v = np.asarray(v)
@@ -98,8 +97,7 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
         raise ContractViolation("pool_1d expects a non-empty vector")
     if not np.issubdtype(v.dtype, np.floating):
         v = v.astype(np.float64)
-    reach = kernel // 2
-    half = min(reach, v.size - 1)
+    half = min(kernel // 2, v.size - 1)
     padded = np.zeros(v.size + 2 * half, dtype=v.dtype)
     padded[half : half + v.size] = v
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
@@ -108,7 +106,6 @@ def pool_1d(v: np.ndarray, kernel: int) -> np.ndarray:
     for lo in range(0, v.size, rows):
         out[lo : lo + rows] = np.sort(windows[lo : lo + rows], axis=1).sum(axis=1)
     out /= v.dtype.type(kernel)
-    out[max(v.size - 1 - reach, 0) : reach + 1] = np.add.reduce(v) / v.dtype.type(kernel)
     return out
 
 

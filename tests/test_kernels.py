@@ -149,21 +149,25 @@ class TestAvgPool1d:
 
     @pytest.mark.parametrize("dtype", [np.float64, F32])
     def test_windows_over_the_whole_vector_tie_toward_the_lower_index(self, dtype):
-        """Every window that covers the whole vector holds ``sum(v) / kernel``,
-        bit for bit, so top-k among them keeps the lowest positions."""
+        """Every window that covers the whole vector holds ``v`` and the same
+        count of padding zeros, so all of them pool to the same bits, and
+        top-k among them keeps the lowest positions."""
         rng = np.random.default_rng(29)
         for n in range(2, 41):
             v = rng.standard_normal(n).astype(dtype)
             for kernel in (2 * n - 1, 2 * n + 1, 4 * n + 1):
                 out = pool_1d(v, kernel)
-                want = np.full(n, np.add.reduce(v) / dtype(kernel), dtype=dtype)
-                assert out.tobytes() == want.tobytes(), (n, kernel)
+                assert out.dtype == dtype
+                assert out.tobytes() == np.full(n, out[0], dtype=dtype).tobytes(), (n, kernel)
+                np.testing.assert_allclose(out, pool_oracle(v, kernel), rtol=1e-5, atol=1e-6)
                 for k in (1, n // 2, n):
                     assert topk_indices(out, k).tolist() == list(range(k))
         # Kernel 17 over 12 positions: only the windows of positions 3..8 cover all 12.
         v = rng.standard_normal(12)
         out = pool_1d(v, 17)
-        assert np.all(out[3:9] == v.sum() / 17)
+        assert out[3:9].tobytes() == np.full(6, out[3]).tobytes()
+        for k in (1, 3, 6):
+            assert topk_indices(out[3:9], k).tolist() == list(range(k))
         np.testing.assert_allclose(out, pool_oracle(v, 17), atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, F32])
