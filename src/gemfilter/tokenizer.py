@@ -2,7 +2,8 @@
 
 Vocabulary layout: ids 0..255 are the raw byte values, ids 256..259 are
 reserved specials.  ``detokenize(tokenize(x)) == x`` for every byte string;
-special ids render as readable escapes instead of bytes.
+special ids, and ids past the specials that a larger model's vocabulary
+holds, render as readable escapes instead of bytes.
 """
 
 from __future__ import annotations
@@ -18,15 +19,25 @@ BOS, EOS, PAD, UNK = range(BYTE_VOCAB, VOCAB_SIZE)
 
 
 def tokenize(data: bytes | str) -> list[int]:
+    """The bytes of ``data``; a str is UTF-8, and the undecodable bytes a
+    command-line argument carries as lone surrogates are themselves."""
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8", errors="surrogateescape")
+        except UnicodeEncodeError as exc:
+            raise ContractViolation(f"text is not encodable as bytes: {exc}") from exc
     return list(data)
 
 
 def detokenize(ids) -> bytes:
     out = bytearray()
     for tid in ids:
-        if not is_integer(tid) or not 0 <= tid < VOCAB_SIZE:
-            raise ContractViolation(f"token id {tid!r} outside vocabulary of size {VOCAB_SIZE}")
-        out.extend(SPECIAL_TOKENS[tid - BYTE_VOCAB].encode("ascii") if tid >= BYTE_VOCAB else [tid])
+        if not is_integer(tid) or tid < 0:
+            raise ContractViolation(f"token id {tid!r} is not an integer >= 0")
+        if tid < BYTE_VOCAB:
+            out.append(tid)
+        elif tid < VOCAB_SIZE:
+            out += SPECIAL_TOKENS[tid - BYTE_VOCAB].encode("ascii")
+        else:
+            out += f"<id:{tid}>".encode("ascii")
     return bytes(out)

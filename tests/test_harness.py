@@ -1,5 +1,6 @@
 """Harness tests: tokenizer round trips, model file format, seeded models."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -41,8 +42,24 @@ class TestTokenizer:
         assert detokenize([97, BOS + 1, 98]) == b"a<eos>b"
 
     def test_out_of_vocab_rejected(self):
-        with pytest.raises(ContractViolation):
-            detokenize([VOCAB_SIZE])
+        """Negative and non-integer ids have no rendering."""
+        for bad in ([-1], [97, -5], [1.5], [True], ["a"]):
+            with pytest.raises(ContractViolation):
+                detokenize(bad)
+
+    def test_ids_past_the_tokenizer_render_as_escapes(self):
+        """A model with a larger vocabulary may emit ids past the specials."""
+        assert detokenize([97, VOCAB_SIZE, 278]) == b"a<id:260><id:278>"
+        assert detokenize(np.array([VOCAB_SIZE - 1, 10**6])) == b"<unk><id:1000000>"
+
+    def test_undecodable_argument_bytes_tokenize_to_themselves(self):
+        """Python hands argv bytes that are not UTF-8 over as lone surrogates."""
+        assert tokenize(os.fsdecode(b"\xff\xfe")) == [255, 254]
+        assert tokenize(os.fsdecode(b"a\xffb")) == [97, 255, 98]
+
+    def test_text_with_an_unencodable_surrogate_rejected(self):
+        with pytest.raises(ContractViolation, match="not encodable"):
+            tokenize("a\ud800")
 
     def test_vocab_size(self):
         assert VOCAB_SIZE == 260
