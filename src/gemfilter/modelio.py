@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigurationError, ModelFormatError
+from .errors import ConfigurationError, ContractViolation, ModelFormatError
 from .model import ModelWeights, weight_shapes
 
 MAGIC = b"GFM1"
@@ -31,7 +31,11 @@ DTYPE_F32 = 1
 
 
 def save_model(path, weights: ModelWeights) -> None:
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ContractViolation(f"cannot write model file {str(path)!r}: {exc.strerror}") from exc
+    with fh:
         fh.write(MAGIC)
         header = json.dumps(weights.config.to_dict(), sort_keys=True).encode("utf-8")
         fh.write(struct.pack("<I", len(header)))

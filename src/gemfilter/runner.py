@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .counting import GENERATION, PROMPT, CostSession
+from .errors import ContractViolation
 from .kernels import argmax
 from .model import ModelWeights, greedy_decode, logits_from_hidden, prefill
 from .selection import SelectionResult, decode_selection, select_indices
@@ -111,6 +112,10 @@ def metrics_document(
 
 def write_metrics(path, docs) -> None:
     """Append newline-delimited JSON documents (UTF-8)."""
-    with open(path, "a", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise ContractViolation(f"cannot write metrics file {str(path)!r}: {exc.strerror}") from exc
+    with fh:
         for doc in docs:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")

@@ -269,6 +269,13 @@ class TestPromptSources:
         assert code == 0
         assert capsys.readouterr().out
 
+    def test_prompt_text_bytes_that_are_not_utf8_are_the_prompt(self, random_model, capsys):
+        """argv bytes that are not UTF-8 reach the parser as lone surrogates."""
+        argv = ["--model", str(random_model), "--prompt-text", os.fsdecode(b"\xff")]
+        assert main(["generate", *argv, "--max-new-tokens", "2"]) == 0
+        assert main(["select", *argv, "--select-k", "1", "--show-indices"]) == 0
+        assert "indices: 0\n" in capsys.readouterr().out
+
     def test_conflicting_prompt_sources_usage_error(self, random_model):
         code = main(
             [
@@ -305,6 +312,17 @@ class TestSelect:
         out = capsys.readouterr().out
         assert "bbbbbbbb" in out
         assert "selected 16 of 129 tokens" in out
+
+    def test_ids_past_the_tokenizer_print_as_escapes(self, tmp_path, capsys):
+        """A model whose vocabulary outgrows the byte tokenizer prints its
+        extra ids as escapes, and the run exits 0."""
+        model = tmp_path / "v300.gfm"
+        assert main(["make-model", "--out", str(model), "--vocab", "300", "--layers", "2",
+                     "--heads", "2", "--kv-heads", "2", "--head-dim", "8"]) == 0
+        flags = ["--model", str(model), "--prompt-random", "20", "--seed", "3"]
+        assert main(["select", *flags, "--select-k", "20"]) == 0
+        assert "<id:2" in capsys.readouterr().out
+        assert main(["generate", *flags, "--max-new-tokens", "8"]) == 0
 
     def test_select_record_is_a_zero_token_gemfilter_run(self, random_model, tmp_path, capsys):
         flags = [

@@ -720,6 +720,17 @@ def test_unwritable_output_path_rejected_before_any_work(tmp_path, capsys, no_wo
     assert not (tmp_path / "absent").exists()
 
 
+@pytest.mark.parametrize("command", ["make-model", "generate"])
+def test_output_file_that_open_refuses_is_named(tmp_path, capsys, command):
+    """A name too long for the file system passes the directory check, and
+    the write then fails naming the path, not with a traceback."""
+    out = tmp_path / ("x" * 300)
+    assert main(_writer_argv(tmp_path, command, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ContractViolation): cannot write ")
+    assert repr(str(out)) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["make-model", "generate", "bench", "needle"])
 def test_negative_seed_rejected_before_any_work(tmp_path, capsys, no_work, command):
     out = tmp_path / "out"
