@@ -29,10 +29,14 @@ from .tokenizer import VOCAB_SIZE
 _COPY_EMBED_SEED = 0x5EED
 
 
-def _check_fits_in_memory(cfg: ModelConfig) -> None:
-    """Reject ``cfg`` if its float32 weights exceed the machine's physical memory.
+def _from_layout(cfg: ModelConfig, fill, embeddings) -> ModelWeights:
+    """Weights in :func:`~gemfilter.model.layer_shapes`' layout.
 
-    The layers, the two embeddings and the final norm, in closed form.
+    Layer by layer, each matrix is ``fill(name, shape)`` in
+    :data:`~gemfilter.model.LAYER_TENSORS` order and each gain is ones;
+    then ``embeddings()`` gives ``(tok_emb, out_emb)``, and the final norm
+    is ones.  First, weights that would exceed the machine's physical
+    memory (counted in closed form) are refused.
     """
     d = cfg.d_model
     need = cfg.n_layers * layer_weight_bytes(cfg) + F32().itemsize * (2 * cfg.vocab_size * d + d)
@@ -41,31 +45,17 @@ def _check_fits_in_memory(cfg: ModelConfig) -> None:
         raise ConfigurationError(
             f"model weights need {need} bytes, more than the {have} bytes of physical memory"
         )
-
-
-def _from_layout(cfg: ModelConfig, fill, embeddings) -> ModelWeights:
-    """Weights in :func:`~gemfilter.model.layer_shapes`' layout, once it is known they fit.
-
-    Layer by layer, each matrix is ``fill(name, shape)`` in
-    :data:`~gemfilter.model.LAYER_TENSORS` order and each gain is ones;
-    then ``embeddings()`` gives ``(tok_emb, out_emb)``, and the final norm
-    is ones.
-    """
-    _check_fits_in_memory(cfg)
     shapes = list(zip(LAYER_TENSORS, layer_shapes(cfg)))
     layers = [
         LayerWeights(*(fill(n, s) if len(s) == 2 else np.ones(s, dtype=F32) for n, s in shapes))
         for _ in range(cfg.n_layers)
     ]
     tok_emb, out_emb = embeddings()
-    return ModelWeights(cfg, tok_emb, layers, np.ones(cfg.d_model, dtype=F32), out_emb)
+    return ModelWeights(cfg, tok_emb, layers, np.ones(d, dtype=F32), out_emb)
 
 
 def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
-    """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite.
-
-    Drawn layer by layer in layout order, then ``tok_emb``, then ``out_emb``.
-    """
+    """Deterministic random weights, scaled 1/sqrt(d_model) to keep activations finite."""
     if not is_integer(seed) or seed < 0:
         raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -76,6 +66,7 @@ def make_random_model(cfg: ModelConfig, seed: int) -> ModelWeights:
         out *= scale  # in place: the build peaks near the weights it returns
         return out
 
+    # Each layer's matrices in layout order, then tok_emb, then out_emb: that order fixes the bytes.
     d, vocab = cfg.d_model, cfg.vocab_size
     return _from_layout(cfg, mat, lambda: (mat("tok_emb", (vocab, d)), mat("out_emb", (d, vocab))))
 

@@ -19,8 +19,7 @@ BOS, EOS, PAD, UNK = range(BYTE_VOCAB, VOCAB_SIZE)
 
 
 def tokenize(data: bytes | str) -> list[int]:
-    """The bytes of ``data``; a str is UTF-8, and the undecodable bytes a
-    command-line argument carries as lone surrogates are themselves."""
+    """``data``'s bytes: a str's UTF-8, with argv's undecodable bytes (lone surrogates) as is."""
     if isinstance(data, str):
         try:
             data = data.encode("utf-8", errors="surrogateescape")
